@@ -142,12 +142,11 @@ class CacheBench:
             op = ops_arr[i]
             key = int(keys_arr[i])
             if op == OP_GET:
-                result = cache.get(key, now)
-                done = result.completion_ns
-                if result.where not in (HIT_DRAM,):
+                where, _, done = cache.get_where(key, now)
+                if where != HIT_DRAM:
                     # Reached flash (hit or full miss): a read latency.
                     read_lat.add(max(0, done - now))
-                if result.where == MISS and fill:
+                if where == MISS and fill:
                     done = cache.set(key, int(sizes_arr[i]), done)
             elif op == OP_SET:
                 done = cache.set(key, int(sizes_arr[i]), now)

@@ -7,13 +7,20 @@ every bucket rewrite (cheap — buckets hold tens of items).
 
 Hashing uses ``splitmix64`` over the integer key with per-probe seeds;
 it is deterministic across runs, which the experiments rely on.
+
+A key's probe positions fold into one int, its *mask*: ``add`` ORs it
+in, ``may_contain`` is ``field & mask == mask``, ``rebuild`` an
+OR-reduce.  The SOC memoizes the masks of resident keys and hands them
+to ``may_contain`` and ``rebuild``, which then skip the hashing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Optional
 
-__all__ = ["BloomFilter", "splitmix64"]
+__all__ = ["BloomFilter", "bloom_mask", "splitmix64"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,6 +32,19 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def bloom_mask(h1: int, bits: int, hashes: int) -> int:
+    """The bits a key sets in a ``bits``-wide filter, as one int:
+    probe ``i`` sits at ``(h1 + i * h2) % bits``, with ``h1`` being
+    ``splitmix64(key)`` (which also places the key in the SOC) and
+    ``h2`` a second round forced odd (double hashing)."""
+    h2 = splitmix64(h1) | 1
+    mask = 0
+    for _ in range(hashes):
+        mask |= 1 << (h1 % bits)
+        h1 += h2
+    return mask
 
 
 class BloomFilter:
@@ -50,30 +70,29 @@ class BloomFilter:
         self.hashes = hashes
         self._field = 0
 
-    def _positions(self, key: int) -> Iterable[int]:
-        h1 = splitmix64(key)
-        h2 = splitmix64(h1) | 1  # odd step for double hashing
-        for i in range(self.hashes):
-            yield (h1 + i * h2) % self.bits
+    def mask(self, key: int) -> int:
+        """The key's probe positions in this filter (see :func:`bloom_mask`)."""
+        return bloom_mask(splitmix64(key), self.bits, self.hashes)
 
     def add(self, key: int) -> None:
         """Insert a key (no false negatives afterwards)."""
-        for pos in self._positions(key):
-            self._field |= 1 << pos
+        self._field |= self.mask(key)
 
-    def may_contain(self, key: int) -> bool:
+    def may_contain(self, key: int, mask: Optional[int] = None) -> bool:
         """True if the key *may* be present; False means definitely not."""
-        for pos in self._positions(key):
-            if not (self._field >> pos) & 1:
-                return False
-        return True
+        if mask is None:
+            mask = self.mask(key)
+        return self._field & mask == mask
 
     def clear(self) -> None:
         """Reset to empty."""
         self._field = 0
 
-    def rebuild(self, keys: Iterable[int]) -> None:
-        """Clear and re-add ``keys`` (bucket rewrite path)."""
-        self._field = 0
-        for key in keys:
-            self.add(key)
+    def rebuild(
+        self,
+        keys: Iterable[int],
+        mask_of: Optional[Callable[[int], int]] = None,
+    ) -> None:
+        """Clear and re-add ``keys`` (bucket rewrite path); ``mask_of``
+        maps a key to its mask for a caller that holds them."""
+        self._field = reduce(or_, map(mask_of or self.mask, keys), 0)

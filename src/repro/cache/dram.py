@@ -70,13 +70,15 @@ class DramCache:
     def set(self, item: CacheItem) -> List[CacheItem]:
         """Insert/overwrite; returns the items evicted to make room."""
         charged = self._charged(item.size)
+        # An overwrite supersedes the resident copy whether or not the
+        # new version fits.
+        old = self._items.pop(item.key, None)
+        if old is not None:
+            self.used_bytes -= self._charged(old)
         if charged > self.capacity_bytes:
             # Too big for DRAM entirely: flows straight to flash.
             self.evictions += 1
             return [item]
-        old = self._items.pop(item.key, None)
-        if old is not None:
-            self.used_bytes -= self._charged(old)
         self._items[item.key] = item.size
         self.used_bytes += charged
         evicted: List[CacheItem] = []

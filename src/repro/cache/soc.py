@@ -40,10 +40,25 @@ from typing import Dict, List, Optional, Tuple
 from ..core.device_layer import FdpAwareDevice
 from ..core.placement import PlacementHandle
 from ..faults.errors import MediaError
-from .bloom import BloomFilter, splitmix64
+from .bloom import BloomFilter, bloom_mask, splitmix64
 from .item import ITEM_HEADER_BYTES, CacheItem
 
 __all__ = ["SmallObjectCache", "BUCKET_HEADER_BYTES"]
+
+
+class _MaskMemo(dict):
+    """key -> bloom mask for filters of one shape, filled on first use;
+    the SOC drops a key's entry when the key leaves, which bounds it."""
+
+    def __init__(self, bits: int, hashes: int) -> None:
+        super().__init__()
+        self.bits = bits
+        self.hashes = hashes
+
+    def __missing__(self, key: int) -> int:
+        mask = self[key] = bloom_mask(splitmix64(key), self.bits, self.hashes)
+        return mask
+
 
 # Bucket-level metadata stored on flash (generation, checksum, count).
 BUCKET_HEADER_BYTES = 16
@@ -98,6 +113,9 @@ class SmallObjectCache:
         self._blooms: List[BloomFilter] = [
             BloomFilter(bloom_bits, bloom_hashes) for _ in range(num_buckets)
         ]
+        # Memoized bloom masks, kept for resident keys only: bucket
+        # rewrites OR these together instead of hashing each key again.
+        self._masks = _MaskMemo(bloom_bits, bloom_hashes)
         self.persist_metadata = persist_metadata
         # Per-bucket rewrite generation, part of the on-flash header.
         self._generations: List[int] = [0] * num_buckets
@@ -123,12 +141,9 @@ class SmallObjectCache:
         """Uniform hash placement of a key (Appendix A's assumption)."""
         return splitmix64(key) % self.num_buckets
 
-    def _entry_bytes(self, item: CacheItem) -> int:
-        return item.stored_size
-
     def accepts(self, item: CacheItem) -> bool:
         """Whether the item physically fits in a bucket."""
-        return self._entry_bytes(item) <= self.usable_bucket_bytes
+        return item.stored_size <= self.usable_bucket_bytes
 
     def contains(self, key: int) -> bool:
         """Ground-truth membership (no I/O charged; used internally)."""
@@ -153,8 +168,11 @@ class SmallObjectCache:
         every key (no stale "maybe" answers against a dead page).
         Returns the number of entries dropped.
         """
-        dropped = len(self._buckets[bucket])
-        self._buckets[bucket].clear()
+        entries = self._buckets[bucket]
+        dropped = len(entries)
+        for key in entries:
+            self._masks.pop(key, None)
+        entries.clear()
         self._used[bucket] = 0
         self._blooms[bucket].rebuild(())
         return dropped
@@ -177,24 +195,39 @@ class SmallObjectCache:
         """Stage ``items`` into a bucket's in-memory image (evicting
         FIFO on overflow) without touching flash.  Returns how many
         were admitted; the caller issues the bucket rewrite."""
-        entries = self._buckets[bucket]
         admitted = 0
         for item in items:
             if not self.accepts(item):
                 continue
-            nbytes = self._entry_bytes(item)
-            old = entries.pop(item.key, None)
-            if old is not None:
-                self._used[bucket] -= old
-            entries[item.key] = nbytes
-            self._used[bucket] += nbytes
+            self._stage(bucket, item, splitmix64(item.key))
             self.app_bytes_written += item.size
             admitted += 1
+        self._evict_overflow(bucket)
+        return admitted
+
+    def _stage(self, bucket: int, item: CacheItem, h1: int) -> None:
+        """Put one item (``h1`` is ``splitmix64(item.key)``) at the tail
+        of a bucket's in-memory image, replacing an older copy."""
+        entries = self._buckets[bucket]
+        key = item.key
+        nbytes = item.stored_size
+        old = entries.pop(key, None)
+        if old is None:
+            masks = self._masks
+            masks[key] = bloom_mask(h1, masks.bits, masks.hashes)
+        else:
+            self._used[bucket] -= old
+        entries[key] = nbytes
+        self._used[bucket] += nbytes
+
+    def _evict_overflow(self, bucket: int) -> None:
+        """Evict FIFO until the bucket's image fits its page."""
+        entries = self._buckets[bucket]
         while self._used[bucket] > self.usable_bucket_bytes:
-            _, evicted_bytes = entries.popitem(last=False)
+            key, evicted_bytes = entries.popitem(last=False)
+            self._masks.pop(key, None)
             self._used[bucket] -= evicted_bytes
             self.evictions += 1
-        return admitted
 
     def _write_bucket(self, bucket: int, now_ns: int) -> int:
         """Rewrite a whole bucket page on flash and rebuild its bloom.
@@ -215,8 +248,11 @@ class SmallObjectCache:
             return now_ns
         self.flash_writes += 1
         self.ssd_bytes_written += self.bucket_size
-        self._blooms[bucket].rebuild(self._buckets[bucket].keys())
+        self._rebuild_bloom(bucket)
         return done
+
+    def _rebuild_bloom(self, bucket: int) -> None:
+        self._blooms[bucket].rebuild(self._buckets[bucket], self._masks.__getitem__)
 
     def insert(self, item: CacheItem, now_ns: int = 0) -> Tuple[bool, int]:
         """Insert an item; returns ``(admitted, completion_ns)``.
@@ -227,18 +263,10 @@ class SmallObjectCache:
         """
         if not self.accepts(item):
             return False, now_ns
-        bucket = self.bucket_of(item.key)
-        entries = self._buckets[bucket]
-        nbytes = self._entry_bytes(item)
-        old = entries.pop(item.key, None)
-        if old is not None:
-            self._used[bucket] -= old
-        entries[item.key] = nbytes
-        self._used[bucket] += nbytes
-        while self._used[bucket] > self.usable_bucket_bytes:
-            _, evicted_bytes = entries.popitem(last=False)
-            self._used[bucket] -= evicted_bytes
-            self.evictions += 1
+        h1 = splitmix64(item.key)
+        bucket = h1 % self.num_buckets
+        self._stage(bucket, item, h1)
+        self._evict_overflow(bucket)
         done = self._write_bucket(bucket, now_ns)
         self.inserts += 1
         self.app_bytes_written += item.size
@@ -311,7 +339,7 @@ class SmallObjectCache:
                 done = outcome.value
                 self.flash_writes += 1
                 self.ssd_bytes_written += self.bucket_size
-                self._blooms[bucket].rebuild(self._buckets[bucket].keys())
+                self._rebuild_bloom(bucket)
             else:
                 # Same degradation as _write_bucket: the rewrite failed,
                 # flash no longer matches memory, drop the bucket.
@@ -328,8 +356,13 @@ class SmallObjectCache:
         charged whether the key is present or the bloom lied.
         """
         self.lookups += 1
-        bucket = self.bucket_of(key)
-        if not self._blooms[bucket].may_contain(key):
+        h1 = splitmix64(key)
+        bucket = h1 % self.num_buckets
+        masks = self._masks
+        mask = masks.get(key)
+        if mask is None:  # not resident, so not worth remembering
+            mask = bloom_mask(h1, masks.bits, masks.hashes)
+        if not self._blooms[bucket].may_contain(key, mask):
             self.bloom_rejects += 1
             return None, now_ns
         try:
@@ -370,6 +403,7 @@ class SmallObjectCache:
         nbytes = self._buckets[bucket].pop(key, None)
         if nbytes is None:
             return False
+        self._masks.pop(key, None)
         self._used[bucket] -= nbytes
         return True
 
@@ -380,6 +414,7 @@ class SmallObjectCache:
         nbytes = entries.pop(key, None)
         if nbytes is None:
             return False, now_ns
+        self._masks.pop(key, None)
         self._used[bucket] -= nbytes
         done = self._write_bucket(bucket, now_ns)
         return True, done
@@ -399,6 +434,7 @@ class SmallObjectCache:
         ``items_recovered``.
         """
         recovered = dropped = items = 0
+        self._masks.clear()
         for bucket in range(self.num_buckets):
             entries = self._buckets[bucket]
             had_entries = bool(entries)
@@ -418,7 +454,7 @@ class SmallObjectCache:
                 for key, nbytes in manifest:
                     entries[key] = nbytes
                     self._used[bucket] += nbytes
-                self._blooms[bucket].rebuild(entries.keys())
+                self._rebuild_bloom(bucket)
                 recovered += 1
                 items += len(entries)
             else:

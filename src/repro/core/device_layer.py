@@ -122,6 +122,8 @@ class FdpAwareDevice:
             pids, enable_placement=enable_placement
         )
         self._num_ruhs = ssd.fdp_config.num_ruhs if ssd.fdp_config else 0
+        # What the device decodes from each handle's directive fields.
+        self._pids: Dict[PlacementHandle, Optional[PlacementIdentifier]] = {}
         self._queues: Dict[str, IoQueue] = {}
         self.bytes_written = 0
         self.bytes_read = 0
@@ -162,6 +164,16 @@ class FdpAwareDevice:
         if dtype != DTYPE_DATA_PLACEMENT or dspec is None:
             return None
         return PlacementIdentifier.from_dspec(dspec, self._num_ruhs)
+
+    def _pid_for(self, handle: PlacementHandle) -> Optional[PlacementIdentifier]:
+        """The PID a write tagged with ``handle`` reaches the device with:
+        the DSPEC round-trip, run once per (immutable) handle."""
+        try:
+            return self._pids[handle]
+        except KeyError:
+            pid = self._decode_directive(*self._encode_directive(handle))
+            self._pids[handle] = pid
+            return pid
 
     # -- scheduler plumbing -------------------------------------------
 
@@ -214,8 +226,7 @@ class FdpAwareDevice:
         :class:`~repro.ssd.errors.QueueFullError` when the worker's
         queue window is full (no state changed, no counters bumped).
         """
-        dtype, dspec = self._encode_directive(handle)
-        pid = self._decode_directive(dtype, dspec)
+        pid = self._pid_for(handle)
         ticket = self.ssd.submit_async(
             op, lba, npages, pid, now_ns, queue=worker, payload=payload
         )
@@ -296,8 +307,7 @@ class FdpAwareDevice:
         """
         q = self.queue(worker)
         q.submit()
-        dtype, dspec = self._encode_directive(handle)
-        pid = self._decode_directive(dtype, dspec)
+        pid = self._pid_for(handle)
         backoff = self.retry_backoff_ns
         try:
             for attempt in range(self.max_write_retries + 1):

@@ -296,8 +296,12 @@ class Ftl:
             raise ValueError("geometry too small for the GC reserve")
 
         self._pps = pps
-        self._l2p = array("i", [-1] * geometry.logical_pages)
+        self._logical_pages = geometry.logical_pages
+        # Write point of every PID validated so far (None: default RUH 0).
+        self._host_streams: Dict[object, StreamKey] = {None: (HOST_STREAM, 0, 0)}
+        self._l2p = array("i", [-1] * self._logical_pages)
         self._p2l = array("i", [-1] * geometry.total_pages)
+        self._init_views()
         self.superblocks: List[Superblock] = [
             Superblock(i) for i in range(geometry.num_superblocks)
         ]
@@ -350,6 +354,21 @@ class Ftl:
     # configuration helpers
     # ------------------------------------------------------------------
 
+    def _init_views(self) -> None:
+        # Zero-copy numpy views of the mapping tables, which are never
+        # replaced or resized; a pickled copy rebuilds its own.
+        self._l2p_np = np.frombuffer(self._l2p, dtype=np.intc)
+        self._p2l_np = np.frombuffer(self._p2l, dtype=np.intc)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_l2p_np"], state["_p2l_np"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._init_views()
+
     def _default_reserve(self) -> int:
         """Low-water mark for the free pool.
 
@@ -386,9 +405,9 @@ class Ftl:
             # Conventional device: placement directives are ignored, as
             # TP4146's backward compatibility requires.
             return _CONVENTIONAL_HOST
-        if pid is None:
-            # FDP without a directive places via the default RUH (0).
-            return (HOST_STREAM, 0, 0)
+        stream = self._host_streams.get(pid)
+        if stream is not None:
+            return stream
         try:
             self.fdp_config.validate_pid(pid)
         except ValueError as exc:
@@ -404,7 +423,9 @@ class Ftl:
                 f"{self.fdp_config.num_reclaim_groups} reclaim group(s) x "
                 f"{self.fdp_config.num_ruhs} RUH(s): {exc}"
             ) from exc
-        return (HOST_STREAM, pid.reclaim_group, pid.ruh_id)
+        stream = (HOST_STREAM, pid.reclaim_group, pid.ruh_id)
+        self._host_streams[pid] = stream
+        return stream
 
     def _gc_stream(self, victim: Superblock) -> StreamKey:
         """GC destination write point for a victim's surviving data.
@@ -465,6 +486,22 @@ class Ftl:
         sb.open_for(stream)
         return sb
 
+    def _open_write_point(self, stream: StreamKey, now_ns: int) -> Superblock:
+        """Give ``stream`` a fresh superblock; a host stream first
+        collects garbage until the free pool is back at the reserve."""
+        if stream[0] == HOST_STREAM:
+            self._collect_until_reserve(now_ns)
+        sb = self._pop_free(stream)
+        self._write_points[stream] = sb
+        return sb
+
+    def _release(self, block: int, count: int = 1) -> None:
+        """``count`` pages of superblock ``block`` stop being live."""
+        sb = self.superblocks[block]
+        sb.valid_pages -= count
+        if not sb.valid_pages and sb.state is SuperblockState.CLOSED:
+            insort(self._zero_closed, block)
+
     def _close_write_point(self, stream: StreamKey, now_ns: int) -> None:
         sb = self._write_points.pop(stream, None)
         if sb is None:
@@ -517,10 +554,7 @@ class Ftl:
         for _ in range(MAX_PROGRAM_ATTEMPTS):
             sb = self._write_points.get(stream)
             if sb is None:
-                if stream[0] == HOST_STREAM:
-                    self._collect_until_reserve(now_ns)
-                sb = self._pop_free(stream)
-                self._write_points[stream] = sb
+                sb = self._open_write_point(stream, now_ns)
             ppn = sb.index * self._pps + sb.write_ptr
             if self.faults is not None and self.faults.fail_program(ppn):
                 sb.write_ptr += 1  # the bad page is consumed, not mapped
@@ -625,32 +659,9 @@ class Ftl:
             return False
         self.stats.gc_victim_selections += 1
 
-        migrated = 0
         if victim.valid_pages:
-            dest_stream = self._gc_stream(victim)
-            base = victim.index * self._pps
-            for off in range(self._pps):
-                ppn = base + off
-                lba = self._p2l[ppn]
-                if lba < 0 or self._l2p[lba] != ppn:
-                    continue
-                # Move the live page: this is the DLWA the paper fights.
-                # Program first — if the free pool is exhausted mid-GC
-                # the exception must leave the victim's bookkeeping
-                # intact for a later retry.  The OOB payload travels
-                # with the data; the copy gets a fresh (higher)
-                # sequence number, so recovery orders it after the
-                # original.
-                old_rec = self._oob[ppn]
-                self._program_into(
-                    dest_stream,
-                    lba,
-                    now_ns,
-                    old_rec.payload if old_rec is not None else None,
-                    old_rec.crc if old_rec is not None else None,
-                )
-                victim.valid_pages -= 1
-                migrated += 1
+            # Move the live pages: this is the DLWA the paper fights.
+            migrated = self._migrate_live(victim, now_ns)
             self.latency.gc_migrate(now_ns, migrated)
             if self.sched is not None:
                 self.sched.note_background(
@@ -734,6 +745,58 @@ class Ftl:
         self.stats.superblocks_erased += 1
         return True
 
+    def _migrate_live(self, victim: Superblock, now_ns: int) -> int:
+        """Copy a victim's live pages to its GC write point, in page
+        order; returns how many moved.
+
+        Copies are programmed before the victim gives the pages up, so
+        a free pool that runs dry part-way leaves the victim's count
+        matching what has not moved, ready for a retry.  Payload and
+        CRC travel with the data; a copy gets a fresh sequence number,
+        so recovery orders it after the original.  The live set is
+        gathered in one pass and programmed a chunk at a time (DESIGN.md
+        §10); scalar-path devices keep the page loop, since a fault
+        model can fail any one program.
+        """
+        dest = self._gc_stream(victim)
+        pps = self._pps
+        base = victim.index * pps
+        if not self._fast_path:
+            migrated = 0
+            for ppn in range(base, base + pps):
+                lba = self._p2l[ppn]
+                if lba < 0 or self._l2p[lba] != ppn:
+                    continue
+                old_rec = self._oob[ppn]
+                self._program_into(
+                    dest, lba, now_ns,
+                    old_rec.payload if old_rec is not None else None,
+                    old_rec.crc if old_rec is not None else None,
+                )
+                victim.valid_pages -= 1
+                migrated += 1
+            return migrated
+        lbas = self._p2l_np[base : base + pps]
+        offs = np.flatnonzero(lbas >= 0)
+        lbas = lbas[offs]
+        live = self._l2p_np[lbas] == offs + base
+        lbas = lbas[live]
+        src = (offs[live] + base).tolist()
+        done = 0
+        while done < len(src):
+            sb = self._write_points.get(dest)
+            if sb is None:
+                sb = self._open_write_point(dest, now_ns)
+            chunk = min(len(src) - done, pps - sb.write_ptr)
+            self._program_moved(
+                sb, dest, lbas[done : done + chunk], src[done : done + chunk]
+            )
+            victim.valid_pages -= chunk
+            done += chunk
+            if sb.write_ptr == pps:
+                self._close_write_point(dest, now_ns)
+        return done
+
     def _collect_until_reserve(self, now_ns: int) -> None:
         """Keep the free pool at or above the GC reserve."""
         # Bounded loop: each pass erases exactly one superblock, so
@@ -758,9 +821,9 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def _check_lba(self, lba: int) -> None:
-        if not 0 <= lba < self.geometry.logical_pages:
+        if not 0 <= lba < self._logical_pages:
             raise OutOfRangeError(
-                f"LBA {lba} outside [0, {self.geometry.logical_pages})"
+                f"LBA {lba} outside [0, {self._logical_pages})"
             )
 
     def _inject_host_spike(self, done_ns: int) -> int:
@@ -820,10 +883,7 @@ class Ftl:
         if self._l2p[lba] == ppn:
             self._l2p[lba] = -1
             self._p2l[ppn] = -1
-            sb = self.superblocks[ppn // self._pps]
-            sb.valid_pages -= 1
-            if not sb.valid_pages and sb.state is SuperblockState.CLOSED:
-                insort(self._zero_closed, sb.index)
+            self._release(ppn // self._pps)
         self.stats.crc_detected_corruptions += 1
         self.events.record(
             FdpEvent(
@@ -979,10 +1039,7 @@ class Ftl:
                 payload = self.latent.corrupted(payload)
         old = self._l2p[lba]
         if old >= 0:
-            sb = self.superblocks[old // self._pps]
-            sb.valid_pages -= 1
-            if not sb.valid_pages and sb.state is SuperblockState.CLOSED:
-                insort(self._zero_closed, sb.index)
+            self._release(old // self._pps)
             self._l2p[lba] = -1
         ppn = self._program_into(stream, lba, now_ns, payload, crc)
         if ppns is not None:
@@ -994,6 +1051,82 @@ class Ftl:
             self.stream_host_pages.get(stream, 0) + 1
         )
         self._pages_since_checkpoint += 1
+
+    def _program_extent(
+        self,
+        sb: Superblock,
+        stream: StreamKey,
+        count: int,
+        lba: int,
+        payload: object,
+        crc: Optional[int],
+    ) -> int:
+        """Map, stamp and journal ``count`` consecutive LBAs from ``lba``
+        at ``sb``'s write pointer: the one chunk body of
+        :meth:`write_range` and :meth:`write_arrays`.  The caller made
+        sure they fit and closes a filled write point.  Returns the
+        first physical page.
+
+        Old mappings are invalidated in any order (no GC can fire
+        mid-chunk), so counted per superblock.  Sequence numbers, OOB
+        records and journal entries (so also its flush boundaries) stay
+        per page: the trail is what :meth:`_program_into` leaves.
+        """
+        pps = self._pps
+        base = sb.index * pps + sb.write_ptr
+        seq = self._seq + 1
+        if count == 1:
+            old = self._l2p[lba]
+            if old >= 0:
+                self._release(old // pps)
+            self._l2p[lba] = base
+            self._p2l[base] = lba
+        else:
+            l2p = self._l2p_np[lba : lba + count]
+            old = l2p[l2p >= 0]
+            if old.size:
+                first = int(old.min()) // pps
+                if first == int(old.max()) // pps:  # usual: one superblock
+                    self._release(first, old.size)
+                else:
+                    counts = np.bincount(old // pps - first).tolist()
+                    for off, n in enumerate(counts):
+                        if n:
+                            self._release(first + off, n)
+            l2p[:] = np.arange(base, base + count, dtype=np.intc)
+            self._p2l_np[base : base + count] = np.arange(
+                lba, lba + count, dtype=np.intc
+            )
+        self._oob.fill_run(base, count, lba, seq, stream, payload, crc)
+        self._journal.append_run(seq, lba, base, count)
+        self.stats.host_pages_written += count
+        self.stats.nand_pages_written += count
+        self.energy.add_programs(count)
+        self.stream_host_pages[stream] = (
+            self.stream_host_pages.get(stream, 0) + count
+        )
+        self._pages_since_checkpoint += count
+        self._seq += count
+        sb.write_ptr += count
+        sb.valid_pages += count
+        return base
+
+    def _program_moved(
+        self, sb: Superblock, stream: StreamKey, lbas: np.ndarray, src: List[int]
+    ) -> None:
+        """Program copies of the live pages ``src`` (LBAs ``lbas``, an
+        ``intc`` array) at ``sb``'s write pointer: a GC run.  Payloads
+        and CRCs carry over; the caller charges the copies."""
+        count = len(src)
+        base = sb.index * self._pps + sb.write_ptr
+        seq = self._seq + 1
+        self._l2p_np[lbas] = np.arange(base, base + count, dtype=np.intc)
+        self._p2l_np[base : base + count] = lbas
+        self._oob.fill_moved(base, src, lbas, seq, stream)
+        self._journal.append_moves(seq, lbas.tolist(), base)
+        self._seq += count
+        sb.write_ptr += count
+        sb.valid_pages += count
 
     def _write_extent_fast(
         self,
@@ -1008,103 +1141,47 @@ class Ftl:
 
         The batched twin of looping :meth:`_host_write_page`: the range
         is split into chunks at reclaim-unit (superblock) boundaries
-        and each chunk is programmed in one tight loop with the hot
-        state hoisted to locals, charging stats/energy/checkpoint
-        counters once per chunk instead of once per page.  Per-page
-        effects that recovery depends on — sequence numbers, OOB
-        records, journal appends (and therefore journal flush
-        boundaries) — stay per-page, so the persistent trail is
-        byte-for-byte the trail the scalar loop leaves.
+        and each chunk goes down :meth:`_program_extent`.
 
         GC ordering is preserved exactly: the scalar path invalidates a
         page's old mapping *before* the allocation that may trigger GC,
         so a collection pass never migrates a copy the in-flight
         command is about to supersede.  The fast path replicates that
-        by invalidating the chunk-opening page before
-        :meth:`_collect_until_reserve` runs; mid-chunk pages cannot
-        trigger GC (the chunk never outgrows the open superblock), so
-        their invalidations inside the loop are equivalent to the
-        scalar interleaving.
+        by invalidating the chunk-opening page before the write point
+        is opened; mid-chunk pages cannot trigger GC (the chunk never
+        outgrows the open superblock), so invalidating them with the
+        chunk is equivalent to the scalar interleaving.
 
         Only called with ``faults is None`` — per-page fault and
         power-loss draws are the scalar loop's job.
         """
-        l2p = self._l2p
-        p2l = self._p2l
-        oob = self._oob
-        superblocks = self.superblocks
-        pps = self._pps
-        write_points = self._write_points
-        journal_run = self._journal.append_run
-        stats = self.stats
         # One CRC per command: every page of the extent stores the same
         # payload object, so this matches the scalar loop's per-page
         # payload_crc() bit for bit.
         crc = payload_crc(payload) if self._protect else None
+        pps = self._pps
         cur = lba
         end = lba + npages
         while cur < end:
-            sb = write_points.get(stream)
+            sb = self._write_points.get(stream)
             if sb is None:
-                # Scalar-path order: the page that triggers allocation
-                # invalidates its old mapping first, then GC runs.
-                old = l2p[cur]
-                if old >= 0:
-                    sbo = superblocks[old // pps]
-                    sbo.valid_pages -= 1
-                    if (
-                        not sbo.valid_pages
-                        and sbo.state is SuperblockState.CLOSED
-                    ):
-                        insort(self._zero_closed, sbo.index)
-                    l2p[cur] = -1
-                if stream[0] == HOST_STREAM:
-                    self._collect_until_reserve(now_ns)
-                sb = self._pop_free(stream)
-                write_points[stream] = sb
-            chunk = end - cur
-            room = pps - sb.write_ptr
-            if chunk > room:
-                chunk = room
-            base = sb.index * pps + sb.write_ptr
-            # Invalidate the chunk's old mappings (snapshot the slice
-            # first: the new ppns land in erased pages, so no old
-            # mapping can alias the destination), then install the new
-            # run with two C-level slice stores.
-            for old in l2p[cur : cur + chunk]:
-                if old >= 0:
-                    sbo = superblocks[old // pps]
-                    sbo.valid_pages -= 1
-                    if (
-                        not sbo.valid_pages
-                        and sbo.state is SuperblockState.CLOSED
-                    ):
-                        insort(self._zero_closed, sbo.index)
-            l2p[cur : cur + chunk] = array("i", range(base, base + chunk))
-            p2l[base : base + chunk] = array("i", range(cur, cur + chunk))
-            seq = self._seq
-            oob[base : base + chunk] = [
-                OobRecord(lb, sq, stream, payload, True, crc)
-                for lb, sq in zip(
-                    range(cur, cur + chunk),
-                    range(seq + 1, seq + chunk + 1),
-                )
-            ]
-            journal_run(seq + 1, cur, base, chunk)
-            self._seq = seq + chunk
+                sb = self._open_host_chunk(stream, cur, now_ns)
+            chunk = min(end - cur, pps - sb.write_ptr)
+            base = self._program_extent(sb, stream, chunk, cur, payload, crc)
             ppns.extend(range(base, base + chunk))
-            sb.write_ptr += chunk
-            sb.valid_pages += chunk
-            stats.host_pages_written += chunk
-            stats.nand_pages_written += chunk
-            self.energy.add_programs(chunk)
-            self.stream_host_pages[stream] = (
-                self.stream_host_pages.get(stream, 0) + chunk
-            )
-            self._pages_since_checkpoint += chunk
             cur += chunk
             if sb.write_ptr == pps:
                 self._close_write_point(stream, now_ns)
+
+    def _open_host_chunk(self, stream: StreamKey, lba: int, now_ns: int) -> Superblock:
+        """Open ``stream``'s next superblock for a chunk starting at
+        ``lba``, in the scalar path's order: the page that triggers the
+        allocation invalidates its old mapping first, then GC runs."""
+        old = self._l2p[lba]
+        if old >= 0:
+            self._release(old // self._pps)
+            self._l2p[lba] = -1
+        return self._open_write_point(stream, now_ns)
 
     def write(
         self,
@@ -1145,8 +1222,9 @@ class Ftl:
         if npages <= 0:
             raise ValueError("npages must be positive")
         self._check_online()
-        self._check_lba(lba)
-        self._check_lba(lba + npages - 1)
+        if lba < 0 or lba + npages > self._logical_pages:
+            self._check_lba(lba)
+            self._check_lba(lba + npages - 1)
         if self.scrubber is not None:
             self.scrubber.maybe_step(self, now_ns)
         stream = self._host_stream(pid)
@@ -1193,13 +1271,12 @@ class Ftl:
         per-command effect — scrubber steps, stream resolution, GC
         ordering, per-page OOB/journal trail, sequence numbers, latency
         charges, the in-flight tear window, checkpoint cadence — happens
-        in the same order at the same simulated times.  The speed comes
-        from three amortizations: one call frame for the whole array
-        with hot state in locals, columnar OOB slice fills
-        (:meth:`~repro.ssd.oob.OobStore.fill_run`) instead of one record
-        object per page, and *run coalescing* — consecutive commands
-        whose LBA ranges are contiguous (and share one payload object)
-        are mapped as a single logical extent, so the mapping, OOB and
+        in the same order at the same simulated times.  Chunks are
+        programmed by the same :meth:`_program_extent` the per-command
+        path uses; the speed comes from one call frame for the whole
+        array and from *run coalescing* — consecutive commands whose
+        LBA ranges are contiguous (and share one payload object) are
+        mapped as a single logical extent, so the mapping, OOB and
         journal work is paid per reclaim-unit chunk rather than per
         command.
 
@@ -1246,32 +1323,14 @@ class Ftl:
         # -- hoisted hot state (fault-free extent path) ----------------
         self._check_online()
         stream = self._host_stream(pid)
-        is_host = stream[0] == HOST_STREAM
-        l2p = self._l2p
-        p2l = self._p2l
-        # Zero-copy numpy views over the mapping tables: installing a
-        # chunk's arithmetic ppn/lba ramps via np.arange assignment is
-        # ~10x cheaper than constructing an array.array from a range
-        # (which converts element by element at Python level).  The
-        # views alias the arrays' buffers, so scalar reads/writes
-        # elsewhere (GC migration, reads, recovery) observe every
-        # update; they are rebuilt per call because recovery may
-        # replace the arrays between calls.
-        l2p_np = np.frombuffer(l2p, dtype=np.intc)
-        p2l_np = np.frombuffer(p2l, dtype=np.intc)
-        oob_fill = self._oob.fill_run
-        superblocks = self.superblocks
         pps = self._pps
         write_points = self._write_points
-        journal_run = self._journal.append_run
-        stats = self.stats
-        shp = self.stream_host_pages
+        program = self._program_extent
         host_write = self.latency.host_write
         inflight_append = self._inflight.append
-        energy_programs = self.energy.add_programs
         scrubber = self.scrubber
         protect = self._protect
-        logical_pages = self.geometry.logical_pages
+        logical_pages = self._logical_pages
         ckpt_interval = self.checkpoint_interval_pages
         dones_append = dones.append
         now = now_ns
@@ -1324,74 +1383,9 @@ class Ftl:
             while cur < end:
                 sb = write_points.get(stream)
                 if sb is None:
-                    # Scalar-path order: the allocating page invalidates
-                    # its old mapping first, then GC runs.
-                    old = l2p[cur]
-                    if old >= 0:
-                        sbo = superblocks[old // pps]
-                        sbo.valid_pages -= 1
-                        if (
-                            not sbo.valid_pages
-                            and sbo.state is SuperblockState.CLOSED
-                        ):
-                            insort(self._zero_closed, sbo.index)
-                        l2p[cur] = -1
-                    if is_host:
-                        self._collect_until_reserve(now)
-                    sb = self._pop_free(stream)
-                    write_points[stream] = sb
-                chunk = end - cur
-                room = pps - sb.write_ptr
-                if chunk > room:
-                    chunk = room
-                base = sb.index * pps + sb.write_ptr
-                # Invalidate the chunk's old mappings.  The decrement
-                # order within a chunk is unobservable (no GC can fire
-                # mid-chunk), so the per-superblock counts come from
-                # one vectorized groupby instead of a per-page loop.
-                old = l2p_np[cur : cur + chunk]
-                valid = old[old >= 0]
-                if valid.size:
-                    blocks = valid // pps
-                    bmin = int(blocks.min())
-                    bmax = int(blocks.max())
-                    if bmin == bmax:
-                        sbo = superblocks[bmin]
-                        sbo.valid_pages -= valid.size
-                        if (
-                            not sbo.valid_pages
-                            and sbo.state is SuperblockState.CLOSED
-                        ):
-                            insort(self._zero_closed, bmin)
-                    else:
-                        counts = np.bincount(blocks - bmin)
-                        for off, c in enumerate(counts.tolist()):
-                            if c:
-                                sbo = superblocks[bmin + off]
-                                sbo.valid_pages -= c
-                                if (
-                                    not sbo.valid_pages
-                                    and sbo.state
-                                    is SuperblockState.CLOSED
-                                ):
-                                    insort(self._zero_closed, sbo.index)
-                l2p_np[cur : cur + chunk] = np.arange(
-                    base, base + chunk, dtype=np.intc
-                )
-                p2l_np[base : base + chunk] = np.arange(
-                    cur, cur + chunk, dtype=np.intc
-                )
-                seq = self._seq
-                oob_fill(base, chunk, cur, seq + 1, stream, payload, crc)
-                journal_run(seq + 1, cur, base, chunk)
-                self._seq = seq + chunk
-                sb.write_ptr += chunk
-                sb.valid_pages += chunk
-                stats.host_pages_written += chunk
-                stats.nand_pages_written += chunk
-                energy_programs(chunk)
-                shp[stream] = shp.get(stream, 0) + chunk
-                self._pages_since_checkpoint += chunk
+                    sb = self._open_host_chunk(stream, cur, now)
+                chunk = min(end - cur, pps - sb.write_ptr)
+                base = program(sb, stream, chunk, cur, payload, crc)
                 cur += chunk
                 pend.append([base, chunk])
                 filled = sb.write_ptr == pps
@@ -1500,10 +1494,7 @@ class Ftl:
             ppn = self._l2p[cur]
             if ppn < 0:
                 continue
-            sb = self.superblocks[ppn // self._pps]
-            sb.valid_pages -= 1
-            if not sb.valid_pages and sb.state is SuperblockState.CLOSED:
-                insort(self._zero_closed, sb.index)
+            self._release(ppn // self._pps)
             self._l2p[cur] = -1
             invalidated += 1
             self._seq += 1
@@ -1619,13 +1610,7 @@ class Ftl:
                     if lba >= 0 and self._l2p[lba] == ppn:
                         self._l2p[lba] = -1
                         self._p2l[ppn] = -1
-                        sbo = self.superblocks[ppn // self._pps]
-                        sbo.valid_pages -= 1
-                        if (
-                            not sbo.valid_pages
-                            and sbo.state is SuperblockState.CLOSED
-                        ):
-                            insort(self._zero_closed, sbo.index)
+                        self._release(ppn // self._pps)
                     discarded += 1
                 for ci, w in enumerate(pending):
                     torn_writes.append(

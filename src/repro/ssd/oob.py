@@ -19,14 +19,25 @@ Compatibility is preserved exactly:
   write the underlying columns.  Code that mutates a record in place
   (``rec.ok = False`` in the poison path) therefore still works.
 * ``store[ppn] = OobRecord(...)`` / ``= None`` decomposes into the
-  columns; slice assignment from a list of records (the batched extent
-  path, erase wipes) does the same per element.
+  columns (the page-at-a-time paths: fault-model devices, scrub
+  relocation, torn pages).
 * Iteration and ``len()`` behave like the old list, so differential
   tests imaging the whole OOB area run unchanged.
 
 The fast paths are :meth:`OobStore.fill_run` (program ``count``
 consecutive pages whose LBA and sequence number each advance by one —
-seven slice stores total) and :meth:`OobStore.clear_range` (erase wipe).
+seven slice stores total), :meth:`OobStore.fill_moved` (the same for a
+GC run, whose LBAs, payloads and CRCs are gathered from the pages being
+copied) and :meth:`OobStore.clear_range` (erase wipe).
+
+Why a GC run may be stamped in one go (DESIGN.md §10 has the whole
+argument): a victim's live pages move in page order into one write
+point, so the copies take the consecutive pages and sequence numbers
+one ``_program_into`` per page would hand out; the destination is an
+erased superblock, never the victim, so the payload/CRC gather reads
+nothing the fill overwrites; and a run never crosses a superblock
+boundary, so when the free pool runs dry at one, every chunk stamped so
+far is complete and nothing of the next has been written.
 """
 
 from __future__ import annotations
@@ -166,16 +177,7 @@ class OobStore:
             return OobView(self, index)
         return None
 
-    def __setitem__(self, index, value) -> None:
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._total)
-            assert step == 1, "OobStore only supports contiguous slices"
-            for i, rec in zip(range(start, stop), value):
-                self._set_one(i, rec)
-            return
-        self._set_one(index, value)
-
-    def _set_one(self, ppn: int, rec) -> None:
+    def __setitem__(self, ppn: int, rec) -> None:
         if rec is None:
             self._mapped[ppn] = 0
             self._stream[ppn] = None
@@ -215,19 +217,51 @@ class OobStore:
         the extent fast path's per-chunk OOB deposit without the
         per-page object construction.
         """
+        if count == 1:
+            self._mapped[base] = 1
+            self._lba[base] = lba_start
+            self._seq[base] = seq_start
+            self._stream[base] = stream
+            self._payload[base] = payload
+            self._ok[base] = 1
+            self._crc[base] = crc
+            return
+        lbas = np.arange(lba_start, lba_start + count, dtype=np.intc)
+        self._fill(
+            base, count, lbas, seq_start, stream, [payload] * count, [crc] * count
+        )
+
+    def fill_moved(
+        self,
+        base: int,
+        src: List[int],
+        lbas: "np.ndarray",
+        seq_start: int,
+        stream: object,
+    ) -> None:
+        """Program ``len(src)`` consecutive pages as copies of the pages
+        ``src`` (a GC run): ``OobRecord(lbas[i], seq_start + i, stream,
+        old.payload, True, old.crc)`` at ``base + i``, ``old`` being
+        ``store[src[i]]``, so corruption that predates the move stays
+        detectable at the new location."""
+        self._fill(
+            base, len(src), lbas, seq_start, stream,
+            map(self._payload.__getitem__, src),
+            map(self._crc.__getitem__, src),
+        )
+
+    def _fill(self, base, count, lbas, seq_start, stream, payloads, crcs) -> None:
         end = base + count
         ones = b"\x01" * count
         self._mapped[base:end] = ones
-        self._lba_np[base:end] = np.arange(
-            lba_start, lba_start + count, dtype=np.intc
-        )
+        self._lba_np[base:end] = lbas
         self._seq_np[base:end] = np.arange(
             seq_start, seq_start + count, dtype=np.longlong
         )
         self._stream[base:end] = [stream] * count
-        self._payload[base:end] = [payload] * count
+        self._payload[base:end] = payloads
         self._ok[base:end] = ones
-        self._crc[base:end] = [crc] * count
+        self._crc[base:end] = crcs
 
     def clear_range(self, base: int, count: int) -> None:
         """Erase wipe: return ``count`` pages to the unprogrammed state."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from array import array
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "payload_crc",
@@ -222,6 +222,13 @@ class MappingJournal:
         self._buf_len += 1
         if self._buf_len >= self.flush_interval:
             self.force_flush()
+
+    def append_moves(self, seq: int, lbas: Sequence[int], ppn: int) -> None:
+        """One entry per LBA of a GC run (``seq`` and ``ppn`` advance
+        by one per page), flushing per entry as the page loop does."""
+        append = self.append
+        for i, lba in enumerate(lbas):
+            append(seq + i, lba, ppn + i)
 
     def append_run(self, seq: int, lba: int, ppn: int, count: int) -> None:
         """Append ``count`` entries for consecutively programmed pages
@@ -472,8 +479,8 @@ def rebuild_ftl_state(ftl) -> RecoveryReport:
         if ppn >= 0:
             p2l[ppn] = lba
             mapped += 1
-    ftl._l2p = l2p
-    ftl._p2l = p2l
+    ftl._l2p[:] = l2p  # in place: the FTL's numpy views alias these
+    ftl._p2l[:] = p2l
 
     valid = [0] * geometry.num_superblocks
     for ppn in range(geometry.total_pages):

@@ -42,7 +42,7 @@ one intact, CRC-carrying copy — the newest sequence number wins.
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..fdp.events import FdpEvent, FdpEventType
@@ -346,9 +346,7 @@ class PatrolScrubber:
         except MediaError:
             self.relocations_deferred += 1
             return False
-        sb.valid_pages -= 1
-        if not sb.valid_pages and sb.state is SuperblockState.CLOSED:
-            insort(ftl._zero_closed, sb.index)
+        ftl._release(sb.index)
         key = (dest_stream[1], dest_stream[2])
         self.relocated_by_ruh[key] = self.relocated_by_ruh.get(key, 0) + 1
         return True

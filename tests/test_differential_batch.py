@@ -16,6 +16,7 @@ errors, retirements, and power cuts.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -23,9 +24,10 @@ import pytest
 from repro.faults.latent import LatentErrorConfig
 from repro.faults.model import FaultConfig
 from repro.faults.plan import OP_POWER, ScriptedFault
-from repro.fdp import PlacementIdentifier
+from repro.fdp import FdpConfiguration, PlacementIdentifier, RuhDescriptor, RuhType
 from repro.ssd import Geometry, SimulatedSSD
-from repro.ssd.errors import MediaError, PowerLossError
+from repro.ssd.errors import DeviceFullError, MediaError, PowerLossError
+from repro.ssd.recovery import payload_crc
 
 GEOMETRY = Geometry(
     page_size=4096,
@@ -433,6 +435,232 @@ def test_scheduler_overlay_identical_quiescent_power_cut():
     assert_identical_nontiming(plain, sched)
     assert replay_sync_clocked(plain, second) == replay_async(sched, second)
     assert_identical_nontiming(plain, sched)
+
+
+# --------------------------------------------------------------------
+# GC arm: run-based migration vs page-at-a-time migration
+# --------------------------------------------------------------------
+#
+# A fault-free device migrates a GC victim's live pages as whole runs
+# (Ftl._migrate_live -> _program_moved); attaching a fault model, even
+# one that never fires, resolves the device to the scalar path, which
+# moves them one _program_into at a time.  Same commands, so every
+# surface must match — and the streams below make GC do most of the
+# NAND writes, with a journal flush interval that cuts through the
+# middle of the runs.
+
+
+def gc_pair(**kwargs):
+    """(run migration, per-page migration) over identical devices."""
+    kwargs.setdefault("journal_flush_interval", 7)
+    kwargs.setdefault("checkpoint_interval_pages", 96)
+    run = SimulatedSSD(GEOMETRY, **kwargs)
+    page = SimulatedSSD(GEOMETRY, faults=FaultConfig(), **kwargs)
+    assert run.effective_io_path == "batched"
+    assert page.effective_io_path == "scalar"
+    for device in (run, page):
+        if device.scheduler is not None:
+            device.background_log = log = []
+            note = device.scheduler.note_background
+            device.scheduler.note_background = (
+                lambda *args, _log=log, _note=note: (_log.append(args), _note(*args))
+            )
+    return run, page
+
+
+def gc_heavy_commands(seed, num_ops, *, use_pids=False):
+    """Cache-shaped traffic at ~95% of the logical space: one-page
+    random rewrites (SOC buckets) against multi-page sequential regions
+    (LOC), so victims are mostly valid and hold runs of both kinds."""
+    rng = random.Random(seed)
+    soc_pages = N_LBAS // 4
+    loc_base, region = soc_pages, 8
+    regions = (int(N_LBAS * 0.95) - loc_base) // region
+    commands = []
+    cursor = 0
+    for i in range(num_ops):
+        roll = rng.random()
+        if roll < 0.70:
+            pid = PlacementIdentifier(0, 1) if use_pids else None
+            commands.append(
+                ("write", rng.randrange(soc_pages), 1, pid, ("soc", seed, i))
+            )
+        elif roll < 0.90:
+            pid = PlacementIdentifier(0, 2) if use_pids else None
+            lba = loc_base + (cursor % regions) * region
+            cursor += 1
+            commands.append(("write", lba, region, pid, ("loc", seed, i)))
+        elif roll < 0.97:
+            commands.append(("read", rng.randrange(N_LBAS - 4), 4, None, None))
+        else:
+            commands.append(("trim", rng.randrange(N_LBAS - 4), 4, None, None))
+    return commands
+
+
+def assert_gc_identical(run, page, *, min_gc_share=0.3):
+    assert_identical(run, page)
+    a, b = run.ftl, page.ftl
+    # assert_identical compared the materialized buffer and durable
+    # region, i.e. where the last flush fell; the run encoding itself
+    # may differ (a host extent journals per chunk, a page loop merges
+    # across superblocks).
+    assert a._journal._buf_len == b._journal._buf_len
+    assert a._seq == b._seq
+    assert a._closed == b._closed
+    assert a._zero_closed == b._zero_closed
+    assert a._free == b._free
+    assert {k: sb.index for k, sb in a._write_points.items()} == {
+        k: sb.index for k, sb in b._write_points.items()
+    }
+    assert a._victim_rng.getstate() == b._victim_rng.getstate()
+    assert a.stream_host_pages == b.stream_host_pages
+    assert [cp.seq for cp in a._checkpoints] == [cp.seq for cp in b._checkpoints]
+    assert getattr(run, "background_log", None) == getattr(
+        page, "background_log", None
+    )
+    stats = a.stats
+    assert stats.gc_pages_migrated >= min_gc_share * stats.nand_pages_written
+
+
+def persistent_config():
+    return FdpConfiguration(
+        ruhs=tuple(
+            RuhDescriptor(i, RuhType.PERSISTENTLY_ISOLATED) for i in range(4)
+        ),
+        num_reclaim_groups=1,
+        reclaim_unit_bytes=GEOMETRY.superblock_bytes,
+    )
+
+
+GC_ARMS = {
+    "nonfdp": dict(),
+    "nonfdp-global-greedy": dict(gc_victim_sample=None),
+    "nonfdp-sampled-victims": dict(gc_victim_sample=4),
+    "fdp-initially-isolated": dict(fdp=True),
+    "fdp-persistently-isolated": dict(fdp=persistent_config),
+    "wear-leveling": dict(wear_level_threshold=2),
+    "telemetry-off": dict(telemetry=False),
+    "scheduler": dict(sched=True),
+    "default-journal-interval": dict(journal_flush_interval=256),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(GC_ARMS))
+@pytest.mark.parametrize("seed", [3, 2027])
+def test_gc_run_migration_bit_identical(arm, seed):
+    kwargs = {
+        k: v() if callable(v) else v for k, v in GC_ARMS[arm].items()
+    }
+    use_pids = bool(kwargs.get("fdp"))
+    commands = gc_heavy_commands(seed, 3000, use_pids=use_pids)
+    run, page = gc_pair(**kwargs)
+    assert replay(run, commands) == replay(page, commands)
+    assert_gc_identical(run, page)
+    if kwargs.get("sched"):
+        assert any(args[0] == "gc_migrate" for args in run.background_log)
+
+
+@pytest.mark.parametrize("fdp", [False, True])
+def test_gc_run_migration_carries_crc(fdp):
+    """Quiescent latent model: CRCs are stamped on host writes and must
+    travel through GC unchanged on both paths."""
+    latent = LatentErrorConfig(read_disturb_per_read=0.0, retention_rate=0.0)
+    commands = gc_heavy_commands(41, 3000, use_pids=fdp)
+    run, page = gc_pair(fdp=fdp, latent=latent)
+    assert replay(run, commands) == replay(page, commands)
+    assert_gc_identical(run, page)
+    gc_copies = [
+        rec for rec in run.ftl._oob
+        if rec is not None and rec.stream[0] == "gc" and rec.ok
+    ]
+    assert gc_copies
+    assert all(rec.crc == payload_crc(rec.payload) for rec in gc_copies)
+
+
+@pytest.mark.parametrize("fdp", [False, True])
+def test_gc_power_cut_right_after_a_burst(fdp):
+    """Cut power with the last GC burst's journal entries still in the
+    volatile buffer; both paths must lose and recover the same things."""
+    commands = gc_heavy_commands(57, 2500, use_pids=fdp)
+    run, page = gc_pair(fdp=fdp)
+    assert replay(run, commands) == replay(page, commands)
+    # Stop on a command that made GC run: the burst is the newest thing
+    # in the journal.
+    extra = gc_heavy_commands(58, 400, use_pids=fdp)
+    for command in extra:
+        before = run.stats.gc_victim_selections
+        assert replay(run, [command]) == replay(page, [command])
+        if run.stats.gc_victim_selections > before and run.ftl._journal._buf_len:
+            break
+    else:
+        pytest.fail("no GC burst in the extra commands")
+    assert_gc_identical(run, page)
+    assert run.power_cut(0) == page.power_cut(0)
+    report_run, report_page = run.recover(), page.recover()
+    assert dataclasses.asdict(report_run) == dataclasses.asdict(report_page)
+    assert_gc_identical(run, page)
+    more = gc_heavy_commands(59, 1500, use_pids=fdp)
+    assert replay(run, more) == replay(page, more)
+    assert_gc_identical(run, page)
+
+
+def half_migrated_victims(ftl):
+    """(superblock, pages moved out, pages still live) of every CLOSED
+    block holding stale sources of GC copies.  A finished victim is
+    erased, so only one that GC abandoned part-way shows up."""
+    pps = ftl._pps
+    out = []
+    for idx in ftl._closed:
+        moved = 0
+        for ppn in range(idx * pps, (idx + 1) * pps):
+            lba = ftl._p2l[ppn]
+            copy = ftl._l2p[lba] if lba >= 0 else -1
+            if (
+                copy >= 0
+                and copy != ppn
+                and ftl._oob[copy].stream[0] == "gc"
+                and ftl._oob[copy].payload is ftl._oob[ppn].payload
+            ):
+                moved += 1
+        if moved:
+            out.append((idx, moved, ftl.superblocks[idx].valid_pages))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_device_full_mid_gc_leaves_consistent_state(seed):
+    """The free pool runs dry while a victim is half migrated: what has
+    moved is mapped at its new place, the rest is still live in the
+    victim, and both paths stop in the same state."""
+    run, page = gc_pair(fdp=True, gc_reserve_superblocks=2)
+    outcomes = []
+    for device in (run, page):
+        rng = random.Random(seed)
+        now = 0
+        with pytest.raises(DeviceFullError, match="stream \\('gc'"):
+            # Fill the whole logical space through five write points,
+            # then keep overwriting: every victim is nearly all valid
+            # and GC has no spare superblock to migrate into.
+            for i in range(6 * N_LBAS):
+                lba = i if i < N_LBAS else rng.randrange(N_LBAS)
+                pid = PlacementIdentifier(0, rng.randrange(5))
+                now = device.write(lba, 1, pid, now, ("full", i))
+        outcomes.append((i, now, lba))
+        device.check_invariants()
+    assert outcomes[0] == outcomes[1]
+    assert_gc_identical(run, page, min_gc_share=0.0)
+    victims = half_migrated_victims(run.ftl)
+    assert victims == half_migrated_victims(page.ftl)
+    assert len(victims) == 1
+    _, moved, still_live = victims[0]
+    assert moved > 0 and still_live > 0
+    # Everything but the LBA of the command that failed (unmapped before
+    # its allocation, as on the scalar path) still reads back, the
+    # copies GC had already made included.
+    failed_lba = outcomes[0][2]
+    for device in (run, page):
+        payloads = device.read_payload(0, N_LBAS)
+        assert [n for n, p in enumerate(payloads) if p is None] == [failed_lba]
 
 
 @pytest.mark.slow

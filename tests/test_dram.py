@@ -1,5 +1,9 @@
 """Unit tests for the DRAM LRU cache."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cache import CacheItem, DramCache
@@ -88,6 +92,18 @@ class TestEviction:
         assert evicted == [big]
         assert 1 not in cache
 
+    def test_oversized_overwrite_drops_the_resident_copy(self):
+        cache = DramCache(1000)
+        cache.set(CacheItem(1, 100))
+        cache.set(CacheItem(2, 100))
+        big = CacheItem(1, 5000)
+        assert cache.set(big) == [big]
+        # The older, smaller version must not stay behind to be served.
+        assert 1 not in cache
+        assert cache.get(1) is None
+        assert cache.used_bytes == 100 + DRAM_ITEM_OVERHEAD
+        assert cache.evictions == 1
+
     def test_multi_eviction_for_large_insert(self):
         cache = DramCache(10 * (100 + DRAM_ITEM_OVERHEAD))
         for k in range(10):
@@ -101,3 +117,36 @@ class TestEviction:
         cache.get(1)
         cache.get(2)
         assert cache.hit_ratio == 0.5
+
+
+class TestCacheItemValue:
+    """CacheItem is a slots class now; the dataclass contract it had stays."""
+
+    def test_equality_hash_repr(self):
+        a, b = CacheItem(7, 100), CacheItem(7, 100)
+        assert a == b and hash(a) == hash(b)
+        assert a != CacheItem(7, 101) and a != CacheItem(8, 100)
+        assert a != (7, 100)
+        assert {a, b} == {a}
+        assert repr(a) == "CacheItem(key=7, size=100)"
+        assert a.stored_size == 100 + 24
+
+    def test_immutable_and_dictless(self):
+        item = CacheItem(7, 100)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            item.size = 5
+        with pytest.raises(AttributeError):
+            del item.key
+        with pytest.raises(AttributeError):
+            item.extra = 1
+        assert not hasattr(item, "__dict__")
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_non_positive_size(self, size):
+        with pytest.raises(ValueError):
+            CacheItem(1, size)
+
+    def test_copy_and_pickle_round_trip(self):
+        item = CacheItem(7, 100)
+        assert pickle.loads(pickle.dumps(item)) == item
+        assert copy.deepcopy(item) == item

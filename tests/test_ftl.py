@@ -1,5 +1,7 @@
 """Unit tests for the FTL: mapping, GC, trim, placement streams."""
 
+import pickle
+
 import pytest
 
 from repro.fdp import FdpEventType, PlacementIdentifier
@@ -35,6 +37,23 @@ class TestBasicMapping:
     def test_read_out_of_range(self, conventional_ssd):
         with pytest.raises(OutOfRangeError):
             conventional_ssd.read(-1)
+
+    def test_pickled_copy_maps_through_its_own_tables(self, conventional_ssd):
+        """The FTL's numpy views of L2P/P2L are rebuilt over the copy's
+        arrays, not pickled as detached snapshots; recovery refills the
+        arrays in place, so the views survive it too."""
+        conventional_ssd.write(0, npages=40)
+        clone = pickle.loads(pickle.dumps(conventional_ssd))
+        for dev in (conventional_ssd, clone):
+            dev.write(8, npages=24)  # multi-page: goes through the views
+            dev.power_cut()
+            dev.recover()
+            dev.write(16, npages=8)
+            dev.check_invariants()
+            ftl = dev.ftl
+            assert ftl._l2p_np.tolist() == ftl._l2p.tolist()
+            assert ftl._p2l_np.tolist() == ftl._p2l.tolist()
+        assert clone.ftl._l2p == conventional_ssd.ftl._l2p
 
     def test_write_range_multi_page(self, conventional_ssd):
         conventional_ssd.write(10, npages=5)

@@ -46,6 +46,15 @@ class TestRouting:
         assert cache.loc.contains(1)
         assert not cache.soc.contains(1)
 
+    def test_overwrite_too_big_for_dram_is_not_served_stale(self, fdp_ssd):
+        cache = HybridCache(fdp_ssd, small_config(dram_bytes=16 * 1024))
+        cache.set(1, 500)
+        cache.set(1, 20_000)  # over the DRAM budget: straight to the LOC
+        assert 1 not in cache.dram
+        result = cache.get(1)
+        assert result.where == HIT_LOC
+        assert result.item.size == 20_000
+
     def test_soc_hit_promotes_to_dram(self, cache):
         cache.set(1, 500)
         for k in range(2, 200):

@@ -1,5 +1,7 @@
 """Unit tests for the Small Object Cache engine."""
 
+import random
+
 import pytest
 
 from repro.cache import CacheItem, SmallObjectCache
@@ -135,3 +137,75 @@ class TestAccounting:
             SmallObjectCache(layer, h, base_lba=0, num_buckets=0)
         with pytest.raises(ValueError):
             SmallObjectCache(layer, h, base_lba=-1, num_buckets=4)
+
+
+class TestMaskMemo:
+    """The bloom-mask memo holds resident keys only, whatever happens."""
+
+    @staticmethod
+    def check(soc):
+        resident = {k for entries in soc._buckets for k in entries}
+        assert len(soc._masks) <= soc.item_count
+        assert set(soc._masks) == resident
+        for bucket, entries in enumerate(soc._buckets):
+            bloom = soc._blooms[bucket]
+            for key in entries:
+                assert soc._masks[key] == bloom.mask(key)
+                assert soc.bucket_of(key) == bucket
+
+    def test_memo_bounded_by_item_count_under_churn(self, soc_env):
+        soc, _, dev = soc_env
+        rng = random.Random(0xB100)
+        for step in range(3000):
+            key = rng.randrange(600)
+            roll = rng.random()
+            if roll < 0.55:
+                # 900-byte items overflow a bucket after four: FIFO evicts.
+                soc.insert(CacheItem(key, rng.choice((60, 300, 900))))
+            elif roll < 0.70:
+                soc.invalidate(key)
+            elif roll < 0.80:
+                soc.delete(key)
+            elif roll < 0.95:
+                soc.lookup(key)
+            elif roll < 0.98:
+                soc._drop_bucket(rng.randrange(soc.num_buckets))
+            else:
+                dev.power_cut()
+                dev.recover()
+                soc.recover()
+            if step % 50 == 0:
+                self.check(soc)
+        self.check(soc)
+        assert soc.evictions > 0 and soc.item_count > 0
+
+    def test_batched_moves_keep_the_memo(self, soc_env):
+        soc, _, _ = soc_env
+        by_bucket = {}
+        for key in range(400):
+            by_bucket.setdefault(soc.bucket_of(key), []).append(
+                CacheItem(key, 700)
+            )
+        soc.insert_many_batched(list(by_bucket.values()))
+        self.check(soc)
+        assert soc.evictions > 0
+
+    def test_lookup_of_absent_key_memoizes_nothing(self, soc_env):
+        soc, _, _ = soc_env
+        soc.insert(CacheItem(1, 100))
+        for key in range(1000, 1200):
+            soc.lookup(key)
+        soc.invalidate(1)
+        soc.lookup(1)  # the stale bloom may still say maybe
+        assert soc._masks == {}
+
+    def test_forgotten_mask_is_recomputed(self, soc_env):
+        soc, _, _ = soc_env
+        for key in range(200):
+            soc.insert(CacheItem(key, 100))
+        fields = [b._field for b in soc._blooms]
+        soc._masks.clear()  # a memo, not an index: nothing depends on it
+        for bucket in range(soc.num_buckets):
+            soc._rebuild_bloom(bucket)
+        assert [b._field for b in soc._blooms] == fields
+        self.check(soc)
