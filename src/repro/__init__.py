@@ -20,9 +20,9 @@ Public API tour:
 * :mod:`repro.model` — Theorem 1 (DLWA) and Theorems 2-3 (carbon).
 * :mod:`repro.fleet` — sharded cache cluster: consistent-hash routing,
   shard lifecycle, failure/rebalance, fleet-merged observability.
-* :mod:`repro.kernel` — vectorized fast-path replay kernel (columnar
-  traces, segmented dispatch, opt-out telemetry hooks), bit-identical
-  to the scalar drivers.
+* :mod:`repro.kernel` — columnar traces (``TraceArrays``, a ``Trace``
+  subclass with array-first constructors); the array submission path
+  (``write_arrays``) it pairs with lives on the device.
 
 Quick start::
 

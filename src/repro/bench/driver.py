@@ -15,11 +15,17 @@ the paper's metrics:
   the same way the paper polls ``nvme get-log`` every 10 minutes;
 * GETs that miss are optionally *filled* (read-through), which is how
   trace replay produces cache insertions for read-dominant workloads.
+
+:func:`replay` is the only loop that does this, and
+:class:`ReplayConfig` holds the only definition of the replay clock
+(open-loop precedence, think time, backlog clamp); the fleet drivers
+(:mod:`repro.fleet.driver`) apply the same policy per shard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -28,10 +34,10 @@ from ..cache.hybrid import HIT_DRAM, MISS, HybridCache
 from ..workloads.trace import OP_GET, OP_SET, Trace
 from .metrics import IntervalPoint, LatencyReservoir, RunResult, steady_state_dlwa
 
-__all__ = ["CacheBench", "ReplayConfig"]
+__all__ = ["CacheBench", "ReplayConfig", "replay"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ReplayConfig:
     """Replay knobs.
 
@@ -86,6 +92,57 @@ class ReplayConfig:
                 raise ValueError("arrival_schedule_ns must be nondecreasing")
             object.__setattr__(self, "arrival_schedule_ns", schedule)
 
+    # The generated __eq__/__hash__ cannot take an array field (ambiguous
+    # truth value, unhashable), so both compare the schedule by content.
+    def _identity(self) -> tuple:
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return tuple(
+            (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in values
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
+    # ------------------------------------------------------------------
+    # the replay clock policy, shared by every driver
+    # ------------------------------------------------------------------
+
+    def schedule_for(self, trace: Trace) -> Optional[np.ndarray]:
+        """The per-op arrival schedule ``trace`` replays on, if any.
+
+        An explicit ``arrival_schedule_ns`` wins over one carried on
+        the trace; ``None`` leaves the caller on the fixed interval or
+        the closed loop.
+        """
+        schedule = self.arrival_schedule_ns
+        if schedule is None:
+            schedule = trace.arrivals_ns
+        if schedule is not None and len(schedule) < len(trace):
+            raise ValueError(
+                f"arrival schedule has {len(schedule)} entries for a "
+                f"{len(trace)}-op trace"
+            )
+        return schedule
+
+    def next_issue_ns(self, done_ns: int, busy_until: Optional[int]) -> int:
+        """The closed-loop step: when the op after ``done_ns`` issues.
+
+        The host thinks, then stalls while the device (busy horizon
+        ``busy_until``, ``None`` for a backend without one) is more
+        than ``max_backlog_ns`` behind — the finite queue in front of
+        the SSD.
+        """
+        now = done_ns + self.think_ns
+        if busy_until is not None and busy_until - now > self.max_backlog_ns:
+            now = busy_until - self.max_backlog_ns
+        return now
+
 
 class CacheBench:
     """Replays traces against a hybrid cache and reports RunResults."""
@@ -102,124 +159,135 @@ class CacheBench:
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> RunResult:
         """Replay ``trace`` and return the collected metrics."""
-        cfg = self.config
-        device = cache.device
-        page = device.page_size
+        return replay(self.config, cache, trace, name=name, progress=progress)
 
-        read_lat = LatencyReservoir()
-        write_lat = LatencyReservoir()
-        series: List[IntervalPoint] = []
-        prev_snapshot = device.snapshot()
 
-        now = 0
-        ops_done = 0
-        ftl_latency = device.ftl.latency
+def replay(
+    cfg: ReplayConfig,
+    cache: HybridCache,
+    trace: Trace,
+    *,
+    name: Optional[str] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> RunResult:
+    """The replay loop: the one place a trace meets a ``HybridCache``.
 
-        ops_arr = trace.ops
-        keys_arr = trace.keys
-        sizes_arr = trace.sizes
-        total = len(trace)
-        fill = cfg.fill_on_miss
-        think = cfg.think_ns
-        backlog_cap = cfg.max_backlog_ns
-        poll_every = cfg.poll_interval_ops
-        arrival = cfg.arrival_interval_ns
-        schedule = cfg.arrival_schedule_ns
-        if schedule is None and trace.arrivals_ns is not None:
-            schedule = trace.arrivals_ns
-        if schedule is not None and len(schedule) < total:
-            raise ValueError(
-                f"arrival schedule has {len(schedule)} entries for a "
-                f"{total}-op trace"
-            )
+    Ops are issued strictly in trace order — they interact through the
+    DRAM LRU, the engines, admission and the device clock.  The numpy
+    columns are turned into plain ints one poll window at a time (no
+    per-op scalar boxing, and memory stays flat however long the
+    trace).
+    """
+    device = cache.device
+    page = device.page_size
+    ftl_latency = device.ftl.latency
+    get_where = cache.get_where
+    cache_set = cache.set
+    cache_delete = cache.delete
+    next_issue = cfg.next_issue_ns
 
-        for i in range(total):
-            if schedule is not None:
+    read_lat = LatencyReservoir()
+    write_lat = LatencyReservoir()
+    read_add = read_lat.add
+    write_add = write_lat.add
+    series: List[IntervalPoint] = []
+    prev_snapshot = device.snapshot()
+
+    total = len(trace)
+    fill = cfg.fill_on_miss
+    poll_every = cfg.poll_interval_ops
+    interval = cfg.arrival_interval_ns
+    schedule = cfg.schedule_for(trace)
+
+    now = 0
+    for start in range(0, total, poll_every):
+        window = slice(start, start + poll_every)
+        ops = trace.ops[window].tolist()
+        arrivals = (
+            schedule[window].tolist()
+            if schedule is not None
+            else itertools.repeat(None)
+        )
+        for op, key, size, at in zip(
+            ops,
+            trace.keys[window].tolist(),
+            trace.sizes[window].tolist(),
+            arrivals,
+        ):
+            if at is not None:
                 # Open loop, per-op schedule: the op arrives when the
                 # schedule says, however far behind the device is — the
                 # regime where overload actually queues.
-                now = int(schedule[i])
-            op = ops_arr[i]
-            key = int(keys_arr[i])
+                now = at
             if op == OP_GET:
-                where, _, done = cache.get_where(key, now)
+                where, _, done = get_where(key, now)
                 if where != HIT_DRAM:
                     # Reached flash (hit or full miss): a read latency.
-                    read_lat.add(max(0, done - now))
-                if where == MISS and fill:
-                    done = cache.set(key, int(sizes_arr[i]), done)
+                    read_add(max(0, done - now))
+                    if fill and where == MISS:
+                        done = cache_set(key, size, done)
             elif op == OP_SET:
-                done = cache.set(key, int(sizes_arr[i]), now)
-                write_lat.add(max(0, done - now))
+                done = cache_set(key, size, now)
+                write_add(max(0, done - now))
             else:  # OP_DEL
-                done = cache.delete(key, now)
+                done = cache_delete(key, now)
+            if at is None:
+                if interval is not None:
+                    # Open loop: the next op arrives on the fixed clock
+                    # no matter when this one completed (latency soak
+                    # mode — identical arrival schedules across arms).
+                    now += interval
+                else:
+                    now = next_issue(done, ftl_latency.busy_until)
 
-            if schedule is not None:
-                pass  # next iteration reads its own arrival time
-            elif arrival is not None:
-                # Open loop: the next op arrives on the fixed clock no
-                # matter when this one completed (latency soak mode —
-                # identical arrival schedules across arms).
-                now += arrival
-            else:
-                now = done + think
-                # Bounded device backlog: stall the host while the
-                # device is too far behind (finite queue in front of
-                # the SSD).
-                backlog = ftl_latency.busy_until - now
-                if backlog > backlog_cap:
-                    now = ftl_latency.busy_until - backlog_cap
-
-            ops_done += 1
-            if ops_done % poll_every == 0:
-                snap = device.snapshot()
-                series.append(
-                    IntervalPoint(
-                        ops=ops_done,
-                        host_gib_written=(
-                            snap.host_pages_written * page / 1024**3
-                        ),
-                        interval_dlwa=snap.interval_dlwa(prev_snapshot),
-                        cumulative_dlwa=snap.dlwa,
-                    )
+        ops_done = start + len(ops)
+        if ops_done % poll_every == 0:
+            snap = device.snapshot()
+            series.append(
+                IntervalPoint(
+                    ops=ops_done,
+                    host_gib_written=snap.host_pages_written * page / 1024**3,
+                    interval_dlwa=snap.interval_dlwa(prev_snapshot),
+                    cumulative_dlwa=snap.dlwa,
                 )
-                prev_snapshot = snap
-                if progress is not None:
-                    progress(ops_done, total)
+            )
+            prev_snapshot = snap
+            if progress is not None:
+                progress(ops_done, total)
 
-        stats = device.stats
-        steady = steady_state_dlwa(series)
-        health = device.get_health_log()
-        return RunResult(
-            name=name or trace.name,
-            fdp=cache.device.fdp_enabled and cache.io.allocator.placement_enabled,
-            ops=ops_done,
-            sim_seconds=now / 1e9,
-            hit_ratio=cache.hit_ratio,
-            dram_hit_ratio=cache.dram.hit_ratio,
-            nvm_hit_ratio=cache.nvm_hit_ratio,
-            alwa=cache.alwa,
-            dlwa=stats.dlwa,
-            steady_dlwa=steady if steady is not None else stats.dlwa,
-            interval_series=series,
-            gc_relocation_events=device.events.media_relocated_events,
-            gc_relocated_pages=device.events.media_relocated_pages,
-            gc_victims=stats.gc_victim_selections,
-            host_pages_written=stats.host_pages_written,
-            nand_pages_written=stats.nand_pages_written,
-            energy_kwh=device.energy_kwh(now),
-            p50_read_us=read_lat.p50_us(),
-            p99_read_us=read_lat.p99_us(),
-            p50_write_us=write_lat.p50_us(),
-            p99_write_us=write_lat.p99_us(),
-            media_errors=health.media_errors,
-            read_errors=cache.read_errors,
-            write_errors=cache.write_errors,
-            write_drops=cache.write_drops,
-            io_retries=cache.io.read_retries + cache.io.write_retries,
-            retired_superblocks=health.retired_superblocks,
-            available_spare_pct=health.available_spare_pct,
-            flash_admits=cache.flash_admits,
-            flash_rejects=cache.flash_rejects,
-            flash_admit_ratio=cache.config.admission.admit_ratio,
-        )
+    stats = device.stats
+    steady = steady_state_dlwa(series)
+    health = device.get_health_log()
+    return RunResult(
+        name=name or trace.name,
+        fdp=device.fdp_enabled and cache.io.allocator.placement_enabled,
+        ops=total,
+        sim_seconds=now / 1e9,
+        hit_ratio=cache.hit_ratio,
+        dram_hit_ratio=cache.dram.hit_ratio,
+        nvm_hit_ratio=cache.nvm_hit_ratio,
+        alwa=cache.alwa,
+        dlwa=stats.dlwa,
+        steady_dlwa=steady if steady is not None else stats.dlwa,
+        interval_series=series,
+        gc_relocation_events=device.events.media_relocated_events,
+        gc_relocated_pages=device.events.media_relocated_pages,
+        gc_victims=stats.gc_victim_selections,
+        host_pages_written=stats.host_pages_written,
+        nand_pages_written=stats.nand_pages_written,
+        energy_kwh=device.energy_kwh(now),
+        p50_read_us=read_lat.p50_us(),
+        p99_read_us=read_lat.p99_us(),
+        p50_write_us=write_lat.p50_us(),
+        p99_write_us=write_lat.p99_us(),
+        media_errors=health.media_errors,
+        read_errors=cache.read_errors,
+        write_errors=cache.write_errors,
+        write_drops=cache.write_drops,
+        io_retries=cache.io.read_retries + cache.io.write_retries,
+        retired_superblocks=health.retired_superblocks,
+        available_spare_pct=health.available_spare_pct,
+        flash_admits=cache.flash_admits,
+        flash_rejects=cache.flash_rejects,
+        flash_admit_ratio=cache.config.admission.admit_ratio,
+    )

@@ -27,8 +27,7 @@ import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..bench.driver import ReplayConfig
 from ..workloads.trace import OP_GET, OP_SET, Trace
 from .hashring import ConsistentHashRouter
 from .monitor import FleetHealthMonitor
@@ -45,45 +44,13 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class FleetReplayConfig:
-    """Fleet replay knobs (the CacheBench contract, per shard).
+@dataclasses.dataclass(frozen=True, eq=False)
+class FleetReplayConfig(ReplayConfig):
+    """:class:`~repro.bench.driver.ReplayConfig` with the fleet's poll
+    cadence: every knob, the clock policy and the open-loop precedence
+    are the single-cache replay's, applied per shard."""
 
-    ``arrival_interval_ns`` / ``arrival_schedule_ns`` switch the fleet
-    replay to **open loop**, mirroring
-    :class:`~repro.bench.driver.ReplayConfig`: ops are issued at their
-    scheduled arrival times regardless of completion, so an overloaded
-    shard's backlog actually grows instead of throttling the trace.  A
-    schedule carried on the trace itself (``Trace.arrivals_ns``) is
-    used when neither knob is set here.
-    """
-
-    fill_on_miss: bool = True
-    think_ns: int = 100_000
-    max_backlog_ns: int = 30_000_000
     poll_interval_ops: int = 2000
-    arrival_interval_ns: Optional[int] = None
-    arrival_schedule_ns: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.think_ns < 0:
-            raise ValueError("think_ns must be non-negative")
-        if self.max_backlog_ns < 0:
-            raise ValueError("max_backlog_ns must be non-negative")
-        if self.poll_interval_ops <= 0:
-            raise ValueError("poll_interval_ops must be positive")
-        if self.arrival_interval_ns is not None and self.arrival_interval_ns <= 0:
-            raise ValueError("arrival_interval_ns must be positive or None")
-        if self.arrival_schedule_ns is not None:
-            if self.arrival_interval_ns is not None:
-                raise ValueError(
-                    "arrival_schedule_ns and arrival_interval_ns are "
-                    "mutually exclusive"
-                )
-            schedule = np.asarray(self.arrival_schedule_ns, dtype=np.int64)
-            if len(schedule) and bool(np.any(np.diff(schedule) < 0)):
-                raise ValueError("arrival_schedule_ns must be nondecreasing")
-            object.__setattr__(self, "arrival_schedule_ns", schedule)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,19 +105,14 @@ class FleetDriver:
         self.ops_done = 0
 
     def _advance_clock(self, shard_id: Optional[str]) -> None:
-        """CacheBench's closed-loop step on the serving shard's clock."""
+        """The closed-loop step on the serving shard's clock."""
         if shard_id is None:
             return
         shard = self.fleet.shards[shard_id]
-        if not shard.alive:
-            return
-        now = shard.clock_ns + self.config.think_ns
-        busy_until = shard.busy_until()
-        if busy_until is not None:
-            backlog = busy_until - now
-            if backlog > self.config.max_backlog_ns:
-                now = busy_until - self.config.max_backlog_ns
-        shard.clock_ns = now
+        if shard.alive:
+            shard.clock_ns = self.config.next_issue_ns(
+                shard.clock_ns, shard.busy_until()
+            )
 
     def run(self, trace: Trace, *, name: Optional[str] = None) -> FleetRunResult:
         """Replay ``trace`` through the fleet; returns fleet metrics."""
@@ -163,14 +125,7 @@ class FleetDriver:
         keys_arr = trace.keys
         sizes_arr = trace.sizes
         total = len(trace)
-        schedule = cfg.arrival_schedule_ns
-        if schedule is None and trace.arrivals_ns is not None:
-            schedule = trace.arrivals_ns
-        if schedule is not None and len(schedule) < total:
-            raise ValueError(
-                f"arrival schedule has {len(schedule)} entries for a "
-                f"{total}-op trace"
-            )
+        schedule = cfg.schedule_for(trace)
         interval = cfg.arrival_interval_ns
         open_loop = schedule is not None or interval is not None
 
@@ -322,13 +277,7 @@ def _replay_shard(
             shard.set(key, int(sizes_arr[i]))
         else:
             shard.delete(key)
-        now = shard.clock_ns + cfg.think_ns
-        busy_until = shard.busy_until()
-        if busy_until is not None:
-            backlog = busy_until - now
-            if backlog > cfg.max_backlog_ns:
-                now = busy_until - cfg.max_backlog_ns
-        shard.clock_ns = now
+        shard.clock_ns = cfg.next_issue_ns(shard.clock_ns, shard.busy_until())
     hist = shard.merged_histogram("read")
     host, nand = shard.page_counters()
     return ShardReplaySummary(
@@ -388,8 +337,20 @@ def replay_partitioned(
     Results are returned sorted by shard id and are identical for any
     ``workers`` value (including serial in-process execution) — the
     partition, not the schedule, defines what each shard replays.
+
+    The per-shard replay is closed loop only, so open-loop input is
+    rejected rather than silently replayed on the wrong clock.
     """
     cfg = config or FleetReplayConfig()
+    for field, value in (
+        ("config.arrival_interval_ns", cfg.arrival_interval_ns),
+        ("config.arrival_schedule_ns", cfg.arrival_schedule_ns),
+        ("trace.arrivals_ns", trace.arrivals_ns),
+    ):
+        if value is not None:
+            raise ValueError(
+                f"replay_partitioned replays closed loop; {field} is set"
+            )
     parts = partition_trace(
         specs, trace, vnodes=vnodes, ring_seed=ring_seed
     )

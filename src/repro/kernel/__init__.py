@@ -1,35 +1,28 @@
-"""Vectorized fast-path simulation kernel (DESIGN.md §15).
+"""Columnar traces and array submission (DESIGN.md §15).
 
-The kernel is three thin layers over the existing simulator, each
-proven bit-identical to the scalar reference by the differential tier
-(tests/test_differential_kernel.py):
+What is here, and what the differential tier
+(tests/test_differential_kernel.py) proves about it:
 
 * :mod:`repro.kernel.arrays` — columnar op streams
   (:class:`TraceArrays`) emitted whole from the vectorized workload
-  generators, losslessly interchangeable with
-  :class:`~repro.workloads.trace.Trace`;
-* :mod:`repro.kernel.replay` — :class:`KernelBench`, a segmented
-  replay loop that translates contiguous same-op runs through the
-  cache engines with hot state in locals and plain-int columns
-  (and, at the device layer,
+  generators; a subclass of
+  :class:`~repro.workloads.trace.Trace` that adds no field, so the
+  replay loop (:func:`repro.bench.driver.replay`) takes it as one.
+* At the device layer,
   :meth:`~repro.ssd.device.SimulatedSSD.write_arrays` submits whole
-  command arrays with run coalescing);
-* :mod:`repro.kernel.hooks` — opt-out telemetry: replay-side
-  reservoirs/series (:class:`ReplayHooks` / :class:`NullReplayHooks`)
-  and the device-side event/energy null objects behind
-  ``SimulatedSSD(telemetry=False)``, paying a single predictable
-  branch when detached and recording nothing.
+  command arrays with run coalescing, bit-identical to per-command
+  submission, and ``SimulatedSSD(telemetry=False)`` detaches the event
+  log and energy ledger without touching simulated state.
+* :mod:`repro.kernel.replay` — :class:`KernelBench`, the name the
+  benchmark's ``kv_fdp_kernel`` row binds; it runs the one replay loop.
 """
 
 from .arrays import TraceArrays, scenario_arrays, synthesize_arrays
-from .hooks import NullReplayHooks, ReplayHooks
 from .replay import KernelBench
 
 __all__ = [
     "TraceArrays",
     "synthesize_arrays",
     "scenario_arrays",
-    "ReplayHooks",
-    "NullReplayHooks",
     "KernelBench",
 ]

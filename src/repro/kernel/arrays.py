@@ -1,14 +1,13 @@
-"""Columnar op streams for the kernel replay path.
+"""Columnar op streams.
 
 :class:`~repro.workloads.trace.Trace` is already columnar (parallel
 numpy arrays), so :class:`TraceArrays` is *not* another container — it
-is the kernel's working view of a trace: the same columns plus the
-precomputed same-op run segmentation the replay loop consumes, and the
-chunking helpers the differential tier uses to prove that any split of
-an op array replays identically.  Conversion in either direction is
-lossless and zero-copy (the arrays are shared, never copied), so
-``TraceArrays.from_trace(t).to_trace()`` round-trips through
-``Trace.save``/``Trace.load`` bit-for-bit, arrival schedule included.
+is a trace, plus the chunking helper the differential tier uses to
+prove that any split of an op array replays identically.  Conversion
+in either direction is lossless and zero-copy (the arrays are shared,
+never copied), so ``TraceArrays.from_trace(t).to_trace()`` round-trips
+through ``Trace.save``/``Trace.load`` bit-for-bit, arrival schedule
+included.
 
 The generators stay in :mod:`repro.workloads` — they were vectorized
 from the start (:func:`~repro.workloads.synth.synthesize` emits whole
@@ -18,10 +17,7 @@ just emit the kernel view directly.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Iterator, Sequence, Union
 
 from ..workloads.adversarial import Scenario, build_scenario
 from ..workloads.synth import SynthSpec, synthesize
@@ -30,33 +26,12 @@ from ..workloads.trace import Trace
 __all__ = ["TraceArrays", "synthesize_arrays", "scenario_arrays"]
 
 
-@dataclasses.dataclass
-class TraceArrays:
-    """A trace in kernel form: shared columns + run segmentation.
+class TraceArrays(Trace):
+    """A trace in kernel form: the same columns, validated the same.
 
-    Construction validates through :class:`Trace` itself (one
-    normalization path for dtypes, op codes, size positivity, and
-    arrival monotonicity), so a ``TraceArrays`` is exactly as
-    well-formed as the trace it mirrors.
+    A subclass that adds no field, so anything that takes a
+    :class:`Trace` (the replay loop included) takes this.
     """
-
-    ops: np.ndarray
-    keys: np.ndarray
-    sizes: np.ndarray
-    name: str = "trace"
-    arrivals_ns: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        normalized = Trace(
-            self.ops, self.keys, self.sizes, self.name, self.arrivals_ns
-        )
-        self.ops = normalized.ops
-        self.keys = normalized.keys
-        self.sizes = normalized.sizes
-        self.arrivals_ns = normalized.arrivals_ns
-
-    def __len__(self) -> int:
-        return len(self.ops)
 
     # ------------------------------------------------------------------
     # lossless Trace interchange (zero-copy both ways)
@@ -81,27 +56,6 @@ class TraceArrays:
             arrivals_ns=self.arrivals_ns,
         )
 
-    # ------------------------------------------------------------------
-    # kernel views
-    # ------------------------------------------------------------------
-
-    def run_bounds(self) -> List[Tuple[int, int, int]]:
-        """Maximal same-op segments as ``(start, stop, op)`` triples.
-
-        The replay kernel dispatches one specialized inner loop per
-        segment instead of branching on the op code per request; the
-        boundaries come from one vectorized diff over the op column.
-        """
-        n = len(self.ops)
-        if n == 0:
-            return []
-        starts = np.flatnonzero(np.diff(self.ops)) + 1
-        edges = [0, *starts.tolist(), n]
-        return [
-            (a, b, int(self.ops[a]))
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
-
     def chunked(
         self, chunk_sizes: Sequence[int]
     ) -> Iterator["TraceArrays"]:
@@ -122,19 +76,8 @@ class TraceArrays:
             )
         start = 0
         for size in chunk_sizes:
-            stop = start + size
-            yield TraceArrays(
-                self.ops[start:stop],
-                self.keys[start:stop],
-                self.sizes[start:stop],
-                name=f"{self.name}[{start}:{stop}]",
-                arrivals_ns=(
-                    None
-                    if self.arrivals_ns is None
-                    else self.arrivals_ns[start:stop]
-                ),
-            )
-            start = stop
+            yield TraceArrays.from_trace(self.slice(start, start + size))
+            start += size
 
 
 def synthesize_arrays(spec: SynthSpec) -> TraceArrays:
@@ -144,7 +87,7 @@ def synthesize_arrays(spec: SynthSpec) -> TraceArrays:
 
 def scenario_arrays(
     scenario: Union[str, Scenario],
-    trace: Union[Trace, TraceArrays],
+    trace: Trace,
     *,
     seed: int = 0,
 ) -> TraceArrays:
@@ -154,11 +97,8 @@ def scenario_arrays(
     or one of the :data:`~repro.workloads.adversarial.SCENARIOS` names
     (built with ``seed`` per the ``point_seed`` contract).  Scenario
     traces carry an arrival schedule, which survives the conversion —
-    the kernel replay switches to open loop exactly as
-    :class:`~repro.bench.driver.CacheBench` does.
+    the replay loop goes open loop on it.
     """
     if isinstance(scenario, str):
         scenario = build_scenario(scenario, seed=seed)
-    if isinstance(trace, TraceArrays):
-        trace = trace.to_trace()
     return TraceArrays.from_trace(scenario.apply(trace))

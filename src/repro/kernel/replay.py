@@ -1,243 +1,40 @@
-"""The kernel trace replayer: segmented, hook-driven, bit-identical.
+"""``KernelBench``: the replay loop under the name the benchmark binds.
 
-:class:`KernelBench` replays the same op stream
-:class:`~repro.bench.driver.CacheBench` does and must produce the same
-:class:`~repro.bench.metrics.RunResult` — same cache state, same
-device state, same latency samples, same interval series — whenever
-its telemetry hooks are attached.  tests/test_differential_kernel.py
-enforces that equivalence field by field; the freedom the kernel
-exploits is purely host-side:
-
-* **columnar prologue** — the numpy columns are converted to plain-int
-  lists once (no per-op numpy scalar boxing), and the arrival
-  schedule, if any, with them;
-* **run segmentation** — the op column is split into maximal same-op
-  runs (:meth:`~repro.kernel.arrays.TraceArrays.run_bounds`, one
-  vectorized diff) and each run takes a specialized inner loop with
-  the engine entry points, the clock knobs, and the hook containers
-  bound to locals — no per-request op dispatch, no
-  :class:`~repro.cache.hybrid.GetResult` allocation (the kernel calls
-  :meth:`~repro.cache.hybrid.HybridCache.get_where`);
-* **opt-out telemetry** — every recording site sits behind one boolean
-  (:class:`~repro.kernel.hooks.ReplayHooks.enabled`), so a detached
-  run skips reservoir decimation and interval polling entirely while
-  leaving simulated state untouched.
-
-What the kernel must *not* do is reorder: ops interact through the
-DRAM LRU, the engines, admission, and the device clock, so requests
-are issued strictly in trace order — the batch translation is of the
-dispatch, never of the effects.  (The device-layer counterpart,
-:meth:`~repro.ssd.device.SimulatedSSD.write_arrays`, makes the same
-promise for whole command arrays.)
+There is one replay loop, :func:`repro.bench.driver.replay`; a
+:class:`~repro.kernel.arrays.TraceArrays` is a
+:class:`~repro.workloads.trace.Trace` to it.  This class exists because
+``perfbench`` constructs it for its ``kv_fdp_kernel`` row, whose
+kernel/scalar throughput ratio is therefore 1.00 by construction
+(EXPERIMENTS.md, "Host-time performance", has the measurements that
+retired the separate loop); once a benchmark-only change drops that
+row the class can go.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from ..bench.driver import ReplayConfig
-from ..bench.metrics import IntervalPoint, RunResult, steady_state_dlwa
-from ..cache.hybrid import HIT_DRAM, MISS, HybridCache
-from ..workloads.trace import OP_GET, OP_SET, Trace
-from .arrays import TraceArrays
-from .hooks import NullReplayHooks, ReplayHooks
+from ..bench.driver import CacheBench, replay
+from ..bench.metrics import RunResult
+from ..cache.hybrid import HybridCache
+from ..workloads.trace import Trace
 
 __all__ = ["KernelBench"]
 
 
-class KernelBench:
-    """Replays columnar traces against a hybrid cache.
-
-    Parameters
-    ----------
-    config:
-        The same :class:`~repro.bench.driver.ReplayConfig` the scalar
-        driver takes — every knob (think time, backlog cap, poll
-        cadence, open-loop arrivals) means exactly the same thing.
-    telemetry:
-        ``False`` detaches the replay-side hooks by default
-        (:class:`~repro.kernel.hooks.NullReplayHooks`); a per-run
-        ``hooks`` argument overrides.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ReplayConfig] = None,
-        *,
-        telemetry: bool = True,
-    ) -> None:
-        self.config = config or ReplayConfig()
-        self.telemetry = telemetry
+class KernelBench(CacheBench):
+    """:class:`~repro.bench.driver.CacheBench` by another name."""
 
     def run(
         self,
         cache: HybridCache,
-        trace: Union[Trace, TraceArrays],
+        trace: Trace,
         *,
         name: Optional[str] = None,
         progress: Optional[Callable[[int, int], None]] = None,
-        hooks: Optional[ReplayHooks] = None,
     ) -> RunResult:
         """Replay ``trace`` and return the collected metrics."""
-        arrays = (
-            trace
-            if isinstance(trace, TraceArrays)
-            else TraceArrays.from_trace(trace)
-        )
-        if hooks is None:
-            hooks = ReplayHooks() if self.telemetry else NullReplayHooks()
-        cfg = self.config
-        device = cache.device
-        page = device.page_size
-
-        total = len(arrays)
-        fill = cfg.fill_on_miss
-        think = cfg.think_ns
-        backlog_cap = cfg.max_backlog_ns
-        poll_every = cfg.poll_interval_ops
-        arrival = cfg.arrival_interval_ns
-        schedule = cfg.arrival_schedule_ns
-        if schedule is None and arrays.arrivals_ns is not None:
-            schedule = arrays.arrivals_ns
-        if schedule is not None and len(schedule) < total:
-            raise ValueError(
-                f"arrival schedule has {len(schedule)} entries for a "
-                f"{total}-op trace"
-            )
-
-        # Columnar prologue: plain-int columns, hoisted hot state.
-        keys_l = arrays.keys.tolist()
-        sizes_l = arrays.sizes.tolist()
-        sched_l = schedule.tolist() if schedule is not None else None
-        ftl_latency = device.ftl.latency
-        hooks_on = hooks.enabled
-        read_add = hooks.read_lat.add
-        write_add = hooks.write_lat.add
-        series = hooks.series
-        get_where = cache.get_where
-        cache_set = cache.set
-        cache_delete = cache.delete
-
-        now = 0
-        ops_done = 0
-        prev_snapshot = device.snapshot() if hooks_on else None
-
-        def poll() -> None:
-            # Rare (every poll_every ops), so a closure costs nothing
-            # measurable; attached polling matches the scalar driver's
-            # snapshot differencing exactly.
-            nonlocal prev_snapshot
-            if hooks_on:
-                snap = device.snapshot()
-                series.append(
-                    IntervalPoint(
-                        ops=ops_done,
-                        host_gib_written=(
-                            snap.host_pages_written * page / 1024**3
-                        ),
-                        interval_dlwa=snap.interval_dlwa(prev_snapshot),
-                        cumulative_dlwa=snap.dlwa,
-                    )
-                )
-                prev_snapshot = snap
-            if progress is not None:
-                progress(ops_done, total)
-
-        for a, b, op in arrays.run_bounds():
-            if op == OP_GET:
-                for i in range(a, b):
-                    if sched_l is not None:
-                        now = sched_l[i]
-                    where, _, done = get_where(keys_l[i], now)
-                    if where != HIT_DRAM:
-                        if hooks_on:
-                            lat = done - now
-                            read_add(lat if lat > 0 else 0)
-                        if fill and where == MISS:
-                            done = cache_set(keys_l[i], sizes_l[i], done)
-                    if sched_l is None:
-                        if arrival is not None:
-                            now += arrival
-                        else:
-                            now = done + think
-                            backlog = ftl_latency.busy_until - now
-                            if backlog > backlog_cap:
-                                now = ftl_latency.busy_until - backlog_cap
-                    ops_done += 1
-                    if not ops_done % poll_every:
-                        poll()
-            elif op == OP_SET:
-                for i in range(a, b):
-                    if sched_l is not None:
-                        now = sched_l[i]
-                    done = cache_set(keys_l[i], sizes_l[i], now)
-                    if hooks_on:
-                        lat = done - now
-                        write_add(lat if lat > 0 else 0)
-                    if sched_l is None:
-                        if arrival is not None:
-                            now += arrival
-                        else:
-                            now = done + think
-                            backlog = ftl_latency.busy_until - now
-                            if backlog > backlog_cap:
-                                now = ftl_latency.busy_until - backlog_cap
-                    ops_done += 1
-                    if not ops_done % poll_every:
-                        poll()
-            else:  # OP_DEL
-                for i in range(a, b):
-                    if sched_l is not None:
-                        now = sched_l[i]
-                    done = cache_delete(keys_l[i], now)
-                    if sched_l is None:
-                        if arrival is not None:
-                            now += arrival
-                        else:
-                            now = done + think
-                            backlog = ftl_latency.busy_until - now
-                            if backlog > backlog_cap:
-                                now = ftl_latency.busy_until - backlog_cap
-                    ops_done += 1
-                    if not ops_done % poll_every:
-                        poll()
-
-        stats = device.stats
-        steady = steady_state_dlwa(series)
-        health = device.get_health_log()
-        return RunResult(
-            name=name or arrays.name,
-            fdp=(
-                cache.device.fdp_enabled
-                and cache.io.allocator.placement_enabled
-            ),
-            ops=ops_done,
-            sim_seconds=now / 1e9,
-            hit_ratio=cache.hit_ratio,
-            dram_hit_ratio=cache.dram.hit_ratio,
-            nvm_hit_ratio=cache.nvm_hit_ratio,
-            alwa=cache.alwa,
-            dlwa=stats.dlwa,
-            steady_dlwa=steady if steady is not None else stats.dlwa,
-            interval_series=series,
-            gc_relocation_events=device.events.media_relocated_events,
-            gc_relocated_pages=device.events.media_relocated_pages,
-            gc_victims=stats.gc_victim_selections,
-            host_pages_written=stats.host_pages_written,
-            nand_pages_written=stats.nand_pages_written,
-            energy_kwh=device.energy_kwh(now),
-            p50_read_us=hooks.read_lat.p50_us(),
-            p99_read_us=hooks.read_lat.p99_us(),
-            p50_write_us=hooks.write_lat.p50_us(),
-            p99_write_us=hooks.write_lat.p99_us(),
-            media_errors=health.media_errors,
-            read_errors=cache.read_errors,
-            write_errors=cache.write_errors,
-            write_drops=cache.write_drops,
-            io_retries=cache.io.read_retries + cache.io.write_retries,
-            retired_superblocks=health.retired_superblocks,
-            available_spare_pct=health.available_spare_pct,
-            flash_admits=cache.flash_admits,
-            flash_rejects=cache.flash_rejects,
-            flash_admit_ratio=cache.config.admission.admit_ratio,
-        )
+        # Not inherited and not super().run: perfbench's tracer wraps
+        # each class's own ``run`` as a root span, and nesting the two
+        # would count the replay twice.
+        return replay(self.config, cache, trace, name=name, progress=progress)

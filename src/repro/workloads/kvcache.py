@@ -18,10 +18,16 @@ by removing the GET operations from the KV cache trace".
 
 from __future__ import annotations
 
+import numpy as np
+
 from .synth import SynthSpec, synthesize
 from .trace import OP_SET, Trace
 
 __all__ = ["kv_cache_trace", "wo_kv_cache_trace", "KV_CACHE_DEFAULTS"]
+
+#: Seed stride from a ``wo_kv_cache_trace`` stream to its continuation;
+#: far from the ``seed + 1`` that ``synthesize`` itself derives.
+_CONTINUATION_SEED_STEP = 1_000_003
 
 KV_CACHE_DEFAULTS = dict(
     get_fraction=0.8,  # 4:1 GET:SET
@@ -86,9 +92,26 @@ def wo_kv_cache_trace(
     )
     trace = synthesize(spec)
     mask = trace.ops == OP_SET
-    return Trace(
+    head = Trace(
         ops=trace.ops[mask][:num_ops],
         keys=trace.keys[mask][:num_ops],
         sizes=trace.sizes[mask][:num_ops],
+        name="wo-kvcache",
+    )
+    if len(head) == num_ops:
+        return head
+    # The SET count of a stream is binomial, so the margin above can
+    # fall short.  Append the head of a continuation stream (derived
+    # seed): what this stream yielded never changes.
+    tail = wo_kv_cache_trace(
+        num_ops - len(head),
+        num_keys,
+        seed=seed + _CONTINUATION_SEED_STEP,
+        **overrides,
+    )
+    return Trace(
+        ops=np.concatenate((head.ops, tail.ops)),
+        keys=np.concatenate((head.keys, tail.keys)),
+        sizes=np.concatenate((head.sizes, tail.sizes)),
         name="wo-kvcache",
     )

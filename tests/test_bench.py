@@ -1,5 +1,8 @@
 """Unit tests for the bench harness: metrics, driver, runner."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.bench import (
@@ -12,6 +15,7 @@ from repro.bench import (
     run_experiment,
 )
 from repro.bench.metrics import IntervalPoint, steady_state_dlwa
+from repro.fleet import FleetReplayConfig
 from repro.workloads import kv_cache_trace
 
 TINY_SCALE = Scale(num_superblocks=64, num_ops=20_000)
@@ -62,6 +66,32 @@ class TestReplayConfig:
             ReplayConfig(poll_interval_ops=0)
         with pytest.raises(ValueError):
             ReplayConfig(max_backlog_ns=-5)
+
+    @pytest.mark.parametrize("cls", [ReplayConfig, FleetReplayConfig])
+    def test_equality_and_hash_with_a_schedule(self, cls):
+        """Regression: the generated __eq__ raised on an array field
+        (ambiguous truth value) and the generated __hash__ on hashing
+        it."""
+        a = np.array([1, 5, 9], dtype=np.int64)
+        same = cls(arrival_schedule_ns=a)
+        assert same == cls(arrival_schedule_ns=a.copy())
+        assert hash(same) == hash(cls(arrival_schedule_ns=a.copy()))
+        assert same != cls(arrival_schedule_ns=np.array([1, 5, 10]))
+        assert same != cls(arrival_schedule_ns=a[:2])
+        assert same != cls()
+        assert cls() == cls() and hash(cls()) == hash(cls())
+        assert cls(think_ns=1) != cls()
+        assert len({cls(), cls(), same}) == 2
+
+    def test_fleet_config_is_the_replay_config_with_one_default(self):
+        base = dataclasses.fields(ReplayConfig)
+        fleet = dataclasses.fields(FleetReplayConfig)
+        assert [f.name for f in fleet] == [f.name for f in base]
+        assert {
+            f.name for f, g in zip(base, fleet) if f.default != g.default
+        } == {"poll_interval_ops"}
+        # Same values, different class: not equal, as for any dataclass.
+        assert ReplayConfig(poll_interval_ops=2000) != FleetReplayConfig()
 
 
 class TestRunner:

@@ -10,12 +10,15 @@ Two equivalences, each held bit-exactly, never statistically:
   A hypothesis property replays *arbitrary chunkings* of one op array
   and requires the result to be independent of the split.
 
-* **replay layer** — :class:`repro.kernel.replay.KernelBench` against
-  :class:`repro.bench.driver.CacheBench` on identically built cache
-  arms: the full :class:`~repro.bench.metrics.RunResult` (latency
-  reservoir percentiles and interval series included), the cache's
-  ``stats_dict()``, and the device state must agree.  Detached
-  telemetry hooks must change *nothing* but what gets recorded.
+* **replay layer** — there is one replay loop
+  (:func:`repro.bench.driver.replay`), so nothing is left to compare
+  it against; what is pinned is the adapter
+  (:class:`repro.kernel.replay.KernelBench` on a ``TraceArrays`` gives
+  the full :class:`~repro.bench.metrics.RunResult`, cache
+  ``stats_dict()`` and device state of
+  :class:`repro.bench.driver.CacheBench` on the ``Trace``) and a
+  hypothesis property that the loop's poll-window column conversion
+  is invisible to everything simulated.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.bench import Scale, build_experiment, make_trace
 from repro.bench.driver import CacheBench, ReplayConfig
 from repro.faults.model import FaultConfig
 from repro.faults.plan import OP_POWER, ScriptedFault
 from repro.fdp import PlacementIdentifier
-from repro.kernel import KernelBench, NullReplayHooks, TraceArrays
+from repro.kernel import KernelBench, TraceArrays
 from repro.ssd import SimulatedSSD
 from repro.ssd.errors import MediaError, PowerLossError
 from repro.workloads.trace import OP_DEL, OP_GET, OP_SET, Trace
@@ -387,7 +391,7 @@ def test_device_telemetry_detached_records_nothing():
 
 
 # --------------------------------------------------------------------
-# replay layer: KernelBench vs CacheBench
+# replay layer: the adapter, and poll-window independence
 # --------------------------------------------------------------------
 
 _SCALE = Scale(num_superblocks=64, num_ops=12_000)
@@ -415,84 +419,104 @@ def assert_same_run(r1, r2, c1, c2):
     assert_identical(c1.device, c2.device)
 
 
-@pytest.mark.parametrize("fdp", [False, True])
-def test_kernel_bench_matches_cache_bench(fdp):
-    c1, t1 = build_arm(fdp=fdp)
-    c2, t2 = build_arm(fdp=fdp)
-    cfg = ReplayConfig(poll_interval_ops=4_000)
-    r1 = CacheBench(cfg).run(c1, t1, name="arm")
-    r2 = KernelBench(cfg).run(c2, t2, name="arm")
-    assert r2.interval_series  # the poll cadence actually fired
-    assert_same_run(r1, r2, c1, c2)
+def mixed_trace(seed, num_ops, *, keyspace=4000, name="mix"):
+    """A seeded GET/SET/DEL stream (the generators emit no DELs)."""
+    rng = random.Random(seed)
+    return Trace(
+        rng.choices((OP_GET, OP_SET, OP_DEL), (0.5, 0.4, 0.1), k=num_ops),
+        [rng.randrange(0, keyspace) for _ in range(num_ops)],
+        [rng.randrange(100, 30_000) for _ in range(num_ops)],
+        name=name,
+    )
 
 
-def test_kernel_bench_matches_on_adversarial_schedule():
-    """A scenario trace carries arrivals_ns, so both drivers replay
-    open loop on the same absolute schedule."""
+def _closed_loop_case(trace):
+    return ReplayConfig(poll_interval_ops=4_000), trace
+
+
+def _schedule_on_trace_case(trace):
     from repro.workloads.adversarial import build_scenario
 
-    scenario = build_scenario("flashcrowd", seed=4)
-    c1, t1 = build_arm()
-    c2, t2 = build_arm()
-    s1 = scenario.apply(t1)
-    s2 = TraceArrays.from_trace(scenario.apply(t2))
-    assert s2.arrivals_ns is not None
-    r1 = CacheBench().run(c1, s1, name="adv")
-    r2 = KernelBench().run(c2, s2, name="adv")
-    assert_same_run(r1, r2, c1, c2)
+    trace = build_scenario("flashcrowd", seed=4).apply(trace)
+    assert trace.arrivals_ns is not None
+    return ReplayConfig(), trace
 
 
-def test_kernel_bench_matches_with_deletes_and_open_loop():
-    """DEL segments + fixed-interval open loop + fill-on-miss off."""
-    rng = random.Random(31)
-    keys = [rng.randrange(0, 4000) for _ in range(15_000)]
-    ops = [
-        rng.choices((OP_GET, OP_SET, OP_DEL), (0.5, 0.4, 0.1))[0]
-        for _ in range(15_000)
-    ]
-    sizes = [rng.randrange(100, 30_000) for _ in range(15_000)]
-    trace = Trace(ops, keys, sizes, name="del-mix")
+def _fixed_interval_case(trace):
     cfg = ReplayConfig(
         fill_on_miss=False,
         arrival_interval_ns=150_000,
         poll_interval_ops=5_000,
     )
-    c1, _ = build_arm()
+    return cfg, mixed_trace(31, 15_000)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_closed_loop_case, _schedule_on_trace_case, _fixed_interval_case],
+)
+def test_kernel_bench_on_arrays_matches_cache_bench_on_trace(case):
+    """``KernelBench().run(cache, TraceArrays)`` is ``CacheBench().run(
+    cache, Trace)``: same loop, and a ``TraceArrays`` is a ``Trace``."""
+    c1, kvcache = build_arm()
     c2, _ = build_arm()
-    r1 = CacheBench(cfg).run(c1, trace, name="del-mix")
-    r2 = KernelBench(cfg).run(c2, trace, name="del-mix")
+    cfg, trace = case(kvcache)
+    r1 = CacheBench(cfg).run(c1, trace, name="arm")
+    r2 = KernelBench(cfg).run(c2, TraceArrays.from_trace(trace), name="arm")
+    assert r1.ops == len(trace)
     assert_same_run(r1, r2, c1, c2)
 
 
-def test_kernel_bench_matches_with_scheduler_attached():
-    c1, t1 = build_arm(sched=True)
-    c2, t2 = build_arm(sched=True)
-    r1 = CacheBench().run(c1, t1, name="sched")
-    r2 = KernelBench().run(c2, t2, name="sched")
-    assert_same_run(r1, r2, c1, c2)
+_TINY = Scale(num_superblocks=32)
 
 
-def test_kernel_detached_hooks_record_nothing():
-    """NullReplayHooks: empty reservoirs and series, zero cost on the
-    result's telemetry fields — and *identical* simulated state."""
-    c1, t1 = build_arm()
-    c2, t2 = build_arm()
-    cfg = ReplayConfig(poll_interval_ops=4_000)
-    attached = KernelBench(cfg).run(c1, t1, name="arm")
-    hooks = NullReplayHooks()
-    detached = KernelBench(cfg, telemetry=False).run(
-        c2, t2, name="arm", hooks=hooks
+def _replay_tiny(trace, **config):
+    # A DRAM of a few objects, so a few hundred ops reach the flash.
+    cache = build_experiment(
+        fdp=True, utilization=0.9, scale=_TINY, dram_bytes=64 * 1024
     )
-    # Nothing recorded...
-    assert detached.interval_series == []
-    assert len(hooks.read_lat) == 0 and hooks.read_lat.count_seen == 0
-    assert len(hooks.write_lat) == 0
-    assert detached.p50_read_us == 0.0 and detached.p99_write_us == 0.0
-    # ...but the simulation ran identically.
-    assert c1.stats_dict() == c2.stats_dict()
-    assert_identical(c1.device, c2.device)
-    assert attached.hit_ratio == detached.hit_ratio
-    assert attached.dlwa == detached.dlwa
-    assert attached.sim_seconds == detached.sim_seconds
-    # steady_dlwa falls back to the cumulative figure when unpolled.
-    assert detached.steady_dlwa == detached.dlwa
+    return CacheBench(ReplayConfig(**config)).run(cache, trace), cache
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    num_ops=st.integers(0, 300),
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(["closed", "interval", "schedule"]),
+)
+@example(num_ops=0, seed=0, mode="closed")
+@example(num_ops=1, seed=0, mode="schedule")
+def test_replay_does_not_depend_on_the_poll_window(num_ops, seed, mode):
+    """The loop converts columns one poll window at a time; nothing
+    simulated may depend on where the windows fall."""
+    # 80 keys: DRAM hits, flash hits and misses all occur.
+    trace = mixed_trace(seed, num_ops, keyspace=80)
+    clock = {}
+    if mode == "interval":
+        clock["arrival_interval_ns"] = 120_000
+    elif mode == "schedule":
+        trace.arrivals_ns = np.cumsum(
+            np.random.default_rng(seed).integers(0, 250_000, num_ops)
+        )
+    # One window holding the whole trace: no poll ever fires.
+    ref, ref_cache = _replay_tiny(
+        trace, poll_interval_ops=num_ops + 1, **clock
+    )
+    assert ref.ops == num_ops and ref.interval_series == []
+    for poll in {1, 7, num_ops - 1, num_ops} - {0, -1}:
+        run, cache = _replay_tiny(trace, poll_interval_ops=poll, **clock)
+        assert [p.ops for p in run.interval_series] == list(
+            range(poll, num_ops + 1, poll)
+        )
+        # steady_dlwa is derived from the series, so it may differ.
+        assert dataclasses.replace(
+            run,
+            interval_series=[],
+            steady_dlwa=ref.steady_dlwa,
+        ) == ref
+        assert cache.stats_dict() == ref_cache.stats_dict()
+        assert_identical(cache.device, ref_cache.device)

@@ -8,6 +8,7 @@ tests/test_fleet_soak.py (the end-to-end shard-loss soak).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import Scale, make_trace
@@ -19,6 +20,7 @@ from repro.fleet import (
     FleetConfig,
     FleetDriver,
     FleetHealthMonitor,
+    FleetReplayConfig,
     MonitorConfig,
     ScriptedShardEvent,
     ShardFailurePlan,
@@ -486,6 +488,29 @@ def test_partitioned_replay_matches_serial():
     ring = ConsistentHashRouter([s.shard_id for s in specs])
     hist = ring.ownership_histogram(trace.keys)
     assert {s.shard_id: s.ops for s in serial} == hist
+
+
+@pytest.mark.parametrize(
+    "field,config,with_arrivals",
+    [
+        ("config.arrival_interval_ns", dict(arrival_interval_ns=1_000), False),
+        (
+            "config.arrival_schedule_ns",
+            dict(arrival_schedule_ns=np.arange(600) * 1_000),
+            False,
+        ),
+        ("trace.arrivals_ns", {}, True),
+    ],
+)
+def test_partitioned_replay_rejects_open_loop(field, config, with_arrivals):
+    """Regression: the per-shard replay is closed loop and used to
+    drop all three open-loop sources without a word."""
+    specs = [ShardSpec(f"s{i:02d}", scale=TINY) for i in range(2)]
+    trace = small_trace(600)
+    if with_arrivals:
+        trace.arrivals_ns = np.arange(600) * 1_000
+    with pytest.raises(ValueError, match=field):
+        replay_partitioned(specs, trace, config=FleetReplayConfig(**config))
 
 
 class TestAdmissionSeedThreading:

@@ -171,20 +171,6 @@ def test_chunked_rejects_non_partitions():
         list(arrays.chunked([12]))
 
 
-def test_run_bounds_cover_stream_with_constant_ops():
-    arrays = TraceArrays.from_trace(synthesize(_spec(num_ops=300)))
-    bounds = arrays.run_bounds()
-    assert bounds[0][0] == 0 and bounds[-1][1] == len(arrays)
-    covered = 0
-    for a, b, op in bounds:
-        assert a == covered and b > a
-        assert (arrays.ops[a:b] == op).all()
-        covered = b
-    # Maximality: adjacent runs differ in op.
-    for (_, _, op1), (_, _, op2) in zip(bounds, bounds[1:]):
-        assert op1 != op2
-
-
 def test_validation_mirrors_trace():
     with pytest.raises(ValueError):
         TraceArrays(

@@ -130,6 +130,26 @@ class TestGenerators:
         assert len(trace) == 50_000
         assert trace.op_counts() == {"set": 50_000}
 
+    @pytest.mark.parametrize(
+        "num_ops,seed,short", [(100_000, 4, 99_934), (200_000, 6, 199_576)]
+    )
+    def test_wo_kv_cache_tops_up_a_short_stream(self, num_ops, seed, short):
+        """Regression: on these seeds the fixed oversample margin came
+        back ``short`` of the count asked for.  The top-up appends, so
+        the ops that were returned before are a prefix."""
+        trace = wo_kv_cache_trace(num_ops, 50_000, seed=seed)
+        assert len(trace) == num_ops
+        assert trace.op_counts() == {"set": num_ops}
+        assert int(trace.sizes.min()) > 0
+        # What came back before: the SETs of the one oversampled stream.
+        raw = kv_cache_trace(
+            int(num_ops / (1.0 - 0.8)) + 1024, 50_000, seed=seed
+        )
+        sets = raw.ops == OP_SET
+        assert int(sets.sum()) == short
+        np.testing.assert_array_equal(trace.keys[:short], raw.keys[sets])
+        np.testing.assert_array_equal(trace.sizes[:short], raw.sizes[sets])
+
     def test_small_objects_dominate_ops(self):
         trace = kv_cache_trace(50_000, 10_000)
         small = (trace.sizes <= 2000).sum()
