@@ -24,8 +24,9 @@ would have seen serially, in the same order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..bench.driver import ReplayConfig
 from ..workloads.trace import OP_GET, OP_SET, Trace
@@ -51,6 +52,29 @@ class FleetReplayConfig(ReplayConfig):
     are the single-cache replay's, applied per shard."""
 
     poll_interval_ops: int = 2000
+
+
+def _windows(cfg: ReplayConfig, trace: Trace) -> Iterator[Iterator[tuple]]:
+    """``trace`` one poll window at a time, as plain Python values.
+
+    Yields, per window of ``cfg.poll_interval_ops`` ops (the last may be
+    short), an iterator over its ``(op, key, size, arrival_ns)`` rows —
+    ``arrival_ns`` from ``cfg.schedule_for(trace)``, ``None`` without a
+    schedule.  Converting a window at a time boxes no numpy scalar per
+    op and keeps memory flat, as :func:`repro.bench.driver.replay` does
+    inline; both fleet loops iterate through here.
+    """
+    schedule = cfg.schedule_for(trace)
+    for start in range(0, len(trace), cfg.poll_interval_ops):
+        window = slice(start, start + cfg.poll_interval_ops)
+        yield zip(
+            trace.ops[window].tolist(),
+            trace.keys[window].tolist(),
+            trace.sizes[window].tolist(),
+            schedule[window].tolist()
+            if schedule is not None
+            else itertools.repeat(None),
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,15 +143,17 @@ class FleetDriver:
         fleet = self.fleet
         cfg = self.config
         fill = cfg.fill_on_miss
-        poll_every = cfg.poll_interval_ops
+        fleet_get, fleet_set, fleet_delete = fleet.get, fleet.set, fleet.delete
+        observe = self.monitor.observe if self.monitor is not None else None
 
-        ops_arr = trace.ops
-        keys_arr = trace.keys
-        sizes_arr = trace.sizes
         total = len(trace)
-        schedule = cfg.schedule_for(trace)
         interval = cfg.arrival_interval_ns
-        open_loop = schedule is not None or interval is not None
+        open_loop = interval is not None or cfg.schedule_for(trace) is not None
+        # Open loop on a fixed interval: op n of the driver's life
+        # arrives at n * interval.  ops_done is cumulative, so arrivals
+        # stay continuous across segment-by-segment replay.
+        ops_done = self.ops_done
+        now = ops_done * interval if interval is not None else None
 
         series: List[FleetIntervalPoint] = []
         prev_gets, prev_misses = fleet.gets, fleet.misses
@@ -147,60 +173,55 @@ class FleetDriver:
             "retries": fleet.retries,
         }
 
-        for i in range(total):
-            op = ops_arr[i]
-            key = int(keys_arr[i])
-            if open_loop:
-                # Open loop: the op arrives on its schedule, however
-                # far behind the serving shard's device is.  ops_done
-                # is cumulative, so a fixed interval stays continuous
-                # across the soak's segment-by-segment replay.
-                now = (
-                    int(schedule[i])
-                    if schedule is not None
-                    else self.ops_done * interval
-                )
-            else:
-                now = None
-            if op == OP_GET:
-                result = fleet.get(key, now)
-                served = result.shard_id
-                if result.miss and fill and not result.degraded:
-                    # Fill lands at the GET's completion, as in
-                    # CacheBench's open-loop path.
-                    fill_at = result.completion_ns if open_loop else None
-                    set_result = fleet.set(key, int(sizes_arr[i]), fill_at)
-                    if set_result.applied:
-                        served = set_result.shard_id
-            elif op == OP_SET:
-                served = fleet.set(key, int(sizes_arr[i]), now).shard_id
-            else:  # OP_DEL
-                served = fleet.delete(key, now).shard_id
+        for rows in _windows(cfg, trace):
+            for op, key, size, at in rows:
+                if at is not None:
+                    # Open loop, per-op schedule: the op arrives when
+                    # the schedule says, however far behind the serving
+                    # shard's device is.
+                    now = at
+                if op == OP_GET:
+                    result = fleet_get(key, now)
+                    served = result.shard_id
+                    if fill and not result.hit and not result.degraded:
+                        # Fill lands at the GET's completion, as in
+                        # CacheBench's open-loop path.
+                        fill_at = result.completion_ns if open_loop else None
+                        set_result = fleet_set(key, size, fill_at)
+                        if set_result.applied:
+                            served = set_result.shard_id
+                elif op == OP_SET:
+                    served = fleet_set(key, size, now).shard_id
+                else:  # OP_DEL
+                    served = fleet_delete(key, now).shard_id
 
-            if not open_loop:
-                self._advance_clock(served)
-            self.ops_done += 1
-            if self.monitor is not None:
-                self.monitor.observe(self.ops_done)
+                if not open_loop:
+                    self._advance_clock(served)
+                elif at is None:
+                    now += interval
+                ops_done += 1
+                if observe is not None:
+                    observe(ops_done)
 
-            if (i + 1) % poll_every == 0 or i + 1 == total:
-                interval_gets = fleet.gets - prev_gets
-                interval_misses = fleet.misses - prev_misses
-                series.append(
-                    FleetIntervalPoint(
-                        ops=self.ops_done,
-                        interval_miss_ratio=(
-                            interval_misses / interval_gets
-                            if interval_gets
-                            else 0.0
-                        ),
-                        cumulative_miss_ratio=fleet.miss_ratio,
-                        storm_misses=fleet.storm_misses,
-                        degraded_misses=fleet.degraded_misses,
-                        live_shards=len(fleet.live_shards),
-                    )
+            # One service-quality sample per window (the last may be short).
+            self.ops_done = ops_done
+            interval_gets = fleet.gets - prev_gets
+            interval_misses = fleet.misses - prev_misses
+            series.append(
+                FleetIntervalPoint(
+                    ops=ops_done,
+                    interval_miss_ratio=(
+                        interval_misses / interval_gets
+                        if interval_gets
+                        else 0.0
+                    ),
+                    cumulative_miss_ratio=fleet.miss_ratio,
+                    storm_misses=fleet.storm_misses,
+                    degraded_misses=fleet.degraded_misses,
+                    live_shards=len(fleet.live_shards),
                 )
-                prev_gets, prev_misses = fleet.gets, fleet.misses
+            )
+            prev_gets, prev_misses = fleet.gets, fleet.misses
 
         gets = fleet.gets - start["gets"]
         misses = fleet.misses - start["misses"]
@@ -263,21 +284,17 @@ def _replay_shard(
     spec, sub_trace, cfg = payload
     shard = spec.build()
     fill = cfg.fill_on_miss
-    ops_arr = sub_trace.ops
-    keys_arr = sub_trace.keys
-    sizes_arr = sub_trace.sizes
-    for i in range(len(sub_trace)):
-        op = ops_arr[i]
-        key = int(keys_arr[i])
-        if op == OP_GET:
-            hit, where, done = shard.get(key)
-            if not hit and fill:
-                shard.set(key, int(sizes_arr[i]))
-        elif op == OP_SET:
-            shard.set(key, int(sizes_arr[i]))
-        else:
-            shard.delete(key)
-        shard.clock_ns = cfg.next_issue_ns(shard.clock_ns, shard.busy_until())
+    next_issue = cfg.next_issue_ns
+    for rows in _windows(cfg, sub_trace):
+        for op, key, size, _ in rows:
+            if op == OP_GET:
+                if not shard.get(key)[0] and fill:  # (hit, where, done)
+                    shard.set(key, size)
+            elif op == OP_SET:
+                shard.set(key, size)
+            else:
+                shard.delete(key)
+            shard.clock_ns = next_issue(shard.clock_ns, shard.busy_until())
     hist = shard.merged_histogram("read")
     host, nand = shard.page_counters()
     return ShardReplaySummary(

@@ -15,15 +15,28 @@ Hashing is SHA-256 (first 8 bytes), the same primitive as the bench
 harness's ``point_seed`` contract, so routing is stable across runs,
 machines, and worker schedules — a requirement for the fleet driver's
 partitioned parallel replay to be deterministic.
+
+A key's owner is hashed out once and remembered: the ring keeps a
+key → owner memo that is a pure cache of the SHA-256 placement (a
+memoized ring answers exactly as a freshly built ring of the same
+``(seed, membership)`` would).  :meth:`ConsistentHashRouter._rebuild`
+is the one place membership changes and the one place the memo is
+cleared.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, List, Tuple
+from heapq import merge
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["ConsistentHashRouter"]
+
+# Owners remembered before the memo starts over (it is a cache: dropping
+# it only costs re-hashing).  Far above any trace's distinct keys here,
+# so memory is bounded without an eviction order to maintain.
+_MEMO_MAX_KEYS = 1 << 20
 
 
 def _h64(data: str) -> int:
@@ -60,43 +73,42 @@ class ConsistentHashRouter:
             raise ValueError("vnodes must be positive")
         self.vnodes = vnodes
         self.seed = seed
-        self._members: List[str] = []
+        # Each member's sorted vnode points, hashed once when it joins.
+        self._member_points: Dict[str, List[Tuple[int, str]]] = {}
         self._points: List[Tuple[int, str]] = []
         self._keys: List[int] = []  # bisect view of _points
+        self._owners: Dict[int, str] = {}  # key -> owner memo
         for shard_id in shard_ids:
             self.add_shard(shard_id)
 
     # ------------------------------------------------------------------
 
     def _vnode_points(self, shard_id: str) -> List[Tuple[int, str]]:
-        return [
+        return sorted(
             (_h64(f"{self.seed}:vnode:{shard_id}:{replica}"), shard_id)
             for replica in range(self.vnodes)
-        ]
+        )
 
     def _rebuild(self) -> None:
-        points: List[Tuple[int, str]] = []
-        for shard_id in self._members:
-            points.extend(self._vnode_points(shard_id))
-        points.sort()
-        self._points = points
-        self._keys = [p for p, _ in points]
+        """Re-merge the ring after a membership change; forget owners."""
+        self._points = list(merge(*self._member_points.values()))
+        self._keys = [p for p, _ in self._points]
+        self._owners.clear()
 
     # ------------------------------------------------------------------
 
     def add_shard(self, shard_id: str) -> None:
         if not shard_id:
             raise ValueError("shard_id must be non-empty")
-        if shard_id in self._members:
+        if shard_id in self._member_points:
             raise ValueError(f"shard {shard_id!r} already in the ring")
-        self._members.append(shard_id)
-        self._members.sort()  # membership order never affects routing
+        self._member_points[shard_id] = self._vnode_points(shard_id)
         self._rebuild()
 
     def remove_shard(self, shard_id: str) -> None:
         try:
-            self._members.remove(shard_id)
-        except ValueError:
+            del self._member_points[shard_id]
+        except KeyError:
             raise KeyError(f"shard {shard_id!r} not in the ring") from None
         self._rebuild()
 
@@ -104,33 +116,43 @@ class ConsistentHashRouter:
 
     def route(self, key: int) -> str:
         """The shard owning ``key`` (successor vnode on the ring)."""
-        if not self._points:
-            raise KeyError("the ring is empty")
-        h = _h64(f"{self.seed}:key:{key}")
-        idx = bisect.bisect_right(self._keys, h)
-        if idx == len(self._points):  # wrap past the top of the ring
-            idx = 0
-        return self._points[idx][1]
+        owner = self._owners.get(key)
+        if owner is None:
+            if not self._points:
+                raise KeyError("the ring is empty")
+            h = _h64(f"{self.seed}:key:{key}")
+            idx = bisect.bisect_right(self._keys, h)
+            if idx == len(self._points):  # wrap past the top of the ring
+                idx = 0
+            owner = self._points[idx][1]
+            if len(self._owners) >= _MEMO_MAX_KEYS:
+                self._owners.clear()
+            self._owners[key] = owner
+        return owner
 
     def route_many(self, keys: Iterable[int]) -> List[str]:
-        return [self.route(int(k)) for k in keys]
+        """Owners of ``keys``, in order (a numpy column is welcome)."""
+        tolist = getattr(keys, "tolist", None)
+        if tolist is not None:
+            keys = tolist()  # plain ints: no per-key scalar boxing
+        return list(map(self.route, keys))
 
     # ------------------------------------------------------------------
 
     @property
     def shard_ids(self) -> Tuple[str, ...]:
         """Current membership, sorted."""
-        return tuple(self._members)
+        return tuple(sorted(self._member_points))
 
     def __contains__(self, shard_id: str) -> bool:
-        return shard_id in self._members
+        return shard_id in self._member_points
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._member_points)
 
     def ownership_histogram(self, keys: Iterable[int]) -> dict:
         """Keys per shard for a sample — skew diagnostics for tools."""
-        counts = {shard_id: 0 for shard_id in self._members}
-        for key in keys:
-            counts[self.route(int(key))] += 1
+        counts = dict.fromkeys(self.shard_ids, 0)
+        for owner in self.route_many(keys):
+            counts[owner] += 1
         return counts

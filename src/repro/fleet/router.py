@@ -89,25 +89,39 @@ class FleetConfig:
             raise ValueError("breaker_cooldown_ops must be positive")
 
 
-@dataclasses.dataclass(frozen=True)
+# One result is built per op, so these are plain ``__slots__`` records:
+# a frozen dataclass pays ``object.__setattr__`` per field.  The slots
+# are spelled out (``dataclass(slots=True)`` needs Python 3.10), which
+# rules out field defaults.  They stay classes, not tuples — callers and
+# the benchmark's tracer read outcomes by attribute.
+
+
+@dataclasses.dataclass
 class FleetGetResult:
     """Outcome of one fleet GET."""
+
+    __slots__ = (
+        "hit", "where", "shard_id", "completion_ns", "degraded",
+        "deadline_missed",
+    )
 
     hit: bool
     where: str
     shard_id: Optional[str]
     completion_ns: int
-    degraded: bool = False  # served as a miss because the shard is down
-    deadline_missed: bool = False  # served as a miss: read beat by deadline
+    degraded: bool  # served as a miss because the shard is down
+    deadline_missed: bool  # served as a miss: read beat by deadline
 
     @property
     def miss(self) -> bool:
         return not self.hit
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class FleetOpResult:
     """Outcome of one fleet SET/DELETE."""
+
+    __slots__ = ("completion_ns", "shard_id", "applied")
 
     completion_ns: int
     shard_id: Optional[str]
@@ -220,9 +234,11 @@ class FleetCache:
     # ------------------------------------------------------------------
 
     def _owner(self, key: int) -> Optional[CacheShard]:
-        if len(self.ring) == 0:
+        try:
+            owner = self.ring.route(key)
+        except KeyError:  # the ring is empty: every shard is gone
             return None
-        return self.shards[self.ring.route(key)]
+        return self.shards[owner]
 
     def _note_miss(self, key: int) -> None:
         self.misses += 1
@@ -231,9 +247,29 @@ class FleetCache:
         ):
             self.storm_misses += 1
 
+    def _degraded_get(
+        self, key: int, shard: Optional[CacheShard]
+    ) -> FleetGetResult:
+        """A GET served as a miss because its shard is down or gone."""
+        self.degraded_misses += 1
+        self._note_miss(key)
+        if shard is None:
+            return FleetGetResult(False, MISS, None, 0, True, False)
+        return FleetGetResult(
+            False, MISS, shard.shard_id, shard.clock_ns, True, False
+        )
+
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
+    #
+    # The common op meets no governor and a breaker that is closed with
+    # no failure on record, so the data path asks for exactly that
+    # before paying for either: ``breaker.consecutive_failures`` is
+    # non-zero whenever the breaker is open or half-open (only
+    # ``record_failure`` leaves the closed state, and it counts first),
+    # and with it zero ``allow`` says yes and ``record_success`` changes
+    # nothing.
 
     def get(self, key: int, now_ns: Optional[int] = None) -> FleetGetResult:
         """Route a GET to the key's owner; degrade failures to misses.
@@ -246,21 +282,18 @@ class FleetCache:
         self.gets += 1
         shard = self._owner(key)
         if shard is None:  # every shard is gone: serve misses, not errors
-            self.degraded_misses += 1
-            self._note_miss(key)
-            return FleetGetResult(False, MISS, None, 0, degraded=True)
-        shard.sense_and_govern(now_ns)
+            return self._degraded_get(key, None)
+        if shard.governor is not None:
+            shard.sense_and_govern(now_ns)
         breaker = self.breakers[shard.shard_id]
-        if not breaker.allow(self.ops):
-            self.degraded_misses += 1
-            self._note_miss(key)
-            return FleetGetResult(
-                False, MISS, shard.shard_id, shard.clock_ns, degraded=True
-            )
-        for attempt in range(self.config.max_retries + 1):
+        if breaker.consecutive_failures and not breaker.allow(self.ops):
+            return self._degraded_get(key, shard)
+        config = self.config
+        attempt = 0
+        while True:
             try:
                 hit, where, done = shard.get(
-                    key, now_ns, deadline_ns=self.config.deadline_ns
+                    key, now_ns, deadline_ns=config.deadline_ns
                 )
             except SlowShardError:
                 # The shard answered, too late.  No retry (a retry of a
@@ -272,32 +305,25 @@ class FleetCache:
                 breaker.record_success()
                 self._note_miss(key)
                 return FleetGetResult(
-                    False,
-                    MISS,
-                    shard.shard_id,
-                    shard.clock_ns,
-                    deadline_missed=True,
+                    False, MISS, shard.shard_id, shard.clock_ns, False, True
                 )
             except ShardUnavailableError:
                 breaker.record_failure(self.ops)
-                if attempt < self.config.max_retries and shard.allow_retry():
+                if attempt < config.max_retries and shard.allow_retry():
+                    attempt += 1
                     self.retries += 1
-                    shard.clock_ns += self.config.retry_backoff_ns * (
-                        attempt + 1
-                    )
+                    shard.clock_ns += config.retry_backoff_ns * attempt
                     continue
-                self.degraded_misses += 1
-                self._note_miss(key)
-                return FleetGetResult(
-                    False, MISS, shard.shard_id, shard.clock_ns, degraded=True
-                )
-            breaker.record_success()
+                return self._degraded_get(key, shard)
+            if breaker.consecutive_failures:
+                breaker.record_success()
             if hit:
                 self.hits += 1
             else:
                 self._note_miss(key)
-            return FleetGetResult(hit, where, shard.shard_id, done)
-        raise AssertionError("unreachable")  # pragma: no cover
+            return FleetGetResult(
+                hit, where, shard.shard_id, done, False, False
+            )
 
     def set(
         self, key: int, size: int, now_ns: Optional[int] = None
@@ -313,44 +339,46 @@ class FleetCache:
         shard = self._owner(key)
         if shard is None:
             self.dropped_sets += 1
-            return FleetOpResult(0, None, applied=False)
-        shard.sense_and_govern(now_ns)
-        if not shard.admit_set(now_ns):
-            # Shed at the host: no device I/O, no shadow update.  The
-            # governor counts it (shed_sets); the key simply misses
-            # later, which is always safe for a cache.
-            return FleetOpResult(shard.clock_ns, shard.shard_id, False)
+            return FleetOpResult(0, None, False)
+        if shard.governor is not None:
+            shard.sense_and_govern(now_ns)
+            if not shard.admit_set(now_ns):
+                # Shed at the host: no device I/O, no shadow update.
+                # The governor counts it (shed_sets); the key simply
+                # misses later, which is always safe for a cache.
+                return FleetOpResult(shard.clock_ns, shard.shard_id, False)
         breaker = self.breakers[shard.shard_id]
-        if not breaker.allow(self.ops):
+        if breaker.consecutive_failures and not breaker.allow(self.ops):
             self.dropped_sets += 1
             return FleetOpResult(shard.clock_ns, shard.shard_id, False)
-        for attempt in range(self.config.max_retries + 1):
+        config = self.config
+        attempt = 0
+        while True:
             try:
                 done = shard.set(key, size, now_ns)
             except ShardUnavailableError:
                 breaker.record_failure(self.ops)
-                if attempt < self.config.max_retries and shard.allow_retry():
+                if attempt < config.max_retries and shard.allow_retry():
+                    attempt += 1
                     self.retries += 1
-                    shard.clock_ns += self.config.retry_backoff_ns * (
-                        attempt + 1
-                    )
+                    shard.clock_ns += config.retry_backoff_ns * attempt
                     continue
                 self.dropped_sets += 1
                 return FleetOpResult(shard.clock_ns, shard.shard_id, False)
-            breaker.record_success()
+            if breaker.consecutive_failures:
+                breaker.record_success()
             self.applied_sets += 1
             self.shadow[key] = shard.shard_id
             return FleetOpResult(done, shard.shard_id, True)
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def delete(self, key: int, now_ns: Optional[int] = None) -> FleetOpResult:
         self.ops += 1
         self.deletes += 1
         shard = self._owner(key)
         if shard is None:
-            return FleetOpResult(0, None, applied=False)
+            return FleetOpResult(0, None, False)
         breaker = self.breakers[shard.shard_id]
-        if not breaker.allow(self.ops):
+        if breaker.consecutive_failures and not breaker.allow(self.ops):
             return FleetOpResult(shard.clock_ns, shard.shard_id, False)
         try:
             done = shard.delete(key, now_ns)
@@ -358,7 +386,8 @@ class FleetCache:
             breaker.record_failure(self.ops)
             self.shadow.pop(key, None)
             return FleetOpResult(shard.clock_ns, shard.shard_id, False)
-        breaker.record_success()
+        if breaker.consecutive_failures:
+            breaker.record_success()
         self.shadow.pop(key, None)
         return FleetOpResult(done, shard.shard_id, True)
 

@@ -145,8 +145,8 @@ class _HybridBackend:
         self.cache = cache
 
     def get(self, key: int, now_ns: int) -> Tuple[bool, str, int]:
-        result = self.cache.get(key, now_ns)
-        return result.hit, result.where, result.completion_ns
+        where, _, done = self.cache.get_where(key, now_ns)
+        return where != MISS, where, done
 
     def set(self, key: int, size: int, now_ns: int) -> int:
         return self.cache.set(key, size, now_ns)
@@ -430,13 +430,12 @@ class CacheShard:
 
     # -- error taxonomy -------------------------------------------------
 
-    def _check_alive(self, op: str) -> None:
-        if self.state is ShardState.DEAD:
-            raise ShardUnavailableError(
-                f"shard {self.shard_id!r} is DEAD ({op})",
-                shard_id=self.shard_id,
-                op=op,
-            )
+    def _dead(self, op: str) -> ShardUnavailableError:
+        return ShardUnavailableError(
+            f"shard {self.shard_id!r} is DEAD ({op})",
+            shard_id=self.shard_id,
+            op=op,
+        )
 
     def _translate(self, op: str, exc: BaseException) -> ShardUnavailableError:
         self.errors_translated += 1
@@ -476,7 +475,8 @@ class CacheShard:
         device's own busy horizon is untouched, the read still finishes
         late on the media) and the caller books a ``deadline_miss``.
         """
-        self._check_alive("get")
+        if self.state is ShardState.DEAD:
+            raise self._dead("get")
         now = self.clock_ns if now_ns is None else now_ns
         self.gets += 1
         try:
@@ -503,7 +503,8 @@ class CacheShard:
 
     def set(self, key: int, size: int, now_ns: Optional[int] = None) -> int:
         """Insert/overwrite a key; returns the completion time."""
-        self._check_alive("set")
+        if self.state is ShardState.DEAD:
+            raise self._dead("set")
         now = self.clock_ns if now_ns is None else now_ns
         try:
             done = self.backend.set(key, size, now)
@@ -514,7 +515,8 @@ class CacheShard:
         return done
 
     def delete(self, key: int, now_ns: Optional[int] = None) -> int:
-        self._check_alive("delete")
+        if self.state is ShardState.DEAD:
+            raise self._dead("delete")
         now = self.clock_ns if now_ns is None else now_ns
         try:
             done = self.backend.delete(key, now)

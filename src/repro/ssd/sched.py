@@ -70,6 +70,8 @@ SCRUB_RELOCATE = "scrub_relocate"
 
 _BACKGROUND_KINDS = (GC_MIGRATE, ERASE, SCRUB_SCAN, SCRUB_RELOCATE)
 
+_DISPATCH_LOG_LEN = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class SchedConfig:
@@ -249,7 +251,7 @@ class LatencyHistogram:
 # --------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class IoCompletion:
     """One completion-queue entry.
 
@@ -260,7 +262,17 @@ class IoCompletion:
     pages invalidated); ``error`` carries the MediaError a failed
     command completed with (the NVMe status code analogue) — state-side
     effects of the failure already happened at submit.
+
+    One is built per host command, so it is a plain ``__slots__``
+    record (a frozen dataclass pays ``object.__setattr__`` per field);
+    the slots are spelled out because ``dataclass(slots=True)`` needs
+    Python 3.10, which rules out field defaults.
     """
+
+    __slots__ = (
+        "ticket", "queue", "op", "lba", "npages", "submit_ns",
+        "complete_ns", "latency_ns", "ok", "result", "error",
+    )
 
     ticket: int
     queue: str
@@ -271,8 +283,8 @@ class IoCompletion:
     complete_ns: int
     latency_ns: int
     ok: bool
-    result: object = None
-    error: Optional[BaseException] = None
+    result: object
+    error: Optional[BaseException]
 
 
 class _Command:
@@ -356,8 +368,9 @@ class MultiQueueScheduler:
         self._backlog: List[Deque[Tuple[str, int, int]]] = [
             deque() for _ in range(self.channels)
         ]
+        # WRR visit order = creation order = this dict's order.
         self._queues: Dict[str, _Queue] = {}
-        self._order: List[str] = []  # WRR visit order = creation order
+        self._pending = 0  # submitted, not yet dispatched (all queues)
         self._next_ticket = 0
         # Telemetry: background occupancy by kind, and how often a host
         # command had to wait behind a background segment.
@@ -368,9 +381,12 @@ class MultiQueueScheduler:
         self.host_commands = 0
         self.host_wait_ns = 0
         self.gc_blocked_commands = 0
-        # Dispatch order of (queue, ticket) — the WRR fairness tests'
-        # observable.
-        self.dispatch_log: List[Tuple[str, int]] = []
+        # Dispatch order of the last ``_DISPATCH_LOG_LEN`` commands as
+        # (queue, ticket) — the WRR fairness tests' observable.  Bounded:
+        # a device dispatches one command per host I/O for its lifetime.
+        self.dispatch_log: Deque[Tuple[str, int]] = deque(
+            maxlen=_DISPATCH_LOG_LEN
+        )
 
     # -- queue management ---------------------------------------------
 
@@ -378,13 +394,11 @@ class MultiQueueScheduler:
         q = self._queues.get(name)
         if q is None:
             weight = self.config.weights.get(name, self.config.default_weight)
-            q = _Queue(name, weight)
-            self._queues[name] = q
-            self._order.append(name)
+            q = self._queues[name] = _Queue(name, weight)
         return q
 
     def queue_names(self) -> List[str]:
-        return list(self._order)
+        return list(self._queues)
 
     def depth_available(self, name: str) -> int:
         """Remaining outstanding window for a queue (creates it)."""
@@ -592,39 +606,38 @@ class MultiQueueScheduler:
                 channel, now_ns, duration_ns, result, error,
             )
         )
+        self._pending += 1
         q.outstanding += 1
         q.submitted += 1
         return ticket
 
     def _dispatch_all(self) -> None:
         """WRR arbitration: drain every pending command to its channel."""
-        pending = True
-        while pending:
-            pending = False
-            for name in self._order:
-                q = self._queues[name]
+        while self._pending:
+            for q in self._queues.values():
+                pending = q.pending
                 burst = q.weight
-                while burst and q.pending:
-                    cmd = q.pending.popleft()
-                    self._run(cmd, q)
+                while burst and pending:
+                    self._pending -= 1
+                    self._run(pending.popleft(), q)
                     burst -= 1
-                if q.pending:
-                    pending = True
 
     def _run(self, cmd: _Command, q: _Queue) -> None:
-        free = self._advance_channel(cmd.channel, cmd.submit_ns)
-        start = cmd.submit_ns if cmd.submit_ns > free else free
+        submit_ns = cmd.submit_ns
+        channel = cmd.channel
+        free = self._advance_channel(channel, submit_ns)
+        start = submit_ns if submit_ns > free else free
         duration = cmd.duration_ns
         if self.failslow is not None:
             start, duration = self.failslow.adjust(
-                cmd.op, cmd.channel, start, duration
+                cmd.op, channel, start, duration
             )
-        wait = start - cmd.submit_ns
+        wait = start - submit_ns
         if wait > 0:
             self.host_wait_ns += wait
             self.gc_blocked_commands += 1
         complete = start + duration
-        self._free_at[cmd.channel] = complete
+        self._free_at[channel] = complete
         self.host_commands += 1
         self.dispatch_log.append((cmd.queue, cmd.ticket))
         q.done.append((complete, cmd.ticket, cmd))
@@ -648,35 +661,34 @@ class MultiQueueScheduler:
         """
         self._dispatch_all()
         q = self.queue(queue)
-        q.done.sort(key=lambda item: (item[0], item[1]))
-        limit = len(q.done) if max_completions is None else max_completions
+        done = q.done
+        if len(done) > 1:
+            done.sort()  # (complete_ns, ticket, _): tickets are unique
+        limit = (
+            len(done) if max_completions is None else max(0, max_completions)
+        )
+        batch = done[:limit]
+        del done[:limit]
         out: List[IoCompletion] = []
-        while q.done and len(out) < limit:
-            complete, _, cmd = q.done.pop(0)
+        histograms = q.histograms
+        for complete, ticket, cmd in batch:
             if complete > q.clock_ns:
                 q.clock_ns = complete
             latency = complete - cmd.submit_ns
-            hist = q.histograms.get(cmd.op)
+            hist = histograms.get(cmd.op)
             if hist is None:
-                hist = q.histograms[cmd.op] = LatencyHistogram()
+                hist = histograms[cmd.op] = LatencyHistogram()
             hist.record(latency)
-            q.outstanding -= 1
-            q.completed += 1
+            error = cmd.error
             out.append(
                 IoCompletion(
-                    ticket=cmd.ticket,
-                    queue=cmd.queue,
-                    op=cmd.op,
-                    lba=cmd.lba,
-                    npages=cmd.npages,
-                    submit_ns=cmd.submit_ns,
-                    complete_ns=complete,
-                    latency_ns=latency,
-                    ok=cmd.error is None,
-                    result=cmd.result,
-                    error=cmd.error,
+                    ticket, cmd.queue, cmd.op, cmd.lba, cmd.npages,
+                    cmd.submit_ns, complete, latency, error is None,
+                    cmd.result, error,
                 )
             )
+        q.outstanding -= len(batch)
+        q.completed += len(batch)
         return out
 
     def outstanding(self, queue: Optional[str] = None) -> int:

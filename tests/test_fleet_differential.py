@@ -120,3 +120,66 @@ def _fleet_run_no_fill(fdp, trace):
         fleet, FleetReplayConfig(fill_on_miss=False)
     ).run(trace)
     return shard, fleet, result
+
+
+# ----------------------------------------------------------------------
+# open loop: the fixed-interval arrival clock belongs to the driver's
+# op count, not to a run() call or a poll window
+# ----------------------------------------------------------------------
+
+
+def _open_loop_fleet(slices, poll_interval_ops):
+    shards = [
+        ShardSpec(
+            f"s{i}", backend=backend, utilization=UTILIZATION, scale=TINY
+        ).build()
+        for i, backend in enumerate(("fdp", "nonfdp"))
+    ]
+    fleet = FleetCache(shards)
+    driver = FleetDriver(
+        fleet,
+        FleetReplayConfig(
+            arrival_interval_ns=50_000, poll_interval_ops=poll_interval_ops
+        ),
+    )
+    trace = _trace(404)
+    results = [driver.run(trace.slice(lo, hi)) for lo, hi in slices]
+    assert driver.ops_done == len(trace)
+    return fleet, results
+
+
+@pytest.mark.parametrize(
+    "slices, poll_interval_ops",
+    [
+        ([(0, 1500), (1500, 1501), (1501, 4000)], 2000),
+        ([(0, 4000)], 700),
+        ([(0, 1), (1, 2999), (2999, 4000)], 1),
+    ],
+)
+def test_open_loop_slices_and_poll_cadence_do_not_move_the_replay(
+    slices, poll_interval_ops
+):
+    """perfbench replays ``fleet4_open`` one 50k-op slice per ``run()``:
+    op *n* of the driver's life arrives at ``n * interval`` whichever
+    slice or poll window it falls in."""
+    whole, (whole_result,) = _open_loop_fleet([(0, 4000)], 2000)
+    parts, results = _open_loop_fleet(slices, poll_interval_ops)
+    for shard_id, shard in whole.shards.items():
+        other = parts.shards[shard_id]
+        assert_identical(shard.backend.cache.device, other.backend.cache.device)
+        assert other.clock_ns == shard.clock_ns
+        for op in ("read", "write"):
+            assert (
+                other.merged_histogram(op).to_dict()
+                == shard.merged_histogram(op).to_dict()
+            )
+    assert parts.stats_dict() == whole.stats_dict()
+    for field in ("ops", "gets", "hits", "misses", "sets", "applied_sets"):
+        assert sum(getattr(r, field) for r in results) == getattr(
+            whole_result, field
+        )
+    # One service-quality sample per poll window, the last one short.
+    assert [len(r.interval_series) for r in results] == [
+        -(-(hi - lo) // poll_interval_ops) for lo, hi in slices
+    ]
+    assert results[-1].interval_series[-1].ops == 4000

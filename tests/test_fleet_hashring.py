@@ -18,9 +18,17 @@ same ring route identically.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.fleet import ConsistentHashRouter
+from repro.fleet import (
+    CacheShard,
+    ConsistentHashRouter,
+    FleetCache,
+    FleetConfig,
+    hashring,
+)
+from tests.test_fleet import _FlakyBackend
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -148,3 +156,105 @@ def test_ring_api_edges():
         ring.route(1)
     with pytest.raises(ValueError):
         ConsistentHashRouter(vnodes=0)
+
+
+# ----------------------------------------------------------------------
+# the key → owner memo is a pure cache of the SHA-256 placement
+# ----------------------------------------------------------------------
+
+
+def _assert_ring_equals_fresh(ring, seed, ks):
+    """``ring`` (memo warm or cold) answers as a ring built from
+    scratch with its ``(seed, membership)`` does, for every key."""
+    fresh = ConsistentHashRouter(ring.shard_ids, seed=seed)
+    if not len(ring):
+        with pytest.raises(KeyError):
+            ring.route(ks[0])
+        return
+    want = fresh.route_many(ks)
+    assert ring.route_many(ks) == want  # fills the memo
+    assert [ring.route(k) for k in ks] == want  # served from it
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ids=shard_ids,
+    seed=seeds,
+    ks=keys,
+    toggles=st.lists(st.integers(0, 11), max_size=16),
+)
+def test_memoized_ring_equals_fresh_ring_after_any_membership_change(
+    ids, seed, ks, toggles
+):
+    """Every add/remove clears the memo: no stale owner survives a
+    membership change, whatever was routed before it."""
+    ring = ConsistentHashRouter(ids[:2], seed=seed)
+    _assert_ring_equals_fresh(ring, seed, ks)
+    for index in toggles:
+        shard_id = ids[index % len(ids)]
+        if shard_id in ring:
+            ring.remove_shard(shard_id)
+        else:
+            ring.add_shard(shard_id)
+        _assert_ring_equals_fresh(ring, seed, ks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=seeds,
+    ks=keys,
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(["kill", "retire", "quarantine", "add"]),
+            st.integers(0, 5),
+        ),
+        max_size=8,
+    ),
+)
+def test_fleet_rings_equal_fresh_rings_after_kill_retire_add(seed, ks, script):
+    """The router's two rings — live membership and the every-shard-
+    ever ``_full_ring`` behind miss-storm attribution — stay equal to
+    freshly built ones through kills, drains and additions, with the
+    data path (which fills both memos) running in between."""
+    def shard(i):
+        return CacheShard(f"s{i}", _FlakyBackend(0))
+
+    fleet = FleetCache(
+        [shard(i) for i in range(3)], FleetConfig(ring_seed=seed)
+    )
+
+    def traffic_then_check():
+        for key in ks:
+            fleet.set(key, 100)
+            fleet.get(key)
+        _assert_ring_equals_fresh(fleet.ring, seed, ks)
+        _assert_ring_equals_fresh(fleet._full_ring, seed, ks)
+
+    traffic_then_check()
+    for action, i in script:
+        shard_id = f"s{i}"
+        if action == "add":
+            if shard_id in fleet.shards:
+                continue
+            fleet.add_shard(shard(i))
+        elif shard_id not in fleet.ring:
+            continue
+        else:
+            getattr(fleet, f"{action}_shard")(shard_id)
+        traffic_then_check()
+
+
+def test_route_many_takes_a_numpy_column_and_the_memo_is_bounded(monkeypatch):
+    ring = ConsistentHashRouter(["a", "b", "c"], seed=3)
+    ks = np.arange(50, dtype=np.int64) * 7919
+    owners = ring.route_many(ks)
+    assert owners == [ring.route(int(k)) for k in ks]
+    assert ring.ownership_histogram(ks) == {
+        s: owners.count(s) for s in ring.shard_ids
+    }
+    # At the cap the memo starts over instead of growing: answers hold.
+    monkeypatch.setattr(hashring, "_MEMO_MAX_KEYS", 8)
+    small = ConsistentHashRouter(["a", "b", "c"], seed=3)
+    assert small.route_many(ks) == owners
+    assert len(small._owners) <= 8
+    assert small.route_many(ks) == owners

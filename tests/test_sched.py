@@ -10,6 +10,9 @@ completes exactly once and each queue's completion clock is monotone.
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,9 @@ from repro.ssd import (
     SchedConfig,
     SimulatedSSD,
 )
+from repro.core.device_layer import FdpAwareDevice
 from repro.ssd.latency import NandTimings
+from tests.test_golden_regression import _check_golden
 
 TIMINGS = NandTimings()
 READ_US = TIMINGS.read_ns + TIMINGS.transfer_ns
@@ -154,7 +159,8 @@ def test_wrr_bounded_unfairness():
         sched.submit("loc", "read", lba=0, npages=1, channel=0, now_ns=0)
     sched.poll("soc")
     served = {"soc": 0, "loc": 0}
-    for queue, _ in sched.dispatch_log[:40]:  # both queues still backlogged
+    # dispatch_log is a bounded deque: slice a copy.
+    for queue, _ in list(sched.dispatch_log)[:40]:  # both queues still backlogged
         served[queue] += 1
         assert abs(served["soc"] / 3 - served["loc"] / 1) <= 1.0
 
@@ -319,6 +325,60 @@ def test_submit_async_matches_sync_state_and_results():
     assert by_ticket[t_t].result == ref.deallocate(10, 2)
     assert all(c.ok for c in by_ticket.values())
     assert ssd.ftl._l2p == ref.ftl._l2p
+
+
+def test_qd1_sync_path_timing_matches_golden(update_golden):
+    """Differential for the queue-depth-1 path every sync I/O takes
+    (``device_layer`` → ``submit_async`` → ``submit`` → ``poll``): on
+    a GC-active overwrite stream over three queues, completion times,
+    per-queue histograms, ``host_wait_ns``, ticket numbers and dispatch
+    order are pinned to a fixture recorded before ``submit`` /
+    ``_dispatch_all`` / ``poll`` were tightened for this case."""
+    ssd = SimulatedSSD(GEOMETRY, sched=True)
+    io = FdpAwareDevice(ssd)
+    sched = ssd.scheduler
+    rng = random.Random(14)
+    pages = ssd.capacity_pages
+    queues = ("soc", "loc", "meta")
+    now = 0
+    completions = hashlib.sha256()
+    for n in range(6 * pages):  # several device fills: GC runs throughout
+        queue = queues[rng.randrange(3)]
+        lba = rng.randrange(pages - 4)
+        roll = rng.random()
+        if roll < 0.7:
+            now = io.write(lba, rng.randint(1, 4), now_ns=now, worker=queue)
+        elif roll < 0.95:
+            _, now = io.read(lba, rng.randint(1, 4), now, queue)
+        else:
+            ticket = ssd.submit_async("trim", lba, 2, None, now, queue=queue)
+            (comp,) = ssd.poll(queue)
+            assert (comp.ticket, comp.queue, comp.ok) == (ticket, queue, True)
+            now = comp.complete_ns
+        # QD=1: tickets count commands, each dispatched as it arrives.
+        assert sched.dispatch_log[-1] == (queue, n)
+        assert sched.outstanding() == 0
+        completions.update(b"%d," % now)
+    assert sched.gc_blocked_commands > 0  # the stream does reach GC
+    # The log keeps a bounded tail, not one entry per command forever.
+    assert len(sched.dispatch_log) == sched.dispatch_log.maxlen < n
+    ssd.check_invariants()
+    _check_golden(
+        "sched_qd1_gc_stream",
+        {
+            "completions_sha256": completions.hexdigest(),
+            "final_ns": now,
+            "host_commands": sched.host_commands,
+            "host_wait_ns": sched.host_wait_ns,
+            "gc_blocked_commands": sched.gc_blocked_commands,
+            "background_ns": dict(sched.background_ns),
+            "histograms": {
+                queue: {op: hist.to_dict() for op, hist in sorted(ops.items())}
+                for queue, ops in sorted(sched.histograms().items())
+            },
+        },
+        update_golden,
+    )
 
 
 def test_submit_async_requires_scheduler():
