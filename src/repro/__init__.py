@@ -3,8 +3,8 @@ Emerging NVMe Flexible Data Placement SSDs" (EuroSys '25).
 
 Public API tour:
 
-* :mod:`repro.ssd` — simulated FDP-capable NVMe SSD (FTL, GC, latency,
-  energy).
+* :mod:`repro.ssd` — simulated FDP-capable NVMe SSD (an FTL with one
+  write path, GC, latency, energy).
 * :mod:`repro.fdp` — NVMe TP4146 abstractions (RUHs, PIDs, events,
   statistics log).
 * :mod:`repro.core` — the paper's contribution: placement handles, the
@@ -21,8 +21,8 @@ Public API tour:
 * :mod:`repro.fleet` — sharded cache cluster: consistent-hash routing,
   shard lifecycle, failure/rebalance, fleet-merged observability.
 * :mod:`repro.kernel` — columnar traces (``TraceArrays``, a ``Trace``
-  subclass with array-first constructors); the array submission path
-  (``write_arrays``) it pairs with lives on the device.
+  subclass with array-first constructors); the device's
+  ``write_arrays`` takes command columns and loops ``write`` over them.
 
 Quick start::
 

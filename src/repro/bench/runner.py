@@ -132,7 +132,6 @@ def build_experiment(
     scale: Scale = DEFAULT_SCALE,
     cache_overrides: Optional[Dict[str, object]] = None,
     faults: Optional[FaultConfig] = None,
-    io_path: str = "batched",
     sched: object = None,
     failslow: object = None,
     admission_seed: Optional[int] = None,
@@ -146,10 +145,6 @@ def build_experiment(
     ``faults`` (default ``None`` — a perfectly reliable device) attaches
     a seed-driven :class:`~repro.faults.model.FaultConfig` to the
     simulated SSD for chaos runs.
-    ``io_path`` selects the FTL submission path (``"batched"`` extent
-    fast path or the reference ``"scalar"`` per-page loop); the two are
-    bit-identical (tests/test_differential_batch.py), so benches only
-    flip this to measure the speedup itself.
     ``sched`` (``True`` or a :class:`~repro.ssd.sched.SchedConfig`)
     attaches the multi-queue scheduler so SOC/LOC/meta I/O queues on
     parallel channels and per-command latency carries GC interference
@@ -173,7 +168,6 @@ def build_experiment(
         geometry,
         fdp=fdp,
         faults=faults,
-        io_path=io_path,
         sched=sched,
         failslow=failslow,
     )
@@ -214,7 +208,6 @@ def run_experiment(
     replay: Optional[ReplayConfig] = None,
     name: Optional[str] = None,
     faults: Optional[FaultConfig] = None,
-    io_path: str = "batched",
     scenario: Optional[object] = None,
     cache_overrides: Optional[Dict[str, object]] = None,
 ) -> RunResult:
@@ -237,7 +230,6 @@ def run_experiment(
         scale=scale,
         cache_overrides=cache_overrides,
         faults=faults,
-        io_path=io_path,
         admission_seed=seed,
     )
     trace = make_trace(

@@ -248,11 +248,12 @@ class LatentErrorModel:
 
     @property
     def corrupts_writes(self) -> bool:
-        """True when the write path must be consulted per host page.
+        """True when :meth:`corrupt_program` must see every host page.
 
-        The batched FTL fast path programs whole extents without a
-        per-page hook, so a model that can corrupt programs forces the
-        scalar path (see ``Ftl.effective_io_path``).
+        The FTL reads this once, at construction: a model that can
+        corrupt programs makes every host page a one-page chunk, while
+        a quiescent one leaves whole-superblock chunks alone and has
+        :attr:`host_program_ops` advanced by their page counts.
         """
         return bool(self.config.silent_corruption_rate) or bool(len(self.plan))
 

@@ -1,7 +1,7 @@
 """Columnar traces and array submission (DESIGN.md §15).
 
-What is here, and what the differential tier
-(tests/test_differential_kernel.py) proves about it:
+What is here, and what tests/test_kernel_arrays.py and
+tests/test_differential_kernel.py pin about it:
 
 * :mod:`repro.kernel.arrays` — columnar op streams
   (:class:`TraceArrays`) emitted whole from the vectorized workload
@@ -9,10 +9,10 @@ What is here, and what the differential tier
   :class:`~repro.workloads.trace.Trace` that adds no field, so the
   replay loop (:func:`repro.bench.driver.replay`) takes it as one.
 * At the device layer,
-  :meth:`~repro.ssd.device.SimulatedSSD.write_arrays` submits whole
-  command arrays with run coalescing, bit-identical to per-command
-  submission, and ``SimulatedSSD(telemetry=False)`` detaches the event
-  log and energy ledger without touching simulated state.
+  :meth:`~repro.ssd.device.SimulatedSSD.write_arrays` takes a command
+  array as columns and is a closed-loop ``write`` per command, and
+  ``SimulatedSSD(telemetry=False)`` detaches the event log and energy
+  ledger without touching simulated state.
 * :mod:`repro.kernel.replay` — :class:`KernelBench`, the name the
   benchmark's ``kv_fdp_kernel`` row binds; it runs the one replay loop.
 """

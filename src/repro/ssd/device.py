@@ -83,6 +83,10 @@ class SimulatedSSD:
         threshold, and retires repeatedly failing blocks.
     """
 
+    #: What :meth:`_new_ftl` builds, so ``format()`` keeps it; the
+    #: differential tier substitutes its per-page reference FTL here.
+    ftl_class = Ftl
+
     def __init__(
         self,
         geometry: Geometry,
@@ -97,7 +101,6 @@ class SimulatedSSD:
         checkpoint_interval_pages: Optional[int] = None,
         journal_flush_interval: Optional[int] = None,
         power_seed: Optional[int] = None,
-        io_path: str = "batched",
         latent: "LatentErrorConfig | LatentErrorModel | None" = None,
         scrub: "ScrubConfig | PatrolScrubber | bool | None" = None,
         sched: "SchedConfig | bool | None" = None,
@@ -123,7 +126,6 @@ class SimulatedSSD:
         self._checkpoint_interval = checkpoint_interval_pages
         self._journal_flush_interval = journal_flush_interval
         self._power_seed = power_seed
-        self.io_path = io_path
         self._latent_spec = latent
         self._scrub_spec = scrub
         self._sched_spec = sched
@@ -135,10 +137,10 @@ class SimulatedSSD:
         self._failslow_spec = failslow
         # Telemetry hooks (event log + energy ledger) are opt-out: with
         # telemetry=False the device runs with detached null hooks that
-        # record nothing and cost nothing per op (the kernel fast
-        # path's configuration).  Core simulation state — mapping, OOB,
-        # journal, DeviceStats — is never detached.  The choice
-        # survives format() because _new_ftl rebuilds from it.
+        # record nothing and cost nothing per op.  Core simulation
+        # state — mapping, OOB, journal, DeviceStats — is never
+        # detached.  The choice survives format() because _new_ftl
+        # rebuilds from it.
         self._telemetry = telemetry
         self.ftl = self._new_ftl()
 
@@ -193,7 +195,7 @@ class SimulatedSSD:
             extra["journal_flush_interval"] = self._journal_flush_interval
         if self._power_seed is not None:
             extra["power_seed"] = self._power_seed
-        return Ftl(
+        return self.ftl_class(
             self.geometry,
             self.fdp_config,
             latency=LatencyModel(self._timings),
@@ -208,7 +210,6 @@ class SimulatedSSD:
             gc_victim_sample=self._gc_victim_sample,
             wear_level_threshold=self._wear_level_threshold,
             faults=self._new_fault_model(),
-            io_path=self.io_path,
             latent=self._new_latent_model(),
             scrub=self._new_scrubber(),
             sched=self._new_sched(),
@@ -276,7 +277,7 @@ class SimulatedSSD:
         now_ns: int = 0,
         payloads: Optional[Sequence[object]] = None,
     ) -> List[int]:
-        """Write a whole command array in one call (the kernel fast path).
+        """Write a whole command array in one call.
 
         ``lbas[i]``/``npages[i]`` (and optionally ``payloads[i]``)
         describe command *i*.  Commands run closed-loop — each issued at
@@ -285,13 +286,10 @@ class SimulatedSSD:
 
         >>> dones = device.write_arrays(lbas, npages, now_ns=t0)
 
-        is bit-identical (state, telemetry, and timing) to threading
-        ``t = device.write(lbas[i], npages[i], pid, t)`` per command,
-        just without the per-command Python overhead.  See
-        :meth:`repro.ssd.ftl.Ftl.write_arrays` for the equivalence
-        argument; on devices resolved to the scalar path (fault
-        injection attached) the same loop semantics apply, including
-        exception behaviour.
+        is threading ``t = device.write(lbas[i], npages[i], pid, t)``
+        per command, exceptions included: it is that loop
+        (:meth:`repro.ssd.ftl.Ftl.write_arrays`), kept as a convenience
+        for callers that hold their commands as columns.
         """
         if len(lbas) != len(npages):
             raise ValueError("lbas and npages must have equal length")
@@ -588,18 +586,6 @@ class SimulatedSSD:
     def scrubber(self) -> Optional[PatrolScrubber]:
         """The attached patrol scrubber, or ``None`` when disabled."""
         return self.ftl.scrubber
-
-    @property
-    def effective_io_path(self) -> str:
-        """The I/O path actually in use (see ``Ftl.effective_io_path``).
-
-        Requesting ``io_path="batched"`` with fault injection or a
-        corrupting latent model attached resolves to ``"scalar"`` at
-        construction time — per-page fault hooks cannot run under the
-        extent fast path.  Inspect this to confirm which path a device
-        really runs rather than trusting the requested knob.
-        """
-        return self.ftl.effective_io_path
 
     def scrub_status(self) -> Optional[ScrubStatus]:
         """Patrol-scrub progress snapshot, or ``None`` when no scrubber

@@ -129,41 +129,19 @@ class _InflightWrite:
         self.lba, self.npages, self.ppns, self.ack_ns = state
 
 
-def _consume_ppns(pend: List[List[int]], npages: int) -> List[int]:
-    """Take ``npages`` physical pages from the front of ``pend``.
-
-    ``pend`` holds ``[ppn_start, count]`` runs of mapped-but-unacked
-    pages in program order; the kernel write path consumes them
-    command by command to build each command's in-flight ppn list.
-    """
-    first = pend[0]
-    start, count = first
-    if count > npages:
-        first[0] = start + npages
-        first[1] = count - npages
-        return list(range(start, start + npages))
-    if count == npages:
-        del pend[0]
-        return list(range(start, start + npages))
-    ppns = list(range(start, start + count))
-    del pend[0]
-    npages -= count
-    while npages:
-        first = pend[0]
-        start, count = first
-        if count > npages:
-            first[0] = start + npages
-            first[1] = count - npages
-            ppns.extend(range(start, start + npages))
-            return ppns
-        del pend[0]
-        ppns.extend(range(start, start + count))
-        npages -= count
-    return ppns
-
-
 class Ftl:
     """Page-mapped FTL over :class:`~repro.ssd.geometry.Geometry`.
+
+    There is one write path (DESIGN.md §10): :meth:`write_range`
+    programs a command in chunks that end at reclaim-unit boundaries.
+    Whether it also stops at every page is decided at construction,
+    once, from what was attached: a fault model, or a latent model that
+    can corrupt programs (``corrupts_writes``), makes every host page a
+    one-page chunk with the injectors consulted before it is
+    programmed, and nothing a caller passes can turn that off.  A
+    quiescent latent model (zero corruption rate, empty plan) keeps
+    whole chunks: read-side disturb tracking and CRC stamping need no
+    per-page write hook.
 
     Parameters
     ----------
@@ -182,28 +160,6 @@ class Ftl:
         every read, program, and erase.  ``None`` (the default) keeps
         the device perfectly reliable and the I/O path bit-identical to
         a fault-free build.
-    io_path:
-        ``"batched"`` (default) programs multi-page writes in whole
-        per-superblock extents, amortizing placement lookup, OOB
-        stamping, journal appends, and accounting across each chunk;
-        ``"scalar"`` keeps the page-at-a-time reference loop.  The two
-        paths are bit-identical — same L2P, stats, events, latency,
-        energy, and recovery trail — which the differential harness in
-        ``tests/test_differential_batch.py`` enforces (DESIGN.md §10).
-
-        **Fault interaction (decided at construction, never silently
-        mid-run):** with a :class:`FaultModel` attached, or a latent-
-        error model that can corrupt programs (``corrupts_writes``),
-        multi-page writes always take the scalar loop so per-page
-        fault and corruption interleave points (the Nth host program)
-        keep their exact meaning.  Requesting ``io_path="batched"``
-        in those configurations is *not* an error — the chaos benches
-        do it deliberately — but the resolved path is exposed as
-        :attr:`effective_io_path` and pinned by a regression test, so
-        a ctor knob can never quietly disable injection.  A quiescent
-        latent model (zero corruption rate, empty plan) keeps the
-        fast path: read-side disturb tracking and CRC stamping do not
-        need per-page write hooks.
     latent:
         Optional latent-error model (or its config): read-disturb
         accumulation, wear-accelerated retention aging, and silent
@@ -233,7 +189,6 @@ class Ftl:
         checkpoint_interval_pages: int = CHECKPOINT_INTERVAL_PAGES,
         journal_flush_interval: int = JOURNAL_FLUSH_INTERVAL,
         power_seed: int = 0x9C7A,
-        io_path: str = "batched",
         latent: "Optional[object]" = None,
         scrub: "Optional[object]" = None,
         sched: "Optional[object]" = None,
@@ -247,11 +202,6 @@ class Ftl:
         # on it, which is what keeps scheduler-on runs bit-identical
         # to scheduler-off for L2P/P2L/OOB/journal/stats.
         self.sched = sched
-        if io_path not in ("batched", "scalar"):
-            raise ValueError(
-                f"io_path must be 'batched' or 'scalar', got {io_path!r}"
-            )
-        self.io_path = io_path
         # Latent-error model: accept a config or a live model.
         if latent is not None and not isinstance(latent, LatentErrorModel):
             latent = LatentErrorModel(latent)
@@ -265,13 +215,11 @@ class Ftl:
         # crc=None and the fault-free path stays bit-identical to a
         # build without the integrity subsystem.
         self._protect = latent is not None or scrub is not None
-        # Resolved once here — the write path must never silently flip
-        # between the batched extent programmer (no per-page hooks)
-        # and the scalar loop (per-page fault / corruption draws).
-        self._fast_path = (
-            io_path == "batched"
-            and faults is None
-            and (latent is None or not latent.corrupts_writes)
+        # Resolved once here, so the write path never changes its chunk
+        # size mid-run: with an injector that must see each host page
+        # before it is programmed, a chunk is one page.
+        self._page_hooks = faults is not None or (
+            latent is not None and latent.corrupts_writes
         )
         self.latency = latency if latency is not None else LatencyModel()
         self.energy = energy if energy is not None else EnergyModel()
@@ -385,19 +333,6 @@ class Ftl:
     @property
     def fdp_enabled(self) -> bool:
         return self.fdp_config is not None
-
-    @property
-    def effective_io_path(self) -> str:
-        """The write path multi-page commands actually take.
-
-        ``io_path`` records what the caller asked for; this property
-        reports what the device resolved it to at construction —
-        ``"scalar"`` whenever a fault model or a write-corrupting
-        latent-error model needs per-page hooks.  Pinned by the
-        regression tests so integrity faults can never be disabled by
-        a ctor knob.
-        """
-        return "batched" if self._fast_path else "scalar"
 
     def _host_stream(self, pid: Optional[PlacementIdentifier]) -> StreamKey:
         """Resolve the write-point key for a host write."""
@@ -522,72 +457,49 @@ class Ftl:
                 )
             )
 
-    def _program_into(
-        self,
-        stream: StreamKey,
-        lba: int,
-        now_ns: int,
-        payload: object = None,
-        crc: Optional[int] = None,
-    ) -> int:
-        """Program one page for ``lba`` through ``stream``'s write point.
+    def _writable(self, stream: StreamKey, lba: int, now_ns: int) -> Superblock:
+        """The superblock whose write pointer takes ``stream``'s next
+        program (a host page or a relocated copy of ``lba``): the open
+        write point, else a fresh superblock, which a host stream first
+        collects garbage for.  Every program in the device gets its
+        page here.
 
-        Returns the physical page number.  Allocates (and garbage
-        collects for) a fresh superblock when the current one fills.
-
-        Every program — host or GC — deposits an OOB record (LBA,
-        global sequence number, stream, payload) in the page's spare
-        area and appends a journal entry; this is the persistent trail
-        power-on recovery rebuilds the mapping from.  With end-to-end
-        protection enabled the record also carries CRC32 protection
-        info: freshly computed for host data (``crc=None``), or passed
-        through unchanged for GC / scrub relocations so corruption
-        that predates the move stays detectable at the new location.
-
-        With fault injection enabled, a failed program consumes its
-        page — real controllers mark it bad and move on — and retries
-        on the next page of the write point, rolling over into a fresh
-        superblock if the failure lands on the last page.  A run of
+        With fault injection enabled, that page is offered to
+        ``fail_program`` first.  A failed program consumes its page —
+        real controllers mark it bad and move on — and the next page of
+        the write point is tried, rolling over into a fresh superblock
+        if the failure lands on the last one.  A run of
         ``MAX_PROGRAM_ATTEMPTS`` consecutive failures completes the
         command with Write Fault (:class:`ProgramFailError`).
         """
+        faults = self.faults
         for _ in range(MAX_PROGRAM_ATTEMPTS):
             sb = self._write_points.get(stream)
             if sb is None:
                 sb = self._open_write_point(stream, now_ns)
+            if faults is None:
+                return sb
             ppn = sb.index * self._pps + sb.write_ptr
-            if self.faults is not None and self.faults.fail_program(ppn):
-                sb.write_ptr += 1  # the bad page is consumed, not mapped
-                self._seq += 1
-                self._oob[ppn] = OobRecord(-1, self._seq, stream, None, False)
-                self.stats.program_failures += 1
-                self.events.record(
-                    FdpEvent(
-                        FdpEventType.MEDIA_ERROR,
-                        timestamp_ns=now_ns,
-                        pages=1,
-                        superblock=sb.index,
-                    )
-                )
-                if sb.write_ptr == self._pps:
-                    self._close_write_point(stream, now_ns)
-                continue
-            sb.write_ptr += 1
-            sb.valid_pages += 1
-            self._p2l[ppn] = lba
-            self._l2p[lba] = ppn
+            if not faults.fail_program(ppn):
+                return sb
+            sb.write_ptr += 1  # the bad page is consumed, not mapped
             self._seq += 1
-            if crc is None and self._protect:
-                crc = payload_crc(payload)
-            self._oob[ppn] = OobRecord(lba, self._seq, stream, payload, True, crc)
-            self._journal.append(self._seq, lba, ppn)
+            self._oob[ppn] = OobRecord(-1, self._seq, stream, None, False)
+            self.stats.program_failures += 1
+            self.events.record(
+                FdpEvent(
+                    FdpEventType.MEDIA_ERROR,
+                    timestamp_ns=now_ns,
+                    pages=1,
+                    superblock=sb.index,
+                )
+            )
             if sb.write_ptr == self._pps:
                 self._close_write_point(stream, now_ns)
-            return ppn
         raise ProgramFailError(
             f"program of LBA {lba} failed on {MAX_PROGRAM_ATTEMPTS} "
             f"consecutive pages of stream {stream}",
-            lba=lba,
+            lba=int(lba),
             attempts=MAX_PROGRAM_ATTEMPTS,
         )
 
@@ -750,32 +662,14 @@ class Ftl:
         order; returns how many moved.
 
         Copies are programmed before the victim gives the pages up, so
-        a free pool that runs dry part-way leaves the victim's count
-        matching what has not moved, ready for a retry.  Payload and
-        CRC travel with the data; a copy gets a fresh sequence number,
-        so recovery orders it after the original.  The live set is
-        gathered in one pass and programmed a chunk at a time (DESIGN.md
-        §10); scalar-path devices keep the page loop, since a fault
-        model can fail any one program.
+        a free pool that runs dry (or a write point that keeps failing)
+        part-way leaves the victim's count matching what has not moved,
+        ready for a retry.  The live set is gathered in one pass and
+        programmed a run at a time (DESIGN.md §10).
         """
         dest = self._gc_stream(victim)
         pps = self._pps
         base = victim.index * pps
-        if not self._fast_path:
-            migrated = 0
-            for ppn in range(base, base + pps):
-                lba = self._p2l[ppn]
-                if lba < 0 or self._l2p[lba] != ppn:
-                    continue
-                old_rec = self._oob[ppn]
-                self._program_into(
-                    dest, lba, now_ns,
-                    old_rec.payload if old_rec is not None else None,
-                    old_rec.crc if old_rec is not None else None,
-                )
-                victim.valid_pages -= 1
-                migrated += 1
-            return migrated
         lbas = self._p2l_np[base : base + pps]
         offs = np.flatnonzero(lbas >= 0)
         lbas = lbas[offs]
@@ -784,17 +678,9 @@ class Ftl:
         src = (offs[live] + base).tolist()
         done = 0
         while done < len(src):
-            sb = self._write_points.get(dest)
-            if sb is None:
-                sb = self._open_write_point(dest, now_ns)
-            chunk = min(len(src) - done, pps - sb.write_ptr)
-            self._program_moved(
-                sb, dest, lbas[done : done + chunk], src[done : done + chunk]
-            )
-            victim.valid_pages -= chunk
-            done += chunk
-            if sb.write_ptr == pps:
-                self._close_write_point(dest, now_ns)
+            moved = self._program_moved(dest, lbas[done:], src[done:], now_ns)
+            victim.valid_pages -= moved
+            done += moved
         return done
 
     def _collect_until_reserve(self, now_ns: int) -> None:
@@ -1012,15 +898,19 @@ class Ftl:
         self._oob[ppn] = OobRecord(-1, self._seq, stream, None, False)
         self.stats.torn_pages_discarded += 1
 
-    def _host_write_page(
-        self,
-        lba: int,
-        stream: StreamKey,
-        now_ns: int,
-        payload: object = None,
-        ppns: Optional[List[int]] = None,
-    ) -> None:
-        """Mapping + accounting for one host page (no latency charge)."""
+    def _host_page_hooks(
+        self, lba: int, stream: StreamKey, now_ns: int, payload: object
+    ) -> object:
+        """Consult the injectors about one host page, before anything
+        of it is programmed; returns the content the media will hold.
+
+        Power loss first: the page at the write pointer is torn and the
+        command dies with :class:`PowerLossError`.  Then silent
+        corruption, which stores mutated content under the CRC of the
+        *host's* data — undetectable until some layer verifies.  GC and
+        scrub copies come through neither: they are capacitor-backed,
+        and a copy carries whatever its source held.
+        """
         if self.faults is not None and self.faults.power_loss_on_program():
             self._tear_current_page(stream)
             raise PowerLossError(
@@ -1029,28 +919,10 @@ class Ftl:
                 lba=lba,
                 now_ns=now_ns,
             )
-        crc: Optional[int] = None
-        if self._protect:
-            # Protection info covers the *host's* data.  A silent
-            # corruption stores mutated media content under the
-            # original CRC — undetectable until some layer verifies.
-            crc = payload_crc(payload)
-            if self.latent is not None and self.latent.corrupt_program(lba):
-                payload = self.latent.corrupted(payload)
-        old = self._l2p[lba]
-        if old >= 0:
-            self._release(old // self._pps)
-            self._l2p[lba] = -1
-        ppn = self._program_into(stream, lba, now_ns, payload, crc)
-        if ppns is not None:
-            ppns.append(ppn)
-        self.stats.host_pages_written += 1
-        self.stats.nand_pages_written += 1
-        self.energy.add_programs(1)
-        self.stream_host_pages[stream] = (
-            self.stream_host_pages.get(stream, 0) + 1
-        )
-        self._pages_since_checkpoint += 1
+        latent = self.latent
+        if latent is not None and latent.corrupt_program(lba):
+            return latent.corrupted(payload)
+        return payload
 
     def _program_extent(
         self,
@@ -1062,15 +934,16 @@ class Ftl:
         crc: Optional[int],
     ) -> int:
         """Map, stamp and journal ``count`` consecutive LBAs from ``lba``
-        at ``sb``'s write pointer: the one chunk body of
-        :meth:`write_range` and :meth:`write_arrays`.  The caller made
-        sure they fit and closes a filled write point.  Returns the
-        first physical page.
+        at ``sb``'s write pointer: the chunk body of :meth:`write_range`,
+        the one place a host page is programmed.  The caller made sure
+        they fit and closes a filled write point.  Returns the first
+        physical page.
 
         Old mappings are invalidated in any order (no GC can fire
         mid-chunk), so counted per superblock.  Sequence numbers, OOB
         records and journal entries (so also its flush boundaries) stay
-        per page: the trail is what :meth:`_program_into` leaves.
+        per page: a chunk leaves the trail its pages would leave
+        programmed one at a time.
         """
         pps = self._pps
         base = sb.index * pps + sb.write_ptr
@@ -1112,76 +985,43 @@ class Ftl:
         return base
 
     def _program_moved(
-        self, sb: Superblock, stream: StreamKey, lbas: np.ndarray, src: List[int]
-    ) -> None:
-        """Program copies of the live pages ``src`` (LBAs ``lbas``, an
-        ``intc`` array) at ``sb``'s write pointer: a GC run.  Payloads
-        and CRCs carry over; the caller charges the copies."""
+        self, stream: StreamKey, lbas: np.ndarray, src: List[int], now_ns: int
+    ) -> int:
+        """Program copies of the leading live pages of ``src`` (LBAs
+        ``lbas``, an ``intc`` array) at ``stream``'s write point: as
+        many as fit in its superblock — one, under a fault model, which
+        may fail any single program.  Returns how many; the caller
+        gives up the sources and charges the copies.
+
+        This is the one place GC and scrub program a page.  Payloads
+        and CRCs carry over, so corruption that predates the move stays
+        detectable at the new location; a copy gets a fresh sequence
+        number, so recovery orders it after the original.
+        """
+        sb = self._writable(stream, lbas[0], now_ns)
+        room = 1 if self.faults is not None else self._pps - sb.write_ptr
+        if room < len(src):
+            lbas = lbas[:room]
+            src = src[:room]
         count = len(src)
         base = sb.index * self._pps + sb.write_ptr
         seq = self._seq + 1
-        self._l2p_np[lbas] = np.arange(base, base + count, dtype=np.intc)
-        self._p2l_np[base : base + count] = lbas
+        if count == 1:
+            lba = int(lbas[0])
+            self._l2p[lba] = base
+            self._p2l[base] = lba
+            self._journal.append(seq, lba, base)
+        else:
+            self._l2p_np[lbas] = np.arange(base, base + count, dtype=np.intc)
+            self._p2l_np[base : base + count] = lbas
+            self._journal.append_moves(seq, lbas.tolist(), base)
         self._oob.fill_moved(base, src, lbas, seq, stream)
-        self._journal.append_moves(seq, lbas.tolist(), base)
         self._seq += count
         sb.write_ptr += count
         sb.valid_pages += count
-
-    def _write_extent_fast(
-        self,
-        lba: int,
-        npages: int,
-        stream: StreamKey,
-        now_ns: int,
-        payload: object,
-        ppns: List[int],
-    ) -> None:
-        """Program ``npages`` consecutive LBAs as whole extents.
-
-        The batched twin of looping :meth:`_host_write_page`: the range
-        is split into chunks at reclaim-unit (superblock) boundaries
-        and each chunk goes down :meth:`_program_extent`.
-
-        GC ordering is preserved exactly: the scalar path invalidates a
-        page's old mapping *before* the allocation that may trigger GC,
-        so a collection pass never migrates a copy the in-flight
-        command is about to supersede.  The fast path replicates that
-        by invalidating the chunk-opening page before the write point
-        is opened; mid-chunk pages cannot trigger GC (the chunk never
-        outgrows the open superblock), so invalidating them with the
-        chunk is equivalent to the scalar interleaving.
-
-        Only called with ``faults is None`` — per-page fault and
-        power-loss draws are the scalar loop's job.
-        """
-        # One CRC per command: every page of the extent stores the same
-        # payload object, so this matches the scalar loop's per-page
-        # payload_crc() bit for bit.
-        crc = payload_crc(payload) if self._protect else None
-        pps = self._pps
-        cur = lba
-        end = lba + npages
-        while cur < end:
-            sb = self._write_points.get(stream)
-            if sb is None:
-                sb = self._open_host_chunk(stream, cur, now_ns)
-            chunk = min(end - cur, pps - sb.write_ptr)
-            base = self._program_extent(sb, stream, chunk, cur, payload, crc)
-            ppns.extend(range(base, base + chunk))
-            cur += chunk
-            if sb.write_ptr == pps:
-                self._close_write_point(stream, now_ns)
-
-    def _open_host_chunk(self, stream: StreamKey, lba: int, now_ns: int) -> Superblock:
-        """Open ``stream``'s next superblock for a chunk starting at
-        ``lba``, in the scalar path's order: the page that triggers the
-        allocation invalidates its old mapping first, then GC runs."""
-        old = self._l2p[lba]
-        if old >= 0:
-            self._release(old // self._pps)
-            self._l2p[lba] = -1
-        return self._open_write_point(stream, now_ns)
+        if sb.write_ptr == self._pps:
+            self._close_write_point(stream, now_ns)
+        return count
 
     def write(
         self,
@@ -1228,17 +1068,45 @@ class Ftl:
         if self.scrubber is not None:
             self.scrubber.maybe_step(self, now_ns)
         stream = self._host_stream(pid)
+        hooked = self._page_hooks
+        # Pages no hook counts still advance the latent plan's op_index.
+        unhooked_latent = None if hooked else self.latent
+        # One CRC per command, of the host's data: every page of the
+        # range stores the same payload object.
+        crc = payload_crc(payload) if self._protect else None
+        stored = payload
+        pps = self._pps
         ppns: List[int] = []
+        cur = lba
+        end = lba + npages
         try:
-            if self._fast_path:
-                self._write_extent_fast(
-                    lba, npages, stream, now_ns, payload, ppns
-                )
-            else:
-                for i in range(npages):
-                    self._host_write_page(
-                        lba + i, stream, now_ns, payload, ppns
-                    )
+            # The range goes down in chunks that end at reclaim-unit
+            # (superblock) boundaries, or after one page when an
+            # injector has to see each page first.
+            while cur < end:
+                if hooked:
+                    stored = self._host_page_hooks(cur, stream, now_ns, payload)
+                    sb = None
+                else:
+                    sb = self._write_points.get(stream)
+                if sb is None:
+                    # Invalidate before allocating: opening a superblock
+                    # can start GC, which must not migrate the copy this
+                    # page supersedes.  Pages later in a chunk allocate
+                    # nothing, so they are invalidated with the chunk.
+                    old = self._l2p[cur]
+                    if old >= 0:
+                        self._release(old // pps)
+                        self._l2p[cur] = -1
+                    sb = self._writable(stream, cur, now_ns)
+                chunk = 1 if hooked else min(end - cur, pps - sb.write_ptr)
+                if unhooked_latent is not None:
+                    unhooked_latent.host_program_ops += chunk
+                base = self._program_extent(sb, stream, chunk, cur, stored, crc)
+                ppns.extend(range(base, base + chunk))
+                cur += chunk
+                if sb.write_ptr == pps:
+                    self._close_write_point(stream, now_ns)
         except PowerLossError as exc:
             exc.lba = lba
             exc.npages = npages
@@ -1258,173 +1126,28 @@ class Ftl:
         now_ns: int = 0,
         payloads=None,
     ) -> List[int]:
-        """Write a whole array of commands in one call (kernel fast path).
+        """Write an array of commands closed-loop, in one call.
 
-        ``lbas[i]`` / ``npages_seq[i]`` describe command *i*; commands
-        are issued **closed-loop**: command 0 at ``now_ns`` and each
-        subsequent command at the previous command's completion time,
-        exactly as a queue-depth-1 caller threading ``now =
-        write_range(...)`` would.  Returns the per-command completion
-        times (the last entry is the batch's final clock).
-
-        Bit-identical to that scalar threading by construction: every
-        per-command effect — scrubber steps, stream resolution, GC
-        ordering, per-page OOB/journal trail, sequence numbers, latency
-        charges, the in-flight tear window, checkpoint cadence — happens
-        in the same order at the same simulated times.  Chunks are
-        programmed by the same :meth:`_program_extent` the per-command
-        path uses; the speed comes from one call frame for the whole
-        array and from *run coalescing* — consecutive commands whose
-        LBA ranges are contiguous (and share one payload object) are
-        mapped as a single logical extent, so the mapping, OOB and
-        journal work is paid per reclaim-unit chunk rather than per
-        command.
-
-        Coalescing preserves scalar order exactly because nothing
-        observable happens between two adjacent contiguous commands:
-
-        * GC (which charges the latency clock, consumes the victim RNG
-          and records events) only triggers at superblock allocation,
-          and allocations happen at the same page positions either way;
-          the ``now`` passed to GC / ``RU_SWITCHED`` closes is the one
-          of the command owning the triggering page, which the ack
-          interleaving below reproduces.
-        * Latency acks stay strictly per command, in order, threading
-          ``now``; a command is acked the moment its last page is
-          mapped (after the close *it* triggered, before any later
-          command's allocation).
-        * A coalesced run never extends past the command that crosses
-          the checkpoint threshold, so the per-command
-          ``_maybe_checkpoint`` cadence is unchanged.
-
-        Runs break at scrubber-attached devices (the per-command
-        ``maybe_step`` may relocate pages between commands), at
-        non-contiguous LBAs, and at payload changes.
-
-        Devices that resolved to the scalar path (fault injection, a
-        write-corrupting latent model, ``io_path="scalar"``) take the
-        per-command loop so per-page hooks still fire; media errors and
-        power cuts then propagate exactly as :meth:`write_range` raises
-        them, with earlier commands' effects in place.
+        ``lbas[i]`` / ``npages_seq[i]`` (and ``payloads[i]``) describe
+        command *i*; command 0 is issued at ``now_ns`` and each later
+        one at the previous command's completion time — ``now =
+        write_range(...)`` per command, which is all this is.  Returns
+        the per-command completion times (the last entry is the batch's
+        final clock).  A media error or power cut propagates as
+        :meth:`write_range` raises it, with every earlier command's
+        effects in place.  The columns may be numpy arrays.
         """
-        n = len(lbas)
+        if isinstance(lbas, np.ndarray):
+            lbas = lbas.tolist()
+        if isinstance(npages_seq, np.ndarray):
+            npages_seq = npages_seq.tolist()
         if payloads is None:
-            payloads = [None] * n
+            payloads = [None] * len(lbas)
         dones: List[int] = []
-        if not self._fast_path:
-            now = now_ns
-            for i in range(n):
-                now = self.write_range(
-                    lbas[i], npages_seq[i], pid, now, payloads[i]
-                )
-                dones.append(now)
-            return dones
-
-        # -- hoisted hot state (fault-free extent path) ----------------
-        self._check_online()
-        stream = self._host_stream(pid)
-        pps = self._pps
-        write_points = self._write_points
-        program = self._program_extent
-        host_write = self.latency.host_write
-        inflight_append = self._inflight.append
-        scrubber = self.scrubber
-        protect = self._protect
-        logical_pages = self._logical_pages
-        ckpt_interval = self.checkpoint_interval_pages
-        dones_append = dones.append
         now = now_ns
-
-        i = 0
-        while i < n:
-            lba = lbas[i]
-            npages = npages_seq[i]
-            if npages <= 0:
-                raise ValueError("npages must be positive")
-            if lba < 0 or lba + npages > logical_pages:
-                self._check_lba(lba)
-                self._check_lba(lba + npages - 1)
-            payload = payloads[i]
-
-            # Plan a coalesced run [i, j): commands with contiguous LBA
-            # ranges sharing one payload object.  The run stops *after*
-            # the first command that crosses the checkpoint threshold
-            # (it becomes the run's last command), so only the final
-            # ack can trip _maybe_checkpoint — same as scalar.  A
-            # command that would fail validation is never included; it
-            # raises on its own turn with all prior effects in place.
-            j = i + 1
-            run_pages = npages
-            ends = [lba + npages]
-            if scrubber is not None:
-                # Scrub steps between commands can relocate pages, so
-                # commands must be processed one at a time.
-                scrubber.maybe_step(self, now)
-            else:
-                budget = ckpt_interval - self._pages_since_checkpoint
-                while j < n and run_pages < budget:
-                    nxt = npages_seq[j]
-                    if (
-                        nxt <= 0
-                        or lbas[j] != lba + run_pages
-                        or lba + run_pages + nxt > logical_pages
-                        or payloads[j] is not payload
-                    ):
-                        break
-                    run_pages += nxt
-                    ends.append(lba + run_pages)
-                    j += 1
-
-            crc = payload_crc(payload) if protect else None
-            k = i  # next command to ack
-            pend: List[List[int]] = []  # mapped, unacked [ppn_start, count]
-            cur = lba
-            end = lba + run_pages
-            while cur < end:
-                sb = write_points.get(stream)
-                if sb is None:
-                    sb = self._open_host_chunk(stream, cur, now)
-                chunk = min(end - cur, pps - sb.write_ptr)
-                base = program(sb, stream, chunk, cur, payload, crc)
-                cur += chunk
-                pend.append([base, chunk])
-                filled = sb.write_ptr == pps
-                # Ack (latency charge, in-flight entry) every command
-                # whose pages are now fully mapped — in order, threading
-                # `now`.  A command ending exactly at this position acks
-                # *after* the close its final page triggered, which is
-                # where the scalar loop puts it.
-                while k < j:
-                    ce = ends[k - i]
-                    if ce > cur or (ce == cur and filled):
-                        break
-                    npk = npages_seq[k]
-                    done = host_write(now, npk)
-                    inflight_append(
-                        _InflightWrite(
-                            ce - npk, npk, _consume_ppns(pend, npk), done
-                        )
-                    )
-                    dones_append(done)
-                    now = done
-                    k += 1
-                if filled:
-                    self._close_write_point(stream, now)
-                    if k < j and ends[k - i] == cur:
-                        npk = npages_seq[k]
-                        done = host_write(now, npk)
-                        inflight_append(
-                            _InflightWrite(
-                                cur - npk, npk, _consume_ppns(pend, npk), done
-                            )
-                        )
-                        dones_append(done)
-                        now = done
-                        k += 1
-            if self._pages_since_checkpoint >= ckpt_interval:
-                self._pages_since_checkpoint = 0
-                self._take_checkpoint()
-            i = j
+        for lba, npages, payload in zip(lbas, npages_seq, payloads):
+            now = self.write_range(lba, npages, pid, now, payload)
+            dones.append(now)
         return dones
 
     def read(self, lba: int, now_ns: int = 0) -> Tuple[bool, int]:

@@ -19,8 +19,8 @@ Compatibility is preserved exactly:
   write the underlying columns.  Code that mutates a record in place
   (``rec.ok = False`` in the poison path) therefore still works.
 * ``store[ppn] = OobRecord(...)`` / ``= None`` decomposes into the
-  columns (the page-at-a-time paths: fault-model devices, scrub
-  relocation, torn pages).
+  columns (bad and torn pages, and the tests' per-page reference
+  FTL).
 * Iteration and ``len()`` behave like the old list, so differential
   tests imaging the whole OOB area run unchanged.
 
@@ -33,7 +33,7 @@ copied) and :meth:`OobStore.clear_range` (erase wipe).
 Why a GC run may be stamped in one go (DESIGN.md §10 has the whole
 argument): a victim's live pages move in page order into one write
 point, so the copies take the consecutive pages and sequence numbers
-one ``_program_into`` per page would hand out; the destination is an
+programming them one at a time would hand out; the destination is an
 erased superblock, never the victim, so the payload/CRC gather reads
 nothing the fill overwrites; and a run never crosses a superblock
 boundary, so when the free pool runs dry at one, every chunk stamped so
@@ -244,6 +244,13 @@ class OobStore:
         old.payload, True, old.crc)`` at ``base + i``, ``old`` being
         ``store[src[i]]``, so corruption that predates the move stays
         detectable at the new location."""
+        if len(src) == 1:
+            old = src[0]
+            self.fill_run(
+                base, 1, int(lbas[0]), seq_start, stream,
+                self._payload[old], self._crc[old],
+            )
+            return
         self._fill(
             base, len(src), lbas, seq_start, stream,
             map(self._payload.__getitem__, src),

@@ -45,6 +45,8 @@ import dataclasses
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+import numpy as np
+
 from ..fdp.events import FdpEvent, FdpEventType
 from .errors import MediaError
 from .recovery import payload_crc
@@ -117,7 +119,7 @@ class PatrolScrubber:
 
     Owns only policy and progress state; all mapping mutations go
     through the owning :class:`~repro.ssd.ftl.Ftl`'s primitives
-    (``_poison_page``, ``_program_into``, the erase-path bookkeeping),
+    (``_poison_page``, ``_program_moved``, the erase-path bookkeeping),
     so FTL invariants hold after every step.
     """
 
@@ -272,7 +274,7 @@ class PatrolScrubber:
                 continue
             if dest_stream is None:
                 dest_stream = ftl._gc_stream(sb)
-            if self._relocate_page(ftl, sb, dest_stream, lba, ppn, rec, now_ns):
+            if self._relocate_page(ftl, sb, dest_stream, lba, ppn, now_ns):
                 relocated += 1
 
         if scanned:
@@ -323,7 +325,6 @@ class PatrolScrubber:
         dest_stream,
         lba: int,
         ppn: int,
-        rec,
         now_ns: int,
     ) -> bool:
         """Rewrite one aging page through the RUH-respecting GC stream.
@@ -340,8 +341,8 @@ class PatrolScrubber:
             self.relocations_deferred += 1
             return False
         try:
-            ftl._program_into(
-                dest_stream, lba, now_ns, rec.payload, rec.crc
+            ftl._program_moved(
+                dest_stream, np.array([lba], dtype=np.intc), [ppn], now_ns
             )
         except MediaError:
             self.relocations_deferred += 1
@@ -371,11 +372,10 @@ class PatrolScrubber:
                 lba = ftl._p2l[ppn]
                 if lba < 0 or ftl._l2p[lba] != ppn:
                     continue
-                rec = ftl._oob[ppn]
-                if rec is None:
+                if ftl._oob[ppn] is None:
                     continue
                 if not self._relocate_page(
-                    ftl, sb, dest_stream, lba, ppn, rec, now_ns
+                    ftl, sb, dest_stream, lba, ppn, now_ns
                 ):
                     return  # pool too tight; retire on a later pass
                 drained += 1

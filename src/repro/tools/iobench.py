@@ -1,20 +1,16 @@
-"""fio-style micro-benchmark for the simulated device's write paths.
+"""fio-style micro-benchmark for the simulated device's write path.
 
 Measures raw FTL submission throughput (simulator wall-clock, not
-simulated time) for the four ways a host can push the same pages:
+simulated time) for the two ways a host can push the same pages down
+the FTL's one write path:
 
-* ``kernel``    — whole op arrays down ``write_arrays`` with telemetry
-  hooks detached (the ``repro.kernel`` fast-path configuration);
-* ``batched``   — multi-page commands down the extent fast path;
-* ``scalar``    — the same multi-page commands forced through the
-  reference per-page loop (``io_path="scalar"``);
+* ``batched``   — multi-page commands, programmed a reclaim-unit chunk
+  at a time;
 * ``per-page``  — one single-page command per page, the pre-batching
   caller pattern.
 
-The batched-vs-per-page ratio is the speedup the batching PR claims
-(benchmarks/test_batch_throughput.py asserts it stays >= 3x); the
-kernel-vs-batched ratio is the vectorized-kernel claim
-(benchmarks/test_kernel_throughput.py asserts it stays >= 3x)::
+The ratio is the speedup the batching PR claims
+(benchmarks/test_batch_throughput.py asserts it stays >= 3x)::
 
     python -m repro.tools.iobench
     python -m repro.tools.iobench --commands 20000 --npages 32
@@ -35,9 +31,7 @@ from ..ssd.geometry import Geometry
 __all__ = ["run_case", "main"]
 
 
-def _build_device(
-    io_path: str, num_superblocks: int, *, telemetry: bool = True
-) -> SimulatedSSD:
+def _build_device(num_superblocks: int) -> SimulatedSSD:
     geometry = Geometry(
         page_size=4096,
         pages_per_block=32,
@@ -46,14 +40,11 @@ def _build_device(
         num_superblocks=num_superblocks,
         op_fraction=0.07,
     )
-    return SimulatedSSD(
-        geometry, fdp=True, io_path=io_path, telemetry=telemetry
-    )
+    return SimulatedSSD(geometry, fdp=True)
 
 
 def run_case(
     label: str,
-    io_path: str,
     *,
     commands: int,
     npages: int,
@@ -61,7 +52,6 @@ def run_case(
     num_superblocks: int = 256,
     split: bool = False,
     pattern: str = "seq",
-    arrays: bool = False,
 ) -> Dict[str, object]:
     """Time one submission pattern; returns pages/s and DLWA.
 
@@ -70,19 +60,13 @@ def run_case(
     and total pages — is identical either way, so the simulated media
     state matches across cases and only host-side CPU cost differs.
 
-    ``arrays=True`` submits the whole command stream in one
-    ``write_arrays`` call with telemetry hooks detached — the
-    ``repro.kernel`` configuration.  The command stream is still
-    identical, so DLWA matches the other cases exactly.
-
     ``pattern="seq"`` wraps sequentially through the logical space
     (the LOC region-flush pattern, DLWA ~1: submission cost dominates,
     which is what batching accelerates).  ``pattern="rand"`` overwrites
     random extents; past the first device wrap that run is bounded by
-    per-page GC migration, which the batched submission path does not
-    claim to speed up.
+    GC migration, which multi-page submission does not speed up.
     """
-    device = _build_device(io_path, num_superblocks, telemetry=not arrays)
+    device = _build_device(num_superblocks)
     geometry = device.geometry
     if pattern == "seq":
         span = geometry.logical_pages
@@ -110,9 +94,7 @@ def run_case(
     gc.disable()
     try:
         start = time.perf_counter()
-        if arrays:
-            device.write_arrays(lbas, [npages] * commands, now_ns=now)
-        elif split:
+        if split:
             for lba in lbas:
                 for i in range(npages):
                     now = device.write(lba + i, 1, now_ns=now)
@@ -136,7 +118,7 @@ def run_case(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.iobench",
-        description="Micro-benchmark the batched vs per-page write paths.",
+        description="Micro-benchmark batched vs per-page submission.",
     )
     parser.add_argument("--commands", type=int, default=12_000)
     parser.add_argument("--npages", type=int, default=32)
@@ -148,7 +130,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI sizing: 3000 commands, kernel + batched cases only",
+        help="CI sizing: 3000 commands",
     )
     args = parser.parse_args(argv)
     commands = 3_000 if args.smoke else args.commands
@@ -157,16 +139,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_superblocks=args.superblocks, pattern=args.pattern,
     )
     cases = [
-        run_case("kernel", "batched", arrays=True, **kwargs),
-        run_case("batched", "batched", **kwargs),
+        run_case("batched", **kwargs),
+        run_case("per-page", split=True, **kwargs),
     ]
-    if not args.smoke:
-        cases.extend(
-            [
-                run_case("scalar", "scalar", **kwargs),
-                run_case("per-page", "scalar", split=True, **kwargs),
-            ]
-        )
     baseline = cases[-1]["pages_per_s"]
     base_label = f"vs {cases[-1]['label']}"
     print(

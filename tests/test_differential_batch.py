@@ -1,17 +1,21 @@
-"""Differential harness: the batched extent fast path vs the scalar loop.
+"""Differential harness: the production FTL vs the per-page oracle.
 
-DESIGN.md §10's central invariant: ``io_path="batched"`` and
-``io_path="scalar"`` are *bit-identical* — not statistically similar —
-for any command stream.  Two devices replay the same commands and then
-every observable surface is compared: L2P/P2L arrays, OOB records
-(lba, seq, stream, payload, ok per physical page), the mapping
-journal's volatile buffer and flushed entries, the stats snapshot and
-FDP statistics log page, the FDP event stream, the busy-clock state,
-energy, and the health log.  Faulty devices take the scalar loop on
-both sides by construction (the fast path requires ``faults is
-None``), but still exercise the shared vectorized state — the
-incremental closed-superblock set, slice-based lookups — under media
-errors, retirements, and power cuts.
+DESIGN.md §10's central invariant: the FTL's one write path — whole
+reclaim-unit chunks on a clean device, one-page chunks with the
+injectors consulted first on a fault-equipped one — is *bit-identical*,
+not statistically similar, to programming every page on its own.  The
+oracle is :class:`tests.reference_ftl.ReferenceFtl`, the page loop that
+used to be a product path; :func:`make_pair` builds (oracle,
+production) and the two replay the same commands.  Then every
+observable surface is compared: L2P/P2L arrays, OOB records (lba, seq,
+stream, payload, ok, crc per physical page), the mapping journal's
+volatile buffer and flushed entries, checkpoints, the in-flight tear
+window, the free/closed pools, the stats snapshot and FDP statistics
+log page, the FDP event stream, the busy-clock state, energy, the
+health log, and every injector's tallies and RNG position.  Fault,
+power-cut and corrupting-latent arms are two implementations too: the
+oracle runs ``_host_write_page`` → ``_program_into``, production runs
+hooked one-page extents.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.fdp import FdpConfiguration, PlacementIdentifier, RuhDescriptor, RuhT
 from repro.ssd import Geometry, SimulatedSSD
 from repro.ssd.errors import DeviceFullError, MediaError, PowerLossError
 from repro.ssd.recovery import payload_crc
+from tests.reference_ftl import ReferenceSSD
 
 GEOMETRY = Geometry(
     page_size=4096,
@@ -41,14 +46,14 @@ N_LBAS = GEOMETRY.logical_pages
 MAX_EXTENT = 24  # spans > 1 superblock (16 pages) to force chunk splits
 
 
-def make_pair(fdp=False, faults=None, **kwargs):
-    scalar = SimulatedSSD(
-        GEOMETRY, fdp=fdp, faults=faults, io_path="scalar", **kwargs
+def make_pair(fdp=False, **kwargs):
+    """(oracle, production): the per-page reference FTL and the real
+    one, on identically configured devices.  Injector *configs* build a
+    fresh, identically seeded model per device."""
+    return (
+        ReferenceSSD(GEOMETRY, fdp=fdp, **kwargs),
+        SimulatedSSD(GEOMETRY, fdp=fdp, **kwargs),
     )
-    batched = SimulatedSSD(
-        GEOMETRY, fdp=fdp, faults=faults, io_path="batched", **kwargs
-    )
-    return scalar, batched
 
 
 def synthetic_commands(seed, num_ops, *, use_pids=False, max_extent=MAX_EXTENT):
@@ -94,31 +99,45 @@ def zipf_commands(seed, num_ops, *, alpha=1.2):
     return commands
 
 
-def replay(device, commands, *, recover_on_cut=True):
-    """Apply commands, logging every outcome (including exceptions)."""
+def replay_steps(device, commands, *, recover_on_cut=True):
+    """Apply commands one at a time, yielding each command's log entries
+    (its outcome, exceptions included) once it is done — for tests that
+    look at the device between two commands."""
     now = 0
-    log = []
     for op, lba, npages, pid, payload in commands:
+        entries = []
         try:
             if op == "write":
                 now = device.write(lba, npages, pid, now, payload)
-                log.append(("w", now))
+                entries.append(("w", now))
             elif op == "read":
                 mapped, done = device.read(lba, npages, now)
                 now = done
-                log.append(("r", mapped, done))
+                entries.append(("r", mapped, done))
             else:
-                log.append(("t", device.deallocate(lba, npages)))
+                entries.append(("t", device.deallocate(lba, npages)))
         except PowerLossError as exc:
-            log.append(("cut", exc.pages_durable))
-            if not recover_on_cut:
-                break
-            report = device.recover()
-            log.append(("recovered", report.mappings_recovered,
-                        report.journal_entries_replayed))
+            entries.append(("cut", exc.pages_durable))
+            if recover_on_cut:
+                report = device.recover()
+                entries.append(("recovered", report.mappings_recovered,
+                                report.journal_entries_replayed))
         except MediaError as exc:
-            log.append(("err", type(exc).__name__))
-    return log
+            entries.append(("err", type(exc).__name__))
+        yield entries
+        if device.powered_off:
+            return
+
+
+def replay(device, commands, *, recover_on_cut=True):
+    """Apply commands, logging every outcome (including exceptions)."""
+    return [
+        entry
+        for entries in replay_steps(
+            device, commands, recover_on_cut=recover_on_cut
+        )
+        for entry in entries
+    ]
 
 
 def oob_image(device):
@@ -127,6 +146,33 @@ def oob_image(device):
         else (rec.lba, rec.seq, rec.stream, rec.payload, rec.ok, rec.crc)
         for rec in device.ftl._oob
     ]
+
+
+def injector_state(device):
+    """Tallies, op counters and RNG positions of the attached injectors."""
+    faults, latent = device.faults, device.latent
+    state = {}
+    if faults is not None:
+        state["faults"] = (
+            faults.injection_totals(),
+            faults.read_ops,
+            faults.program_ops,
+            faults.erase_ops,
+            faults.host_program_ops,
+            faults.plan.snapshot(),
+            faults._read_rng.getstate(),
+            faults._program_rng.getstate(),
+            faults._erase_rng.getstate(),
+            faults._spike_rng.getstate(),
+        )
+    if latent is not None:
+        state["latent"] = (
+            latent.injection_totals,
+            latent.plan.snapshot(),
+            latent._rng.getstate(),
+            latent._disturb,
+        )
+    return state
 
 
 def assert_identical(scalar, batched):
@@ -152,6 +198,27 @@ def assert_identical(scalar, batched):
         (sb.state, sb.write_ptr, sb.valid_pages, sb.erase_count)
         for sb in batched.ftl.superblocks
     ]
+    # What a later command, power cut or recovery would act on: the
+    # injectors, the victim RNG, the tear window, the pools.
+    assert injector_state(scalar) == injector_state(batched)
+    assert scalar.scrub_status() == batched.scrub_status()
+    a, b = scalar.ftl, batched.ftl
+    assert a._seq == b._seq
+    assert a._victim_rng.getstate() == b._victim_rng.getstate()
+    assert [(w.lba, w.npages, w.ppns, w.ack_ns) for w in a._inflight] == [
+        (w.lba, w.npages, w.ppns, w.ack_ns) for w in b._inflight
+    ]
+    assert [(cp.seq, cp.l2p) for cp in a._checkpoints] == [
+        (cp.seq, cp.l2p) for cp in b._checkpoints
+    ]
+    assert a._pages_since_checkpoint == b._pages_since_checkpoint
+    assert a.stream_host_pages == b.stream_host_pages
+    assert a._free == b._free
+    assert a._closed == b._closed
+    assert a._zero_closed == b._zero_closed
+    assert {k: sb.index for k, sb in a._write_points.items()} == {
+        k: sb.index for k, sb in b._write_points.items()
+    }
     scalar.check_invariants()
     batched.check_invariants()
 
@@ -174,10 +241,10 @@ def test_zipf_stream_bit_identical(fdp):
 
 
 def test_fault_plan_identical_exception_order():
-    """Probabilistic media errors + scripted retirements: both devices
-    run the scalar loop (fast path requires a fault-free device), but
-    the shared vectorized state must behave identically, including
-    which commands raise."""
+    """Probabilistic media errors + scripted retirements: the oracle
+    retries inside ``_program_into``, production inside ``_writable``
+    ahead of one-page extents, and they must agree on every draw,
+    every consumed page and which commands raise."""
     faults = FaultConfig(
         seed=0xBEEF,
         read_uecc_rate=2e-3,
@@ -199,8 +266,8 @@ def test_fault_plan_identical_exception_order():
 @pytest.mark.parametrize("cut_index", [97, 1500])
 def test_scripted_power_cut_mid_command(cut_index):
     """An OP_POWER plan entry tears one multi-page write mid-command at
-    the same host page-program index on both paths; recovery then
-    rebuilds the same state and the stream continues identically."""
+    the same host page-program index on both implementations; recovery
+    then rebuilds the same state and the stream continues identically."""
     faults = FaultConfig(
         plan=(ScriptedFault(op=OP_POWER, op_index=cut_index),)
     )
@@ -214,9 +281,9 @@ def test_scripted_power_cut_mid_command(cut_index):
 
 
 def test_external_power_cut_and_warm_restart():
-    """power_cut() between commands (fault-free devices, so the batched
-    side genuinely took the fast path before the cut), then recover and
-    keep writing."""
+    """power_cut() between commands (fault-free devices, so production
+    programmed whole chunks before the cut), then recover and keep
+    writing."""
     first = synthetic_commands(21, 1500)
     second = synthetic_commands(22, 1500)
     scalar, batched = make_pair(fdp=True)
@@ -233,15 +300,15 @@ def test_external_power_cut_and_warm_restart():
 def test_quiescent_latent_model_bit_identical(fdp):
     """A quiescent latent-error model (zero rates, empty plan) stamps
     CRCs and tracks disturb counters but never perturbs an outcome, so
-    the batched side keeps the extent fast path and both paths stay
-    bit-identical — including the per-page CRCs in the OOB image."""
+    production keeps whole-superblock chunks and still matches the
+    oracle — including the per-page CRCs in the OOB image and the
+    model's own ``host_program_ops`` tally."""
     latent = LatentErrorConfig(
         read_disturb_per_read=0.0, retention_rate=0.0
     )
     commands = synthetic_commands(31, 3000, use_pids=fdp)
     scalar, batched = make_pair(fdp=fdp, latent=latent)
-    assert batched.effective_io_path == "batched"
-    assert scalar.effective_io_path == "scalar"
+    assert not batched.ftl._page_hooks
     assert replay(scalar, commands) == replay(batched, commands)
     assert_identical(scalar, batched)
     # CRC protection is actually on: every mapped OOB record is stamped.
@@ -355,8 +422,8 @@ def assert_identical_nontiming(sync_dev, async_dev):
 @pytest.mark.parametrize("fdp", [False, True])
 def test_scheduler_overlay_bit_identical_synthetic(fdp):
     commands = synthetic_commands(13, 3000, use_pids=fdp)
-    plain = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="batched")
-    sched = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, fdp=fdp)
+    sched = SimulatedSSD(GEOMETRY, fdp=fdp, sched=True)
     log_sync = replay_sync_clocked(plain, commands)
     log_async = replay_async(sched, commands)
     assert log_sync == log_async
@@ -368,8 +435,8 @@ def test_scheduler_overlay_bit_identical_synthetic(fdp):
 
 def test_scheduler_overlay_bit_identical_zipf():
     commands = zipf_commands(44, 3000)
-    plain = SimulatedSSD(GEOMETRY, io_path="batched")
-    sched = SimulatedSSD(GEOMETRY, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY)
+    sched = SimulatedSSD(GEOMETRY, sched=True)
     assert replay_sync_clocked(plain, commands) == replay_async(
         sched, commands
     )
@@ -389,10 +456,8 @@ def test_scheduler_overlay_identical_under_fault_plan():
         )
 
     commands = synthetic_commands(17, 4000)
-    plain = SimulatedSSD(GEOMETRY, faults=faults(), io_path="scalar")
-    sched = SimulatedSSD(
-        GEOMETRY, faults=faults(), io_path="scalar", sched=True
-    )
+    plain = SimulatedSSD(GEOMETRY, faults=faults())
+    sched = SimulatedSSD(GEOMETRY, faults=faults(), sched=True)
     log_sync = replay_sync_clocked(plain, commands)
     log_async = replay_async(sched, commands)
     assert log_sync == log_async
@@ -410,10 +475,8 @@ def test_scheduler_overlay_identical_across_power_cut(cut_index):
                                                op_index=cut_index),))
 
     commands = synthetic_commands(5, 2500)
-    plain = SimulatedSSD(GEOMETRY, faults=faults(), io_path="scalar")
-    sched = SimulatedSSD(
-        GEOMETRY, faults=faults(), io_path="scalar", sched=True
-    )
+    plain = SimulatedSSD(GEOMETRY, faults=faults())
+    sched = SimulatedSSD(GEOMETRY, faults=faults(), sched=True)
     log_sync = replay_sync_clocked(plain, commands)
     log_async = replay_async(sched, commands)
     assert log_sync == log_async
@@ -426,8 +489,8 @@ def test_scheduler_overlay_identical_quiescent_power_cut():
     async arm polls everything down before the cut (quiescent CQ)."""
     first = synthetic_commands(21, 1500)
     second = synthetic_commands(22, 1500)
-    plain = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched")
-    sched = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, fdp=True)
+    sched = SimulatedSSD(GEOMETRY, fdp=True, sched=True)
     assert replay_sync_clocked(plain, first) == replay_async(sched, first)
     assert plain.power_cut().torn_writes == sched.power_cut().torn_writes
     plain.recover()
@@ -441,23 +504,20 @@ def test_scheduler_overlay_identical_quiescent_power_cut():
 # GC arm: run-based migration vs page-at-a-time migration
 # --------------------------------------------------------------------
 #
-# A fault-free device migrates a GC victim's live pages as whole runs
-# (Ftl._migrate_live -> _program_moved); attaching a fault model, even
-# one that never fires, resolves the device to the scalar path, which
-# moves them one _program_into at a time.  Same commands, so every
-# surface must match — and the streams below make GC do most of the
-# NAND writes, with a journal flush interval that cuts through the
-# middle of the runs.
+# Production migrates a GC victim's live pages as whole runs
+# (Ftl._migrate_live -> _program_moved); the oracle moves them one
+# _program_into at a time.  Same commands, so every surface must match
+# — and the streams below make GC do most of the NAND writes, with a
+# journal flush interval that cuts through the middle of the runs.
 
 
 def gc_pair(**kwargs):
-    """(run migration, per-page migration) over identical devices."""
+    """(run migration, per-page migration): production and the oracle
+    over identical devices."""
     kwargs.setdefault("journal_flush_interval", 7)
     kwargs.setdefault("checkpoint_interval_pages", 96)
     run = SimulatedSSD(GEOMETRY, **kwargs)
-    page = SimulatedSSD(GEOMETRY, faults=FaultConfig(), **kwargs)
-    assert run.effective_io_path == "batched"
-    assert page.effective_io_path == "scalar"
+    page = ReferenceSSD(GEOMETRY, **kwargs)
     for device in (run, page):
         if device.scheduler is not None:
             device.background_log = log = []
@@ -499,26 +559,15 @@ def gc_heavy_commands(seed, num_ops, *, use_pids=False):
 
 def assert_gc_identical(run, page, *, min_gc_share=0.3):
     assert_identical(run, page)
-    a, b = run.ftl, page.ftl
     # assert_identical compared the materialized buffer and durable
     # region, i.e. where the last flush fell; the run encoding itself
     # may differ (a host extent journals per chunk, a page loop merges
     # across superblocks).
-    assert a._journal._buf_len == b._journal._buf_len
-    assert a._seq == b._seq
-    assert a._closed == b._closed
-    assert a._zero_closed == b._zero_closed
-    assert a._free == b._free
-    assert {k: sb.index for k, sb in a._write_points.items()} == {
-        k: sb.index for k, sb in b._write_points.items()
-    }
-    assert a._victim_rng.getstate() == b._victim_rng.getstate()
-    assert a.stream_host_pages == b.stream_host_pages
-    assert [cp.seq for cp in a._checkpoints] == [cp.seq for cp in b._checkpoints]
+    assert run.ftl._journal._buf_len == page.ftl._journal._buf_len
     assert getattr(run, "background_log", None) == getattr(
         page, "background_log", None
     )
-    stats = a.stats
+    stats = run.ftl.stats
     assert stats.gc_pages_migrated >= min_gc_share * stats.nand_pages_written
 
 
@@ -628,11 +677,11 @@ def half_migrated_victims(ftl):
 
 
 @pytest.mark.parametrize("seed", [3, 8])
-def test_device_full_mid_gc_leaves_consistent_state(seed):
+def test_device_full_mid_gc_leaves_consistent_state(seed, sched=False):
     """The free pool runs dry while a victim is half migrated: what has
     moved is mapped at its new place, the rest is still live in the
-    victim, and both paths stop in the same state."""
-    run, page = gc_pair(fdp=True, gc_reserve_superblocks=2)
+    victim, and both implementations stop in the same state."""
+    run, page = gc_pair(fdp=True, gc_reserve_superblocks=2, sched=sched)
     outcomes = []
     for device in (run, page):
         rng = random.Random(seed)
@@ -655,12 +704,16 @@ def test_device_full_mid_gc_leaves_consistent_state(seed):
     _, moved, still_live = victims[0]
     assert moved > 0 and still_live > 0
     # Everything but the LBA of the command that failed (unmapped before
-    # its allocation, as on the scalar path) still reads back, the
+    # its allocation, as in the page loop) still reads back, the
     # copies GC had already made included.
     failed_lba = outcomes[0][2]
     for device in (run, page):
         payloads = device.read_payload(0, N_LBAS)
         assert [n for n, p in enumerate(payloads) if p is None] == [failed_lba]
+
+
+def test_device_full_mid_gc_with_the_scheduler_attached():
+    test_device_full_mid_gc_leaves_consistent_state(3, sched=True)
 
 
 @pytest.mark.slow

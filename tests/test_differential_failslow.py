@@ -65,9 +65,9 @@ def test_quiescent_failslow_bit_identical(fdp):
     """A quiescent model (no multipliers, no stalls, no plan) is free:
     same completions, same state, zero degradation counters."""
     commands = synthetic_commands(61, 3000, use_pids=fdp)
-    plain = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, fdp=fdp, sched=True)
     slow = SimulatedSSD(
-        GEOMETRY, fdp=fdp, io_path="batched", sched=True,
+        GEOMETRY, fdp=fdp, sched=True,
         failslow=FailSlowConfig(),
     )
     assert replay_async(plain, commands) == replay_async(slow, commands)
@@ -89,9 +89,9 @@ def test_active_die_slowdown_state_identical_timing_differs():
     — including the busy clock, which belongs to the sync latency model,
     not the scheduler — while scheduler completions demonstrably slip."""
     commands = zipf_commands(62, 3000)
-    plain = SimulatedSSD(GEOMETRY, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, sched=True)
     slow = SimulatedSSD(
-        GEOMETRY, io_path="batched", sched=True,
+        GEOMETRY, sched=True,
         failslow=FailSlowConfig(die_multipliers={0: 8.0}),
     )
     t_plain = completion_times(plain, commands)
@@ -112,9 +112,9 @@ def test_active_die_slowdown_state_identical_timing_differs():
 def test_scripted_stall_state_identical():
     """Periodic firmware stall windows push completions but no state."""
     commands = synthetic_commands(63, 2500)
-    plain = SimulatedSSD(GEOMETRY, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, sched=True)
     slow = SimulatedSSD(
-        GEOMETRY, io_path="batched", sched=True,
+        GEOMETRY, sched=True,
         failslow=FailSlowConfig(
             stall_interval_ns=2_000_000, stall_duration_ns=400_000
         ),
@@ -133,9 +133,9 @@ def test_scripted_plan_activation_state_identical():
     """A mid-stream ScriptedSlowdown (at_command) flips the overlay from
     quiescent to degrading with no state divergence across the edge."""
     commands = zipf_commands(64, 3000)
-    plain = SimulatedSSD(GEOMETRY, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, sched=True)
     slow = SimulatedSSD(
-        GEOMETRY, io_path="batched", sched=True,
+        GEOMETRY, sched=True,
         failslow=FailSlowConfig(
             plan=(
                 ScriptedSlowdown(at_command=1000, die=1, multiplier=16.0),
@@ -157,9 +157,9 @@ def test_read_creep_state_identical():
     """Wear-correlated read creep (grows with per-die erase count) is
     still only timing."""
     commands = synthetic_commands(65, 3000)
-    plain = SimulatedSSD(GEOMETRY, io_path="batched", sched=True)
+    plain = SimulatedSSD(GEOMETRY, sched=True)
     slow = SimulatedSSD(
-        GEOMETRY, io_path="batched", sched=True,
+        GEOMETRY, sched=True,
         failslow=FailSlowConfig(
             read_creep_ns_per_erase=2_000, read_creep_cap_ns=200_000
         ),

@@ -1,14 +1,13 @@
-"""Differential tier for the kernel fast path (DESIGN.md §15).
+"""Differential tier for the array-shaped entry points (DESIGN.md §15).
 
-Two equivalences, each held bit-exactly, never statistically:
-
-* **device layer** — ``write_arrays`` (the kernel's coalescing array
-  submission) against a queue-depth-1 caller threading ``write``;
-  every surface :func:`tests.test_differential_batch.assert_identical`
-  compares must match, across synthetic and Zipf streams, fault
-  plans, scripted and external power cuts, and the scheduler overlay.
-  A hypothesis property replays *arbitrary chunkings* of one op array
-  and requires the result to be independent of the split.
+* **device layer** — ``write_arrays`` is a closed-loop ``now =
+  write_range(...)`` per command and nothing more, so what is pinned is
+  its contract: the per-command completion times it returns (against
+  the per-page oracle threading ``write``, over arbitrary splits of one
+  command array, list and numpy columns alike) and that an exception
+  mid-array leaves every earlier command's effects in place.  The arms
+  that used to compare its coalescer with the per-command loop went
+  with the coalescer: they would compare a loop with itself.
 
 * **replay layer** — there is one replay loop
   (:func:`repro.bench.driver.replay`), so nothing is left to compare
@@ -37,29 +36,30 @@ from repro.faults.plan import OP_POWER, ScriptedFault
 from repro.fdp import PlacementIdentifier
 from repro.kernel import KernelBench, TraceArrays
 from repro.ssd import SimulatedSSD
-from repro.ssd.errors import MediaError, PowerLossError
+from repro.ssd.errors import PowerLossError
 from repro.workloads.trace import OP_DEL, OP_GET, OP_SET, Trace
 from tests.test_differential_batch import (
     GEOMETRY,
     N_LBAS,
     assert_identical,
+    make_pair,
 )
 
 SPAN = int(N_LBAS * 0.8)
 
 
 # --------------------------------------------------------------------
-# device layer: write_arrays vs threaded scalar writes
+# device layer: the write_arrays contract
 # --------------------------------------------------------------------
 
 
 def write_stream(seed, num_ops, *, contig=0.7, max_extent=8):
-    """A seeded write stream with coalescable contiguous runs.
+    """A seeded write stream with runs of contiguous commands.
 
     With probability ``contig`` a command continues the previous
-    command's LBA range *and shares its payload object* — the exact
-    condition ``write_arrays`` coalesces on — so the stream exercises
-    both the run fast path and every run-breaking condition.
+    command's LBA range and shares its payload object (the LOC's
+    region-append shape), so back-to-back commands land in one reclaim
+    unit as often as they straddle two.
     """
     rng = random.Random(seed)
     lbas, npages, payloads = [], [], []
@@ -82,7 +82,7 @@ def write_stream(seed, num_ops, *, contig=0.7, max_extent=8):
 
 
 def replay_writes(device, stream, pid=None, now=0):
-    """Queue-depth-1 scalar reference: thread ``write`` per command."""
+    """Queue-depth-1 reference: thread ``write`` per command."""
     lbas, npages, payloads = stream
     dones = []
     for lba, n, payload in zip(lbas, npages, payloads):
@@ -92,7 +92,7 @@ def replay_writes(device, stream, pid=None, now=0):
 
 
 def replay_chunked(device, stream, chunk_sizes, pid=None, now=0):
-    """The kernel path: ``write_arrays`` per chunk, threading ``now``."""
+    """``write_arrays`` per slice of the array, threading ``now``."""
     lbas, npages, payloads = stream
     dones = []
     start = 0
@@ -124,212 +124,52 @@ def chunkings(rng, n, max_chunk=64):
 @pytest.mark.parametrize("fdp", [False, True])
 @pytest.mark.parametrize("seed", [7, 2026])
 def test_write_arrays_bit_identical(fdp, seed):
-    stream = write_stream(seed, 2500)
+    """The completion times ``write_arrays`` returns, and the state it
+    leaves, are those of the oracle threading ``write`` per command —
+    however the array is split, and for numpy columns as for lists."""
+    lbas, npages, payloads = stream = write_stream(seed, 2500)
     pid = PlacementIdentifier(0, 3) if fdp else None
-    scalar = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="scalar")
-    batched = SimulatedSSD(GEOMETRY, fdp=fdp, io_path="batched")
-    dones_s = replay_writes(scalar, stream, pid)
-    dones_b = replay_chunked(
-        batched, stream, chunkings(random.Random(seed), 2500), pid
+    oracle, production = make_pair(fdp=fdp)
+    dones = replay_writes(oracle, stream, pid)
+    if fdp:
+        stream = (np.array(lbas), np.array(npages, dtype=np.int32), payloads)
+    assert dones == replay_chunked(
+        production, stream, chunkings(random.Random(seed), 2500), pid
     )
-    assert dones_s == dones_b
-    assert_identical(scalar, batched)
-
-
-def test_write_arrays_zipf_stream_bit_identical():
-    """Zipf-skewed starts (the cache-like overwrite pattern): heavy
-    invalidation traffic through the bulk-invalidate branch."""
-    rng = random.Random(99)
-    starts = SPAN // 8
-    weights = [1.0 / (rank + 1) ** 1.2 for rank in range(starts)]
-    lbas, npages, payloads = [], [], []
-    for i in range(2500):
-        lbas.append(rng.choices(range(starts), weights)[0] * 8)
-        npages.append(rng.randrange(1, 9))
-        payloads.append(("z", i))
-    stream = (lbas, npages, payloads)
-    scalar = SimulatedSSD(GEOMETRY, io_path="scalar")
-    batched = SimulatedSSD(GEOMETRY, io_path="batched")
-    assert replay_writes(scalar, stream) == replay_chunked(
-        batched, stream, chunkings(rng, 2500)
-    )
-    assert_identical(scalar, batched)
-
-
-def test_write_arrays_fault_plan_identical():
-    """Faulty devices resolve to the scalar loop inside write_arrays;
-    per-command errors must land on the same commands either way."""
-
-    def faults():
-        return FaultConfig(
-            seed=0xBEEF,
-            read_uecc_rate=2e-3,
-            program_fail_rate=2e-3,
-            plan=(ScriptedFault(op="erase", superblock=3, cycle=1),),
-        )
-
-    stream = write_stream(11, 3000)
-    lbas, npages, payloads = stream
-    reads = random.Random(12)
-    scalar = SimulatedSSD(GEOMETRY, faults=faults(), io_path="scalar")
-    arrays = SimulatedSSD(GEOMETRY, faults=faults(), io_path="batched")
-    log_s, log_a = [], []
-    now_s = now_a = 0
-    for i in range(len(lbas)):
-        try:
-            now_s = scalar.write(lbas[i], npages[i], None, now_s, payloads[i])
-            log_s.append(("w", now_s))
-        except MediaError as exc:
-            log_s.append(("err", type(exc).__name__))
-        try:
-            done = arrays.write_arrays(
-                [lbas[i]], [npages[i]], None, now_a, [payloads[i]]
-            )
-            now_a = done[-1]
-            log_a.append(("w", now_a))
-        except MediaError as exc:
-            log_a.append(("err", type(exc).__name__))
-        if reads.random() < 0.2:
-            # Interleaved read-backs surface UECCs (program failures
-            # are absorbed by the in-device retry, so a write-only
-            # stream would never raise).
-            for device, log, clock in (
-                (scalar, log_s, now_s),
-                (arrays, log_a, now_a),
-            ):
-                try:
-                    mapped, done = device.read(lbas[i], npages[i], clock)
-                    log.append(("r", mapped, done))
-                except MediaError as exc:
-                    log.append(("err", type(exc).__name__))
-    assert log_s == log_a
-    assert any(entry[0] == "err" for entry in log_s)
-    assert_identical(scalar, arrays)
+    assert all(type(done) is int for done in dones)
+    assert_identical(oracle, production)
+    with pytest.raises(ValueError, match="equal length"):
+        production.write_arrays([0, 1], [1])
+    with pytest.raises(ValueError, match="payloads"):
+        production.write_arrays([0, 1], [1, 1], payloads=["x"])
 
 
 def test_write_arrays_scripted_power_cut():
-    """An OP_POWER entry tears the same page of the same command in a
-    multi-command array call; recovery rebuilds the same state and the
-    stream continues identically through the fast path."""
-
-    def faults():
-        return FaultConfig(
-            plan=(ScriptedFault(op=OP_POWER, op_index=401),)
-        )
-
+    """An exception mid-array propagates as ``write`` raises it, with
+    every earlier command's effects in place: an OP_POWER entry tears
+    the same page of the same command as in the per-command loop,
+    recovery rebuilds the same state and the stream continues."""
+    faults = FaultConfig(plan=(ScriptedFault(op=OP_POWER, op_index=401),))
     first = write_stream(5, 300)
     second = write_stream(6, 300)
-    scalar = SimulatedSSD(GEOMETRY, faults=faults(), io_path="scalar")
-    arrays = SimulatedSSD(GEOMETRY, faults=faults(), io_path="batched")
+    oracle, production = make_pair(faults=faults)
 
     with pytest.raises(PowerLossError) as exc_s:
-        replay_writes(scalar, first)
+        replay_writes(oracle, first)
     with pytest.raises(PowerLossError) as exc_a:
-        replay_chunked(arrays, first, [300])
+        replay_chunked(production, first, [300])
     assert exc_s.value.pages_durable == exc_a.value.pages_durable
-    rep_s = scalar.recover()
-    rep_a = arrays.recover()
+    rep_s = oracle.recover()
+    rep_a = production.recover()
     assert (
         rep_s.journal_entries_replayed == rep_a.journal_entries_replayed
     )
-    assert_identical(scalar, arrays)
-    assert replay_writes(scalar, second) == replay_chunked(
-        arrays, second, chunkings(random.Random(6), 300)
+    assert production.stats.host_pages_written == 400
+    assert_identical(oracle, production)
+    assert replay_writes(oracle, second) == replay_chunked(
+        production, second, chunkings(random.Random(6), 300)
     )
-    assert_identical(scalar, arrays)
-
-
-def test_write_arrays_external_power_cut_and_warm_restart():
-    """power_cut() between array calls on fault-free devices (the
-    batched side genuinely coalesced before the cut)."""
-    first = write_stream(21, 1200)
-    second = write_stream(22, 1200)
-    scalar = SimulatedSSD(GEOMETRY, fdp=True, io_path="scalar")
-    arrays = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched")
-    assert replay_writes(scalar, first) == replay_chunked(
-        arrays, first, chunkings(random.Random(21), 1200)
-    )
-    assert scalar.power_cut().torn_writes == arrays.power_cut().torn_writes
-    scalar.recover()
-    arrays.recover()
-    assert_identical(scalar, arrays)
-    assert replay_writes(scalar, second) == replay_chunked(
-        arrays, second, [1200]
-    )
-    assert_identical(scalar, arrays)
-
-
-def test_write_arrays_scheduler_overlay_identical():
-    """The multi-queue scheduler is a timing overlay: a sched-attached
-    device driven queue-depth-1 through submit_async must equal a
-    plain device driven through write_arrays."""
-    stream = write_stream(13, 2000)
-    lbas, npages, payloads = stream
-    plain = SimulatedSSD(GEOMETRY, io_path="batched")
-    sched = SimulatedSSD(GEOMETRY, io_path="batched", sched=True)
-    dones_plain = replay_chunked(
-        plain, stream, chunkings(random.Random(13), 2000)
-    )
-    dones_sched = []
-    now = 0
-    for i in range(len(lbas)):
-        sched.submit_async(
-            "write", lbas[i], npages[i], None, now, queue="k",
-            payload=payloads[i],
-        )
-        (comp,) = sched.poll("k")
-        assert comp.ok
-        now = comp.result
-        dones_sched.append(now)
-    assert dones_plain == dones_sched
-    assert_identical(plain, sched)
-    assert sched.scheduler.host_commands == len(lbas)
-
-
-# --------------------------------------------------------------------
-# hypothesis: replay is invariant under arbitrary chunking
-# --------------------------------------------------------------------
-
-_PROP_STREAM = write_stream(0xFEED, 60, max_extent=6)
-_reference = None
-
-
-def _reference_state():
-    global _reference
-    if _reference is None:
-        device = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched")
-        dones = replay_chunked(
-            device, _PROP_STREAM, [60], PlacementIdentifier(0, 2)
-        )
-        _reference = (device, dones)
-    return _reference
-
-
-@st.composite
-def partitions(draw, total=60):
-    sizes = []
-    remaining = total
-    while remaining:
-        c = draw(st.integers(1, min(remaining, 13)))
-        sizes.append(c)
-        remaining -= c
-    return sizes
-
-
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(chunks=partitions())
-def test_any_chunking_replays_identically(chunks):
-    ref_device, ref_dones = _reference_state()
-    device = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched")
-    dones = replay_chunked(
-        device, _PROP_STREAM, chunks, PlacementIdentifier(0, 2)
-    )
-    assert dones == ref_dones
-    assert_identical(ref_device, device)
+    assert_identical(oracle, production)
 
 
 # --------------------------------------------------------------------
@@ -356,11 +196,8 @@ def core_state(device):
 def test_device_telemetry_detached_records_nothing():
     stream = write_stream(77, 2500)
     chunks = chunkings(random.Random(77), 2500)
-    attached = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched")
-    detached = SimulatedSSD(
-        GEOMETRY, fdp=True, io_path="batched", telemetry=False
-    )
-    legacy = SimulatedSSD(GEOMETRY, fdp=True, io_path="scalar")
+    legacy, attached = make_pair(fdp=True)
+    detached = SimulatedSSD(GEOMETRY, fdp=True, telemetry=False)
     pid = PlacementIdentifier(0, 1)
     dones_a = replay_chunked(attached, stream, chunks, pid)
     dones_d = replay_chunked(detached, stream, chunks, pid)
@@ -376,8 +213,8 @@ def test_device_telemetry_detached_records_nothing():
     assert core_state(detached) == core_state(attached)
     detached.check_invariants()
 
-    # Attached: the kernel path's event stream matches the legacy
-    # scalar path's exactly (the hook guards dropped no events).
+    # Attached: the event stream matches the per-page oracle's exactly
+    # (the hook guards dropped no events).
     assert attached.events.recent() == legacy.events.recent()
     assert attached.energy_kwh(dones_a[-1]) == legacy.energy_kwh(
         dones_l[-1]

@@ -4,10 +4,10 @@ Covers the PR 4 subsystem top to bottom: the deterministic latent-error
 model (read disturb, retention aging, silent corruption), per-page OOB
 CRCs and the host-read ECC outcome ladder, the background patrol
 scrubber (verify / refresh / retire, RUH-respecting relocation), the
-construction-time ``io_path`` gate, cache-layer degradation on
-poisoned pages, power-cut recovery across scrub relocations, and the
-integrity-soak acceptance criteria (zero undetected corruptions with
-the scrubber on; nonzero without it).
+per-page write hooks nothing can configure away, cache-layer
+degradation on poisoned pages, power-cut recovery across scrub
+relocations, and the integrity-soak acceptance criteria (zero
+undetected corruptions with the scrubber on; nonzero without it).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.ssd import (
     payload_crc,
     retention_acceleration,
 )
+from repro.ssd.ftl import MAX_PROGRAM_ATTEMPTS
 
 QUIESCENT = LatentErrorConfig()
 
@@ -230,7 +231,7 @@ class TestEndToEndCrc:
                 plan=(ScriptedFault(op=OP_SILENT, lba=5),)
             )
         )
-        assert dev.effective_io_path == "scalar"  # corrupting model
+        assert dev.ftl._page_hooks  # corrupting model: one-page chunks
         for lba in range(8):
             dev.write(lba, payload=("t", lba))
         assert dev.latent.corruptions_injected == 1
@@ -441,40 +442,77 @@ class TestPatrolScrubber:
         dev.check_invariants()
 
 
-class TestIoPathGate:
-    """Satellite: the batched fast path must never silently disable
-    fault or corruption hooks — the gate is resolved at construction
-    and exposed as ``effective_io_path``."""
+class TestWriteHooks:
+    """The one write path consults the injectors before every host page
+    whenever one that needs to is attached — decided at construction
+    from what is attached, with nothing a caller could pass to turn it
+    off — and programs whole chunks otherwise."""
 
-    def test_faults_force_scalar_and_hooks_fire(self):
+    def test_fault_hooks_fire_inside_a_multi_page_write(self):
         dev = tiny_device(
-            latent=None,
-            faults=FaultConfig(program_fail_rate=1.0),
-            io_path="batched",
+            latent=None, faults=FaultConfig(program_fail_rate=1.0)
         )
-        assert dev.io_path == "batched"
-        assert dev.effective_io_path == "scalar"
         # The injector genuinely sees every page: a certain program
-        # failure must surface even though "batched" was requested.
+        # failure surfaces from the middle of an extent write.
         with pytest.raises(ProgramFailError):
             dev.write(0, 4, payload="x")
+        assert dev.faults.program_ops == MAX_PROGRAM_ATTEMPTS
+        assert dev.faults.host_program_ops == 1
 
-    def test_corrupting_latent_forces_scalar(self):
-        dev = tiny_device(
-            latent=LatentErrorConfig(silent_corruption_rate=0.5),
-            io_path="batched",
+    @pytest.mark.parametrize(
+        "how", ["config", "live-model", "beside-faults", "beside-scrub"]
+    )
+    def test_corruption_hits_exactly_the_scripted_page(self, how):
+        """However the corrupting model reaches the device, the page it
+        scripts — the third of a six-page extent — is the one page
+        stored corrupt, under the CRC of what the host sent."""
+        config = LatentErrorConfig(
+            plan=(ScriptedFault(op=OP_SILENT, op_index=11),)
         )
-        assert dev.effective_io_path == "scalar"
+        dev = tiny_device(
+            **{
+                "config": dict(latent=config),
+                "live-model": dict(latent=LatentErrorModel(config)),
+                "beside-faults": dict(latent=config, faults=FaultConfig()),
+                "beside-scrub": dict(latent=config, scrub=True),
+            }[how]
+        )
+        dev.write(0, 8, payload="first")  # host pages 1..8
+        dev.write(20, 6, payload="second")  # 9..14: page 11 is LBA 22
+        assert dev.read_payload(0, 8) == ["first"] * 8
+        assert dev.read_payload(20, 6) == (
+            ["second"] * 2 + [("~bitrot", "second")] + ["second"] * 3
+        )
+        assert {
+            dev.ftl._oob[dev.ftl._l2p[lba]].crc for lba in range(20, 26)
+        } == {payload_crc("second")}
+        assert dev.latent.injection_totals == {
+            "host_program_ops": 14,
+            "silent_corruptions": 1,
+        }
+        with pytest.raises(UncorrectableReadError, match="CRC mismatch"):
+            dev.read(20, 6)
 
-    def test_quiescent_latent_keeps_fast_path(self):
-        dev = tiny_device(io_path="batched")
-        assert dev.effective_io_path == "batched"
-        dev.write(0, 8, payload="x")  # extent write, CRC still stamped
-        assert dev.ftl._oob[dev.ftl._l2p[0]].crc == payload_crc("x")
-
-    def test_scalar_request_is_honoured(self):
-        dev = tiny_device(io_path="scalar")
-        assert dev.effective_io_path == "scalar"
+    def test_quiescent_latent_keeps_whole_chunks_counts_pages(self):
+        """A quiescent model needs no per-page hook, so extents stay
+        whole — but its public tally still counts every host page (it
+        is the ``op_index`` domain of a scripted plan).  Regression:
+        the extent path used to leave ``host_program_ops`` at 0 where
+        the page loop counted 200."""
+        dev = tiny_device()
+        chunks = []
+        program_extent = dev.ftl._program_extent
+        dev.ftl._program_extent = lambda sb, stream, count, *rest: (
+            chunks.append(count) or program_extent(sb, stream, count, *rest)
+        )
+        for i in range(50):
+            dev.write(4 * i % 100, 4, payload=("w", i))
+        assert chunks == [4] * 50
+        assert dev.latent.injection_totals == {
+            "host_program_ops": 200,
+            "silent_corruptions": 0,
+        }
+        assert dev.ftl._oob[dev.ftl._l2p[0]].crc == payload_crc(("w", 25))
 
 
 class TestCacheDegradation:

@@ -1,13 +1,11 @@
-"""Golden fixtures for the kernel fast path.
+"""Golden fixtures for the array-shaped entry points.
 
-Pins the kernel configuration end to end: a :class:`KernelBench`
-replay (attached hooks) over the standard scaled arms, and a
-``write_arrays`` device stream, each compared field-by-field against
-committed JSON under ``tests/golden/``.  Because the differential tier
-proves kernel ≡ scalar, these fixtures *also* pin the scalar drivers —
-drift here without a matching drift in test_golden_regression.py means
-the kernel and the reference diverged, which is the one regression
-this PR must never ship.
+Pins a :class:`KernelBench` replay (attached hooks) over the standard
+scaled arms, and a ``write_arrays`` device stream, each compared
+field-by-field against committed JSON under ``tests/golden/``.  The
+device fixture was recorded when ``write_arrays`` coalesced contiguous
+commands into shared extents; it now pins that the plain per-command
+loop reproduces what the coalescer recorded.
 
 Regenerate deliberately with::
 
@@ -47,9 +45,10 @@ def test_golden_kernel_replay(name: str, update_golden: bool) -> None:
 
 
 def test_golden_write_arrays_stream(update_golden: bool) -> None:
-    """Device-layer fixture: a chunked coalescing write_arrays stream's
-    completion clock, write amplification, GC activity, and health."""
-    device = SimulatedSSD(GEOMETRY, fdp=True, io_path="batched")
+    """Device-layer fixture: a write_arrays stream's completion clock,
+    write amplification, GC activity, and health, over arbitrary
+    splits of the command array."""
+    device = SimulatedSSD(GEOMETRY, fdp=True)
     stream = write_stream(0xA11E, 4000)
     lbas, npages, payloads = stream
     rng = random.Random(0xA11E)
