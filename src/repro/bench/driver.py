@@ -188,8 +188,6 @@ def replay(
 
     read_lat = LatencyReservoir()
     write_lat = LatencyReservoir()
-    read_add = read_lat.add
-    write_add = write_lat.add
     series: List[IntervalPoint] = []
     prev_snapshot = device.snapshot()
 
@@ -208,6 +206,11 @@ def replay(
             if schedule is not None
             else itertools.repeat(None)
         )
+        # The window's timed latencies, handed to the reservoirs whole.
+        reads: List[int] = []
+        writes: List[int] = []
+        read_add = reads.append
+        write_add = writes.append
         for op, key, size, at in zip(
             ops,
             trace.keys[window].tolist(),
@@ -223,12 +226,12 @@ def replay(
                 where, _, done = get_where(key, now)
                 if where != HIT_DRAM:
                     # Reached flash (hit or full miss): a read latency.
-                    read_add(max(0, done - now))
+                    read_add(done - now if done > now else 0)
                     if fill and where == MISS:
                         done = cache_set(key, size, done)
             elif op == OP_SET:
                 done = cache_set(key, size, now)
-                write_add(max(0, done - now))
+                write_add(done - now if done > now else 0)
             else:  # OP_DEL
                 done = cache_delete(key, now)
             if at is None:
@@ -240,6 +243,8 @@ def replay(
                 else:
                     now = next_issue(done, ftl_latency.busy_until)
 
+        read_lat.extend(reads)
+        write_lat.extend(writes)
         ops_done = start + len(ops)
         if ops_done % poll_every == 0:
             snap = device.snapshot()

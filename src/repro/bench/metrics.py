@@ -49,11 +49,25 @@ class LatencyReservoir:
         self._seen = 0
 
     def add(self, latency_ns: int) -> None:
-        self._seen += 1
-        if self._seen % self._stride:
-            return
-        self._samples.append(latency_ns)
-        if len(self._samples) >= self.capacity:
+        self.extend((latency_ns,))
+
+    def extend(self, latencies: Sequence[int]) -> None:
+        """Offer a window of the stream, oldest first — the same
+        reservoir as offering its samples one by one, at one slice per
+        stride in force instead of a call per sample."""
+        pos, end = 0, len(latencies)
+        while pos < end:
+            stride = self._stride
+            # The stream's k-th sample (from 1) is kept when k % stride == 0.
+            first = pos + (-self._seen - 1) % stride
+            room = self.capacity - len(self._samples)
+            stop = first + (room - 1) * stride + 1  # past the one that fills it
+            self._samples.extend(latencies[first:stop:stride])
+            if stop > end:
+                self._seen += end - pos
+                return
+            self._seen += stop - pos
+            pos = stop
             self._samples = self._samples[::2]
             self._stride *= 2
 

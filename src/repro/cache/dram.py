@@ -2,15 +2,16 @@
 
 CacheLib's RAM cache holds the most popular items; evictions flow down
 to the flash layer (which is what makes flash caching write-intensive —
-Section 2.3).  The reproduction keeps keys+sizes in an ordered dict and
-reports evicted items to the caller so the hybrid cache can run them
-through the admission policy.
+Section 2.3).  The reproduction keeps the (immutable) items it is given
+in an ordered dict, hands the same objects back on a hit, and reports
+evicted items to the caller so the hybrid cache can run them through
+the admission policy.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .item import CacheItem
 
@@ -32,7 +33,7 @@ class DramCache:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
-        self._items: "OrderedDict[int, int]" = OrderedDict()
+        self._items: "OrderedDict[int, CacheItem]" = OrderedDict()
         self.used_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -44,57 +45,55 @@ class DramCache:
     def __contains__(self, key: int) -> bool:
         return key in self._items
 
-    @staticmethod
-    def _charged(size: int) -> int:
-        return size + DRAM_ITEM_OVERHEAD
-
     def get(self, key: int) -> Optional[CacheItem]:
         """Look up and promote; returns the item or ``None``."""
-        size = self._items.get(key)
-        if size is None:
+        item = self._items.get(key)
+        if item is None:
             self.misses += 1
             return None
         self._items.move_to_end(key)
         self.hits += 1
-        return CacheItem(key, size)
+        return item
 
     def peek(self, key: int) -> Optional[CacheItem]:
         """Look up without promoting or counting a hit/miss."""
-        size = self._items.get(key)
-        return None if size is None else CacheItem(key, size)
+        return self._items.get(key)
 
-    def resident_items(self) -> dict:
+    def resident_items(self) -> Dict[int, int]:
         """key → size snapshot (non-mutating; no LRU effects)."""
-        return dict(self._items)
+        return {key: item.size for key, item in self._items.items()}
 
-    def set(self, item: CacheItem) -> List[CacheItem]:
+    def set(self, item: CacheItem) -> Sequence[CacheItem]:
         """Insert/overwrite; returns the items evicted to make room."""
-        charged = self._charged(item.size)
+        items = self._items
+        charged = item.size + DRAM_ITEM_OVERHEAD
         # An overwrite supersedes the resident copy whether or not the
         # new version fits.
-        old = self._items.pop(item.key, None)
+        old = items.pop(item.key, None)
         if old is not None:
-            self.used_bytes -= self._charged(old)
+            self.used_bytes -= old.size + DRAM_ITEM_OVERHEAD
         if charged > self.capacity_bytes:
             # Too big for DRAM entirely: flows straight to flash.
             self.evictions += 1
             return [item]
-        self._items[item.key] = item.size
+        items[item.key] = item
         self.used_bytes += charged
+        if self.used_bytes <= self.capacity_bytes:
+            return ()
         evicted: List[CacheItem] = []
         while self.used_bytes > self.capacity_bytes:
-            victim_key, victim_size = self._items.popitem(last=False)
-            self.used_bytes -= self._charged(victim_size)
+            victim = items.popitem(last=False)[1]
+            self.used_bytes -= victim.size + DRAM_ITEM_OVERHEAD
             self.evictions += 1
-            evicted.append(CacheItem(victim_key, victim_size))
+            evicted.append(victim)
         return evicted
 
     def delete(self, key: int) -> bool:
         """Remove a key; returns whether it was present."""
-        size = self._items.pop(key, None)
-        if size is None:
+        item = self._items.pop(key, None)
+        if item is None:
             return False
-        self.used_bytes -= self._charged(size)
+        self.used_bytes -= item.size + DRAM_ITEM_OVERHEAD
         return True
 
     @property

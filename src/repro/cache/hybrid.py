@@ -226,12 +226,6 @@ class HybridCache:
     def _loc_handle(self) -> PlacementHandle:
         return self.policy.handle_for(self._loc_name)
 
-    def _is_small(self, item: CacheItem) -> bool:
-        return (
-            item.size <= self.config.small_item_threshold
-            and self.soc.accepts(item)
-        )
-
     def _maybe_flush_metadata(self, now_ns: int) -> int:
         """Minor consumer: periodic metadata flush on the default RUH."""
         if self.config.metadata_pages == 0:
@@ -257,8 +251,12 @@ class HybridCache:
         Keeps the engine's live SOC/LOC write pattern current: SOC
         inserts are dynamic per-engine tags on the I/O path (Figure 4).
         """
-        assert self.config.admission is not None
-        small = self._is_small(item)
+        config = self.config
+        assert config.admission is not None
+        small = (
+            item.size <= config.small_item_threshold
+            and self.soc.accepts(item)
+        )
         if not small and self.brownout_mode != BROWNOUT_HEALTHY:
             # Brownout: LOC admissions are the first load shed — the
             # multi-page sequential writes that feed device backlog.
@@ -271,7 +269,7 @@ class HybridCache:
             # A clean copy is already on flash (the item was promoted
             # from NVM and not modified); skip the rewrite.
             return now_ns
-        if not self.config.admission.admit(item):
+        if not config.admission.admit(item):
             self.flash_rejects += 1
             return now_ns
         self.flash_admits += 1
@@ -324,11 +322,11 @@ class HybridCache:
     def get_where(self, key: int, now_ns: int = 0):
         """GET returning a plain ``(where, item, completion_ns)`` tuple.
 
-        The kernel replay loop (:mod:`repro.kernel.replay`) issues
-        millions of GETs and only branches on ``where``; this is the
-        same lookup as :meth:`get` — every counter, promotion, and
-        engine effect included — minus the per-call
-        :class:`GetResult` allocation.
+        The replay loop (:func:`repro.bench.driver.replay`) and the
+        fleet's shard backend issue millions of GETs and only branch on
+        ``where``; this is the same lookup as :meth:`get` — every
+        counter, promotion, and engine effect included — minus the
+        per-call :class:`GetResult` allocation.
         """
         self.gets += 1
         if self._admission_observer is not None:

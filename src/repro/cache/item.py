@@ -20,8 +20,9 @@ ITEM_HEADER_BYTES = 24
 class CacheItem:
     """An object identified by an integer key with a payload size.
 
-    An immutable value, hand-written: one is built per SET, DRAM hit
-    and eviction, and a frozen dataclass's ``__init__`` costs twice this.
+    An immutable value, hand-written: one is built per SET and per
+    flash hit (DRAM keeps and hands back the object it was given), and
+    a frozen dataclass's ``__init__`` costs twice this.
     """
 
     __slots__ = ("key", "size")

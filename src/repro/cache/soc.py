@@ -46,20 +46,6 @@ from .item import ITEM_HEADER_BYTES, CacheItem
 __all__ = ["SmallObjectCache", "BUCKET_HEADER_BYTES"]
 
 
-class _MaskMemo(dict):
-    """key -> bloom mask for filters of one shape, filled on first use;
-    the SOC drops a key's entry when the key leaves, which bounds it."""
-
-    def __init__(self, bits: int, hashes: int) -> None:
-        super().__init__()
-        self.bits = bits
-        self.hashes = hashes
-
-    def __missing__(self, key: int) -> int:
-        mask = self[key] = bloom_mask(splitmix64(key), self.bits, self.hashes)
-        return mask
-
-
 # Bucket-level metadata stored on flash (generation, checksum, count).
 BUCKET_HEADER_BYTES = 16
 
@@ -113,9 +99,15 @@ class SmallObjectCache:
         self._blooms: List[BloomFilter] = [
             BloomFilter(bloom_bits, bloom_hashes) for _ in range(num_buckets)
         ]
-        # Memoized bloom masks, kept for resident keys only: bucket
-        # rewrites OR these together instead of hashing each key again.
-        self._masks = _MaskMemo(bloom_bits, bloom_hashes)
+        # The key index: key -> bloom mask, for exactly the resident
+        # keys (``key in _masks`` iff ``key in _buckets[bucket_of(key)]``).
+        # Residency is answered here without hashing, and a bucket
+        # rewrite ORs the masks instead of hashing each key again.
+        # Written only where a key enters (_stage, recover) or leaves
+        # (_evict_overflow, _drop_bucket, invalidate, delete, recover).
+        self._masks: Dict[int, int] = {}
+        self._bloom_bits = bloom_bits
+        self._bloom_hashes = bloom_hashes
         self.persist_metadata = persist_metadata
         # Per-bucket rewrite generation, part of the on-flash header.
         self._generations: List[int] = [0] * num_buckets
@@ -147,7 +139,7 @@ class SmallObjectCache:
 
     def contains(self, key: int) -> bool:
         """Ground-truth membership (no I/O charged; used internally)."""
-        return key in self._buckets[self.bucket_of(key)]
+        return key in self._masks
 
     def resident_items(self) -> Dict[int, int]:
         """key → logical size snapshot across all buckets (no I/O)."""
@@ -171,7 +163,7 @@ class SmallObjectCache:
         entries = self._buckets[bucket]
         dropped = len(entries)
         for key in entries:
-            self._masks.pop(key, None)
+            del self._masks[key]
         entries.clear()
         self._used[bucket] = 0
         self._blooms[bucket].rebuild(())
@@ -191,30 +183,36 @@ class SmallObjectCache:
             tuple(self._buckets[bucket].items()),
         )
 
-    def _stage_bucket_items(self, bucket: int, items: List[CacheItem]) -> int:
-        """Stage ``items`` into a bucket's in-memory image (evicting
-        FIFO on overflow) without touching flash.  Returns how many
-        were admitted; the caller issues the bucket rewrite."""
+    def _stage_bucket_items(self, items: List[CacheItem]) -> Tuple[int, int]:
+        """Stage ``items``, which must share a bucket, into its
+        in-memory image (evicting FIFO on overflow) without touching
+        flash.  Returns ``(bucket, admitted)``; the caller issues the
+        bucket rewrite."""
+        hashes = [splitmix64(item.key) for item in items]
+        bucket = hashes[0] % self.num_buckets
+        if any(h1 % self.num_buckets != bucket for h1 in hashes):
+            raise ValueError("insert_many requires a single bucket")
         admitted = 0
-        for item in items:
-            if not self.accepts(item):
+        for item, h1 in zip(items, hashes):
+            nbytes = item.size + ITEM_HEADER_BYTES  # item.stored_size
+            if nbytes > self.usable_bucket_bytes:
                 continue
-            self._stage(bucket, item, splitmix64(item.key))
+            self._stage(bucket, item.key, nbytes, h1)
             self.app_bytes_written += item.size
             admitted += 1
         self._evict_overflow(bucket)
-        return admitted
+        return bucket, admitted
 
-    def _stage(self, bucket: int, item: CacheItem, h1: int) -> None:
-        """Put one item (``h1`` is ``splitmix64(item.key)``) at the tail
-        of a bucket's in-memory image, replacing an older copy."""
+    def _stage(self, bucket: int, key: int, nbytes: int, h1: int) -> None:
+        """Put one item (``nbytes`` stored, ``h1`` its key's
+        ``splitmix64``) at the tail of a bucket's in-memory image,
+        replacing an older copy."""
         entries = self._buckets[bucket]
-        key = item.key
-        nbytes = item.stored_size
         old = entries.pop(key, None)
         if old is None:
-            masks = self._masks
-            masks[key] = bloom_mask(h1, masks.bits, masks.hashes)
+            self._masks[key] = bloom_mask(
+                h1, self._bloom_bits, self._bloom_hashes
+            )
         else:
             self._used[bucket] -= old
         entries[key] = nbytes
@@ -225,7 +223,7 @@ class SmallObjectCache:
         entries = self._buckets[bucket]
         while self._used[bucket] > self.usable_bucket_bytes:
             key, evicted_bytes = entries.popitem(last=False)
-            self._masks.pop(key, None)
+            del self._masks[key]
             self._used[bucket] -= evicted_bytes
             self.evictions += 1
 
@@ -261,11 +259,12 @@ class SmallObjectCache:
         rejected without I/O; the hybrid cache routes such items to the
         LOC instead via its size threshold.
         """
-        if not self.accepts(item):
+        nbytes = item.size + ITEM_HEADER_BYTES  # item.stored_size, no frame
+        if nbytes > self.usable_bucket_bytes:
             return False, now_ns
         h1 = splitmix64(item.key)
         bucket = h1 % self.num_buckets
-        self._stage(bucket, item, h1)
+        self._stage(bucket, item.key, nbytes, h1)
         self._evict_overflow(bucket)
         done = self._write_bucket(bucket, now_ns)
         self.inserts += 1
@@ -284,11 +283,7 @@ class SmallObjectCache:
         """
         if not items:
             return 0, now_ns
-        bucket = self.bucket_of(items[0].key)
-        for item in items:
-            if self.bucket_of(item.key) != bucket:
-                raise ValueError("insert_many requires a single bucket")
-        admitted = self._stage_bucket_items(bucket, items)
+        bucket, admitted = self._stage_bucket_items(items)
         if admitted == 0:
             return 0, now_ns
         done = self._write_bucket(bucket, now_ns)
@@ -317,11 +312,7 @@ class SmallObjectCache:
         for items in batches:
             if not items:
                 continue
-            bucket = self.bucket_of(items[0].key)
-            for item in items:
-                if self.bucket_of(item.key) != bucket:
-                    raise ValueError("insert_many requires a single bucket")
-            admitted = self._stage_bucket_items(bucket, items)
+            bucket, admitted = self._stage_bucket_items(items)
             if admitted == 0:
                 continue
             staged.append((bucket, admitted))
@@ -358,10 +349,10 @@ class SmallObjectCache:
         self.lookups += 1
         h1 = splitmix64(key)
         bucket = h1 % self.num_buckets
-        masks = self._masks
-        mask = masks.get(key)
-        if mask is None:  # not resident, so not worth remembering
-            mask = bloom_mask(h1, masks.bits, masks.hashes)
+        mask = self._masks.get(key)
+        resident = mask is not None
+        if not resident:
+            mask = bloom_mask(h1, self._bloom_bits, self._bloom_hashes)
         if not self._blooms[bucket].may_contain(key, mask):
             self.bloom_rejects += 1
             return None, now_ns
@@ -384,10 +375,10 @@ class SmallObjectCache:
             self._drop_bucket(bucket)
             return None, done
         self.flash_reads += 1
-        nbytes = self._buckets[bucket].get(key)
-        if nbytes is None:
+        if not resident:
             return None, done
         self.hits += 1
+        nbytes = self._buckets[bucket][key]
         return CacheItem(key, nbytes - ITEM_HEADER_BYTES), done
 
     def invalidate(self, key: int) -> bool:
@@ -399,25 +390,19 @@ class SmallObjectCache:
         the entry is unreachable.  Mirrors CacheLib invalidating the
         NVM copy on mutation without issuing I/O.
         """
-        bucket = self.bucket_of(key)
-        nbytes = self._buckets[bucket].pop(key, None)
-        if nbytes is None:
+        if self._masks.pop(key, None) is None:
             return False
-        self._masks.pop(key, None)
-        self._used[bucket] -= nbytes
+        bucket = splitmix64(key) % self.num_buckets
+        self._used[bucket] -= self._buckets[bucket].pop(key)
         return True
 
     def delete(self, key: int, now_ns: int = 0) -> Tuple[bool, int]:
         """Remove a key; a removal rewrites the bucket (as CacheLib does)."""
-        bucket = self.bucket_of(key)
-        entries = self._buckets[bucket]
-        nbytes = entries.pop(key, None)
-        if nbytes is None:
+        if self._masks.pop(key, None) is None:
             return False, now_ns
-        self._masks.pop(key, None)
-        self._used[bucket] -= nbytes
-        done = self._write_bucket(bucket, now_ns)
-        return True, done
+        bucket = splitmix64(key) % self.num_buckets
+        self._used[bucket] -= self._buckets[bucket].pop(key)
+        return True, self._write_bucket(bucket, now_ns)
 
     # ------------------------------------------------------------------
     # warm restart
@@ -434,7 +419,8 @@ class SmallObjectCache:
         ``items_recovered``.
         """
         recovered = dropped = items = 0
-        self._masks.clear()
+        masks = self._masks
+        masks.clear()
         for bucket in range(self.num_buckets):
             entries = self._buckets[bucket]
             had_entries = bool(entries)
@@ -454,6 +440,9 @@ class SmallObjectCache:
                 for key, nbytes in manifest:
                     entries[key] = nbytes
                     self._used[bucket] += nbytes
+                    masks[key] = bloom_mask(
+                        splitmix64(key), self._bloom_bits, self._bloom_hashes
+                    )
                 self._rebuild_bloom(bucket)
                 recovered += 1
                 items += len(entries)

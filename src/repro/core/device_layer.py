@@ -60,12 +60,6 @@ class IoQueue:
         self.write_errors = 0
         self.retries = 0
 
-    def submit(self) -> None:
-        self.submitted += 1
-
-    def complete(self) -> None:
-        self.completed += 1
-
     @property
     def in_flight(self) -> int:
         return self.submitted - self.completed
@@ -108,6 +102,7 @@ class FdpAwareDevice:
         if retry_backoff_ns < 0:
             raise ValueError("retry_backoff_ns must be non-negative")
         self.ssd = ssd
+        self._page_size = ssd.page_size
         self.max_read_retries = max_read_retries
         self.max_write_retries = max_write_retries
         self.retry_backoff_ns = retry_backoff_ns
@@ -122,8 +117,11 @@ class FdpAwareDevice:
             pids, enable_placement=enable_placement
         )
         self._num_ruhs = ssd.fdp_config.num_ruhs if ssd.fdp_config else 0
-        # What the device decodes from each handle's directive fields.
-        self._pids: Dict[PlacementHandle, Optional[PlacementIdentifier]] = {}
+        # What the device decodes from a handle's directive fields,
+        # keyed by its PID's (reclaim group, RUH) — all the decode
+        # depends on, and two ints hash without a Python frame where a
+        # dataclass handle costs two per lookup.
+        self._pids: Dict[Tuple[int, int], Optional[PlacementIdentifier]] = {}
         self._queues: Dict[str, IoQueue] = {}
         self.bytes_written = 0
         self.bytes_read = 0
@@ -167,13 +165,17 @@ class FdpAwareDevice:
 
     def _pid_for(self, handle: PlacementHandle) -> Optional[PlacementIdentifier]:
         """The PID a write tagged with ``handle`` reaches the device with:
-        the DSPEC round-trip, run once per (immutable) handle."""
+        the DSPEC round-trip, run once per distinct PID."""
+        pid = handle.pid
+        if pid is None:
+            return None
+        key = (pid.reclaim_group, pid.ruh_id)
         try:
-            return self._pids[handle]
+            return self._pids[key]
         except KeyError:
-            pid = self._decode_directive(*self._encode_directive(handle))
-            self._pids[handle] = pid
-            return pid
+            decoded = self._decode_directive(*self._encode_directive(handle))
+            self._pids[key] = decoded
+            return decoded
 
     # -- scheduler plumbing -------------------------------------------
 
@@ -230,8 +232,8 @@ class FdpAwareDevice:
         ticket = self.ssd.submit_async(
             op, lba, npages, pid, now_ns, queue=worker, payload=payload
         )
-        self.queue(worker).submit()
-        nbytes = npages * self.ssd.page_size
+        self.queue(worker).submitted += 1
+        nbytes = npages * self._page_size
         if op == "write":
             self.bytes_written += nbytes
             self.writes_by_handle[handle.name] = (
@@ -253,7 +255,7 @@ class FdpAwareDevice:
         comps = self.ssd.poll(worker, max_completions)
         q = self.queue(worker)
         for comp in comps:
-            q.complete()
+            q.completed += 1
             if not comp.ok:
                 if comp.op == "read":
                     q.read_errors += 1
@@ -305,9 +307,9 @@ class FdpAwareDevice:
         it to persist the sealed-region / bucket self-description that
         warm restart recovers from.
         """
+        pid = self._pid_for(handle)  # may refuse: nothing is counted yet
         q = self.queue(worker)
-        q.submit()
-        pid = self._pid_for(handle)
+        q.submitted += 1
         backoff = self.retry_backoff_ns
         try:
             for attempt in range(self.max_write_retries + 1):
@@ -330,8 +332,8 @@ class FdpAwareDevice:
                     now_ns += backoff
                     backoff *= 2
         finally:
-            q.complete()
-        nbytes = npages * self.ssd.page_size
+            q.completed += 1
+        nbytes = npages * self._page_size
         self.bytes_written += nbytes
         self.writes_by_handle[handle.name] = (
             self.writes_by_handle.get(handle.name, 0) + nbytes
@@ -355,7 +357,7 @@ class FdpAwareDevice:
         UncorrectableReadError`; cache engines turn that into a miss.
         """
         q = self.queue(worker)
-        q.submit()
+        q.submitted += 1
         backoff = self.retry_backoff_ns
         try:
             for attempt in range(self.max_read_retries + 1):
@@ -382,8 +384,8 @@ class FdpAwareDevice:
                     now_ns += backoff
                     backoff *= 2
         finally:
-            q.complete()
-        self.bytes_read += npages * self.ssd.page_size
+            q.completed += 1
+        self.bytes_read += npages * self._page_size
         return result
 
     def submit_batch(

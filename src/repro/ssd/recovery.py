@@ -209,26 +209,32 @@ class MappingJournal:
         return self._materialize(self._flushed)
 
     def append(self, seq: int, lba: int, ppn: int) -> None:
-        buf = self._buf
-        if buf and ppn >= 0:
-            ls, ll, lp, lc = buf[-1]
-            if seq == ls + lc and lba == ll + lc and ppn == lp + lc:
-                buf[-1] = (ls, ll, lp, lc + 1)
-                self._buf_len += 1
-                if self._buf_len >= self.flush_interval:
-                    self.force_flush()
-                return
-        buf.append((seq, lba, ppn, 1))
-        self._buf_len += 1
-        if self._buf_len >= self.flush_interval:
-            self.force_flush()
+        self.append_moves(seq, (lba,), ppn)
 
     def append_moves(self, seq: int, lbas: Sequence[int], ppn: int) -> None:
-        """One entry per LBA of a GC run (``seq`` and ``ppn`` advance
-        by one per page), flushing per entry as the page loop does."""
-        append = self.append
-        for i, lba in enumerate(lbas):
-            append(seq + i, lba, ppn + i)
+        """One entry per LBA (``seq`` and ``ppn`` advance by one per
+        page: a GC run), each extending the buffer's last run when it
+        continues it, with a flush wherever the buffer fills."""
+        buf = self._buf
+        interval = self.flush_interval
+        room = interval - self._buf_len
+        for lba in lbas:
+            if buf and ppn >= 0:
+                ls, ll, lp, lc = buf[-1]
+                if seq == ls + lc and lba == ll + lc and ppn == lp + lc:
+                    buf[-1] = (ls, ll, lp, lc + 1)
+                else:
+                    buf.append((seq, lba, ppn, 1))
+            else:
+                buf.append((seq, lba, ppn, 1))
+            seq += 1
+            ppn += 1
+            room -= 1
+            if room <= 0:
+                self._flushed.extend(buf)
+                buf.clear()
+                room = interval
+        self._buf_len = interval - room
 
     def append_run(self, seq: int, lba: int, ppn: int, count: int) -> None:
         """Append ``count`` entries for consecutively programmed pages

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import (
     CacheBench,
@@ -44,6 +45,56 @@ class TestLatencyReservoir:
     def test_validation(self):
         with pytest.raises(ValueError):
             LatencyReservoir(capacity=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(2, 48),
+        windows=st.lists(
+            st.lists(st.integers(0, 10**9), max_size=160), max_size=12
+        ),
+        one_by_one=st.integers(0, 12),
+    )
+    def test_windows_equal_the_per_sample_loop(
+        self, capacity, windows, one_by_one
+    ):
+        """``extend`` over any split of the stream (with ``add`` for the
+        ``one_by_one``-th window's samples) leaves the reservoir the
+        per-sample loop leaves: same samples, stride and count, so the
+        same percentiles, whatever the capacity."""
+        oracle = _PerSampleReservoir(capacity)
+        reservoir = LatencyReservoir(capacity)
+        for index, window in enumerate(windows):
+            for latency in window:
+                oracle.add(latency)
+            if index == one_by_one:
+                for latency in window:
+                    reservoir.add(latency)
+            else:
+                reservoir.extend(window)
+            assert reservoir._samples == oracle._samples
+            assert reservoir._stride == oracle._stride
+            assert reservoir.count_seen == oracle._seen
+            assert len(reservoir) < capacity
+
+
+class _PerSampleReservoir:
+    """``LatencyReservoir.add`` as it stood before the per-window entry
+    point, kept verbatim as the oracle."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._samples = []
+        self._stride = 1
+        self._seen = 0
+
+    def add(self, latency_ns: int) -> None:
+        self._seen += 1
+        if self._seen % self._stride:
+            return
+        self._samples.append(latency_ns)
+        if len(self._samples) >= self.capacity:
+            self._samples = self._samples[::2]
+            self._stride *= 2
 
 
 class TestSteadyState:

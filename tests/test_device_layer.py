@@ -1,7 +1,12 @@
 """Unit tests for the FDP-aware device layer (handle -> PID -> DSPEC)."""
 
-from repro.core import FdpAwareDevice
+import pickle
+
+import pytest
+
+from repro.core import FdpAwareDevice, PlacementHandle
 from repro.core.device_layer import DTYPE_DATA_PLACEMENT, DTYPE_NONE
+from repro.fdp import PlacementIdentifier
 from repro.ssd.superblock import SuperblockState
 
 
@@ -85,3 +90,46 @@ class TestQueues:
         q = layer.queue("w")
         assert q.submitted == q.completed == 2
         assert q.in_flight == 0
+
+    def test_refused_handle_leaves_nothing_in_flight(self, fdp_ssd):
+        """A handle whose PID the device cannot encode is refused before
+        the submission is counted (the parent counted first, outside the
+        try/finally: ``in_flight == 1`` forever)."""
+        layer = FdpAwareDevice(fdp_ssd)
+        bad = PlacementHandle(99, "bad", PlacementIdentifier(0, 500))
+        with pytest.raises(ValueError, match="ruh_id out of range"):
+            layer.write(0, 1, bad, 0, worker="w")
+        q = layer.queue("w")
+        assert (q.submitted, q.completed, q.in_flight) == (0, 0, 0)
+        assert layer.bytes_written == 0 and layer.bytes_read == 0
+        assert layer.writes_by_handle == {}
+        assert fdp_ssd.stats.host_pages_written == 0
+
+
+class TestPidResolution:
+    def test_equal_pids_resolve_alike_whatever_the_handle_is_called(
+        self, fdp_ssd
+    ):
+        """The decode memo is keyed by the PID's two ints: handles that
+        differ only in id or name share an entry, and a handle that
+        crossed a process boundary (pickled, so its ``name`` hashes
+        differently there) still finds it."""
+        layer = FdpAwareDevice(fdp_ssd)
+        handle = layer.allocator.allocate("soc")
+        assert layer._pid_for(handle) == handle.pid
+        twin = PlacementHandle(77, "other-name", handle.pid)
+        assert layer._pid_for(twin) is layer._pid_for(handle)
+        assert layer._pid_for(pickle.loads(pickle.dumps(handle))) is (
+            layer._pid_for(handle)
+        )
+        assert layer._pid_for(layer.allocator.default()) is None
+        assert list(layer._pids) == [
+            (handle.pid.reclaim_group, handle.pid.ruh_id)
+        ]
+
+    def test_conventional_device_drops_the_directive(self, conventional_ssd):
+        layer = FdpAwareDevice(conventional_ssd)
+        handle = PlacementHandle(1, "soc", PlacementIdentifier(0, 1))
+        assert layer._pid_for(handle) is None
+        layer.write(0, 1, handle)
+        assert conventional_ssd.stats.host_pages_written == 1

@@ -119,6 +119,37 @@ class TestEviction:
         assert cache.hit_ratio == 0.5
 
 
+class TestKeepsTheItemsItWasGiven:
+    """DRAM stores the (immutable) items themselves; every way out
+    hands back a value equal to what went in."""
+
+    def test_get_peek_and_eviction_return_what_was_set(self):
+        cache, size = make(capacity_items=2)
+        first, second, third = (CacheItem(k, size - k) for k in (1, 2, 3))
+        assert len(cache.set(first)) == 0
+        assert len(cache.set(second)) == 0
+        for out, given in (
+            (cache.peek(1), first),
+            (cache.get(1), first),
+            (cache.get(2), second),
+        ):
+            assert out == given and hash(out) == hash(given)
+        evicted = cache.set(third)  # 1 is the LRU entry: get(2) came last
+        assert list(evicted) == [first] and hash(evicted[0]) == hash(first)
+        assert cache.peek(1) is None and cache.peek(3) == third
+
+    def test_resident_items_maps_keys_to_plain_sizes(self):
+        cache, size = make()
+        cache.set(CacheItem(1, size))
+        cache.set(CacheItem(2, 40))
+        cache.set(CacheItem(1, 70))  # overwrite: newest size wins
+        resident = cache.resident_items()
+        assert resident == {2: 40, 1: 70}
+        assert all(type(v) is int for v in resident.values())
+        resident.clear()  # a snapshot, not the live index
+        assert len(cache) == 2 and cache.used_bytes == 110 + 2 * DRAM_ITEM_OVERHEAD
+
+
 class TestCacheItemValue:
     """CacheItem is a slots class now; the dataclass contract it had stays."""
 

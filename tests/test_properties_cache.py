@@ -71,12 +71,12 @@ class TestDramProperties:
             # Recompute used bytes from scratch.
             expected = sum(
                 s + DRAM_ITEM_OVERHEAD
-                for s in cache._items.values()
+                for s in cache.resident_items().values()
             )
             assert cache.used_bytes == expected
         # Whatever the cache holds must be a subset of the shadow's
         # most-recent sizes (evictions may have removed entries).
-        for key in list(cache._items):
+        for key in cache.resident_items():
             assert cache.peek(key).size == shadow[key]
 
 

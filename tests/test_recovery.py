@@ -20,6 +20,7 @@ from repro.ssd import (
     Geometry,
     SimulatedSSD,
 )
+from repro.ssd.recovery import MappingJournal
 
 
 def tiny_device(**kwargs) -> SimulatedSSD:
@@ -185,7 +186,84 @@ class TestInflightCut:
         assert torn_profile(3) == torn_profile(3)
 
 
+class _PerEntryJournal(MappingJournal):
+    """``append`` as it stood before ``append_moves`` became the one
+    loop (and ``append`` its one-entry case), kept verbatim as the
+    oracle for run merging and flush boundaries."""
+
+    __slots__ = ()
+
+    def append(self, seq: int, lba: int, ppn: int) -> None:
+        buf = self._buf
+        if buf and ppn >= 0:
+            ls, ll, lp, lc = buf[-1]
+            if seq == ls + lc and lba == ll + lc and ppn == lp + lc:
+                buf[-1] = (ls, ll, lp, lc + 1)
+                self._buf_len += 1
+                if self._buf_len >= self.flush_interval:
+                    self.force_flush()
+                return
+        buf.append((seq, lba, ppn, 1))
+        self._buf_len += 1
+        if self._buf_len >= self.flush_interval:
+            self.force_flush()
+
+    def append_moves(self, seq, lbas, ppn) -> None:
+        for i, lba in enumerate(lbas):
+            self.append(seq + i, lba, ppn + i)
+
+
+# Short runs of consecutive LBAs with jumps between them: GC moves of a
+# victim that holds both LOC extents and scattered SOC pages.
+_LBA_RUNS = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(1, 9)), min_size=1, max_size=6
+).map(lambda runs: [lba + i for lba, n in runs for i in range(n)])
+_JOURNAL_STEP = st.one_of(
+    st.tuples(st.just("moves"), _LBA_RUNS, st.integers(0, 3)),
+    st.tuples(st.just("move"), st.integers(0, 400), st.integers(0, 3)),
+    st.tuples(st.just("run"), st.integers(0, 400), st.integers(1, 20)),
+    st.tuples(st.just("trim"), st.integers(0, 400), st.just(0)),
+    st.tuples(st.just("cut"), st.just(0), st.just(0)),
+)
+
+
 class TestJournalAndCheckpoint:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        interval=st.integers(1, 12),
+        steps=st.lists(_JOURNAL_STEP, max_size=30),
+    )
+    def test_bulk_appends_equal_the_per_entry_loop(self, interval, steps):
+        """Same runs, same buffered length, same flush boundaries —
+        which entries a power cut loses is unchanged."""
+        oracle, journal = _PerEntryJournal(interval), MappingJournal(interval)
+        seq, ppn = 1, 0
+        for kind, arg, extra in steps:
+            entries = 1
+            for j in (oracle, journal):
+                if kind == "moves":
+                    # `extra` skips physical pages: a new write point.
+                    j.append_moves(seq, arg, ppn + extra)
+                    entries = len(arg)
+                elif kind == "move":
+                    j.append(seq, arg, ppn + extra)
+                elif kind == "run":
+                    j.append_run(seq, arg, ppn, extra)
+                    entries = extra
+                elif kind == "trim":
+                    j.append(seq, arg, -1)
+                    j.force_flush()
+                else:
+                    j.drop_volatile()
+                    entries = 0
+            seq += entries
+            ppn += entries + (extra if kind in ("moves", "move") else 0)
+            assert journal._buf == oracle._buf
+            assert journal._buf_len == oracle._buf_len
+            assert journal._flushed == oracle._flushed
+        assert journal.buffer == oracle.buffer
+        assert journal.flushed == oracle.flushed
+
     def test_checkpoint_bounds_journal_replay(self):
         dev = tiny_device(
             checkpoint_interval_pages=32, journal_flush_interval=4

@@ -7,6 +7,7 @@ import pytest
 from repro.cache import CacheItem, SmallObjectCache
 from repro.cache.item import ITEM_HEADER_BYTES
 from repro.core import FdpAwareDevice
+from tests.test_properties_soc_index import check_index
 
 
 @pytest.fixture
@@ -140,18 +141,10 @@ class TestAccounting:
 
 
 class TestMaskMemo:
-    """The bloom-mask memo holds resident keys only, whatever happens."""
+    """The mask index holds exactly the resident keys, whatever happens
+    (the rule-by-rule version is tests/test_properties_soc_index.py)."""
 
-    @staticmethod
-    def check(soc):
-        resident = {k for entries in soc._buckets for k in entries}
-        assert len(soc._masks) <= soc.item_count
-        assert set(soc._masks) == resident
-        for bucket, entries in enumerate(soc._buckets):
-            bloom = soc._blooms[bucket]
-            for key in entries:
-                assert soc._masks[key] == bloom.mask(key)
-                assert soc.bucket_of(key) == bucket
+    check = staticmethod(check_index)
 
     def test_memo_bounded_by_item_count_under_churn(self, soc_env):
         soc, _, dev = soc_env
@@ -204,8 +197,10 @@ class TestMaskMemo:
         for key in range(200):
             soc.insert(CacheItem(key, 100))
         fields = [b._field for b in soc._blooms]
-        soc._masks.clear()  # a memo, not an index: nothing depends on it
-        for bucket in range(soc.num_buckets):
-            soc._rebuild_bloom(bucket)
+        # The masks are the key index now, so the one place that may
+        # forget them is recover(): it clears the index and refills it
+        # from the bucket manifests, one hash per recovered key.
+        soc.recover()
         assert [b._field for b in soc._blooms] == fields
+        assert soc.item_count == 200
         self.check(soc)
