@@ -123,6 +123,9 @@ class FdpAwareDevice:
         # dataclass handle costs two per lookup.
         self._pids: Dict[Tuple[int, int], Optional[PlacementIdentifier]] = {}
         self._queues: Dict[str, IoQueue] = {}
+        # Per worker: async completions a sync command's drain pulled
+        # off the device queue, owed to the worker's next poll().
+        self._held: Dict[str, list] = {}
         self.bytes_written = 0
         self.bytes_read = 0
         self.writes_by_handle: Dict[str, int] = {}
@@ -196,18 +199,25 @@ class FdpAwareDevice:
         times carry queue/channel contention (GC spans included) —
         QD=1 per call, but the channel horizons persist across calls.
         A failed completion re-raises its media error so the sync
-        retry loops work unchanged.
+        retry loops work unchanged.  The drain also surfaces whatever
+        ``submit_async`` commands the worker has in flight; those are
+        held for its next :meth:`poll`, which counts them.
         """
         ssd = self.ssd
         ticket = ssd.submit_async(
             op, lba, npages, pid, now_ns, queue=worker, payload=payload
         )
+        mine = None
         for comp in ssd.poll(worker):
             if comp.ticket == ticket:
-                if not comp.ok:
-                    raise comp.error
-                return comp
-        raise RuntimeError(f"command {ticket} never completed")
+                mine = comp
+            else:
+                self._held.setdefault(worker, []).append(comp)
+        if mine is None:
+            raise RuntimeError(f"command {ticket} never completed")
+        if not mine.ok:
+            raise mine.error
+        return mine
 
     def submit_async(
         self,
@@ -252,7 +262,18 @@ class FdpAwareDevice:
         tallies the same way the sync path's exceptions do; the caller
         decides whether to resubmit.
         """
-        comps = self.ssd.poll(worker, max_completions)
+        # What a sync command's drain set aside comes first, in order.
+        comps = self._held.pop(worker, None)
+        if comps is None:
+            comps = self.ssd.poll(worker, max_completions)
+        elif max_completions is None:
+            comps += self.ssd.poll(worker)
+        else:
+            limit = max(0, max_completions)
+            if len(comps) > limit:
+                self._held[worker] = comps[limit:]
+                del comps[limit:]
+            comps += self.ssd.poll(worker, limit - len(comps))
         q = self.queue(worker)
         for comp in comps:
             q.completed += 1

@@ -10,9 +10,10 @@ through ``Trace.save``/``Trace.load`` bit-for-bit, arrival schedule
 included.
 
 The generators stay in :mod:`repro.workloads` — they were vectorized
-from the start (:func:`~repro.workloads.synth.synthesize` emits whole
-numpy columns); :func:`synthesize_arrays` / :func:`scenario_arrays`
-just emit the kernel view directly.
+from the start (:func:`~repro.workloads.synth.synthesize` fills its
+numpy columns a bounded chunk of rows at a time, so it holds one chunk
+beyond the trace it returns); :func:`synthesize_arrays` /
+:func:`scenario_arrays` just emit the kernel view directly.
 """
 
 from __future__ import annotations

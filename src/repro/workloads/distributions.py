@@ -10,6 +10,8 @@ vectorized sampling those generators share.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
@@ -81,13 +83,20 @@ class ZipfSampler:
         self._cdf /= self._cdf[-1]
         self._rng = np.random.default_rng(seed)
 
-    def sample(self, n: int) -> np.ndarray:
-        """Draw ``n`` ranks (int64)."""
+    def sample(self, n: int, keep: Optional[np.ndarray] = None) -> np.ndarray:
+        """Draw ``n`` ranks (int64).
+
+        With ``keep`` (a boolean mask over the ``n`` draws) the stream
+        still advances by ``n``, but only the kept draws are inverted:
+        the result is ``sample(n)[keep]`` for the cost of its length.
+        """
         if n < 0:
             raise ValueError("n must be non-negative")
         if n == 0:
             return np.empty(0, dtype=np.int64)
         u = self._rng.random(n)
+        if keep is not None:
+            u = u[keep]
         return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
 
     def probability(self, rank: int) -> float:

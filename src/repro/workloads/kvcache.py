@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .synth import SynthSpec, synthesize
+from .synth import SynthSpec, _stream_head, synthesize
 from .trace import OP_SET, Trace
 
 __all__ = ["kv_cache_trace", "wo_kv_cache_trace", "KV_CACHE_DEFAULTS"]
@@ -74,15 +74,22 @@ def wo_kv_cache_trace(
 ) -> Trace:
     """The write-only KV Cache workload (GETs removed).
 
-    Generates a KV Cache stream and drops the GETs, matching the
+    The SETs of a KV Cache stream in stream order, matching the
     paper's construction; ``num_ops`` is the length *after* dropping,
-    so callers get the op count they asked for.
+    so callers get the op count they asked for.  The GETs are dropped
+    as coins, before they are ranked or sized, and the stream is drawn
+    no further than the last SET kept.
     """
     params = dict(KV_CACHE_DEFAULTS)
     params.update(overrides)
     get_fraction = float(params["get_fraction"])  # type: ignore[arg-type]
-    # Oversample, then drop GETs.
-    raw_ops = int(num_ops / max(1e-9, 1.0 - get_fraction)) + 1024
+    if get_fraction >= 1.0:
+        raise ValueError(
+            "get_fraction must be below 1: a stream with no SETs has no "
+            "write-only trace"
+        )
+    # The stream that would hold num_ops SETs on average, plus a margin.
+    raw_ops = int(num_ops / (1.0 - get_fraction)) + 1024
     spec = SynthSpec(
         name="wo-kvcache",
         num_ops=raw_ops,
@@ -90,14 +97,7 @@ def wo_kv_cache_trace(
         seed=seed,
         **params,  # type: ignore[arg-type]
     )
-    trace = synthesize(spec)
-    mask = trace.ops == OP_SET
-    head = Trace(
-        ops=trace.ops[mask][:num_ops],
-        keys=trace.keys[mask][:num_ops],
-        sizes=trace.sizes[mask][:num_ops],
-        name="wo-kvcache",
-    )
+    head = _stream_head(spec, num_ops, only_op=OP_SET)
     if len(head) == num_ops:
         return head
     # The SET count of a stream is binomial, so the margin above can

@@ -17,6 +17,7 @@ experiments:
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +25,12 @@ from .distributions import ZipfSampler, key_uniform, loguniform_sizes
 from .trace import OP_GET, OP_SET, Trace
 
 __all__ = ["SynthSpec", "synthesize"]
+
+#: Rows drawn per step.  What a generator holds beyond its output is
+#: proportional to this, not to the stream.  The output does not depend
+#: on it; 2^16..2^18 time alike and larger only holds more
+#: (EXPERIMENTS.md, "Set-up").
+_CHUNK_ROWS = 1 << 17
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,25 +78,68 @@ def _sizes_for_keys(keys: np.ndarray, spec: SynthSpec) -> np.ndarray:
     return sizes
 
 
-def synthesize(spec: SynthSpec) -> Trace:
-    """Generate the request stream described by ``spec``."""
+def _chunks(
+    spec: SynthSpec, only_op: Optional[int] = None
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The stream as consecutive ``(ops, keys, sizes)`` pieces, each
+    covering at most ``_CHUNK_ROWS`` rows; with ``only_op``, just the
+    rows of that op.
+
+    What makes any chunking position-identical to one whole-column
+    draw: a row takes exactly one ``random()`` from each of two
+    generators (rank uniform from ``default_rng(seed)``, op coin from
+    ``default_rng(seed + 1)``), its churn epoch is a function of its
+    absolute row number, and its size is a function of its key.  So
+    the coins are tossed first and only the rows kept are ranked,
+    churned and sized.
+    """
     sampler = ZipfSampler(spec.num_keys, spec.zipf_alpha, seed=spec.seed)
-    rng = np.random.default_rng(spec.seed + 1)
-
-    ranks = sampler.sample(spec.num_ops)
-
+    coin = np.random.default_rng(spec.seed + 1)
     # Key churn: the zipf *rank* space is stable, but the mapping of
     # rank -> key slides forward so that over the whole trace,
     # churn_fraction of the key space is retired and replaced.
     epoch_len = max(1, spec.num_ops // spec.churn_epochs)
-    epochs = np.arange(spec.num_ops, dtype=np.int64) // epoch_len
     total_churn_keys = int(spec.num_keys * spec.churn_fraction)
     stride = total_churn_keys // spec.churn_epochs
-    keys = ranks + epochs * stride
+    for start in range(0, spec.num_ops, _CHUNK_ROWS):
+        n = min(_CHUNK_ROWS, spec.num_ops - start)
+        ops = np.where(
+            coin.random(n) < spec.get_fraction,
+            np.uint8(OP_GET),
+            np.uint8(OP_SET),
+        )
+        rows = np.arange(start, start + n, dtype=np.int64)
+        keep = None
+        if only_op is not None:
+            keep = ops == only_op
+            ops, rows = ops[keep], rows[keep]
+        keys = sampler.sample(n, keep) + rows // epoch_len * stride
+        yield ops, keys, _sizes_for_keys(keys, spec)
 
-    ops = np.where(
-        rng.random(spec.num_ops) < spec.get_fraction, OP_GET, OP_SET
-    ).astype(np.uint8)
-    sizes = _sizes_for_keys(keys, spec)
 
-    return Trace(ops=ops, keys=keys, sizes=sizes, name=spec.name)
+def _stream_head(
+    spec: SynthSpec, num_rows: int, only_op: Optional[int] = None
+) -> Trace:
+    """The first ``num_rows`` rows of ``spec``'s stream (of its
+    ``only_op`` rows, when given); fewer if the stream runs out first.
+    Stops drawing once it holds them."""
+    ops = np.empty(num_rows, dtype=np.uint8)
+    keys = np.empty(num_rows, dtype=np.int64)
+    sizes = np.empty(num_rows, dtype=np.int64)
+    held = 0
+    for c_ops, c_keys, c_sizes in _chunks(spec, only_op):
+        end = min(held + len(c_ops), num_rows)
+        ops[held:end] = c_ops[: end - held]
+        keys[held:end] = c_keys[: end - held]
+        sizes[held:end] = c_sizes[: end - held]
+        held = end
+        if held == num_rows:
+            break
+    return Trace(
+        ops=ops[:held], keys=keys[:held], sizes=sizes[:held], name=spec.name
+    )
+
+
+def synthesize(spec: SynthSpec) -> Trace:
+    """Generate the request stream described by ``spec``."""
+    return _stream_head(spec, spec.num_ops)

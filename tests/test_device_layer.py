@@ -7,6 +7,7 @@ import pytest
 from repro.core import FdpAwareDevice, PlacementHandle
 from repro.core.device_layer import DTYPE_DATA_PLACEMENT, DTYPE_NONE
 from repro.fdp import PlacementIdentifier
+from repro.ssd import SimulatedSSD
 from repro.ssd.superblock import SuperblockState
 
 
@@ -104,6 +105,30 @@ class TestQueues:
         assert layer.bytes_written == 0 and layer.bytes_read == 0
         assert layer.writes_by_handle == {}
         assert fdp_ssd.stats.host_pages_written == 0
+
+    def test_sync_io_keeps_async_completions_for_the_next_poll(
+        self, small_geometry
+    ):
+        """A sync command drains the worker's whole completion queue to
+        find its own ticket; what else it finds belongs to the worker's
+        next ``poll()`` (the parent dropped it: ``poll`` returned ``[]``
+        and ``in_flight`` read 1 forever)."""
+        layer = FdpAwareDevice(SimulatedSSD(small_geometry, fdp=True, sched=True))
+        handle = layer.allocator.default()
+        first = layer.submit_async("write", 10, 1, handle, 0, "w")
+        layer.write(11, 1, handle, 0, worker="w")
+        second = layer.submit_async("read", 10, 1, now_ns=0, worker="w")
+        layer.read(11, 1, 0, worker="w")
+        third = layer.submit_async("read", 11, 1, now_ns=0, worker="w")
+        q = layer.queue("w")
+        assert (q.submitted, q.completed, q.in_flight) == (5, 2, 3)
+
+        (comp,) = layer.poll("w", max_completions=1)
+        assert comp.ticket == first and q.in_flight == 2
+        assert [c.ticket for c in layer.poll("w")] == [second, third]
+        assert (q.submitted, q.completed, q.in_flight) == (5, 5, 0)
+        assert layer.poll("w") == []
+        assert layer.ssd.scheduler.outstanding("w") == 0
 
 
 class TestPidResolution:

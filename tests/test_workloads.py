@@ -5,6 +5,7 @@ import pytest
 
 from repro.workloads import (
     OP_GET,
+    OP_NAMES,
     OP_SET,
     SynthSpec,
     Trace,
@@ -150,6 +151,13 @@ class TestGenerators:
         np.testing.assert_array_equal(trace.keys[:short], raw.keys[sets])
         np.testing.assert_array_equal(trace.sizes[:short], raw.sizes[sets])
 
+    @pytest.mark.parametrize("get_fraction", [1.0, 1.5])
+    def test_wo_kv_cache_refuses_a_stream_with_no_sets(self, get_fraction):
+        """Regression: ``get_fraction=1.0`` oversampled by 1e9 and asked
+        numpy for ``num_ops * 1e9`` rows (``MemoryError``)."""
+        with pytest.raises(ValueError, match="get_fraction"):
+            wo_kv_cache_trace(100_000, 10_000, get_fraction=get_fraction)
+
     def test_small_objects_dominate_ops(self):
         trace = kv_cache_trace(50_000, 10_000)
         small = (trace.sizes <= 2000).sum()
@@ -195,6 +203,10 @@ class TestTraceContainer:
                 np.zeros(1, dtype=np.int64),
                 np.ones(1, dtype=np.int64),
             )
+
+    def test_op_codes_have_no_gap(self):
+        """What lets ``Trace`` validate a column by its maximum."""
+        assert sorted(OP_NAMES) == list(range(len(OP_NAMES)))
 
     def test_iteration(self):
         t = Trace(
