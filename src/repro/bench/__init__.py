@@ -1,41 +1,20 @@
 """CacheBench-style experiment harness: trace replayer, metrics, and
-the scaled experiment builders every figure/table bench uses."""
+the scaled experiment builders every figure/table bench uses.
+
+The robustness soaks live in their own modules (``repro.bench.latency``,
+``.fleet``, ``.overload``, ``.failslow``, ``.ablation``) and run from
+the shell as ``python -m repro.bench soak <name>``.  This package
+imports none of them, so ``python -m`` never finds one already loaded.
+"""
 
 from .driver import CacheBench, ReplayConfig
-from .latency import LATENCY_SCALE, run_latency_soak
-from .metrics import (
-    AblationCell,
-    AblationResult,
-    CrashSoakResult,
-    FleetSoakResult,
-    FleetWindow,
-    IntegritySoakResult,
-    IntervalPoint,
-    LatencyArm,
-    LatencyReservoir,
-    LatencySoakResult,
-    OverloadSoakResult,
-    OverloadWindow,
-    RunResult,
-)
-from .parallel import (
-    PointFailure,
-    SweepError,
-    SweepPoint,
-    point_seed,
-    run_sweep,
-    smoke_points,
-)
+from .metrics import LatencyReservoir, RunResult
+from .parallel import PointFailure, SweepError, SweepPoint, point_seed, run_sweep
 from .plotting import ascii_chart, dlwa_timeline_chart
 from .runner import (
-    CHAOS_SCALE,
-    CRASH_SCALE,
     DEFAULT_SCALE,
-    INTEGRITY_SCALE,
     Scale,
     build_experiment,
-    default_chaos_config,
-    default_integrity_latent,
     make_trace,
     run_chaos_soak,
     run_crash_soak,
@@ -43,99 +22,24 @@ from .runner import (
     run_integrity_soak,
 )
 
-# The fleet/overload harness exports resolve lazily (PEP 562):
-# repro.bench.fleet and repro.bench.overload import repro.fleet, whose
-# shard builder re-enters repro.bench.runner, so an eager import here
-# would both risk a cycle and trigger the runpy double-execution
-# warning under `python -m repro.bench.fleet` / `... .overload`.
-_FLEET_EXPORTS = (
-    "FLEET_SCALE",
-    "SMOKE_SCALE",
-    "default_fleet_specs",
-    "run_fleet_soak",
-)
-
-_OVERLOAD_EXPORTS = (
-    "OVERLOAD_SCALE",
-    "make_crowd_trace",
-    "run_overload_soak",
-    "scenario_matrix",
-)
-
-# Same lazy treatment for the ablation bench: keeps
-# `python -m repro.bench.ablation` free of the runpy double-execution
-# warning.
-_ABLATION_EXPORTS = (
-    "ABLATION_SCALE",
-    "run_ablation",
-    "run_nemo_soak",
-)
-
-
-def __getattr__(name):
-    if name in _FLEET_EXPORTS:
-        from . import fleet as _fleet
-
-        return getattr(_fleet, name)
-    if name in _OVERLOAD_EXPORTS:
-        from . import overload as _overload
-
-        return getattr(_overload, name)
-    if name in _ABLATION_EXPORTS:
-        from . import ablation as _ablation
-
-        return getattr(_ablation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CacheBench",
     "ReplayConfig",
-    "IntervalPoint",
     "LatencyReservoir",
     "RunResult",
-    "CrashSoakResult",
-    "IntegritySoakResult",
-    "LatencyArm",
-    "LatencySoakResult",
-    "LATENCY_SCALE",
-    "run_latency_soak",
     "ascii_chart",
     "dlwa_timeline_chart",
     "Scale",
     "DEFAULT_SCALE",
-    "CHAOS_SCALE",
-    "CRASH_SCALE",
-    "INTEGRITY_SCALE",
     "build_experiment",
     "make_trace",
     "run_experiment",
-    "default_chaos_config",
     "run_chaos_soak",
     "run_crash_soak",
-    "default_integrity_latent",
     "run_integrity_soak",
     "SweepPoint",
     "PointFailure",
     "SweepError",
     "point_seed",
     "run_sweep",
-    "smoke_points",
-    "FleetWindow",
-    "FleetSoakResult",
-    "FLEET_SCALE",
-    "SMOKE_SCALE",
-    "default_fleet_specs",
-    "run_fleet_soak",
-    "OverloadWindow",
-    "OverloadSoakResult",
-    "OVERLOAD_SCALE",
-    "make_crowd_trace",
-    "run_overload_soak",
-    "scenario_matrix",
-    "AblationCell",
-    "AblationResult",
-    "ABLATION_SCALE",
-    "run_ablation",
-    "run_nemo_soak",
 ]

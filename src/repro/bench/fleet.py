@@ -16,15 +16,11 @@ require that
   shadow-map mismatches (PR 2's crash-soak methodology, lifted from
   one device to the cluster).
 
-Measurement uses three equal windows on one continuous run: ``pre``
-(just before the kill), ``spike`` (just after), ``recovered`` (the end
-of the run).  Histograms are cleared at each window boundary so p99 is
-a per-window figure, not a run-cumulative one.
+Measurement uses three equal windows on one continuous run (see
+:mod:`repro.bench.soak`): ``pre`` (just before the kill), ``spike``
+(just after), ``recovered`` (the end of the run).
 
-CLI::
-
-    python -m repro.bench.fleet --smoke          # CI: 4 shards, quick
-    python -m repro.bench.fleet --shards 12 --mix mixed -v
+``python -m repro.bench soak fleet [--smoke]`` runs it from the shell.
 """
 
 from __future__ import annotations
@@ -41,15 +37,16 @@ from ..fleet import (
     ShardSpec,
 )
 from ..workloads.trace import Trace
-from .metrics import FleetSoakResult, FleetWindow
+from .metrics import Gate, SoakResult
 from .runner import Scale, make_trace, point_seed
+from .soak import layout, replay_windows, window_gate
 
 __all__ = [
     "FLEET_SCALE",
     "SMOKE_SCALE",
     "default_fleet_specs",
+    "fleet_trace",
     "run_fleet_soak",
-    "main",
 ]
 
 # Per-shard device scale: small enough that an 8-shard soak stays in
@@ -104,30 +101,20 @@ def default_fleet_specs(
     return specs
 
 
-def _harvest_window(
-    fleet: FleetCache, name: str, ops: int, before: dict
-) -> FleetWindow:
-    gets = fleet.gets - before["gets"]
-    hist = fleet.merged_histogram("read")
-    return FleetWindow(
-        name=name,
-        ops=ops,
-        gets=gets,
-        misses=fleet.misses - before["misses"],
-        storm_misses=fleet.storm_misses - before["storm"],
-        degraded_misses=fleet.degraded_misses - before["degraded"],
-        read_p99_ns=hist.p99(),
-        live_shards=len(fleet.live_shards),
+def fleet_trace(
+    workload: str,
+    num_shards: int,
+    scale: Scale,
+    utilization: float,
+    num_ops: int,
+    seed: int,
+) -> Trace:
+    """A trace whose working set tracks the fleet's aggregate NVM
+    capacity, so steady state exercises flash, not just DRAM."""
+    per_shard_nvm = int(scale.geometry().logical_bytes * utilization)
+    return make_trace(
+        workload, per_shard_nvm * num_shards, scale, num_ops=num_ops, seed=seed
     )
-
-
-def _counters(fleet: FleetCache) -> dict:
-    return {
-        "gets": fleet.gets,
-        "misses": fleet.misses,
-        "storm": fleet.storm_misses,
-        "degraded": fleet.degraded_misses,
-    }
 
 
 def run_fleet_soak(
@@ -143,219 +130,94 @@ def run_fleet_soak(
     tolerance: float = 0.10,
     trace: Optional[Trace] = None,
     verbose: bool = False,
-) -> FleetSoakResult:
+) -> SoakResult:
     """Run the shard-loss soak and return the verdict.
 
     Deterministic end to end: the trace derives from ``seed`` (default
     ``point_seed("fleet_soak", 0)``), the kill victim from the seed and
     membership, and the kill op index from ``num_ops`` — two runs with
-    the same arguments produce identical :class:`FleetSoakResult`\\ s.
+    the same arguments produce identical results.
 
     The trace length defaults to ``ops_per_shard * num_shards`` so
     per-shard load — and with it each device's GC regime — stays
     constant as the fleet grows; a fixed total would leave a large
     fleet's devices still filling when the run ends, and a fleet that
     never reaches GC has no tail latency to recover.
+
+    The ``recovered`` window is judged against ``control``: the same
+    window of an identical fleet replaying the identical trace *without*
+    the kill — the counterfactual "what would service look like now had
+    the shard survived".  A single pre-kill window cannot serve as the
+    baseline because per-window p99 carries ±20% GC-burst noise even on
+    an undisturbed fleet (see EXPERIMENTS.md); the paired control
+    cancels that drift.  The raw ``pre`` window is still reported for
+    the spike narrative.
     """
     if seed is None:
         seed = point_seed("fleet_soak", 0)
     total = num_ops or ops_per_shard * num_shards
-
     specs = default_fleet_specs(
         num_shards, mix=mix, scale=scale, utilization=utilization, seed=seed
     )
-    shards = [spec.build() for spec in specs]
-    fleet = FleetCache(shards, FleetConfig(ring_seed=seed))
-
     # Seed-driven victim selection over the sorted membership — any
     # shard must be killable, so the victim rotates with the seed.
-    shard_ids = sorted(fleet.shards)
+    shard_ids = sorted(spec.shard_id for spec in specs)
     victim = shard_ids[seed % len(shard_ids)]
-
-    # Window layout on one continuous op timeline:
-    #   [warmup][pre][spike][drain][recovered]
     # The scripted kill fires on the first op after the pre window, so
     # pre is measured on the intact fleet and spike starts at the loss.
-    window = max(2_000, total // 8)
     kill_at = total // 2
-    if kill_at - window <= 0 or kill_at + 2 * window >= total:
-        raise ValueError(
-            f"num_ops={total} too small for window={window} around "
-            f"kill_at={kill_at}"
-        )
-    plan = [ScriptedShardEvent(kill_at + 1, victim, "kill")]
-    monitor = FleetHealthMonitor(fleet, plan=plan)
-    driver = FleetDriver(fleet, FleetReplayConfig(), monitor)
-
+    segments = layout(total, "spike", kill_at)
     if trace is None:
-        per_shard_nvm = int(
-            scale.geometry().logical_bytes * utilization
-        )
-        trace = make_trace(
-            workload,
-            per_shard_nvm * num_shards,
-            scale,
-            num_ops=total,
-            seed=seed,
-        )
+        trace = fleet_trace(workload, num_shards, scale, utilization, total, seed)
     if len(trace) < total:
         raise ValueError("trace shorter than the requested op count")
 
-    segments = [
-        ("warmup", 0, kill_at - window, False),
-        ("pre", kill_at - window, kill_at, True),
-        ("spike", kill_at, kill_at + window, True),
-        ("drain", kill_at + window, total - window, False),
-        ("recovered", total - window, total, True),
-    ]
-    windows = {}
-    for name, start, stop, measured in segments:
-        if stop <= start:
-            continue
-        before = _counters(fleet)
-        fleet.clear_histograms()
-        driver.run(trace.slice(start, stop), name=f"fleet:{name}")
-        if measured:
-            windows[name] = _harvest_window(
-                fleet, name, stop - start, before
-            )
-        if verbose:
-            print(
-                f"[{name:<9}] ops {start:>7}..{stop:<7} "
-                f"miss={fleet.miss_ratio:.3f} "
-                f"storm={fleet.storm_misses} live={len(fleet.live_shards)}"
-            )
-
-    # Control arm: the identical fleet replaying the identical trace
-    # with no kill, measured over the same final window.  This is the
-    # counterfactual steady state the recovered window is judged
-    # against — per-window p99 drifts ±20% with GC bursts even on an
-    # undisturbed fleet, so a paired control is the only baseline that
-    # isolates the kill's effect (the repo's differential-arm idiom).
-    control_fleet = FleetCache(
-        [spec.build() for spec in specs], FleetConfig(ring_seed=seed)
+    fleet, control_fleet = (
+        FleetCache([spec.build() for spec in specs], FleetConfig(ring_seed=seed))
+        for _ in range(2)
     )
-    control_driver = FleetDriver(control_fleet, FleetReplayConfig())
-    control_driver.run(trace.slice(0, total - window), name="control:warm")
-    before = _counters(control_fleet)
-    control_fleet.clear_histograms()
-    control_driver.run(
-        trace.slice(total - window, total), name="control:recovered"
-    )
-    windows["control"] = _harvest_window(
-        control_fleet, "control", window, before
-    )
-    if verbose:
-        print(
-            f"[control  ] ops {total - window:>7}..{total:<7} "
-            f"miss={windows['control'].miss_ratio:.3f} (no kill)"
-        )
+    monitor = FleetHealthMonitor(fleet, plan=[ScriptedShardEvent(kill_at + 1, victim, "kill")])
+    driver = FleetDriver(fleet, FleetReplayConfig(), monitor)
+    rows = replay_windows(driver, trace, segments, verbose=verbose)
+    driver = FleetDriver(control_fleet, FleetReplayConfig())
+    control = replay_windows(driver, trace, segments, arm="control", verbose=verbose)[-1]
+    rows.append(dict(control, window="control"))
 
     audit = fleet.verify_placement()
-    kill_events = [
-        t for t in monitor.transitions if t["event"] == "kill"
-    ]
+    kill_events = [t for t in monitor.transitions if t["event"] == "kill"]
     assert kill_events, "the scripted kill never fired"
-    shard_rows = [
-        {
-            "shard_id": s.shard_id,
-            "backend": s.backend.kind,
-            "state": s.state.value,
-            "gets": s.gets,
-            "sets": s.sets,
-            "hit_ratio": s.hit_ratio,
-            "dlwa": s.dlwa,
-        }
-        for s in (fleet.shards[sid] for sid in shard_ids)
-    ]
-    return FleetSoakResult(
-        num_shards=num_shards,
-        mix=mix,
-        ops=total,
-        seed=seed,
-        killed_shard=victim,
-        kill_at_ops=kill_events[0]["ops_done"],
-        pre=windows["pre"],
-        spike=windows["spike"],
-        recovered=windows["recovered"],
-        control=windows["control"],
-        tolerance=tolerance,
-        keys_resident=audit["keys_resident"],
-        misplaced=audit["misplaced"],
-        duplicates=audit["duplicates"],
-        shadow_mismatches=audit["shadow_mismatches"],
-        rebalance_moved_items=fleet.rebalance_moved_items,
-        storm_misses_total=fleet.storm_misses,
-        degraded_misses_total=fleet.degraded_misses,
-        dropped_sets=fleet.dropped_sets,
-        retries=fleet.retries,
-        transitions=list(monitor.transitions),
-        fleet_dlwa=fleet.fleet_dlwa(),
-        energy_kwh=fleet.energy_kwh(),
-        co2e_kg=fleet.co2e_kg(),
-        shard_rows=shard_rows,
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.bench.fleet [--smoke] [options]``."""
-    import argparse
-    import time
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.fleet",
-        description=(
-            "Fleet shard-loss soak: kill a shard mid-run, verify "
-            "exactly-once placement and service recovery."
+    factor = 1.0 + tolerance
+    clean = audit["misplaced"] == audit["duplicates"] == audit["shadow_mismatches"] == 0
+    gates = [
+        Gate("placement_clean", clean, " ".join(f"{k}={v}" for k, v in audit.items())),
+        window_gate(
+            "miss_ratio_recovered", rows, "recovered", "<=", factor, "control", column="miss_ratio"
         ),
+        window_gate("p99_recovered", rows, "recovered", "<=", factor, "control"),
+    ]
+    evidence = {
+        "killed_shard": victim,
+        "kill_at_ops": kill_events[0]["ops_done"],
+        **audit,
+        "rebalance_moved_items": fleet.rebalance_moved_items,
+        "storm_misses_total": fleet.storm_misses,
+        "degraded_misses_total": fleet.degraded_misses,
+        "dropped_sets": fleet.dropped_sets,
+        "retries": fleet.retries,
+        "transitions": list(monitor.transitions),
+        "fleet_dlwa": fleet.fleet_dlwa(),
+        "energy_kwh": fleet.energy_kwh(),
+        "co2e_kg": fleet.co2e_kg(),
+        "shard_rows": [fleet.shards[sid].stats_dict() for sid in shard_ids],
+    }
+    return SoakResult(
+        soak="fleet",
+        params=dict(num_shards=num_shards, mix=mix, ops=total, seed=seed, tolerance=tolerance),
+        columns=(
+            "window", "ops", "miss_ratio", "read_p99_ns", "storm_misses", "degraded_misses",
+            "live_shards",
+        ),
+        rows=rows,
+        gates=gates,
+        evidence=evidence,
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: 4 shards at reduced scale, exit 1 on failure",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=8,
-        help="number of shards (default 8; --smoke forces 4)",
-    )
-    parser.add_argument(
-        "--mix", choices=MIXES, default="fdp",
-        help="shard backend mix (default fdp)",
-    )
-    parser.add_argument(
-        "--ops", type=int, default=None,
-        help="trace length (default: the scale's num_ops)",
-    )
-    parser.add_argument(
-        "--seed", type=lambda s: int(s, 0), default=None,
-        help="override the point_seed-derived soak seed",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="recovery tolerance vs the pre-kill window (default 0.10)",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        num_shards, scale = 4, SMOKE_SCALE
-    else:
-        num_shards, scale = args.shards, FLEET_SCALE
-
-    start = time.perf_counter()
-    result = run_fleet_soak(
-        num_shards=num_shards,
-        mix=args.mix,
-        num_ops=args.ops,
-        scale=scale,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        verbose=args.verbose,
-    )
-    elapsed = time.perf_counter() - start
-    print(result.summary_table())
-    print(f"({elapsed:.1f}s wall)")
-    return 0 if result.acceptance else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

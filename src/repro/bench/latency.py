@@ -16,31 +16,29 @@ histograms, not the replay reservoir: bucket upper bounds are
 deterministic integers, which is what lets ``tests/golden/
 latency_*.json`` pin the percentiles exactly.
 
-Run ``python -m repro.bench.latency --smoke`` for the CI-sized
+Run ``python -m repro.bench soak latency --smoke`` for the CI-sized
 comparison (exits nonzero if the FDP arm fails to beat the Non-FDP arm
 at ≥70% utilization).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import Dict, Optional
 
 from ..cache.hybrid import HybridCache
 from ..ssd.sched import SchedConfig
 from .driver import CacheBench, ReplayConfig
-from .metrics import LatencyArm, LatencySoakResult
+from .metrics import Gate, SoakResult
 from .runner import Scale, build_experiment, make_trace, point_seed
 
-__all__ = ["LATENCY_SCALE", "run_latency_soak", "main"]
+__all__ = ["LATENCY_SCALE", "run_latency_soak"]
 
 # Small enough that the two arms finish in CI minutes, large enough
 # that the device wraps several times at high utilization so GC runs
 # continuously through the measured window (64 MiB physical, 128-page
 # superblocks — the same shape the chaos soak uses, with more blocks).
 LATENCY_SCALE = Scale(num_superblocks=192, num_ops=240_000)
-SMOKE_OPS = 120_000
 
 # Fixed-rate arrival clock for the open-loop replay (see
 # ReplayConfig.arrival_interval_ns): identical arrival schedules in
@@ -54,43 +52,30 @@ SMOKE_OPS = 120_000
 ARRIVAL_INTERVAL_NS = 200_000
 
 
-def _harvest_arm(
-    name: str, fdp: bool, cache: HybridCache, ops: int
-) -> LatencyArm:
-    """Freeze one arm's scheduler histograms into a LatencyArm."""
+def _harvest_arm(arm: str, fdp: bool, cache: HybridCache, ops: int) -> tuple:
+    """One arm's row (merged read/write percentiles, scheduler
+    telemetry) and evidence (per-queue percentiles, background time)."""
     sched = cache.device.scheduler
     assert sched is not None  # build_experiment attached it
-    per_queue: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for queue, hists in sorted(sched.histograms().items()):
-        per_queue[queue] = {
-            op: {
-                "count": h.count,
-                "p50": h.p50(),
-                "p99": h.p99(),
-                "p999": h.p999(),
-            }
+    per_queue = {
+        queue: {
+            op: {"count": h.count, "p50": h.p50(), "p99": h.p99(), "p999": h.p999()}
             for op, h in sorted(hists.items())
         }
-    read = sched.merged_histogram("read")
-    write = sched.merged_histogram("write")
-    return LatencyArm(
-        name=name,
-        fdp=fdp,
-        ops=ops,
-        read_count=read.count,
-        read_p50_ns=read.p50(),
-        read_p99_ns=read.p99(),
-        read_p999_ns=read.p999(),
-        write_count=write.count,
-        write_p50_ns=write.p50(),
-        write_p99_ns=write.p99(),
-        write_p999_ns=write.p999(),
-        per_queue=per_queue,
-        gc_blocked_commands=sched.gc_blocked_commands,
-        host_wait_ns=sched.host_wait_ns,
-        background_ns=dict(sched.background_ns),
-        dlwa=cache.device.dlwa,
-    )
+        for queue, hists in sorted(sched.histograms().items())
+    }
+    row: Dict[str, object] = {"arm": arm, "fdp": fdp, "ops": ops}
+    for op in ("read", "write"):
+        h = sched.merged_histogram(op)
+        row[f"{op}_count"] = h.count
+        row[f"{op}_p50_ns"] = h.p50()
+        row[f"{op}_p99_ns"] = h.p99()
+        row[f"{op}_p999_ns"] = h.p999()
+    row["gc_blocked_commands"] = sched.gc_blocked_commands
+    row["host_wait_ns"] = sched.host_wait_ns
+    row["dlwa"] = cache.device.dlwa
+    evidence = {"per_queue": per_queue, "background_ns": dict(sched.background_ns)}
+    return row, evidence
 
 
 def run_latency_soak(
@@ -103,7 +88,7 @@ def run_latency_soak(
     sched: Optional[SchedConfig] = None,
     warmup_ops: Optional[int] = None,
     verbose: bool = False,
-) -> LatencySoakResult:
+) -> SoakResult:
     """Replay one seeded trace through both placement arms.
 
     ``seed`` defaults to ``point_seed("latency_soak", 0)`` per the
@@ -119,8 +104,8 @@ def run_latency_soak(
     different life stages.  (The paper likewise reports steady-state
     tails.)  Telemetry counters still cover the whole run.
 
-    Returns a :class:`~repro.bench.metrics.LatencySoakResult`; its
-    ``acceptance`` property encodes the p99 criterion.
+    The one gate, ``fdp_p99_read_lower``, is the paper's direction:
+    FDP-on p99 read strictly below FDP-off at ≥70% utilization.
     """
     if seed is None:
         seed = point_seed("latency_soak", 0)
@@ -129,7 +114,7 @@ def run_latency_soak(
         warmup_ops = total_ops // 4
     if not 0 <= warmup_ops < total_ops:
         raise ValueError("warmup_ops must be in [0, num_ops)")
-    arms = {}
+    rows, evidence = [], {}
     for fdp in (False, True):
         cache = build_experiment(
             fdp=fdp,
@@ -137,10 +122,8 @@ def run_latency_soak(
             scale=scale,
             sched=sched if sched is not None else True,
         )
-        trace = make_trace(
-            workload, cache.config.nvm_bytes, scale, num_ops=num_ops, seed=seed
-        )
-        label = f"{workload} {'FDP' if fdp else 'Non-FDP'}"
+        trace = make_trace(workload, cache.config.nvm_bytes, scale, num_ops=num_ops, seed=seed)
+        arm = "FDP" if fdp else "Non-FDP"
         device_sched = cache.device.scheduler
 
         def end_warmup(ops_done: int, total: int, *, _s=device_sched) -> None:
@@ -156,76 +139,29 @@ def run_latency_soak(
                 poll_interval_ops=warmup_ops or 50_000,
             )
         )
-        result = bench.run(cache, trace, name=label, progress=end_warmup)
-        arms[fdp] = _harvest_arm(label, fdp, cache, result.ops)
+        result = bench.run(cache, trace, name=f"{workload} {arm}", progress=end_warmup)
+        row, evidence[arm] = _harvest_arm(arm, fdp, cache, result.ops)
+        rows.append(row)
         if verbose:
             print(result.summary_row(), file=sys.stderr)
-    return LatencySoakResult(
-        workload=workload,
-        utilization=utilization,
-        seed=seed,
-        fdp_off=arms[False],
-        fdp_on=arms[True],
-    )
-
-
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.latency",
-        description=(
-            "FDP-on vs FDP-off p99 read-latency soak under the "
-            "multi-queue scheduler"
+    off, on = (row["read_p99_ns"] for row in rows)
+    gain = off / on if on else (float("inf") if off else 1.0)
+    evidence["p99_read_gain"] = gain
+    return SoakResult(
+        soak="latency",
+        params={"workload": workload, "utilization": utilization, "seed": seed},
+        columns=(
+            "arm", "read_p50_ns", "read_p99_ns", "read_p999_ns",
+            "write_p99_ns", "gc_blocked_commands", "dlwa",
         ),
+        rows=rows,
+        gates=[
+            Gate(
+                "fdp_p99_read_lower",
+                utilization >= 0.70 and on < off,
+                f"FDP {on / 1000:.0f}us vs Non-FDP {off / 1000:.0f}us "
+                f"({gain:.2f}x) at util {utilization:.0%} (needs >= 70%)",
+            )
+        ],
+        evidence=evidence,
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=f"CI-sized run ({SMOKE_OPS} ops per arm)",
-    )
-    parser.add_argument(
-        "--workload",
-        default="kvcache",
-        help="trace generator (kvcache, wo-kvcache, twitter)",
-    )
-    parser.add_argument(
-        "--utilization",
-        type=float,
-        default=0.85,
-        help="cache share of advertised capacity (acceptance needs >=0.7)",
-    )
-    parser.add_argument("--ops", type=int, default=None, help="ops per arm")
-    parser.add_argument(
-        "--warmup", type=int, default=None,
-        help="warm-up ops discarded from the histograms "
-             "(default: a quarter of the trace)",
-    )
-    parser.add_argument(
-        "--seed", type=lambda v: int(v, 0), default=None,
-        help="trace seed (default: point_seed('latency_soak', 0))",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true", help="per-arm progress"
-    )
-    args = parser.parse_args(argv)
-
-    num_ops = args.ops
-    if num_ops is None and args.smoke:
-        num_ops = SMOKE_OPS
-    result = run_latency_soak(
-        workload=args.workload,
-        utilization=args.utilization,
-        num_ops=num_ops,
-        seed=args.seed,
-        warmup_ops=args.warmup,
-        verbose=args.verbose,
-    )
-    print(result.summary_table())
-    if args.utilization >= 0.70 and not result.acceptance:
-        print("FAIL: FDP-on p99 read latency is not below FDP-off",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -21,11 +21,7 @@ the identical trace (same seed, same arrival schedule):
   pre-burst level once the crowd passes.  The price is a higher miss
   ratio: the explicit graceful-degradation trade.
 
-The acceptance gate (see
-:class:`~repro.bench.metrics.OverloadSoakResult`) requires all four:
-burst p99 bounded relative to governor-off, post-burst recovery to the
-arm's own pre-burst p99, *demonstrated* governor-off collapse on the
-same seed, and nonzero shed counters.
+The gates are the brownout contract (see :func:`run_overload_soak`).
 
 :func:`scenario_matrix` is the standing regression sweep: every
 :data:`~repro.workloads.adversarial.SCENARIOS` row × FDP on/off
@@ -34,17 +30,12 @@ and miss ratio per cell.  Failures come back as
 :class:`~repro.bench.parallel.PointFailure` records carrying the full
 point parameterization.
 
-CLI::
-
-    python -m repro.bench.overload --smoke           # CI gate
-    python -m repro.bench.overload --shards 4 -v
-    python -m repro.bench.overload --matrix          # scenario sweep
+``python -m repro.bench soak overload [--smoke]`` runs the soak.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..fleet import (
     FleetCache,
@@ -59,11 +50,11 @@ from ..workloads.adversarial import (
     Scenario,
     build_scenario,
 )
-from ..workloads.trace import Trace
-from .fleet import SMOKE_SCALE, default_fleet_specs
-from .metrics import OverloadSoakResult, OverloadWindow, RunResult
+from .fleet import SMOKE_SCALE, default_fleet_specs, fleet_trace
+from .metrics import Gate, RunResult, SoakResult
 from .parallel import PointFailure, SweepPoint, run_sweep
-from .runner import Scale, make_trace, point_seed
+from .runner import Scale, point_seed
+from .soak import layout, replay_windows, window_gate
 
 __all__ = [
     "OVERLOAD_SCALE",
@@ -71,7 +62,6 @@ __all__ = [
     "make_crowd_trace",
     "run_overload_soak",
     "scenario_matrix",
-    "main",
 ]
 
 # Per-shard device scale for the soak fleet; shares the fleet soak's
@@ -110,18 +100,9 @@ def make_crowd_trace(
 ) -> tuple:
     """Build the soak's adversarial trace; returns ``(trace, scenario)``.
 
-    The base trace is sized to the fleet the same way the fleet soak
-    sizes it (working set tracks aggregate NVM capacity), so the
-    steady-state portions exercise flash, not just DRAM.
+    The base trace is the fleet soak's (:func:`~repro.bench.fleet.fleet_trace`).
     """
-    per_shard_nvm = int(scale.geometry().logical_bytes * utilization)
-    base = make_trace(
-        workload,
-        per_shard_nvm * num_shards,
-        scale,
-        num_ops=total_ops,
-        seed=seed,
-    )
+    base = fleet_trace(workload, num_shards, scale, utilization, total_ops, seed)
     crowd = FlashCrowd(
         base_interval_ns=max(1, PER_SHARD_INTERVAL_NS // num_shards),
         seed=seed,
@@ -129,81 +110,6 @@ def make_crowd_trace(
     )
     scenario = Scenario("flashcrowd", (crowd,))
     return scenario.apply(base), scenario
-
-
-def _window_label(
-    scenario: Scenario, start: int, stop: int, total: int
-) -> Dict[str, float]:
-    label: Dict[str, float] = {}
-    for t in scenario.transforms:
-        label.update(t.window_label(start, stop, total))
-    return label
-
-
-def _shed_counters(fleet: FleetCache) -> Dict[str, int]:
-    g = fleet.governor_counters()
-    return {
-        "shed_sets": int(g["shed_sets"]),
-        "shed_loc_admissions": int(g["shed_loc_admissions"]),
-    }
-
-
-def _run_arm(
-    specs,
-    governor: Optional[GovernorConfig],
-    trace: Trace,
-    scenario: Scenario,
-    segments,
-    seed: int,
-    verbose: bool,
-) -> tuple:
-    """Replay one arm; returns ``(windows, fleet)``."""
-    fleet = FleetCache(
-        [spec.build() for spec in specs],
-        FleetConfig(ring_seed=seed, governor=governor),
-    )
-    driver = FleetDriver(fleet, FleetReplayConfig())
-    total = len(trace)
-    windows: Dict[str, OverloadWindow] = {}
-    for name, start, stop, measured in segments:
-        if stop <= start:
-            continue
-        before = {"gets": fleet.gets, "misses": fleet.misses}
-        shed_before = _shed_counters(fleet)
-        fleet.clear_histograms()
-        driver.run(trace.slice(start, stop), name=f"overload:{name}")
-        if measured:
-            hist = fleet.merged_histogram("read")
-            now = int(trace.arrivals_ns[stop - 1])
-            backlog = max(
-                (
-                    s.backend.overload_signals(now).pressure_ns
-                    for s in fleet.shards.values()
-                ),
-                default=0,
-            )
-            shed_after = _shed_counters(fleet)
-            windows[name] = OverloadWindow(
-                name=name,
-                ops=stop - start,
-                gets=fleet.gets - before["gets"],
-                misses=fleet.misses - before["misses"],
-                read_p99_ns=hist.p99(),
-                max_backlog_ns=int(backlog),
-                shed_sets=shed_after["shed_sets"]
-                - shed_before["shed_sets"],
-                shed_loc_admissions=shed_after["shed_loc_admissions"]
-                - shed_before["shed_loc_admissions"],
-                label=_window_label(scenario, start, stop, total),
-            )
-        if verbose:
-            arm = "on " if governor is not None else "off"
-            print(
-                f"[gov-{arm}|{name:<9}] ops {start:>7}..{stop:<7} "
-                f"miss={fleet.miss_ratio:.3f} "
-                f"governor={fleet.governor_counters()}"
-            )
-    return windows, fleet
 
 
 def run_overload_soak(
@@ -220,7 +126,7 @@ def run_overload_soak(
     collapse_factor: float = 3.0,
     burst_advantage: float = 1.5,
     verbose: bool = False,
-) -> OverloadSoakResult:
+) -> SoakResult:
     """Run the flash-crowd soak, governor-on vs governor-off.
 
     Deterministic end to end: trace, arrival schedule, crowd keyspace,
@@ -231,73 +137,76 @@ def run_overload_soak(
     window jitters with GC phase, so the default is deliberately loose
     (50%) next to the collapse it must distinguish from (governor-off
     lands ~10× over baseline on the default shape).
+
+    Gates (the brownout contract):
+
+    * **p99_bounded** — the governor-on burst p99 stays at least
+      ``burst_advantage``× below the governor-off arm's (no unbounded
+      queue growth while shedding is active);
+    * **p99_recovered** — the governor-on post-burst p99 returns to
+      within ``tolerance`` of its own pre-burst window;
+    * **off_collapsed** — the governor-off arm *fails* to recover: its
+      post-burst p99 stays at least ``collapse_factor``× above its
+      pre-burst window (the arm proving the overload is real — if
+      governor-off shrugs the burst off, the scenario is too gentle for
+      the soak to claim anything);
+    * **governor_engaged** — the governor actually shed load, so the
+      pass is attributable to admission control, not luck.
+
+    The miss-ratio column documents the price of graceful degradation:
+    shed fills become later misses — serve more misses, never let reads
+    queue unboundedly.
     """
     if seed is None:
         seed = point_seed("overload_soak", 0)
     total = num_ops or ops_per_shard * num_shards
-    specs = default_fleet_specs(
-        num_shards, scale=scale, utilization=utilization
-    )
+    specs = default_fleet_specs(num_shards, scale=scale, utilization=utilization)
     trace, scenario = make_crowd_trace(
-        num_shards,
-        total,
-        workload=workload,
-        scale=scale,
-        utilization=utilization,
-        seed=seed,
+        num_shards, total, workload=workload, scale=scale, utilization=utilization, seed=seed
     )
-
     crowd = scenario.transforms[0]
-    burst_start, burst_stop = crowd._window(total)
-    window = max(2_000, total // 8)
-    if burst_start - window <= 0 or burst_stop + window > total:
-        raise ValueError(
-            f"num_ops={total} too small for window={window} around "
-            f"burst [{burst_start}, {burst_stop})"
+    segments = layout(total, "burst", *crowd._window(total))
+
+    rows, fleets = [], {}
+    for arm, config in (("on", governor or GovernorConfig()), ("off", None)):
+        fleets[arm] = FleetCache(
+            [spec.build() for spec in specs], FleetConfig(ring_seed=seed, governor=config)
         )
-    segments = [
-        ("warmup", 0, burst_start - window, False),
-        ("pre", burst_start - window, burst_start, True),
-        ("burst", burst_start, burst_stop, True),
-        ("drain", burst_stop, total - window, False),
-        ("recovered", total - window, total, True),
+        rows += replay_windows(
+            FleetDriver(fleets[arm], FleetReplayConfig()),
+            trace,
+            segments,
+            arm=arm,
+            label=lambda start, stop: crowd.window_label(start, stop, total),
+            verbose=verbose,
+        )
+
+    counters = fleets["on"].governor_counters()
+    shed = int(counters["shed_sets"]) + int(counters["shed_loc_admissions"])
+    gates = [
+        window_gate("p99_bounded", rows, "off:burst", ">=", burst_advantage, "on:burst"),
+        window_gate("p99_recovered", rows, "on:recovered", "<=", 1.0 + tolerance, "on:pre"),
+        window_gate("off_collapsed", rows, "off:recovered", ">=", collapse_factor, "off:pre"),
+        Gate("governor_engaged", shed > 0, f"{shed} writes shed"),
     ]
-
-    on_windows, on_fleet = _run_arm(
-        specs, governor or GovernorConfig(), trace, scenario, segments,
-        seed, verbose,
-    )
-    off_windows, off_fleet = _run_arm(
-        specs, None, trace, scenario, segments, seed, verbose
-    )
-
-    rejections: Dict[str, int] = {}
-    for prefix, fleet in (("on", on_fleet), ("off", off_fleet)):
-        for queue, count in fleet.queue_rejections().items():
-            rejections[f"{prefix}:{queue}"] = count
-
-    return OverloadSoakResult(
-        num_shards=num_shards,
-        ops=total,
-        seed=seed,
-        scenario=scenario.name,
-        tolerance=tolerance,
-        collapse_factor=collapse_factor,
-        burst_advantage=burst_advantage,
-        on_pre=dataclasses.replace(on_windows["pre"], name="on:pre"),
-        on_burst=dataclasses.replace(on_windows["burst"], name="on:burst"),
-        on_recovered=dataclasses.replace(
-            on_windows["recovered"], name="on:recov"
+    rejections = {
+        f"{arm}:{queue}": count
+        for arm, fleet in fleets.items()
+        for queue, count in fleet.queue_rejections().items()
+    }
+    return SoakResult(
+        soak="overload",
+        params=dict(
+            num_shards=num_shards, ops=total, seed=seed, scenario=scenario.name,
+            tolerance=tolerance, collapse_factor=collapse_factor, burst_advantage=burst_advantage,
         ),
-        off_pre=dataclasses.replace(off_windows["pre"], name="off:pre"),
-        off_burst=dataclasses.replace(
-            off_windows["burst"], name="off:burst"
+        columns=(
+            "window", "ops", "miss_ratio", "read_p99_ns", "max_backlog_ns",
+            "shed_sets", "shed_loc_admissions", "flash_crowd",
         ),
-        off_recovered=dataclasses.replace(
-            off_windows["recovered"], name="off:recov"
-        ),
-        governor_counters=on_fleet.governor_counters(),
-        queue_rejections=rejections,
+        rows=rows,
+        gates=gates,
+        evidence={"governor_counters": counters, "queue_rejections": rejections},
     )
 
 
@@ -362,7 +271,10 @@ def scenario_matrix(
     utilization: float = 0.9,
     workers: Optional[int] = None,
 ) -> List[Union[RunResult, PointFailure]]:
-    """Run the scenario × FDP matrix; failures recorded, not raised."""
+    """Run the scenario × FDP matrix; failures recorded, not raised.
+
+    Every entry prints itself with ``summary_row()``.
+    """
     return run_sweep(
         matrix_points(
             num_ops=num_ops, scale=scale, utilization=utilization
@@ -370,111 +282,3 @@ def scenario_matrix(
         workers=workers,
         on_error="record",
     )
-
-
-def matrix_table(results: List[Union[RunResult, PointFailure]]) -> str:
-    """Render the matrix as the standing-regression summary table."""
-    lines = [
-        f"{'cell':<24} {'DLWA':>6} {'p99r(us)':>9} {'miss%':>7} "
-        f"{'kops':>8}"
-    ]
-    for r in results:
-        if isinstance(r, PointFailure):
-            lines.append(f"{r.name:<24} FAILED: {r.summary_row()}")
-            continue
-        lines.append(
-            f"{r.name:<24} {r.dlwa:>6.2f} {r.p99_read_us:>9.0f} "
-            f"{(1.0 - r.hit_ratio) * 100:>7.1f} "
-            f"{r.throughput_kops:>8.1f}"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.bench.overload [--smoke] [options]``."""
-    import argparse
-    import time
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.overload",
-        description=(
-            "Flash-crowd overload soak: governor-on must stay bounded "
-            "and recover while governor-off collapses on the same seed."
-        ),
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: 2 shards at reduced scale, exit 1 on gate failure",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=4,
-        help="number of shards (default 4; --smoke forces 2)",
-    )
-    parser.add_argument(
-        "--ops", type=int, default=None,
-        help="trace length (default: 20000 per shard)",
-    )
-    parser.add_argument(
-        "--seed", type=lambda s: int(s, 0), default=None,
-        help="override the point_seed-derived soak seed",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help=(
-            "recovery tolerance vs the pre-burst window (default 0.5 "
-            "under --smoke, 1.5 at full scale — more shards run the "
-            "open loop nearer critical load, so the drained-but-"
-            "jittery recovered p99 sits higher over pre)"
-        ),
-    )
-    parser.add_argument(
-        "--matrix", action="store_true",
-        help="also run the scenario x FDP regression matrix",
-    )
-    parser.add_argument(
-        "--matrix-ops", type=int, default=MATRIX_OPS,
-        help=f"ops per matrix cell (default {MATRIX_OPS})",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="matrix worker processes (default: CPU count)",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true")
-    args = parser.parse_args(argv)
-
-    num_shards = 2 if args.smoke else args.shards
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = 0.5 if args.smoke else 1.5
-
-    start = time.perf_counter()
-    result = run_overload_soak(
-        num_shards=num_shards,
-        num_ops=args.ops,
-        seed=args.seed,
-        tolerance=tolerance,
-        verbose=args.verbose,
-    )
-    print(result.summary_table())
-    print(f"({time.perf_counter() - start:.1f}s wall)")
-    ok = result.acceptance
-
-    if args.matrix:
-        start = time.perf_counter()
-        results = scenario_matrix(
-            num_ops=args.matrix_ops, workers=args.workers
-        )
-        print()
-        print(matrix_table(results))
-        failures = [r for r in results if isinstance(r, PointFailure)]
-        print(
-            f"matrix: {len(results) - len(failures)}/{len(results)} "
-            f"cells ok ({time.perf_counter() - start:.1f}s wall)"
-        )
-        ok = ok and not failures
-
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

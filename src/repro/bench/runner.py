@@ -32,7 +32,7 @@ from ..workloads.kvcache import kv_cache_trace, wo_kv_cache_trace
 from ..workloads.trace import Trace
 from ..workloads.twitter import twitter_cluster12_trace
 from .driver import CacheBench, ReplayConfig
-from .metrics import CrashSoakResult, IntegritySoakResult, RunResult
+from .metrics import CrashSoakResult, Gate, IntegritySoakResult, RunResult, SoakResult
 
 __all__ = [
     "Scale",
@@ -48,6 +48,7 @@ __all__ = [
     "run_crash_soak",
     "default_integrity_latent",
     "run_integrity_soak",
+    "run_integrity_arms",
 ]
 
 
@@ -818,4 +819,50 @@ def run_integrity_soak(
         gc_pages_migrated=s.gc_pages_migrated,
         nand_pages_written=s.nand_pages_written,
         dlwa=device.dlwa,
+    )
+
+
+def run_integrity_arms(
+    *,
+    span: int = 1024,
+    phases: int = 6,
+    commands_per_phase: int = 160,
+    seed: Optional[int] = None,
+    verbose: bool = False,
+) -> SoakResult:
+    """The integrity soak: :func:`run_integrity_soak` scrub on vs off.
+
+    Both arms share the seed, so the scrubber is the only difference.
+    With it on, zero corruptions go undetected (the final patrol pass
+    CRC-verifies every page) and its relocations show up in a DLWA
+    ledger that balances; with it off, the scripted cold-half
+    corruptions go unseen — the failure mode the scrubber exists to
+    fix.  ``python -m repro.bench soak integrity`` runs it.
+    """
+    if seed is None:
+        seed = point_seed("integrity_soak", 0)
+    params = dict(span=span, phases=phases, commands_per_phase=commands_per_phase, seed=seed)
+    on = run_integrity_soak(scrub=True, verbose=verbose, **params)
+    off = run_integrity_soak(scrub=False, verbose=verbose, **params)
+    rows = [{"arm": "scrub-on", **dataclasses.asdict(on)}]
+    rows.append({"arm": "scrub-off", **dataclasses.asdict(off)})
+    ledger = on.host_pages_written + on.gc_pages_migrated + on.scrub_pages_relocated
+    return SoakResult(
+        soak="integrity",
+        params=params,
+        columns=(
+            "arm", "corruptions_injected", "detected_corruptions", "undetected_corruptions",
+            "reads_corrected", "scrub_pages_relocated", "scrub_blocks_retired", "dlwa",
+        ),
+        rows=rows,
+        gates=[
+            Gate("scrub_on_zero_undetected", on.undetected_corruptions == 0),
+            Gate("scrub_on_relocates", on.scrub_pages_relocated > 0),
+            Gate(
+                "scrub_on_ledger_balances",
+                on.nand_pages_written == ledger,
+                f"nand={on.nand_pages_written} host+gc+scrub={ledger}",
+            ),
+            Gate("scrub_off_leaks", off.undetected_corruptions > 0),
+        ],
     )

@@ -17,7 +17,7 @@ Two families live here:
   flash write, scored by an online-trained logistic model) and
   :class:`WriteBudgetAdmission` (meters admits against a NAND-byte
   budget priced by the device's live SMART DLWA ledger).  These feed
-  the policy-vs-placement ablation (``python -m repro.bench.ablation``)
+  the policy-vs-placement ablation (``python -m repro.bench soak ablation``)
   that stresses the paper's claim that placement, not admission, is the
   cheap DLWA win.
 """

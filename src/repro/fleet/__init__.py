@@ -20,7 +20,8 @@ fault-tolerant cluster:
   (:class:`ShardUnavailableError` wraps device exceptions with the
   originating shard id).
 
-The soak harness and CLI live in :mod:`repro.bench.fleet`.
+The shard-loss soak lives in :mod:`repro.bench.fleet`
+(``python -m repro.bench soak fleet``).
 """
 
 from .driver import (

@@ -34,6 +34,7 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
+from ..bench.runner import DEFAULT_SCALE, build_experiment
 from ..cache.hybrid import (
     BROWNOUT_HEALTHY,
     BROWNOUT_SHED_LOC,
@@ -108,12 +109,6 @@ class ShardSpec:
             )
 
     def build(self) -> "CacheShard":
-        # Imported here, not at module level: repro.bench imports
-        # repro.fleet (the fleet soak lives in repro.bench.fleet), so a
-        # top-level import back into repro.bench.runner would be
-        # circular.
-        from ..bench.runner import DEFAULT_SCALE, build_experiment
-
         scale = self.scale or DEFAULT_SCALE
         if self.backend == "zns":
             return CacheShard(

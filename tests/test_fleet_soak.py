@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.fleet import (
     SMOKE_SCALE,
     default_fleet_specs,
-    main,
     run_fleet_soak,
 )
-from repro.bench.metrics import FleetSoakResult, FleetWindow
+from repro.bench.metrics import SoakResult
 from repro.bench.runner import Scale
 
 TINY = Scale(num_superblocks=32, num_ops=24_000)
@@ -34,60 +34,68 @@ def tiny_soak():
     )
 
 
+WINDOWS = ("pre", "spike", "recovered", "control")
+
+
 class TestTinySoak:
     def test_serves_through_the_kill(self, tiny_soak):
         r = tiny_soak
+        pre, spike, recovered = (r.row(w) for w in WINDOWS[:3])
         # Every trace op was served; failures became misses, never
         # exceptions or lost ops.
-        window_ops = r.pre.ops + r.spike.ops + r.recovered.ops
-        assert r.ops >= window_ops
-        assert r.spike.live_shards == r.pre.live_shards - 1
-        assert r.recovered.live_shards == r.pre.live_shards - 1
+        window_ops = pre["ops"] + spike["ops"] + recovered["ops"]
+        assert r.params["ops"] >= window_ops
+        assert spike["live_shards"] == pre["live_shards"] - 1
+        assert recovered["live_shards"] == pre["live_shards"] - 1
 
     def test_kill_fired_as_scripted(self, tiny_soak):
-        r = tiny_soak
-        assert r.kill_at_ops == r.ops // 2 + 1
-        kills = [t for t in r.transitions if t["event"] == "kill"]
+        e = tiny_soak.evidence
+        assert e["kill_at_ops"] == tiny_soak.params["ops"] // 2 + 1
+        kills = [t for t in e["transitions"] if t["event"] == "kill"]
         assert len(kills) == 1
-        assert kills[0]["shard_id"] == r.killed_shard
+        assert kills[0]["shard_id"] == e["killed_shard"]
 
     def test_miss_storm_attributed_to_dead_shard(self, tiny_soak):
-        r = tiny_soak
-        assert r.pre.storm_misses == 0  # intact fleet: no storm
-        assert r.spike.storm_misses > 0  # the storm is visible...
-        assert r.recovered.storm_misses < r.spike.storm_misses  # ...and fading
-        assert r.control.storm_misses == 0
+        pre, spike, recovered, control = (
+            tiny_soak.row(w)["storm_misses"] for w in WINDOWS
+        )
+        assert pre == 0  # intact fleet: no storm
+        assert spike > 0  # the storm is visible...
+        assert recovered < spike  # ...and fading
+        assert control == 0
 
     def test_exactly_once_placement_across_survivors(self, tiny_soak):
-        r = tiny_soak
-        assert r.keys_resident > 0
-        assert r.placement_clean
-        assert r.misplaced == 0
-        assert r.duplicates == 0
-        assert r.shadow_mismatches == 0
+        e = tiny_soak.evidence
+        assert e["keys_resident"] > 0
+        assert tiny_soak.gate("placement_clean").passed
+        assert e["misplaced"] == 0
+        assert e["duplicates"] == 0
+        assert e["shadow_mismatches"] == 0
 
     def test_recovers_within_tolerance_of_control(self, tiny_soak):
         r = tiny_soak
-        assert r.miss_ratio_recovered
-        assert r.p99_recovered
+        assert r.gate("miss_ratio_recovered").passed
+        assert r.gate("p99_recovered").passed
         assert r.acceptance
 
     def test_windows_are_well_formed(self, tiny_soak):
-        for window in (tiny_soak.pre, tiny_soak.spike,
-                       tiny_soak.recovered, tiny_soak.control):
-            assert isinstance(window, FleetWindow)
-            assert window.gets > 0
-            assert 0.0 <= window.miss_ratio <= 1.0
-            assert window.read_p99_ns > 0
+        assert [r["window"] for r in tiny_soak.rows] == list(WINDOWS)
+        for window in tiny_soak.rows:
+            assert window["gets"] > 0
+            assert 0.0 <= window["miss_ratio"] <= 1.0
+            assert window["read_p99_ns"] > 0
+            assert window["deadline_misses"] == 0  # no deadline set
 
     def test_serialization_round_trip(self, tiny_soak):
         d = tiny_soak.to_dict()
-        assert d["killed_shard"] == tiny_soak.killed_shard
+        killed = tiny_soak.evidence["killed_shard"]
+        assert d["evidence"]["killed_shard"] == killed
         assert d["acceptance"] == tiny_soak.acceptance
-        assert len(d["shard_rows"]) == tiny_soak.num_shards
-        table = tiny_soak.summary_table()
-        assert "recovery vs no-kill control" in table
-        assert tiny_soak.killed_shard in table
+        assert sorted(d["rows"]) == sorted(WINDOWS)
+        assert len(d["evidence"]["shard_rows"]) == tiny_soak.params["num_shards"]
+        table = tiny_soak.table()
+        assert "recovered" in table and "x control" in table
+        assert killed in table
 
 
 def test_soak_is_deterministic(tiny_soak):
@@ -95,7 +103,7 @@ def test_soak_is_deterministic(tiny_soak):
         num_shards=3, num_ops=24_000, scale=TINY, tolerance=0.25
     )
     assert again == tiny_soak
-    assert isinstance(again, FleetSoakResult)
+    assert isinstance(again, SoakResult)
 
 
 def test_soak_validation():
@@ -114,20 +122,20 @@ def test_soak_validation():
 def test_full_scale_soak_meets_paper_grade_tolerance():
     """The headline run: 8 shards, default scale, 10% recovery bound."""
     r = run_fleet_soak(num_shards=8)
-    assert r.acceptance, r.summary_table()
-    assert r.placement_clean
+    assert r.acceptance, r.table()
 
 
 @pytest.mark.slow
 def test_cli_smoke_exits_zero(capsys):
-    assert main(["--smoke"]) == 0
+    assert main(["soak", "fleet", "--smoke"]) == 0
     out = capsys.readouterr().out
     assert "acceptance: PASS" in out
 
 
 def test_cli_rejects_bad_args():
+    # --mix is a run_fleet_soak keyword, not a CLI flag.
     with pytest.raises(SystemExit):
-        main(["--mix", "tape"])
+        main(["soak", "fleet", "--mix", "tape"])
 
 
 def test_smoke_scale_is_ci_sized():

@@ -31,9 +31,9 @@ from repro.bench import (
     run_crash_soak,
     run_experiment,
     run_integrity_soak,
-    run_latency_soak,
 )
 from repro.bench.ablation import POLICIES, SMOKE_OPS, SMOKE_SCALE
+from repro.bench.latency import run_latency_soak
 from repro.bench.parallel import point_seed
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -153,8 +153,18 @@ def test_golden_latency_soak(update_golden: bool) -> None:
     direction: FDP-on p99 read below FDP-off.
     """
     result = run_latency_soak(num_ops=48_000)
-    assert result.acceptance, result.summary_table()
-    _check_golden("latency_kvcache_util85", result.to_dict(), update_golden)
+    assert result.acceptance, result.table()
+    # The fixture predates the soak result type: one dict per arm with
+    # its name, row and per-queue evidence.
+    data = dict(result.params)
+    for key, arm in (("fdp_off", "Non-FDP"), ("fdp_on", "FDP")):
+        data[key] = {
+            **result.row(arm),
+            **result.evidence[arm],
+            "name": f"{result.params['workload']} {arm}",
+        }
+        del data[key]["arm"]
+    _check_golden("latency_kvcache_util85", data, update_golden)
 
 
 def test_golden_crash_soak(update_golden: bool) -> None:

@@ -8,9 +8,8 @@ Three guarantees from the overload-robustness PR:
   batched-I/O differential harness) and every shed counter stays zero.
   Closed-loop replay bounds the device backlog far below the brownout
   threshold, so the governor observes but never acts.
-* **Soak acceptance** — the flash-crowd soak's gate holds at smoke
-  scale: the governed arm stays bounded through the burst and recovers,
-  the ungoverned arm collapses, on the same seed and trace.
+* **Soak acceptance** — the flash-crowd soak's gate holds at full
+  scale (the smoke run is pinned by ``tests/test_soaks.py``'s golden).
 * **Provenance** — sweep failures carry their originating
   :class:`SweepPoint` parameters, and the scenario matrix pairs FDP
   arms on a shared per-row seed.
@@ -102,20 +101,6 @@ def test_crowd_trace_is_deterministic_and_sized_to_fleet():
     assert not (t3.keys == t1.keys).all()
 
 
-def test_overload_soak_smoke_acceptance():
-    """The gate the CI smoke run enforces, at the same scale."""
-    result = run_overload_soak(num_shards=2, ops_per_shard=20_000)
-    assert result.p99_bounded, result.summary_table()
-    assert result.p99_recovered, result.summary_table()
-    assert result.off_collapsed, result.summary_table()
-    assert result.governor_engaged, result.summary_table()
-    assert result.acceptance
-    # The governed arm actually shed load, and the report says so.
-    assert result.governor_counters["shed_sets"] > 0
-    table = result.summary_table()
-    assert "on:burst" in table and "off:burst" in table
-
-
 @pytest.mark.slow
 def test_overload_soak_full_scale():
     # More shards push the open loop nearer critical load (fleet
@@ -127,7 +112,7 @@ def test_overload_soak_full_scale():
     result = run_overload_soak(
         num_shards=4, ops_per_shard=20_000, tolerance=1.5
     )
-    assert result.acceptance, result.summary_table()
+    assert result.acceptance, result.table()
 
 
 def test_point_failure_carries_sweep_point_provenance():

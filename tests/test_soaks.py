@@ -1,235 +1,38 @@
-"""Soak goldens: every window/arm/cell value, gate verdict and evidence
-counter of the six robustness soaks, run with the exact kwargs their CI
-smoke jobs use.
+"""The soak harness: goldens, the table printer and the one CLI.
 
-Each golden is ``{"params", "rows", "gates", "evidence", "acceptance"}``
-with rows keyed by window/arm/cell name.  Comparison is on the golden's
-keys: a row may gain a column, never lose or change one.  Regenerate
-deliberately with ``pytest tests/test_soaks.py --update-golden``.
+Every robustness soak runs here with the exact kwargs of its CI smoke
+run (``SOAKS[name].smoke``).  Its golden records every window/arm/cell
+value, every gate verdict and the evidence counters; comparison is on
+the golden's keys, so a row may gain a column, never lose or change
+one.  Regenerate deliberately with
+``pytest tests/test_soaks.py --update-golden``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench import run_latency_soak
-from repro.bench import ablation, failslow, fleet, overload
-from repro.bench.integrity import soak_arms
-from repro.bench.parallel import point_seed
+import repro
+from repro.bench import Scale
+from repro.bench.__main__ import SOAKS, Soak, main
+from repro.bench.fleet import run_fleet_soak
 from tests.test_golden_regression import GOLDEN_DIR
 
-
-def _window(w, drop=()) -> dict:
-    row = {k: v for k, v in dataclasses.asdict(w).items() if k != "name"}
-    row["miss_ratio"] = w.miss_ratio
-    for k in drop:
-        row.pop(k)
-    return row
+SRC = str(Path(repro.__file__).parents[1])
 
 
-def _integrity():
-    kwargs = dict(span=512, phases=4, commands_per_phase=96)
-    on, off = soak_arms(**kwargs)
-
-    def row(r):
-        return {
-            k: v for k, v in dataclasses.asdict(r).items() if k != "scrub_enabled"
-        }
-
-    gates = {
-        "scrub_on_zero_undetected": on.undetected_corruptions == 0,
-        "scrub_on_relocates": on.scrub_pages_relocated > 0,
-        "scrub_on_ledger_balances": on.nand_pages_written
-        == on.host_pages_written + on.gc_pages_migrated + on.scrub_pages_relocated,
-        "scrub_off_leaks": off.undetected_corruptions > 0,
-    }
-    return {
-        "params": dict(kwargs, seed=point_seed("integrity_soak", 0)),
-        "rows": {"scrub-on": row(on), "scrub-off": row(off)},
-        "gates": gates,
-        "evidence": {},
-    }
-
-
-def _latency():
-    r = run_latency_soak(num_ops=120_000)
-    rows, evidence = {}, {"p99_read_gain": r.p99_read_gain}
-    for arm, label in ((r.fdp_off, "Non-FDP"), (r.fdp_on, "FDP")):
-        d = arm.to_dict()
-        evidence[label] = {
-            "per_queue": d.pop("per_queue"),
-            "background_ns": d.pop("background_ns"),
-        }
-        del d["name"]
-        rows[label] = d
-    return {
-        "params": {
-            "workload": r.workload,
-            "utilization": r.utilization,
-            "seed": r.seed,
-        },
-        "rows": rows,
-        "gates": {"fdp_p99_read_lower": r.acceptance},
-        "evidence": evidence,
-    }
-
-
-def _fleet():
-    r = fleet.run_fleet_soak(num_shards=4, scale=fleet.SMOKE_SCALE)
-    evidence = {
-        k: getattr(r, k)
-        for k in (
-            "killed_shard", "kill_at_ops", "keys_resident", "misplaced",
-            "duplicates", "shadow_mismatches", "rebalance_moved_items",
-            "storm_misses_total", "degraded_misses_total", "dropped_sets",
-            "retries", "transitions", "fleet_dlwa", "energy_kwh", "co2e_kg",
-            "shard_rows",
-        )
-    }
-    return {
-        "params": {
-            "num_shards": r.num_shards,
-            "mix": r.mix,
-            "ops": r.ops,
-            "seed": r.seed,
-            "tolerance": r.tolerance,
-        },
-        "rows": {
-            w: _window(getattr(r, w))
-            for w in ("pre", "spike", "recovered", "control")
-        },
-        "gates": {
-            "placement_clean": r.placement_clean,
-            "miss_ratio_recovered": r.miss_ratio_recovered,
-            "p99_recovered": r.p99_recovered,
-        },
-        "evidence": evidence,
-    }
-
-
-def _overload():
-    r = overload.run_overload_soak(num_shards=2, tolerance=0.5)
-    rows = {}
-    for arm in ("on", "off"):
-        for w in ("pre", "burst", "recovered"):
-            window = getattr(r, f"{arm}_{w}")
-            row = _window(window, drop=("label",))
-            row.update(window.label)
-            rows[f"{arm}:{w}"] = row
-    return {
-        "params": {
-            "num_shards": r.num_shards,
-            "ops": r.ops,
-            "seed": r.seed,
-            "scenario": r.scenario,
-            "tolerance": r.tolerance,
-            "collapse_factor": r.collapse_factor,
-            "burst_advantage": r.burst_advantage,
-        },
-        "rows": rows,
-        "gates": {
-            "p99_bounded": r.p99_bounded,
-            "p99_recovered": r.p99_recovered,
-            "off_collapsed": r.off_collapsed,
-            "governor_engaged": r.governor_engaged,
-        },
-        "evidence": {
-            "governor_counters": r.governor_counters,
-            "queue_rejections": r.queue_rejections,
-        },
-    }
-
-
-def _failslow():
-    r = failslow.run_failslow_soak(
-        num_shards=3, scale=failslow.SMOKE_SCALE, ops_per_shard=12_000
-    )
-    rows, evidence = {}, {
-        "victim_shard": r.victim_shard,
-        "slow_die": r.slow_die,
-        "fault_at_ops": r.fault_at_ops,
-    }
-    for arm in (r.control, r.detector_on, r.detector_off):
-        for w in ("pre", "fault", "recovered"):
-            rows[f"{arm.name}:{w}"] = _window(getattr(arm, w))
-        evidence[arm.name] = {
-            "deadline_misses": arm.deadline_misses,
-            "gray_detections": arm.gray_detections,
-            "quarantines": arm.quarantines,
-            "transitions": arm.transitions,
-        }
-    return {
-        "params": {
-            "num_shards": r.num_shards,
-            "ops": r.ops,
-            "seed": r.seed,
-            "slow_multiplier": r.slow_multiplier,
-            "deadline_ns": r.deadline_ns,
-            "recovery_factor": r.recovery_factor,
-            "inflation_factor": r.inflation_factor,
-        },
-        "rows": rows,
-        "gates": {
-            "contained": r.contained,
-            "off_inflated": r.off_inflated,
-            "detector_fired": r.detector_fired,
-            "counters_clean": r.counters_clean,
-        },
-        "evidence": evidence,
-    }
-
-
-def _ablation():
-    r = ablation.run_ablation(
-        num_ops=30_000, scale=ablation.SMOKE_SCALE, soak_ops=10_000
-    )
-    rows = {}
-    for c in r.cells:
-        row = dataclasses.asdict(c)
-        name = f"{row.pop('policy')} {row.pop('engine')} "
-        name += "FDP" if row.pop("fdp") else "Non-FDP"
-        rows[name] = row
-    return {
-        "params": {
-            "ops": r.ops,
-            "seed": r.seed,
-            "gate_engine": r.gate_engine,
-            "recovery_threshold": r.recovery_threshold,
-            "compose_tolerance": r.compose_tolerance,
-        },
-        "rows": rows,
-        "gates": {
-            "cells_completed": not r.failures,
-            "survival_recovers": r.survival_recovers,
-            "composes": r.composes,
-            "nemo_soak_ok": r.nemo_soak_ok,
-        },
-        "evidence": {
-            "recovered_fraction": r.recovered_fraction,
-            "nemo_soak": r.nemo_soak,
-            "failures": r.failures,
-        },
-    }
-
-
-SOAKS = {
-    "integrity": _integrity,
-    "latency": _latency,
-    "fleet": _fleet,
-    "overload": _overload,
-    "failslow": _failslow,
-    "ablation": _ablation,
-}
-
-
-def golden_view(name: str) -> dict:
-    d = SOAKS[name]()
-    d["acceptance"] = all(d["gates"].values())
-    return d
+@pytest.fixture(scope="module", params=sorted(SOAKS))
+def smoke(request):
+    soak = SOAKS[request.param]
+    return request.param, soak.run(**soak.smoke)
 
 
 def assert_covers(path: str, got, want) -> None:
@@ -255,13 +58,83 @@ def assert_covers(path: str, got, want) -> None:
         assert got == want, f"{path}: drift {got!r} != golden {want!r}"
 
 
-@pytest.mark.parametrize("name", sorted(SOAKS))
-def test_soak_smoke_golden(name: str, update_golden: bool) -> None:
+def test_soak_smoke_golden(smoke, update_golden: bool) -> None:
+    name, result = smoke
+    view = result.to_dict()
+    view["gates"] = {g.name: g.passed for g in result.gates}
     # JSON round trip: tuples become lists, int keys become strings.
-    got = json.loads(json.dumps(golden_view(name), sort_keys=True))
+    got = json.loads(json.dumps(view, sort_keys=True))
     path = GOLDEN_DIR / f"soak_{name}_smoke.json"
     if update_golden:
         path.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
         pytest.skip(f"golden fixture rewritten: {path.name}")
-    assert got["acceptance"], got["gates"]
+    assert result.acceptance, result.table()
     assert_covers(name, got, json.loads(path.read_text()))
+
+
+def test_table_columns_align(smoke) -> None:
+    """Header and rows start every column at the same offset, however
+    long a row name is (``detector-on:recovered`` once overflowed a
+    fixed-width column and shifted the rest of its row)."""
+    _, result = smoke
+    lines = result.table().splitlines()
+    header, rows = lines[1], lines[2 : 2 + len(result.rows)]
+    assert header.split() == list(result.columns)
+    # Every column but the first is right-aligned: its header ends
+    # where each of its cells ends.
+    ends = [m.end() for m in re.finditer(r"\S+", header)][1:]
+    for line in rows:
+        assert len(line) == len(header), f"{line!r} vs {header!r}"
+        for end in ends:
+            assert line[end - 1] != " " and line[end : end + 1] in ("", " "), (
+                f"column ending at {end} misaligned in {line!r}"
+            )
+
+
+def test_failing_gate_fails_the_soak_and_the_cli(monkeypatch, capsys, tmp_path):
+    # A negative tolerance leaves recovery nothing to pass.
+    tiny = Scale(num_superblocks=32, num_ops=24_000)
+    result = run_fleet_soak(num_shards=3, num_ops=24_000, scale=tiny, tolerance=-1.0)
+    assert not result.acceptance
+    assert not result.gate("p99_recovered").passed
+    assert result.gate("placement_clean").passed
+    assert "FAIL  p99_recovered" in result.table()
+    assert result.table().endswith("acceptance: FAIL")
+
+    monkeypatch.setitem(SOAKS, "fleet", Soak(lambda **kw: result, {}))
+    out = tmp_path / "fleet.json"
+    assert main(["soak", "fleet", "--smoke", "--json", str(out)]) == 1
+    assert "acceptance: FAIL" in capsys.readouterr().out
+    written = json.loads(out.read_text())
+    assert written["acceptance"] is False
+    assert written["gates"]["p99_recovered"]["passed"] is False
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SOAKS))
+def test_cli_help_runs_clean_under_runtime_warning_errors(name: str) -> None:
+    """``python -m`` warns (an error here) when the module it runs was
+    already imported by its package's ``__init__``."""
+    out = _python("-m", "repro.bench", "soak", name, "--help")
+    assert out.returncode == 0, out.stderr
+    assert "--smoke" in out.stdout
+
+
+def test_importing_repro_bench_loads_no_soak_module() -> None:
+    soaks = ["__main__", "latency", "fleet", "overload", "failslow", "ablation", "soak"]
+    script = (
+        "import sys, repro.bench\n"
+        f"print([m for m in {soaks!r} if 'repro.bench.' + m in sys.modules])\n"
+    )
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
