@@ -1,8 +1,13 @@
 """``python -m repro.bench soak <name> [--smoke] [--seed N] [--json PATH] [-v]``
+and ``python -m repro.bench sweep [--smoke] [--workers N]``
 
-Runs one robustness soak, prints its table and exits 1 iff a gate
-fails.  ``--json`` also writes the full result; ``-v`` prints
+``soak`` runs one robustness soak, prints its table and exits 1 iff a
+gate fails.  ``--json`` also writes the full result; ``-v`` prints
 per-window progress where the soak has it.
+
+``sweep`` replays one point per trace-replay figure across worker
+processes (:mod:`repro.bench.parallel`) and prints DLWA, hit ratio and
+simulated throughput per point; ``--smoke`` is the CI-sized run.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .fleet import SMOKE_SCALE, run_fleet_soak
 from .latency import run_latency_soak
 from .metrics import SoakResult
 from .overload import run_overload_soak
-from .runner import run_integrity_arms
+from .parallel import figure_points, run_sweep
+from .runner import DEFAULT_SCALE, run_chaos_soak, run_crash_soak, run_integrity_arms
 
 
 class Soak(NamedTuple):
@@ -32,6 +38,9 @@ class Soak(NamedTuple):
 
 
 SOAKS: Dict[str, Soak] = {
+    # Both defaults already run in seconds: the smoke run is the soak.
+    "chaos": Soak(run_chaos_soak, {}),
+    "crash": Soak(run_crash_soak, {}),
     "integrity": Soak(run_integrity_arms, dict(span=512, phases=4, commands_per_phase=96)),
     "latency": Soak(run_latency_soak, dict(num_ops=120_000)),
     "fleet": Soak(run_fleet_soak, dict(num_shards=4, scale=SMOKE_SCALE)),
@@ -58,7 +67,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     soak.add_argument("--seed", type=lambda s: int(s, 0), help="override the soak's seed")
     soak.add_argument("--json", metavar="PATH", help="also write the full result as JSON")
     soak.add_argument("-v", "--verbose", action="store_true")
+    sweep = commands.add_parser("sweep", help="one point per figure across worker processes")
+    sweep.add_argument("--smoke", action="store_true", help="the CI-sized run")
+    sweep.add_argument("--workers", type=int, help="worker processes (default: CPU count)")
     args = parser.parse_args(argv)
+    if args.command == "sweep":
+        return _sweep(args.smoke, args.workers)
 
     entry = SOAKS[args.name]
     kwargs = dict(entry.smoke if args.smoke else entry.full)
@@ -74,6 +88,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.json, "w") as fh:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
     return 0 if result.acceptance else 1
+
+
+def _sweep(smoke: bool, workers: Optional[int]) -> int:
+    points = figure_points() if smoke else figure_points(DEFAULT_SCALE, None)
+    start = time.perf_counter()
+    results = run_sweep(points, workers=workers)
+    print(f"{len(results)} points in {time.perf_counter() - start:.1f}s")
+    print(f"{'point':<40} {'DLWA':>6} {'hit%':>6} {'kops':>8}")
+    for r in results:
+        print(
+            f"{r.name:<40} {r.steady_dlwa:>6.2f} {r.hit_ratio * 100:>6.1f} "
+            f"{r.throughput_kops:>8.1f}"
+        )
+    return 0
 
 
 if __name__ == "__main__":

@@ -54,11 +54,6 @@ __all__ = [
 FLEET_SCALE = Scale(num_superblocks=64, num_ops=160_000)
 SMOKE_SCALE = Scale(num_superblocks=48, num_ops=60_000)
 
-MIXES = ("fdp", "nonfdp", "mixed")
-# The heterogeneous rotation: FDP-heavy with non-FDP and ZNS shards
-# mixed in, "How to Write to SSDs"'s device-generation mix.
-_MIXED_CYCLE = ("fdp", "nonfdp", "zns", "fdp")
-
 
 def default_fleet_specs(
     num_shards: int,
@@ -68,7 +63,7 @@ def default_fleet_specs(
     utilization: float = 0.9,
     seed: Optional[int] = None,
 ) -> List[ShardSpec]:
-    """Build the soak's shard specs (ids sorted, mix deterministic).
+    """Build the soak's shard specs (ids sorted, every one a ``mix`` backend).
 
     ``seed`` derives a distinct per-shard ``admission_seed`` so that a
     randomized admission policy on any shard replays the same decision
@@ -77,28 +72,16 @@ def default_fleet_specs(
     """
     if num_shards < 2:
         raise ValueError("a fleet soak needs at least 2 shards")
-    if mix not in MIXES:
-        raise ValueError(f"unknown mix {mix!r}; choose from {MIXES}")
-    specs = []
-    for i in range(num_shards):
-        if mix == "mixed":
-            backend = _MIXED_CYCLE[i % len(_MIXED_CYCLE)]
-        else:
-            backend = mix
-        specs.append(
-            ShardSpec(
-                f"shard{i:02d}",
-                backend=backend,
-                utilization=utilization,
-                scale=scale,
-                admission_seed=(
-                    None
-                    if seed is None
-                    else point_seed(f"fleet_admission_{seed}", i)
-                ),
-            )
+    return [
+        ShardSpec(
+            f"shard{i:02d}",
+            backend=mix,
+            utilization=utilization,
+            scale=scale,
+            admission_seed=None if seed is None else point_seed(f"fleet_admission_{seed}", i),
         )
-    return specs
+        for i in range(num_shards)
+    ]
 
 
 def fleet_trace(

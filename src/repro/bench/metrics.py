@@ -20,8 +20,6 @@ __all__ = [
     "RunResult",
     "Gate",
     "SoakResult",
-    "CrashSoakResult",
-    "IntegritySoakResult",
 ]
 
 
@@ -145,11 +143,6 @@ class RunResult:
             return 0.0
         return self.ops / self.sim_seconds / 1000.0
 
-    @property
-    def kgets_per_sec(self) -> float:
-        """Alias used by Table 2 (KGET/s); ops-level throughput."""
-        return self.throughput_kops
-
     def summary_row(self) -> str:
         """One printable row, paper-style."""
         return (
@@ -159,16 +152,6 @@ class RunResult:
             f"ALWA={self.alwa:4.2f} kops={self.throughput_kops:7.1f} "
             f"p99r={self.p99_read_us:7.0f}us p99w={self.p99_write_us:7.0f}us "
             f"GCreloc={self.gc_relocation_events}"
-        )
-
-    def faults_row(self) -> str:
-        """One printable row of fault/degradation counters."""
-        return (
-            f"{self.name:<28} media_err={self.media_errors:<6} "
-            f"read_err={self.read_errors:<5} write_err={self.write_errors:<5} "
-            f"drops={self.write_drops:<5} retries={self.io_retries:<5} "
-            f"retired_sb={self.retired_superblocks:<3} "
-            f"spare={self.available_spare_pct:5.1f}%"
         )
 
 
@@ -261,86 +244,6 @@ def format_value(value: object) -> str:
     if value == 0 or 1e-3 <= abs(value) < 1e6:
         return f"{value:.3f}"
     return f"{value:.3g}"
-
-
-@dataclasses.dataclass(frozen=True)
-class CrashSoakResult:
-    """Outcome of one :func:`~repro.bench.runner.run_crash_soak` run.
-
-    The soak loops write → power-cut → recover → verify cycles and
-    reconciles the device's recovered L2P map against a host-side
-    shadow reference after every cut.  ``verified_cycles`` equals
-    ``cycles`` on success (the soak raises on the first divergence, so
-    a returned result *is* the pass certificate).
-    """
-
-    cycles: int
-    verified_cycles: int
-    power_cuts: int
-    scripted_cuts: int
-    inflight_cuts: int
-    quiescent_cuts: int
-    commands_issued: int
-    pages_written: int
-    pages_verified: int
-    pages_trimmed: int
-    torn_writes: int
-    torn_pages_discarded: int
-    mappings_recovered_total: int
-    journal_entries_replayed_total: int
-    final_mapped_pages: int
-    final_dlwa: float
-
-    def summary_row(self) -> str:
-        """One printable row, chaos-bench style."""
-        return (
-            f"crash-soak cycles={self.cycles} cuts={self.power_cuts} "
-            f"(scripted={self.scripted_cuts} inflight={self.inflight_cuts} "
-            f"quiescent={self.quiescent_cuts}) "
-            f"pages={self.pages_written} torn={self.torn_pages_discarded} "
-            f"recovered={self.mappings_recovered_total} "
-            f"DLWA={self.final_dlwa:5.2f}"
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class IntegritySoakResult:
-    """Outcome of one :func:`~repro.bench.runner.run_integrity_soak` run.
-
-    The soak drives a device with the latent-error model enabled and
-    reconciles every logical page against a host-side shadow map at the
-    end.  Pages fall into three buckets: *intact* (device content
-    matches the shadow), *lost-detected* (the device knows the page is
-    gone — CRC verification poisoned it, or it reads back unmapped),
-    and *undetected* (the device serves content that differs from what
-    the host wrote — the silent-corruption failure mode the end-to-end
-    CRC + patrol scrub are there to eliminate).
-    """
-
-    ops: int
-    pages_written: int
-    pages_read: int
-    scrub_enabled: bool
-    # corruption accounting (shadow-map reconciliation)
-    corruptions_injected: int
-    detected_corruptions: int
-    undetected_corruptions: int
-    pages_intact: int
-    pages_lost_detected: int
-    # read-retry ladder counters
-    reads_corrected: int
-    soft_decode_retries: int
-    read_uecc_errors: int
-    # patrol scrub counters
-    scrub_passes: int
-    scrub_pages_scanned: int
-    scrub_pages_relocated: int
-    scrub_blocks_retired: int
-    # DLWA accounting (scrub relocations must show up here)
-    host_pages_written: int
-    gc_pages_migrated: int
-    nand_pages_written: int
-    dlwa: float
 
 
 def steady_state_dlwa(series: Sequence[IntervalPoint]) -> Optional[float]:

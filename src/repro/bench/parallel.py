@@ -56,8 +56,7 @@ __all__ = [
     "SweepError",
     "point_seed",
     "run_sweep",
-    "smoke_points",
-    "main",
+    "figure_points",
 ]
 
 
@@ -201,23 +200,24 @@ def run_sweep(
     return results
 
 
-# Smoke points shrink the device (64 MiB physical) and the trace so one
-# point per run_experiment-driven figure finishes in seconds; the CI
-# smoke job sweeps them all through run_sweep.
-_SMOKE_SCALE = Scale(num_superblocks=128)
+# The smoke sweep shrinks the device (64 MiB physical) and the trace so
+# one point per run_experiment-driven figure finishes in seconds.
+SMOKE_SCALE = Scale(num_superblocks=128)
+SMOKE_OPS = 40_000
 
 
-def smoke_points(num_ops: int = 40_000) -> List[SweepPoint]:
-    """One representative point per trace-replay figure/table bench."""
+def figure_points(
+    scale: Scale = SMOKE_SCALE, num_ops: Optional[int] = SMOKE_OPS
+) -> List[SweepPoint]:
+    """One representative point per trace-replay figure/table bench
+    (``num_ops=None`` runs ``scale.num_ops``)."""
 
     def kw(**kwargs: object) -> Dict[str, object]:
-        kwargs.setdefault("scale", _SMOKE_SCALE)
+        kwargs.setdefault("scale", scale)
         kwargs.setdefault("num_ops", num_ops)
         return kwargs
 
-    smoke_dram = int(
-        _SMOKE_SCALE.geometry().logical_bytes * 0.9 * 0.022
-    )
+    dram = int(scale.geometry().logical_bytes * 0.9 * 0.022)
     return [
         SweepPoint(
             "fig05_dlwa_timeline", 0, "kvcache",
@@ -245,52 +245,6 @@ def smoke_points(num_ops: int = 40_000) -> List[SweepPoint]:
         ),
         SweepPoint(
             "table2_dram_sweep", 1, "kvcache",
-            kw(fdp=True, utilization=0.9, dram_bytes=smoke_dram),
+            kw(fdp=True, utilization=0.9, dram_bytes=dram),
         ),
     ]
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI: ``python -m repro.bench.parallel [--workers N] [--smoke]``."""
-    import argparse
-    import time
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.parallel",
-        description="Fan benchmark sweep points across worker processes.",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: CPU count; 1 = serial)",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="run the reduced one-point-per-figure smoke sweep",
-    )
-    parser.add_argument(
-        "--num-ops", type=int, default=40_000,
-        help="operations per smoke point (default 40000)",
-    )
-    args = parser.parse_args(argv)
-    points = smoke_points(args.num_ops)
-    if not args.smoke:
-        parser.error("only the --smoke sweep is wired up as a CLI")
-    start = time.perf_counter()
-    results = run_sweep(points, workers=args.workers)
-    elapsed = time.perf_counter() - start
-    print(
-        f"{len(results)} points in {elapsed:.1f}s "
-        f"(workers={args.workers or os.cpu_count()})"
-    )
-    print(f"{'point':<40} {'DLWA':>6} {'hit%':>6} {'kops':>8}")
-    for result in results:
-        print(
-            f"{result.name:<40} {result.steady_dlwa:>6.2f} "
-            f"{result.hit_ratio * 100:>6.1f} "
-            f"{result.throughput_kops:>8.1f}"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

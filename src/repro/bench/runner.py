@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cache.config import CacheConfig
 from ..cache.hybrid import HybridCache
 from ..faults.latent import LatentErrorConfig
-from ..faults.model import FaultConfig, HealthLogPage
+from ..faults.model import FaultConfig
 from ..faults.plan import OP_POWER, OP_SILENT, ScriptedFault
 from ..fdp.ruh import PlacementIdentifier
 from ..ssd.device import SimulatedSSD
@@ -32,7 +32,7 @@ from ..workloads.kvcache import kv_cache_trace, wo_kv_cache_trace
 from ..workloads.trace import Trace
 from ..workloads.twitter import twitter_cluster12_trace
 from .driver import CacheBench, ReplayConfig
-from .metrics import CrashSoakResult, Gate, IntegritySoakResult, RunResult, SoakResult
+from .metrics import Gate, RunResult, SoakResult
 
 __all__ = [
     "Scale",
@@ -291,21 +291,19 @@ def run_chaos_soak(
     scale: Scale = CHAOS_SCALE,
     seed: int = 42,
     faults: Optional[FaultConfig] = None,
-    replay: Optional[ReplayConfig] = None,
-    max_steady_dlwa: Optional[float] = None,
-    min_hit_ratio: Optional[float] = None,
-    name: Optional[str] = None,
-) -> Tuple[RunResult, HealthLogPage]:
+    max_steady_dlwa: float = 3.0,
+    min_hit_ratio: float = 0.3,
+) -> SoakResult:
     """Replay a workload against a deliberately failing device.
 
     The graceful-degradation soak: the cache must keep serving while
     the device throws UECCs, program failures, and scripted erase
-    failures that permanently retire superblocks.  Returns the run
-    result plus the device's post-run SMART-like health log, after
-    verifying FTL invariants still hold.
-
-    ``max_steady_dlwa`` / ``min_hit_ratio`` optionally assert that
-    degradation stayed within a band — the chaos run's pass criteria.
+    failures that permanently retire superblocks.  FTL invariants must
+    still hold afterwards (a broken one raises).  The gates: steady
+    DLWA stays at most ``max_steady_dlwa``, the hit ratio at least
+    ``min_hit_ratio``, and the run saw media errors at all.  The row
+    carries the run's counters, the evidence the device's post-run
+    SMART-like health log.  ``python -m repro.bench soak chaos`` runs it.
     """
     if faults is None:
         faults = default_chaos_config()
@@ -315,21 +313,34 @@ def run_chaos_soak(
     trace = make_trace(
         workload, cache.config.nvm_bytes, scale, num_ops=num_ops, seed=seed
     )
-    label = name or f"chaos {workload} {'FDP' if fdp else 'Non-FDP'}"
-    result = CacheBench(replay).run(cache, trace, name=label)
+    arm = "FDP" if fdp else "Non-FDP"
+    result = CacheBench().run(cache, trace, name=f"chaos {workload} {arm}")
     cache.device.check_invariants()
-    health = cache.device.get_health_log()
-    if max_steady_dlwa is not None and result.steady_dlwa > max_steady_dlwa:
-        raise AssertionError(
-            f"chaos soak: steady DLWA {result.steady_dlwa:.3f} exceeds "
-            f"band {max_steady_dlwa:.3f}"
-        )
-    if min_hit_ratio is not None and result.hit_ratio < min_hit_ratio:
-        raise AssertionError(
-            f"chaos soak: hit ratio {result.hit_ratio:.3f} collapsed "
-            f"below band {min_hit_ratio:.3f}"
-        )
-    return result, health
+    row = dataclasses.asdict(result)
+    del row["name"], row["interval_series"]
+    return SoakResult(
+        soak="chaos",
+        params=dict(workload=workload, utilization=utilization, ops=result.ops, seed=seed),
+        columns=(
+            "arm", "hit_ratio", "steady_dlwa", "read_errors", "write_errors", "write_drops",
+            "io_retries", "retired_superblocks", "available_spare_pct",
+        ),
+        rows=[{"arm": arm, **row}],
+        gates=[
+            Gate(
+                "steady_dlwa_in_band",
+                result.steady_dlwa <= max_steady_dlwa,
+                f"{result.steady_dlwa:.3f} <= {max_steady_dlwa}",
+            ),
+            Gate(
+                "hit_ratio_in_band",
+                result.hit_ratio >= min_hit_ratio,
+                f"{result.hit_ratio:.3f} >= {min_hit_ratio}",
+            ),
+            Gate("faults_injected", result.media_errors > 0, f"media_errors={result.media_errors}"),
+        ],
+        evidence={"health": dataclasses.asdict(cache.device.get_health_log())},
+    )
 
 
 # The crash soak shrinks the device further (16 MiB physical) so the
@@ -406,8 +417,7 @@ def run_crash_soak(
     seed: Optional[int] = None,
     checkpoint_interval_pages: int = 768,
     journal_flush_interval: int = 48,
-    verbose: bool = False,
-) -> CrashSoakResult:
+) -> SoakResult:
     """Write → power-cut → recover → verify soak against a shadow map.
 
     Each cycle issues a seeded batch of multi-page writes (every write
@@ -427,14 +437,16 @@ def run_crash_soak(
     (and the durable prefix of each torn one, per the cut report) must
     be present with its token, and nothing else may be mapped.  Any
     divergence — a lost acknowledged write or a phantom mapping —
-    raises ``AssertionError``.  FTL invariants and stats/DLWA
-    accounting are checked after every cycle.
+    raises ``AssertionError``, as does a broken FTL invariant.  The
+    stats/DLWA accounting checked after every cycle (counters never
+    move backwards, cuts and recoveries advance in lockstep, DLWA ≥ 1)
+    are the soak's gates; its rows are the cycles.
 
     The defaults give 12 cuts (4 per mode) on a device small enough
     that GC interleaves with the torn writes.  ``seed`` defaults to
     ``point_seed("crash_soak", 0)`` — the same sweep-seed contract
-    every other deterministic run derives from.  Returns a
-    :class:`~repro.bench.metrics.CrashSoakResult`.
+    every other deterministic run derives from.  ``python -m
+    repro.bench soak crash`` runs it.
     """
     if seed is None:
         seed = point_seed("crash_soak", 0)
@@ -471,6 +483,8 @@ def run_crash_soak(
         "journal_replayed": 0,
         "verified_cycles": 0,
     }
+    rows: List[Dict[str, object]] = []
+    monotone = in_step = dlwa_sane = True
     now = 0
     token_counter = 0
     for c, cycle in enumerate(schedule):
@@ -578,44 +592,54 @@ def run_crash_soak(
         # Accounting must survive the cut: cumulative counters never
         # move backwards and the crash counters advance in lockstep.
         stats_after = device.snapshot()
-        if stats_after.host_pages_written < stats_before.host_pages_written:
-            raise AssertionError("host write accounting regressed")
-        if stats_after.nand_pages_written < stats_before.nand_pages_written:
-            raise AssertionError("NAND write accounting regressed")
-        if stats_after.power_cuts != c + 1 or stats_after.recoveries != c + 1:
-            raise AssertionError(
-                f"cycle {c}: crash counters out of step "
-                f"(cuts={stats_after.power_cuts}, "
-                f"recoveries={stats_after.recoveries})"
-            )
-        if device.dlwa < 1.0 and stats_after.host_pages_written:
-            raise AssertionError(f"impossible DLWA {device.dlwa}")
+        monotone &= (
+            stats_after.host_pages_written >= stats_before.host_pages_written
+            and stats_after.nand_pages_written >= stats_before.nand_pages_written
+        )
+        in_step &= stats_after.power_cuts == stats_after.recoveries == c + 1
+        dlwa_sane &= device.dlwa >= 1.0 or not stats_after.host_pages_written
         counters["verified_cycles"] += 1
-        if verbose:
-            print(
-                f"cycle {c:2d} {mode:<9} mapped={mapped:5d} "
-                f"recovered={recovery.mappings_recovered:5d} "
-                f"torn={device.stats.torn_pages_discarded:4d} "
-                f"dlwa={device.dlwa:5.2f}"
-            )
+        rows.append(
+            {
+                "cycle": c,
+                "mode": mode,
+                "mapped": mapped,
+                "recovered": recovery.mappings_recovered,
+                "torn": device.stats.torn_pages_discarded,
+                "dlwa": device.dlwa,
+            }
+        )
 
-    return CrashSoakResult(
-        cycles=cycles,
-        verified_cycles=counters["verified_cycles"],
-        power_cuts=device.stats.power_cuts,
-        scripted_cuts=counters["scripted"],
-        inflight_cuts=counters["inflight"],
-        quiescent_cuts=counters["quiescent"],
-        commands_issued=counters["commands"],
-        pages_written=counters["pages_written"],
-        pages_verified=counters["pages_verified"],
-        pages_trimmed=counters["pages_trimmed"],
-        torn_writes=counters["torn_writes"],
-        torn_pages_discarded=device.stats.torn_pages_discarded,
-        mappings_recovered_total=counters["mappings_recovered"],
-        journal_entries_replayed_total=counters["journal_replayed"],
-        final_mapped_pages=len(shadow),
-        final_dlwa=device.dlwa,
+    totals = {
+        "verified_cycles": counters["verified_cycles"],
+        "power_cuts": device.stats.power_cuts,
+        "scripted_cuts": counters["scripted"],
+        "inflight_cuts": counters["inflight"],
+        "quiescent_cuts": counters["quiescent"],
+        "commands_issued": counters["commands"],
+        "pages_written": counters["pages_written"],
+        "pages_verified": counters["pages_verified"],
+        "pages_trimmed": counters["pages_trimmed"],
+        "torn_writes": counters["torn_writes"],
+        "torn_pages_discarded": device.stats.torn_pages_discarded,
+        "mappings_recovered_total": counters["mappings_recovered"],
+        "journal_entries_replayed_total": counters["journal_replayed"],
+        "final_mapped_pages": len(shadow),
+        "final_dlwa": device.dlwa,
+    }
+    return SoakResult(
+        soak="crash",
+        params=dict(
+            cycles=cycles, commands_per_cycle=commands_per_cycle, span=span, fdp=fdp, seed=seed
+        ),
+        columns=("cycle", "mode", "mapped", "recovered", "torn", "dlwa"),
+        rows=rows,
+        gates=[
+            Gate("accounting_monotone", monotone, "host and NAND page counters across cuts"),
+            Gate("crash_counters_in_step", in_step, "power cuts == recoveries == cycles"),
+            Gate("dlwa_at_least_one", dlwa_sane, f"final DLWA {device.dlwa:.3f}"),
+        ],
+        evidence=totals,
     )
 
 
@@ -672,8 +696,9 @@ def run_integrity_soak(
     scrub: bool = True,
     scrub_config: Optional[ScrubConfig] = None,
     verbose: bool = False,
-) -> IntegritySoakResult:
-    """Latent-error soak with shadow-map corruption reconciliation.
+) -> Dict[str, object]:
+    """Latent-error soak with shadow-map corruption reconciliation;
+    returns its counters as one row.
 
     The soak first cold-fills ``span`` LBAs (extent writes, steered to
     RUH 1 under FDP), then runs ``phases`` rounds of a 65/35
@@ -695,8 +720,8 @@ def run_integrity_soak(
       same seed with ``scrub=False`` leaves the scripted cold-half
       corruptions unseen and the count is nonzero.
 
-    Also asserts the DLWA ledger balances exactly:
-    ``nand = host + GC migrations + scrub relocations`` — scrub
+    :func:`run_integrity_arms` gates on the DLWA ledger balancing
+    exactly: ``nand = host + GC migrations + scrub relocations`` — scrub
     refresh traffic is real write amplification and must be visible in
     the reported DLWA.  ``seed`` defaults to
     ``point_seed("integrity_soak", 0)`` per the sweep-seed contract.
@@ -786,19 +811,8 @@ def run_integrity_soak(
         else:
             undetected += 1
 
-    # The DLWA ledger must balance exactly: every NAND page program is
-    # host traffic, a GC migration, or a scrub refresh.
     s = device.stats
-    if s.nand_pages_written != (
-        s.host_pages_written + s.gc_pages_migrated + s.scrub_pages_relocated
-    ):
-        raise AssertionError(
-            f"DLWA ledger out of balance: nand={s.nand_pages_written} != "
-            f"host={s.host_pages_written} + gc={s.gc_pages_migrated} + "
-            f"scrub={s.scrub_pages_relocated}"
-        )
-
-    return IntegritySoakResult(
+    return dict(
         ops=ops,
         pages_written=pages_written,
         pages_read=pages_read,
@@ -844,9 +858,15 @@ def run_integrity_arms(
     params = dict(span=span, phases=phases, commands_per_phase=commands_per_phase, seed=seed)
     on = run_integrity_soak(scrub=True, verbose=verbose, **params)
     off = run_integrity_soak(scrub=False, verbose=verbose, **params)
-    rows = [{"arm": "scrub-on", **dataclasses.asdict(on)}]
-    rows.append({"arm": "scrub-off", **dataclasses.asdict(off)})
-    ledger = on.host_pages_written + on.gc_pages_migrated + on.scrub_pages_relocated
+    rows = [{"arm": "scrub-on", **on}, {"arm": "scrub-off", **off}]
+
+    def ledger(arm: str, row: Dict[str, object]) -> Gate:
+        # Every NAND page program is host traffic, a GC migration, or a
+        # scrub refresh: the DLWA ledger must balance exactly.
+        parts = row["host_pages_written"] + row["gc_pages_migrated"] + row["scrub_pages_relocated"]
+        nand = row["nand_pages_written"]
+        return Gate(f"{arm}_ledger_balances", nand == parts, f"nand={nand} host+gc+scrub={parts}")
+
     return SoakResult(
         soak="integrity",
         params=params,
@@ -856,13 +876,10 @@ def run_integrity_arms(
         ),
         rows=rows,
         gates=[
-            Gate("scrub_on_zero_undetected", on.undetected_corruptions == 0),
-            Gate("scrub_on_relocates", on.scrub_pages_relocated > 0),
-            Gate(
-                "scrub_on_ledger_balances",
-                on.nand_pages_written == ledger,
-                f"nand={on.nand_pages_written} host+gc+scrub={ledger}",
-            ),
-            Gate("scrub_off_leaks", off.undetected_corruptions > 0),
+            Gate("scrub_on_zero_undetected", on["undetected_corruptions"] == 0),
+            Gate("scrub_on_relocates", on["scrub_pages_relocated"] > 0),
+            ledger("scrub_on", on),
+            Gate("scrub_off_leaks", off["undetected_corruptions"] > 0),
+            ledger("scrub_off", off),
         ],
     )

@@ -24,7 +24,6 @@ import dataclasses
 from typing import Optional
 
 from ..core.device_layer import FdpAwareDevice
-from ..core.placement import PlacementHandle
 from ..core.policies import PlacementPolicy, StaticSegregationPolicy
 from ..faults.errors import MediaError
 from ..ssd.device import SimulatedSSD
@@ -219,12 +218,6 @@ class HybridCache:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _soc_handle(self) -> PlacementHandle:
-        return self.policy.handle_for(self._soc_name)
-
-    def _loc_handle(self) -> PlacementHandle:
-        return self.policy.handle_for(self._loc_name)
 
     def _maybe_flush_metadata(self, now_ns: int) -> int:
         """Minor consumer: periodic metadata flush on the default RUH."""

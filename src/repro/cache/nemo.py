@@ -182,10 +182,6 @@ class NemoCache:
         return out
 
     @property
-    def footprint_pages(self) -> int:
-        return self.num_pages
-
-    @property
     def item_count(self) -> int:
         return sum(len(entries) for entries in self._sets)
 

@@ -459,11 +459,6 @@ class SmallObjectCache:
     # ------------------------------------------------------------------
 
     @property
-    def footprint_pages(self) -> int:
-        """Flash pages the SOC owns."""
-        return self.num_buckets
-
-    @property
     def item_count(self) -> int:
         """Items currently cached (O(buckets))."""
         return sum(len(b) for b in self._buckets)

@@ -286,22 +286,6 @@ class FdpAwareDevice:
                     self.write_errors += 1
         return comps
 
-    def latency_histograms(
-        self, worker: Optional[str] = None
-    ) -> Dict[str, object]:
-        """Per-queue, per-op scheduler latency histograms.
-
-        Empty dict when no scheduler is attached.  With ``worker``,
-        returns that queue's ``{op: LatencyHistogram}`` map.
-        """
-        sched = self.ssd.scheduler
-        if sched is None:
-            return {}
-        hists = sched.histograms()
-        if worker is not None:
-            return dict(hists.get(worker, {}))
-        return {name: dict(ops) for name, ops in hists.items()}
-
     # -- I/O ----------------------------------------------------------
 
     def write(

@@ -11,7 +11,6 @@ and the cache engines.
 
 from .errors import (
     DeviceOfflineError,
-    EraseFailError,
     MediaError,
     PowerLossError,
     ProgramFailError,
@@ -70,7 +69,6 @@ __all__ = [
     "MediaError",
     "UncorrectableReadError",
     "ProgramFailError",
-    "EraseFailError",
     "PowerLossError",
     "DeviceOfflineError",
 ]

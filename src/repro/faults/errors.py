@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from ..ssd.errors import (
     DeviceOfflineError,
-    EraseFailError,
     MediaError,
     PowerLossError,
     ProgramFailError,
@@ -31,7 +30,6 @@ __all__ = [
     "MediaError",
     "UncorrectableReadError",
     "ProgramFailError",
-    "EraseFailError",
     "PowerLossError",
     "DeviceOfflineError",
 ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "FailSlowConfig",
@@ -122,9 +122,6 @@ class FailSlowPlan:
         self._live: List[bool] = [True] * len(self._entries)
         self.activated = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def pending(self) -> int:
         """Scripted onsets not yet activated."""
@@ -145,10 +142,6 @@ class FailSlowPlan:
                 self.activated += 1
                 fired.append((i, entry))
         return fired
-
-    def snapshot(self) -> Tuple[Tuple[ScriptedSlowdown, bool], ...]:
-        """(entry, still-pending) pairs, for diagnostics."""
-        return tuple(zip(self._entries, self._live))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -95,17 +95,6 @@ class FaultConfig:
         if not isinstance(self.plan, tuple):
             object.__setattr__(self, "plan", tuple(self.plan))
 
-    @property
-    def any_enabled(self) -> bool:
-        """Whether this configuration can inject anything at all."""
-        return bool(
-            self.read_uecc_rate
-            or self.program_fail_rate
-            or self.erase_fail_rate
-            or self.latency_spike_rate
-            or self.plan
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class HealthLogPage:

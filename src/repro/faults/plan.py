@@ -146,14 +146,6 @@ class FaultPlan:
         """
         return op in self._ops
 
-    def pending_for(self, op: str) -> int:
-        """Unconsumed firings scripted for one op class."""
-        return sum(
-            r
-            for entry, r in zip(self._entries, self._remaining)
-            if entry.op == op
-        )
-
     def take(
         self,
         op: str,

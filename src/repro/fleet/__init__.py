@@ -7,7 +7,7 @@ fault-tolerant cluster:
 * :mod:`repro.fleet.hashring` — consistent-hash placement (virtual
   nodes, deterministic under seed, bounded key movement);
 * :mod:`repro.fleet.shard` — one cache+device pair behind a uniform
-  shard API with an FDP / non-FDP / ZNS backend mix and the
+  shard API with an FDP / non-FDP backend mix and the
   HEALTHY → DEGRADED → RETIRING → DEAD lifecycle;
 * :mod:`repro.fleet.router` — :class:`FleetCache`: routing, bounded
   retry, per-shard circuit breakers, degraded (miss-not-error)

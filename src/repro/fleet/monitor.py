@@ -188,8 +188,6 @@ class FleetHealthMonitor:
             if not shard.alive:
                 continue
             page = shard.health()
-            if page is None:  # backend without SMART (ZNS) — skip
-                continue
             retire = (
                 page.available_spare_pct < cfg.retire_spare_pct
                 or page.percent_used >= cfg.retire_percent_used

@@ -7,18 +7,13 @@ taxonomy: every device-unavailability exception is translated into
 :class:`~repro.fleet.errors.ShardUnavailableError` tagged with the
 shard id, so device exceptions never leak through fleet APIs.
 
-Three backends hide heterogeneous device generations behind the same
-interface ("How to Write to SSDs"'s device mix, ROADMAP's FDP /
-non-FDP / ZNS requirement):
+Two backends hide heterogeneous device generations behind the same
+interface ("How to Write to SSDs"'s device mix):
 
 * ``fdp`` — :class:`~repro.cache.hybrid.HybridCache` over an
   FDP-enabled :class:`~repro.ssd.device.SimulatedSSD`;
 * ``nonfdp`` — the same hybrid cache with placement off (mixed
-  superblocks, the paper's baseline);
-* ``zns`` — a tiny-object log store over
-  :class:`~repro.ssd.zns.ZonedSSD` (host-GC'd appends, one page per
-  object) with FIFO host-side eviction bolted on so it behaves as a
-  cache rather than a store.
+  superblocks, the paper's baseline).
 
 Lifecycle: ``HEALTHY → DEGRADED → RETIRING → DEAD``.  HEALTHY/DEGRADED
 shards serve traffic (DEGRADED is a health-monitor warning state);
@@ -38,12 +33,10 @@ from ..bench.runner import DEFAULT_SCALE, build_experiment
 from ..cache.hybrid import (
     BROWNOUT_HEALTHY,
     BROWNOUT_SHED_LOC,
-    HIT_DRAM,
     MISS,
     HybridCache,
 )
 from ..ssd.errors import QueueFullError
-from ..ssd.zns import ZnsHostLog, ZonedSSD
 from .errors import (
     SHARD_UNAVAILABLE_CAUSES,
     ShardUnavailableError,
@@ -59,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = ["ShardState", "ShardSpec", "CacheShard", "BACKENDS"]
 
-BACKENDS = ("fdp", "nonfdp", "zns")
+BACKENDS = ("fdp", "nonfdp")
 
 
 class ShardState(enum.Enum):
@@ -100,20 +93,13 @@ class ShardSpec:
             )
         if not self.shard_id:
             raise ValueError("shard_id must be non-empty")
-        if self.failslow is not None and (
-            not self.sched or self.backend == "zns"
-        ):
+        if self.failslow is not None and not self.sched:
             raise ValueError(
-                "failslow rides the scheduler overlay: it needs sched=True "
-                "and a hybrid backend"
+                "failslow rides the scheduler overlay: it needs sched=True"
             )
 
     def build(self) -> "CacheShard":
         scale = self.scale or DEFAULT_SCALE
-        if self.backend == "zns":
-            return CacheShard(
-                self.shard_id, _ZnsBackend(scale, self.utilization), self
-            )
         cache = build_experiment(
             fdp=self.backend == "fdp",
             utilization=self.utilization,
@@ -213,134 +199,6 @@ class _HybridBackend:
 
     def stats_dict(self) -> dict:
         return self.cache.stats_dict()
-
-
-class _ZnsBackend:
-    """ZNS shard storage: a host-GC'd append log with FIFO eviction.
-
-    Objects are one page each (a Nemo-style tiny-object engine); the
-    backend evicts the oldest keys when the zoned store cannot reclaim
-    space, which is the host-side work FDP devices avoid.  ``dlwa``
-    reports the host WAF — ZNS's directly comparable amplification
-    metric, since the device itself never relocates data.
-    """
-
-    kind = "zns"
-
-    # Evict this fraction of resident keys when the store is full.
-    _EVICT_FRACTION = 8
-
-    def __init__(self, scale: "Scale", utilization: float) -> None:
-        geometry = scale.geometry()
-        self.device = ZonedSSD(geometry)
-        self.log = ZnsHostLog(self.device)
-        total_pages = self.device.num_zones * self.device.zone_pages
-        # Live-key budget: mirror the hybrid arms' utilization knob and
-        # leave the host GC reclaimable headroom on top.
-        self.max_live = max(16, int(total_pages * utilization * 0.7))
-        self._fifo: Dict[int, None] = {}  # insertion-ordered key set
-        self.hits = 0
-        self.lookups = 0
-        self.evicted_items = 0
-
-    def _evict(self, count: int) -> None:
-        for key in list(self._fifo)[:count]:
-            del self._fifo[key]
-            self.log.delete(key)
-            self.evicted_items += 1
-
-    def get(self, key: int, now_ns: int) -> Tuple[bool, str, int]:
-        self.lookups += 1
-        hit, done = self.log.get(key, now_ns)
-        if hit:
-            self.hits += 1
-            self._fifo.pop(key, None)
-            self._fifo[key] = None  # refresh FIFO position on hit
-            return True, "zns", done
-        return False, MISS, done
-
-    def set(self, key: int, size: int, now_ns: int) -> int:
-        if len(self._fifo) >= self.max_live:
-            self._evict(max(1, self.max_live // self._EVICT_FRACTION))
-        from ..ssd.errors import DeviceFullError
-
-        try:
-            done = self.log.put(key, now_ns)
-        except DeviceFullError:
-            # All zones live: make room and retry once.
-            self._evict(max(1, len(self._fifo) // self._EVICT_FRACTION))
-            done = self.log.put(key, now_ns)
-        self._fifo.pop(key, None)
-        self._fifo[key] = None
-        return done
-
-    def delete(self, key: int, now_ns: int) -> int:
-        self._fifo.pop(key, None)
-        self.log.delete(key)
-        return now_ns
-
-    def contains(self, key: int) -> bool:
-        return key in self._fifo
-
-    def resident_items(self) -> Dict[int, int]:
-        page = self.device.geometry.page_size
-        return {key: page for key in self._fifo}
-
-    def health(self) -> Optional["HealthLogPage"]:
-        return None  # ZNS exposes zone reports, not SMART health pages
-
-    def busy_until(self) -> Optional[int]:
-        return self.device.latency.busy_until
-
-    def overload_signals(self, now_ns: int) -> OverloadSignals:
-        return OverloadSignals(
-            backlog_ns=max(0, self.device.latency.busy_until - now_ns)
-        )
-
-    def set_brownout_mode(self, mode: str) -> None:
-        pass  # the ZNS log has no LOC tier to shed
-
-    @property
-    def shed_loc_admissions(self) -> int:
-        return 0
-
-    def power_off(self, now_ns: int) -> None:
-        self._fifo.clear()
-
-    def merged_histogram(self, op: str) -> Optional["LatencyHistogram"]:
-        return None
-
-    def clear_histograms(self) -> None:
-        pass
-
-    def failslow_status(self) -> Optional[dict]:
-        return None
-
-    def page_counters(self) -> Tuple[int, int]:
-        host = self.log.appended_pages
-        return host, host + self.log.host_copied_pages
-
-    @property
-    def dlwa(self) -> float:
-        return self.log.host_waf
-
-    def energy_kwh(self) -> float:
-        return self.device.energy.active_energy_j() / 3.6e6
-
-    @property
-    def capacity_bytes(self) -> int:
-        page = self.device.geometry.page_size
-        return self.device.num_zones * self.device.zone_pages * page
-
-    def stats_dict(self) -> dict:
-        return {
-            "engine": "zns-log",
-            "items": len(self._fifo),
-            "hit_ratio": self.hits / self.lookups if self.lookups else 0.0,
-            "evicted_items": self.evicted_items,
-            "host_waf": self.log.host_waf,
-            "zone_report": self.device.zone_report(),
-        }
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,7 @@ tests/test_differential_kernel.py pin about it:
   replay loop (:func:`repro.bench.driver.replay`) takes it as one.
 * At the device layer,
   :meth:`~repro.ssd.device.SimulatedSSD.write_arrays` takes a command
-  array as columns and is a closed-loop ``write`` per command, and
-  ``SimulatedSSD(telemetry=False)`` detaches the event log and energy
-  ledger without touching simulated state.
+  array as columns and is a closed-loop ``write`` per command.
 * :mod:`repro.kernel.replay` — :class:`KernelBench`, the name the
   benchmark's ``kv_fdp_kernel`` row binds; it runs the one replay loop.
 """

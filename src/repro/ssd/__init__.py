@@ -10,7 +10,6 @@ substitution rationale).
 from .batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand, BatchOutcome
 from .device import SimulatedSSD
 from .energy import EnergyCosts, EnergyModel
-from .namespace import Namespace, NamespaceManager
 from .wear import (
     WearStats,
     collect_wear_stats,
@@ -21,10 +20,8 @@ from .zns import Zone, ZonedSSD, ZoneError, ZoneState, ZnsHostLog
 from .errors import (
     DeviceFullError,
     DeviceOfflineError,
-    EraseFailError,
     InvalidPlacementError,
     MediaError,
-    NamespaceError,
     OutOfRangeError,
     PowerLossError,
     ProgramFailError,
@@ -60,8 +57,6 @@ __all__ = [
     "OP_WRITE",
     "OP_READ",
     "OP_TRIM",
-    "Namespace",
-    "NamespaceManager",
     "WearStats",
     "collect_wear_stats",
     "retention_acceleration",
@@ -88,11 +83,9 @@ __all__ = [
     "OutOfRangeError",
     "DeviceFullError",
     "InvalidPlacementError",
-    "NamespaceError",
     "MediaError",
     "UncorrectableReadError",
     "ProgramFailError",
-    "EraseFailError",
     "PowerLossError",
     "DeviceOfflineError",
     "QueueFullError",

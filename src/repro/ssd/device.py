@@ -25,11 +25,11 @@ from ..faults.failslow import FailSlowConfig, FailSlowModel
 from ..faults.latent import LatentErrorConfig, LatentErrorModel
 from ..faults.model import FaultConfig, FaultModel, HealthLogPage
 from ..fdp.config import FdpConfiguration, default_configuration
-from ..fdp.events import FdpEventLog, NullEventLog
+from ..fdp.events import FdpEventLog
 from ..fdp.logpage import FdpStatisticsLogPage
 from ..fdp.ruh import PlacementIdentifier
 from .batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand
-from .energy import EnergyCosts, EnergyModel, NullEnergyModel
+from .energy import EnergyCosts, EnergyModel
 from .errors import MediaError, QueueFullError
 from .ftl import Ftl
 from .geometry import Geometry
@@ -105,7 +105,6 @@ class SimulatedSSD:
         scrub: "ScrubConfig | PatrolScrubber | bool | None" = None,
         sched: "SchedConfig | bool | None" = None,
         failslow: "FailSlowConfig | FailSlowModel | None" = None,
-        telemetry: bool = True,
     ) -> None:
         self.geometry = geometry
         if fdp is True:
@@ -135,13 +134,6 @@ class SimulatedSSD:
                 "(or a SchedConfig) to attach one"
             )
         self._failslow_spec = failslow
-        # Telemetry hooks (event log + energy ledger) are opt-out: with
-        # telemetry=False the device runs with detached null hooks that
-        # record nothing and cost nothing per op.  Core simulation
-        # state — mapping, OOB, journal, DeviceStats — is never
-        # detached.  The choice survives format() because _new_ftl
-        # rebuilds from it.
-        self._telemetry = telemetry
         self.ftl = self._new_ftl()
 
     def _new_fault_model(self) -> Optional[FaultModel]:
@@ -199,12 +191,8 @@ class SimulatedSSD:
             self.geometry,
             self.fdp_config,
             latency=LatencyModel(self._timings),
-            energy=(
-                EnergyModel(self._energy_costs)
-                if self._telemetry
-                else NullEnergyModel(self._energy_costs)
-            ),
-            events=FdpEventLog() if self._telemetry else NullEventLog(),
+            energy=EnergyModel(self._energy_costs),
+            events=FdpEventLog(),
             stats=DeviceStats(),
             gc_reserve_superblocks=self._gc_reserve,
             gc_victim_sample=self._gc_victim_sample,
@@ -581,11 +569,6 @@ class SimulatedSSD:
     def latent(self) -> Optional[LatentErrorModel]:
         """The live latent-error model, or ``None`` when disabled."""
         return self.ftl.latent
-
-    @property
-    def scrubber(self) -> Optional[PatrolScrubber]:
-        """The attached patrol scrubber, or ``None`` when disabled."""
-        return self.ftl.scrubber
 
     def scrub_status(self) -> Optional[ScrubStatus]:
         """Patrol-scrub progress snapshot, or ``None`` when no scrubber

@@ -19,11 +19,9 @@ __all__ = [
     "OutOfRangeError",
     "DeviceFullError",
     "InvalidPlacementError",
-    "NamespaceError",
     "MediaError",
     "UncorrectableReadError",
     "ProgramFailError",
-    "EraseFailError",
     "PowerLossError",
     "DeviceOfflineError",
     "QueueFullError",
@@ -59,10 +57,6 @@ class InvalidPlacementError(SsdError):
     """
 
 
-class NamespaceError(SsdError):
-    """Namespace management command was invalid (size, handles, ...)."""
-
-
 class MediaError(SsdError):
     """Base class for NAND media failures (as opposed to protocol or
     capacity errors).  Callers that degrade gracefully — the cache
@@ -93,18 +87,6 @@ class ProgramFailError(MediaError):
         super().__init__(message)
         self.lba = lba
         self.attempts = attempts
-
-
-class EraseFailError(MediaError):
-    """An erase failed and the superblock was retired.
-
-    Never raised to the host — the FTL handles it internally — but
-    exposed so tests and tools can construct/inspect the failure class.
-    """
-
-    def __init__(self, message: str, *, superblock: int = -1) -> None:
-        super().__init__(message)
-        self.superblock = superblock
 
 
 class PowerLossError(SsdError):

@@ -69,7 +69,7 @@ from .recovery import (
     payload_crc,
     rebuild_ftl_state,
 )
-from .scrub import PatrolScrubber, ScrubConfig
+from .scrub import PatrolScrubber
 from .stats import DeviceStats
 from .superblock import Superblock, SuperblockState
 from .wear import (
@@ -330,10 +330,6 @@ class Ftl:
         """
         return max(3, self.geometry.num_superblocks // 128)
 
-    @property
-    def fdp_enabled(self) -> bool:
-        return self.fdp_config is not None
-
     def _host_stream(self, pid: Optional[PlacementIdentifier]) -> StreamKey:
         """Resolve the write-point key for a host write."""
         if self.fdp_config is None:
@@ -445,17 +441,15 @@ class Ftl:
         insort(self._closed, sb.index)
         if not sb.valid_pages:
             insort(self._zero_closed, sb.index)
-        if self.events.enabled:
-            rg, ruh = stream[1], stream[2]
-            self.events.record(
-                FdpEvent(
-                    FdpEventType.RU_SWITCHED,
-                    timestamp_ns=now_ns,
-                    ruh_id=ruh,
-                    reclaim_group=rg,
-                    superblock=sb.index,
-                )
+        self.events.record(
+            FdpEvent(
+                FdpEventType.RU_SWITCHED,
+                timestamp_ns=now_ns,
+                ruh_id=stream[2],
+                reclaim_group=stream[1],
+                superblock=sb.index,
             )
+        )
 
     def _writable(self, stream: StreamKey, lba: int, now_ns: int) -> Superblock:
         """The superblock whose write pointer takes ``stream``'s next
@@ -584,15 +578,14 @@ class Ftl:
             self.stats.gc_pages_read += migrated
             self.stats.gc_pages_migrated += migrated
             self.stats.nand_pages_written += migrated
-            if self.events.enabled:
-                self.events.record(
-                    FdpEvent(
-                        FdpEventType.MEDIA_RELOCATED,
-                        timestamp_ns=now_ns,
-                        pages=migrated,
-                        superblock=victim.index,
-                    )
+            self.events.record(
+                FdpEvent(
+                    FdpEventType.MEDIA_RELOCATED,
+                    timestamp_ns=now_ns,
+                    pages=migrated,
+                    superblock=victim.index,
                 )
+            )
 
         if victim.valid_pages != 0:
             raise RuntimeError(
@@ -1023,16 +1016,6 @@ class Ftl:
             self._close_write_point(stream, now_ns)
         return count
 
-    def write(
-        self,
-        lba: int,
-        pid: Optional[PlacementIdentifier] = None,
-        now_ns: int = 0,
-        payload: object = None,
-    ) -> int:
-        """Write one page at ``lba``; returns completion time (ns)."""
-        return self.write_range(lba, 1, pid, now_ns, payload)
-
     def write_range(
         self,
         lba: int,
@@ -1443,11 +1426,6 @@ class Ftl:
     def occupancy(self) -> float:
         """Fraction of physical pages currently holding live data."""
         return self.valid_page_total() / self.geometry.total_pages
-
-    @property
-    def retired_superblocks(self) -> int:
-        """Superblocks permanently lost to erase failures."""
-        return self.stats.superblocks_retired
 
     def effective_op_fraction(self) -> float:
         """Overprovisioning remaining after block retirement.

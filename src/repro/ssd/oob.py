@@ -14,15 +14,16 @@ Python object per page.
 Compatibility is preserved exactly:
 
 * ``store[ppn]`` returns ``None`` for an unprogrammed page or an
-  :class:`OobView` — a tiny write-through proxy whose attributes
-  (``lba``/``seq``/``stream``/``payload``/``ok``/``crc``) read and
-  write the underlying columns.  Code that mutates a record in place
-  (``rec.ok = False`` in the poison path) therefore still works.
+  :class:`OobView` — a tiny proxy whose attributes
+  (``lba``/``seq``/``stream``/``payload``/``ok``/``crc``) read the
+  underlying columns; ``payload`` and ``ok`` also write them, so code
+  that mutates a record in place (``rec.ok = False`` in the poison
+  path) still works.
 * ``store[ppn] = OobRecord(...)`` / ``= None`` decomposes into the
   columns (bad and torn pages, and the tests' per-page reference
   FTL).
-* Iteration and ``len()`` behave like the old list, so differential
-  tests imaging the whole OOB area run unchanged.
+* Iteration behaves like the old list, so differential tests imaging
+  the whole OOB area run unchanged.
 
 The fast paths are :meth:`OobStore.fill_run` (program ``count``
 consecutive pages whose LBA and sequence number each advance by one —
@@ -46,8 +47,6 @@ from array import array
 from typing import List, Optional
 
 import numpy as np
-
-from .recovery import OobRecord
 
 __all__ = ["OobStore", "OobView"]
 
@@ -73,25 +72,13 @@ class OobView:
     def lba(self) -> int:
         return self._store._lba[self._ppn]
 
-    @lba.setter
-    def lba(self, value: int) -> None:
-        self._store._lba[self._ppn] = value
-
     @property
     def seq(self) -> int:
         return self._store._seq[self._ppn]
 
-    @seq.setter
-    def seq(self, value: int) -> None:
-        self._store._seq[self._ppn] = value
-
     @property
     def stream(self) -> object:
         return self._store._stream[self._ppn]
-
-    @stream.setter
-    def stream(self, value: object) -> None:
-        self._store._stream[self._ppn] = value
 
     @property
     def payload(self) -> object:
@@ -112,20 +99,6 @@ class OobView:
     @property
     def crc(self) -> Optional[int]:
         return self._store._crc[self._ppn]
-
-    @crc.setter
-    def crc(self, value: Optional[int]) -> None:
-        self._store._crc[self._ppn] = value
-
-    def record(self) -> OobRecord:
-        """Materialize a standalone :class:`OobRecord` copy."""
-        return OobRecord(
-            self.lba, self.seq, self.stream, self.payload, self.ok, self.crc
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = "" if self.ok else " TORN"
-        return f"OobView(ppn={self._ppn}, lba={self.lba}, seq={self.seq}{flag})"
 
 
 class OobStore:
@@ -166,9 +139,6 @@ class OobStore:
         self._seq_np = np.frombuffer(self._seq, dtype=np.longlong)
 
     # -- list-compatible surface --------------------------------------
-
-    def __len__(self) -> int:
-        return self._total
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -120,9 +120,6 @@ class OobRecord:
         return (self.lba, self.seq, self.stream, self.payload, self.ok, self.crc)
 
     def __setstate__(self, state) -> None:
-        # Length-tolerant: PR 2 images pickled 5-tuples (no CRC field).
-        if len(state) == 5:
-            state = state + (None,)
         self.lba, self.seq, self.stream, self.payload, self.ok, self.crc = state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -139,12 +136,6 @@ class L2pCheckpoint:
     def __init__(self, seq: int, l2p: "array") -> None:
         self.seq = seq
         self.l2p = array("i", l2p)  # deep copy; the live array mutates
-
-    def __getstate__(self):
-        return (self.seq, self.l2p)
-
-    def __setstate__(self, state) -> None:
-        self.seq, self.l2p = state
 
 
 class MappingJournal:

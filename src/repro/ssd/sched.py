@@ -397,9 +397,6 @@ class MultiQueueScheduler:
             q = self._queues[name] = _Queue(name, weight)
         return q
 
-    def queue_names(self) -> List[str]:
-        return list(self._queues)
-
     def depth_available(self, name: str) -> int:
         """Remaining outstanding window for a queue (creates it)."""
         return self.config.queue_depth - self.queue(name).outstanding
@@ -696,29 +693,3 @@ class MultiQueueScheduler:
         if queue is not None:
             return self.queue(queue).outstanding
         return sum(q.outstanding for q in self._queues.values())
-
-    # -- telemetry -----------------------------------------------------
-
-    def stats_dict(self) -> Dict[str, object]:
-        """JSON-friendly scheduler telemetry."""
-        return {
-            "channels": self.channels,
-            "queue_depth": self.config.queue_depth,
-            "host_commands": self.host_commands,
-            "host_wait_ns": self.host_wait_ns,
-            "gc_blocked_commands": self.gc_blocked_commands,
-            "background_ns": dict(self.background_ns),
-            "background_segments": dict(self.background_segments),
-            "failslow": (
-                None if self.failslow is None else self.failslow.status_dict()
-            ),
-            "queues": {
-                name: {
-                    "weight": q.weight,
-                    "submitted": q.submitted,
-                    "completed": q.completed,
-                    "outstanding": q.outstanding,
-                }
-                for name, q in self._queues.items()
-            },
-        }

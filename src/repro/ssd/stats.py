@@ -51,11 +51,6 @@ class StatsSnapshot:
     scrub_blocks_retired: int = 0
 
     @property
-    def media_errors(self) -> int:
-        """Total media failures, SMART-log style."""
-        return self.read_uecc_errors + self.program_failures + self.erase_failures
-
-    @property
     def dlwa(self) -> float:
         """Cumulative device-level write amplification (Eq. 1)."""
         if self.host_pages_written == 0:

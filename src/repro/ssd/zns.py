@@ -263,14 +263,6 @@ class ZnsHostLog:
             return False, now_ns
         return True, self.device.read(lba, 1, now_ns)
 
-    def delete(self, key: int) -> bool:
-        """Drop a key from the host map (its page becomes GC-reclaimable)."""
-        lba = self._key_page.pop(key, None)
-        if lba is None:
-            return False
-        del self._page_key[lba]
-        return True
-
     @property
     def host_waf(self) -> float:
         """Host write amplification: (appends + copies) / appends."""

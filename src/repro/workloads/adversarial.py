@@ -20,10 +20,10 @@ provides those as **composable trace transforms**:
   (``Trace.arrivals_ns``) that open-loop replay consumes
   (:class:`~repro.bench.driver.ReplayConfig`), bootstrapping a fixed
   ``base_interval_ns`` schedule when the input trace has none;
-* :class:`Scenario` composes transforms and produces **per-window
-  ground-truth labels** (:meth:`Scenario.window_labels`) so benches can
-  attribute measured damage (p99 spikes, miss storms) to the transform
-  that was active in that window.
+* :class:`Scenario` composes transforms; :class:`FlashCrowd` also
+  labels each measurement window with the share of it the burst
+  occupies (:meth:`FlashCrowd.window_label`), so the overload soak can
+  attribute measured damage (p99 spikes, miss storms) to it.
 
 Seeds follow the repo's ``point_seed`` contract: callers derive them
 from :func:`repro.bench.runner.point_seed` and pass plain ints here.
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -117,10 +117,6 @@ class DiurnalWave:
             name=f"{trace.name}+diurnal",
             arrivals_ns=_schedule(gaps / rate),
         )
-
-    def window_label(self, start: int, stop: int, total: int) -> Dict[str, float]:
-        mid = np.array([(start + stop) / 2.0])
-        return {"diurnal_rate": float(self._rate(mid)[0])}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,11 +261,6 @@ class HotKeyMigration:
             arrivals_ns=trace.arrivals_ns,
         )
 
-    def window_label(self, start: int, stop: int, total: int) -> Dict[str, float]:
-        mid = (start + stop) // 2
-        epoch = (mid * self.num_epochs) // max(1, total)
-        return {"migration_epoch": float(epoch)}
-
 
 @dataclasses.dataclass(frozen=True)
 class SizeMixDrift:
@@ -311,10 +302,6 @@ class SizeMixDrift:
             name=f"{trace.name}+sizedrift",
             arrivals_ns=trace.arrivals_ns,
         )
-
-    def window_label(self, start: int, stop: int, total: int) -> Dict[str, float]:
-        mid = np.array([(start + stop) / 2.0])
-        return {"size_scale": float(self._scale(mid, max(1, total))[0])}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -388,17 +375,6 @@ class ScanInterference:
             arrivals_ns=arrivals,
         )
 
-    def window_label(self, start: int, stop: int, total: int) -> Dict[str, float]:
-        # Labels are in output-trace coordinates: scan runs occupy
-        # blocks of scan_run ops after each splice point.
-        stride = self.every_ops + self.scan_run
-        scan_ops = 0
-        for w in range(start, stop):
-            if (w % stride) >= self.every_ops:
-                scan_ops += 1
-        frac = scan_ops / (stop - start) if stop > start else 0.0
-        return {"scan_fraction": frac}
-
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
@@ -407,9 +383,6 @@ class Scenario:
     ``apply`` folds the transforms left to right; determinism is
     inherited (each transform is pure, so the composition is a pure
     function of the transform tuple and the base trace).
-    :meth:`window_labels` merges every transform's per-window
-    ground-truth label so a bench can line its measurement windows up
-    with what the scenario was doing to the traffic.
     """
 
     name: str
@@ -424,23 +397,6 @@ class Scenario:
     @property
     def preserves_op_count(self) -> bool:
         return all(t.PRESERVES_OP_COUNT for t in self.transforms)
-
-    def window_labels(
-        self, total_ops: int, num_windows: int
-    ) -> List[Dict[str, float]]:
-        """Ground truth per measurement window of the *output* trace."""
-        if num_windows <= 0:
-            raise ValueError("num_windows must be positive")
-        labels = []
-        edges = np.linspace(0, total_ops, num_windows + 1).astype(int)
-        for w in range(num_windows):
-            start, stop = int(edges[w]), int(edges[w + 1])
-            merged: Dict[str, float] = {"window": float(w)}
-            for t in self.transforms:
-                merged.update(t.window_label(start, stop, total_ops))
-            labels.append(merged)
-        return labels
-
 
 def compose(trace: Trace, transforms: Iterable, name: Optional[str] = None) -> Trace:
     """Apply ``transforms`` left to right (function-style composition)."""

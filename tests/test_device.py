@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fdp import RuhType, default_configuration
-from repro.ssd import SimulatedSSD
+from repro.ssd import OP_READ, OP_WRITE, BatchCommand, SimulatedSSD
 
 
 class TestConstruction:
@@ -87,3 +87,31 @@ class TestEnergyReporting:
     def test_read_rejects_zero_pages(self, conventional_ssd):
         with pytest.raises(ValueError):
             conventional_ssd.read(0, npages=0)
+
+
+class TestSubmitBatch:
+    def test_batch_equals_the_standalone_calls(self, small_geometry, pid_a):
+        batched = SimulatedSSD(small_geometry, fdp=True)
+        single = SimulatedSSD(small_geometry, fdp=True)
+        commands = [
+            BatchCommand(OP_WRITE, 0, 8, pid_a, "p0"),
+            ("write", 4, 2),
+            BatchCommand(OP_READ, 0, 8),
+            ("trim", 2, 3),
+            ("read", 40),
+        ]
+        results = batched.submit_batch(commands, now_ns=1000)
+        assert results == [
+            single.write(0, 8, pid_a, 1000, "p0"),
+            single.write(4, 2, None, 1000),
+            single.read(0, 8, 1000),
+            single.deallocate(2, 3),
+            single.read(40, 1, 1000),
+        ]
+        assert results[3] == 3 and results[4][0] is False
+        assert batched.read_payload(0, 8) == single.read_payload(0, 8)
+        assert batched.snapshot() == single.snapshot()
+
+    def test_bad_command_rejected(self, conventional_ssd):
+        with pytest.raises(ValueError):
+            conventional_ssd.submit_batch([("erase", 0)])

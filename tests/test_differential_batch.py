@@ -588,7 +588,6 @@ GC_ARMS = {
     "fdp-initially-isolated": dict(fdp=True),
     "fdp-persistently-isolated": dict(fdp=persistent_config),
     "wear-leveling": dict(wear_level_threshold=2),
-    "telemetry-off": dict(telemetry=False),
     "scheduler": dict(sched=True),
     "default-journal-interval": dict(journal_flush_interval=256),
 }

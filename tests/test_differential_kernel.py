@@ -35,11 +35,9 @@ from repro.faults.model import FaultConfig
 from repro.faults.plan import OP_POWER, ScriptedFault
 from repro.fdp import PlacementIdentifier
 from repro.kernel import KernelBench, TraceArrays
-from repro.ssd import SimulatedSSD
 from repro.ssd.errors import PowerLossError
 from repro.workloads.trace import OP_DEL, OP_GET, OP_SET, Trace
 from tests.test_differential_batch import (
-    GEOMETRY,
     N_LBAS,
     assert_identical,
     make_pair,
@@ -173,58 +171,21 @@ def test_write_arrays_scripted_power_cut():
 
 
 # --------------------------------------------------------------------
-# device telemetry hooks: detached records nothing, state unchanged
+# device telemetry: the event log and energy ledger match the oracle's
 # --------------------------------------------------------------------
 
 
-def core_state(device):
-    """The non-telemetry surfaces a detached device must preserve."""
-    return (
-        device.ftl._l2p,
-        device.ftl._p2l,
-        device.snapshot(),
-        device.ftl._journal.buffer,
-        device.ftl._journal.flushed,
-        [
-            (sb.state, sb.write_ptr, sb.valid_pages, sb.erase_count)
-            for sb in device.ftl.superblocks
-        ],
-        device.ftl.latency.busy_until,
-    )
-
-
-def test_device_telemetry_detached_records_nothing():
+def test_device_events_match_the_per_page_oracle():
     stream = write_stream(77, 2500)
     chunks = chunkings(random.Random(77), 2500)
-    legacy, attached = make_pair(fdp=True)
-    detached = SimulatedSSD(GEOMETRY, fdp=True, telemetry=False)
+    legacy, production = make_pair(fdp=True)
     pid = PlacementIdentifier(0, 1)
-    dones_a = replay_chunked(attached, stream, chunks, pid)
-    dones_d = replay_chunked(detached, stream, chunks, pid)
+    dones_p = replay_chunked(production, stream, chunks, pid)
     dones_l = replay_writes(legacy, stream, pid)
-    assert dones_a == dones_d == dones_l
-
-    # Detached: zero telemetry recorded anywhere...
-    assert detached.events.recent() == []
-    assert detached.events.media_relocated_events == 0
-    assert detached.energy_kwh(dones_d[-1]) == 0.0
-    assert not detached.events.enabled
-    # ...while simulated state is untouched.
-    assert core_state(detached) == core_state(attached)
-    detached.check_invariants()
-
-    # Attached: the event stream matches the per-page oracle's exactly
-    # (the hook guards dropped no events).
-    assert attached.events.recent() == legacy.events.recent()
-    assert attached.energy_kwh(dones_a[-1]) == legacy.energy_kwh(
-        dones_l[-1]
-    )
-    assert len(attached.events.recent()) > 0
-
-    # format() must preserve the telemetry choice.
-    detached.format()
-    assert not detached.events.enabled
-    assert detached.energy_kwh(0) == 0.0
+    assert dones_p == dones_l
+    assert production.events.recent() == legacy.events.recent()
+    assert production.energy_kwh(dones_p[-1]) == legacy.energy_kwh(dones_l[-1])
+    assert len(production.events.recent()) > 0
 
 
 # --------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Smoke tests: every script in examples/ runs end-to-end.
+"""Smoke tests: every script in examples/ runs end-to-end, and so does
+the README snippet no example covers.
 
 Each example is imported as a module and its ``main()`` executed with
 its workload knobs shrunk to a tiny device/trace so the whole file
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.bench import Scale
+from repro.bench.overload import scenario_matrix
 from repro.ssd import Geometry
+from repro.workloads.adversarial import SCENARIOS
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -107,6 +110,16 @@ def test_trace_replay(capsys, tmp_path, monkeypatch):
     module.main()
     out = capsys.readouterr().out
     assert "interval DLWA tail" in out
+
+
+def test_readme_scenario_matrix():
+    """README's ``for cell in scenario_matrix()`` loop, on a tiny device."""
+    cells = scenario_matrix(num_ops=3000, scale=Scale(num_superblocks=64), workers=1)
+    assert [cell.name for cell in cells] == [
+        f"{name} {arm}" for name in SCENARIOS for arm in ("Non-FDP", "FDP")
+    ]
+    for cell in cells:
+        assert cell.summary_row().startswith(cell.name)
 
 
 @pytest.mark.parametrize(

@@ -572,7 +572,7 @@ class TestChaosSoak:
     def test_chaos_soak_completes_and_degrades_gracefully(self):
         from repro.bench import run_chaos_soak
 
-        result, health = run_chaos_soak(
+        result = run_chaos_soak(
             num_ops=150_000,
             faults=FaultConfig(
                 seed=0xFA17,
@@ -586,27 +586,30 @@ class TestChaosSoak:
             max_steady_dlwa=3.0,
             min_hit_ratio=0.3,
         )
+        assert result.acceptance, result.table()
+        health, row = result.evidence["health"], result.row("FDP")
         # The scripted erase failures permanently retired two blocks...
-        assert health.retired_superblocks == 2
-        assert health.available_spare_pct < 100.0
-        assert health.media_errors >= 2
+        assert health["retired_superblocks"] == 2
+        assert health["available_spare_pct"] < 100.0
+        assert health["media_errors"] >= 2
         # ...and the run's metrics surfaced the degradation.
-        assert result.retired_superblocks == 2
-        assert result.media_errors == health.media_errors
-        assert result.ops == 150_000
-        assert result.hit_ratio > 0.3
+        assert row["retired_superblocks"] == 2
+        assert row["media_errors"] == health["media_errors"]
+        assert row["ops"] == 150_000
+        assert row["hit_ratio"] > 0.3
 
     def test_chaos_soak_is_deterministic(self):
         from repro.bench import run_chaos_soak
 
         def run():
-            result, health = run_chaos_soak(num_ops=60_000)
+            result = run_chaos_soak(num_ops=60_000)
+            row = result.row("FDP")
             return (
-                health,
-                result.hit_ratio,
-                result.dlwa,
-                result.write_drops,
-                result.io_retries,
+                result.evidence["health"],
+                row["hit_ratio"],
+                row["dlwa"],
+                row["write_drops"],
+                row["io_retries"],
             )
 
         assert run() == run()

@@ -49,10 +49,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ShardSpec("s0", sched=False, failslow=FailSlowConfig())
 
-    def test_failslow_needs_hybrid_backend(self):
-        with pytest.raises(ValueError):
-            ShardSpec("s0", backend="zns", failslow=FailSlowConfig())
-
     def test_built_shard_exposes_overlay_status(self):
         shard = ShardSpec(
             "s0", scale=TINY, failslow=FailSlowConfig()

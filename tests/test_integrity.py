@@ -272,16 +272,11 @@ class TestEndToEndCrc:
         assert dev.read_payload(1)[0] == "kept"
         dev.check_invariants()
 
-    def test_oob_record_pickle_roundtrip_and_legacy_state(self):
+    def test_oob_record_pickle_roundtrip(self):
         rec = OobRecord(7, 3, ("host", 0, 1), "payload", True, 1234)
         clone = OobRecord(0, 0, "x", None, False)
         clone.__setstate__(rec.__getstate__())
         assert (clone.lba, clone.seq, clone.crc) == (7, 3, 1234)
-        # Pre-CRC pickles carried five fields; they load with crc=None.
-        legacy = OobRecord(0, 0, "x", None, False)
-        legacy.__setstate__((7, 3, ("host", 0, 1), "payload", True))
-        assert legacy.crc is None
-        assert legacy.ok is True
 
 
 AGING = LatentErrorConfig(
@@ -707,34 +702,34 @@ class TestIntegritySoak:
         nonzero undetected count."""
         kwargs = dict(span=512, phases=3, commands_per_phase=96)
         on = run_integrity_soak(scrub=True, **kwargs)
-        assert on.corruptions_injected > 0
-        assert on.undetected_corruptions == 0
-        assert on.scrub_pages_relocated > 0
-        assert on.nand_pages_written == (
-            on.host_pages_written
-            + on.gc_pages_migrated
-            + on.scrub_pages_relocated
+        assert on["corruptions_injected"] > 0
+        assert on["undetected_corruptions"] == 0
+        assert on["scrub_pages_relocated"] > 0
+        assert on["nand_pages_written"] == (
+            on["host_pages_written"]
+            + on["gc_pages_migrated"]
+            + on["scrub_pages_relocated"]
         )
-        assert on.dlwa > 1.0
+        assert on["dlwa"] > 1.0
         off = run_integrity_soak(scrub=False, **kwargs)
-        assert off.undetected_corruptions > 0
-        assert off.scrub_pages_relocated == 0
+        assert off["undetected_corruptions"] > 0
+        assert off["scrub_pages_relocated"] == 0
 
     def test_detected_plus_intact_covers_the_span(self):
         r = run_integrity_soak(span=512, phases=3, commands_per_phase=96)
         assert (
-            r.pages_intact
-            + r.pages_lost_detected
-            + r.undetected_corruptions
+            r["pages_intact"]
+            + r["pages_lost_detected"]
+            + r["undetected_corruptions"]
             == 512
         )
-        assert r.reads_corrected >= 0
-        assert r.scrub_passes >= 1
+        assert r["reads_corrected"] >= 0
+        assert r["scrub_passes"] >= 1
 
     @pytest.mark.slow
     def test_long_soak_default_parameters(self):
         on = run_integrity_soak(scrub=True)
-        assert on.undetected_corruptions == 0
-        assert on.scrub_pages_relocated > 0
+        assert on["undetected_corruptions"] == 0
+        assert on["scrub_pages_relocated"] > 0
         off = run_integrity_soak(scrub=False)
-        assert off.undetected_corruptions > 0
+        assert off["undetected_corruptions"] > 0

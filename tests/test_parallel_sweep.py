@@ -23,7 +23,7 @@ from repro.bench import (
     point_seed,
     run_sweep,
 )
-from repro.bench.parallel import smoke_points
+from repro.bench.parallel import figure_points
 from repro.bench.runner import RunResult
 
 TINY_SCALE = Scale(num_superblocks=64, num_ops=8_000)
@@ -71,7 +71,7 @@ def test_single_point_matches_its_sweep_value():
 
 
 def test_smoke_points_cover_the_figures():
-    points = smoke_points(num_ops=5_000)
+    points = figure_points(num_ops=5_000)
     figures = {p.figure for p in points}
     assert {"fig05_dlwa_timeline", "fig06_utilization_sweep",
             "table2_dram_sweep"} <= figures

@@ -523,10 +523,12 @@ class TestCrashSoak:
             span=256,
             seed=11,
         )
-        assert result.verified_cycles == result.cycles == 3
-        assert result.power_cuts == 3
-        assert result.final_mapped_pages >= 0
-        assert result.final_dlwa >= 1.0
+        assert result.acceptance, result.table()
+        assert [row["cycle"] for row in result.rows] == [0, 1, 2]
+        assert result.evidence["verified_cycles"] == result.params["cycles"] == 3
+        assert result.evidence["power_cuts"] == 3
+        assert result.evidence["final_mapped_pages"] >= 0
+        assert result.evidence["final_dlwa"] >= 1.0
 
     def test_soak_validation(self):
         with pytest.raises(ValueError):

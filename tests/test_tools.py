@@ -105,6 +105,46 @@ class TestNvmeCli:
         nvme.main(["failslow-status", path])
         assert "not attached" in capsys.readouterr().out
 
+    def test_scrub_status_disabled(self, device_file, capsys):
+        assert nvme.main(["scrub-status", device_file]) == 0
+        assert "patrol scrub        : disabled" in capsys.readouterr().out
+
+    def test_scrub_status_reports_a_pass(self, tmp_path, capsys):
+        path = str(tmp_path / "scrub.pkl")
+        nvme.main(
+            ["create", path, "--superblocks", "64", "--pages-per-block", "8",
+             "--fdp", "--latent", "--scrub"]
+        )
+        device = nvme.load_device(path)
+        for lba in range(0, 4 * device.geometry.pages_per_superblock, 8):
+            device.write(lba, npages=8)
+        device.run_scrub_pass()
+        nvme.save_device(device, path)
+        capsys.readouterr()
+        assert nvme.main(["scrub-status", path]) == 0
+        out = capsys.readouterr().out
+        assert "patrol scrub        : enabled" in out
+        assert "passes completed    : 1" in out
+        scanned = device.scrub_status().pages_scanned
+        assert scanned > 0 and f"pages scanned       : {scanned}" in out
+
+    def test_power_cut_then_recover(self, device_file, capsys):
+        device = nvme.load_device(device_file)
+        device.write(0, npages=24, payload="kept")
+        nvme.save_device(device, device_file)
+        capsys.readouterr()
+        assert nvme.main(["power-cut", device_file]) == 0
+        out = capsys.readouterr().out
+        assert "0 torn writes" in out and "device is offline" in out
+        assert nvme.load_device(device_file).powered_off
+        assert nvme.main(["recover", device_file]) == 0
+        out = capsys.readouterr().out
+        assert "mappings recovered      : 24" in out
+        device = nvme.load_device(device_file)
+        assert not device.powered_off
+        assert device.read_payload(0, 24) == ["kept"] * 24
+        device.check_invariants()
+
     def test_slow_die_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             nvme.main(
