@@ -14,6 +14,15 @@ that verdict for every function no entry point reaches to
 is called by nothing and :data:`ALLOW` does not name it, or
 :data:`ALLOW` names a function that is gone or now called.
 
+A *none* verdict is per definition, so it cannot see duck typing: a
+method that shared code reaches on one engine (``self.soc.hit_ratio``,
+``getattr(policy, "stats_dict", None)``, ``shard.backend.*``) but that
+no run happened to reach on another engine reads as *none* there.
+Before deleting a *none* method, grep for its name on such receivers;
+if a shared caller reads it, the fix is a test through that caller
+(e.g. ``HybridCache.stats_dict()`` for every ``soc_engine``), not a
+deletion and not an :data:`ALLOW` entry.
+
 How the collector reaches every process: a generated
 ``sitecustomize.py`` on ``PYTHONPATH`` imports this module and calls
 :func:`install` in every interpreter the stages start (perfbench's
@@ -279,6 +288,8 @@ def main(argv: List[str] = None) -> int:
     print("\n".join(line for line in lines if line.startswith("#")))
     for name in sorted(uncalled):
         print(f"called by nothing: {name}")
+    if uncalled:
+        print("test each through its shared caller, or delete it if no caller reads it")
     for name in sorted(stale):
         print(f"allow-list entry is gone or called: {name}")
     return 1 if uncalled or stale else 0

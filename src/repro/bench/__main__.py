@@ -1,5 +1,5 @@
 """``python -m repro.bench soak <name> [--smoke] [--seed N] [--json PATH] [-v]``
-and ``python -m repro.bench sweep [--smoke] [--workers N]``
+and ``python -m repro.bench sweep --smoke [--workers N]``
 
 ``soak`` runs one robustness soak, prints its table and exits 1 iff a
 gate fails.  ``--json`` also writes the full result; ``-v`` prints
@@ -7,7 +7,8 @@ per-window progress where the soak has it.
 
 ``sweep`` replays one point per trace-replay figure across worker
 processes (:mod:`repro.bench.parallel`) and prints DLWA, hit ratio and
-simulated throughput per point; ``--smoke`` is the CI-sized run.
+simulated throughput per point.  Only the CI-sized ``--smoke`` sweep
+is wired up; the full-size figures run as ``benchmarks/`` tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .latency import run_latency_soak
 from .metrics import SoakResult
 from .overload import run_overload_soak
 from .parallel import figure_points, run_sweep
-from .runner import DEFAULT_SCALE, run_chaos_soak, run_crash_soak, run_integrity_arms
+from .runner import run_chaos_soak, run_crash_soak, run_integrity_arms
 
 
 class Soak(NamedTuple):
@@ -68,11 +69,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     soak.add_argument("--json", metavar="PATH", help="also write the full result as JSON")
     soak.add_argument("-v", "--verbose", action="store_true")
     sweep = commands.add_parser("sweep", help="one point per figure across worker processes")
-    sweep.add_argument("--smoke", action="store_true", help="the CI-sized run")
+    sweep.add_argument("--smoke", action="store_true", help="the CI-sized run (required)")
     sweep.add_argument("--workers", type=int, help="worker processes (default: CPU count)")
     args = parser.parse_args(argv)
     if args.command == "sweep":
-        return _sweep(args.smoke, args.workers)
+        if not args.smoke:
+            sweep.error("only the --smoke sweep is wired up as a CLI")
+        return _sweep(args.workers)
 
     entry = SOAKS[args.name]
     kwargs = dict(entry.smoke if args.smoke else entry.full)
@@ -90,10 +93,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if result.acceptance else 1
 
 
-def _sweep(smoke: bool, workers: Optional[int]) -> int:
-    points = figure_points() if smoke else figure_points(DEFAULT_SCALE, None)
+def _sweep(workers: Optional[int]) -> int:
     start = time.perf_counter()
-    results = run_sweep(points, workers=workers)
+    results = run_sweep(figure_points(), workers=workers)
     print(f"{len(results)} points in {time.perf_counter() - start:.1f}s")
     print(f"{'point':<40} {'DLWA':>6} {'hit%':>6} {'kops':>8}")
     for r in results:

@@ -206,18 +206,15 @@ SMOKE_SCALE = Scale(num_superblocks=128)
 SMOKE_OPS = 40_000
 
 
-def figure_points(
-    scale: Scale = SMOKE_SCALE, num_ops: Optional[int] = SMOKE_OPS
-) -> List[SweepPoint]:
-    """One representative point per trace-replay figure/table bench
-    (``num_ops=None`` runs ``scale.num_ops``)."""
+def figure_points(num_ops: int = SMOKE_OPS) -> List[SweepPoint]:
+    """One representative point per trace-replay figure/table bench."""
 
     def kw(**kwargs: object) -> Dict[str, object]:
-        kwargs.setdefault("scale", scale)
+        kwargs.setdefault("scale", SMOKE_SCALE)
         kwargs.setdefault("num_ops", num_ops)
         return kwargs
 
-    dram = int(scale.geometry().logical_bytes * 0.9 * 0.022)
+    dram = int(SMOKE_SCALE.geometry().logical_bytes * 0.9 * 0.022)
     return [
         SweepPoint(
             "fig05_dlwa_timeline", 0, "kvcache",

@@ -459,6 +459,17 @@ class WriteBudgetAdmission(AdmissionPolicy):
         self.budget_rejects += 1
         return False
 
+    def stats_dict(self) -> Dict[str, float]:
+        return {
+            "offered": self.offered,
+            "admitted": self.admitted,
+            "admit_ratio": self.admit_ratio,
+            "credit_bytes": self._credit,
+            "charged_nand_bytes": self.charged_nand_bytes,
+            "budget_rejects": self.budget_rejects,
+            "dlwa_seen": self._current_dlwa(),
+        }
+
     def __getstate__(self):
         state = self.__dict__.copy()
         # The device holds unpicklable runtime state in some configs;

@@ -137,16 +137,46 @@ class KangarooCache:
     def contains(self, key: int) -> bool:
         return key in self._log_index or self.sets.contains(key)
 
+    def resident_items(self) -> Dict[int, int]:
+        """key → logical size across the log and the backing sets."""
+        out = self.sets.resident_items()
+        for page, items in enumerate(self._log_pages):
+            for item in items:
+                if self._log_index.get(item.key) == page:
+                    out[item.key] = item.size
+        return out
+
     @property
     def item_count(self) -> int:
         return len(self._log_index) + self.sets.item_count
+
+    @property
+    def hit_ratio(self) -> float:
+        return self.hits / self.lookups if self.lookups else 0.0
 
     # Aliases so the hybrid cache's stats surface treats either
     # small-object engine uniformly.
 
     @property
+    def inserts(self) -> int:
+        return self.log_inserts
+
+    @property
+    def evictions(self) -> int:
+        return self.dropped_items + self.sets.evictions
+
+    @property
+    def bloom_rejects(self) -> int:
+        return self.sets.bloom_rejects
+
+    @property
     def flash_reads(self) -> int:
         return self.sets.flash_reads + self._log_flash_reads
+
+    @property
+    def total_flash_writes(self) -> int:
+        """Log page writes plus set bucket rewrites."""
+        return self.flash_writes + self.sets.flash_writes
 
     @property
     def read_errors(self) -> int:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import CacheConfig, CacheItem, HybridCache
+from repro.cache import CacheConfig, CacheItem, HybridCache, WriteBudgetAdmission
 from repro.cache.kangaroo import KangarooCache
 from repro.core import FdpAwareDevice
 
@@ -202,3 +202,49 @@ class TestHybridIntegration:
         # The log front amortizes bucket rewrites and drops lonely
         # items, so application-level WA falls (Kangaroo's claim).
         assert run("kangaroo") < run("set-associative")
+
+
+class TestHybridStatsSurface:
+    """HybridCache reads the same stats surface from every SOC engine."""
+
+    @pytest.mark.parametrize("engine", ["set-associative", "kangaroo", "nemo"])
+    def test_stats_dict_and_resident_items(self, fdp_ssd, engine):
+        import json
+        import random
+
+        cfg = CacheConfig(
+            dram_bytes=16 * 1024,
+            soc_bytes=128 * 4096,
+            loc_bytes=1024 * 1024,
+            region_bytes=32 * 1024,
+            soc_engine=engine,
+            admission=WriteBudgetAdmission(4096),
+        )
+        cache = HybridCache(fdp_ssd, cfg)
+        rng = random.Random(7)
+        for _ in range(3000):
+            k = rng.randrange(1500)
+            if rng.random() < 0.6:
+                cache.set(k, 300)
+            else:
+                cache.get(k)
+
+        stats = cache.stats_dict()
+        json.dumps(stats)
+        soc = stats["soc"]
+        assert soc["engine"] == engine
+        assert soc["inserts"] > 0
+        assert 0.0 <= soc["hit_ratio"] <= 1.0
+        assert soc["flash_writes"] > 0
+        if engine == "kangaroo":
+            assert soc["flash_writes"] == (
+                cache.soc.flash_writes + cache.soc.sets.flash_writes
+            )
+            assert soc["evictions"] >= cache.soc.dropped_items
+        assert stats["admission"]["policy"] == "WriteBudgetAdmission"
+        assert stats["admission"]["budget_rejects"] >= 0
+        assert "dlwa_seen" in stats["admission"]
+
+        resident = cache.resident_items()
+        assert resident
+        assert all(cache.contains(k) for k in resident)
