@@ -36,6 +36,19 @@ on a 2-core x86 box.
 
 ``--dumps DIR`` keeps the raw per-process dumps; ``--no-run`` re-reads
 them instead of running anything.
+
+``--options`` runs nothing and answers the same question for
+configuration, by AST alone: every field of a ``src/repro`` dataclass
+named ``*Config``/``*Spec``/``*Timings``/``*Costs`` and every defaulted
+constructor parameter of :data:`CONSTRUCTORS` is a settable value, and
+it is *set* when code under :data:`SETTERS` passes it (a keyword or
+positional argument to the class, a string dict key, or
+``dataclasses.replace``), *tests* when only ``tests/`` does, and
+*none* otherwise.  It writes ``benchmarks/results/options.txt`` and
+exits 1 iff a value is not *set* and :data:`OPTIONS_ALLOW` does not
+name it, or :data:`OPTIONS_ALLOW` names one that is gone or now set.
+A dict key credits every value of that name, so the verdict can only
+err towards *set*.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ from typing import Dict, List, Set, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 REPORT = Path(__file__).resolve().parent / "results" / "entry_coverage.txt"
+OPTIONS_REPORT = REPORT.with_name("options.txt")
 DUMP_ENV = "REPRO_ENTRY_COVERAGE_DIR"
 
 TRACER = "perfbench/tracer.py binds it by name"
@@ -70,6 +84,96 @@ ALLOW: Dict[str, str] = {
     "repro.ssd.ftl:Ftl.read": TRACER,
     "repro.ssd.recovery:OobRecord.__repr__": PROTOCOL,
     "repro.ssd.superblock:Superblock.__repr__": PROTOCOL,
+}
+
+#: Dataclasses whose fields are options, by class-name suffix.
+CONFIG_SUFFIXES = ("Config", "Spec", "Timings", "Costs")
+#: Classes whose defaulted constructor parameters are options.
+CONSTRUCTORS = (
+    "SimulatedSSD",
+    "FdpAwareDevice",
+    "PlacementHandleAllocator",
+    "SmallObjectCache",
+    "LargeObjectCache",
+    "KangarooCache",
+    "NemoCache",
+    "MultiQueueScheduler",
+)
+#: Options whose values are classes: each subclass of the named base
+#: is one value, set where it is constructed.
+VALUE_CLASSES = {"CacheConfig.admission": "AdmissionPolicy"}
+#: Where a setter counts: anything but ``tests/``.
+SETTERS = ("src", "benchmarks", "perfbench", "examples")
+
+ITEM3 = "ROADMAP item 3 sweeps it"
+ITEM4 = "ROADMAP item 4 turns the NAND timings"
+ITEM6 = "fault shape ROADMAP item 6 composes"
+TUNED = "threshold tests tune on purpose"
+SHRUNK = "engine shape tests shrink to reach a path in few ops"
+UNIT = "a unit test sets it to pin the arithmetic"
+SEED = "seed a property test draws"
+
+#: Options nothing outside ``tests/`` sets that stay, each with its reason.
+OPTIONS_ALLOW: Dict[str, str] = {
+    "CacheConfig.kangaroo_log_fraction": SHRUNK,
+    "CacheConfig.kangaroo_move_threshold": SHRUNK,
+    "CacheConfig.metadata_flush_interval": SHRUNK,
+    "CacheConfig.nemo_index_ways": SHRUNK,
+    "CacheConfig.nemo_region_pages": SHRUNK,
+    "CacheConfig.nemo_reinsert_fraction": SHRUNK,
+    "CacheConfig.small_item_threshold": "the paper's SOC/LOC routing threshold",
+    "EnergyCosts.erase_uj": UNIT,
+    "EnergyCosts.idle_watts": UNIT,
+    "EnergyCosts.program_uj": UNIT,
+    "EnergyCosts.read_uj": UNIT,
+    "FailSlowConfig.degraded_channels": ITEM6,
+    "FailSlowConfig.degraded_multiplier": ITEM6,
+    "FailSlowConfig.plan": ITEM6,
+    "FailSlowConfig.read_creep_cap_ns": ITEM6,
+    "FailSlowConfig.read_creep_ns_per_erase": ITEM6,
+    "FailSlowConfig.stall_duration_ns": ITEM6,
+    "FailSlowConfig.stall_interval_ns": ITEM6,
+    "FaultConfig.erase_fail_rate": ITEM6,
+    "FaultConfig.latency_spike_ns": ITEM6,
+    "FaultConfig.latency_spike_rate": ITEM6,
+    "FdpAwareDevice.max_read_retries": TUNED,
+    "FleetConfig.breaker_cooldown_ops": TUNED,
+    "FleetConfig.breaker_failure_threshold": TUNED,
+    "FleetConfig.max_retries": TUNED,
+    "FleetConfig.retry_backoff_ns": TUNED,
+    "FleetReplayConfig.max_backlog_ns": TUNED,
+    "FleetReplayConfig.think_ns": TUNED,
+    "GovernorConfig.brownout_backlog_ns": TUNED,
+    "GovernorConfig.dwell_ops": TUNED,
+    "GovernorConfig.queue_fraction_threshold": TUNED,
+    "GovernorConfig.recover_backlog_ns": TUNED,
+    "GovernorConfig.retry_budget": TUNED,
+    "GovernorConfig.retry_window_ops": TUNED,
+    "GovernorConfig.set_bucket_capacity": TUNED,
+    "GovernorConfig.set_tokens_per_ms": TUNED,
+    "GovernorConfig.shed_backlog_ns": TUNED,
+    "LatentErrorConfig.correctable_penalty_ns": ITEM6,
+    "LatentErrorConfig.soft_retry_limit": ITEM6,
+    "MonitorConfig.degraded_spare_pct": TUNED,
+    "MonitorConfig.gray_streak_polls": TUNED,
+    "MonitorConfig.latency_min_samples": TUNED,
+    "MonitorConfig.retire_spare_pct": TUNED,
+    "NandTimings.erase_ns": ITEM4,
+    "NandTimings.parallelism": ITEM4,
+    "NandTimings.program_ns": ITEM4,
+    "NandTimings.read_ns": ITEM4,
+    "NandTimings.transfer_ns": ITEM4,
+    "ReplayConfig.max_backlog_ns": TUNED,
+    "ReplayConfig.think_ns": TUNED,
+    "SchedConfig.queue_depth": TUNED,
+    "SchedConfig.segment_pages": TUNED,
+    "SchedConfig.weights": TUNED,
+    "ScrubConfig.min_free_superblocks": TUNED,
+    "ScrubConfig.refresh_threshold": TUNED,
+    "ScrubConfig.retire_after_failures": TUNED,
+    "SimulatedSSD.gc_reserve_superblocks": ITEM3,
+    "SimulatedSSD.gc_victim_sample": ITEM3,
+    "SimulatedSSD.power_seed": SEED,
 }
 
 
@@ -251,11 +355,165 @@ def src_lines() -> int:
     return sum(len(p.read_text().splitlines()) for p in (SRC / "repro").rglob("*.py"))
 
 
+# ----------------------------------------------------------------------
+# the options
+# ----------------------------------------------------------------------
+
+
+def settable() -> Tuple[Dict[str, List[str]], List[str]]:
+    """``(positional, options)``: class name -> the names a call binds
+    by position, and every option — ``Class.name`` for each field a
+    config dataclass accepts (inherited ones too) and each defaulted
+    ``__init__`` parameter of :data:`CONSTRUCTORS`, and
+    ``Class.name=Sub`` for each subclass :data:`VALUE_CLASSES` names."""
+    own: Dict[str, List[str]] = {}
+    bases: Dict[str, List[str]] = {}
+    positional: Dict[str, List[str]] = {}
+    options: List[str] = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            if node.name.endswith(CONFIG_SUFFIXES):
+                own[node.name] = [
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)
+                ]
+            elif node.name in CONSTRUCTORS:
+                init = next(
+                    s for s in node.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"
+                )
+                args = init.args.posonlyargs + init.args.args
+                positional[node.name] = [a.arg for a in args[1:]]
+                defaulted = args[len(args) - len(init.args.defaults) :] + [
+                    a for a, d in zip(init.args.kwonlyargs, init.args.kw_defaults) if d is not None
+                ]
+                options += [f"{node.name}.{a.arg}" for a in defaulted]
+
+    def fields(name: str) -> List[str]:  # a dataclass binds inherited fields first
+        return [f for base in bases[name] if base in own for f in fields(base)] + own[name]
+
+    for name in own:
+        positional[name] = list(dict.fromkeys(fields(name)))
+        options += [f"{name}.{field}" for field in positional[name]]
+    for option, base in VALUE_CLASSES.items():
+        options += [f"{option}={name}" for name, parents in bases.items() if base in parents]
+    return positional, sorted(options)
+
+
+def setters(positional: Dict[str, List[str]], options: List[str]) -> Dict[str, Set[str]]:
+    """option -> the ``path`` (``path[key]``, ``path[replace]``) of
+    every file under :data:`SETTERS` or ``tests/`` that sets it."""
+    by_name: Dict[str, List[str]] = {}
+    values: Dict[str, str] = {}
+    for option in options:
+        if "=" in option:
+            values[option.split("=")[1]] = option
+        else:
+            by_name.setdefault(option.split(".", 1)[1], []).append(option)
+    found: Dict[str, Set[str]] = {option: set() for option in options}
+
+    def credit(option: str, where: str) -> None:
+        if option in found:
+            found[option].add(where)
+
+    for top in SETTERS + ("tests",):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.resolve() == Path(__file__).resolve():
+                continue
+            rel = str(path.relative_to(ROOT))
+            stack = [(ast.parse(path.read_text()), None)]
+            while stack:
+                node, cls = stack.pop()
+                inner = node.name if isinstance(node, ast.ClassDef) else cls
+                stack.extend((child, inner) for child in ast.iter_child_nodes(node))
+                if isinstance(node, ast.Dict):
+                    for key in node.keys:
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                            for option in by_name.get(key.value, ()):
+                                credit(option, f"{rel}[key]")
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee in ("replace", "dict"):
+                    kind = "replace" if callee == "replace" else "key"
+                    for kw in node.keywords:
+                        for option in by_name.get(kw.arg, ()):
+                            credit(option, f"{rel}[{kind}]")
+                    continue
+                if callee in values:
+                    credit(values[callee], rel)
+                if callee == "cls":
+                    callee = cls
+                # ``Cls(...)`` or a classmethod constructor ``Cls.make(...)``
+                if callee not in positional and isinstance(func, ast.Attribute):
+                    value = func.value
+                    callee = value.id if isinstance(value, ast.Name) else None
+                    if callee in positional:
+                        for kw in node.keywords:
+                            credit(f"{callee}.{kw.arg}", rel)
+                    continue
+                if callee not in positional:
+                    continue
+                for name, arg in zip(positional[callee], node.args):
+                    if not isinstance(arg, ast.Starred):
+                        credit(f"{callee}.{name}", rel)
+                for kw in node.keywords:
+                    credit(f"{callee}.{kw.arg}", rel)
+    return found
+
+
+def options_main() -> int:
+    positional, options = settable()
+    found = setters(positional, options)
+    verdict = {}
+    for option, where in found.items():
+        outside = sorted(w for w in where if not w.startswith("tests/"))
+        verdict[option] = (
+            ("set", outside) if outside else ("tests", []) if where else ("none", [])
+        )
+    counts = {v: sum(1 for x, _ in verdict.values() if x == v) for v in ("set", "tests", "none")}
+    width = max(len(option) for option in options)
+    lines = [
+        "# settable values under src/repro and who sets them outside tests/:",
+        "# 'tests' = only a test sets it, 'none' = nothing does",
+        f"# values: {len(options)}   " + "   ".join(f"{v}: {n}" for v, n in counts.items()),
+    ]
+    for option in options:
+        kind, outside = verdict[option]
+        note = ", ".join(outside) if kind == "set" else kind
+        if option in OPTIONS_ALLOW:
+            note += f"   [{OPTIONS_ALLOW[option]}]"
+        lines.append(f"{option:<{width}}  {note}")
+    OPTIONS_REPORT.write_text("\n".join(lines) + "\n")
+
+    unset = [o for o in options if verdict[o][0] != "set" and o not in OPTIONS_ALLOW]
+    stale = [o for o in OPTIONS_ALLOW if o not in verdict or verdict[o][0] == "set"]
+    print("\n".join(line for line in lines if line.startswith("#")))
+    for option in unset:
+        print(f"set by {verdict[option][0]}: {option}")
+    if unset:
+        print("make each a constant, or delete the mode it selects with its branch")
+    for option in sorted(stale):
+        print(f"allow-list entry is gone or set: {option}")
+    return 1 if unset or stale else 0
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dumps", type=Path, help="keep the raw dumps here")
     parser.add_argument("--no-run", action="store_true", help="re-read --dumps, run nothing")
+    parser.add_argument(
+        "--options", action="store_true", help="judge config values by who sets them instead"
+    )
     args = parser.parse_args(argv)
+    if args.options:
+        return options_main()
     if args.no_run and args.dumps is None:
         parser.error("--no-run needs --dumps")
     dumps = args.dumps or Path(tempfile.mkdtemp(prefix="entry_coverage_"))
