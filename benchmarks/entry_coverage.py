@@ -39,12 +39,12 @@ them instead of running anything.
 
 ``--options`` runs nothing and answers the same question for
 configuration, by AST alone: every field of a ``src/repro`` dataclass
-named ``*Config``/``*Spec``/``*Timings``/``*Costs`` and every defaulted
-constructor parameter of :data:`CONSTRUCTORS` is a settable value, and
-it is *set* when code under :data:`SETTERS` passes it (a keyword or
-positional argument to the class, a string dict key, or
-``dataclasses.replace``), *tests* when only ``tests/`` does, and
-*none* otherwise.  It writes ``benchmarks/results/options.txt`` and
+named ``*Config``/``*Spec``/``*Timings``/``*Costs``, every defaulted
+constructor parameter of :data:`CONSTRUCTORS` and every class
+:data:`VALUE_CLASSES` lists is a settable value, and it is *set*
+when code under :data:`SETTERS` passes it (a keyword or positional
+argument to the class, a string dict key, or ``dataclasses.replace``),
+*tests* when only ``tests/`` does, and *none* otherwise.  It writes ``benchmarks/results/options.txt`` and
 exits 1 iff a value is not *set* and :data:`OPTIONS_ALLOW` does not
 name it, or :data:`OPTIONS_ALLOW` names one that is gone or now set.
 A dict key credits every value of that name, so the verdict can only
@@ -450,19 +450,12 @@ def setters(positional: Dict[str, List[str]], options: List[str]) -> Dict[str, S
                     credit(values[callee], rel)
                 if callee == "cls":
                     callee = cls
-                # ``Cls(...)`` or a classmethod constructor ``Cls.make(...)``
-                if callee not in positional and isinstance(func, ast.Attribute):
-                    value = func.value
-                    callee = value.id if isinstance(value, ast.Name) else None
-                    if callee in positional:
-                        for kw in node.keywords:
-                            credit(f"{callee}.{kw.arg}", rel)
-                    continue
-                if callee not in positional:
-                    continue
-                for name, arg in zip(positional[callee], node.args):
-                    if not isinstance(arg, ast.Starred):
-                        credit(f"{callee}.{name}", rel)
+                if callee in positional:
+                    for name, arg in zip(positional[callee], node.args):
+                        if not isinstance(arg, ast.Starred):
+                            credit(f"{callee}.{name}", rel)
+                elif getattr(getattr(func, "value", None), "id", None) in positional:
+                    callee = func.value.id  # a classmethod constructor, ``Cls.make(...)``
                 for kw in node.keywords:
                     credit(f"{callee}.{kw.arg}", rel)
     return found

@@ -13,12 +13,12 @@ the paper's metrics:
   arbitrarily far ahead of the host clock;
 * DLWA is polled on an op interval by differencing device counters,
   the same way the paper polls ``nvme get-log`` every 10 minutes;
-* GETs that miss are optionally *filled* (read-through), which is how
-  trace replay produces cache insertions for read-dominant workloads.
+* GETs that miss are *filled* (read-through), which is how trace
+  replay produces cache insertions for read-dominant workloads.
 
 :func:`replay` is the only loop that does this, and
 :class:`ReplayConfig` holds the only definition of the replay clock
-(open-loop precedence, think time, backlog clamp); the fleet drivers
+(think time, backlog clamp, fixed-rate open loop); the fleet drivers
 (:mod:`repro.fleet.driver`) apply the same policy per shard.
 """
 
@@ -28,8 +28,6 @@ import dataclasses
 import itertools
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..cache.hybrid import HIT_DRAM, MISS, HybridCache
 from ..workloads.trace import OP_GET, OP_SET, Trace
 from .metrics import IntervalPoint, LatencyReservoir, RunResult, steady_state_dlwa
@@ -37,7 +35,7 @@ from .metrics import IntervalPoint, LatencyReservoir, RunResult, steady_state_dl
 __all__ = ["CacheBench", "ReplayConfig", "replay"]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True)
 class ReplayConfig:
     """Replay knobs.
 
@@ -56,21 +54,16 @@ class ReplayConfig:
     replay both arms open-loop at the same rate; throughput-oriented
     benches keep the closed loop.
 
-    ``arrival_schedule_ns`` generalizes that to a **per-op arrival
-    schedule**: an int64 array of absolute arrival times (one per op,
-    nondecreasing) as produced by the adversarial timing transforms
-    (diurnal waves, flash-crowd spikes).  Precedence: an explicit
-    ``arrival_schedule_ns`` wins, then a schedule carried on the trace
-    itself (``Trace.arrivals_ns``), then ``arrival_interval_ns``, then
-    the closed loop.
+    A trace that carries a **per-op arrival schedule**
+    (``Trace.arrivals_ns``, as the adversarial timing transforms —
+    diurnal waves, flash-crowd spikes — produce) replays open loop on
+    that schedule, whatever ``arrival_interval_ns`` says.
     """
 
-    fill_on_miss: bool = True
     think_ns: int = 100_000
     max_backlog_ns: int = 30_000_000
     poll_interval_ops: int = 50_000
     arrival_interval_ns: Optional[int] = None
-    arrival_schedule_ns: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.think_ns < 0:
@@ -81,54 +74,10 @@ class ReplayConfig:
             raise ValueError("poll_interval_ops must be positive")
         if self.arrival_interval_ns is not None and self.arrival_interval_ns <= 0:
             raise ValueError("arrival_interval_ns must be positive or None")
-        if self.arrival_schedule_ns is not None:
-            if self.arrival_interval_ns is not None:
-                raise ValueError(
-                    "arrival_schedule_ns and arrival_interval_ns are "
-                    "mutually exclusive"
-                )
-            schedule = np.asarray(self.arrival_schedule_ns, dtype=np.int64)
-            if len(schedule) and bool(np.any(np.diff(schedule) < 0)):
-                raise ValueError("arrival_schedule_ns must be nondecreasing")
-            object.__setattr__(self, "arrival_schedule_ns", schedule)
-
-    # The generated __eq__/__hash__ cannot take an array field (ambiguous
-    # truth value, unhashable), so both compare the schedule by content.
-    def _identity(self) -> tuple:
-        values = (getattr(self, f.name) for f in dataclasses.fields(self))
-        return tuple(
-            (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
-            for v in values
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
 
     # ------------------------------------------------------------------
     # the replay clock policy, shared by every driver
     # ------------------------------------------------------------------
-
-    def schedule_for(self, trace: Trace) -> Optional[np.ndarray]:
-        """The per-op arrival schedule ``trace`` replays on, if any.
-
-        An explicit ``arrival_schedule_ns`` wins over one carried on
-        the trace; ``None`` leaves the caller on the fixed interval or
-        the closed loop.
-        """
-        schedule = self.arrival_schedule_ns
-        if schedule is None:
-            schedule = trace.arrivals_ns
-        if schedule is not None and len(schedule) < len(trace):
-            raise ValueError(
-                f"arrival schedule has {len(schedule)} entries for a "
-                f"{len(trace)}-op trace"
-            )
-        return schedule
 
     def next_issue_ns(self, done_ns: int, busy_until: Optional[int]) -> int:
         """The closed-loop step: when the op after ``done_ns`` issues.
@@ -192,10 +141,9 @@ def replay(
     prev_snapshot = device.snapshot()
 
     total = len(trace)
-    fill = cfg.fill_on_miss
     poll_every = cfg.poll_interval_ops
     interval = cfg.arrival_interval_ns
-    schedule = cfg.schedule_for(trace)
+    schedule = trace.arrivals_ns
 
     now = 0
     for start in range(0, total, poll_every):
@@ -227,7 +175,7 @@ def replay(
                 if where != HIT_DRAM:
                     # Reached flash (hit or full miss): a read latency.
                     read_add(done - now if done > now else 0)
-                    if fill and where == MISS:
+                    if where == MISS:
                         done = cache_set(key, size, done)
             elif op == OP_SET:
                 done = cache_set(key, size, now)

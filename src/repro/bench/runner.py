@@ -19,7 +19,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ..cache.config import CacheConfig
-from ..cache.hybrid import HybridCache
+from ..cache.hybrid import METADATA_PAGES, HybridCache
 from ..faults.latent import LatentErrorConfig
 from ..faults.model import FaultConfig
 from ..faults.plan import OP_POWER, OP_SILENT, ScriptedFault
@@ -150,8 +150,8 @@ def build_experiment(
     attaches the multi-queue scheduler so SOC/LOC/meta I/O queues on
     parallel channels and per-command latency carries GC interference
     (the latency soak's measurement path).
-    ``failslow`` (a :class:`~repro.faults.failslow.FailSlowConfig` or
-    live model; requires ``sched``) attaches the fail-slow timing
+    ``failslow`` (a :class:`~repro.faults.failslow.FailSlowConfig`;
+    requires ``sched``) attaches the fail-slow timing
     overlay — gray-failure latency degradation that never perturbs
     simulated state (the fail-slow soak's injection path).
     ``admission_seed`` reseeds the cache's admission policy (see
@@ -174,10 +174,9 @@ def build_experiment(
     )
     # Reserve the metadata slice out of the cache's share so a
     # 100%-utilization layout still fits the advertised capacity.
-    meta_pages = CacheConfig.__dataclass_fields__["metadata_pages"].default
     nvm_bytes = (
         int(geometry.logical_bytes * utilization)
-        - meta_pages * geometry.page_size
+        - METADATA_PAGES * geometry.page_size
     )
     overrides: Dict[str, object] = {"admission_seed": admission_seed}
     overrides.update(cache_overrides or {})

@@ -6,11 +6,9 @@ from .admission import (
     AcceptAll,
     AdmissionPolicy,
     DynamicRandomAdmission,
-    ProbabilisticAdmission,
     SizeThresholdAdmission,
     SurvivalAdmission,
     SurvivalFeatures,
-    WriteBudgetAdmission,
 )
 from .bloom import BloomFilter
 from .config import CacheConfig
@@ -18,19 +16,17 @@ from .dram import DramCache
 from .hybrid import HIT_DRAM, HIT_LOC, HIT_SOC, MISS, GetResult, HybridCache
 from .item import CacheItem
 from .kangaroo import KangarooCache
-from .loc import EVICTION_FIFO, EVICTION_LRU, LargeObjectCache, Region
+from .loc import LargeObjectCache, Region
 from .nemo import NemoCache
 from .soc import SmallObjectCache
 
 __all__ = [
     "AdmissionPolicy",
     "AcceptAll",
-    "ProbabilisticAdmission",
     "DynamicRandomAdmission",
     "SizeThresholdAdmission",
     "SurvivalAdmission",
     "SurvivalFeatures",
-    "WriteBudgetAdmission",
     "NemoCache",
     "BloomFilter",
     "CacheConfig",
@@ -45,7 +41,5 @@ __all__ = [
     "MISS",
     "LargeObjectCache",
     "Region",
-    "EVICTION_FIFO",
-    "EVICTION_LRU",
     "SmallObjectCache",
 ]

@@ -9,17 +9,14 @@ to flash.
 Two families live here:
 
 * stateless/statistical gates — :class:`AcceptAll`,
-  :class:`SizeThresholdAdmission`, :class:`ProbabilisticAdmission`,
-  :class:`DynamicRandomAdmission` — that decide from the offered item
-  alone (plus a byte budget);
-* *learned and write-aware* gates — :class:`SurvivalAdmission`
-  (Flashield-style: objects prove themselves in DRAM before earning a
-  flash write, scored by an online-trained logistic model) and
-  :class:`WriteBudgetAdmission` (meters admits against a NAND-byte
-  budget priced by the device's live SMART DLWA ledger).  These feed
-  the policy-vs-placement ablation (``python -m repro.bench soak ablation``)
-  that stresses the paper's claim that placement, not admission, is the
-  cheap DLWA win.
+  :class:`SizeThresholdAdmission`, :class:`DynamicRandomAdmission` —
+  that decide from the offered item alone (plus a byte budget);
+* a *learned* gate — :class:`SurvivalAdmission` (Flashield-style:
+  objects prove themselves in DRAM before earning a flash write, scored
+  by an online-trained logistic model).  With the threshold gate it
+  feeds the policy-vs-placement ablation (``python -m repro.bench soak
+  ablation``) that stresses the paper's claim that placement, not
+  admission, is the cheap DLWA win.
 """
 
 from __future__ import annotations
@@ -35,12 +32,10 @@ from .item import CacheItem
 __all__ = [
     "AdmissionPolicy",
     "AcceptAll",
-    "ProbabilisticAdmission",
     "DynamicRandomAdmission",
     "SizeThresholdAdmission",
     "SurvivalFeatures",
     "SurvivalAdmission",
-    "WriteBudgetAdmission",
 ]
 
 
@@ -81,15 +76,6 @@ class AdmissionPolicy(abc.ABC):
 
     # -- optional seams ------------------------------------------------
 
-    def attach_device(self, device) -> None:
-        """Bind the policy to the cache's backing device.
-
-        Called once by :class:`~repro.cache.hybrid.HybridCache` at
-        construction.  Write-aware policies
-        (:class:`WriteBudgetAdmission`) read the device's SMART ledger
-        through this; everything else ignores it.
-        """
-
     def observe_insert(self, key: int, size: int) -> None:
         """Feature hook: ``key`` was inserted/overwritten in DRAM."""
 
@@ -106,23 +92,6 @@ class AcceptAll(AdmissionPolicy):
 
     def _decide(self, item: CacheItem) -> bool:
         return True
-
-
-class ProbabilisticAdmission(AdmissionPolicy):
-    """Admit a fixed fraction of offered items, size-independent."""
-
-    def __init__(self, probability: float, seed: int = 0xADA1) -> None:
-        super().__init__()
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        self.probability = probability
-        self._rng = random.Random(seed)
-
-    def _decide(self, item: CacheItem) -> bool:
-        return self._rng.random() < self.probability
-
-    def reseed(self, seed: int) -> None:
-        self._rng = random.Random(seed)
 
 
 class DynamicRandomAdmission(AdmissionPolicy):
@@ -402,77 +371,3 @@ class SurvivalAdmission(AdmissionPolicy):
             "ghosts": len(self._ghosts),
             "bias": self.bias,
         }
-
-
-class WriteBudgetAdmission(AdmissionPolicy):
-    """Meter admits against a NAND-byte budget priced by live DLWA.
-
-    Every offered op accrues ``nand_budget_bytes_per_op`` of credit;
-    admitting an item charges ``stored_size × DLWA`` where DLWA is read
-    from the attached device's SMART ledger at decision time.  When the
-    device's write amplification rises, each admitted byte costs more
-    NAND, so the policy tightens automatically — the same feedback loop
-    deployments run against SMART endurance counters.  Deterministic:
-    no RNG, so ``reseed`` is a no-op and the decision stream is a pure
-    function of the offered sequence and device state.
-    """
-
-    def __init__(
-        self,
-        nand_budget_bytes_per_op: int,
-        *,
-        burst_ops: int = 64,
-    ) -> None:
-        super().__init__()
-        if nand_budget_bytes_per_op <= 0:
-            raise ValueError("nand_budget_bytes_per_op must be positive")
-        if burst_ops <= 0:
-            raise ValueError("burst_ops must be positive")
-        self.nand_budget_bytes_per_op = nand_budget_bytes_per_op
-        self.burst_ops = burst_ops
-        self._credit = float(nand_budget_bytes_per_op * burst_ops)
-        self._device = None
-        self.charged_nand_bytes = 0.0
-        self.budget_rejects = 0
-
-    def attach_device(self, device) -> None:
-        self._device = device
-
-    def _current_dlwa(self) -> float:
-        if self._device is None:
-            return 1.0
-        stats = self._device.stats
-        host = getattr(stats, "host_pages_written", 0)
-        nand = getattr(stats, "nand_pages_written", 0)
-        if host <= 0:
-            return 1.0
-        return max(1.0, nand / host)
-
-    def _decide(self, item: CacheItem) -> bool:
-        cap = float(self.nand_budget_bytes_per_op * self.burst_ops)
-        self._credit = min(cap, self._credit + self.nand_budget_bytes_per_op)
-        cost = item.stored_size * self._current_dlwa()
-        if cost <= self._credit:
-            self._credit -= cost
-            self.charged_nand_bytes += cost
-            return True
-        self.budget_rejects += 1
-        return False
-
-    def stats_dict(self) -> Dict[str, float]:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "admit_ratio": self.admit_ratio,
-            "credit_bytes": self._credit,
-            "charged_nand_bytes": self.charged_nand_bytes,
-            "budget_rejects": self.budget_rejects,
-            "dlwa_seen": self._current_dlwa(),
-        }
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        # The device holds unpicklable runtime state in some configs;
-        # the binding is re-established by HybridCache at construction.
-        state["_device"] = None
-        return state

@@ -2,8 +2,8 @@
 
 Collects the deployment knobs the paper's experiments sweep: DRAM cache
 size, flash cache size split between SOC and LOC, the small/large
-routing threshold, LOC region size and eviction policy, the FDP enable
-switch, and the admission policy.
+routing threshold, LOC region size, the FDP enable switch, and the
+admission policy.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import dataclasses
 from typing import Optional
 
 from .admission import AcceptAll, AdmissionPolicy
-from .loc import EVICTION_FIFO, EVICTION_LRU
 
 __all__ = ["CacheConfig"]
 
@@ -21,20 +20,16 @@ __all__ = ["CacheConfig"]
 class CacheConfig:
     """Configuration for one :class:`~repro.cache.hybrid.HybridCache`.
 
-    Sizes are in bytes.  ``soc_bytes + loc_bytes`` (plus the metadata
-    slice) must fit inside the device LBA range starting at
-    ``base_lba`` — the constructor of the hybrid cache validates this
-    against the actual device.
+    Sizes are in bytes.  ``soc_bytes + loc_bytes`` (plus the
+    :data:`~repro.cache.hybrid.METADATA_PAGES` slice) must fit inside
+    the device LBA range starting at ``base_lba`` — the constructor of
+    the hybrid cache validates this against the actual device.
 
     The paper's default deployment shape: SOC = 4 % of the flash cache,
     LOC = 96 %, DRAM ≈ 4.5 % of the flash cache, 2 KiB small-object
-    threshold, FIFO region eviction.
-
-    ``io_read_retries`` / ``io_write_retries`` / ``io_retry_backoff_ns``
-    shape the device layer's response to injected media errors (see
-    :mod:`repro.faults` and DESIGN.md §8); they only matter when the
-    underlying :class:`~repro.ssd.device.SimulatedSSD` was built with a
-    ``faults=`` configuration.
+    threshold, FIFO region eviction.  Engine flushes always carry their
+    self-describing metadata (sealed-region headers, bucket manifests)
+    so :meth:`~repro.cache.hybrid.HybridCache.recover` can warm-restart.
     """
 
     name: str = "cache-0"
@@ -43,11 +38,9 @@ class CacheConfig:
     loc_bytes: int = 96 * 1024 * 1024
     small_item_threshold: int = 2048
     region_bytes: int = 256 * 1024
-    loc_eviction: str = EVICTION_FIFO
     ru_aware_trim: bool = False
     enable_fdp_placement: bool = True
     base_lba: int = 0
-    metadata_pages: int = 4
     metadata_flush_interval: int = 4096
     admission: Optional[AdmissionPolicy] = None
     # When set, the admission policy is reseeded with this value at
@@ -57,7 +50,6 @@ class CacheConfig:
     # repro.bench.runner.build_experiment); ``None`` leaves whatever
     # seed the policy was constructed with.
     admission_seed: Optional[int] = None
-    dram_op_ns: int = 2_000
     # Small-object engine selection: CacheLib's set-associative SOC,
     # the Kangaroo-style log-plus-sets extension (see
     # repro.cache.kangaroo), or the Nemo-style log-structured store
@@ -72,21 +64,6 @@ class CacheConfig:
     nemo_region_pages: int = 8
     nemo_index_ways: int = 8
     nemo_reinsert_fraction: float = 0.25
-    # Device-layer retry budgets against injected media errors (see
-    # repro.faults): reads retry a few times (UECCs are often
-    # transient), writes resubmit once (the FTL's in-device program
-    # retry absorbs most faults first).  Irrelevant — zero overhead —
-    # on a fault-free device.
-    io_read_retries: int = 3
-    io_write_retries: int = 1
-    io_retry_backoff_ns: int = 100_000
-    # Warm restart: when True (default), engine flushes carry their
-    # self-describing metadata (sealed-region headers, bucket
-    # checksums) in the device's out-of-band area so
-    # :meth:`~repro.cache.hybrid.HybridCache.recover` can rebuild the
-    # flash indexes after a power cut.  Turning it off reproduces a
-    # cold-restart-only deployment.
-    persist_engine_metadata: bool = True
 
     def __post_init__(self) -> None:
         if self.dram_bytes <= 0:
@@ -97,12 +74,8 @@ class CacheConfig:
             raise ValueError("small_item_threshold must be non-negative")
         if self.region_bytes <= 0:
             raise ValueError("region_bytes must be positive")
-        if self.loc_eviction not in (EVICTION_FIFO, EVICTION_LRU):
-            raise ValueError(f"unknown loc_eviction {self.loc_eviction!r}")
         if self.base_lba < 0:
             raise ValueError("base_lba must be non-negative")
-        if self.metadata_pages < 0:
-            raise ValueError("metadata_pages must be non-negative")
         if self.metadata_flush_interval <= 0:
             raise ValueError("metadata_flush_interval must be positive")
         if self.soc_engine not in ("set-associative", "kangaroo", "nemo"):
@@ -117,10 +90,6 @@ class CacheConfig:
             raise ValueError("nemo_index_ways must be >= 1")
         if not 0.0 <= self.nemo_reinsert_fraction <= 1.0:
             raise ValueError("nemo_reinsert_fraction must be in [0, 1]")
-        if self.io_read_retries < 0 or self.io_write_retries < 0:
-            raise ValueError("io retry budgets must be non-negative")
-        if self.io_retry_backoff_ns < 0:
-            raise ValueError("io_retry_backoff_ns must be non-negative")
         if self.admission is None:
             self.admission = AcceptAll()
         if self.admission_seed is not None:

@@ -42,6 +42,7 @@ __all__ = [
     "MISS",
     "BROWNOUT_HEALTHY",
     "BROWNOUT_SHED_LOC",
+    "METADATA_PAGES",
 ]
 
 HIT_DRAM = "dram"
@@ -52,6 +53,12 @@ MISS = "miss"
 # Brownout modes (overload protection; see repro.fleet.governor).
 BROWNOUT_HEALTHY = "healthy"
 BROWNOUT_SHED_LOC = "brownout"
+
+#: Pages of the cache's slice, ahead of the SOC, that the periodic
+#: metadata flush cycles through.
+METADATA_PAGES = 4
+#: Simulated cost of a DRAM-only GET or SET.
+DRAM_OP_NS = 2_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,11 +106,7 @@ class HybridCache:
             if device is None:
                 raise ValueError("need a device or a shared io layer")
             io = FdpAwareDevice(
-                device,
-                enable_placement=config.enable_fdp_placement,
-                max_read_retries=config.io_read_retries,
-                max_write_retries=config.io_write_retries,
-                retry_backoff_ns=config.io_retry_backoff_ns,
+                device, enable_placement=config.enable_fdp_placement
             )
         self.config = config
         self.io = io
@@ -118,7 +121,7 @@ class HybridCache:
             raise ValueError("loc_bytes too small for two regions")
 
         meta_base = config.base_lba
-        soc_base = meta_base + config.metadata_pages
+        soc_base = meta_base + METADATA_PAGES
         loc_base = soc_base + soc_pages
         end_lba = loc_base + num_regions * region_pages
         if end_lba > self.device.capacity_pages:
@@ -151,7 +154,6 @@ class HybridCache:
                 region_pages=config.nemo_region_pages,
                 index_ways=config.nemo_index_ways,
                 reinsert_fraction=config.nemo_reinsert_fraction,
-                persist_metadata=config.persist_engine_metadata,
             )
         elif config.soc_engine == "kangaroo":
             from .kangaroo import KangarooCache
@@ -167,7 +169,6 @@ class HybridCache:
                 log_pages,
                 max(1, soc_pages - log_pages),
                 move_threshold=config.kangaroo_move_threshold,
-                persist_metadata=config.persist_engine_metadata,
             )
         else:
             self.soc = SmallObjectCache(
@@ -175,7 +176,6 @@ class HybridCache:
                 self.policy.handle_for(soc_name),
                 soc_base,
                 max(1, soc_pages),
-                persist_metadata=config.persist_engine_metadata,
             )
         self.loc = LargeObjectCache(
             io,
@@ -183,15 +183,12 @@ class HybridCache:
             loc_base,
             num_regions,
             region_pages,
-            eviction=config.loc_eviction,
             ru_aware_trim=config.ru_aware_trim,
-            persist_metadata=config.persist_engine_metadata,
         )
         self._meta_base = meta_base
         self._meta_counter = 0
 
         assert config.admission is not None
-        config.admission.attach_device(self.device)
         # Feature-collecting policies (SurvivalAdmission) get the
         # GET/SET observation stream; for everyone else the observer is
         # None and the hot path pays a single identity check per op.
@@ -221,13 +218,11 @@ class HybridCache:
 
     def _maybe_flush_metadata(self, now_ns: int) -> int:
         """Minor consumer: periodic metadata flush on the default RUH."""
-        if self.config.metadata_pages == 0:
-            return now_ns
         self._meta_counter += 1
         if self._meta_counter % self.config.metadata_flush_interval:
             return now_ns
         page = self._meta_counter // self.config.metadata_flush_interval
-        lba = self._meta_base + (page % self.config.metadata_pages)
+        lba = self._meta_base + (page % METADATA_PAGES)
         try:
             return self.io.write(
                 lba, 1, self.io.allocator.default(), now_ns, worker="meta"
@@ -327,7 +322,7 @@ class HybridCache:
         item = self.dram.get(key)
         if item is not None:
             self.hits_by_layer[HIT_DRAM] += 1
-            return HIT_DRAM, item, now_ns + self.config.dram_op_ns
+            return HIT_DRAM, item, now_ns + DRAM_OP_NS
         self.nvm_gets += 1
         item, done = self.soc.lookup(key, now_ns)
         if item is not None:
@@ -352,7 +347,7 @@ class HybridCache:
         # in _admit_to_flash must not suppress the eventual rewrite.
         self.soc.invalidate(key)
         self.loc.invalidate(key)
-        done = now_ns + self.config.dram_op_ns
+        done = now_ns + DRAM_OP_NS
         for evicted in self.dram.set(item):
             done = self._admit_to_flash(evicted, done)
         return done

@@ -59,10 +59,10 @@ class KangarooCache:
         Minimum staged items per destination bucket for a batch move;
         buckets with fewer pending items have them dropped, trading
         hit ratio for write reduction (Kangaroo's key knob).
-    persist_metadata:
-        Write per-page log headers (and bucket headers in the embedded
-        KSet) into the out-of-band area so :meth:`recover` can
-        warm-restart after a power cut.
+
+    Every log flush writes a per-page header (and the embedded KSet its
+    bucket headers) into the out-of-band area, so :meth:`recover` can
+    warm-restart after a power cut.
     """
 
     def __init__(
@@ -75,7 +75,6 @@ class KangarooCache:
         num_buckets: int,
         *,
         move_threshold: int = 2,
-        persist_metadata: bool = True,
     ) -> None:
         if num_log_pages < 2:
             raise ValueError("KLog needs at least 2 pages")
@@ -87,16 +86,10 @@ class KangarooCache:
         self.num_log_pages = num_log_pages
         self.move_threshold = move_threshold
         self.page_size = device.ssd.page_size
-
-        self.persist_metadata = persist_metadata
         self._flush_seq = 0
 
         self.sets = SmallObjectCache(
-            device,
-            set_handle,
-            base_lba + num_log_pages,
-            num_buckets,
-            persist_metadata=persist_metadata,
+            device, set_handle, base_lba + num_log_pages, num_buckets
         )
 
         # KLog state: a ring of pages; each holds an item list.  The
@@ -210,22 +203,20 @@ class KangarooCache:
 
     def _flush_head(self, now_ns: int) -> int:
         """Write the filled head page and advance the ring."""
-        payload = None
-        if self.persist_metadata:
-            # Log-page header: flush sequence + staged-item manifest.
-            # A torn flush leaves no verifying header; recover() then
-            # treats the page's items as lost, like a failed write.
-            self._flush_seq += 1
-            payload = (
-                "klog",
-                self._head,
-                self._flush_seq,
-                tuple(
-                    (item.key, item.size)
-                    for item in self._log_pages[self._head]
-                    if self._log_index.get(item.key) == self._head
-                ),
-            )
+        # Log-page header: flush sequence + staged-item manifest.  A
+        # torn flush leaves no verifying header; recover() then treats
+        # the page's items as lost, like a failed write.
+        self._flush_seq += 1
+        payload = (
+            "klog",
+            self._head,
+            self._flush_seq,
+            tuple(
+                (item.key, item.size)
+                for item in self._log_pages[self._head]
+                if self._log_index.get(item.key) == self._head
+            ),
+        )
         try:
             done = self.device.write(
                 self._log_lba(self._head), 1, self.log_handle, now_ns,
@@ -391,8 +382,7 @@ class KangarooCache:
         for page in range(self.num_log_pages):
             payload = self.device.read_payload(self._log_lba(page), 1)[0]
             valid = (
-                self.persist_metadata
-                and isinstance(payload, tuple)
+                isinstance(payload, tuple)
                 and len(payload) == 4
                 and payload[0] == "klog"
                 and payload[1] == page

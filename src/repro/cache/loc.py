@@ -7,10 +7,9 @@ Mirrors CacheLib's LOC (Section 2.3):
   in-memory open region; when it fills, the region is flushed to flash
   as one long sequential write — the "SSD-friendly" pattern that needs
   no overprovisioning (Insight 2).
-* Eviction is region-granular, FIFO by default (LRU optional): the
-  oldest region's keys are dropped from the in-memory index and the
-  region is recycled, so its LBAs get overwritten sequentially —
-  invalidating the old data in the FTL without any GC help.
+* Eviction is region-granular FIFO: the oldest region's keys leave the
+  in-memory index and the region is recycled, its LBAs overwritten
+  sequentially — invalidating the old data in the FTL without GC help.
 * A DRAM index maps key → region (this is the LOC's DRAM overhead the
   paper contrasts against the SOC's near-zero tracking cost).
 * *Warm restart* (CacheLib persists its region index across planned
@@ -42,28 +41,23 @@ from ..core.placement import PlacementHandle
 from ..faults.errors import MediaError
 from .item import CacheItem
 
-__all__ = ["LargeObjectCache", "Region", "EVICTION_FIFO", "EVICTION_LRU"]
-
-EVICTION_FIFO = "fifo"
-EVICTION_LRU = "lru"
+__all__ = ["LargeObjectCache", "Region"]
 
 
 class Region:
     """One LOC region: a contiguous page-aligned slice of the LOC space."""
 
-    __slots__ = ("region_id", "keys", "used_bytes", "last_access", "sealed")
+    __slots__ = ("region_id", "keys", "used_bytes", "sealed")
 
     def __init__(self, region_id: int) -> None:
         self.region_id = region_id
         self.keys: List[int] = []
         self.used_bytes = 0
-        self.last_access = 0
         self.sealed = False
 
     def reset(self) -> None:
         self.keys.clear()
         self.used_bytes = 0
-        self.last_access = 0
         self.sealed = False
 
 
@@ -77,16 +71,12 @@ class LargeObjectCache:
         writes, and the first LBA of the LOC slice.
     num_regions / region_pages:
         The LOC owns ``num_regions * region_pages`` pages.
-    eviction:
-        ``"fifo"`` (production default for the paper's workloads) or
-        ``"lru"`` by region last-access time.
     ru_aware_trim:
         Enable lesson-1 behaviour: TRIM recycled regions so fully dead
         reclaim units are released without GC.
-    persist_metadata:
-        Write sealed-region headers into the out-of-band area on every
-        flush so :meth:`recover` can warm-restart after a power cut.
-        Off reproduces a cold-restart-only deployment.
+
+    Every flush writes its sealed-region header into the out-of-band
+    area, so :meth:`recover` can warm-restart after a power cut.
     """
 
     def __init__(
@@ -97,25 +87,19 @@ class LargeObjectCache:
         num_regions: int,
         region_pages: int,
         *,
-        eviction: str = EVICTION_FIFO,
         ru_aware_trim: bool = False,
-        persist_metadata: bool = True,
     ) -> None:
         if num_regions < 2:
             raise ValueError("LOC needs at least 2 regions (1 open + 1 sealed)")
         if region_pages <= 0:
             raise ValueError("region_pages must be positive")
-        if eviction not in (EVICTION_FIFO, EVICTION_LRU):
-            raise ValueError(f"unknown eviction policy {eviction!r}")
         self.device = device
         self.handle = handle
         self.base_lba = base_lba
         self.num_regions = num_regions
         self.region_pages = region_pages
         self.region_bytes = region_pages * device.ssd.page_size
-        self.eviction = eviction
         self.ru_aware_trim = ru_aware_trim
-        self.persist_metadata = persist_metadata
         self._seal_seq = 0
 
         self.regions = [Region(i) for i in range(num_regions)]
@@ -123,7 +107,6 @@ class LargeObjectCache:
         self._sealed: Deque[int] = collections.deque()
         self._open: Region = self.regions[0]
         self.index: Dict[int, Tuple[int, int]] = {}  # key -> (region, size)
-        self._ticks = 0
 
         self.inserts = 0
         self.lookups = 0
@@ -182,25 +165,23 @@ class LargeObjectCache:
         # would keep migrating.
         pages = self.region_pages if region.used_bytes else 0
         if pages:
-            payload = None
-            if self.persist_metadata:
-                # Sealed-region header: the key manifest travels in the
-                # OOB area of every page of the flush command.  A torn
-                # flush leaves pages without (or with partial) headers,
-                # which recover() detects and discards.
-                self._seal_seq += 1
-                manifest = {}
-                for key in region.keys:
-                    entry = self.index.get(key)
-                    if entry is not None and entry[0] == region.region_id:
-                        manifest[key] = entry[1]
-                payload = (
-                    "loc",
-                    region.region_id,
-                    self._seal_seq,
-                    region.used_bytes,
-                    tuple(manifest.items()),
-                )
+            # Sealed-region header: the key manifest travels in the OOB
+            # area of every page of the flush command.  A torn flush
+            # leaves pages without (or with partial) headers, which
+            # recover() detects and discards.
+            self._seal_seq += 1
+            manifest = {}
+            for key in region.keys:
+                entry = self.index.get(key)
+                if entry is not None and entry[0] == region.region_id:
+                    manifest[key] = entry[1]
+            payload = (
+                "loc",
+                region.region_id,
+                self._seal_seq,
+                region.used_bytes,
+                tuple(manifest.items()),
+            )
             try:
                 self.device.write(
                     self._region_lba(region.region_id),
@@ -230,16 +211,10 @@ class LargeObjectCache:
         return now_ns
 
     def _evict_one_region(self) -> None:
-        """Recycle a sealed region according to the eviction policy."""
+        """Recycle the oldest sealed region (FIFO)."""
         if not self._sealed:
             raise RuntimeError("no sealed region to evict")
-        if self.eviction == EVICTION_FIFO:
-            victim_id = self._sealed.popleft()
-        else:
-            victim_id = min(
-                self._sealed, key=lambda rid: self.regions[rid].last_access
-            )
-            self._sealed.remove(victim_id)
+        victim_id = self._sealed.popleft()
         victim = self.regions[victim_id]
         for key in victim.keys:
             entry = self.index.get(key)
@@ -271,30 +246,21 @@ class LargeObjectCache:
             done = self._flush_open(now_ns)
             self._next_open(now_ns)
         region = self._open
-        stale = self.index.get(item.key)
-        if stale is not None and stale[0] != region.region_id:
-            # Old copy in another region becomes dead weight there until
-            # that region is recycled — the LOC's application-level WA.
-            pass
         region.keys.append(item.key)
         region.used_bytes += item.stored_size
-        region.last_access = self._ticks
         self.index[item.key] = (region.region_id, item.size)
         self.inserts += 1
         self.app_bytes_written += item.size
-        self._ticks += 1
         return True, done
 
     def lookup(self, key: int, now_ns: int = 0) -> Tuple[Optional[CacheItem], int]:
         """Look up a key; charges a page read on index hit."""
         self.lookups += 1
-        self._ticks += 1
         entry = self.index.get(key)
         if entry is None:
             return None, now_ns
         region_id, size = entry
         region = self.regions[region_id]
-        region.last_access = self._ticks
         if region is self._open and not region.sealed:
             # Item still buffered in DRAM; no flash read needed.
             self.hits += 1
@@ -365,8 +331,7 @@ class LargeObjectCache:
             )
             first = payloads[0]
             complete = (
-                self.persist_metadata
-                and isinstance(first, tuple)
+                isinstance(first, tuple)
                 and len(first) == 5
                 and first[0] == "loc"
                 and first[1] == rid
@@ -391,7 +356,6 @@ class LargeObjectCache:
             region = self.regions[rid]
             region.used_bytes = used
             region.sealed = True
-            region.last_access = seq
             for key, size in manifest:
                 stale = self.index.get(key)
                 if stale is not None:
@@ -404,7 +368,6 @@ class LargeObjectCache:
                 items += 1
             self._sealed.append(rid)
         self._seal_seq = intact[-1][0] if intact else 0
-        self._ticks = self._seal_seq + 1
 
         if not self._clean:
             self._evict_one_region()

@@ -73,9 +73,9 @@ class NemoCache:
         Cap on reinsertion WA: at most this fraction of a reclaimed
         region's bytes may be re-appended for items that were accessed
         since insertion.  ``0`` is pure FIFO (drop everything).
-    persist_metadata:
-        Write per-page manifests into the out-of-band area so
-        :meth:`recover` can warm-restart after a power cut.
+
+    Every page flush writes its manifest into the out-of-band area, so
+    :meth:`recover` can warm-restart after a power cut.
     """
 
     def __init__(
@@ -88,7 +88,6 @@ class NemoCache:
         region_pages: int = 8,
         index_ways: int = 8,
         reinsert_fraction: float = 0.25,
-        persist_metadata: bool = True,
     ) -> None:
         if num_pages < 2:
             raise ValueError("NemoCache needs at least 2 pages")
@@ -105,7 +104,6 @@ class NemoCache:
         self.region_pages = min(region_pages, num_pages)
         self.index_ways = index_ways
         self.reinsert_fraction = reinsert_fraction
-        self.persist_metadata = persist_metadata
         self.page_size = device.ssd.page_size
         self.usable_page_bytes = self.page_size - NEMO_PAGE_HEADER_BYTES
 
@@ -221,21 +219,19 @@ class NemoCache:
     def _flush_head(self, now_ns: int) -> int:
         """Write the filled head page, advance, reclaim on region
         boundaries."""
-        payload = None
-        if self.persist_metadata:
-            self._flush_seq += 1
-            manifest = []
-            seen = set()
-            # Newest-first so a key re-appended within the same fill
-            # window persists its latest size.
-            for item in reversed(self._page_items[self._head]):
-                if item.key in seen:
-                    continue
-                entry = self._entry(item.key)
-                if entry is not None and entry[0] == self._head:
-                    seen.add(item.key)
-                    manifest.append((item.key, item.size))
-            payload = ("nemo", self._head, self._flush_seq, tuple(manifest))
+        self._flush_seq += 1
+        manifest = []
+        seen = set()
+        # Newest-first so a key re-appended within the same fill window
+        # persists its latest size.
+        for item in reversed(self._page_items[self._head]):
+            if item.key in seen:
+                continue
+            entry = self._entry(item.key)
+            if entry is not None and entry[0] == self._head:
+                seen.add(item.key)
+                manifest.append((item.key, item.size))
+        payload = ("nemo", self._head, self._flush_seq, tuple(manifest))
         try:
             done = self.device.write(
                 self._lba(self._head), 1, self.handle, now_ns,
@@ -380,8 +376,7 @@ class NemoCache:
         for page in range(self.num_pages):
             payload = self.device.read_payload(self._lba(page), 1)[0]
             valid = (
-                self.persist_metadata
-                and isinstance(payload, tuple)
+                isinstance(payload, tuple)
                 and len(payload) == 4
                 and payload[0] == "nemo"
                 and payload[1] == page

@@ -48,6 +48,9 @@ __all__ = ["SmallObjectCache", "BUCKET_HEADER_BYTES"]
 
 # Bucket-level metadata stored on flash (generation, checksum, count).
 BUCKET_HEADER_BYTES = 16
+# Per-bucket bloom filter shape: bits and hash functions.
+BLOOM_BITS = 64
+BLOOM_HASHES = 4
 
 
 class SmallObjectCache:
@@ -65,10 +68,10 @@ class SmallObjectCache:
     num_buckets:
         Bucket count; the SOC occupies ``num_buckets`` pages starting
         at ``base_lba`` (bucket size == page size).
-    persist_metadata:
-        Write the bucket header (generation + manifest) into the
-        out-of-band area on every rewrite so :meth:`recover` can
-        warm-restart after a power cut.
+
+    Every rewrite writes the bucket header (generation + manifest) into
+    the out-of-band area, so :meth:`recover` can warm-restart after a
+    power cut.
     """
 
     def __init__(
@@ -77,10 +80,6 @@ class SmallObjectCache:
         handle: PlacementHandle,
         base_lba: int,
         num_buckets: int,
-        *,
-        bloom_bits: int = 64,
-        bloom_hashes: int = 4,
-        persist_metadata: bool = True,
     ) -> None:
         if num_buckets <= 0:
             raise ValueError("num_buckets must be positive")
@@ -97,7 +96,7 @@ class SmallObjectCache:
         ]
         self._used: List[int] = [0] * num_buckets
         self._blooms: List[BloomFilter] = [
-            BloomFilter(bloom_bits, bloom_hashes) for _ in range(num_buckets)
+            BloomFilter(BLOOM_BITS, BLOOM_HASHES) for _ in range(num_buckets)
         ]
         # The key index: key -> bloom mask, for exactly the resident
         # keys (``key in _masks`` iff ``key in _buckets[bucket_of(key)]``).
@@ -106,9 +105,6 @@ class SmallObjectCache:
         # Written only where a key enters (_stage, recover) or leaves
         # (_evict_overflow, _drop_bucket, invalidate, delete, recover).
         self._masks: Dict[int, int] = {}
-        self._bloom_bits = bloom_bits
-        self._bloom_hashes = bloom_hashes
-        self.persist_metadata = persist_metadata
         # Per-bucket rewrite generation, part of the on-flash header.
         self._generations: List[int] = [0] * num_buckets
         # engine statistics
@@ -171,10 +167,7 @@ class SmallObjectCache:
 
     def _bucket_payload(self, bucket: int):
         """Build the on-flash header payload for one bucket rewrite
-        (advancing its generation), or ``None`` when metadata
-        persistence is off."""
-        if not self.persist_metadata:
-            return None
+        (advancing its generation)."""
         self._generations[bucket] += 1
         return (
             "soc",
@@ -210,9 +203,7 @@ class SmallObjectCache:
         entries = self._buckets[bucket]
         old = entries.pop(key, None)
         if old is None:
-            self._masks[key] = bloom_mask(
-                h1, self._bloom_bits, self._bloom_hashes
-            )
+            self._masks[key] = bloom_mask(h1, BLOOM_BITS, BLOOM_HASHES)
         else:
             self._used[bucket] -= old
         entries[key] = nbytes
@@ -352,7 +343,7 @@ class SmallObjectCache:
         mask = self._masks.get(key)
         resident = mask is not None
         if not resident:
-            mask = bloom_mask(h1, self._bloom_bits, self._bloom_hashes)
+            mask = bloom_mask(h1, BLOOM_BITS, BLOOM_HASHES)
         if not self._blooms[bucket].may_contain(key, mask):
             self.bloom_rejects += 1
             return None, now_ns
@@ -428,8 +419,7 @@ class SmallObjectCache:
             self._used[bucket] = 0
             payload = self.device.read_payload(self.base_lba + bucket, 1)[0]
             valid = (
-                self.persist_metadata
-                and isinstance(payload, tuple)
+                isinstance(payload, tuple)
                 and len(payload) == 4
                 and payload[0] == "soc"
                 and payload[1] == bucket
@@ -440,9 +430,7 @@ class SmallObjectCache:
                 for key, nbytes in manifest:
                     entries[key] = nbytes
                     self._used[bucket] += nbytes
-                    masks[key] = bloom_mask(
-                        splitmix64(key), self._bloom_bits, self._bloom_hashes
-                    )
+                    masks[key] = bloom_mask(splitmix64(key), BLOOM_BITS, BLOOM_HASHES)
                 self._rebuild_bloom(bucket)
                 recovered += 1
                 items += len(entries)

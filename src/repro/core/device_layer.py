@@ -34,6 +34,12 @@ __all__ = ["IoQueue", "FdpAwareDevice"]
 DTYPE_DATA_PLACEMENT = 0x2
 DTYPE_NONE = 0x0
 
+# A Write Fault is resubmitted once: the FTL's in-device program retry
+# has already absorbed most faults before one reaches the host.
+MAX_WRITE_RETRIES = 1
+# Host-side delay before the first resubmission; doubles per attempt.
+RETRY_BACKOFF_NS = 100_000
+
 
 class IoQueue:
     """One submission/completion queue pair (io_uring stand-in).
@@ -76,15 +82,12 @@ class FdpAwareDevice:
         Cache-side FDP switch.  The allocator degrades to default
         handles when this is off or the device lacks FDP, so consumers
         run unchanged either way (Design Principle 2).
-    max_read_retries / max_write_retries:
-        Bounded retry budget per command when the device reports a
-        media error (UECC on read, Write Fault on write).  A UECC is
-        often transient — controllers re-read with adjusted voltage
-        thresholds — so reads default to a few attempts; FTL-side
-        program retry already absorbs most write faults, so writes
-        default to one resubmission.
-    retry_backoff_ns:
-        Host-side delay before the first resubmission; doubles per
+    max_read_retries:
+        Bounded retry budget per read when the device reports a UECC.
+        A UECC is often transient — controllers re-read with adjusted
+        voltage thresholds — so reads default to a few attempts.  A
+        Write Fault gets :data:`MAX_WRITE_RETRIES` resubmissions.  Each
+        resubmission waits :data:`RETRY_BACKOFF_NS`, doubling per
         attempt (exponential backoff).
     """
 
@@ -94,18 +97,12 @@ class FdpAwareDevice:
         *,
         enable_placement: bool = True,
         max_read_retries: int = 3,
-        max_write_retries: int = 1,
-        retry_backoff_ns: int = 100_000,
     ) -> None:
-        if max_read_retries < 0 or max_write_retries < 0:
-            raise ValueError("retry budgets must be non-negative")
-        if retry_backoff_ns < 0:
-            raise ValueError("retry_backoff_ns must be non-negative")
+        if max_read_retries < 0:
+            raise ValueError("max_read_retries must be non-negative")
         self.ssd = ssd
         self._page_size = ssd.page_size
         self.max_read_retries = max_read_retries
-        self.max_write_retries = max_write_retries
-        self.retry_backoff_ns = retry_backoff_ns
         # Automatic discovery of FDP features and SSD topology (§5.1):
         # the allocator is fed whatever PIDs the device advertises.
         pids = (
@@ -300,7 +297,7 @@ class FdpAwareDevice:
         """Submit a tagged write; returns simulated completion time.
 
         A Write Fault (the FTL exhausted its in-device program retries)
-        is resubmitted up to ``max_write_retries`` times with backoff;
+        is resubmitted up to :data:`MAX_WRITE_RETRIES` times with backoff;
         a command that still fails re-raises
         :class:`~repro.faults.errors.ProgramFailError` for the engine
         to drop or requeue the eviction.  A
@@ -315,9 +312,9 @@ class FdpAwareDevice:
         pid = self._pid_for(handle)  # may refuse: nothing is counted yet
         q = self.queue(worker)
         q.submitted += 1
-        backoff = self.retry_backoff_ns
+        backoff = RETRY_BACKOFF_NS
         try:
-            for attempt in range(self.max_write_retries + 1):
+            for attempt in range(MAX_WRITE_RETRIES + 1):
                 try:
                     if self.ssd.scheduler is not None:
                         done = self._submit_sync(
@@ -329,7 +326,7 @@ class FdpAwareDevice:
                 except ProgramFailError:
                     q.write_errors += 1
                     self.write_errors += 1
-                    if attempt == self.max_write_retries:
+                    if attempt == MAX_WRITE_RETRIES:
                         self.retries_exhausted += 1
                         raise
                     q.retries += 1
@@ -363,7 +360,7 @@ class FdpAwareDevice:
         """
         q = self.queue(worker)
         q.submitted += 1
-        backoff = self.retry_backoff_ns
+        backoff = RETRY_BACKOFF_NS
         try:
             for attempt in range(self.max_read_retries + 1):
                 try:

@@ -61,12 +61,12 @@ class PlacementHandleAllocator:
     enable_placement:
         The cache-side switch; ``False`` forces default handles even on
         an FDP-capable device (the paper's Non-FDP configuration).
-    reserve_default_ruh:
-        Skip PID <RG 0, RUH 0> during allocation so minor consumers
-        (metadata) that write without a directive — landing on the
-        device's default RUH — do not share a reclaim unit with a
-        segregated stream.  Matches the paper's allocator, which leaves
-        the default RUH to modules with no stated preference.
+
+    Allocation skips PID <RG 0, RUH 0>, so minor consumers (metadata)
+    that write without a directive — landing on the device's default
+    RUH — do not share a reclaim unit with a segregated stream.  That
+    matches the paper's allocator, which leaves the default RUH to
+    modules with no stated preference.
     """
 
     def __init__(
@@ -74,11 +74,12 @@ class PlacementHandleAllocator:
         available_pids: Optional[List[PlacementIdentifier]] = None,
         *,
         enable_placement: bool = True,
-        reserve_default_ruh: bool = True,
     ) -> None:
-        pids = list(available_pids or [])
-        if reserve_default_ruh:
-            pids = [p for p in pids if not (p.reclaim_group == 0 and p.ruh_id == 0)]
+        pids = [
+            p
+            for p in available_pids or []
+            if not (p.reclaim_group == 0 and p.ruh_id == 0)
+        ]
         self._pids: Iterator[PlacementIdentifier] = iter(pids)
         self._num_pids = len(pids)
         self._enabled = enable_placement and self._num_pids > 0

@@ -279,8 +279,8 @@ class FailSlowModel:
 
         All seed draws happen here, in a fixed order (stall phase, then
         one die per unpinned scripted entry), so the fault history
-        depends only on the config and topology.  Re-binding (device
-        ``format()`` rebuilds the scheduler) is idempotent.
+        depends only on the config and topology.  Re-binding is
+        idempotent.
         """
         if channels <= 0 or planes_per_die <= 0:
             raise ValueError("channels and planes_per_die must be positive")

@@ -45,11 +45,11 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True)
 class FleetReplayConfig(ReplayConfig):
     """:class:`~repro.bench.driver.ReplayConfig` with the fleet's poll
-    cadence: every knob, the clock policy and the open-loop precedence
-    are the single-cache replay's, applied per shard."""
+    cadence: every knob and the clock policy are the single-cache
+    replay's, applied per shard."""
 
     poll_interval_ops: int = 2000
 
@@ -59,12 +59,12 @@ def _windows(cfg: ReplayConfig, trace: Trace) -> Iterator[Iterator[tuple]]:
 
     Yields, per window of ``cfg.poll_interval_ops`` ops (the last may be
     short), an iterator over its ``(op, key, size, arrival_ns)`` rows —
-    ``arrival_ns`` from ``cfg.schedule_for(trace)``, ``None`` without a
+    ``arrival_ns`` from ``trace.arrivals_ns``, ``None`` without a
     schedule.  Converting a window at a time boxes no numpy scalar per
     op and keeps memory flat, as :func:`repro.bench.driver.replay` does
     inline; both fleet loops iterate through here.
     """
-    schedule = cfg.schedule_for(trace)
+    schedule = trace.arrivals_ns
     for start in range(0, len(trace), cfg.poll_interval_ops):
         window = slice(start, start + cfg.poll_interval_ops)
         yield zip(
@@ -142,13 +142,12 @@ class FleetDriver:
         """Replay ``trace`` through the fleet; returns fleet metrics."""
         fleet = self.fleet
         cfg = self.config
-        fill = cfg.fill_on_miss
         fleet_get, fleet_set, fleet_delete = fleet.get, fleet.set, fleet.delete
         observe = self.monitor.observe if self.monitor is not None else None
 
         total = len(trace)
         interval = cfg.arrival_interval_ns
-        open_loop = interval is not None or cfg.schedule_for(trace) is not None
+        open_loop = interval is not None or trace.arrivals_ns is not None
         # Open loop on a fixed interval: op n of the driver's life
         # arrives at n * interval.  ops_done is cumulative, so arrivals
         # stay continuous across segment-by-segment replay.
@@ -183,7 +182,7 @@ class FleetDriver:
                 if op == OP_GET:
                     result = fleet_get(key, now)
                     served = result.shard_id
-                    if fill and not result.hit and not result.degraded:
+                    if not result.hit and not result.degraded:
                         # Fill lands at the GET's completion, as in
                         # CacheBench's open-loop path.
                         fill_at = result.completion_ns if open_loop else None
@@ -283,12 +282,11 @@ def _replay_shard(
     """Worker body: build the shard locally, replay its partition."""
     spec, sub_trace, cfg = payload
     shard = spec.build()
-    fill = cfg.fill_on_miss
     next_issue = cfg.next_issue_ns
     for rows in _windows(cfg, sub_trace):
         for op, key, size, _ in rows:
             if op == OP_GET:
-                if not shard.get(key)[0] and fill:  # (hit, where, done)
+                if not shard.get(key)[0]:  # (hit, where, done)
                     shard.set(key, size)
             elif op == OP_SET:
                 shard.set(key, size)
@@ -361,7 +359,6 @@ def replay_partitioned(
     cfg = config or FleetReplayConfig()
     for field, value in (
         ("config.arrival_interval_ns", cfg.arrival_interval_ns),
-        ("config.arrival_schedule_ns", cfg.arrival_schedule_ns),
         ("trace.arrivals_ns", trace.arrivals_ns),
     ):
         if value is not None:

@@ -8,9 +8,10 @@ walks the lifecycle state machine:
 
 * ``HEALTHY → DEGRADED`` when spare capacity falls below
   ``degraded_spare_pct`` or media errors exceed
-  ``degraded_media_errors`` — a warning state, the shard still serves;
+  :data:`DEGRADED_MEDIA_ERRORS` — a warning state, the shard still
+  serves;
 * ``DEGRADED → RETIRING → DEAD`` when spare drops below
-  ``retire_spare_pct`` or wear passes ``retire_percent_used`` — the
+  ``retire_spare_pct`` or wear passes :data:`RETIRE_PERCENT_USED` — the
   monitor asks the router to *retire* the shard, which drains its
   contents onto survivors before powering it off (planned data
   movement, not data loss).
@@ -27,9 +28,8 @@ check above, so the detector watches the *tail* instead.  Each poll it
 takes every live shard's rolling GET p99
 (:meth:`~repro.fleet.shard.CacheShard.recent_read_p99`) and compares
 it against the fleet's lower-median p99 — a shard whose tail sits
-``gray_ratio`` times above its peers for ``gray_streak_polls``
-consecutive polls is declared gray-failed and (with
-``quarantine_slow_shards``) drained out through
+:data:`GRAY_RATIO` times above its peers for ``gray_streak_polls``
+consecutive polls is declared gray-failed and drained out through
 :meth:`~repro.fleet.router.FleetCache.quarantine_shard`.  The lower
 median keeps the baseline honest when a minority of shards is slow;
 ``latency_floor_ns`` keeps tiny absolute tails (everything healthy and
@@ -51,6 +51,14 @@ __all__ = [
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from .router import FleetCache
 
+#: Media errors past which a healthy shard is marked degraded.
+DEGRADED_MEDIA_ERRORS = 50
+#: Wear (SMART percent used) at which a shard is retired.
+RETIRE_PERCENT_USED = 90.0
+#: How many times its peers' lower-median p99 a shard's tail must sit
+#: to count as slow.
+GRAY_RATIO = 4.0
+
 
 @dataclasses.dataclass(frozen=True)
 class MonitorConfig:
@@ -64,14 +72,10 @@ class MonitorConfig:
     poll_interval_ops: int = 2000
     degraded_spare_pct: float = 70.0
     retire_spare_pct: float = 40.0
-    degraded_media_errors: int = 50
-    retire_percent_used: float = 90.0
     latency_detector: bool = False
     latency_min_samples: int = 64
     latency_floor_ns: int = 1_000_000
-    gray_ratio: float = 4.0
     gray_streak_polls: int = 2
-    quarantine_slow_shards: bool = True
 
     def __post_init__(self) -> None:
         if self.poll_interval_ops < 1:
@@ -84,8 +88,6 @@ class MonitorConfig:
             raise ValueError("latency_min_samples must be positive")
         if self.latency_floor_ns < 0:
             raise ValueError("latency_floor_ns must be non-negative")
-        if self.gray_ratio <= 1.0:
-            raise ValueError("gray_ratio must exceed 1.0")
         if self.gray_streak_polls < 1:
             raise ValueError("gray_streak_polls must be positive")
 
@@ -190,7 +192,7 @@ class FleetHealthMonitor:
             page = shard.health()
             retire = (
                 page.available_spare_pct < cfg.retire_spare_pct
-                or page.percent_used >= cfg.retire_percent_used
+                or page.percent_used >= RETIRE_PERCENT_USED
                 or not page.healthy
             )
             if retire and shard.state is not ShardState.RETIRING:
@@ -206,7 +208,7 @@ class FleetHealthMonitor:
                 continue
             degrade = (
                 page.available_spare_pct < cfg.degraded_spare_pct
-                or page.media_errors > cfg.degraded_media_errors
+                or page.media_errors > DEGRADED_MEDIA_ERRORS
             )
             if degrade and shard.state is ShardState.HEALTHY:
                 shard.mark_degraded()
@@ -226,9 +228,9 @@ class FleetHealthMonitor:
         """One gray-failure detector pass over the live shards.
 
         A shard is *slow* when its rolling GET p99 exceeds
-        ``max(latency_floor_ns, gray_ratio * fleet lower-median p99)``;
+        ``max(latency_floor_ns, GRAY_RATIO * fleet lower-median p99)``;
         ``gray_streak_polls`` consecutive slow verdicts fire a
-        detection (and, by default, a quarantine).  Needs at least two
+        detection and a quarantine.  Needs at least two
         live shards with full sample windows — a fleet of one has no
         peers to be slower than.
         """
@@ -249,7 +251,7 @@ class FleetHealthMonitor:
         # Lower median: a minority of slow shards cannot drag the
         # baseline up and mask themselves.
         median = ordered[(len(ordered) - 1) // 2]
-        threshold = max(cfg.latency_floor_ns, cfg.gray_ratio * median)
+        threshold = max(cfg.latency_floor_ns, GRAY_RATIO * median)
         for shard_id, p99 in sorted(p99s.items()):
             slow = p99 > threshold
             streak = self._slow_streaks.get(shard_id, 0) + 1 if slow else 0
@@ -273,12 +275,11 @@ class FleetHealthMonitor:
                         "fleet_median_ns": median,
                     }
                 )
-                if cfg.quarantine_slow_shards:
-                    record = self.fleet.quarantine_shard(
-                        shard_id, reason="gray-failure"
-                    )
-                    self.quarantines += 1
-                    fired.append({**record, "ops_done": ops_done})
+                record = self.fleet.quarantine_shard(
+                    shard_id, reason="gray-failure"
+                )
+                self.quarantines += 1
+                fired.append({**record, "ops_done": ops_done})
         return fired
 
     # ------------------------------------------------------------------

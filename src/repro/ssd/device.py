@@ -29,11 +29,11 @@ from ..fdp.events import FdpEventLog
 from ..fdp.logpage import FdpStatisticsLogPage
 from ..fdp.ruh import PlacementIdentifier
 from .batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand
-from .energy import EnergyCosts, EnergyModel
+from .energy import EnergyModel
 from .errors import MediaError, QueueFullError
 from .ftl import Ftl
 from .geometry import Geometry
-from .latency import LatencyModel, NandTimings
+from .latency import LatencyModel
 from .sched import IoCompletion, MultiQueueScheduler, SchedConfig
 from .scrub import PatrolScrubber, ScrubConfig, ScrubStatus
 from .stats import DeviceStats, StatsSnapshot
@@ -58,29 +58,32 @@ class SimulatedSSD:
         perfectly reliable — the I/O path is then bit-identical to a
         build without the fault subsystem.  Pass a
         :class:`~repro.faults.model.FaultConfig` for a seed-driven
-        model that :meth:`format` rebuilds from scratch (so formatted
-        runs replay identically), or a live
-        :class:`~repro.faults.model.FaultModel` instance to share or
-        inspect the injector directly (``format`` then keeps its RNG
-        position).  Injected failures surface through
+        model.  Injected failures surface through
         :meth:`get_health_log`, the FDP event log (``MEDIA_ERROR``
         entries), and the media-error exceptions documented in
         :mod:`repro.faults.errors`.
     latent:
         Latent-error modeling (read disturb, retention aging, silent
-        corruption) plus end-to-end CRC protection.  Pass a
-        :class:`~repro.faults.latent.LatentErrorConfig` for a fresh
-        seed-driven model per :meth:`format`, or a live
-        :class:`~repro.faults.latent.LatentErrorModel` to share/inspect
-        it.  ``None`` disables both the error model and CRC stamping.
+        corruption) plus end-to-end CRC protection, from a
+        :class:`~repro.faults.latent.LatentErrorConfig`.  ``None``
+        disables both the error model and CRC stamping.
     scrub:
         Background patrol scrubber.  ``True`` attaches one with
         default policy, or pass a
-        :class:`~repro.ssd.scrub.ScrubConfig` /
-        :class:`~repro.ssd.scrub.PatrolScrubber`.  The scrubber walks
+        :class:`~repro.ssd.scrub.ScrubConfig`.  The scrubber walks
         CLOSED superblocks on the simulated clock, verifies page CRCs,
         refreshes pages whose latent error level exceeds the refresh
         threshold, and retires repeatedly failing blocks.
+    sched / failslow:
+        ``True`` or a :class:`~repro.ssd.sched.SchedConfig` attaches
+        the multi-queue scheduler; a
+        :class:`~repro.faults.failslow.FailSlowConfig` (which requires
+        ``sched``) its fail-slow timing overlay.
+
+    Every model is built from its config afresh by :meth:`format`, so
+    formatted runs replay identically.  NAND timings and energy costs
+    are the :class:`~repro.ssd.latency.NandTimings` and
+    :class:`~repro.ssd.energy.EnergyCosts` defaults.
     """
 
     #: What :meth:`_new_ftl` builds, so ``format()`` keeps it; the
@@ -92,19 +95,17 @@ class SimulatedSSD:
         geometry: Geometry,
         fdp: "bool | FdpConfiguration | None" = False,
         *,
-        timings: Optional[NandTimings] = None,
-        energy_costs: Optional[EnergyCosts] = None,
         gc_reserve_superblocks: Optional[int] = None,
         gc_victim_sample: Optional[int] = None,
         wear_level_threshold: Optional[int] = None,
-        faults: "FaultConfig | FaultModel | None" = None,
+        faults: Optional[FaultConfig] = None,
         checkpoint_interval_pages: Optional[int] = None,
         journal_flush_interval: Optional[int] = None,
         power_seed: Optional[int] = None,
-        latent: "LatentErrorConfig | LatentErrorModel | None" = None,
-        scrub: "ScrubConfig | PatrolScrubber | bool | None" = None,
+        latent: Optional[LatentErrorConfig] = None,
+        scrub: "ScrubConfig | bool | None" = None,
         sched: "SchedConfig | bool | None" = None,
-        failslow: "FailSlowConfig | FailSlowModel | None" = None,
+        failslow: Optional[FailSlowConfig] = None,
     ) -> None:
         self.geometry = geometry
         if fdp is True:
@@ -116,8 +117,6 @@ class SimulatedSSD:
         else:
             config = None
         self.fdp_config = config
-        self._timings = timings
-        self._energy_costs = energy_costs
         self._gc_reserve = gc_reserve_superblocks
         self._gc_victim_sample = gc_victim_sample
         self._wear_level_threshold = wear_level_threshold
@@ -136,47 +135,21 @@ class SimulatedSSD:
         self._failslow_spec = failslow
         self.ftl = self._new_ftl()
 
-    def _new_fault_model(self) -> Optional[FaultModel]:
-        if self._fault_spec is None:
-            return None
-        if isinstance(self._fault_spec, FaultModel):
-            return self._fault_spec
-        return FaultModel(self._fault_spec)
-
-    def _new_latent_model(self) -> Optional[LatentErrorModel]:
-        if self._latent_spec is None:
-            return None
-        if isinstance(self._latent_spec, LatentErrorModel):
-            return self._latent_spec
-        return LatentErrorModel(self._latent_spec)
-
     def _new_scrubber(self) -> Optional[PatrolScrubber]:
         spec = self._scrub_spec
         if spec is None or spec is False:
             return None
-        if spec is True:
-            return PatrolScrubber()
-        if isinstance(spec, PatrolScrubber):
-            return spec
-        return PatrolScrubber(spec)
-
-    def _new_failslow(self) -> Optional[FailSlowModel]:
-        if self._failslow_spec is None:
-            return None
-        if isinstance(self._failslow_spec, FailSlowModel):
-            return self._failslow_spec
-        return FailSlowModel(self._failslow_spec)
+        return PatrolScrubber(None if spec is True else spec)
 
     def _new_sched(self) -> Optional[MultiQueueScheduler]:
         spec = self._sched_spec
         if spec is None or spec is False:
             return None
-        config = spec if isinstance(spec, SchedConfig) else None
+        failslow = self._failslow_spec
         return MultiQueueScheduler(
-            config,
+            spec if isinstance(spec, SchedConfig) else None,
             geometry=self.geometry,
-            timings=self._timings,
-            failslow=self._new_failslow(),
+            failslow=None if failslow is None else FailSlowModel(failslow),
         )
 
     def _new_ftl(self) -> Ftl:
@@ -187,18 +160,19 @@ class SimulatedSSD:
             extra["journal_flush_interval"] = self._journal_flush_interval
         if self._power_seed is not None:
             extra["power_seed"] = self._power_seed
+        faults, latent = self._fault_spec, self._latent_spec
         return self.ftl_class(
             self.geometry,
             self.fdp_config,
-            latency=LatencyModel(self._timings),
-            energy=EnergyModel(self._energy_costs),
+            latency=LatencyModel(),
+            energy=EnergyModel(),
             events=FdpEventLog(),
             stats=DeviceStats(),
             gc_reserve_superblocks=self._gc_reserve,
             gc_victim_sample=self._gc_victim_sample,
             wear_level_threshold=self._wear_level_threshold,
-            faults=self._new_fault_model(),
-            latent=self._new_latent_model(),
+            faults=None if faults is None else FaultModel(faults),
+            latent=None if latent is None else LatentErrorModel(latent),
             scrub=self._new_scrubber(),
             sched=self._new_sched(),
             **extra,
@@ -362,10 +336,8 @@ class SimulatedSSD:
         """The scheduler's fail-slow timing overlay, or ``None``.
 
         Attach one with ``failslow=FailSlowConfig(...)`` (requires
-        ``sched``); :meth:`format` rebuilds it from the config (a live
-        :class:`~repro.faults.failslow.FailSlowModel` is kept and
-        re-bound instead).  Like the scheduler it decorates, it only
-        stretches completion times — no simulated state depends on it.
+        ``sched``); :meth:`format` rebuilds it from the config.  Like the scheduler
+        it decorates, it only stretches completion times — no simulated state depends on it.
         """
         sched = self.ftl.sched
         return None if sched is None else sched.failslow
@@ -577,17 +549,15 @@ class SimulatedSSD:
             return None
         return self.ftl.scrubber.status()
 
-    def run_scrub_pass(
-        self, now_ns: Optional[int] = None, *, verify_open: bool = True
-    ) -> ScrubStatus:
+    def run_scrub_pass(self, now_ns: Optional[int] = None) -> ScrubStatus:
         """Run one complete patrol pass over the device synchronously.
 
-        Scans every CLOSED superblock (and, with ``verify_open``, the
-        written prefix of OPEN write points, verify-only), charging
-        scan/relocation latency on the busy clock.  Raises
-        :class:`ValueError` when no scrubber is attached.
+        Scans every CLOSED superblock and the written prefix of OPEN
+        write points (verify-only), charging scan/relocation latency on
+        the busy clock.  Raises :class:`ValueError` when no scrubber is
+        attached.
         """
-        return self.ftl.run_scrub_pass(now_ns, verify_open=verify_open)
+        return self.ftl.run_scrub_pass(now_ns)
 
     def get_health_log(
         self, rated_pe_cycles: Optional[int] = None

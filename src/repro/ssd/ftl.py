@@ -37,12 +37,7 @@ from typing import TYPE_CHECKING
 from ..fdp.config import FdpConfiguration
 from ..fdp.events import FdpEvent, FdpEventLog, FdpEventType
 from ..fdp.ruh import PlacementIdentifier, RuhType
-from ..faults.latent import (
-    OUTCOME_CLEAN,
-    OUTCOME_CORRECTABLE,
-    OUTCOME_SOFT_RETRY,
-    LatentErrorModel,
-)
+from ..faults.latent import OUTCOME_CLEAN, OUTCOME_CORRECTABLE, OUTCOME_SOFT_RETRY
 from .energy import EnergyModel
 from .errors import (
     DeviceFullError,
@@ -69,7 +64,6 @@ from .recovery import (
     payload_crc,
     rebuild_ftl_state,
 )
-from .scrub import PatrolScrubber
 from .stats import DeviceStats
 from .superblock import Superblock, SuperblockState
 from .wear import (
@@ -80,7 +74,10 @@ from .wear import (
 )
 
 if TYPE_CHECKING:  # avoid an import cycle at runtime; duck-typed use only
+    from ..faults.latent import LatentErrorModel
     from ..faults.model import FaultModel
+    from .scrub import PatrolScrubber
+    from .sched import MultiQueueScheduler
 
 __all__ = ["Ftl", "HOST_STREAM", "GC_STREAM", "MAX_PROGRAM_ATTEMPTS"]
 
@@ -161,12 +158,12 @@ class Ftl:
         the device perfectly reliable and the I/O path bit-identical to
         a fault-free build.
     latent:
-        Optional latent-error model (or its config): read-disturb
-        accumulation, wear-accelerated retention aging, and silent
-        corruption, feeding the ECC outcome ladder on reads.  Implies
-        end-to-end CRC stamping of every programmed page.
+        Optional latent-error model: read-disturb accumulation,
+        wear-accelerated retention aging, and silent corruption,
+        feeding the ECC outcome ladder on reads.  Implies end-to-end
+        CRC stamping of every programmed page.
     scrub:
-        Optional background patrol scrubber (or its config): walks
+        Optional background patrol scrubber: walks
         CLOSED superblocks on the device's busy clock, verifies page
         CRCs, relocates pages past the refresh threshold, and retires
         repeatedly failing blocks.  Also implies CRC stamping.
@@ -189,9 +186,9 @@ class Ftl:
         checkpoint_interval_pages: int = CHECKPOINT_INTERVAL_PAGES,
         journal_flush_interval: int = JOURNAL_FLUSH_INTERVAL,
         power_seed: int = 0x9C7A,
-        latent: "Optional[object]" = None,
-        scrub: "Optional[object]" = None,
-        sched: "Optional[object]" = None,
+        latent: "Optional[LatentErrorModel]" = None,
+        scrub: "Optional[PatrolScrubber]" = None,
+        sched: "Optional[MultiQueueScheduler]" = None,
     ) -> None:
         self.geometry = geometry
         self.fdp_config = fdp_config
@@ -202,14 +199,8 @@ class Ftl:
         # on it, which is what keeps scheduler-on runs bit-identical
         # to scheduler-off for L2P/P2L/OOB/journal/stats.
         self.sched = sched
-        # Latent-error model: accept a config or a live model.
-        if latent is not None and not isinstance(latent, LatentErrorModel):
-            latent = LatentErrorModel(latent)
-        self.latent: Optional[LatentErrorModel] = latent
-        # Patrol scrubber: accept a config or a live scrubber.
-        if scrub is not None and not isinstance(scrub, PatrolScrubber):
-            scrub = PatrolScrubber(scrub)
-        self.scrubber: Optional[PatrolScrubber] = scrub
+        self.latent = latent
+        self.scrubber = scrub
         # End-to-end protection info (OOB CRC32) is stamped whenever
         # something downstream will verify it; otherwise pages carry
         # crc=None and the fault-free path stays bit-identical to a
@@ -1370,14 +1361,12 @@ class Ftl:
         self._take_checkpoint()
         return report
 
-    def run_scrub_pass(
-        self, now_ns: Optional[int] = None, *, verify_open: bool = True
-    ):
+    def run_scrub_pass(self, now_ns: Optional[int] = None):
         """Run one full patrol pass synchronously (see ``scrub.py``).
 
-        Walks every CLOSED superblock (and, with ``verify_open``, the
-        programmed prefix of OPEN ones, verify-only), verifying CRCs
-        and relocating pages past the refresh threshold.  Returns the
+        Walks every CLOSED superblock and the programmed prefix of OPEN
+        ones (verify-only), verifying CRCs and relocating pages past
+        the refresh threshold.  Returns the
         scrubber's :class:`~repro.ssd.scrub.ScrubStatus`.
         """
         if self.scrubber is None:
@@ -1385,7 +1374,7 @@ class Ftl:
         self._check_online()
         if now_ns is None:
             now_ns = self.latency.busy_until
-        return self.scrubber.run_full_pass(self, now_ns, verify_open=verify_open)
+        return self.scrubber.run_full_pass(self, now_ns)
 
     def is_mapped(self, lba: int) -> bool:
         """Whether an LBA currently holds data (no I/O charged)."""

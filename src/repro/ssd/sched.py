@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from ..faults.failslow import FailSlowConfig, FailSlowModel
+from ..faults.failslow import FailSlowModel
 from .errors import QueueFullError
 from .geometry import Geometry
 from .latency import NandTimings
@@ -80,7 +80,7 @@ class SchedConfig:
     ``queue_depth`` bounds each queue's outstanding (submitted, not yet
     polled) commands.  ``weights`` maps queue names to their WRR
     arbitration burst (commands dispatched per round); unlisted queues
-    get ``default_weight``.  ``channels`` overrides the number of
+    get one.  ``channels`` overrides the number of
     parallel flash channels, which otherwise derives from the geometry
     as ``dies × planes_per_die``.  ``segment_pages`` is the preemption
     granularity of background spans: a GC migration of N pages becomes
@@ -91,7 +91,6 @@ class SchedConfig:
     """
 
     queue_depth: int = 32
-    default_weight: int = 1
     weights: Mapping[str, int] = dataclasses.field(default_factory=dict)
     channels: Optional[int] = None
     segment_pages: int = 8
@@ -99,8 +98,6 @@ class SchedConfig:
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.default_weight < 1:
-            raise ValueError("default_weight must be >= 1")
         for name, weight in self.weights.items():
             if weight < 1:
                 raise ValueError(f"weight for queue {name!r} must be >= 1")
@@ -343,11 +340,10 @@ class MultiQueueScheduler:
         config: Optional[SchedConfig] = None,
         *,
         geometry: Optional[Geometry] = None,
-        timings: Optional[NandTimings] = None,
-        failslow: Optional[Union[FailSlowConfig, FailSlowModel]] = None,
+        failslow: Optional[FailSlowModel] = None,
     ) -> None:
         self.config = config or SchedConfig()
-        self.timings = timings or NandTimings()
+        self.timings = NandTimings()
         if self.config.channels is not None:
             self.channels = self.config.channels
         elif geometry is not None:
@@ -356,8 +352,6 @@ class MultiQueueScheduler:
             self.channels = 4
         # Fail-slow timing overlay: consulted when placing commands and
         # background segments, never touches any other scheduler state.
-        if failslow is not None and not isinstance(failslow, FailSlowModel):
-            failslow = FailSlowModel(failslow)
         self.failslow = failslow
         if self.failslow is not None:
             planes = geometry.planes_per_die if geometry is not None else 1
@@ -393,7 +387,7 @@ class MultiQueueScheduler:
     def queue(self, name: str) -> "_Queue":
         q = self._queues.get(name)
         if q is None:
-            weight = self.config.weights.get(name, self.config.default_weight)
+            weight = self.config.weights.get(name, 1)
             q = self._queues[name] = _Queue(name, weight)
         return q
 

@@ -201,14 +201,12 @@ class PatrolScrubber:
         self._pages_this_pass = 0
         self.cursor = 0
 
-    def run_full_pass(
-        self, ftl: "Ftl", now_ns: int, *, verify_open: bool = True
-    ) -> ScrubStatus:
+    def run_full_pass(self, ftl: "Ftl", now_ns: int) -> ScrubStatus:
         """Scrub every CLOSED superblock once, synchronously.
 
-        With ``verify_open`` the programmed prefix of OPEN superblocks
-        is verified too (detect/poison only — an open write point is
-        never relocated out from under its stream).  Used by the soak
+        The programmed prefix of OPEN superblocks is verified too
+        (detect/poison only — an open write point is never relocated
+        out from under its stream).  Used by the soak
         harness's end-of-run sweep and by ``nvme``-style tooling; the
         background pacing state (``next_due_ns``) is pushed past the
         work so the next polled step does not immediately re-fire.
@@ -219,9 +217,8 @@ class PatrolScrubber:
             sb = ftl.superblocks[idx]
             if sb.state is SuperblockState.CLOSED:
                 self._scrub_superblock(ftl, sb, now_ns, relocate=True)
-        if verify_open:
-            for sb in list(ftl._write_points.values()):
-                self._scrub_superblock(ftl, sb, now_ns, relocate=False)
+        for sb in list(ftl._write_points.values()):
+            self._scrub_superblock(ftl, sb, now_ns, relocate=False)
         self._complete_pass(ftl, now_ns)
         self.cursor = 0
         base = ftl.latency.busy_until

@@ -13,11 +13,15 @@ standard arm)::
     {
       "workload": {"name": "kvcache", "num_ops": 700000, "seed": 42},
       "cache":    {"utilization": 1.0, "soc_fraction": 0.04,
-                   "dram_bytes": null, "fdp": true},
+                   "dram_bytes": null, "fdp": true,
+                   "soc_engine": "set-associative"},
       "device":   {"superblocks": 512, "pages_per_block": 32,
                    "op_fraction": 0.07},
-      "replay":   {"fill_on_miss": true, "poll_interval_ops": 50000}
+      "replay":   {"poll_interval_ops": 50000}
     }
+
+``soc_engine`` is ``"set-associative"``, ``"kangaroo"`` or ``"nemo"``;
+every arm is built by :func:`~repro.bench.runner.run_experiment`.
 
 The result JSON carries every metric of
 :class:`~repro.bench.metrics.RunResult`, including the interval-DLWA
@@ -32,9 +36,9 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from ..bench.driver import CacheBench, ReplayConfig
+from ..bench.driver import ReplayConfig
 from ..bench.metrics import RunResult
-from ..bench.runner import Scale, make_trace, run_experiment
+from ..bench.runner import Scale, run_experiment
 
 __all__ = ["main", "run_from_config", "result_to_dict"]
 
@@ -52,7 +56,7 @@ DEFAULT_CONFIG: Dict[str, Any] = {
         "pages_per_block": 32,
         "op_fraction": 0.07,
     },
-    "replay": {"fill_on_miss": True, "poll_interval_ops": 50_000},
+    "replay": {"poll_interval_ops": 50_000},
 }
 
 
@@ -79,43 +83,9 @@ def run_from_config(config: Optional[Dict[str, Any]] = None) -> RunResult:
         device_op_fraction=float(cfg["device"]["op_fraction"]),
     )
     replay = ReplayConfig(
-        fill_on_miss=bool(cfg["replay"]["fill_on_miss"]),
         poll_interval_ops=int(cfg["replay"]["poll_interval_ops"]),
     )
     dram = cfg["cache"]["dram_bytes"]
-    engine = str(cfg["cache"]["soc_engine"])
-    if engine != "set-associative":
-        # Engine selection needs the full builder path.
-        from ..bench.runner import make_trace
-        from ..bench.driver import CacheBench
-        from ..cache.config import CacheConfig
-        from ..ssd.device import SimulatedSSD
-
-        geometry = scale.geometry()
-        device = SimulatedSSD(geometry, fdp=bool(cfg["cache"]["fdp"]))
-        nvm_bytes = int(
-            geometry.logical_bytes * float(cfg["cache"]["utilization"])
-        ) - 16 * geometry.page_size
-        cache_config = CacheConfig.for_flash_cache(
-            nvm_bytes,
-            page_size=geometry.page_size,
-            soc_fraction=float(cfg["cache"]["soc_fraction"]),
-            dram_bytes=int(dram) if dram is not None else None,
-            region_bytes=scale.region_bytes,
-            enable_fdp_placement=bool(cfg["cache"]["fdp"]),
-            soc_engine=engine,
-        )
-        from ..cache.hybrid import HybridCache
-
-        cache = HybridCache(device, cache_config)
-        trace = make_trace(
-            str(cfg["workload"]["name"]),
-            nvm_bytes,
-            scale,
-            num_ops=int(cfg["workload"]["num_ops"]),
-            seed=int(cfg["workload"]["seed"]),
-        )
-        return CacheBench(replay).run(cache, trace)
     return run_experiment(
         cfg["workload"]["name"],
         fdp=bool(cfg["cache"]["fdp"]),
@@ -126,6 +96,7 @@ def run_from_config(config: Optional[Dict[str, Any]] = None) -> RunResult:
         seed=int(cfg["workload"]["seed"]),
         scale=scale,
         replay=replay,
+        cache_overrides={"soc_engine": str(cfg["cache"]["soc_engine"])},
     )
 
 

@@ -159,8 +159,7 @@ def _cmd_smart(args: argparse.Namespace) -> int:
     print(f"superblocks erased  : {s.superblocks_erased}")
     print(f"pages deallocated   : {s.pages_deallocated}")
     print(f"DLWA                : {s.dlwa:.4f}")
-    # Byte-level ledger: what write-aware admission
-    # (repro.cache.admission.WriteBudgetAdmission) meters against.
+    # Byte-level ledger, the paper's DLWA numerator and denominator.
     print(f"host bytes written  : {s.host_pages_written * device.page_size}")
     print(f"nand bytes written  : {s.nand_pages_written * device.page_size}")
     print(f"max erase count     : {max(erases)}")

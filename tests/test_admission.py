@@ -8,11 +8,9 @@ from repro.cache import (
     AcceptAll,
     CacheItem,
     DynamicRandomAdmission,
-    ProbabilisticAdmission,
     SizeThresholdAdmission,
     SurvivalAdmission,
     SurvivalFeatures,
-    WriteBudgetAdmission,
 )
 
 
@@ -22,26 +20,6 @@ class TestAcceptAll:
         assert all(policy.admit(CacheItem(k, 100)) for k in range(10))
         assert policy.admit_ratio == 1.0
         assert policy.offered == 10
-
-
-class TestProbabilistic:
-    def test_zero_probability_rejects_all(self):
-        policy = ProbabilisticAdmission(0.0)
-        assert not any(policy.admit(CacheItem(k, 10)) for k in range(100))
-
-    def test_one_probability_accepts_all(self):
-        policy = ProbabilisticAdmission(1.0)
-        assert all(policy.admit(CacheItem(k, 10)) for k in range(100))
-
-    def test_half_probability_is_roughly_half(self):
-        policy = ProbabilisticAdmission(0.5, seed=1)
-        for k in range(4000):
-            policy.admit(CacheItem(k, 10))
-        assert 0.45 < policy.admit_ratio < 0.55
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProbabilisticAdmission(1.5)
 
 
 class TestSizeThreshold:
@@ -94,22 +72,15 @@ class TestReseedContract:
     def decisions(self, policy, n=256):
         return [policy.admit(CacheItem(k, 1000 + k % 7)) for k in range(n)]
 
-    def test_reseed_pins_probabilistic_stream(self):
-        a = ProbabilisticAdmission(0.5, seed=111)
-        b = ProbabilisticAdmission(0.5, seed=222)
-        a.reseed(9)
-        b.reseed(9)
-        assert self.decisions(a) == self.decisions(b)
-        c = ProbabilisticAdmission(0.5)
-        c.reseed(10)
-        assert self.decisions(c) != self.decisions(a)
-
     def test_reseed_pins_dynamic_random_stream(self):
         a = DynamicRandomAdmission(500, adjust_interval=64, seed=111)
         b = DynamicRandomAdmission(500, adjust_interval=64, seed=222)
         a.reseed(9)
         b.reseed(9)
         assert self.decisions(a, 1024) == self.decisions(b, 1024)
+        c = DynamicRandomAdmission(500, adjust_interval=64)
+        c.reseed(10)
+        assert self.decisions(c, 1024) != self.decisions(a, 1024)
 
     def test_reseed_noop_on_deterministic_policies(self):
         for policy in (AcceptAll(), SizeThresholdAdmission(4096)):
@@ -121,13 +92,13 @@ class TestReseedContract:
 
         configs = [
             CacheConfig(
-                admission=ProbabilisticAdmission(0.5, seed=s),
+                admission=DynamicRandomAdmission(500, adjust_interval=64, seed=s),
                 admission_seed=77,
             )
             for s in (1, 2)
         ]
         a, b = (cfg.admission for cfg in configs)
-        assert self.decisions(a) == self.decisions(b)
+        assert self.decisions(a, 1024) == self.decisions(b, 1024)
 
     def test_bench_threads_point_seed_end_to_end(self):
         """Two same-seed experiment arms with a randomized admission
@@ -149,7 +120,7 @@ class TestReseedContract:
                 scale=scale,
                 seed=seed,
                 cache_overrides={
-                    "admission": ProbabilisticAdmission(0.7)
+                    "admission": DynamicRandomAdmission(1024, adjust_interval=64)
                 },
                 name="arm",
             )
@@ -157,18 +128,7 @@ class TestReseedContract:
         r1, r2 = arm(), arm()
         assert dataclasses.asdict(r1) == dataclasses.asdict(r2)
         assert r1.hit_ratio > 0
-
-
-class FakeSmartDevice:
-    """Device stub exposing the SMART counters WriteBudgetAdmission reads."""
-
-    class _Stats:
-        def __init__(self, host, nand):
-            self.host_pages_written = host
-            self.nand_pages_written = nand
-
-    def __init__(self, host_pages_written, nand_pages_written):
-        self.stats = self._Stats(host_pages_written, nand_pages_written)
+        assert 0 < r1.flash_admit_ratio < 1
 
 
 class TestSurvivalAdmission:
@@ -266,50 +226,6 @@ class TestSurvivalAdmission:
             SurvivalAdmission(explore_fraction=-0.1)
 
 
-class TestWriteBudget:
-    def test_rejects_once_credit_exhausted(self):
-        policy = WriteBudgetAdmission(100, burst_ops=20)
-        # Each admit costs stored_size (~1024+24) against ~100/op accrual.
-        decisions = [policy.admit(CacheItem(k, 1024)) for k in range(20)]
-        assert decisions[0]  # burst credit covers the first admit
-        assert not all(decisions)
-        assert policy.budget_rejects > 0
-        assert policy.charged_nand_bytes > 0
-
-    def test_credit_accrues_back(self):
-        policy = WriteBudgetAdmission(100, burst_ops=2)
-        for k in range(10):
-            policy.admit(CacheItem(k, 1024))
-        # Cheap offers accrue credit faster than they spend it.
-        tail = [policy.admit(CacheItem(100 + k, 8)) for k in range(50)]
-        assert any(tail)
-
-    def test_dlwa_prices_the_charge(self):
-        cheap = WriteBudgetAdmission(5000, burst_ops=1)
-        dear = WriteBudgetAdmission(5000, burst_ops=1)
-        cheap.attach_device(FakeSmartDevice(100, 100))  # DLWA 1.0
-        dear.attach_device(FakeSmartDevice(100, 400))  # DLWA 4.0
-        assert cheap._current_dlwa() == 1.0
-        assert dear._current_dlwa() == 4.0
-        cheap.admit(CacheItem(1, 900))
-        dear.admit(CacheItem(1, 900))
-        assert dear.charged_nand_bytes == pytest.approx(
-            4.0 * cheap.charged_nand_bytes
-        )
-
-    def test_unattached_device_prices_at_unity(self):
-        policy = WriteBudgetAdmission(1000)
-        assert policy._current_dlwa() == 1.0
-        policy.attach_device(FakeSmartDevice(0, 0))
-        assert policy._current_dlwa() == 1.0  # no host writes yet
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WriteBudgetAdmission(0)
-        with pytest.raises(ValueError):
-            WriteBudgetAdmission(100, burst_ops=0)
-
-
 # ---------------------------------------------------------------------------
 # Property tests: invariants every admission policy must satisfy.
 # ---------------------------------------------------------------------------
@@ -323,7 +239,6 @@ def make_policy(name, seed=7):
     return {
         "acceptall": lambda: AcceptAll(),
         "threshold": lambda: SizeThresholdAdmission(1024),
-        "probabilistic": lambda: ProbabilisticAdmission(0.5, seed=seed),
         "dynamic": lambda: DynamicRandomAdmission(
             500, adjust_interval=16, seed=seed
         ),
@@ -334,18 +249,10 @@ def make_policy(name, seed=7):
             explore_fraction=0.2,
             seed=seed,
         ),
-        "writebudget": lambda: WriteBudgetAdmission(512, burst_ops=4),
     }[name]()
 
 
-ALL_POLICIES = (
-    "acceptall",
-    "threshold",
-    "probabilistic",
-    "dynamic",
-    "survival",
-    "writebudget",
-)
+ALL_POLICIES = ("acceptall", "threshold", "dynamic", "survival")
 
 offers_strategy = st.lists(
     st.tuples(st.integers(0, 40), st.integers(1, 8192)), max_size=120

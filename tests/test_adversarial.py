@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.driver import ReplayConfig
 from repro.workloads import kv_cache_trace
 from repro.workloads.adversarial import (
     SCENARIOS,
@@ -323,15 +322,3 @@ def test_trace_rejects_bad_arrival_schedules():
             base.sizes,
             arrivals_ns=np.array([1, 2], dtype=np.int64),
         )
-
-
-def test_replay_config_schedule_validation():
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        ReplayConfig(
-            arrival_interval_ns=10,
-            arrival_schedule_ns=np.array([1, 2], dtype=np.int64),
-        )
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ReplayConfig(arrival_schedule_ns=np.array([5, 1], dtype=np.int64))
-    cfg = ReplayConfig(arrival_schedule_ns=np.array([1, 5], dtype=np.int64))
-    assert cfg.arrival_schedule_ns.dtype == np.int64

@@ -242,7 +242,6 @@ def _schedule_on_trace_case(trace):
 
 def _fixed_interval_case(trace):
     cfg = ReplayConfig(
-        fill_on_miss=False,
         arrival_interval_ns=150_000,
         poll_interval_ops=5_000,
     )

@@ -452,17 +452,12 @@ def test_partitioned_replay_matches_serial():
     "field,config,with_arrivals",
     [
         ("config.arrival_interval_ns", dict(arrival_interval_ns=1_000), False),
-        (
-            "config.arrival_schedule_ns",
-            dict(arrival_schedule_ns=np.arange(600) * 1_000),
-            False,
-        ),
         ("trace.arrivals_ns", {}, True),
     ],
 )
 def test_partitioned_replay_rejects_open_loop(field, config, with_arrivals):
     """Regression: the per-shard replay is closed loop and used to
-    drop all three open-loop sources without a word."""
+    drop both open-loop sources without a word."""
     specs = [ShardSpec(f"s{i:02d}", scale=TINY) for i in range(2)]
     trace = small_trace(600)
     if with_arrivals:

@@ -98,30 +98,6 @@ def test_single_shard_fleet_bit_identical_to_bare_cache(fdp, seed):
     assert audit["shadow_mismatches"] == 0
 
 
-def test_single_shard_fleet_matches_without_fill(fdp=True):
-    """fill_on_miss=False is the other replay mode benches use."""
-    trace = _trace(77)
-    cache = build_experiment(
-        fdp=fdp, utilization=UTILIZATION, scale=TINY, sched=True
-    )
-    CacheBench(ReplayConfig(fill_on_miss=False)).run(cache, trace)
-    shard, _, _ = _fleet_run_no_fill(fdp, trace)
-    assert_identical(cache.device, shard.backend.cache.device)
-    assert shard.backend.cache.resident_items() == cache.resident_items()
-
-
-def _fleet_run_no_fill(fdp, trace):
-    shard = ShardSpec(
-        "solo", backend="fdp" if fdp else "nonfdp",
-        utilization=UTILIZATION, scale=TINY,
-    ).build()
-    fleet = FleetCache([shard])
-    result = FleetDriver(
-        fleet, FleetReplayConfig(fill_on_miss=False)
-    ).run(trace)
-    return shard, fleet, result
-
-
 # ----------------------------------------------------------------------
 # open loop: the fixed-interval arrival clock belongs to the driver's
 # op count, not to a run() call or a poll window

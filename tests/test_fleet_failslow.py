@@ -200,26 +200,6 @@ class TestDetector:
         assert monitor.gray_failure_detections == 0
         assert monitor.latency_verdicts == {}
 
-    def test_detection_without_quarantine(self):
-        fleet = build_fleet(3)
-        monitor = FleetHealthMonitor(
-            fleet, detector_config(quarantine_slow_shards=False)
-        )
-        seed_latencies(
-            fleet,
-            {
-                "shard00": [100_000] * 8,
-                "shard01": [100_000] * 8,
-                "shard02": [50_000_000] * 8,
-            },
-        )
-        monitor.observe(1)
-        fired = monitor.observe(2)
-        assert [f["event"] for f in fired] == ["gray_failure"]
-        assert monitor.quarantines == 0
-        assert fleet.shards["shard02"].alive  # flagged, not drained
-
-
 # ----------------------------------------------------------------------
 # quarantine drain and observability
 # ----------------------------------------------------------------------

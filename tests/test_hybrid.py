@@ -144,11 +144,11 @@ class TestSemantics:
         assert cache.io.writes_by_handle.get("default", 0) > 0
 
     def test_admission_rejections_counted(self, fdp_ssd):
-        from repro.cache import ProbabilisticAdmission
+        from repro.cache import SizeThresholdAdmission
 
         c = HybridCache(
             fdp_ssd,
-            small_config(admission=ProbabilisticAdmission(0.0)),
+            small_config(admission=SizeThresholdAdmission(1)),
         )
         for k in range(300):
             c.set(k, 500)

@@ -455,7 +455,7 @@ class TestWriteHooks:
         assert dev.faults.host_program_ops == 1
 
     @pytest.mark.parametrize(
-        "how", ["config", "live-model", "beside-faults", "beside-scrub"]
+        "how", ["config", "beside-faults", "beside-scrub"]
     )
     def test_corruption_hits_exactly_the_scripted_page(self, how):
         """However the corrupting model reaches the device, the page it
@@ -467,7 +467,6 @@ class TestWriteHooks:
         dev = tiny_device(
             **{
                 "config": dict(latent=config),
-                "live-model": dict(latent=LatentErrorModel(config)),
                 "beside-faults": dict(latent=config, faults=FaultConfig()),
                 "beside-scrub": dict(latent=config, scrub=True),
             }[how]

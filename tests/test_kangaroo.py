@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import CacheConfig, CacheItem, HybridCache, WriteBudgetAdmission
+from repro.cache import CacheConfig, CacheItem, HybridCache, SurvivalAdmission
 from repro.cache.kangaroo import KangarooCache
 from repro.core import FdpAwareDevice
 
@@ -218,7 +218,7 @@ class TestHybridStatsSurface:
             loc_bytes=1024 * 1024,
             region_bytes=32 * 1024,
             soc_engine=engine,
-            admission=WriteBudgetAdmission(4096),
+            admission=SurvivalAdmission(),
         )
         cache = HybridCache(fdp_ssd, cfg)
         rng = random.Random(7)
@@ -241,9 +241,9 @@ class TestHybridStatsSurface:
                 cache.soc.flash_writes + cache.soc.sets.flash_writes
             )
             assert soc["evictions"] >= cache.soc.dropped_items
-        assert stats["admission"]["policy"] == "WriteBudgetAdmission"
-        assert stats["admission"]["budget_rejects"] >= 0
-        assert "dlwa_seen" in stats["admission"]
+        assert stats["admission"]["policy"] == "SurvivalAdmission"
+        assert stats["admission"]["warmup_admits"] > 0
+        assert "ghosts" in stats["admission"]
 
         resident = cache.resident_items()
         assert resident

@@ -76,25 +76,6 @@ class TestEviction:
         assert item is None  # oldest data gone
         assert loc.evicted_items > 0
 
-    def test_lru_eviction_respects_access(self, fdp_ssd):
-        layer = FdpAwareDevice(fdp_ssd)
-        loc = LargeObjectCache(
-            layer,
-            layer.allocator.allocate("loc"),
-            base_lba=0,
-            num_regions=4,
-            region_pages=8,
-            eviction="lru",
-        )
-        # Region 0 content: keys 0..N; keep touching key 0.
-        for key in range(3):
-            loc.insert(CacheItem(key, 9000))
-        for key in range(100, 130):
-            loc.lookup(0)  # keep region with key 0 warm
-            loc.insert(CacheItem(key, 9000))
-        item, _ = loc.lookup(0)
-        assert item is not None
-
     def test_overwrite_invalidates_old_copy(self, loc_env):
         loc, _, _ = loc_env
         loc.insert(CacheItem(1, 8000))
@@ -137,14 +118,6 @@ class TestValidation:
         h = layer.allocator.allocate("loc")
         with pytest.raises(ValueError):
             LargeObjectCache(layer, h, 0, num_regions=1, region_pages=8)
-
-    def test_rejects_unknown_eviction(self, fdp_ssd):
-        layer = FdpAwareDevice(fdp_ssd)
-        h = layer.allocator.allocate("loc")
-        with pytest.raises(ValueError):
-            LargeObjectCache(
-                layer, h, 0, num_regions=4, region_pages=8, eviction="mru"
-            )
 
     def test_accounting(self, loc_env):
         loc, _, _ = loc_env

@@ -218,16 +218,6 @@ class TestRecovery:
         for key, size in recovered.items():
             assert resident_before.get(key) == size
 
-    def test_persist_metadata_off_recovers_nothing(self, fdp_ssd):
-        nemo = make_nemo(fdp_ssd, persist_metadata=False)
-        fill(nemo, 0, 40)
-        fdp_ssd.power_cut()
-        fdp_ssd.recover()
-        report = nemo.recover()
-        assert report["pages_recovered"] == 0
-        assert nemo.item_count == 0
-
-
 class TestHybridIntegration:
     def test_config_selects_nemo_engine(self, fdp_ssd):
         config = CacheConfig.for_flash_cache(

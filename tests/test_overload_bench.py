@@ -161,7 +161,3 @@ def test_fleet_driver_open_loop_interval():
     assert result.ops == 500
     # Open loop: the shard clock tracks arrivals, not completions.
     assert driver.ops_done == 500
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        FleetReplayConfig(
-            arrival_interval_ns=1_000, arrival_schedule_ns=[0, 1, 2]
-        )

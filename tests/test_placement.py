@@ -29,10 +29,6 @@ class TestAllocator:
         handles = [alloc.allocate(f"c{i}") for i in range(3)]
         assert all(h.pid.ruh_id != 0 for h in handles)
 
-    def test_no_reservation_when_disabled(self):
-        alloc = PlacementHandleAllocator(pids(2), reserve_default_ruh=False)
-        assert alloc.allocate("x").pid == PlacementIdentifier(0, 0)
-
     def test_exhaustion_falls_back_to_default(self):
         alloc = PlacementHandleAllocator(pids(2))  # 1 usable after reserve
         first = alloc.allocate("a")

@@ -6,8 +6,8 @@ the not-resident outcome of ``invalidate``/``delete`` and ``lookup``'s
 residency test are answered from it without hashing.  This state
 machine drives every method that lets a key enter or leave — including
 the degradation paths (a failed bucket rewrite, a UECC, a page unmapped
-underneath the engine) and warm restart with and without persisted
-headers — and checks after each step that the index, the per-bucket
+underneath the engine) and warm restart from the persisted headers —
+and checks after each step that the index, the per-bucket
 images and the byte accounting still describe the same set of items.
 """
 
@@ -79,8 +79,6 @@ def check_index(soc: SmallObjectCache, keys=range(0, 161)) -> None:
 
 
 class SocIndexMachine(RuleBasedStateMachine):
-    persist_metadata = True
-
     def __init__(self) -> None:
         super().__init__()
         self.ssd = SimulatedSSD(GEOMETRY, fdp=True)
@@ -90,7 +88,6 @@ class SocIndexMachine(RuleBasedStateMachine):
             self.io.allocator.allocate("soc"),
             base_lba=0,
             num_buckets=NUM_BUCKETS,
-            persist_metadata=self.persist_metadata,
         )
 
     def _scan(self, key) -> bool:
@@ -175,16 +172,10 @@ class SocIndexMachine(RuleBasedStateMachine):
         self.ssd.recover()
         report = self.soc.recover()
         assert report["items_recovered"] == self.soc.item_count
-        if not self.persist_metadata:
-            assert self.soc.item_count == 0
 
     @invariant()
     def index_is_exact(self):
         check_index(self.soc)
-
-
-class SocIndexMachineWithoutHeaders(SocIndexMachine):
-    persist_metadata = False
 
 
 _SETTINGS = settings(
@@ -195,8 +186,6 @@ _SETTINGS = settings(
 )
 TestSocIndex = SocIndexMachine.TestCase
 TestSocIndex.settings = _SETTINGS
-TestSocIndexWithoutHeaders = SocIndexMachineWithoutHeaders.TestCase
-TestSocIndexWithoutHeaders.settings = _SETTINGS
 
 
 def _populated_soc():

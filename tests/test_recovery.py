@@ -502,19 +502,6 @@ class TestWarmRestart:
         hits = sum(1 for k in range(300) if cache.get(k).where != MISS)
         assert hits == report["items_recovered"]
 
-    def test_persistence_disabled_recovers_nothing_from_engines(self):
-        device = cache_device()
-        cache = small_cache(device, persist_engine_metadata=False)
-        self.populate(cache, n=200)
-        device.power_cut()
-        report = cache.recover()
-        assert report["soc"]["items_recovered"] == 0
-        assert report["loc"]["items_recovered"] == 0
-        for k in range(200):
-            assert cache.get(k).where == MISS
-        cache.device.check_invariants()
-
-
 class TestCrashSoak:
     def test_soak_smoke(self):
         result = run_crash_soak(

@@ -1,5 +1,6 @@
 """Tests for the nvme-cli-style and cachebench-style CLI tools."""
 
+import dataclasses
 import json
 
 import pytest
@@ -200,6 +201,34 @@ class TestCachebenchCli:
             }
         )
         assert result.ops == 20_000
+
+    @pytest.mark.parametrize("engine", ["set-associative", "kangaroo", "nemo"])
+    def test_every_engine_runs_the_run_experiment_arm(self, engine):
+        """Regression: Kangaroo and Nemo configs went through a second
+        builder that reserved 16 metadata pages, not the 4 every other
+        arm reserves, so the same config replayed a different arm."""
+        from repro.bench.driver import ReplayConfig
+        from repro.bench.runner import Scale, run_experiment
+
+        got = cachebench.run_from_config(
+            {
+                "workload": {"num_ops": 20_000},
+                "device": {"superblocks": 64},
+                "cache": {"soc_engine": engine},
+            }
+        )
+        want = run_experiment(
+            "kvcache",
+            fdp=True,
+            utilization=1.0,
+            soc_fraction=0.04,
+            num_ops=20_000,
+            seed=42,
+            scale=Scale(num_superblocks=64),
+            replay=ReplayConfig(),
+            cache_overrides={"soc_engine": engine},
+        )
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
     def test_result_serialization_roundtrip(self):
         result = cachebench.run_from_config(self.SMALL)
