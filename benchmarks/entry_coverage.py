@@ -145,7 +145,6 @@ OPTIONS_ALLOW: Dict[str, str] = {
     "FleetReplayConfig.think_ns": TUNED,
     "GovernorConfig.brownout_backlog_ns": TUNED,
     "GovernorConfig.dwell_ops": TUNED,
-    "GovernorConfig.queue_fraction_threshold": TUNED,
     "GovernorConfig.recover_backlog_ns": TUNED,
     "GovernorConfig.retry_budget": TUNED,
     "GovernorConfig.retry_window_ops": TUNED,

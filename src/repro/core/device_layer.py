@@ -120,9 +120,6 @@ class FdpAwareDevice:
         # dataclass handle costs two per lookup.
         self._pids: Dict[Tuple[int, int], Optional[PlacementIdentifier]] = {}
         self._queues: Dict[str, IoQueue] = {}
-        # Per worker: async completions a sync command's drain pulled
-        # off the device queue, owed to the worker's next poll().
-        self._held: Dict[str, list] = {}
         self.bytes_written = 0
         self.bytes_read = 0
         self.writes_by_handle: Dict[str, int] = {}
@@ -177,44 +174,7 @@ class FdpAwareDevice:
             self._pids[key] = decoded
             return decoded
 
-    # -- scheduler plumbing -------------------------------------------
-
-    def _submit_sync(
-        self,
-        op: str,
-        lba: int,
-        npages: int,
-        pid: Optional[PlacementIdentifier],
-        now_ns: int,
-        worker: str,
-        payload: object = None,
-    ):
-        """One command through the attached scheduler, completed inline.
-
-        The sync API funnels through ``submit_async`` + ``poll`` so the
-        per-queue histograms see every host command and completion
-        times carry queue/channel contention (GC spans included) —
-        QD=1 per call, but the channel horizons persist across calls.
-        A failed completion re-raises its media error so the sync
-        retry loops work unchanged.  The drain also surfaces whatever
-        ``submit_async`` commands the worker has in flight; those are
-        held for its next :meth:`poll`, which counts them.
-        """
-        ssd = self.ssd
-        ticket = ssd.submit_async(
-            op, lba, npages, pid, now_ns, queue=worker, payload=payload
-        )
-        mine = None
-        for comp in ssd.poll(worker):
-            if comp.ticket == ticket:
-                mine = comp
-            else:
-                self._held.setdefault(worker, []).append(comp)
-        if mine is None:
-            raise RuntimeError(f"command {ticket} never completed")
-        if not mine.ok:
-            raise mine.error
-        return mine
+    # -- async submission (scheduler-enabled devices) -----------------
 
     def submit_async(
         self,
@@ -259,18 +219,7 @@ class FdpAwareDevice:
         tallies the same way the sync path's exceptions do; the caller
         decides whether to resubmit.
         """
-        # What a sync command's drain set aside comes first, in order.
-        comps = self._held.pop(worker, None)
-        if comps is None:
-            comps = self.ssd.poll(worker, max_completions)
-        elif max_completions is None:
-            comps += self.ssd.poll(worker)
-        else:
-            limit = max(0, max_completions)
-            if len(comps) > limit:
-                self._held[worker] = comps[limit:]
-                del comps[limit:]
-            comps += self.ssd.poll(worker, limit - len(comps))
+        comps = self.ssd.poll(worker, max_completions)
         q = self.queue(worker)
         for comp in comps:
             q.completed += 1
@@ -316,12 +265,9 @@ class FdpAwareDevice:
         try:
             for attempt in range(MAX_WRITE_RETRIES + 1):
                 try:
-                    if self.ssd.scheduler is not None:
-                        done = self._submit_sync(
-                            "write", lba, npages, pid, now_ns, worker, payload
-                        ).complete_ns
-                    else:
-                        done = self.ssd.write(lba, npages, pid, now_ns, payload)
+                    done = self.ssd.write(
+                        lba, npages, pid, now_ns, payload, queue=worker
+                    )
                     break
                 except ProgramFailError:
                     q.write_errors += 1
@@ -364,16 +310,7 @@ class FdpAwareDevice:
         try:
             for attempt in range(self.max_read_retries + 1):
                 try:
-                    if self.ssd.scheduler is not None:
-                        comp = self._submit_sync(
-                            "read", lba, npages, None, now_ns, worker
-                        )
-                        # Queue-contended completion time replaces the
-                        # bare busy-clock one; the mapped flag is the
-                        # FTL's.
-                        result = (comp.result[0], comp.complete_ns)
-                    else:
-                        result = self.ssd.read(lba, npages, now_ns)
+                    result = self.ssd.read(lba, npages, now_ns, queue=worker)
                     break
                 except UncorrectableReadError:
                     q.read_errors += 1
@@ -436,19 +373,18 @@ class FdpAwareDevice:
                     continue
             elif op == OP_TRIM:
                 cmd = BatchCommand(op, lba, npages)
-                if self.ssd.scheduler is not None:
-                    value = self._submit_sync(
-                        "trim", lba, npages, None, now_ns, worker
-                    ).result
-                else:
-                    value = self.ssd.deallocate(lba, npages)
+                value = self.ssd.deallocate(lba, npages, now_ns, queue=worker)
             else:
                 raise ValueError(f"unknown batch op {op!r}")
             outcomes.append(BatchOutcome(cmd, True, value=value))
         return outcomes
 
     def deallocate(self, lba: int, npages: int = 1) -> int:
-        """TRIM a range through the device layer."""
+        """TRIM a range through the device layer.
+
+        Names no queue, so an attached scheduler does not time it —
+        unlike the trims of :meth:`submit_batch`, which it does.
+        """
         return self.ssd.deallocate(lba, npages)
 
     def read_payload(self, lba: int, npages: int = 1):

@@ -3,8 +3,8 @@
 Flashield's core insight, applied at the fleet layer: when the device
 backs up, keep pressure off flash by gating **writes** at the host —
 never reads.  The governor watches the overload signals the stack
-already emits (device busy-horizon backlog, the scheduler's queued GC
-work, submission-queue occupancy) and walks a three-state lifecycle:
+already emits (device busy-horizon backlog and the scheduler's queued
+GC work) and walks a three-state lifecycle:
 
 ``HEALTHY → BROWNOUT → SHED`` (and back down, with hysteresis)
 
@@ -67,7 +67,6 @@ class OverloadSignals:
 
     backlog_ns: int = 0
     gc_backlog_ns: int = 0
-    queue_fraction: float = 0.0
 
     @property
     def pressure_ns(self) -> int:
@@ -89,7 +88,6 @@ class GovernorConfig:
     brownout_backlog_ns: int = 60_000_000
     shed_backlog_ns: int = 200_000_000
     recover_backlog_ns: int = 20_000_000
-    queue_fraction_threshold: float = 1.0
     dwell_ops: int = 64
     set_tokens_per_ms: float = 2.0
     set_bucket_capacity: float = 32.0
@@ -106,8 +104,6 @@ class GovernorConfig:
             raise ValueError(
                 "need recover < brownout < shed backlog thresholds"
             )
-        if not 0.0 < self.queue_fraction_threshold <= 1.0:
-            raise ValueError("queue_fraction_threshold must be in (0, 1]")
         if self.dwell_ops < 1:
             raise ValueError("dwell_ops must be positive")
         if self.set_tokens_per_ms <= 0:
@@ -143,12 +139,11 @@ class LoadGovernor:
     def _target_state(self, signals: OverloadSignals) -> GovernorState:
         cfg = self.config
         pressure = signals.pressure_ns
-        queue_full = signals.queue_fraction >= cfg.queue_fraction_threshold
         if pressure >= cfg.shed_backlog_ns:
             return GovernorState.SHED
-        if pressure >= cfg.brownout_backlog_ns or queue_full:
+        if pressure >= cfg.brownout_backlog_ns:
             return GovernorState.BROWNOUT
-        if pressure <= cfg.recover_backlog_ns and not queue_full:
+        if pressure <= cfg.recover_backlog_ns:
             return GovernorState.HEALTHY
         return self.state  # in the hysteresis band: hold
 

@@ -155,7 +155,6 @@ class _HybridBackend:
         return OverloadSignals(
             backlog_ns=backlog,
             gc_backlog_ns=sched.gc_backlog_ns(),
-            queue_fraction=sched.max_queue_fraction(),
         )
 
     def set_brownout_mode(self, mode: str) -> None:

@@ -30,7 +30,7 @@ from ..fdp.logpage import FdpStatisticsLogPage
 from ..fdp.ruh import PlacementIdentifier
 from .batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand
 from .energy import EnergyModel
-from .errors import MediaError, QueueFullError
+from .errors import MediaError
 from .ftl import Ftl
 from .geometry import Geometry
 from .latency import LatencyModel
@@ -212,11 +212,15 @@ class SimulatedSSD:
         pid: Optional[PlacementIdentifier] = None,
         now_ns: int = 0,
         payload: object = None,
+        *,
+        queue: str = "host",
     ) -> int:
         """Write ``npages`` from ``lba`` with an optional placement id.
 
-        Returns the simulated completion time in nanoseconds.  With
-        fault injection enabled, may raise
+        Returns the simulated completion time in nanoseconds — with a
+        scheduler attached, the one it assigns on ``queue`` (a full
+        queue raises :class:`~repro.ssd.errors.QueueFullError` before
+        any state changes).  With fault injection enabled, may raise
         :class:`~repro.faults.errors.ProgramFailError` when a run of
         consecutive page programs fails, or
         :class:`~repro.ssd.errors.PowerLossError` when a scripted
@@ -229,7 +233,19 @@ class SimulatedSSD:
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        return self.ftl.write_range(lba, npages, pid, now_ns, payload)
+        ftl = self.ftl
+        sched = ftl.sched
+        if sched is None:
+            return ftl.write_range(lba, npages, pid, now_ns, payload)
+        q = sched.admit(queue)
+        channel = self._host_channel(lba)
+        try:
+            ftl.write_range(lba, npages, pid, now_ns, payload)
+        except MediaError:
+            sched.issue(q, "write", npages, channel, now_ns)
+            raise
+        # A written command occupies its newly programmed location.
+        return sched.issue(q, "write", npages, self._host_channel(lba), now_ns)
 
     def write_arrays(
         self,
@@ -259,22 +275,54 @@ class SimulatedSSD:
             raise ValueError("payloads must match lbas in length")
         return self.ftl.write_arrays(lbas, npages, pid, now_ns, payloads)
 
-    def read(self, lba: int, npages: int = 1, now_ns: int = 0) -> Tuple[bool, int]:
+    def read(
+        self, lba: int, npages: int = 1, now_ns: int = 0, *, queue: str = "host"
+    ) -> Tuple[bool, int]:
         """Read ``npages`` from ``lba``.
 
-        Returns ``(all_mapped, completion_ns)``.  With fault injection
-        enabled, may raise
+        Returns ``(all_mapped, completion_ns)``, timed on ``queue`` as
+        :meth:`write` is.  With fault injection enabled, may raise
         :class:`~repro.faults.errors.UncorrectableReadError` (UECC).
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        return self.ftl.read_range(lba, npages, now_ns)
+        ftl = self.ftl
+        sched = ftl.sched
+        if sched is None:
+            return ftl.read_range(lba, npages, now_ns)
+        q = sched.admit(queue)
+        channel = self._host_channel(lba)
+        try:
+            mapped, _ = ftl.read_range(lba, npages, now_ns)
+        except MediaError:
+            sched.issue(q, "read", npages, channel, now_ns)
+            raise
+        return mapped, sched.issue(q, "read", npages, channel, now_ns)
 
-    def deallocate(self, lba: int, npages: int = 1) -> int:
-        """TRIM a range; returns the number of pages invalidated."""
+    def deallocate(
+        self,
+        lba: int,
+        npages: int = 1,
+        now_ns: int = 0,
+        *,
+        queue: Optional[str] = None,
+    ) -> int:
+        """TRIM a range; returns the number of pages invalidated.
+
+        Only a TRIM that names a ``queue`` is timed by an attached
+        scheduler, on the channel its data lived on.
+        """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        return self.ftl.deallocate(lba, npages)
+        ftl = self.ftl
+        sched = ftl.sched
+        if sched is None or queue is None:
+            return ftl.deallocate(lba, npages)
+        q = sched.admit(queue)
+        channel = self._host_channel(lba)
+        pages = ftl.deallocate(lba, npages)
+        sched.issue(q, "trim", npages, channel, now_ns)
+        return pages
 
     def submit_batch(
         self,
@@ -286,7 +334,8 @@ class SimulatedSSD:
         Each entry is a :class:`~repro.ssd.batch.BatchCommand` (or an
         ``(op, lba[, npages, pid, payload])`` tuple) executed exactly
         as the standalone :meth:`write`/:meth:`read`/:meth:`deallocate`
-        call would be at ``now_ns`` — the busy-clock latency model
+        call would be at ``now_ns`` on a device without a scheduler
+        (an attached one does not time them) — the busy-clock latency model
         serializes the media work, so command *k* starts when *k-1*'s
         media finishes, just as a queue-depth-1 caller threading
         completion times would observe.  Returns one result per
@@ -352,7 +401,7 @@ class SimulatedSSD:
         deterministically.
         """
         ftl = self.ftl
-        ppn = ftl._l2p[lba] if 0 <= lba < len(ftl._l2p) else -1
+        ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
         if ppn >= 0:
             return ftl.sched.channel_for(ppn // ftl._pps)
         return lba % ftl.sched.channels
@@ -398,14 +447,7 @@ class SimulatedSSD:
             raise ValueError(f"op must be 'write', 'read' or 'trim', got {op!r}")
         # Backpressure check BEFORE state execution: a rejected
         # command must leave the device untouched.
-        if sched.depth_available(queue) <= 0:
-            raise QueueFullError(
-                f"queue {queue!r} is full (depth "
-                f"{sched.config.queue_depth}); poll() completions before "
-                "submitting more",
-                queue=queue,
-                depth=sched.config.queue_depth,
-            )
+        sched.admit(queue)
         # Trims occupy the channel where the data lived before the
         # mapping is destroyed.
         channel = self._host_channel(lba)

@@ -13,8 +13,11 @@ and therefore no tail to measure.  This module adds the queueing layer:
   depth; :meth:`MultiQueueScheduler.submit` enqueues a command and
   raises :class:`QueueFullError` when the queue's outstanding window is
   full, and :meth:`MultiQueueScheduler.poll` drains completions in
-  completion-time order with a monotone per-queue completion clock
-  (the high-water mark of reported completion times never regresses).
+  completion-time order.  Each queue keeps a monotone completion clock
+  (the high-water mark of its completion times never regresses).
+* **Synchronous commands** (every command the cache issues) are timed
+  where they are issued, at queue depth 1, by
+  :meth:`MultiQueueScheduler.issue`: they never enter a queue.
 * **Weighted round-robin arbitration.** Pending commands are dispatched
   across queues in WRR order (``weight`` commands per queue per round),
   the arbitration burst model of the NVMe spec.
@@ -34,9 +37,9 @@ and therefore no tail to measure.  This module adds the queueing layer:
 The scheduler is a **timing overlay**: it never touches FTL state.
 State mutations (L2P, OOB, journal, stats) execute synchronously in
 submission order whether or not a scheduler is attached; the scheduler
-only decides *when* each command completes.  That is what keeps
-``submit_async``/``poll`` bit-identical to the synchronous path for
-everything except latency (enforced by the differential arm in
+only decides *when* each command completes.  That is what keeps a
+scheduled device bit-identical to an unscheduled one for everything
+except latency (enforced by the differential arm in
 ``tests/test_differential_batch.py``).
 
 Everything is integer nanoseconds and deterministic: same submissions,
@@ -169,8 +172,16 @@ class LatencyHistogram:
     def record(self, value_ns: int, n: int = 1) -> None:
         if n <= 0:
             raise ValueError("count must be positive")
-        idx = self.bucket_index(value_ns)
-        self.counts[idx] = self.counts.get(idx, 0) + n
+        # bucket_index(), inlined: every host command is recorded.
+        if value_ns < _SUB_COUNT:
+            if value_ns < 0:
+                raise ValueError("latency must be non-negative")
+            idx = value_ns
+        else:
+            exp = value_ns.bit_length() - 1 - _SUB_BITS
+            idx = (exp << _SUB_BITS) + (value_ns >> exp)
+        counts = self.counts
+        counts[idx] = counts[idx] + n if idx in counts else n
         self.count += n
         self.sum_ns += value_ns * n
         if self.min_ns is None or value_ns < self.min_ns:
@@ -250,7 +261,7 @@ class LatencyHistogram:
 
 @dataclasses.dataclass
 class IoCompletion:
-    """One completion-queue entry.
+    """One completion-queue entry of an async command.
 
     ``complete_ns`` is the raw device completion time (CQ entries post
     as commands finish, out of submission order, like real NVMe);
@@ -260,10 +271,10 @@ class IoCompletion:
     command completed with (the NVMe status code analogue) — state-side
     effects of the failure already happened at submit.
 
-    One is built per host command, so it is a plain ``__slots__``
-    record (a frozen dataclass pays ``object.__setattr__`` per field);
-    the slots are spelled out because ``dataclass(slots=True)`` needs
-    Python 3.10, which rules out field defaults.
+    A plain ``__slots__`` record (a frozen dataclass pays
+    ``object.__setattr__`` per field); the slots are spelled out because
+    ``dataclass(slots=True)`` needs Python 3.10, which rules out field
+    defaults.
     """
 
     __slots__ = (
@@ -310,7 +321,6 @@ class _Queue:
     __slots__ = (
         "name", "weight", "pending", "done",
         "outstanding", "clock_ns", "histograms",
-        "submitted", "completed",
     )
 
     def __init__(self, name: str, weight: int) -> None:
@@ -322,17 +332,15 @@ class _Queue:
         self.outstanding = 0
         self.clock_ns = 0  # monotone CQ clock
         self.histograms: Dict[str, LatencyHistogram] = {}
-        self.submitted = 0
-        self.completed = 0
 
 
 class MultiQueueScheduler:
     """Deterministic event-clock scheduler over bounded flash channels.
 
     One instance is attached to one FTL generation (``format()``
-    rebuilds it); the cache's device layer funnels its sync reads and
-    writes through :meth:`submit`/:meth:`poll` when attached, so the
-    per-queue histograms see every host command.
+    rebuilds it).  Sync commands (:meth:`issue`) and async ones
+    (:meth:`submit`/:meth:`poll`) are timed by one method,
+    :meth:`_place`, so the per-queue histograms see every host command.
     """
 
     def __init__(
@@ -366,6 +374,8 @@ class MultiQueueScheduler:
         self._queues: Dict[str, _Queue] = {}
         self._pending = 0  # submitted, not yet dispatched (all queues)
         self._next_ticket = 0
+        # host_duration() memo for sync commands, keyed (op, npages).
+        self._durations: Dict[Tuple[str, int], int] = {}
         # Telemetry: background occupancy by kind, and how often a host
         # command had to wait behind a background segment.
         self.background_ns: Dict[str, int] = dict.fromkeys(_BACKGROUND_KINDS, 0)
@@ -391,21 +401,21 @@ class MultiQueueScheduler:
             q = self._queues[name] = _Queue(name, weight)
         return q
 
-    def depth_available(self, name: str) -> int:
-        """Remaining outstanding window for a queue (creates it)."""
-        return self.config.queue_depth - self.queue(name).outstanding
-
-    def max_queue_fraction(self) -> float:
-        """Occupancy of the fullest queue as a fraction of its depth.
-
-        Read-only overload signal for host-side admission control:
-        1.0 means at least one queue is at its outstanding window and
-        the next submit there would raise :class:`QueueFullError`.
-        """
-        if not self._queues:
-            return 0.0
-        busiest = max(q.outstanding for q in self._queues.values())
-        return busiest / self.config.queue_depth
+    def admit(self, name: str) -> "_Queue":
+        """The named queue; raises :class:`QueueFullError` if its
+        outstanding window (pending + unpolled) is at ``queue_depth``.
+        A command passes this before it changes any device state."""
+        queues = self._queues
+        q = queues[name] if name in queues else self.queue(name)
+        if q.outstanding >= self.config.queue_depth:
+            raise QueueFullError(
+                f"queue {name!r} is full (depth "
+                f"{self.config.queue_depth}); poll() completions before "
+                "submitting more",
+                queue=name,
+                depth=self.config.queue_depth,
+            )
+        return q
 
     def gc_backlog_ns(self) -> int:
         """Background (GC/erase/scrub) work queued but not yet folded.
@@ -565,41 +575,30 @@ class MultiQueueScheduler:
         npages: int,
         channel: int,
         now_ns: int,
-        duration_ns: Optional[int] = None,
         result: object = None,
         error: Optional[BaseException] = None,
     ) -> int:
         """Enqueue one command; returns its ticket.
 
         Raises :class:`QueueFullError` when the queue's outstanding
-        window (pending + unpolled completions) is at ``queue_depth``.
-        State side effects have already happened by the time this is
-        called — the scheduler only assigns the completion time.
+        window is full (see :meth:`admit`).  State side effects have
+        already happened by the time this is called — the scheduler
+        only assigns the completion time.
         """
-        q = self.queue(queue)
-        if q.outstanding >= self.config.queue_depth:
-            raise QueueFullError(
-                f"queue {queue!r} is full (depth "
-                f"{self.config.queue_depth}); poll() completions before "
-                "submitting more",
-                queue=queue,
-                depth=self.config.queue_depth,
-            )
+        q = self.admit(queue)
         if not 0 <= channel < self.channels:
             raise ValueError(f"channel {channel} outside [0, {self.channels})")
-        if duration_ns is None:
-            duration_ns = self.host_duration(op, npages)
+        duration = self.host_duration(op, npages)
         ticket = self._next_ticket
         self._next_ticket += 1
         q.pending.append(
             _Command(
                 ticket, queue, op, lba, npages,
-                channel, now_ns, duration_ns, result, error,
+                channel, now_ns, duration, result, error,
             )
         )
         self._pending += 1
         q.outstanding += 1
-        q.submitted += 1
         return ticket
 
     def _dispatch_all(self) -> None:
@@ -614,24 +613,64 @@ class MultiQueueScheduler:
                     burst -= 1
 
     def _run(self, cmd: _Command, q: _Queue) -> None:
-        submit_ns = cmd.submit_ns
-        channel = cmd.channel
-        free = self._advance_channel(channel, submit_ns)
+        complete = self._place(
+            q, cmd.op, cmd.ticket, cmd.channel, cmd.submit_ns, cmd.duration_ns
+        )
+        q.done.append((complete, cmd.ticket, cmd))
+
+    def _place(
+        self, q: _Queue, op: str, ticket: int, channel: int, submit_ns: int, duration_ns: int
+    ) -> int:
+        """Time one dispatched command and record it; returns its raw
+        completion time (NVMe posts CQ entries as commands finish, out
+        of submission order).  The queue's clock is their high-water
+        mark: clamping each completion to it would fake head-of-line
+        blocking — a 70 µs read after a multi-ms write batch would
+        inherit the batch's completion and dominate the read tail."""
+        free = self._free_at[channel]
+        if self._backlog[channel]:
+            free = self._advance_channel(channel, submit_ns)
         start = submit_ns if submit_ns > free else free
-        duration = cmd.duration_ns
         if self.failslow is not None:
-            start, duration = self.failslow.adjust(
-                cmd.op, channel, start, duration
+            start, duration_ns = self.failslow.adjust(
+                op, channel, start, duration_ns
             )
         wait = start - submit_ns
         if wait > 0:
             self.host_wait_ns += wait
             self.gc_blocked_commands += 1
-        complete = start + duration
+        complete = start + duration_ns
         self._free_at[channel] = complete
         self.host_commands += 1
-        self.dispatch_log.append((cmd.queue, cmd.ticket))
-        q.done.append((complete, cmd.ticket, cmd))
+        self.dispatch_log.append((q.name, ticket))
+        if complete > q.clock_ns:
+            q.clock_ns = complete
+        histograms = q.histograms
+        if op in histograms:
+            hist = histograms[op]
+        else:
+            hist = histograms[op] = LatencyHistogram()
+        hist.record(complete - submit_ns)
+        return complete
+
+    def issue(
+        self, q: _Queue, op: str, npages: int, channel: int, now_ns: int
+    ) -> int:
+        """Time one synchronous command; returns its completion time.
+
+        Queue depth 1: the command never enters ``q``'s submission or
+        completion queue (``q`` is what :meth:`admit` returned before
+        the command changed any state).  Pending async commands arrived
+        earlier, so they are dispatched first.
+        """
+        if self._pending:
+            self._dispatch_all()
+        ticket = self._next_ticket
+        self._next_ticket = ticket + 1
+        durations = self._durations
+        if (op, npages) not in durations:
+            durations[op, npages] = self.host_duration(op, npages)
+        return self._place(q, op, ticket, channel, now_ns, durations[op, npages])
 
     def poll(
         self, queue: str, max_completions: Optional[int] = None
@@ -641,14 +680,7 @@ class MultiQueueScheduler:
         Dispatches every pending command first (arbitration is global:
         another queue's earlier submissions claim their channel time
         regardless of who polls), then pops this queue's completions in
-        completion-time order.  Completion times are the raw device
-        times — NVMe posts CQ entries as commands finish, out of
-        submission order — and the queue's completion *clock* is the
-        monotone high-water mark of everything reported so far.
-        (Clamping each entry forward to the clock instead would fake
-        head-of-line blocking: a 70 µs read polled after a multi-ms
-        write batch on the same queue would inherit the batch's
-        completion time and dominate the read tail.)
+        completion-time order.
         """
         self._dispatch_all()
         q = self.queue(queue)
@@ -661,25 +693,16 @@ class MultiQueueScheduler:
         batch = done[:limit]
         del done[:limit]
         out: List[IoCompletion] = []
-        histograms = q.histograms
         for complete, ticket, cmd in batch:
-            if complete > q.clock_ns:
-                q.clock_ns = complete
-            latency = complete - cmd.submit_ns
-            hist = histograms.get(cmd.op)
-            if hist is None:
-                hist = histograms[cmd.op] = LatencyHistogram()
-            hist.record(latency)
             error = cmd.error
             out.append(
                 IoCompletion(
                     ticket, cmd.queue, cmd.op, cmd.lba, cmd.npages,
-                    cmd.submit_ns, complete, latency, error is None,
-                    cmd.result, error,
+                    cmd.submit_ns, complete, complete - cmd.submit_ns,
+                    error is None, cmd.result, error,
                 )
             )
         q.outstanding -= len(batch)
-        q.completed += len(batch)
         return out
 
     def outstanding(self, queue: Optional[str] = None) -> int:

@@ -109,10 +109,11 @@ class TestQueues:
     def test_sync_io_keeps_async_completions_for_the_next_poll(
         self, small_geometry
     ):
-        """A sync command drains the worker's whole completion queue to
-        find its own ticket; what else it finds belongs to the worker's
-        next ``poll()`` (the parent dropped it: ``poll`` returned ``[]``
-        and ``in_flight`` read 1 forever)."""
+        """A sync command on the worker's queue leaves the async
+        commands in flight there to the worker's next ``poll()``, which
+        returns and counts each exactly once (an earlier version's sync
+        path drained the queue and dropped them: ``poll`` returned
+        ``[]`` and ``in_flight`` read 1 forever)."""
         layer = FdpAwareDevice(SimulatedSSD(small_geometry, fdp=True, sched=True))
         handle = layer.allocator.default()
         first = layer.submit_async("write", 10, 1, handle, 0, "w")
@@ -129,6 +130,26 @@ class TestQueues:
         assert (q.submitted, q.completed, q.in_flight) == (5, 5, 0)
         assert layer.poll("w") == []
         assert layer.ssd.scheduler.outstanding("w") == 0
+
+    def test_region_trim_is_untimed_and_batch_trim_is_timed(
+        self, small_geometry
+    ):
+        """Pins how the scheduler times the two TRIMs the LOC issues:
+        ``deallocate`` (its reclaim-unit-aware region TRIM) occupies no
+        channel, a ``submit_batch`` trim (its recovery) is one timed
+        command on the worker's queue.  Making them agree moves every
+        fleet timing, so it is a change of its own."""
+        ssd = SimulatedSSD(small_geometry, fdp=True, sched=True)
+        layer = FdpAwareDevice(ssd)
+        layer.write(0, 8, layer.allocator.default(), 0, worker="loc")
+        sched = ssd.scheduler
+        assert sched.host_commands == 1
+        assert layer.deallocate(0, 4) == 4
+        assert sched.host_commands == 1
+        (outcome,) = layer.submit_batch([("trim", 4, 4)], 0, "loc")
+        assert outcome.ok and outcome.value == 4
+        assert sched.host_commands == 2
+        assert sched.histograms()["loc"]["trim"].count == 1
 
 
 class TestPidResolution:

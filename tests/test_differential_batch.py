@@ -443,6 +443,57 @@ def test_scheduler_overlay_bit_identical_zipf():
     assert_identical_nontiming(plain, sched)
 
 
+@pytest.mark.parametrize("faulty", [False, True])
+def test_sync_commands_time_like_qd1_submit_and_poll(faulty):
+    """A sync command is timed where it is issued, never entering a
+    queue; at queue depth 1 that must equal submit_async + poll of the
+    same command — completion times, histograms, waits, tickets and
+    dispatch order — failed commands included, and leave the state an
+    unscheduled device ends in."""
+    def device(**kwargs):
+        faults = FaultConfig(seed=7, read_uecc_rate=3e-3, program_fail_rate=3e-3)
+        return SimulatedSSD(GEOMETRY, faults=faults if faulty else None, **kwargs)
+
+    commands = synthetic_commands(23, 3000)
+    plain, sync, qd1 = device(), device(sched=True), device(sched=True)
+    sync_log, qd1_log = [], []
+    for i, (op, lba, npages, pid, payload) in enumerate(commands):
+        now = i * ARRIVAL_NS
+        try:
+            if op == "write":
+                done = sync.write(lba, npages, pid, now, payload, queue="q")
+            elif op == "read":
+                done = sync.read(lba, npages, now, queue="q")
+            else:
+                done = sync.deallocate(lba, npages, now, queue="q")
+            sync_log.append(done)
+        except MediaError as exc:
+            sync_log.append(type(exc).__name__)
+        ticket = qd1.submit_async(op, lba, npages, pid, now, queue="q", payload=payload)
+        (comp,) = qd1.poll("q")
+        assert comp.ticket == ticket
+        if not comp.ok:
+            qd1_log.append(type(comp.error).__name__)
+        elif op == "write":
+            qd1_log.append(comp.complete_ns)
+        elif op == "read":
+            qd1_log.append((comp.result[0], comp.complete_ns))
+        else:
+            qd1_log.append(comp.result)
+    assert sync_log == qd1_log
+    assert faulty == any(isinstance(entry, str) for entry in sync_log)
+    a, b = sync.scheduler, qd1.scheduler
+    assert a.host_commands == b.host_commands == len(commands)
+    assert (a.host_wait_ns, a.gc_blocked_commands) == (b.host_wait_ns, b.gc_blocked_commands)
+    assert a.gc_blocked_commands > 0
+    assert list(a.dispatch_log) == list(b.dispatch_log)
+    assert a.histograms()["q"].keys() == b.histograms()["q"].keys()
+    for op, hist in a.histograms()["q"].items():
+        assert hist.to_dict() == b.histograms()["q"][op].to_dict()
+    replay_sync_clocked(plain, commands)
+    assert_identical_nontiming(plain, sync)
+
+
 def test_scheduler_overlay_identical_under_fault_plan():
     """Media errors surface as failed completions on the async arm but
     as exceptions on the sync arm — same commands, same error types,

@@ -3,17 +3,21 @@
 No wall clock (these pass the sim-time lint's spirit and cannot
 flake): the counts below are the *mechanisms* behind ``fleet4_open``'s
 host throughput — a key is hashed onto the ring once however often it
-is routed, and a synchronous I/O completes through one
-``IoCompletion`` — so a change that quietly reintroduces a per-op
-SHA-256 or a throwaway completion object fails here, in tier-1, before
-any benchmark runs.
+is routed, and a synchronous I/O is timed where it is issued, without
+a submission-queue ``_Command`` or a completion-queue ``IoCompletion``
+and within a fixed number of calls of the unscheduled I/O — so a
+change that quietly reintroduces a per-op SHA-256 or a queue
+round-trip fails here, in tier-1, before any benchmark runs.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro.bench.runner import Scale, make_trace
+from repro.core import FdpAwareDevice
 from repro.fleet import (
     FleetCache,
     FleetConfig,
@@ -22,14 +26,19 @@ from repro.fleet import (
     ShardSpec,
     hashring,
 )
-from repro.ssd import sched
+from repro.ssd import Geometry, SimulatedSSD, sched
 
 SCALE = Scale(num_superblocks=32, num_ops=5_000)
 BACKENDS = ("fdp", "nonfdp", "fdp", "nonfdp")
 VNODES = 64
 
+# What the scheduler overlay may add to one 1-page sync I/O, in
+# sys.setprofile call events.  A queue round-trip (submit + poll + a
+# completion record) added 39 to a write and 37 to a read.
+MAX_SCHED_EVENTS = 10
 
-def test_one_digest_per_distinct_key_and_one_completion_per_sync_io(
+
+def test_one_digest_per_distinct_key_and_no_queue_objects_per_sync_io(
     monkeypatch,
 ):
     digests = {"key": 0, "vnode": 0}
@@ -39,16 +48,24 @@ def test_one_digest_per_distinct_key_and_one_completion_per_sync_io(
         digests[data.split(":")[1]] += 1
         return real_h64(data)
 
-    completions = [0]
+    built = {"command": 0, "completion": 0}
+
+    class CountingCommand(sched._Command):
+        __slots__ = ()
+
+        def __init__(self, *fields) -> None:
+            built["command"] += 1
+            super().__init__(*fields)
 
     class CountingCompletion(sched.IoCompletion):
         __slots__ = ()
 
         def __init__(self, *fields) -> None:
-            completions[0] += 1
+            built["completion"] += 1
             super().__init__(*fields)
 
     monkeypatch.setattr(hashring, "_h64", counting_h64)
+    monkeypatch.setattr(sched, "_Command", CountingCommand)
     monkeypatch.setattr(sched, "IoCompletion", CountingCompletion)
 
     shards = [
@@ -78,4 +95,43 @@ def test_one_digest_per_distinct_key_and_one_completion_per_sync_io(
         shard.backend.cache.device.scheduler.host_commands for shard in shards
     )
     assert sync_ios > 0
-    assert completions[0] == sync_ios == host_commands
+    assert sync_ios == host_commands  # every sync I/O was timed...
+    assert built == {"command": 0, "completion": 0}  # ...and never queued
+
+
+def _call_events(fn) -> int:
+    """sys.setprofile call events (Python frames and C calls) in ``fn()``."""
+    events = [0]
+
+    def profiler(frame, event, arg):
+        if event == "call" or event == "c_call":
+            events[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return events[0]
+
+
+def _one_page_costs(scheduled: bool):
+    """(write, read) call events of one 1-page sync I/O through the
+    device layer, on a warm device and an existing queue."""
+    ssd = SimulatedSSD(Geometry(num_superblocks=32), fdp=True, sched=scheduled)
+    io = FdpAwareDevice(ssd)
+    handle = io.allocator.allocate("soc")
+    now = 0
+    for lba in range(64):
+        now = io.write(lba, 1, handle, now, "soc")
+        _, now = io.read(lba, 1, now, "soc")
+    write = _call_events(lambda: io.write(100, 1, handle, now, "soc"))
+    read = _call_events(lambda: io.read(100, 1, now, "soc"))
+    return write, read
+
+
+def test_scheduled_sync_io_costs_at_most_ten_calls_more():
+    plain_write, plain_read = _one_page_costs(scheduled=False)
+    sched_write, sched_read = _one_page_costs(scheduled=True)
+    assert sched_write - plain_write <= MAX_SCHED_EVENTS, (sched_write, plain_write)
+    assert sched_read - plain_read <= MAX_SCHED_EVENTS, (sched_read, plain_read)

@@ -58,8 +58,6 @@ def test_config_validation():
         GovernorConfig(brownout_backlog_ns=10, shed_backlog_ns=5)
     with pytest.raises(ValueError, match="dwell"):
         GovernorConfig(dwell_ops=0)
-    with pytest.raises(ValueError, match="queue_fraction"):
-        GovernorConfig(queue_fraction_threshold=0.0)
 
 
 def test_escalation_requires_dwell():
@@ -98,20 +96,6 @@ def test_hysteresis_band_holds_state():
     assert gov.state is GovernorState.BROWNOUT
     # Between recover (100) and brownout (1000): neither up nor down.
     _feed(gov, 500, 20)
-    assert gov.state is GovernorState.BROWNOUT
-
-
-def test_queue_saturation_alone_triggers_brownout():
-    gov = LoadGovernor(
-        GovernorConfig(
-            brownout_backlog_ns=1_000,
-            shed_backlog_ns=10_000,
-            recover_backlog_ns=100,
-            dwell_ops=1,
-            queue_fraction_threshold=0.9,
-        )
-    )
-    gov.observe(0, OverloadSignals(backlog_ns=0, queue_fraction=0.95))
     assert gov.state is GovernorState.BROWNOUT
 
 

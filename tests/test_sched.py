@@ -174,12 +174,12 @@ def test_queue_depth_backpressure_and_release():
     sched = make_sched(queue_depth=4)
     for _ in range(4):
         sched.submit("q", "read", lba=0, npages=1, channel=0, now_ns=0)
-    assert sched.depth_available("q") == 0
+    assert sched.outstanding("q") == 4
     with pytest.raises(QueueFullError):
         sched.submit("q", "read", lba=0, npages=1, channel=0, now_ns=0)
     # Unpolled completions still hold the window: poll() releases it.
     assert len(sched.poll("q")) == 4
-    assert sched.depth_available("q") == 4
+    assert sched.outstanding("q") == 0
     sched.submit("q", "read", lba=0, npages=1, channel=0, now_ns=0)
 
 
@@ -329,11 +329,12 @@ def test_submit_async_matches_sync_state_and_results():
 
 def test_qd1_sync_path_timing_matches_golden(update_golden):
     """Differential for the queue-depth-1 path every sync I/O takes
-    (``device_layer`` → ``submit_async`` → ``submit`` → ``poll``): on
-    a GC-active overwrite stream over three queues, completion times,
-    per-queue histograms, ``host_wait_ns``, ticket numbers and dispatch
-    order are pinned to a fixture recorded before ``submit`` /
-    ``_dispatch_all`` / ``poll`` were tightened for this case."""
+    (``device_layer`` → ``SimulatedSSD.write``/``read`` →
+    ``MultiQueueScheduler.issue``): on a GC-active overwrite stream over
+    three queues, completion times, per-queue histograms,
+    ``host_wait_ns``, ticket numbers and dispatch order are pinned to a
+    fixture recorded while sync commands still went through ``submit``
+    and ``poll``; the stream's trims still do."""
     ssd = SimulatedSSD(GEOMETRY, sched=True)
     io = FdpAwareDevice(ssd)
     sched = ssd.scheduler
@@ -462,7 +463,7 @@ def test_any_interleaving_completes_exactly_once(actions):
                     op, lba, npages, None, now, queue=queue, payload=payload
                 )
             except QueueFullError:
-                assert ssd.scheduler.depth_available(queue) == 0
+                assert ssd.scheduler.outstanding(queue) == 6
                 continue
             assert ticket not in submitted
             submitted.add(ticket)
