@@ -382,6 +382,62 @@ def test_qd1_sync_path_timing_matches_golden(update_golden):
     )
 
 
+def test_async_stream_timing_matches_golden(update_golden):
+    """One queue of async commands, polled every seven submissions at
+    queue depth 8, on a GC-active stream with non-decreasing submit
+    times and no fail-slow model: completion times (in poll order),
+    tickets, histograms and ``host_wait_ns`` are pinned to a fixture
+    recorded while async commands were still dispatched at poll time."""
+    ssd = SimulatedSSD(GEOMETRY, sched=SchedConfig(queue_depth=8))
+    sched = ssd.scheduler
+    rng = random.Random(29)
+    pages = ssd.capacity_pages
+    now = 0
+    completions = hashlib.sha256()
+    tickets = hashlib.sha256()
+    polled = 0
+
+    def drain():
+        nonlocal polled
+        for comp in ssd.poll("q"):
+            assert comp.ok and comp.queue == "q"
+            completions.update(b"%d,%d," % (comp.complete_ns, comp.latency_ns))
+            tickets.update(b"%d," % comp.ticket)
+            polled += 1
+
+    for n in range(6 * pages):  # several device fills: GC runs throughout
+        lba = rng.randrange(pages - 4)
+        roll = rng.random()
+        op = "write" if roll < 0.7 else "read" if roll < 0.95 else "trim"
+        ssd.submit_async(
+            op, lba, rng.randint(1, 4), None, now, queue="q",
+            payload=n if op == "write" else None,
+        )
+        now += rng.choice((0, 0, 20_000, 150_000, 900_000))
+        if n % 7 == 6:
+            drain()
+    drain()
+    assert polled == 6 * pages and sched.outstanding() == 0
+    assert sched.gc_blocked_commands > 0  # the stream does reach GC
+    ssd.check_invariants()
+    _check_golden(
+        "sched_async_gc_stream",
+        {
+            "completions_sha256": completions.hexdigest(),
+            "tickets_sha256": tickets.hexdigest(),
+            "host_commands": sched.host_commands,
+            "host_wait_ns": sched.host_wait_ns,
+            "gc_blocked_commands": sched.gc_blocked_commands,
+            "background_ns": dict(sched.background_ns),
+            "histograms": {
+                queue: {op: hist.to_dict() for op, hist in sorted(ops.items())}
+                for queue, ops in sorted(sched.histograms().items())
+            },
+        },
+        update_golden,
+    )
+
+
 def test_submit_async_requires_scheduler():
     ssd = SimulatedSSD(GEOMETRY)
     assert ssd.scheduler is None
