@@ -4,15 +4,19 @@
 
 Runs every entry point CI runs (each soak's and the figure sweep's
 ``--smoke`` CLI, ``iobench --smoke``, ``simtime_lint``,
-``perfbench/run.py --smoke``, ``examples/*.py``), then tier-1 and the
-slow tier, each in its own interpreter under a ``sys.setprofile``
-collector that records every Python function entered.  Every
-function defined under ``src/repro`` is then *entry* (an entry point
-reached it), *tests* (only a test did) or *none*.  The script writes
-that verdict for every function no entry point reaches to
-``benchmarks/results/entry_coverage.txt`` and exits 1 iff a function
-is called by nothing and :data:`ALLOW` does not name it, or
-:data:`ALLOW` names a function that is gone or now called.
+``perfbench/run.py --smoke``, ``examples/*.py``, the README's
+command-line tools), then tier-1 and the slow tier, each in its own
+interpreter under a ``sys.setprofile`` collector that records every
+Python function entered.  Every function defined under ``src/repro``
+is then *entry* (an entry point reached it), *tests* (only a test did)
+or *none*.  The script writes that verdict for every function no entry
+point reaches to ``benchmarks/results/entry_coverage.txt`` and exits 1
+iff a function is called by nothing and :data:`ALLOW` does not name
+it, :data:`ALLOW` names a function that is gone or now called, or more
+than :data:`MAX_TEST_ONLY` functions are *tests*.
+
+``--readme`` runs only the README's command-line tools, unprofiled, in
+a temporary directory, and exits 1 if one fails.
 
 A *none* verdict is per definition, so it cannot see duck typing: a
 method that shared code reaches on one engine (``self.soc.hit_ratio``,
@@ -75,6 +79,10 @@ DUMP_ENV = "REPRO_ENTRY_COVERAGE_DIR"
 TRACER = "perfbench/tracer.py binds it by name"
 PROTOCOL = "implicit protocol dunder"
 ABSTRACT = "abstract base method every subclass overrides"
+
+#: Ratchet: at most this many functions only a test calls.  Lower it
+#: when a change gives one an entry point or deletes it; never raise it.
+MAX_TEST_ONLY = 175
 
 #: Functions nothing calls that stay, each with its reason.
 ALLOW: Dict[str, str] = {
@@ -166,7 +174,6 @@ OPTIONS_ALLOW: Dict[str, str] = {
     "ReplayConfig.think_ns": TUNED,
     "SchedConfig.queue_depth": TUNED,
     "SchedConfig.segment_pages": TUNED,
-    "SchedConfig.weights": TUNED,
     "ScrubConfig.min_free_superblocks": TUNED,
     "ScrubConfig.refresh_threshold": TUNED,
     "ScrubConfig.retire_after_failures": TUNED,
@@ -254,6 +261,58 @@ def _pytest(*args: str) -> List[str]:
     return _python("-c", run, "-p", "no:cacheprovider", *args)
 
 
+def readme_commands(tmp: Path) -> List[Tuple[str, List[str]]]:
+    """(label, argv) for the README's command-line tools, in order,
+    with every file they read or write under ``tmp`` (the cachebench
+    config, written here, is 2k ops on 64 superblocks)."""
+    dev, slow = str(tmp / "dev.pkl"), str(tmp / "slow.pkl")
+    config = tmp / "experiment.json"
+    config.write_text(json.dumps({"workload": {"num_ops": 2000}, "device": {"superblocks": 64}}))
+    nvme = [
+        ["create", dev, "--superblocks", "512", "--fdp"],
+        ["id-ctrl", dev],
+        ["fdp-stats", dev],
+        ["fdp-events", dev, "--last", "10"],
+        ["smart", dev],
+        ["scrub-status", dev],
+        ["power-cut", dev],
+        ["recover", dev],
+        ["format", dev],
+        ["create", slow, "--superblocks", "512", "--slow-die", "1:8"],
+        ["failslow-status", slow],
+    ]
+    return [
+        (f"nvme {args[0]}", _python("-m", "repro.tools.nvme", *args)) for args in nvme
+    ] + [
+        (
+            "tracegen",
+            _python(
+                "-m", "repro.tools.tracegen", "twitter", str(tmp / "trace.csv.gz"),
+                "--ops", "20000", "--profile",
+            ),
+        ),
+        (
+            "cachebench",
+            _python(
+                "-m", "repro.tools.cachebench", "--config", str(config),
+                "--out", str(tmp / "result.json"),
+            ),
+        ),
+    ]
+
+
+def run_readme() -> int:
+    """Run :func:`readme_commands` once, unprofiled; 1 if one fails."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with tempfile.TemporaryDirectory(prefix="readme_") as tmp:
+        for label, argv in readme_commands(Path(tmp)):
+            print(f"[readme] {label}: {' '.join(argv[1:])}", flush=True)
+            if subprocess.run(argv, cwd=tmp, env=env).returncode != 0:
+                print(f"README command failed: {label}")
+                return 1
+    return 0
+
+
 def stages() -> List[Tuple[str, str, List[str]]]:
     """(group, label, argv) for everything the sweep runs, in order."""
     from repro.bench.__main__ import SOAKS
@@ -272,6 +331,8 @@ def stages() -> List[Tuple[str, str, List[str]]]:
         ("entry", path.name, _python(str(path.relative_to(ROOT))))
         for path in sorted((ROOT / "examples").glob("*.py"))
     ]
+    readme = Path(tempfile.mkdtemp(prefix="entry_coverage_readme_"))
+    entry += [("entry", label, argv) for label, argv in readme_commands(readme)]
     return entry + [
         ("tests", "tier-1", _pytest("-q", "-m", "not slow", "tests")),
         ("tests", "slow", _pytest("-q", "-m", "slow", "tests")),
@@ -503,9 +564,14 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--options", action="store_true", help="judge config values by who sets them instead"
     )
+    parser.add_argument(
+        "--readme", action="store_true", help="only run the README's command-line tools"
+    )
     args = parser.parse_args(argv)
     if args.options:
         return options_main()
+    if args.readme:
+        return run_readme()
     if args.no_run and args.dumps is None:
         parser.error("--no-run needs --dumps")
     dumps = args.dumps or Path(tempfile.mkdtemp(prefix="entry_coverage_"))
@@ -542,7 +608,13 @@ def main(argv: List[str] = None) -> int:
         print("test each through its shared caller, or delete it if no caller reads it")
     for name in sorted(stale):
         print(f"allow-list entry is gone or called: {name}")
-    return 1 if uncalled or stale else 0
+    grown = counts["tests"] > MAX_TEST_ONLY
+    if grown:
+        print(
+            f"{counts['tests']} functions only a test calls, over MAX_TEST_ONLY = "
+            f"{MAX_TEST_ONLY}: give each new one an entry point or delete it"
+        )
+    return 1 if uncalled or stale or grown else 0
 
 
 if __name__ == "__main__":

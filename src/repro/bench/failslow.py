@@ -45,7 +45,7 @@ from ..faults.failslow import FailSlowConfig
 from ..workloads.trace import Trace
 from .fleet import FLEET_SCALE, default_fleet_specs, fleet_trace
 from .metrics import Gate, SoakResult
-from .runner import Scale, point_seed
+from .runner import Scale, ops_or_default, point_seed
 from .soak import layout, replay_windows, window_gate, window_ops
 
 __all__ = [
@@ -115,7 +115,7 @@ def run_failslow_soak(
     """
     if seed is None:
         seed = point_seed("failslow_soak", 0)
-    total = num_ops or ops_per_shard * num_shards
+    total = ops_or_default(num_ops, ops_per_shard * num_shards)
 
     # Every arm gets the same specs — the overlay is attached everywhere
     # but degrades nothing until the soak activates it on the victim, so

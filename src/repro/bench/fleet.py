@@ -38,7 +38,7 @@ from ..fleet import (
 )
 from ..workloads.trace import Trace
 from .metrics import Gate, SoakResult
-from .runner import Scale, make_trace, point_seed
+from .runner import Scale, make_trace, ops_or_default, point_seed
 from .soak import layout, replay_windows, window_gate
 
 __all__ = [
@@ -138,7 +138,7 @@ def run_fleet_soak(
     """
     if seed is None:
         seed = point_seed("fleet_soak", 0)
-    total = num_ops or ops_per_shard * num_shards
+    total = ops_or_default(num_ops, ops_per_shard * num_shards)
     specs = default_fleet_specs(
         num_shards, mix=mix, scale=scale, utilization=utilization, seed=seed
     )

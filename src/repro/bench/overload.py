@@ -53,7 +53,7 @@ from ..workloads.adversarial import (
 from .fleet import SMOKE_SCALE, default_fleet_specs, fleet_trace
 from .metrics import Gate, RunResult, SoakResult
 from .parallel import PointFailure, SweepPoint, run_sweep
-from .runner import Scale, point_seed
+from .runner import Scale, ops_or_default, point_seed
 from .soak import layout, replay_windows, window_gate
 
 __all__ = [
@@ -159,7 +159,7 @@ def run_overload_soak(
     """
     if seed is None:
         seed = point_seed("overload_soak", 0)
-    total = num_ops or ops_per_shard * num_shards
+    total = ops_or_default(num_ops, ops_per_shard * num_shards)
     specs = default_fleet_specs(num_shards, scale=scale, utilization=utilization)
     trace, scenario = make_crowd_trace(
         num_shards, total, workload=workload, scale=scale, utilization=utilization, seed=seed

@@ -102,6 +102,16 @@ _WORKLOADS = {
 }
 
 
+def ops_or_default(num_ops: Optional[int], default: int) -> int:
+    """``num_ops``, or ``default`` when it is ``None`` (0 is not "use
+    the default": a run of fewer than one op is refused)."""
+    if num_ops is None:
+        return default
+    if num_ops < 1:
+        raise ValueError(f"num_ops must be >= 1, got {num_ops}")
+    return num_ops
+
+
 def make_trace(
     workload: str,
     nvm_bytes: int,
@@ -121,7 +131,7 @@ def make_trace(
         1024,
         int(nvm_bytes * scale.working_set_factor / scale.mean_object_bytes),
     )
-    return generator(num_ops or scale.num_ops, num_keys, seed=seed)
+    return generator(ops_or_default(num_ops, scale.num_ops), num_keys, seed=seed)
 
 
 def build_experiment(

@@ -8,7 +8,7 @@ Three layers, matching Section 5 of the paper:
 * pluggable placement policies (:mod:`repro.core.policies`).
 """
 
-from .device_layer import FdpAwareDevice, IoQueue
+from .device_layer import FdpAwareDevice
 from .placement import DEFAULT_HANDLE, PlacementHandle, PlacementHandleAllocator
 from .policies import (
     DynamicTemperaturePolicy,
@@ -19,7 +19,6 @@ from .policies import (
 
 __all__ = [
     "FdpAwareDevice",
-    "IoQueue",
     "PlacementHandle",
     "PlacementHandleAllocator",
     "DEFAULT_HANDLE",

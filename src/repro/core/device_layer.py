@@ -12,10 +12,11 @@ over the simulated SSD:
   handle → PID → DSPEC → submit translation.  The DSPEC round-trip is
   executed for real (encode on submit, decode device-side) so the
   directive path is exercised, not just passed by reference.
-* :class:`IoQueue` stands in for one io_uring queue pair.  The paper
-  uses one QP per worker thread to avoid submission/completion
-  synchronization; the simulator is single-threaded but keeps the same
-  structure, and per-queue depth/counters are reported for tests.
+
+The paper uses one io_uring queue pair per worker thread; here a
+command's ``worker`` names the scheduler queue that times it (see
+:mod:`repro.ssd.sched`).  Media-error, retry and byte counters are
+device-wide.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..ssd.batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand, BatchOutcome
 from ..ssd.device import SimulatedSSD
 from .placement import DEFAULT_HANDLE, PlacementHandle, PlacementHandleAllocator
 
-__all__ = ["IoQueue", "FdpAwareDevice"]
+__all__ = ["FdpAwareDevice"]
 
 # NVMe Directive Type for data placement (TP4146).
 DTYPE_DATA_PLACEMENT = 0x2
@@ -39,36 +40,6 @@ DTYPE_NONE = 0x0
 MAX_WRITE_RETRIES = 1
 # Host-side delay before the first resubmission; doubles per attempt.
 RETRY_BACKOFF_NS = 100_000
-
-
-class IoQueue:
-    """One submission/completion queue pair (io_uring stand-in).
-
-    Tracks per-queue media-error and retry counters, the way a real
-    deployment attributes I/O errors to the worker thread that owns the
-    queue pair.
-    """
-
-    __slots__ = (
-        "name",
-        "submitted",
-        "completed",
-        "read_errors",
-        "write_errors",
-        "retries",
-    )
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.submitted = 0
-        self.completed = 0
-        self.read_errors = 0
-        self.write_errors = 0
-        self.retries = 0
-
-    @property
-    def in_flight(self) -> int:
-        return self.submitted - self.completed
 
 
 class FdpAwareDevice:
@@ -119,27 +90,16 @@ class FdpAwareDevice:
         # depends on, and two ints hash without a Python frame where a
         # dataclass handle costs two per lookup.
         self._pids: Dict[Tuple[int, int], Optional[PlacementIdentifier]] = {}
-        self._queues: Dict[str, IoQueue] = {}
         self.bytes_written = 0
         self.bytes_read = 0
         self.writes_by_handle: Dict[str, int] = {}
-        # Device-wide media-error accounting (sums of the per-queue
-        # counters plus retry outcomes), surfaced by the cache metrics.
+        # Device-wide media-error and retry accounting, surfaced by the
+        # cache metrics.
         self.read_errors = 0
         self.write_errors = 0
         self.read_retries = 0
         self.write_retries = 0
         self.retries_exhausted = 0
-
-    # -- queue management --------------------------------------------
-
-    def queue(self, worker: str = "worker-0") -> IoQueue:
-        """The io_uring-style queue pair for one worker thread."""
-        q = self._queues.get(worker)
-        if q is None:
-            q = IoQueue(worker)
-            self._queues[worker] = q
-        return q
 
     # -- directive encoding -------------------------------------------
 
@@ -174,64 +134,6 @@ class FdpAwareDevice:
             self._pids[key] = decoded
             return decoded
 
-    # -- async submission (scheduler-enabled devices) -----------------
-
-    def submit_async(
-        self,
-        op: str,
-        lba: int,
-        npages: int = 1,
-        handle: PlacementHandle = DEFAULT_HANDLE,
-        now_ns: int = 0,
-        worker: str = "worker-0",
-        payload: object = None,
-    ) -> int:
-        """Submit one tagged command to the worker's queue; returns its
-        ticket (requires a scheduler-enabled device).
-
-        The handle → PID → DSPEC translation is identical to
-        :meth:`write`; media errors surface in the polled completion
-        rather than raising here.  Raises
-        :class:`~repro.ssd.errors.QueueFullError` when the worker's
-        queue window is full (no state changed, no counters bumped).
-        """
-        pid = self._pid_for(handle)
-        ticket = self.ssd.submit_async(
-            op, lba, npages, pid, now_ns, queue=worker, payload=payload
-        )
-        self.queue(worker).submitted += 1
-        nbytes = npages * self._page_size
-        if op == "write":
-            self.bytes_written += nbytes
-            self.writes_by_handle[handle.name] = (
-                self.writes_by_handle.get(handle.name, 0) + nbytes
-            )
-        elif op == "read":
-            self.bytes_read += nbytes
-        return ticket
-
-    def poll(
-        self, worker: str = "worker-0", max_completions: Optional[int] = None
-    ):
-        """Drain the worker queue's completions, updating its counters.
-
-        Failed completions (``ok=False``) bump the queue's media-error
-        tallies the same way the sync path's exceptions do; the caller
-        decides whether to resubmit.
-        """
-        comps = self.ssd.poll(worker, max_completions)
-        q = self.queue(worker)
-        for comp in comps:
-            q.completed += 1
-            if not comp.ok:
-                if comp.op == "read":
-                    q.read_errors += 1
-                    self.read_errors += 1
-                else:
-                    q.write_errors += 1
-                    self.write_errors += 1
-        return comps
-
     # -- I/O ----------------------------------------------------------
 
     def write(
@@ -259,28 +161,21 @@ class FdpAwareDevice:
         warm restart recovers from.
         """
         pid = self._pid_for(handle)  # may refuse: nothing is counted yet
-        q = self.queue(worker)
-        q.submitted += 1
         backoff = RETRY_BACKOFF_NS
-        try:
-            for attempt in range(MAX_WRITE_RETRIES + 1):
-                try:
-                    done = self.ssd.write(
-                        lba, npages, pid, now_ns, payload, queue=worker
-                    )
-                    break
-                except ProgramFailError:
-                    q.write_errors += 1
-                    self.write_errors += 1
-                    if attempt == MAX_WRITE_RETRIES:
-                        self.retries_exhausted += 1
-                        raise
-                    q.retries += 1
-                    self.write_retries += 1
-                    now_ns += backoff
-                    backoff *= 2
-        finally:
-            q.completed += 1
+        for attempt in range(MAX_WRITE_RETRIES + 1):
+            try:
+                done = self.ssd.write(
+                    lba, npages, pid, now_ns, payload, queue=worker
+                )
+                break
+            except ProgramFailError:
+                self.write_errors += 1
+                if attempt == MAX_WRITE_RETRIES:
+                    self.retries_exhausted += 1
+                    raise
+                self.write_retries += 1
+                now_ns += backoff
+                backoff *= 2
         nbytes = npages * self._page_size
         self.bytes_written += nbytes
         self.writes_by_handle[handle.name] = (
@@ -304,26 +199,19 @@ class FdpAwareDevice:
         out re-raises :class:`~repro.faults.errors.
         UncorrectableReadError`; cache engines turn that into a miss.
         """
-        q = self.queue(worker)
-        q.submitted += 1
         backoff = RETRY_BACKOFF_NS
-        try:
-            for attempt in range(self.max_read_retries + 1):
-                try:
-                    result = self.ssd.read(lba, npages, now_ns, queue=worker)
-                    break
-                except UncorrectableReadError:
-                    q.read_errors += 1
-                    self.read_errors += 1
-                    if attempt == self.max_read_retries:
-                        self.retries_exhausted += 1
-                        raise
-                    q.retries += 1
-                    self.read_retries += 1
-                    now_ns += backoff
-                    backoff *= 2
-        finally:
-            q.completed += 1
+        for attempt in range(self.max_read_retries + 1):
+            try:
+                result = self.ssd.read(lba, npages, now_ns, queue=worker)
+                break
+            except UncorrectableReadError:
+                self.read_errors += 1
+                if attempt == self.max_read_retries:
+                    self.retries_exhausted += 1
+                    raise
+                self.read_retries += 1
+                now_ns += backoff
+                backoff *= 2
         self.bytes_read += npages * self._page_size
         return result
 
@@ -395,23 +283,3 @@ class FdpAwareDevice:
         the device is powered off.
         """
         return self.ssd.read_payload(lba, npages)
-
-    # -- telemetry ----------------------------------------------------
-
-    def error_counters(self) -> Dict[str, object]:
-        """Media-error and retry tallies, device-wide plus per queue."""
-        return {
-            "read_errors": self.read_errors,
-            "write_errors": self.write_errors,
-            "read_retries": self.read_retries,
-            "write_retries": self.write_retries,
-            "retries_exhausted": self.retries_exhausted,
-            "per_queue": {
-                name: {
-                    "read_errors": q.read_errors,
-                    "write_errors": q.write_errors,
-                    "retries": q.retries,
-                }
-                for name, q in self._queues.items()
-            },
-        }

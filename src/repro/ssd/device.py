@@ -423,9 +423,9 @@ class SimulatedSSD:
         order, exactly as the matching :meth:`write` / :meth:`read` /
         :meth:`deallocate` call would — which is what keeps
         scheduler-on runs bit-identical to scheduler-off for all
-        non-timing state.  Only the completion time is deferred: it is
-        assigned by the multi-queue scheduler under WRR arbitration and
-        channel contention, and surfaces via :meth:`poll`.
+        non-timing state.  The multi-queue scheduler times the command
+        as it is submitted, exactly as it times a sync one; only the
+        completion is deferred: it surfaces via :meth:`poll`.
 
         Media errors are captured into the completion
         (``IoCompletion.ok is False`` with ``error`` set, like an NVMe
@@ -479,9 +479,8 @@ class SimulatedSSD:
     ) -> List[IoCompletion]:
         """Drain completions from a queue (all of them by default).
 
-        Completions arrive in completion-time order with a monotone
-        per-queue completion clock; each records the command's queue
-        latency and feeds the per-queue histograms.
+        Completions arrive in completion-time order; each carries the
+        latency the scheduler recorded when the command was submitted.
         """
         sched = self.ftl.sched
         if sched is None:

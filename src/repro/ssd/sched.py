@@ -10,17 +10,15 @@ and therefore no tail to measure.  This module adds the queueing layer:
 
 * **Submission/completion queues.** Hosts create named queues (the
   hybrid cache uses ``"soc"``/``"loc"``/``"meta"``) with a bounded
-  depth; :meth:`MultiQueueScheduler.submit` enqueues a command and
-  raises :class:`QueueFullError` when the queue's outstanding window is
-  full, and :meth:`MultiQueueScheduler.poll` drains completions in
-  completion-time order.  Each queue keeps a monotone completion clock
-  (the high-water mark of its completion times never regresses).
+  depth; :meth:`MultiQueueScheduler.submit` times an async command as
+  it is submitted and holds its :class:`IoCompletion` until
+  :meth:`MultiQueueScheduler.poll` drains the queue in completion-time
+  order, raising :class:`QueueFullError` when the queue's unpolled
+  window is full.  Each queue keeps a monotone completion clock (the
+  high-water mark of its completion times never regresses).
 * **Synchronous commands** (every command the cache issues) are timed
-  where they are issued, at queue depth 1, by
-  :meth:`MultiQueueScheduler.issue`: they never enter a queue.
-* **Weighted round-robin arbitration.** Pending commands are dispatched
-  across queues in WRR order (``weight`` commands per queue per round),
-  the arbitration burst model of the NVMe spec.
+  the same way by :meth:`MultiQueueScheduler.issue`, at queue depth 1:
+  they never enter a queue.
 * **Bounded channels.** The device exposes ``dies × planes_per_die``
   parallel channels (a superblock stripes across all of them, so one
   channel stands for "the stripe is busy with this superblock's
@@ -50,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..faults.failslow import FailSlowModel
@@ -73,7 +72,8 @@ SCRUB_RELOCATE = "scrub_relocate"
 
 _BACKGROUND_KINDS = (GC_MIGRATE, ERASE, SCRUB_SCAN, SCRUB_RELOCATE)
 
-_DISPATCH_LOG_LEN = 1024
+# Poll order: completion time, then submission (tickets are unique).
+_COMPLETION_ORDER = attrgetter("complete_ns", "ticket")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,9 +81,7 @@ class SchedConfig:
     """Multi-queue scheduler policy knobs.
 
     ``queue_depth`` bounds each queue's outstanding (submitted, not yet
-    polled) commands.  ``weights`` maps queue names to their WRR
-    arbitration burst (commands dispatched per round); unlisted queues
-    get one.  ``channels`` overrides the number of
+    polled) commands.  ``channels`` overrides the number of
     parallel flash channels, which otherwise derives from the geometry
     as ``dies × planes_per_die``.  ``segment_pages`` is the preemption
     granularity of background spans: a GC migration of N pages becomes
@@ -94,16 +92,12 @@ class SchedConfig:
     """
 
     queue_depth: int = 32
-    weights: Mapping[str, int] = dataclasses.field(default_factory=dict)
     channels: Optional[int] = None
     segment_pages: int = 8
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        for name, weight in self.weights.items():
-            if weight < 1:
-                raise ValueError(f"weight for queue {name!r} must be >= 1")
         if self.channels is not None and self.channels < 1:
             raise ValueError("channels must be >= 1 or None")
         if self.segment_pages < 1:
@@ -295,41 +289,13 @@ class IoCompletion:
     error: Optional[BaseException]
 
 
-class _Command:
-    __slots__ = (
-        "ticket", "queue", "op", "lba", "npages",
-        "channel", "submit_ns", "duration_ns", "result", "error",
-    )
-
-    def __init__(
-        self, ticket, queue, op, lba, npages,
-        channel, submit_ns, duration_ns, result, error,
-    ) -> None:
-        self.ticket = ticket
-        self.queue = queue
-        self.op = op
-        self.lba = lba
-        self.npages = npages
-        self.channel = channel
-        self.submit_ns = submit_ns
-        self.duration_ns = duration_ns
-        self.result = result
-        self.error = error
-
-
 class _Queue:
-    __slots__ = (
-        "name", "weight", "pending", "done",
-        "outstanding", "clock_ns", "histograms",
-    )
+    __slots__ = ("name", "done", "clock_ns", "histograms")
 
-    def __init__(self, name: str, weight: int) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.weight = weight
-        self.pending: Deque[_Command] = deque()
-        # Dispatched but not yet polled: (raw_complete_ns, ticket, cmd).
-        self.done: List[Tuple[int, int, _Command]] = []
-        self.outstanding = 0
+        # Timed but not yet polled: the queue's outstanding window.
+        self.done: List[IoCompletion] = []
         self.clock_ns = 0  # monotone CQ clock
         self.histograms: Dict[str, LatencyHistogram] = {}
 
@@ -338,9 +304,10 @@ class MultiQueueScheduler:
     """Deterministic event-clock scheduler over bounded flash channels.
 
     One instance is attached to one FTL generation (``format()``
-    rebuilds it).  Sync commands (:meth:`issue`) and async ones
-    (:meth:`submit`/:meth:`poll`) are timed by one method,
-    :meth:`_place`, so the per-queue histograms see every host command.
+    rebuilds it).  Every command is timed when it is issued, by
+    :meth:`issue`: a sync one directly, an async one through
+    :meth:`submit`, which keeps its completion for :meth:`poll` — so
+    the per-queue histograms see every host command.
     """
 
     def __init__(
@@ -370,11 +337,8 @@ class MultiQueueScheduler:
         self._backlog: List[Deque[Tuple[str, int, int]]] = [
             deque() for _ in range(self.channels)
         ]
-        # WRR visit order = creation order = this dict's order.
         self._queues: Dict[str, _Queue] = {}
-        self._pending = 0  # submitted, not yet dispatched (all queues)
-        self._next_ticket = 0
-        # host_duration() memo for sync commands, keyed (op, npages).
+        # host_duration() memo, keyed (op, npages).
         self._durations: Dict[Tuple[str, int], int] = {}
         # Telemetry: background occupancy by kind, and how often a host
         # command had to wait behind a background segment.
@@ -385,29 +349,23 @@ class MultiQueueScheduler:
         self.host_commands = 0
         self.host_wait_ns = 0
         self.gc_blocked_commands = 0
-        # Dispatch order of the last ``_DISPATCH_LOG_LEN`` commands as
-        # (queue, ticket) — the WRR fairness tests' observable.  Bounded:
-        # a device dispatches one command per host I/O for its lifetime.
-        self.dispatch_log: Deque[Tuple[str, int]] = deque(
-            maxlen=_DISPATCH_LOG_LEN
-        )
 
     # -- queue management ---------------------------------------------
 
     def queue(self, name: str) -> "_Queue":
         q = self._queues.get(name)
         if q is None:
-            weight = self.config.weights.get(name, 1)
-            q = self._queues[name] = _Queue(name, weight)
+            q = self._queues[name] = _Queue(name)
         return q
 
     def admit(self, name: str) -> "_Queue":
         """The named queue; raises :class:`QueueFullError` if its
-        outstanding window (pending + unpolled) is at ``queue_depth``.
-        A command passes this before it changes any device state."""
+        outstanding window (submitted, not yet polled) is at
+        ``queue_depth``.  A command passes this before it changes any
+        device state."""
         queues = self._queues
         q = queues[name] if name in queues else self.queue(name)
-        if q.outstanding >= self.config.queue_depth:
+        if len(q.done) >= self.config.queue_depth:
             raise QueueFullError(
                 f"queue {name!r} is full (depth "
                 f"{self.config.queue_depth}); poll() completions before "
@@ -547,23 +505,6 @@ class MultiQueueScheduler:
         self._free_at[channel] = free
         return free
 
-    def drain_background(self, now_ns: int) -> None:
-        """Fold every runnable background segment into the horizons.
-
-        End-of-run telemetry helper so channel horizons reflect all
-        reported GC work even if no host command lands on a channel
-        again.
-        """
-        for channel in range(self.channels):
-            self._advance_channel(channel, now_ns)
-            backlog = self._backlog[channel]
-            free = self._free_at[channel]
-            while backlog:
-                kind, dur, ready = backlog.popleft()
-                start = ready if ready > free else free
-                free = start + dur
-            self._free_at[channel] = free
-
     # -- submission / completion --------------------------------------
 
     def submit(
@@ -578,71 +519,61 @@ class MultiQueueScheduler:
         result: object = None,
         error: Optional[BaseException] = None,
     ) -> int:
-        """Enqueue one command; returns its ticket.
+        """Time one async command; returns its ticket.
 
-        Raises :class:`QueueFullError` when the queue's outstanding
-        window is full (see :meth:`admit`).  State side effects have
-        already happened by the time this is called — the scheduler
-        only assigns the completion time.
+        The command is timed now, as :meth:`issue` times a sync one,
+        and its :class:`IoCompletion` waits in the queue until
+        :meth:`poll` drains it.  Raises :class:`QueueFullError` when
+        the queue's outstanding window is full (see :meth:`admit`).
+        State side effects have already happened by the time this is
+        called — the scheduler only assigns the completion time.
         """
         q = self.admit(queue)
         if not 0 <= channel < self.channels:
             raise ValueError(f"channel {channel} outside [0, {self.channels})")
-        duration = self.host_duration(op, npages)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        q.pending.append(
-            _Command(
-                ticket, queue, op, lba, npages,
-                channel, now_ns, duration, result, error,
+        ticket = self.host_commands  # tickets count host commands
+        complete = self.issue(q, op, npages, channel, now_ns)
+        q.done.append(
+            IoCompletion(
+                ticket, queue, op, lba, npages, now_ns, complete,
+                complete - now_ns, error is None, result, error,
             )
         )
-        self._pending += 1
-        q.outstanding += 1
         return ticket
 
-    def _dispatch_all(self) -> None:
-        """WRR arbitration: drain every pending command to its channel."""
-        while self._pending:
-            for q in self._queues.values():
-                pending = q.pending
-                burst = q.weight
-                while burst and pending:
-                    self._pending -= 1
-                    self._run(pending.popleft(), q)
-                    burst -= 1
-
-    def _run(self, cmd: _Command, q: _Queue) -> None:
-        complete = self._place(
-            q, cmd.op, cmd.ticket, cmd.channel, cmd.submit_ns, cmd.duration_ns
-        )
-        q.done.append((complete, cmd.ticket, cmd))
-
-    def _place(
-        self, q: _Queue, op: str, ticket: int, channel: int, submit_ns: int, duration_ns: int
+    def issue(
+        self, q: _Queue, op: str, npages: int, channel: int, now_ns: int
     ) -> int:
-        """Time one dispatched command and record it; returns its raw
-        completion time (NVMe posts CQ entries as commands finish, out
-        of submission order).  The queue's clock is their high-water
-        mark: clamping each completion to it would fake head-of-line
-        blocking — a 70 µs read after a multi-ms write batch would
-        inherit the batch's completion and dominate the read tail."""
+        """Time one command on ``q`` and record it; returns its raw
+        completion time.
+
+        ``q`` is what :meth:`admit` returned before the command changed
+        any state.  Completions are raw device times (NVMe posts CQ
+        entries as commands finish, out of submission order); the
+        queue's clock is their high-water mark: clamping each
+        completion to it would fake head-of-line blocking — a 70 µs
+        read after a multi-ms write batch would inherit the batch's
+        completion and dominate the read tail.
+        """
+        durations = self._durations
+        if (op, npages) not in durations:
+            durations[op, npages] = self.host_duration(op, npages)
+        duration_ns = durations[op, npages]
         free = self._free_at[channel]
         if self._backlog[channel]:
-            free = self._advance_channel(channel, submit_ns)
-        start = submit_ns if submit_ns > free else free
+            free = self._advance_channel(channel, now_ns)
+        start = now_ns if now_ns > free else free
         if self.failslow is not None:
             start, duration_ns = self.failslow.adjust(
                 op, channel, start, duration_ns
             )
-        wait = start - submit_ns
+        wait = start - now_ns
         if wait > 0:
             self.host_wait_ns += wait
             self.gc_blocked_commands += 1
         complete = start + duration_ns
         self._free_at[channel] = complete
         self.host_commands += 1
-        self.dispatch_log.append((q.name, ticket))
         if complete > q.clock_ns:
             q.clock_ns = complete
         histograms = q.histograms
@@ -650,63 +581,26 @@ class MultiQueueScheduler:
             hist = histograms[op]
         else:
             hist = histograms[op] = LatencyHistogram()
-        hist.record(complete - submit_ns)
+        hist.record(complete - now_ns)
         return complete
-
-    def issue(
-        self, q: _Queue, op: str, npages: int, channel: int, now_ns: int
-    ) -> int:
-        """Time one synchronous command; returns its completion time.
-
-        Queue depth 1: the command never enters ``q``'s submission or
-        completion queue (``q`` is what :meth:`admit` returned before
-        the command changed any state).  Pending async commands arrived
-        earlier, so they are dispatched first.
-        """
-        if self._pending:
-            self._dispatch_all()
-        ticket = self._next_ticket
-        self._next_ticket = ticket + 1
-        durations = self._durations
-        if (op, npages) not in durations:
-            durations[op, npages] = self.host_duration(op, npages)
-        return self._place(q, op, ticket, channel, now_ns, durations[op, npages])
 
     def poll(
         self, queue: str, max_completions: Optional[int] = None
     ) -> List[IoCompletion]:
-        """Drain up to ``max_completions`` entries from a queue's CQ.
-
-        Dispatches every pending command first (arbitration is global:
-        another queue's earlier submissions claim their channel time
-        regardless of who polls), then pops this queue's completions in
-        completion-time order.
-        """
-        self._dispatch_all()
-        q = self.queue(queue)
-        done = q.done
+        """Drain up to ``max_completions`` entries from a queue's CQ,
+        in completion-time order."""
+        done = self.queue(queue).done
         if len(done) > 1:
-            done.sort()  # (complete_ns, ticket, _): tickets are unique
+            done.sort(key=_COMPLETION_ORDER)
         limit = (
             len(done) if max_completions is None else max(0, max_completions)
         )
         batch = done[:limit]
         del done[:limit]
-        out: List[IoCompletion] = []
-        for complete, ticket, cmd in batch:
-            error = cmd.error
-            out.append(
-                IoCompletion(
-                    ticket, cmd.queue, cmd.op, cmd.lba, cmd.npages,
-                    cmd.submit_ns, complete, complete - cmd.submit_ns,
-                    error is None, cmd.result, error,
-                )
-            )
-        q.outstanding -= len(batch)
-        return out
+        return batch
 
     def outstanding(self, queue: Optional[str] = None) -> int:
         """Commands submitted but not yet polled (one queue or all)."""
         if queue is not None:
-            return self.queue(queue).outstanding
-        return sum(q.outstanding for q in self._queues.values())
+            return len(self.queue(queue).done)
+        return sum(len(q.done) for q in self._queues.values())

@@ -65,6 +65,11 @@ def _merged(config: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     for section, values in (config or {}).items():
         if section not in merged:
             raise ValueError(f"unknown config section {section!r}")
+        if not isinstance(values, dict):
+            raise ValueError(
+                f"config section {section!r} must be a JSON object, "
+                f"got {type(values).__name__}"
+            )
         unknown = set(values) - set(merged[section])
         if unknown:
             raise ValueError(

@@ -15,7 +15,10 @@ from repro.bench import (
     make_trace,
     run_experiment,
 )
+from repro.bench.failslow import run_failslow_soak
+from repro.bench.fleet import run_fleet_soak
 from repro.bench.metrics import IntervalPoint, steady_state_dlwa
+from repro.bench.overload import run_overload_soak
 from repro.fleet import FleetReplayConfig
 from repro.workloads import kv_cache_trace
 
@@ -169,6 +172,22 @@ class TestRunner:
         for name in ("kvcache", "wo-kvcache", "twitter"):
             t = make_trace(name, 1 << 22, TINY_SCALE, num_ops=1000)
             assert len(t) == 1000
+
+    @pytest.mark.parametrize("num_ops", [0, -5])
+    def test_make_trace_refuses_fewer_than_one_op(self, num_ops):
+        """0 is not "use the default": it was replayed as ``scale.num_ops``."""
+        with pytest.raises(ValueError, match="num_ops"):
+            make_trace("kvcache", 1 << 22, TINY_SCALE, num_ops=num_ops)
+        assert len(make_trace("kvcache", 1 << 22, TINY_SCALE, num_ops=None)) == (
+            TINY_SCALE.num_ops
+        )
+
+    @pytest.mark.parametrize(
+        "soak", [run_fleet_soak, run_failslow_soak, run_overload_soak]
+    )
+    def test_fleet_soaks_refuse_zero_ops(self, soak):
+        with pytest.raises(ValueError, match="num_ops"):
+            soak(num_ops=0)
 
 
 class TestDriver:

@@ -98,7 +98,7 @@ def test_get_of_an_absent_key(warm):
 
 def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
     cache, now, key = warm
-    soc, device, meta = cache.soc, cache.device, cache.io.queue("meta")
+    soc, device = cache.soc, cache.device
 
     def state():
         return (
@@ -106,7 +106,7 @@ def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
             soc.flash_writes,
             device.stats.host_pages_written,
             device.stats.nand_pages_written,
-            meta.submitted,
+            cache._meta_counter // cache.config.metadata_flush_interval,
             device.ftl.free_superblocks,
         )
 

@@ -77,59 +77,43 @@ class TestAccounting:
 
 
 class TestQueues:
-    def test_queue_per_worker(self, fdp_ssd):
-        layer = FdpAwareDevice(fdp_ssd)
-        q0 = layer.queue("worker-0")
-        q1 = layer.queue("worker-1")
-        assert q0 is not q1
-        assert layer.queue("worker-0") is q0
-
-    def test_submission_completion_balance(self, fdp_ssd):
-        layer = FdpAwareDevice(fdp_ssd)
-        layer.write(0, 1, layer.allocator.default(), worker="w")
-        layer.read(0, 1, worker="w")
-        q = layer.queue("w")
-        assert q.submitted == q.completed == 2
-        assert q.in_flight == 0
-
-    def test_refused_handle_leaves_nothing_in_flight(self, fdp_ssd):
+    def test_refused_handle_leaves_nothing_in_flight(self, small_geometry):
         """A handle whose PID the device cannot encode is refused before
-        the submission is counted (the parent counted first, outside the
-        try/finally: ``in_flight == 1`` forever)."""
-        layer = FdpAwareDevice(fdp_ssd)
+        the command reaches the device or any counter."""
+        ssd = SimulatedSSD(small_geometry, fdp=True, sched=True)
+        layer = FdpAwareDevice(ssd)
         bad = PlacementHandle(99, "bad", PlacementIdentifier(0, 500))
         with pytest.raises(ValueError, match="ruh_id out of range"):
             layer.write(0, 1, bad, 0, worker="w")
-        q = layer.queue("w")
-        assert (q.submitted, q.completed, q.in_flight) == (0, 0, 0)
+        assert ssd.scheduler.host_commands == 0
+        assert ssd.scheduler.outstanding() == 0
         assert layer.bytes_written == 0 and layer.bytes_read == 0
         assert layer.writes_by_handle == {}
-        assert fdp_ssd.stats.host_pages_written == 0
+        assert ssd.stats.host_pages_written == 0
 
     def test_sync_io_keeps_async_completions_for_the_next_poll(
         self, small_geometry
     ):
-        """A sync command on the worker's queue leaves the async
-        commands in flight there to the worker's next ``poll()``, which
-        returns and counts each exactly once (an earlier version's sync
-        path drained the queue and dropped them: ``poll`` returned
-        ``[]`` and ``in_flight`` read 1 forever)."""
-        layer = FdpAwareDevice(SimulatedSSD(small_geometry, fdp=True, sched=True))
+        """A sync command through the device layer on the worker's queue
+        leaves the async commands in flight there to the device's next
+        ``poll()``, which returns each exactly once (an earlier version's
+        sync path drained the queue and dropped them)."""
+        ssd = SimulatedSSD(small_geometry, fdp=True, sched=True)
+        layer = FdpAwareDevice(ssd)
         handle = layer.allocator.default()
-        first = layer.submit_async("write", 10, 1, handle, 0, "w")
+        first = ssd.submit_async("write", 10, 1, None, 0, queue="w")
         layer.write(11, 1, handle, 0, worker="w")
-        second = layer.submit_async("read", 10, 1, now_ns=0, worker="w")
+        second = ssd.submit_async("read", 10, 1, None, 0, queue="w")
         layer.read(11, 1, 0, worker="w")
-        third = layer.submit_async("read", 11, 1, now_ns=0, worker="w")
-        q = layer.queue("w")
-        assert (q.submitted, q.completed, q.in_flight) == (5, 2, 3)
+        third = ssd.submit_async("read", 11, 1, None, 0, queue="w")
+        sched = ssd.scheduler
+        assert (sched.host_commands, sched.outstanding("w")) == (5, 3)
 
-        (comp,) = layer.poll("w", max_completions=1)
-        assert comp.ticket == first and q.in_flight == 2
-        assert [c.ticket for c in layer.poll("w")] == [second, third]
-        assert (q.submitted, q.completed, q.in_flight) == (5, 5, 0)
-        assert layer.poll("w") == []
-        assert layer.ssd.scheduler.outstanding("w") == 0
+        (comp,) = ssd.poll("w", max_completions=1)
+        assert comp.ticket == first and sched.outstanding("w") == 2
+        assert [c.ticket for c in ssd.poll("w")] == [second, third]
+        assert ssd.poll("w") == []
+        assert sched.outstanding("w") == 0
 
     def test_region_trim_is_untimed_and_batch_trim_is_timed(
         self, small_geometry

@@ -447,8 +447,8 @@ def test_scheduler_overlay_bit_identical_zipf():
 def test_sync_commands_time_like_qd1_submit_and_poll(faulty):
     """A sync command is timed where it is issued, never entering a
     queue; at queue depth 1 that must equal submit_async + poll of the
-    same command — completion times, histograms, waits, tickets and
-    dispatch order — failed commands included, and leave the state an
+    same command — completion times, histograms, waits and tickets —
+    failed commands included, and leave the state an
     unscheduled device ends in."""
     def device(**kwargs):
         faults = FaultConfig(seed=7, read_uecc_rate=3e-3, program_fail_rate=3e-3)
@@ -486,7 +486,6 @@ def test_sync_commands_time_like_qd1_submit_and_poll(faulty):
     assert a.host_commands == b.host_commands == len(commands)
     assert (a.host_wait_ns, a.gc_blocked_commands) == (b.host_wait_ns, b.gc_blocked_commands)
     assert a.gc_blocked_commands > 0
-    assert list(a.dispatch_log) == list(b.dispatch_log)
     assert a.histograms()["q"].keys() == b.histograms()["q"].keys()
     for op, hist in a.histograms()["q"].items():
         assert hist.to_dict() == b.histograms()["q"][op].to_dict()

@@ -388,10 +388,10 @@ class TestDeviceLayerRetries:
         io.write(3, 1, io.allocator.default())
         mapped, _ = io.read(3)  # first attempt UECCs, second succeeds
         assert mapped
-        counters = io.error_counters()
-        assert counters["read_errors"] == 1
-        assert counters["read_retries"] == 1
-        assert counters["retries_exhausted"] == 0
+        assert io.read_errors == 1
+        assert io.read_retries == 1
+        assert io.retries_exhausted == 0
+        assert io.bytes_read == device.page_size
 
     def test_persistent_uecc_exhausts_retries(self, tiny_geometry):
         device = SimulatedSSD(
@@ -405,10 +405,10 @@ class TestDeviceLayerRetries:
         io.write(3, 1, io.allocator.default())
         with pytest.raises(UncorrectableReadError):
             io.read(3)
-        counters = io.error_counters()
-        assert counters["read_errors"] == 3  # initial try + 2 retries
-        assert counters["retries_exhausted"] == 1
-        assert io.queue().in_flight == 0  # completion posted either way
+        assert io.read_errors == 3  # initial try + 2 retries
+        assert io.read_retries == 2
+        assert io.retries_exhausted == 1
+        assert io.bytes_read == 0  # a failed read transfers nothing
 
 
 class TestCacheDegradation:

@@ -4,8 +4,8 @@ No wall clock (these pass the sim-time lint's spirit and cannot
 flake): the counts below are the *mechanisms* behind ``fleet4_open``'s
 host throughput — a key is hashed onto the ring once however often it
 is routed, and a synchronous I/O is timed where it is issued, without
-a submission-queue ``_Command`` or a completion-queue ``IoCompletion``
-and within a fixed number of calls of the unscheduled I/O — so a
+a completion-queue ``IoCompletion`` and within a fixed number of calls
+of the unscheduled I/O — so a
 change that quietly reintroduces a per-op SHA-256 or a queue
 round-trip fails here, in tier-1, before any benchmark runs.
 """
@@ -48,14 +48,17 @@ def test_one_digest_per_distinct_key_and_no_queue_objects_per_sync_io(
         digests[data.split(":")[1]] += 1
         return real_h64(data)
 
-    built = {"command": 0, "completion": 0}
+    built = {"completion": 0}
+    sync_ios = {"write": 0, "read": 0}
 
-    class CountingCommand(sched._Command):
-        __slots__ = ()
+    def counting(op):
+        real = getattr(FdpAwareDevice, op)
 
-        def __init__(self, *fields) -> None:
-            built["command"] += 1
-            super().__init__(*fields)
+        def io(self, *args, **kwargs):
+            sync_ios[op] += 1
+            return real(self, *args, **kwargs)
+
+        return io
 
     class CountingCompletion(sched.IoCompletion):
         __slots__ = ()
@@ -65,8 +68,9 @@ def test_one_digest_per_distinct_key_and_no_queue_objects_per_sync_io(
             super().__init__(*fields)
 
     monkeypatch.setattr(hashring, "_h64", counting_h64)
-    monkeypatch.setattr(sched, "_Command", CountingCommand)
     monkeypatch.setattr(sched, "IoCompletion", CountingCompletion)
+    for op in sync_ios:
+        monkeypatch.setattr(FdpAwareDevice, op, counting(op))
 
     shards = [
         ShardSpec(f"shard{i:02d}", backend=b, utilization=0.9, scale=SCALE).build()
@@ -86,17 +90,15 @@ def test_one_digest_per_distinct_key_and_no_queue_objects_per_sync_io(
     assert digests["key"] == len(np.unique(trace.keys))  # ...no more digests
     assert digests["vnode"] == 2 * len(shards) * VNODES
 
-    sync_ios = sum(
-        queue.submitted
-        for shard in shards
-        for queue in shard.backend.cache.io._queues.values()
-    )
     host_commands = sum(
         shard.backend.cache.device.scheduler.host_commands for shard in shards
     )
-    assert sync_ios > 0
-    assert sync_ios == host_commands  # every sync I/O was timed...
-    assert built == {"command": 0, "completion": 0}  # ...and never queued
+    assert sync_ios["write"] > 0 and sync_ios["read"] > 0
+    assert sum(sync_ios.values()) == host_commands  # every sync I/O was timed...
+    assert built == {"completion": 0}  # ...and never queued
+    assert all(
+        shard.backend.cache.device.scheduler.outstanding() == 0 for shard in shards
+    )
 
 
 def _call_events(fn) -> int:

@@ -148,7 +148,7 @@ def test_golden_latency_soak(update_golden: bool) -> None:
 
     Every latency field is a bucket upper bound — a deterministic
     integer — so this pins the scheduler's timing behaviour (channel
-    contention, GC spans, WRR) exactly, not approximately.  The canned
+    contention, GC spans) exactly, not approximately.  The canned
     soak is small but past warm-up, so it also locks in the headline
     direction: FDP-on p99 read below FDP-off.
     """

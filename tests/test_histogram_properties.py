@@ -4,6 +4,8 @@ The fail-slow soak's verdicts hang off fleet-merged percentile reads,
 so the histogram algebra gets property coverage, not just examples:
 
 * ``percentile(p)`` is monotone non-decreasing in ``p``;
+* ``record(v)`` adds one count at ``bucket_index(v)``, whose bucket
+  covers ``v``;
 * ``merge`` is commutative and associative (bucket counts and every
   scalar — count, sum, min, max);
 * merging per-shard histograms is exactly the histogram of the
@@ -58,6 +60,18 @@ def test_percentile_bounds_contain_observations(values):
         assert hist.percentile(0.0) >= 0
     else:
         assert hist.percentile(50.0) == 0
+
+
+@given(latencies, st.integers(min_value=0, max_value=2**63))
+def test_record_counts_one_at_bucket_index(values, v):
+    """``record`` inlines ``bucket_index``; the two must agree on every
+    value, and the bucket a value lands in must cover it."""
+    hist = build(values)
+    before = dict(hist.counts)
+    hist.record(v)
+    idx = LatencyHistogram.bucket_index(v)
+    assert hist.counts == {**before, idx: before.get(idx, 0) + 1}
+    assert LatencyHistogram.bucket_upper_bound(idx) >= v
 
 
 @given(latencies, latencies)

@@ -1,10 +1,10 @@
-"""Multi-queue scheduler: arbitration, backpressure, die occupancy.
+"""Multi-queue scheduler: backpressure, die occupancy, completions.
 
 Covers the scheduler's contract surface directly (no cache on top):
-WRR dispatch order, queue-depth backpressure that rejects *before* any
-state executes, channel-conflict serialization, GC span preemption at
-segment boundaries, the log-bucketed histogram, and a Hypothesis
-property over arbitrary submit/poll interleavings — every command
+queue-depth backpressure that rejects *before* any state executes,
+channel-conflict serialization, GC span preemption at segment
+boundaries, the log-bucketed histogram, and a Hypothesis property over
+arbitrary submit/poll interleavings — every command
 completes exactly once and each queue's completion clock is monotone.
 """
 
@@ -118,51 +118,6 @@ def test_histogram_dict_round_trip():
     empty = LatencyHistogram()
     assert empty.percentile(99.0) == 0
     assert LatencyHistogram.from_dict(empty.to_dict()).count == 0
-
-
-# --------------------------------------------------------------------
-# WRR arbitration
-# --------------------------------------------------------------------
-
-
-def test_wrr_dispatch_order_respects_weights():
-    """weight=2 queue gets a two-command burst per round, weight=1 gets
-    one; leftovers drain in later rounds."""
-    sched = make_sched(weights={"a": 2, "b": 1}, queue_depth=16)
-    for _ in range(6):
-        sched.submit("a", "read", lba=0, npages=1, channel=0, now_ns=0)
-    for _ in range(6):
-        sched.submit("b", "read", lba=0, npages=1, channel=1, now_ns=0)
-    sched.poll("a")
-    sched.poll("b")
-    order = [queue for queue, _ in sched.dispatch_log]
-    assert order == [
-        "a", "a", "b",   # round 1
-        "a", "a", "b",   # round 2
-        "a", "a", "b",   # round 3: queue a drained
-        "b", "b", "b",   # b's leftovers, one burst per round
-    ]
-    # Tickets dispatch FIFO within each queue.
-    tickets = {"a": [], "b": []}
-    for queue, ticket in sched.dispatch_log:
-        tickets[queue].append(ticket)
-    assert tickets["a"] == sorted(tickets["a"])
-    assert tickets["b"] == sorted(tickets["b"])
-
-
-def test_wrr_bounded_unfairness():
-    """In any dispatch-log prefix the weighted service gap between two
-    backlogged queues never exceeds one arbitration burst."""
-    sched = make_sched(weights={"soc": 3, "loc": 1}, queue_depth=64)
-    for _ in range(30):
-        sched.submit("soc", "read", lba=0, npages=1, channel=0, now_ns=0)
-        sched.submit("loc", "read", lba=0, npages=1, channel=0, now_ns=0)
-    sched.poll("soc")
-    served = {"soc": 0, "loc": 0}
-    # dispatch_log is a bounded deque: slice a copy.
-    for queue, _ in list(sched.dispatch_log)[:40]:  # both queues still backlogged
-        served[queue] += 1
-        assert abs(served["soc"] / 3 - served["loc"] / 1) <= 1.0
 
 
 # --------------------------------------------------------------------
@@ -294,17 +249,6 @@ def test_background_on_other_channel_does_not_block():
     assert sched.gc_blocked_commands == 0
 
 
-def test_drain_background_folds_all_segments():
-    sched = make_sched(segment_pages=8)
-    sched.note_background("gc_migrate", 0, 16, 0)
-    sched.note_background("erase", 0, 0, 0)
-    sched.drain_background(0)
-    per_page = TIMINGS.read_ns + TIMINGS.program_ns
-    seg = max(per_page, 8 * per_page // TIMINGS.parallelism)
-    assert sched._free_at[0] == 2 * seg + TIMINGS.erase_ns
-    assert all(not backlog for backlog in sched._backlog)
-
-
 # --------------------------------------------------------------------
 # device-level async plumbing
 # --------------------------------------------------------------------
@@ -332,9 +276,9 @@ def test_qd1_sync_path_timing_matches_golden(update_golden):
     (``device_layer`` → ``SimulatedSSD.write``/``read`` →
     ``MultiQueueScheduler.issue``): on a GC-active overwrite stream over
     three queues, completion times, per-queue histograms,
-    ``host_wait_ns``, ticket numbers and dispatch order are pinned to a
-    fixture recorded while sync commands still went through ``submit``
-    and ``poll``; the stream's trims still do."""
+    ``host_wait_ns`` and ticket numbers are pinned to a fixture
+    recorded while sync commands still went through ``submit`` and
+    ``poll``; the stream's trims still do."""
     ssd = SimulatedSSD(GEOMETRY, sched=True)
     io = FdpAwareDevice(ssd)
     sched = ssd.scheduler
@@ -355,14 +299,13 @@ def test_qd1_sync_path_timing_matches_golden(update_golden):
             ticket = ssd.submit_async("trim", lba, 2, None, now, queue=queue)
             (comp,) = ssd.poll(queue)
             assert (comp.ticket, comp.queue, comp.ok) == (ticket, queue, True)
+            assert ticket == n  # tickets count commands, sync ones too
             now = comp.complete_ns
-        # QD=1: tickets count commands, each dispatched as it arrives.
-        assert sched.dispatch_log[-1] == (queue, n)
+        # QD=1: each command is timed as it arrives.
+        assert sched.host_commands == n + 1
         assert sched.outstanding() == 0
         completions.update(b"%d," % now)
     assert sched.gc_blocked_commands > 0  # the stream does reach GC
-    # The log keeps a bounded tail, not one entry per command forever.
-    assert len(sched.dispatch_log) == sched.dispatch_log.maxlen < n
     ssd.check_invariants()
     _check_golden(
         "sched_qd1_gc_stream",
@@ -387,7 +330,8 @@ def test_async_stream_timing_matches_golden(update_golden):
     queue depth 8, on a GC-active stream with non-decreasing submit
     times and no fail-slow model: completion times (in poll order),
     tickets, histograms and ``host_wait_ns`` are pinned to a fixture
-    recorded while async commands were still dispatched at poll time."""
+    recorded while async commands were still dispatched at poll time
+    (an async command is now timed when it is submitted)."""
     ssd = SimulatedSSD(GEOMETRY, sched=SchedConfig(queue_depth=8))
     sched = ssd.scheduler
     rng = random.Random(29)

@@ -172,6 +172,16 @@ class TestCachebenchCli:
         with pytest.raises(ValueError):
             cachebench.run_from_config({"cache": {"wat": 1}})
 
+    @pytest.mark.parametrize("values", [None, [1], 3])
+    def test_non_object_section_rejected(self, values):
+        with pytest.raises(ValueError, match="'workload'"):
+            cachebench.run_from_config({"workload": values})
+
+    def test_zero_ops_rejected(self):
+        """``num_ops: 0`` used to replay the default 1,000,000 ops."""
+        with pytest.raises(ValueError, match="num_ops"):
+            cachebench.run_from_config({"workload": {"num_ops": 0}})
+
     def test_main_with_config_and_out(self, tmp_path, capsys):
         cfg = dict(self.SMALL)
         config_path = tmp_path / "cfg.json"
