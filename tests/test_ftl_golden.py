@@ -42,7 +42,7 @@ def sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def build_device() -> SimulatedSSD:
+def build_device(retention_rate: float = 2e-4) -> SimulatedSSD:
     return SimulatedSSD(
         GEOMETRY,
         fdp=True,
@@ -60,7 +60,7 @@ def build_device() -> SimulatedSSD:
         latent=LatentErrorConfig(
             seed=SEED,
             read_disturb_per_read=0.02,
-            retention_rate=2e-4,
+            retention_rate=retention_rate,
             wear_factor=0.05,
             silent_corruption_rate=2e-3,
             plan=(ScriptedFault(op=OP_SILENT, op_index=4_321),),
@@ -119,3 +119,23 @@ def test_golden_ftl_fault_stream(update_golden: bool) -> None:
     _check_golden(
         "ftl_fault_stream", json.loads(json.dumps(data)), update_golden
     )
+
+
+def test_golden_energy_fault_stream(update_golden: bool) -> None:
+    """Operational energy on the same stream: host and GC reads and
+    programs, soft-decode retries, scrub scans and relocations, and
+    erases (failed ones included), with and without an idle floor.
+    Faster retention aging than the stream above makes soft decodes
+    happen."""
+    device = build_device(retention_rate=5e-4)
+    replay(device, synthetic_commands(SEED, 4_000, use_pids=True))
+    elapsed_ns = 2 * device.ftl.latency.busy_ns_total
+    stats = device.stats
+    assert stats.soft_decode_retries > 0 and stats.scrub_pages_scanned > 0
+    assert stats.scrub_pages_relocated > 0 and stats.erase_failures > 0
+    data = {
+        "elapsed_ns": elapsed_ns,
+        "energy_kwh": device.energy_kwh(),
+        "energy_kwh_elapsed": device.energy_kwh(elapsed_ns),
+    }
+    _check_golden("energy_fault_stream", data, update_golden)
