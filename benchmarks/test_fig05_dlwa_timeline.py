@@ -7,7 +7,7 @@ both arms and emits the interval-DLWA series the figure plots.
 
 from conftest import emit_table, ops_for, sweep_seed
 
-from repro.bench import dlwa_timeline_chart, run_experiment
+from repro.bench import run_experiment
 
 
 def test_fig05_dlwa_timeline(once):
@@ -41,12 +41,6 @@ def test_fig05_dlwa_timeline(once):
         f"steady-state: Non-FDP {non.steady_dlwa:.2f} vs FDP "
         f"{fdp.steady_dlwa:.2f} "
         f"({non.steady_dlwa / fdp.steady_dlwa:.2f}x reduction; paper: 1.3x)"
-    )
-    lines.append("")
-    lines.append(
-        dlwa_timeline_chart(
-            {"Non-FDP": non.interval_series, "FDP": fdp.interval_series}
-        )
     )
     emit_table("fig05_dlwa_timeline", lines)
 

@@ -6,7 +6,7 @@ and 100% device utilization, while Non-FDP rises well above 1.
 
 from conftest import emit_table, ops_for, sweep_seed
 
-from repro.bench import dlwa_timeline_chart, run_experiment
+from repro.bench import run_experiment
 
 
 def test_fig07_twitter_dlwa(once):
@@ -39,11 +39,6 @@ def test_fig07_twitter_dlwa(once):
         lines.append(
             f"steady: Non-FDP {non.steady_dlwa:.2f} vs FDP "
             f"{fdp.steady_dlwa:.2f} (paper: FDP ~1)"
-        )
-        lines.append(
-            dlwa_timeline_chart(
-                {"Non-FDP": non.interval_series, "FDP": fdp.interval_series}
-            )
         )
     emit_table("fig07_twitter", lines)
 

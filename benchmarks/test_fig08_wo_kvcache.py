@@ -7,7 +7,7 @@ both 50% and 100% device utilization.
 
 from conftest import emit_table, ops_for, sweep_seed
 
-from repro.bench import dlwa_timeline_chart, run_experiment
+from repro.bench import run_experiment
 
 
 def test_fig08_wo_kvcache_dlwa(once):
@@ -38,11 +38,6 @@ def test_fig08_wo_kvcache_dlwa(once):
         lines.append(
             f"steady: Non-FDP {non.steady_dlwa:.2f} vs FDP "
             f"{fdp.steady_dlwa:.2f} (paper: FDP ~1)"
-        )
-        lines.append(
-            dlwa_timeline_chart(
-                {"Non-FDP": non.interval_series, "FDP": fdp.interval_series}
-            )
         )
     emit_table("fig08_wo_kvcache", lines)
 

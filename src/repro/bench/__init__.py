@@ -10,7 +10,6 @@ imports none of them, so ``python -m`` never finds one already loaded.
 from .driver import CacheBench, ReplayConfig
 from .metrics import LatencyReservoir, RunResult
 from .parallel import PointFailure, SweepError, SweepPoint, point_seed, run_sweep
-from .plotting import ascii_chart, dlwa_timeline_chart
 from .runner import (
     DEFAULT_SCALE,
     Scale,
@@ -27,8 +26,6 @@ __all__ = [
     "ReplayConfig",
     "LatencyReservoir",
     "RunResult",
-    "ascii_chart",
-    "dlwa_timeline_chart",
     "Scale",
     "DEFAULT_SCALE",
     "build_experiment",

@@ -107,10 +107,3 @@ class FdpEventLog:
         if n < 0:
             raise ValueError("n must be non-negative")
         return events[-n:] if n else []
-
-    def clear(self) -> None:
-        """Drop retained entries and reset counters (device format)."""
-        self._ring.clear()
-        for t in FdpEventType:
-            self._counts[t] = 0
-            self._pages[t] = 0

@@ -37,19 +37,3 @@ class FdpStatisticsLogPage:
         if self.host_bytes_with_metadata == 0:
             return 1.0
         return self.media_bytes_written / self.host_bytes_with_metadata
-
-    def delta(self, earlier: "FdpStatisticsLogPage") -> "FdpStatisticsLogPage":
-        """Difference of two polls — the paper's interval statistics."""
-        return FdpStatisticsLogPage(
-            host_bytes_with_metadata=(
-                self.host_bytes_with_metadata
-                - earlier.host_bytes_with_metadata
-            ),
-            media_bytes_written=(
-                self.media_bytes_written - earlier.media_bytes_written
-            ),
-            media_bytes_read_for_gc=(
-                self.media_bytes_read_for_gc
-                - earlier.media_bytes_read_for_gc
-            ),
-        )

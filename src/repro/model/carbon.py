@@ -69,10 +69,11 @@ def operational_co2e_kg(
 ) -> float:
     """Theorem 3 (converted): operational CO2e from energy consumed.
 
-    The energy itself comes from the device's
-    :class:`~repro.ssd.energy.EnergyModel`, which charges host
-    operations and GC migrations per-op — exactly the proportionality
-    Theorem 3 states.
+    The energy itself comes from
+    :meth:`~repro.ssd.device.SimulatedSSD.energy_kwh`, which prices the
+    device counters' host operations and GC migrations per op with
+    :class:`~repro.ssd.energy.EnergyCosts` — exactly the
+    proportionality Theorem 3 states.
     """
     if energy_kwh < 0:
         raise ValueError("energy must be non-negative")

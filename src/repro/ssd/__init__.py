@@ -9,7 +9,7 @@ substitution rationale).
 
 from .batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand, BatchOutcome
 from .device import SimulatedSSD
-from .energy import EnergyCosts, EnergyModel
+from .energy import EnergyCosts
 from .wear import (
     WearStats,
     collect_wear_stats,
@@ -47,7 +47,7 @@ from .sched import (
     SchedConfig,
 )
 from .scrub import PatrolScrubber, ScrubConfig, ScrubStatus
-from .stats import DeviceStats, StatsSnapshot
+from .stats import DeviceStats
 from .superblock import Superblock, SuperblockState
 
 __all__ = [
@@ -72,11 +72,9 @@ __all__ = [
     "MIB",
     "GIB",
     "EnergyCosts",
-    "EnergyModel",
     "LatencyModel",
     "NandTimings",
     "DeviceStats",
-    "StatsSnapshot",
     "Superblock",
     "SuperblockState",
     "SsdError",

@@ -29,14 +29,13 @@ from ..fdp.events import FdpEventLog
 from ..fdp.logpage import FdpStatisticsLogPage
 from ..fdp.ruh import PlacementIdentifier
 from .batch import OP_READ, OP_TRIM, OP_WRITE, BatchCommand
-from .energy import EnergyModel
+from .energy import EnergyCosts
 from .errors import MediaError
 from .ftl import Ftl
 from .geometry import Geometry
-from .latency import LatencyModel
 from .sched import IoCompletion, MultiQueueScheduler, SchedConfig
 from .scrub import PatrolScrubber, ScrubConfig, ScrubStatus
-from .stats import DeviceStats, StatsSnapshot
+from .stats import DeviceStats
 
 __all__ = ["SimulatedSSD"]
 
@@ -164,10 +163,6 @@ class SimulatedSSD:
         return self.ftl_class(
             self.geometry,
             self.fdp_config,
-            latency=LatencyModel(),
-            energy=EnergyModel(),
-            events=FdpEventLog(),
-            stats=DeviceStats(),
             gc_reserve_superblocks=self._gc_reserve,
             gc_victim_sample=self._gc_victim_sample,
             wear_level_threshold=self._wear_level_threshold,
@@ -559,8 +554,8 @@ class SimulatedSSD:
         """Cumulative device-level write amplification."""
         return self.ftl.stats.dlwa
 
-    def snapshot(self) -> StatsSnapshot:
-        """Freeze counters for interval-DLWA computation."""
+    def snapshot(self) -> DeviceStats:
+        """Copy the counters for interval-DLWA computation."""
         return self.ftl.stats.snapshot()
 
     def get_log_page(self) -> FdpStatisticsLogPage:
@@ -588,7 +583,7 @@ class SimulatedSSD:
         is attached (the ``nvme scrub-status`` surface)."""
         if self.ftl.scrubber is None:
             return None
-        return self.ftl.scrubber.status()
+        return self.ftl.scrubber.status(self.ftl.stats)
 
     def run_scrub_pass(self, now_ns: Optional[int] = None) -> ScrubStatus:
         """Run one complete patrol pass over the device synchronously.
@@ -659,7 +654,10 @@ class SimulatedSSD:
         """
         busy = self.ftl.latency.busy_ns_total
         total = elapsed_ns if elapsed_ns is not None else busy
-        return self.ftl.energy.total_energy_kwh(total, busy)
+        joules = EnergyCosts().joules(
+            self.ftl.stats, self.geometry.blocks_per_superblock, total, busy
+        )
+        return joules / 3.6e6
 
     def wear_stats(self):
         """Erase-count distribution across superblocks."""

@@ -7,6 +7,12 @@ concrete with per-operation energy costs plus an idle-power floor:
     E = reads * e_read + programs * e_program + erases * e_erase
         + P_idle * idle_time
 
+The operation counts are read from :class:`~repro.ssd.stats.DeviceStats`
+rather than counted a second time: reads are host, GC, soft-decode and
+patrol-scrub page reads; programs are NAND page writes; erases are
+superblock erase attempts (failed ones included) times the blocks in a
+superblock.
+
 Defaults are loosely calibrated to datasheet-class numbers for a
 datacenter TLC NVMe SSD (active ~8-12 W, idle ~5 W); only the ratio of
 FDP to Non-FDP energy matters for the reproduction of Figure 10b and
@@ -17,7 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 
-__all__ = ["EnergyCosts", "EnergyModel"]
+from .stats import DeviceStats
+
+__all__ = ["EnergyCosts"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,49 +42,28 @@ class EnergyCosts:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-
-class EnergyModel:
-    """Accumulates NAND operation counts and converts them to energy."""
-
-    __slots__ = ("costs", "page_reads", "page_programs", "block_erases")
-
-    def __init__(self, costs: EnergyCosts | None = None) -> None:
-        self.costs = costs or EnergyCosts()
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero the operation counters."""
-        self.page_reads = 0
-        self.page_programs = 0
-        self.block_erases = 0
-
-    def add_reads(self, n: int) -> None:
-        self.page_reads += n
-
-    def add_programs(self, n: int) -> None:
-        self.page_programs += n
-
-    def add_erases(self, n: int) -> None:
-        self.block_erases += n
-
-    def active_energy_j(self) -> float:
-        """Energy spent on NAND operations, in joules."""
-        uj = (
-            self.page_reads * self.costs.read_uj
-            + self.page_programs * self.costs.program_uj
-            + self.block_erases * self.costs.erase_uj
+    def joules(
+        self,
+        stats: DeviceStats,
+        blocks_per_superblock: int,
+        total_ns: int,
+        busy_ns: int,
+    ) -> float:
+        """Energy of the operations ``stats`` counts plus the idle floor
+        over the part of ``total_ns`` the device was not busy."""
+        reads = (
+            stats.host_pages_read
+            + stats.gc_pages_read
+            + stats.soft_decode_retries
+            + stats.scrub_pages_scanned
         )
-        return uj * 1e-6
-
-    def idle_energy_j(self, total_ns: int, busy_ns: int) -> float:
-        """Idle-floor energy over a run of ``total_ns`` simulated time."""
+        erases = (
+            stats.superblocks_erased + stats.erase_failures
+        ) * blocks_per_superblock
+        active_uj = (
+            reads * self.read_uj
+            + stats.nand_pages_written * self.program_uj
+            + erases * self.erase_uj
+        )
         idle_ns = max(0, total_ns - busy_ns)
-        return self.costs.idle_watts * idle_ns * 1e-9
-
-    def total_energy_j(self, total_ns: int, busy_ns: int) -> float:
-        """Active plus idle energy over the run, in joules."""
-        return self.active_energy_j() + self.idle_energy_j(total_ns, busy_ns)
-
-    def total_energy_kwh(self, total_ns: int, busy_ns: int) -> float:
-        """Total energy in kilowatt-hours (for the carbon model)."""
-        return self.total_energy_j(total_ns, busy_ns) / 3.6e6
+        return active_uj * 1e-6 + self.idle_watts * idle_ns * 1e-9

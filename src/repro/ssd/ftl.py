@@ -38,7 +38,6 @@ from ..fdp.config import FdpConfiguration
 from ..fdp.events import FdpEvent, FdpEventLog, FdpEventType
 from ..fdp.ruh import PlacementIdentifier, RuhType
 from ..faults.latent import OUTCOME_CLEAN, OUTCOME_CORRECTABLE, OUTCOME_SOFT_RETRY
-from .energy import EnergyModel
 from .errors import (
     DeviceFullError,
     DeviceOfflineError,
@@ -174,10 +173,6 @@ class Ftl:
         geometry: Geometry,
         fdp_config: Optional[FdpConfiguration] = None,
         *,
-        latency: Optional[LatencyModel] = None,
-        energy: Optional[EnergyModel] = None,
-        events: Optional[FdpEventLog] = None,
-        stats: Optional[DeviceStats] = None,
         gc_reserve_superblocks: Optional[int] = None,
         gc_victim_sample: Optional[int] = None,
         wear_level_threshold: Optional[int] = None,
@@ -212,10 +207,9 @@ class Ftl:
         self._page_hooks = faults is not None or (
             latent is not None and latent.corrupts_writes
         )
-        self.latency = latency if latency is not None else LatencyModel()
-        self.energy = energy if energy is not None else EnergyModel()
-        self.events = events if events is not None else FdpEventLog()
-        self.stats = stats if stats is not None else DeviceStats()
+        self.latency = LatencyModel()
+        self.events = FdpEventLog()
+        self.stats = DeviceStats()
 
         if gc_reserve_superblocks is None:
             gc_reserve_superblocks = self._default_reserve()
@@ -564,8 +558,6 @@ class Ftl:
                 self.sched.note_background(
                     "gc_migrate", victim.index, migrated, now_ns
                 )
-            self.energy.add_reads(migrated)
-            self.energy.add_programs(migrated)
             self.stats.gc_pages_read += migrated
             self.stats.gc_pages_migrated += migrated
             self.stats.nand_pages_written += migrated
@@ -623,7 +615,6 @@ class Ftl:
             self.latency.erase(now_ns)  # the failed attempt still busies the die
             if self.sched is not None:
                 self.sched.note_background("erase", victim.index, 0, now_ns)
-            self.energy.add_erases(self.geometry.blocks_per_superblock)
             self.events.record(
                 FdpEvent(
                     FdpEventType.MEDIA_ERROR,
@@ -637,7 +628,6 @@ class Ftl:
         self.latency.erase(now_ns)
         if self.sched is not None:
             self.sched.note_background("erase", victim.index, 0, now_ns)
-        self.energy.add_erases(self.geometry.blocks_per_superblock)
         self.stats.superblocks_erased += 1
         return True
 
@@ -835,7 +825,6 @@ class Ftl:
                 retries = lat.soft_retries_for(level)
                 self.stats.reads_corrected += 1
                 self.stats.soft_decode_retries += retries
-                self.energy.add_reads(retries)
                 done_ns = self.latency.stall(
                     done_ns, retries * self.latency.timings.read_ns
                 )
@@ -958,7 +947,6 @@ class Ftl:
         self._journal.append_run(seq, lba, base, count)
         self.stats.host_pages_written += count
         self.stats.nand_pages_written += count
-        self.energy.add_programs(count)
         self.stream_host_pages[stream] = (
             self.stream_host_pages.get(stream, 0) + count
         )
@@ -1136,7 +1124,6 @@ class Ftl:
         if self.scrubber is not None:
             self.scrubber.maybe_step(self, now_ns)
         self.stats.host_pages_read += 1
-        self.energy.add_reads(1)
         done = self._inject_host_spike(self.latency.host_read(now_ns, 1))
         self._inject_read_faults(lba, 1, now_ns)
         done = self._latent_read_checks(lba, 1, now_ns, done)
@@ -1157,7 +1144,6 @@ class Ftl:
         if self.scrubber is not None:
             self.scrubber.maybe_step(self, now_ns)
         self.stats.host_pages_read += npages
-        self.energy.add_reads(npages)
         # The L2P map is a flat array("i"), so the mapped-range check is
         # one C-level slice + min instead of a Python loop per page.
         all_mapped = min(self._l2p[lba : lba + npages]) >= 0
@@ -1473,6 +1459,16 @@ class Ftl:
         assert retired == self.stats.superblocks_retired, (
             f"retired census {retired} != counter "
             f"{self.stats.superblocks_retired}"
+        )
+        # Write ledger: every NAND program is a host write, a GC
+        # migration or a scrub relocation (DLWA's numerator, Eq. 1).
+        s = self.stats
+        ledger = (
+            s.host_pages_written + s.gc_pages_migrated + s.scrub_pages_relocated
+        )
+        assert s.nand_pages_written == ledger, (
+            f"nand_pages_written {s.nand_pages_written} != host + GC + "
+            f"scrub writes {ledger}"
         )
         free_set = set(self._free)
         assert len(free_set) == len(self._free), "duplicate free entries"

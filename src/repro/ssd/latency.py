@@ -68,11 +68,6 @@ class LatencyModel:
         # complement feeds the energy model.
         self.busy_ns_total = 0
 
-    def reset(self) -> None:
-        """Clear the timeline (device format)."""
-        self.busy_until = 0
-        self.busy_ns_total = 0
-
     def _service(self, now_ns: int, duration_ns: int) -> int:
         """Occupy the timeline for ``duration_ns`` starting no earlier
         than ``now_ns``; return the completion time."""

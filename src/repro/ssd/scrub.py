@@ -27,8 +27,8 @@ This module implements that loop over the simulated device:
   relocated through the FTL's **GC stream for the victim's RUH** —
   the same placement rule GC uses — so scrub traffic never
   re-intermixes streams that placement separated.  Relocations are
-  device writes: they charge program latency/energy and count in
-  ``nand_pages_written`` (and therefore DLWA).
+  device writes: they charge program latency and count in
+  ``nand_pages_written`` (and therefore DLWA and energy).
 * A block accumulating ``retire_after_failures`` detected-corrupt
   pages is drained (remaining valid pages relocated) and retired in
   place, mirroring PR 1's erase-failure retirement.
@@ -55,6 +55,7 @@ from .wear import retention_acceleration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ftl import Ftl
+    from .stats import DeviceStats
 
 __all__ = ["ScrubConfig", "ScrubStatus", "PatrolScrubber"]
 
@@ -134,11 +135,7 @@ class PatrolScrubber:
         self.next_due_ns = config.interval_ns
         # Next superblock index to scan (patrol order = index order).
         self.cursor = 0
-        self.passes_completed = 0
-        self.pages_scanned = 0
-        self.pages_relocated = 0
         self.corrupt_detected = 0
-        self.blocks_retired = 0
         self.relocations_deferred = 0
         # Detected-corrupt pages per block index (retirement counter).
         self.block_failures: Dict[int, int] = {}
@@ -189,7 +186,6 @@ class PatrolScrubber:
         )
 
     def _complete_pass(self, ftl: "Ftl", now_ns: int) -> None:
-        self.passes_completed += 1
         ftl.stats.scrub_passes += 1
         ftl.events.record(
             FdpEvent(
@@ -225,7 +221,7 @@ class PatrolScrubber:
         if self.next_due_ns > base:
             base = self.next_due_ns
         self.next_due_ns = base + self.config.interval_ns
-        return self.status()
+        return self.status(ftl.stats)
 
     # ------------------------------------------------------------------
     # one superblock
@@ -280,9 +276,7 @@ class PatrolScrubber:
                 ftl.sched.note_background(
                     "scrub_scan", sb.index, scanned, now_ns
                 )
-            ftl.energy.add_reads(scanned)
             ftl.stats.scrub_pages_scanned += scanned
-            self.pages_scanned += scanned
             self._pages_this_pass += scanned
         if relocated:
             # The scan charged the read half; relocation adds programs.
@@ -291,13 +285,11 @@ class PatrolScrubber:
                 ftl.sched.note_background(
                     "scrub_relocate", sb.index, relocated, now_ns
                 )
-            ftl.energy.add_programs(relocated)
             # Scrub writes are media writes: they inflate DLWA exactly
             # like GC migrations, which is the cost the integrity soak
             # quantifies.
             ftl.stats.nand_pages_written += relocated
             ftl.stats.scrub_pages_relocated += relocated
-            self.pages_relocated += relocated
             ftl.events.record(
                 FdpEvent(
                     FdpEventType.SCRUB_RELOCATION,
@@ -382,10 +374,8 @@ class PatrolScrubber:
                 ftl.sched.note_background(
                     "scrub_relocate", sb.index, drained, now_ns
                 )
-            ftl.energy.add_programs(drained)
             ftl.stats.nand_pages_written += drained
             ftl.stats.scrub_pages_relocated += drained
-            self.pages_relocated += drained
         if sb.valid_pages != 0 or sb.state is not SuperblockState.CLOSED:
             return
         # Same fencing as the GC erase path: outstanding host programs
@@ -407,7 +397,6 @@ class PatrolScrubber:
         sb.retire()
         ftl.stats.superblocks_retired += 1
         ftl.stats.scrub_blocks_retired += 1
-        self.blocks_retired += 1
         self.block_failures.pop(sb.index, None)
         ftl.events.record(
             FdpEvent(
@@ -421,18 +410,20 @@ class PatrolScrubber:
     # telemetry
     # ------------------------------------------------------------------
 
-    def status(self) -> ScrubStatus:
+    def status(self, stats: "DeviceStats") -> ScrubStatus:
+        """Progress snapshot; the pass and page totals are the device
+        counters in ``stats``."""
         return ScrubStatus(
             enabled=True,
             interval_ns=self.config.interval_ns,
             refresh_threshold=self.config.refresh_threshold,
             next_due_ns=self.next_due_ns,
             cursor=self.cursor,
-            passes_completed=self.passes_completed,
-            pages_scanned=self.pages_scanned,
-            pages_relocated=self.pages_relocated,
+            passes_completed=stats.scrub_passes,
+            pages_scanned=stats.scrub_pages_scanned,
+            pages_relocated=stats.scrub_pages_relocated,
             corrupt_detected=self.corrupt_detected,
-            blocks_retired=self.blocks_retired,
+            blocks_retired=stats.scrub_blocks_retired,
             relocations_deferred=self.relocations_deferred,
             relocated_by_ruh=tuple(
                 sorted(

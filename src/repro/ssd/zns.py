@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Tuple
 
-from .energy import EnergyModel
 from .errors import DeviceFullError, OutOfRangeError, SsdError
 from .geometry import Geometry
 from .latency import LatencyModel
@@ -76,7 +75,6 @@ class ZonedSSD:
         self.zones = [Zone(z, self.zone_pages) for z in range(self.num_zones)]
         self.stats = DeviceStats()
         self.latency = LatencyModel()
-        self.energy = EnergyModel()
 
     def _zone(self, zone_id: int) -> Zone:
         if not 0 <= zone_id < self.num_zones:
@@ -111,7 +109,6 @@ class ZonedSSD:
         self.stats.host_pages_written += npages
         # Device WAF is 1 by construction: NAND writes == host writes.
         self.stats.nand_pages_written += npages
-        self.energy.add_programs(npages)
         done = self.latency.host_write(now_ns, npages)
         return start_lba, done
 
@@ -123,7 +120,6 @@ class ZonedSSD:
         if lba < 0 or lba + npages > total:
             raise OutOfRangeError(f"range [{lba}, {lba + npages}) invalid")
         self.stats.host_pages_read += npages
-        self.energy.add_reads(npages)
         return self.latency.host_read(now_ns, npages)
 
     def reset_zone(self, zone_id: int, now_ns: int = 0) -> int:
@@ -135,7 +131,6 @@ class ZonedSSD:
         zone.write_pointer = 0
         zone.resets += 1
         self.stats.superblocks_erased += 1
-        self.energy.add_erases(self.geometry.blocks_per_superblock)
         return self.latency.erase(now_ns)
 
     def finish_zone(self, zone_id: int) -> None:

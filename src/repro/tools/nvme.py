@@ -63,14 +63,20 @@ def _parse_slow_die(spec: str) -> tuple:
         ) from exc
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}"
+        )
+    return value
+
+
 def _cmd_create(args: argparse.Namespace) -> int:
-    geometry = Geometry(
-        page_size=args.page_size,
-        pages_per_block=args.pages_per_block,
-        num_superblocks=args.superblocks,
-        op_fraction=args.op,
-        rated_pe_cycles=args.rated_pe_cycles,
-    )
     latent = None
     if args.latent:
         latent = LatentErrorConfig(
@@ -81,14 +87,24 @@ def _cmd_create(args: argparse.Namespace) -> int:
     failslow = None
     if args.slow_die:
         failslow = FailSlowConfig(die_multipliers=dict(args.slow_die))
-    device = SimulatedSSD(
-        geometry,
-        fdp=args.fdp,
-        latent=latent,
-        scrub=args.scrub,
-        sched=True if (args.sched or failslow is not None) else None,
-        failslow=failslow,
-    )
+    try:
+        geometry = Geometry(
+            page_size=args.page_size,
+            pages_per_block=args.pages_per_block,
+            num_superblocks=args.superblocks,
+            op_fraction=args.op,
+            rated_pe_cycles=args.rated_pe_cycles,
+        )
+        device = SimulatedSSD(
+            geometry,
+            fdp=args.fdp,
+            latent=latent,
+            scrub=args.scrub,
+            sched=True if (args.sched or failslow is not None) else None,
+            failslow=failslow,
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))
     save_device(device, args.device)
     extras = [flag for flag, on in (
         ("latent errors", args.latent),
@@ -152,7 +168,7 @@ def _cmd_fdp_events(args: argparse.Namespace) -> int:
 def _cmd_smart(args: argparse.Namespace) -> int:
     device = load_device(args.device)
     s = device.stats
-    erases = [sb.erase_count for sb in device.ftl.superblocks]
+    wear = device.wear_stats()
     print(f"host pages written  : {s.host_pages_written}")
     print(f"nand pages written  : {s.nand_pages_written}")
     print(f"gc pages migrated   : {s.gc_pages_migrated}")
@@ -162,8 +178,8 @@ def _cmd_smart(args: argparse.Namespace) -> int:
     # Byte-level ledger, the paper's DLWA numerator and denominator.
     print(f"host bytes written  : {s.host_pages_written * device.page_size}")
     print(f"nand bytes written  : {s.nand_pages_written * device.page_size}")
-    print(f"max erase count     : {max(erases)}")
-    print(f"mean erase count    : {sum(erases) / len(erases):.2f}")
+    print(f"max erase count     : {wear.max_erases}")
+    print(f"mean erase count    : {wear.mean_erases:.2f}")
     print(f"free superblocks    : {device.ftl.free_superblocks}")
     print(f"occupancy           : {device.ftl.occupancy():.1%}")
     health = device.get_health_log()
@@ -340,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
             "implies --sched)"
         ),
     )
-    create.set_defaults(func=_cmd_create)
+    create.set_defaults(func=_cmd_create, parser=create)
 
     for name, func, help_text in (
         ("id-ctrl", _cmd_id_ctrl, "show controller/geometry identity"),
@@ -359,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     events = sub.add_parser("fdp-events", help="FDP event log")
     events.add_argument("device")
-    events.add_argument("--last", type=int, default=10)
+    events.add_argument("--last", type=_count, default=10)
     events.set_defaults(func=_cmd_fdp_events)
 
     return parser

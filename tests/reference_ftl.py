@@ -166,7 +166,6 @@ class ReferenceFtl(Ftl):
             ppns.append(ppn)
         self.stats.host_pages_written += 1
         self.stats.nand_pages_written += 1
-        self.energy.add_programs(1)
         self.stream_host_pages[stream] = (
             self.stream_host_pages.get(stream, 0) + 1
         )

@@ -125,13 +125,6 @@ class TestEventLog:
         with pytest.raises(ValueError):
             FdpEventLog().recent(-1)
 
-    def test_clear(self):
-        log = FdpEventLog()
-        log.record(FdpEvent(FdpEventType.MEDIA_RELOCATED, 0, pages=1))
-        log.clear()
-        assert log.media_relocated_events == 0
-        assert log.recent() == []
-
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             FdpEventLog(capacity=0)
@@ -149,14 +142,6 @@ class TestStatisticsLogPage:
     def test_dlwa_no_traffic(self):
         page = FdpStatisticsLogPage(0, 0, 0)
         assert page.dlwa == 1.0
-
-    def test_delta(self):
-        a = FdpStatisticsLogPage(100, 100, 0)
-        b = FdpStatisticsLogPage(300, 500, 50)
-        d = b.delta(a)
-        assert d.host_bytes_with_metadata == 200
-        assert d.media_bytes_written == 400
-        assert d.dlwa == 2.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

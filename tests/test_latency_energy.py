@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ssd import EnergyCosts, EnergyModel, LatencyModel, NandTimings
+from repro.ssd import DeviceStats, EnergyCosts, LatencyModel, NandTimings
 
 
 class TestLatencyModel:
@@ -67,48 +67,45 @@ class TestLatencyModel:
         m.host_read(10_000)  # idle gap does not count as busy
         assert m.busy_ns_total == 200
 
-    def test_reset(self):
-        m = LatencyModel()
-        m.host_write(0)
-        m.reset()
-        assert m.busy_until == 0
-        assert m.busy_ns_total == 0
-
     def test_rejects_negative_timings(self):
         with pytest.raises(ValueError):
             NandTimings(read_ns=-1)
 
 
-class TestEnergyModel:
+class TestEnergyCosts:
     def test_active_energy_sums_ops(self):
         costs = EnergyCosts(read_uj=1.0, program_uj=2.0, erase_uj=10.0, idle_watts=0.0)
-        m = EnergyModel(costs)
-        m.add_reads(3)
-        m.add_programs(2)
-        m.add_erases(1)
-        assert m.active_energy_j() == pytest.approx((3 + 4 + 10) * 1e-6)
+        # Reads: host 1 + GC 1 + soft-decode retry 0 + scrub scan 1 = 3;
+        # programs: 2 NAND pages; erases: 1 superblock of 1 block.
+        stats = DeviceStats(
+            host_pages_read=1,
+            gc_pages_read=1,
+            scrub_pages_scanned=1,
+            nand_pages_written=2,
+            superblocks_erased=1,
+        )
+        assert costs.joules(stats, 1, 0, 0) == pytest.approx((3 + 4 + 10) * 1e-6)
+
+    def test_every_counted_op_is_priced(self):
+        costs = EnergyCosts(read_uj=1.0, program_uj=2.0, erase_uj=10.0, idle_watts=0.0)
+        stats = DeviceStats(soft_decode_retries=3, erase_failures=1)
+        # A failed erase still pulses all 4 blocks of the superblock.
+        assert costs.joules(stats, 4, 0, 0) == pytest.approx((3 + 40) * 1e-6)
 
     def test_idle_energy(self):
         costs = EnergyCosts(idle_watts=2.0)
-        m = EnergyModel(costs)
         # 1 second total, 0.25 s busy -> 0.75 s idle at 2 W = 1.5 J.
-        assert m.idle_energy_j(1_000_000_000, 250_000_000) == pytest.approx(1.5)
+        joules = costs.joules(DeviceStats(), 1, 1_000_000_000, 250_000_000)
+        assert joules == pytest.approx(1.5)
 
     def test_idle_energy_clamps_negative(self):
-        m = EnergyModel(EnergyCosts(idle_watts=1.0))
-        assert m.idle_energy_j(100, 500) == 0.0
+        costs = EnergyCosts(idle_watts=1.0)
+        assert costs.joules(DeviceStats(), 1, 100, 500) == 0.0
 
-    def test_total_energy_kwh_conversion(self):
-        costs = EnergyCosts(read_uj=0, program_uj=0, erase_uj=0, idle_watts=3.6)
-        m = EnergyModel(costs)
-        # 1000 seconds idle at 3.6 W = 3600 J = 0.001 kWh.
-        assert m.total_energy_kwh(1_000_000_000_000, 0) == pytest.approx(0.001)
-
-    def test_reset(self):
-        m = EnergyModel()
-        m.add_reads(5)
-        m.reset()
-        assert m.active_energy_j() == 0.0
+    def test_total_energy_kwh_conversion(self, conventional_ssd):
+        # A fresh device idle for 1000 s at the default 5 W: 5000 J.
+        kwh = conventional_ssd.energy_kwh(elapsed_ns=1_000_000_000_000)
+        assert kwh == pytest.approx(5000 / 3.6e6)
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for device counters / DLWA accounting."""
 
+import pytest
+
 from repro.ssd import DeviceStats
 
 
@@ -27,6 +29,7 @@ class TestSnapshot:
         snap = s.snapshot()
         s.host_pages_written = 50
         assert snap.host_pages_written == 5
+        assert type(snap) is DeviceStats and snap != s
 
     def test_interval_dlwa(self):
         s = DeviceStats()
@@ -51,16 +54,10 @@ class TestSnapshot:
         assert s.snapshot().dlwa == 1.5
 
 
-class TestReset:
-    def test_reset_zeroes_everything(self):
-        s = DeviceStats()
-        s.host_pages_written = 1
-        s.nand_pages_written = 2
-        s.gc_pages_migrated = 3
-        s.superblocks_erased = 4
-        s.reset()
-        assert s.host_pages_written == 0
-        assert s.nand_pages_written == 0
-        assert s.gc_pages_migrated == 0
-        assert s.superblocks_erased == 0
-        assert s.dlwa == 1.0
+class TestWriteLedger:
+    def test_skewed_counter_trips_check_invariants(self, conventional_ssd):
+        conventional_ssd.write(0, npages=4)
+        conventional_ssd.check_invariants()
+        conventional_ssd.stats.nand_pages_written += 1
+        with pytest.raises(AssertionError, match="nand_pages_written"):
+            conventional_ssd.check_invariants()

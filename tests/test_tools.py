@@ -152,6 +152,27 @@ class TestNvmeCli:
                 ["create", str(tmp_path / "x.pkl"), "--slow-die", "bogus"]
             )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fdp-events", "{dev}", "--last", "-1"], "--last"),
+            (["create", "{new}", "--superblocks", "0"], "superblocks"),
+            (["create", "{new}", "--op", "1.5"], "op_fraction"),
+        ],
+    )
+    def test_bad_numbers_are_usage_errors(
+        self, device_file, tmp_path, capsys, argv, message
+    ):
+        new = str(tmp_path / "new.pkl")
+        argv = [a.format(dev=device_file, new=new) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            nvme.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith(f"repro-nvme {argv[0]}: error: ")
+        assert message in last and "Traceback" not in err
+
 
 class TestCachebenchCli:
     SMALL = {
