@@ -14,6 +14,7 @@ SMART — the only symptom is time.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 
@@ -31,10 +32,17 @@ from test_differential_batch import (  # noqa: E402
     synthetic_commands,
     zipf_commands,
 )
+from test_golden_regression import _check_golden  # noqa: E402
 
 
-def completion_times(device, commands, *, poll_every=7):
-    """replay_async, but also harvest the scheduler completion clock."""
+def completion_times(device, commands, *, poll_every=7, onsets=None):
+    """replay_async, but also harvest the scheduler completion clock.
+
+    ``onsets`` maps a command index to a ``(die, multiplier)`` the
+    device's overlay degrades (``slow_die``) just before that command
+    is submitted.
+    """
+    onsets = onsets or {}
     times = {}
     tickets = []
     pending = 0
@@ -47,6 +55,8 @@ def completion_times(device, commands, *, poll_every=7):
 
     for i, (op, lba, npages, pid, payload) in enumerate(commands):
         now = i * 100_000
+        if i in onsets:
+            device.failslow.slow_die(*onsets[i])
         tickets.append(
             device.submit_async(
                 op, lba, npages, pid, now, queue="slow", payload=payload
@@ -171,3 +181,40 @@ def test_read_creep_state_identical():
     assert status["die_erases"]  # GC ran, erases were counted
     assert status["creeped_commands"] > 0
     assert status["creep_extra_ns"] > 0
+
+
+def test_static_and_runtime_slow_die_timing_matches_golden(update_golden):
+    """A static die multiplier composed with two mid-stream ``slow_die``
+    calls (one on the same die, one on the other) on a GC-active async
+    stream: every completion time, the scheduler's wait/blocking and
+    background telemetry, and the overlay's slow-down counters are
+    pinned to a fixture recorded before the overlay shrank to the one
+    slowed-die shape."""
+    commands = synthetic_commands(66, 3000)
+    device = SimulatedSSD(
+        GEOMETRY, sched=True,
+        failslow=FailSlowConfig(die_multipliers={0: 3.0}),
+    )
+    times = completion_times(
+        device, commands, onsets={1000: (0, 2.5), 2000: (1, 5.0)}
+    )
+    device.check_invariants()
+    sched, model = device.scheduler, device.failslow
+    assert sched.gc_blocked_commands > 0 and model.background_slowed > 0
+    _check_golden(
+        "failslow_die_stream",
+        {
+            "completions_sha256": hashlib.sha256(
+                ",".join(map(str, times)).encode()
+            ).hexdigest(),
+            "host_commands": sched.host_commands,
+            "host_wait_ns": sched.host_wait_ns,
+            "gc_blocked_commands": sched.gc_blocked_commands,
+            "background_ns": dict(sched.background_ns),
+            "slowed_commands": model.slowed_commands,
+            "slow_extra_ns": model.slow_extra_ns,
+            "background_slowed": model.background_slowed,
+            "background_extra_ns": model.background_extra_ns,
+        },
+        update_golden,
+    )
