@@ -121,7 +121,7 @@ def run_failslow_soak(
     # but degrades nothing until the soak activates it on the victim, so
     # the control arm doubles as a live quiescent-overlay check.
     specs = [
-        dataclasses.replace(spec, failslow=FailSlowConfig(seed=seed))
+        dataclasses.replace(spec, failslow=FailSlowConfig())
         for spec in default_fleet_specs(
             num_shards, scale=scale, utilization=utilization
         )
@@ -148,8 +148,7 @@ def run_failslow_soak(
         raise ValueError("trace shorter than the requested op count")
 
     def inject(fleet: FleetCache) -> None:
-        # Degrade the victim's die directly on its live overlay model —
-        # the same activation path a ScriptedSlowdown takes, pinned to
+        # Degrade the victim's die on its live overlay model, pinned to
         # the segment boundary instead of a closed-loop timestamp.
         model = fleet.shards[victim].backend.cache.device.failslow
         model.slow_die(slow_die, slow_multiplier)

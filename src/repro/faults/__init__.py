@@ -16,14 +16,7 @@ from .errors import (
     ProgramFailError,
     UncorrectableReadError,
 )
-from .failslow import (
-    SLOW_DIE,
-    SLOW_STALL,
-    FailSlowConfig,
-    FailSlowModel,
-    FailSlowPlan,
-    ScriptedSlowdown,
-)
+from .failslow import FailSlowConfig, FailSlowModel
 from .latent import (
     OUTCOME_CLEAN,
     OUTCOME_CORRECTABLE,
@@ -49,10 +42,6 @@ __all__ = [
     "HealthLogPage",
     "FailSlowConfig",
     "FailSlowModel",
-    "FailSlowPlan",
-    "ScriptedSlowdown",
-    "SLOW_DIE",
-    "SLOW_STALL",
     "LatentErrorConfig",
     "LatentErrorModel",
     "OUTCOME_CLEAN",

@@ -32,6 +32,16 @@ __all__ = ["NandTimings", "LatencyModel"]
 US = 1_000  # nanoseconds per microsecond
 MS = 1_000_000
 
+# Operation kinds NandTimings.service_ns prices: host commands, and the
+# background spans the FTL and scrubber report to the scheduler.
+READ = "read"
+WRITE = "write"
+TRIM = "trim"
+GC_MIGRATE = "gc_migrate"
+ERASE = "erase"
+SCRUB_SCAN = "scrub_scan"
+SCRUB_RELOCATE = "scrub_relocate"
+
 
 @dataclasses.dataclass(frozen=True)
 class NandTimings:
@@ -54,6 +64,33 @@ class NandTimings:
                 raise ValueError(f"{name} must be non-negative")
         if self.parallelism <= 0:
             raise ValueError("parallelism must be positive")
+        # Per-page cost of each kind.  Host ops add the transfer
+        # overhead; a GC migration is a read plus a program; scrub scans
+        # and relocations stay inside the controller.  Trims and erases
+        # are one fixed cost whatever the page count.
+        object.__setattr__(self, "_page_ns", {
+            READ: self.read_ns + self.transfer_ns,
+            WRITE: self.program_ns + self.transfer_ns,
+            TRIM: self.transfer_ns,
+            GC_MIGRATE: self.read_ns + self.program_ns,
+            ERASE: self.erase_ns,
+            SCRUB_SCAN: self.read_ns,
+            SCRUB_RELOCATE: self.program_ns,
+        })
+
+    def service_ns(self, kind: str, npages: int = 1) -> int:
+        """Service time of one ``kind`` operation over ``npages`` pages.
+
+        A multi-page burst stripes across ``parallelism`` NAND units,
+        so it takes 1/parallelism of its serial time, but never less
+        than one page time.  Raises :class:`KeyError` on an unknown
+        kind.
+        """
+        per_page = self._page_ns[kind]
+        if kind == TRIM or kind == ERASE:
+            return per_page
+        striped = npages * per_page // self.parallelism
+        return striped if striped > per_page else per_page
 
 
 class LatencyModel:
@@ -79,24 +116,13 @@ class LatencyModel:
 
     # -- host-visible operations -------------------------------------
 
-    def _striped(self, npages: int, per_page_ns: int) -> int:
-        """Burst duration with die/plane striping (min one page time)."""
-        serial = npages * per_page_ns
-        return max(per_page_ns, serial // self.timings.parallelism)
-
     def host_read(self, now_ns: int, npages: int = 1) -> int:
         """Service a host read; returns completion time (ns)."""
-        dur = self._striped(
-            npages, self.timings.read_ns + self.timings.transfer_ns
-        )
-        return self._service(now_ns, dur)
+        return self._service(now_ns, self.timings.service_ns(READ, npages))
 
     def host_write(self, now_ns: int, npages: int = 1) -> int:
         """Service a host write; returns completion time (ns)."""
-        dur = self._striped(
-            npages, self.timings.program_ns + self.timings.transfer_ns
-        )
-        return self._service(now_ns, dur)
+        return self._service(now_ns, self.timings.service_ns(WRITE, npages))
 
     def stall(self, now_ns: int, duration_ns: int) -> int:
         """Occupy the timeline for an extra, op-shaped delay.
@@ -118,8 +144,7 @@ class LatencyModel:
         """
         if npages == 0:
             return max(now_ns, self.busy_until)
-        dur = self._striped(npages, self.timings.read_ns)
-        return self._service(now_ns, dur)
+        return self._service(now_ns, self.timings.service_ns(SCRUB_SCAN, npages))
 
     def scrub_relocate(self, now_ns: int, npages: int) -> int:
         """Program ``npages`` of refresh relocations.
@@ -130,18 +155,16 @@ class LatencyModel:
         """
         if npages == 0:
             return max(now_ns, self.busy_until)
-        dur = self._striped(npages, self.timings.program_ns)
-        return self._service(now_ns, dur)
+        return self._service(
+            now_ns, self.timings.service_ns(SCRUB_RELOCATE, npages)
+        )
 
     def gc_migrate(self, now_ns: int, npages: int) -> int:
         """Read + program ``npages`` of valid data during GC."""
         if npages == 0:
             return max(now_ns, self.busy_until)
-        dur = self._striped(
-            npages, self.timings.read_ns + self.timings.program_ns
-        )
-        return self._service(now_ns, dur)
+        return self._service(now_ns, self.timings.service_ns(GC_MIGRATE, npages))
 
     def erase(self, now_ns: int) -> int:
         """Erase one superblock."""
-        return self._service(now_ns, self.timings.erase_ns)
+        return self._service(now_ns, self.timings.service_ns(ERASE))

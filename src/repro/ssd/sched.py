@@ -54,7 +54,16 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 from ..faults.failslow import FailSlowModel
 from .errors import QueueFullError
 from .geometry import Geometry
-from .latency import NandTimings
+from .latency import (
+    ERASE,
+    GC_MIGRATE,
+    READ,
+    SCRUB_RELOCATE,
+    SCRUB_SCAN,
+    TRIM,
+    WRITE,
+    NandTimings,
+)
 
 __all__ = [
     "QueueFullError",
@@ -65,11 +74,6 @@ __all__ = [
 ]
 
 # Background span kinds the FTL/scrubber report.
-GC_MIGRATE = "gc_migrate"
-ERASE = "erase"
-SCRUB_SCAN = "scrub_scan"
-SCRUB_RELOCATE = "scrub_relocate"
-
 _BACKGROUND_KINDS = (GC_MIGRATE, ERASE, SCRUB_SCAN, SCRUB_RELOCATE)
 
 # Poll order: completion time, then submission (tickets are unique).
@@ -325,8 +329,8 @@ class MultiQueueScheduler:
             self.channels = geometry.dies * geometry.planes_per_die
         else:
             self.channels = 4
-        # Fail-slow timing overlay: consulted when placing commands and
-        # background segments, never touches any other scheduler state.
+        # Fail-slow timing overlay: stretches command and background
+        # segment durations, never touches any other scheduler state.
         self.failslow = failslow
         if self.failslow is not None:
             planes = geometry.planes_per_die if geometry is not None else 1
@@ -417,22 +421,12 @@ class MultiQueueScheduler:
 
     # -- durations -----------------------------------------------------
 
-    def _striped(self, npages: int, per_page_ns: int) -> int:
-        serial = npages * per_page_ns
-        return max(per_page_ns, serial // self.timings.parallelism)
-
     def host_duration(self, op: str, npages: int) -> int:
-        """Channel occupancy of one host command (same NAND timings and
-        striping as the busy-clock model charges)."""
-        t = self.timings
-        if op == "write":
-            return self._striped(npages, t.program_ns + t.transfer_ns)
-        if op == "read":
-            return self._striped(npages, t.read_ns + t.transfer_ns)
-        if op == "trim":
-            # Metadata-only: one firmware/transfer overhead.
-            return t.transfer_ns
-        raise ValueError(f"unknown host op {op!r}")
+        """Channel occupancy of one host command (the busy-clock model's
+        :meth:`~repro.ssd.latency.NandTimings.service_ns`)."""
+        if op not in (READ, WRITE, TRIM):
+            raise ValueError(f"unknown host op {op!r}")
+        return self.timings.service_ns(op, npages)
 
     def channel_for(self, superblock_index: int) -> int:
         """Deterministic superblock → channel mapping."""
@@ -455,32 +449,25 @@ class MultiQueueScheduler:
         if kind not in _BACKGROUND_KINDS:
             raise ValueError(f"unknown background kind {kind!r}")
         channel = self.channel_for(superblock_index)
-        t = self.timings
+        service_ns = self.timings.service_ns
         if kind == ERASE:
-            segments = [t.erase_ns]
+            segments = [service_ns(ERASE)]
         else:
             if npages <= 0:
                 return
-            per_page = {
-                GC_MIGRATE: t.read_ns + t.program_ns,
-                SCRUB_SCAN: t.read_ns,
-                SCRUB_RELOCATE: t.program_ns,
-            }[kind]
             seg = self.config.segment_pages
             segments = [
-                self._striped(min(seg, npages - off), per_page)
+                service_ns(kind, min(seg, npages - off))
                 for off in range(0, npages, seg)
             ]
         backlog = self._backlog[channel]
         failslow = self.failslow
         for dur in segments:
             if failslow is not None:
-                dur = failslow.scale_background(kind, channel, dur, now_ns)
+                dur = failslow.scale_background(channel, dur)
             backlog.append((kind, dur, now_ns))
             self.background_ns[kind] += dur
             self.background_segments[kind] += 1
-        if failslow is not None and kind == ERASE:
-            failslow.on_erase(channel, now_ns)
 
     def _advance_channel(self, channel: int, horizon_ns: int) -> int:
         """Run background segments that start before ``horizon_ns``.
@@ -564,9 +551,7 @@ class MultiQueueScheduler:
             free = self._advance_channel(channel, now_ns)
         start = now_ns if now_ns > free else free
         if self.failslow is not None:
-            start, duration_ns = self.failslow.adjust(
-                op, channel, start, duration_ns
-            )
+            duration_ns = self.failslow.adjust(channel, duration_ns)
         wait = start - now_ns
         if wait > 0:
             self.host_wait_ns += wait

@@ -85,9 +85,9 @@ def _cmd_create(args: argparse.Namespace) -> int:
             wear_factor=0.05,
         )
     failslow = None
-    if args.slow_die:
-        failslow = FailSlowConfig(die_multipliers=dict(args.slow_die))
     try:
+        if args.slow_die:
+            failslow = FailSlowConfig(die_multipliers=dict(args.slow_die))
         geometry = Geometry(
             page_size=args.page_size,
             pages_per_block=args.pages_per_block,
@@ -273,51 +273,28 @@ def _cmd_failslow_status(args: argparse.Namespace) -> int:
         print("fail-slow overlay   : not attached")
         return 0
     status = model.status_dict()
-    planes = status["planes_per_die"] or 1
     print(
         f"fail-slow overlay   : "
         f"{'ACTIVE' if status['enabled'] else 'attached (quiescent)'}"
     )
-    print(f"commands seen       : {status['commands_seen']}")
-    # Fold the per-channel view back to per-die multipliers (dynamic
-    # entries compose multiplicatively on top of the static config).
+    print(f"host commands       : {device.scheduler.host_commands}")
+    # Fold the per-channel table back to its dies.
     by_die: dict = {}
-    for ch, mult in status["static_multipliers"].items():
-        by_die.setdefault(ch // planes, {})[ch] = mult
-    for ch, entries in status["dynamic_multipliers"].items():
-        slot = by_die.setdefault(ch // planes, {})
-        mult = slot.get(ch, 1.0)
-        for pair in entries:
-            mult *= pair[0]
-        slot[ch] = mult
+    for ch, mult in status["multipliers"].items():
+        by_die.setdefault(ch // status["planes_per_die"], []).append(
+            f"ch{ch}x{mult:g}"
+        )
     if by_die:
         print("active die multipliers:")
-        for die in sorted(by_die):
-            per_channel = by_die[die]
-            label = ", ".join(
-                f"ch{ch}x{mult:g}" for ch, mult in sorted(per_channel.items())
-            )
-            print(f"  die {die:<3}: {label}")
+        for die, labels in sorted(by_die.items()):
+            print(f"  die {die:<3}: {', '.join(labels)}")
     else:
         print("active die multipliers: none")
     print(f"slowed commands     : {status['slowed_commands']}")
     print(f"slow extra ns       : {status['slow_extra_ns']}")
-    print(f"stall windows served: {status['stalls_served']}")
-    print(f"stalled ns total    : {status['stall_ns']}")
-    print(f"creeped reads       : {status['creeped_commands']}")
-    print(f"creep extra ns      : {status['creep_extra_ns']}")
     print(f"background slowed   : {status['background_slowed']}")
     print(f"background extra ns : {status['background_extra_ns']}")
     print(f"runtime activations : {status['activations']}")
-    print(
-        f"scripted onsets     : {status['scripted_activated']} fired, "
-        f"{status['scripted_pending']} pending"
-    )
-    if status["die_erases"]:
-        worn = ", ".join(
-            f"die{d}={n}" for d, n in sorted(status["die_erases"].items())
-        )
-        print(f"erases per die      : {worn}")
     return 0
 
 
@@ -364,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("smart", _cmd_smart, "wear and write-amplification counters"),
         ("scrub-status", _cmd_scrub_status, "patrol-scrub progress"),
         ("failslow-status", _cmd_failslow_status,
-         "fail-slow overlay: die multipliers, stalls, creep"),
+         "fail-slow overlay: die multipliers and slowed commands"),
         ("format", _cmd_format, "reset the device to a clean state"),
         ("power-cut", _cmd_power_cut, "lose power: tear in-flight writes"),
         ("recover", _cmd_recover, "power-on recovery: rebuild the L2P map"),

@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from repro.faults.failslow import FailSlowConfig, ScriptedSlowdown
+from repro.faults.failslow import FailSlowConfig
 from repro.ssd import SimulatedSSD
 
 sys.path.insert(0, os.path.dirname(__file__))  # sibling-module helpers
@@ -72,8 +72,8 @@ def completion_times(device, commands, *, poll_every=7, onsets=None):
 
 @pytest.mark.parametrize("fdp", [False, True])
 def test_quiescent_failslow_bit_identical(fdp):
-    """A quiescent model (no multipliers, no stalls, no plan) is free:
-    same completions, same state, zero degradation counters."""
+    """A quiescent model (no multiplier) is free: same completions,
+    same state, zero degradation counters."""
     commands = synthetic_commands(61, 3000, use_pids=fdp)
     plain = SimulatedSSD(GEOMETRY, fdp=fdp, sched=True)
     slow = SimulatedSSD(
@@ -84,9 +84,9 @@ def test_quiescent_failslow_bit_identical(fdp):
     assert_identical(plain, slow)
     status = slow.failslow.status_dict()
     assert status["enabled"] is False
-    assert status["commands_seen"] > 0
+    assert slow.scheduler.host_commands > 0
     assert status["slowed_commands"] == 0
-    assert status["stalls_served"] == 0
+    assert status["background_slowed"] == 0
     # The quiescent scheduler stats match too (histograms included).
     assert (
         plain.scheduler.merged_histogram("read").counts
@@ -109,7 +109,7 @@ def test_active_die_slowdown_state_identical_timing_differs():
     assert_identical(plain, slow)
     status = slow.failslow.status_dict()
     assert status["enabled"] is True
-    assert status["static_multipliers"] == {0: 8.0, 1: 8.0}  # die 0 planes
+    assert status["multipliers"] == {0: 8.0, 1: 8.0}  # die 0 planes
     assert status["slowed_commands"] > 0
     assert status["slow_extra_ns"] > 0
     # Same arrival schedule, strictly later completions somewhere, never
@@ -119,68 +119,21 @@ def test_active_die_slowdown_state_identical_timing_differs():
     assert sum(t_slow) > sum(t_plain)
 
 
-def test_scripted_stall_state_identical():
-    """Periodic firmware stall windows push completions but no state."""
-    commands = synthetic_commands(63, 2500)
-    plain = SimulatedSSD(GEOMETRY, sched=True)
-    slow = SimulatedSSD(
-        GEOMETRY, sched=True,
-        failslow=FailSlowConfig(
-            stall_interval_ns=2_000_000, stall_duration_ns=400_000
-        ),
-    )
-    t_plain = completion_times(plain, commands)
-    t_slow = completion_times(slow, commands)
-    assert_identical(plain, slow)
-    status = slow.failslow.status_dict()
-    assert status["stalls_served"] > 0
-    assert status["stall_ns"] > 0
-    assert all(b >= a for a, b in zip(t_plain, t_slow))
-    assert sum(t_slow) > sum(t_plain)
-
-
 def test_scripted_plan_activation_state_identical():
-    """A mid-stream ScriptedSlowdown (at_command) flips the overlay from
-    quiescent to degrading with no state divergence across the edge."""
+    """A mid-stream ``slow_die`` (before command 1000) flips the overlay
+    from quiescent to degrading with no state divergence across the
+    edge."""
     commands = zipf_commands(64, 3000)
     plain = SimulatedSSD(GEOMETRY, sched=True)
-    slow = SimulatedSSD(
-        GEOMETRY, sched=True,
-        failslow=FailSlowConfig(
-            plan=(
-                ScriptedSlowdown(at_command=1000, die=1, multiplier=16.0),
-            ),
-        ),
-    )
+    slow = SimulatedSSD(GEOMETRY, sched=True, failslow=FailSlowConfig())
     t_plain = completion_times(plain, commands)
-    t_slow = completion_times(slow, commands)
+    t_slow = completion_times(slow, commands, onsets={1000: (1, 16.0)})
     assert_identical(plain, slow)
     status = slow.failslow.status_dict()
-    assert status["scripted_activated"] == 1
-    assert status["scripted_pending"] == 0
+    assert status["activations"] == 1
     assert status["slowed_commands"] > 0
-    assert t_plain[:900] == t_slow[:900]  # quiescent prefix is free
+    assert t_plain[:1000] == t_slow[:1000]  # quiescent prefix is free
     assert sum(t_slow) > sum(t_plain)
-
-
-def test_read_creep_state_identical():
-    """Wear-correlated read creep (grows with per-die erase count) is
-    still only timing."""
-    commands = synthetic_commands(65, 3000)
-    plain = SimulatedSSD(GEOMETRY, sched=True)
-    slow = SimulatedSSD(
-        GEOMETRY, sched=True,
-        failslow=FailSlowConfig(
-            read_creep_ns_per_erase=2_000, read_creep_cap_ns=200_000
-        ),
-    )
-    completion_times(plain, commands)
-    completion_times(slow, commands)
-    assert_identical(plain, slow)
-    status = slow.failslow.status_dict()
-    assert status["die_erases"]  # GC ran, erases were counted
-    assert status["creeped_commands"] > 0
-    assert status["creep_extra_ns"] > 0
 
 
 def test_static_and_runtime_slow_die_timing_matches_golden(update_golden):

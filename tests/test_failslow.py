@@ -1,16 +1,10 @@
-"""Unit tests for the fail-slow fault model (config, plan, overlay math)."""
+"""Unit tests for the fail-slow fault model (config, binding, overlay math)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.failslow import (
-    SLOW_STALL,
-    FailSlowConfig,
-    FailSlowModel,
-    FailSlowPlan,
-    ScriptedSlowdown,
-)
+from repro.faults.failslow import FailSlowConfig, FailSlowModel
 
 
 # ----------------------------------------------------------------------
@@ -21,83 +15,24 @@ from repro.faults.failslow import (
 class TestConfigValidation:
     def test_defaults_are_quiescent(self):
         cfg = FailSlowConfig()
-        assert not cfg.any_enabled
+        assert cfg.die_multipliers == ()
+        assert bound(cfg).status_dict()["enabled"] is False
 
     def test_mapping_coerced_to_sorted_tuple(self):
         cfg = FailSlowConfig(die_multipliers={3: 2.0, 1: 8.0})
         assert cfg.die_multipliers == ((1, 8.0), (3, 2.0))
-        assert cfg.any_enabled
-
-    def test_channel_list_coerced(self):
-        cfg = FailSlowConfig(degraded_channels=[2, 0])
-        assert cfg.degraded_channels == (2, 0)
 
     def test_rejects_speedups(self):
         with pytest.raises(ValueError):
             FailSlowConfig(die_multipliers={0: 0.5})
-        with pytest.raises(ValueError):
-            FailSlowConfig(degraded_channels=(0,), degraded_multiplier=0.9)
 
     def test_rejects_negative_indices(self):
         with pytest.raises(ValueError):
             FailSlowConfig(die_multipliers={-1: 2.0})
-        with pytest.raises(ValueError):
-            FailSlowConfig(degraded_channels=(-2,))
-
-    def test_stall_window_must_fit_interval(self):
-        with pytest.raises(ValueError):
-            FailSlowConfig(stall_interval_ns=1000, stall_duration_ns=1000)
-        FailSlowConfig(stall_interval_ns=1000, stall_duration_ns=999)
-
-    def test_rejects_negative_creep(self):
-        with pytest.raises(ValueError):
-            FailSlowConfig(read_creep_ns_per_erase=-1)
-
-    def test_scripted_trigger_exactly_one(self):
-        with pytest.raises(ValueError):
-            ScriptedSlowdown(at_ns=100, at_command=5)
-        with pytest.raises(ValueError):
-            ScriptedSlowdown()
-
-    def test_scripted_stall_shape(self):
-        with pytest.raises(ValueError):  # stalls are device-wide
-            ScriptedSlowdown(kind=SLOW_STALL, at_ns=0, die=1, duration_ns=10)
-        with pytest.raises(ValueError):  # stalls need a duration
-            ScriptedSlowdown(kind=SLOW_STALL, at_ns=0)
-        with pytest.raises(ValueError):  # at_command is 1-based
-            ScriptedSlowdown(at_command=0)
-
-    def test_scripted_die_rejects_speedup(self):
-        with pytest.raises(ValueError):
-            ScriptedSlowdown(at_ns=0, die=0, multiplier=0.5)
 
 
 # ----------------------------------------------------------------------
-# plan mechanics
-# ----------------------------------------------------------------------
-
-
-class TestPlan:
-    def test_due_consumes_once(self):
-        plan = FailSlowPlan(
-            [
-                ScriptedSlowdown(at_ns=1000, die=0),
-                ScriptedSlowdown(at_command=5, die=1),
-            ]
-        )
-        assert plan.pending == 2
-        fired = plan.due(now_ns=1500, command_index=1)
-        assert [i for i, _ in fired] == [0]
-        assert plan.pending == 1
-        assert plan.due(now_ns=1500, command_index=1) == []
-        fired = plan.due(now_ns=1500, command_index=5)
-        assert [entry.die for _, entry in fired] == [1]
-        assert plan.pending == 0
-        assert plan.activated == 2
-
-
-# ----------------------------------------------------------------------
-# model binding and determinism
+# model binding
 # ----------------------------------------------------------------------
 
 
@@ -110,58 +45,31 @@ def bound(config, channels=4, planes=2):
 class TestBinding:
     def test_die_maps_to_its_plane_channels(self):
         model = bound(FailSlowConfig(die_multipliers={1: 8.0}))
-        assert model.status_dict()["static_multipliers"] == {2: 8.0, 3: 8.0}
-        assert model.die_of(0) == 0 and model.die_of(3) == 1
-
-    def test_degraded_channel_composes_with_die(self):
-        model = bound(
-            FailSlowConfig(
-                die_multipliers={0: 2.0},
-                degraded_channels=(1,),
-                degraded_multiplier=3.0,
-            )
-        )
-        assert model.status_dict()["static_multipliers"] == {
-            0: 2.0,
-            1: 6.0,  # die x channel degradation compose multiplicatively
-        }
+        status = model.status_dict()
+        assert status["multipliers"] == {2: 8.0, 3: 8.0}
+        assert status["enabled"] is True
 
     def test_out_of_range_die_rejected_at_bind(self):
         with pytest.raises(ValueError):
             bound(FailSlowConfig(die_multipliers={7: 2.0}))
-        with pytest.raises(ValueError):
-            bound(FailSlowConfig(degraded_channels=(9,)))
-        with pytest.raises(ValueError):
-            bound(
-                FailSlowConfig(
-                    plan=(ScriptedSlowdown(at_ns=0, die=7),)
-                )
-            )
-
-    def test_seed_draws_deterministic(self):
-        cfg = FailSlowConfig(
-            seed=0xABC,
-            stall_interval_ns=1_000_000,
-            stall_duration_ns=100_000,
-            plan=(ScriptedSlowdown(at_ns=10),),  # unpinned die
-        )
-        a, b = bound(cfg), bound(cfg)
-        assert a._stall_phase == b._stall_phase
-        assert a._resolved_die == b._resolved_die
 
     def test_rebind_is_idempotent(self):
-        cfg = FailSlowConfig(
-            seed=7, stall_interval_ns=1_000_000, stall_duration_ns=50_000
-        )
-        model = bound(cfg)
-        phase = model._stall_phase
+        model = bound(FailSlowConfig(die_multipliers={0: 2.0}))
         model.bind(4, 2)  # device format() rebuilds the scheduler
-        assert model._stall_phase == phase
+        assert model.status_dict()["multipliers"] == {0: 2.0, 1: 2.0}
 
     def test_slow_die_before_bind_raises(self):
         model = FailSlowModel(FailSlowConfig())
         with pytest.raises(RuntimeError):
             model.slow_die(0, 4.0)
+
+    def test_slow_die_rejects_speedup_and_unknown_die(self):
+        model = bound(FailSlowConfig())
+        with pytest.raises(ValueError):
+            model.slow_die(0, 0.5)
+        with pytest.raises(ValueError):
+            model.slow_die(2, 4.0)  # 4 channels / 2 planes = dies 0 and 1
+        assert model.activations == 0
 
 
 # ----------------------------------------------------------------------
@@ -172,97 +80,38 @@ class TestBinding:
 class TestAdjust:
     def test_quiescent_is_pass_through(self):
         model = bound(FailSlowConfig())
-        assert model.adjust("read", 0, 123, 456) == (123, 456)
-        assert model.commands_seen == 1
-        assert model.slowed_commands == 0
+        assert model.adjust(0, 456) == 456
+        assert model.scale_background(0, 456) == 456
+        assert model.slowed_commands == model.background_slowed == 0
 
     def test_static_multiplier_stretches_duration_only(self):
         model = bound(FailSlowConfig(die_multipliers={0: 4.0}))
-        assert model.adjust("read", 1, 1000, 70_000) == (1000, 280_000)
-        assert model.adjust("read", 2, 1000, 70_000) == (1000, 70_000)
+        assert model.adjust(1, 70_000) == 280_000
+        assert model.adjust(2, 70_000) == 70_000
         assert model.slowed_commands == 1
         assert model.slow_extra_ns == 210_000
 
-    def test_dynamic_slowdown_expires(self):
-        model = bound(FailSlowConfig())
-        model.slow_die(0, 8.0, until_ns=10_000)
-        assert model.adjust("read", 0, 5_000, 100) == (5_000, 800)
-        assert model.adjust("read", 0, 20_000, 100) == (20_000, 100)
-        assert model.adjust("read", 1, 20_000, 100) == (20_000, 100)
-        # The expired entries were (lazily) pruned from both plane queues.
-        assert model.status_dict()["dynamic_multipliers"] == {}
-
-    def test_one_shot_stall_pushes_start(self):
-        model = bound(FailSlowConfig())
-        model.stall(1_000, 500)
-        start, dur = model.adjust("read", 0, 1_200, 100)
-        assert (start, dur) == (1_500, 100)
-        assert model.stalls_served == 1
-        assert model.stall_ns == 300
-        # Outside the window: untouched.
-        assert model.adjust("read", 0, 2_000, 100) == (2_000, 100)
-
-    def test_periodic_stall_phase_arithmetic(self):
-        model = bound(
-            FailSlowConfig(stall_interval_ns=10_000, stall_duration_ns=2_000)
-        )
-        phase = model._stall_phase
-        inside = phase + 10_000 + 500  # 500 ns into the second window
-        start, _ = model.adjust("read", 0, inside, 100)
-        assert start == phase + 10_000 + 2_000
-        outside = phase + 10_000 + 5_000
-        assert model.adjust("read", 0, outside, 100)[0] == outside
-
-    def test_read_creep_accumulates_and_caps(self):
-        model = bound(
-            FailSlowConfig(read_creep_ns_per_erase=1_000, read_creep_cap_ns=2_500)
-        )
-        assert model.adjust("read", 0, 0, 100) == (0, 100)  # no wear yet
-        model.on_erase(0, 0)
-        model.on_erase(1, 0)  # same die (planes 0,1)
-        assert model.adjust("read", 0, 0, 100) == (0, 2_100)
-        model.on_erase(0, 0)
-        model.on_erase(0, 0)
-        assert model.adjust("read", 1, 0, 100) == (0, 2_600)  # capped
-        # Creep applies to reads only; other-die channels unaffected.
-        assert model.adjust("write", 0, 0, 100) == (0, 100)
-        assert model.adjust("read", 2, 0, 100) == (0, 100)
-
-    def test_scripted_at_ns_with_bounded_duration(self):
-        model = bound(
-            FailSlowConfig(
-                plan=(
-                    ScriptedSlowdown(
-                        at_ns=1_000, die=0, multiplier=4.0, duration_ns=5_000
-                    ),
-                )
-            )
-        )
-        assert model.adjust("read", 0, 500, 100) == (500, 100)  # not yet
-        assert model.adjust("read", 0, 2_000, 100) == (2_000, 400)
-        assert model.adjust("read", 0, 7_000, 100) == (7_000, 100)  # expired
-        assert model.plan.pending == 0
-
-    def test_scripted_at_command_fires_on_count(self):
-        model = bound(
-            FailSlowConfig(
-                plan=(ScriptedSlowdown(at_command=3, die=1, multiplier=2.0),)
-            )
-        )
-        assert model.adjust("read", 2, 0, 100) == (0, 100)
-        assert model.adjust("read", 2, 0, 100) == (0, 100)
-        assert model.adjust("read", 2, 0, 100) == (0, 200)  # 3rd command
-        assert model.status_dict()["scripted_activated"] == 1
+    def test_slow_die_composes_in_call_order(self):
+        """Runtime slowdowns multiply onto the static product, one call
+        at a time, before the duration is truncated to an integer."""
+        model = bound(FailSlowConfig(die_multipliers={0: 3.0}))
+        model.slow_die(0, 2.5)
+        model.slow_die(0, 1.1)
+        model.slow_die(1, 5.0)
+        assert model.status_dict()["multipliers"] == {
+            0: 3.0 * 2.5 * 1.1,
+            1: 3.0 * 2.5 * 1.1,
+            2: 5.0,
+            3: 5.0,
+        }
+        assert model.adjust(0, 70_001) == int(70_001 * (3.0 * 2.5 * 1.1))
+        assert model.adjust(3, 100) == 500
+        assert model.activations == 3
 
     def test_background_scaling_no_stalls(self):
-        model = bound(
-            FailSlowConfig(
-                die_multipliers={0: 4.0},
-                stall_interval_ns=10_000,
-                stall_duration_ns=2_000,
-            )
-        )
-        assert model.scale_background("erase", 0, 3_000, 0) == 12_000
-        assert model.scale_background("erase", 2, 3_000, 0) == 3_000
+        model = bound(FailSlowConfig(die_multipliers={0: 4.0}))
+        assert model.scale_background(0, 3_000) == 12_000
+        assert model.scale_background(2, 3_000) == 3_000
         assert model.background_slowed == 1
         assert model.background_extra_ns == 9_000
+        assert model.slowed_commands == 0  # host counters stay apart

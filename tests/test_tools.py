@@ -94,7 +94,7 @@ class TestNvmeCli:
         out = capsys.readouterr().out
         assert "fail-slow overlay   : ACTIVE" in out
         assert "die 1" in out and "x8" in out
-        # The overlay (RNG included) survives the pickle round trip.
+        # The overlay survives the pickle round trip.
         device = nvme.load_device(path)
         assert device.failslow is not None
         assert device.failslow.status_dict()["enabled"] is True
@@ -158,6 +158,8 @@ class TestNvmeCli:
             (["fdp-events", "{dev}", "--last", "-1"], "--last"),
             (["create", "{new}", "--superblocks", "0"], "superblocks"),
             (["create", "{new}", "--op", "1.5"], "op_fraction"),
+            (["create", "{new}", "--slow-die", "1:0.5"], "multipliers"),
+            (["create", "{new}", "--slow-die=-1:4"], "non-negative"),
         ],
     )
     def test_bad_numbers_are_usage_errors(
