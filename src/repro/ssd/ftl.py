@@ -1470,6 +1470,12 @@ class Ftl:
             f"nand_pages_written {s.nand_pages_written} != host + GC + "
             f"scrub writes {ledger}"
         )
+        if self.scrubber is not None:
+            by_ruh = sum(self.scrubber.relocated_by_ruh.values())
+            assert by_ruh == s.scrub_pages_relocated, (
+                f"scrub relocations by RUH {by_ruh} != counter "
+                f"{s.scrub_pages_relocated}"
+            )
         free_set = set(self._free)
         assert len(free_set) == len(self._free), "duplicate free entries"
         for idx in free_set:

@@ -349,7 +349,7 @@ class PatrolScrubber:
         effective overprovisioning shrinks like PR 1's erase-failure
         retirement.  Any still-valid pages are relocated first; if the
         free pool cannot absorb them the retirement is deferred to a
-        later pass.
+        later pass (the pages already moved still count and charge).
         """
         pps = ftl._pps
         base = sb.index * pps
@@ -366,7 +366,7 @@ class PatrolScrubber:
                 if not self._relocate_page(
                     ftl, sb, dest_stream, lba, ppn, now_ns
                 ):
-                    return  # pool too tight; retire on a later pass
+                    break  # pool too tight; retire on a later pass
                 drained += 1
         if drained:
             ftl.latency.scrub_relocate(now_ns, drained)

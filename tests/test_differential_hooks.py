@@ -366,6 +366,46 @@ def test_program_failure_while_the_device_relocates(background_sites, context, r
     assert_identical(oracle, production)
 
 
+def test_deferred_retire_drain_counts_the_pages_it_moved(background_sites):
+    """A run of ``MAX_PROGRAM_ATTEMPTS`` failures three programs into a
+    retire drain defers the retirement; the pages drained before it are
+    still relocations, counted in the device's write ledger."""
+    commands, sites = background_sites
+    site = next(s for s in sites if BACKGROUND["retire-drain"](s))
+    commands = commands[: site.command + 100]
+    plan = tuple(
+        ScriptedFault(op=OP_PROGRAM, op_index=site.op + 3 + k)
+        for k in range(MAX_PROGRAM_ATTEMPTS)
+    )
+    oracle, production = make_pair(**aging_device_kwargs(plan))
+    # Every copy production programs, GC and scrub alike (the oracle
+    # migrates GC pages through its own page loop).
+    copies = []
+    program_moved = production.ftl._program_moved
+
+    def counted(*args):
+        copies.append(program_moved(*args))
+        return copies[-1]
+
+    production.ftl._program_moved = counted
+    for device in (oracle, production):
+        steps = replay_steps(device, commands)
+        for _ in range(site.command):
+            next(steps)
+        deferred = device.scrub_status().relocations_deferred
+        next(steps)  # the command the drain ran under
+        status = device.scrub_status()
+        assert status.relocations_deferred == deferred + 1
+        assert sum(n for _, n in status.relocated_by_ruh) == status.pages_relocated
+        for _ in steps:
+            pass
+        device.check_invariants()
+    del production.ftl._program_moved
+    stats = production.stats
+    assert sum(copies) == stats.gc_pages_migrated + stats.scrub_pages_relocated
+    assert_identical(oracle, production)
+
+
 @arms
 def test_erase_failure_retirement(arm):
     faults = FaultConfig(

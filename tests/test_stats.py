@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ssd import DeviceStats
+from repro.ssd import DeviceStats, SimulatedSSD
 
 
 class TestDlwa:
@@ -61,3 +61,11 @@ class TestWriteLedger:
         conventional_ssd.stats.nand_pages_written += 1
         with pytest.raises(AssertionError, match="nand_pages_written"):
             conventional_ssd.check_invariants()
+
+    def test_scrub_breakdown_must_sum_to_the_counter(self, small_geometry):
+        ssd = SimulatedSSD(small_geometry, fdp=True, scrub=True)
+        ssd.write(0, npages=4)
+        ssd.check_invariants()
+        ssd.ftl.scrubber.relocated_by_ruh[(0, 0)] = 1
+        with pytest.raises(AssertionError, match="scrub relocations by RUH"):
+            ssd.check_invariants()
