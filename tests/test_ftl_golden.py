@@ -42,10 +42,13 @@ def sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def build_device(retention_rate: float = 2e-4) -> SimulatedSSD:
+def build_device(
+    retention_rate: float = 2e-4, sched: bool = False
+) -> SimulatedSSD:
     return SimulatedSSD(
         GEOMETRY,
         fdp=True,
+        sched=sched,
         faults=FaultConfig(
             seed=SEED,
             read_uecc_rate=2e-3,
@@ -139,3 +142,37 @@ def test_golden_energy_fault_stream(update_golden: bool) -> None:
         "energy_kwh_elapsed": device.energy_kwh(elapsed_ns),
     }
     _check_golden("energy_fault_stream", data, update_golden)
+
+
+def test_golden_ftl_fault_sched_stream(update_golden: bool) -> None:
+    """The same stream with the scheduler attached: the background work
+    of GC, erases (failed ones included), scrub scans, relocations and
+    retire drains lands on the busy clock and on the scheduler's
+    channels, across the power cut and recovery."""
+    device = build_device(sched=True)
+    log = replay(device, synthetic_commands(SEED, 4_000, use_pids=True))
+    device.check_invariants()
+    latency, sched = device.ftl.latency, device.scheduler
+    stats = device.stats
+    assert collections.Counter(entry[0] for entry in log)["cut"] == 1
+    assert stats.erase_failures > 0 and stats.scrub_blocks_retired > 0
+    assert sched.background_segments["scrub_relocate"] > 0
+    data = {
+        "log_sha256": sha(log),
+        "busy_until": latency.busy_until,
+        "busy_ns_total": latency.busy_ns_total,
+        "background_ns": dict(sched.background_ns),
+        "background_segments": dict(sched.background_segments),
+        "host_wait_ns": sched.host_wait_ns,
+        "gc_blocked_commands": sched.gc_blocked_commands,
+        "gc_backlog_ns": sched.gc_backlog_ns(),
+        "histograms_sha256": {
+            op: sha(sched.merged_histogram(op).to_dict())
+            for op in ("read", "trim", "write")
+        },
+        "stats": dataclasses.asdict(device.snapshot()),
+        "scrub": dataclasses.asdict(device.scrub_status()),
+    }
+    _check_golden(
+        "ftl_fault_sched_stream", json.loads(json.dumps(data)), update_golden
+    )
