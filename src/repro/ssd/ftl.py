@@ -48,7 +48,7 @@ from .errors import (
     UncorrectableReadError,
 )
 from .geometry import Geometry
-from .latency import LatencyModel
+from .latency import ERASE, GC_MIGRATE, READ, WRITE, LatencyModel
 from .oob import OobStore
 from .recovery import (
     CHECKPOINT_INTERVAL_PAGES,
@@ -553,11 +553,7 @@ class Ftl:
         if victim.valid_pages:
             # Move the live pages: this is the DLWA the paper fights.
             migrated = self._migrate_live(victim, now_ns)
-            self.latency.gc_migrate(now_ns, migrated)
-            if self.sched is not None:
-                self.sched.note_background(
-                    "gc_migrate", victim.index, migrated, now_ns
-                )
+            self._charge(GC_MIGRATE, victim.index, migrated, now_ns)
             self.stats.gc_pages_read += migrated
             self.stats.gc_pages_migrated += migrated
             self.stats.nand_pages_written += migrated
@@ -575,14 +571,37 @@ class Ftl:
                 f"GC left {victim.valid_pages} valid pages in superblock "
                 f"{victim.index}"
             )
+        self._unlink(victim)
+        if self.faults is not None and self.faults.fail_erase(
+            victim.index, victim.erase_count + 1
+        ):
+            # Erase failure: the block is retired in place.  It never
+            # returns to the free pool, so effective overprovisioning
+            # shrinks — the mechanism by which wear-driven retirement
+            # feeds back into write amplification.  The host learns of
+            # it only through the event log and health telemetry.
+            self._retire(victim, now_ns)
+            self.stats.erase_failures += 1
+            # The failed attempt still busies the die.
+            self._charge(ERASE, victim.index, 0, now_ns)
+            return True
+        victim.erase()
+        self._free.append(victim.index)
+        self._charge(ERASE, victim.index, 0, now_ns)
+        self.stats.superblocks_erased += 1
+        return True
+
+    def _unlink(self, sb: Superblock) -> None:
+        """Take a CLOSED superblock whose pages are all dead out of the
+        mapping before it is erased or retired."""
         # Erase fence: a pending host program may have invalidated one
-        # of the victim's pages, and once the erase destroys that page
+        # of the block's pages, and once the erase destroys that page
         # the tear-time rollback of the newer copy can no longer fall
         # back to it.  The controller therefore completes outstanding
         # programs before erasing (erase latency dwarfs the in-flight
         # window), making everything issued so far durable.
         self._inflight.clear()
-        base = victim.index * self._pps
+        base = sb.index * self._pps
         # The erase (or retirement) destroys the pages' OOB trail;
         # clearing it here keeps recovery from resurrecting stale
         # mappings out of recycled blocks.  (Slice stores: this runs
@@ -593,43 +612,35 @@ class Ftl:
         # read-disturb history — fresh cells start clean.
         if self.latent is not None:
             self.latent.on_erase(base, self._pps)
-        # The victim leaves CLOSED on either branch below.
-        del self._closed[bisect_left(self._closed, victim.index)]
-        zpos = bisect_left(self._zero_closed, victim.index)
+        del self._closed[bisect_left(self._closed, sb.index)]
+        zpos = bisect_left(self._zero_closed, sb.index)
         if (
             zpos < len(self._zero_closed)
-            and self._zero_closed[zpos] == victim.index
+            and self._zero_closed[zpos] == sb.index
         ):
             del self._zero_closed[zpos]
-        if self.faults is not None and self.faults.fail_erase(
-            victim.index, victim.erase_count + 1
-        ):
-            # Erase failure: the block is retired in place.  It never
-            # returns to the free pool, so effective overprovisioning
-            # shrinks — the mechanism by which wear-driven retirement
-            # feeds back into write amplification.  The host learns of
-            # it only through the event log and health telemetry.
-            victim.retire()
-            self.stats.erase_failures += 1
-            self.stats.superblocks_retired += 1
-            self.latency.erase(now_ns)  # the failed attempt still busies the die
-            if self.sched is not None:
-                self.sched.note_background("erase", victim.index, 0, now_ns)
-            self.events.record(
-                FdpEvent(
-                    FdpEventType.MEDIA_ERROR,
-                    timestamp_ns=now_ns,
-                    superblock=victim.index,
-                )
+
+    def _retire(self, sb: Superblock, now_ns: int) -> None:
+        """Retire an unlinked superblock in place (a failed erase, or a
+        block the scrubber gave up on); it never returns to the free
+        pool."""
+        sb.retire()
+        self.stats.superblocks_retired += 1
+        self.events.record(
+            FdpEvent(
+                FdpEventType.MEDIA_ERROR, timestamp_ns=now_ns, superblock=sb.index
             )
-            return True
-        victim.erase()
-        self._free.append(victim.index)
-        self.latency.erase(now_ns)
+        )
+
+    def _charge(
+        self, kind: str, superblock_index: int, npages: int, now_ns: int
+    ) -> None:
+        """Charge ``npages`` of background ``kind`` work on superblock
+        ``superblock_index`` to the busy clock and, when a scheduler is
+        attached, to that superblock's channel."""
+        self.latency.service(now_ns, kind, npages)
         if self.sched is not None:
-            self.sched.note_background("erase", victim.index, 0, now_ns)
-        self.stats.superblocks_erased += 1
-        return True
+            self.sched.note_background(kind, superblock_index, npages, now_ns)
 
     def _migrate_live(self, victim: Superblock, now_ns: int) -> int:
         """Copy a victim's live pages to its GC write point, in page
@@ -1075,7 +1086,7 @@ class Ftl:
             exc.pages_durable = len(ppns)
             self.power_cut(now_ns, _torn_mid_command=True)
             raise
-        done = self._inject_host_spike(self.latency.host_write(now_ns, npages))
+        done = self._inject_host_spike(self.latency.service(now_ns, WRITE, npages))
         self._inflight.append(_InflightWrite(lba, npages, ppns, done))
         self._maybe_checkpoint()
         return done
@@ -1124,7 +1135,7 @@ class Ftl:
         if self.scrubber is not None:
             self.scrubber.maybe_step(self, now_ns)
         self.stats.host_pages_read += 1
-        done = self._inject_host_spike(self.latency.host_read(now_ns, 1))
+        done = self._inject_host_spike(self.latency.service(now_ns, READ))
         self._inject_read_faults(lba, 1, now_ns)
         done = self._latent_read_checks(lba, 1, now_ns, done)
         return self._l2p[lba] >= 0, done
@@ -1147,7 +1158,7 @@ class Ftl:
         # The L2P map is a flat array("i"), so the mapped-range check is
         # one C-level slice + min instead of a Python loop per page.
         all_mapped = min(self._l2p[lba : lba + npages]) >= 0
-        done = self._inject_host_spike(self.latency.host_read(now_ns, npages))
+        done = self._inject_host_spike(self.latency.service(now_ns, READ, npages))
         self._inject_read_faults(lba, npages, now_ns)
         done = self._latent_read_checks(lba, npages, now_ns, done)
         return all_mapped, done

@@ -41,6 +41,9 @@ GC_MIGRATE = "gc_migrate"
 ERASE = "erase"
 SCRUB_SCAN = "scrub_scan"
 SCRUB_RELOCATE = "scrub_relocate"
+# Background kinds whose zero-page charge is a no-op (an erase always
+# costs its fixed time).
+_PAGED_BACKGROUND = (GC_MIGRATE, SCRUB_SCAN, SCRUB_RELOCATE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,24 +108,24 @@ class LatencyModel:
         # complement feeds the energy model.
         self.busy_ns_total = 0
 
-    def _service(self, now_ns: int, duration_ns: int) -> int:
-        """Occupy the timeline for ``duration_ns`` starting no earlier
-        than ``now_ns``; return the completion time."""
-        start = self.busy_until if self.busy_until > now_ns else now_ns
-        end = start + duration_ns
-        self.busy_until = end
-        self.busy_ns_total += duration_ns
+    def service(self, now_ns: int, kind: str, npages: int = 1) -> int:
+        """Occupy the timeline for one ``kind`` operation over ``npages``
+        pages (:meth:`NandTimings.service_ns`), starting no earlier than
+        ``now_ns``; return the completion time.
+
+        A background scan, migration or relocation of zero pages is a
+        no-op.  Scrub scans and relocations stay inside the controller
+        (no host transfer), and a relocation is only the program half:
+        the scan already charged the read.
+        """
+        busy = self.busy_until
+        start = busy if busy > now_ns else now_ns
+        if npages == 0 and kind in _PAGED_BACKGROUND:
+            return start
+        duration = self.timings.service_ns(kind, npages)
+        self.busy_until = end = start + duration
+        self.busy_ns_total += duration
         return end
-
-    # -- host-visible operations -------------------------------------
-
-    def host_read(self, now_ns: int, npages: int = 1) -> int:
-        """Service a host read; returns completion time (ns)."""
-        return self._service(now_ns, self.timings.service_ns(READ, npages))
-
-    def host_write(self, now_ns: int, npages: int = 1) -> int:
-        """Service a host write; returns completion time (ns)."""
-        return self._service(now_ns, self.timings.service_ns(WRITE, npages))
 
     def stall(self, now_ns: int, duration_ns: int) -> int:
         """Occupy the timeline for an extra, op-shaped delay.
@@ -130,41 +133,10 @@ class LatencyModel:
         Used for injected latency spikes (firmware pauses, internal
         housekeeping) that hold the device busy without moving data.
         """
+        busy = self.busy_until
+        start = busy if busy > now_ns else now_ns
         if duration_ns <= 0:
-            return max(now_ns, self.busy_until)
-        return self._service(now_ns, duration_ns)
-
-    # -- background operations (GC / patrol scrub) -------------------
-
-    def scrub_scan(self, now_ns: int, npages: int) -> int:
-        """Patrol-read ``npages`` for CRC verification.
-
-        Scrub reads stay inside the controller — no host transfer — so
-        they cost striped raw NAND read time only.
-        """
-        if npages == 0:
-            return max(now_ns, self.busy_until)
-        return self._service(now_ns, self.timings.service_ns(SCRUB_SCAN, npages))
-
-    def scrub_relocate(self, now_ns: int, npages: int) -> int:
-        """Program ``npages`` of refresh relocations.
-
-        The scan already charged the read half, so a relocation costs
-        only the striped program time (unlike :meth:`gc_migrate`,
-        which bundles read + program).
-        """
-        if npages == 0:
-            return max(now_ns, self.busy_until)
-        return self._service(
-            now_ns, self.timings.service_ns(SCRUB_RELOCATE, npages)
-        )
-
-    def gc_migrate(self, now_ns: int, npages: int) -> int:
-        """Read + program ``npages`` of valid data during GC."""
-        if npages == 0:
-            return max(now_ns, self.busy_until)
-        return self._service(now_ns, self.timings.service_ns(GC_MIGRATE, npages))
-
-    def erase(self, now_ns: int) -> int:
-        """Erase one superblock."""
-        return self._service(now_ns, self.timings.service_ns(ERASE))
+            return start
+        self.busy_until = end = start + duration_ns
+        self.busy_ns_total += duration_ns
+        return end

@@ -30,8 +30,9 @@ This module implements that loop over the simulated device:
   device writes: they charge program latency and count in
   ``nand_pages_written`` (and therefore DLWA and energy).
 * A block accumulating ``retire_after_failures`` detected-corrupt
-  pages is drained (remaining valid pages relocated) and retired in
-  place, mirroring PR 1's erase-failure retirement.
+  pages is drained (remaining valid pages relocated), unlinked the way
+  GC unlinks an erase victim, and retired in place like a block whose
+  erase failed.
 
 Like GC, scrub maintenance is modeled as capacitor-backed (DESIGN.md
 §9): a power cut never tears a relocation program, and because the
@@ -49,6 +50,7 @@ import numpy as np
 
 from ..fdp.events import FdpEvent, FdpEventType
 from .errors import MediaError
+from .latency import SCRUB_RELOCATE, SCRUB_SCAN
 from .recovery import payload_crc
 from .superblock import Superblock, SuperblockState
 from .wear import retention_acceleration
@@ -115,13 +117,28 @@ class ScrubStatus:
     relocated_by_ruh: Tuple[Tuple[Tuple[int, Optional[int]], int], ...] = ()
 
 
+def _live_pages(ftl: "Ftl", sb: Superblock):
+    """Yield ``(ppn, lba, oob_record)`` for each page of ``sb``'s
+    programmed prefix that still holds live data when it is reached."""
+    base = sb.index * ftl._pps
+    for ppn in range(base, base + sb.write_ptr):
+        lba = ftl._p2l[ppn]
+        if lba < 0 or ftl._l2p[lba] != ppn:
+            continue
+        rec = ftl._oob[ppn]
+        if rec is not None:
+            yield ppn, lba, rec
+
+
 class PatrolScrubber:
     """Background patrol loop over one device's CLOSED superblocks.
 
     Owns only policy and progress state; all mapping mutations go
     through the owning :class:`~repro.ssd.ftl.Ftl`'s primitives
-    (``_poison_page``, ``_program_moved``, the erase-path bookkeeping),
-    so FTL invariants hold after every step.
+    (``_poison_page``, ``_program_moved``, and ``_unlink``, which GC's
+    erase path uses too), so FTL invariants hold after every step.
+    Scans and relocations are charged to both clocks through
+    ``Ftl._charge``, like GC's migrations and erases.
     """
 
     def __init__(self, config: Optional[ScrubConfig] = None) -> None:
@@ -164,10 +181,9 @@ class PatrolScrubber:
         # Schedule strictly after both the due point and the work just
         # charged, so a long scan cannot queue a burst of catch-up
         # steps behind one host command.
-        base = ftl.latency.busy_until
-        if self.next_due_ns > base:
-            base = self.next_due_ns
-        self.next_due_ns = base + self.config.interval_ns
+        self.next_due_ns = (
+            max(self.next_due_ns, ftl.latency.busy_until) + self.config.interval_ns
+        )
         return True
 
     def step(self, ftl: "Ftl", now_ns: int) -> None:
@@ -216,11 +232,9 @@ class PatrolScrubber:
         for sb in list(ftl._write_points.values()):
             self._scrub_superblock(ftl, sb, now_ns, relocate=False)
         self._complete_pass(ftl, now_ns)
-        self.cursor = 0
-        base = ftl.latency.busy_until
-        if self.next_due_ns > base:
-            base = self.next_due_ns
-        self.next_due_ns = base + self.config.interval_ns
+        self.next_due_ns = (
+            max(self.next_due_ns, ftl.latency.busy_until) + self.config.interval_ns
+        )
         return self.status(ftl.stats)
 
     # ------------------------------------------------------------------
@@ -230,22 +244,12 @@ class PatrolScrubber:
     def _scrub_superblock(
         self, ftl: "Ftl", sb: Superblock, now_ns: int, *, relocate: bool
     ) -> None:
-        pps = ftl._pps
-        base = sb.index * pps
-        limit = sb.write_ptr
         lat = ftl.latent
         cfg = self.config
         scanned = 0
         relocated = 0
         dest_stream = None
-        for off in range(limit):
-            ppn = base + off
-            lba = ftl._p2l[ppn]
-            if lba < 0 or ftl._l2p[lba] != ppn:
-                continue
-            rec = ftl._oob[ppn]
-            if rec is None:
-                continue
+        for ppn, lba, rec in _live_pages(ftl, sb):
             scanned += 1
             if rec.crc is not None and payload_crc(rec.payload) != rec.crc:
                 # Detected silent corruption: quarantine and count it
@@ -271,25 +275,12 @@ class PatrolScrubber:
                 relocated += 1
 
         if scanned:
-            ftl.latency.scrub_scan(now_ns, scanned)
-            if ftl.sched is not None:
-                ftl.sched.note_background(
-                    "scrub_scan", sb.index, scanned, now_ns
-                )
+            ftl._charge(SCRUB_SCAN, sb.index, scanned, now_ns)
             ftl.stats.scrub_pages_scanned += scanned
             self._pages_this_pass += scanned
         if relocated:
             # The scan charged the read half; relocation adds programs.
-            ftl.latency.scrub_relocate(now_ns, relocated)
-            if ftl.sched is not None:
-                ftl.sched.note_background(
-                    "scrub_relocate", sb.index, relocated, now_ns
-                )
-            # Scrub writes are media writes: they inflate DLWA exactly
-            # like GC migrations, which is the cost the integrity soak
-            # quantifies.
-            ftl.stats.nand_pages_written += relocated
-            ftl.stats.scrub_pages_relocated += relocated
+            ftl._charge(SCRUB_RELOCATE, sb.index, relocated, now_ns)
             ftl.events.record(
                 FdpEvent(
                     FdpEventType.SCRUB_RELOCATION,
@@ -339,72 +330,36 @@ class PatrolScrubber:
         ftl._release(sb.index)
         key = (dest_stream[1], dest_stream[2])
         self.relocated_by_ruh[key] = self.relocated_by_ruh.get(key, 0) + 1
+        # Scrub writes are media writes: they inflate DLWA exactly like
+        # GC migrations, which is the cost the integrity soak quantifies.
+        ftl.stats.nand_pages_written += 1
+        ftl.stats.scrub_pages_relocated += 1
         return True
 
     def _retire_block(self, ftl: "Ftl", sb: Superblock, now_ns: int) -> None:
         """Drain and retire a block that keeps producing corruption.
 
-        Mirrors the GC erase path's bookkeeping (write barrier, P2L and
-        OOB wipe, closed-index removal) but the block ends RETIRED, so
-        effective overprovisioning shrinks like PR 1's erase-failure
-        retirement.  Any still-valid pages are relocated first; if the
-        free pool cannot absorb them the retirement is deferred to a
-        later pass (the pages already moved still count and charge).
+        Unlinks the block exactly as GC's erase path does, but the
+        block ends RETIRED, so effective overprovisioning shrinks like
+        an erase-failure retirement.  Any still-valid pages are
+        relocated first; if the free pool cannot absorb them the
+        retirement is deferred to a later pass (the pages already moved
+        still count and charge).
         """
-        pps = ftl._pps
-        base = sb.index * pps
         dest_stream = ftl._gc_stream(sb)
         drained = 0
-        if sb.valid_pages:
-            for off in range(pps):
-                ppn = base + off
-                lba = ftl._p2l[ppn]
-                if lba < 0 or ftl._l2p[lba] != ppn:
-                    continue
-                if ftl._oob[ppn] is None:
-                    continue
-                if not self._relocate_page(
-                    ftl, sb, dest_stream, lba, ppn, now_ns
-                ):
-                    break  # pool too tight; retire on a later pass
-                drained += 1
+        for ppn, lba, _ in _live_pages(ftl, sb):
+            if not self._relocate_page(ftl, sb, dest_stream, lba, ppn, now_ns):
+                break  # pool too tight; retire on a later pass
+            drained += 1
         if drained:
-            ftl.latency.scrub_relocate(now_ns, drained)
-            if ftl.sched is not None:
-                ftl.sched.note_background(
-                    "scrub_relocate", sb.index, drained, now_ns
-                )
-            ftl.stats.nand_pages_written += drained
-            ftl.stats.scrub_pages_relocated += drained
+            ftl._charge(SCRUB_RELOCATE, sb.index, drained, now_ns)
         if sb.valid_pages != 0 or sb.state is not SuperblockState.CLOSED:
             return
-        # Same fencing as the GC erase path: outstanding host programs
-        # complete before the block's pages are destroyed.
-        ftl._inflight.clear()
-        ftl._p2l[base : base + pps] = ftl._erased_p2l
-        ftl._oob.clear_range(base, pps)
-        if ftl.latent is not None:
-            ftl.latent.on_erase(base, pps)
-        pos = bisect_left(ftl._closed, sb.index)
-        if pos < len(ftl._closed) and ftl._closed[pos] == sb.index:
-            del ftl._closed[pos]
-        zpos = bisect_left(ftl._zero_closed, sb.index)
-        if (
-            zpos < len(ftl._zero_closed)
-            and ftl._zero_closed[zpos] == sb.index
-        ):
-            del ftl._zero_closed[zpos]
-        sb.retire()
-        ftl.stats.superblocks_retired += 1
+        ftl._unlink(sb)
+        ftl._retire(sb, now_ns)
         ftl.stats.scrub_blocks_retired += 1
         self.block_failures.pop(sb.index, None)
-        ftl.events.record(
-            FdpEvent(
-                FdpEventType.MEDIA_ERROR,
-                timestamp_ns=now_ns,
-                superblock=sb.index,
-            )
-        )
 
     # ------------------------------------------------------------------
     # telemetry

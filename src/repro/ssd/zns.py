@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import DeviceFullError, OutOfRangeError, SsdError
 from .geometry import Geometry
-from .latency import LatencyModel
+from .latency import ERASE, READ, WRITE, LatencyModel
 from .stats import DeviceStats
 
 __all__ = ["ZoneState", "Zone", "ZonedSSD", "ZnsHostLog", "ZoneError"]
@@ -109,7 +109,7 @@ class ZonedSSD:
         self.stats.host_pages_written += npages
         # Device WAF is 1 by construction: NAND writes == host writes.
         self.stats.nand_pages_written += npages
-        done = self.latency.host_write(now_ns, npages)
+        done = self.latency.service(now_ns, WRITE, npages)
         return start_lba, done
 
     def read(self, lba: int, npages: int = 1, now_ns: int = 0) -> int:
@@ -120,7 +120,7 @@ class ZonedSSD:
         if lba < 0 or lba + npages > total:
             raise OutOfRangeError(f"range [{lba}, {lba + npages}) invalid")
         self.stats.host_pages_read += npages
-        return self.latency.host_read(now_ns, npages)
+        return self.latency.service(now_ns, READ, npages)
 
     def reset_zone(self, zone_id: int, now_ns: int = 0) -> int:
         """Erase a zone; only the host decides when (host GC)."""
@@ -131,7 +131,7 @@ class ZonedSSD:
         zone.write_pointer = 0
         zone.resets += 1
         self.stats.superblocks_erased += 1
-        return self.latency.erase(now_ns)
+        return self.latency.service(now_ns, ERASE)
 
     def finish_zone(self, zone_id: int) -> None:
         """Transition an open zone to FULL without filling it."""

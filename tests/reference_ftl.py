@@ -24,6 +24,7 @@ from repro.fdp.ruh import PlacementIdentifier
 from repro.ssd import SimulatedSSD
 from repro.ssd.errors import PowerLossError, ProgramFailError
 from repro.ssd.ftl import MAX_PROGRAM_ATTEMPTS, Ftl, StreamKey, _InflightWrite
+from repro.ssd.latency import WRITE
 from repro.ssd.recovery import OobRecord, payload_crc
 from repro.ssd.superblock import Superblock
 
@@ -201,7 +202,7 @@ class ReferenceFtl(Ftl):
             exc.pages_durable = len(ppns)
             self.power_cut(now_ns, _torn_mid_command=True)
             raise
-        done = self._inject_host_spike(self.latency.host_write(now_ns, npages))
+        done = self._inject_host_spike(self.latency.service(now_ns, WRITE, npages))
         self._inflight.append(_InflightWrite(lba, npages, ppns, done))
         self._maybe_checkpoint()
         return done

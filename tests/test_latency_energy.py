@@ -3,42 +3,50 @@
 import pytest
 
 from repro.ssd import DeviceStats, EnergyCosts, LatencyModel, NandTimings
+from repro.ssd.latency import (
+    ERASE,
+    GC_MIGRATE,
+    READ,
+    SCRUB_RELOCATE,
+    SCRUB_SCAN,
+    WRITE,
+)
 
 
 class TestLatencyModel:
     def test_idle_device_serves_immediately(self):
         m = LatencyModel(NandTimings(read_ns=100, transfer_ns=0))
-        assert m.host_read(1000) == 1100
+        assert m.service(1000, READ) == 1100
 
     def test_busy_device_queues(self):
         m = LatencyModel(NandTimings(read_ns=100, program_ns=500, transfer_ns=0))
-        first = m.host_write(0)
+        first = m.service(0, WRITE)
         assert first == 500
         # A read arriving at t=0 waits for the write to finish.
-        assert m.host_read(0) == 600
+        assert m.service(0, READ) == 600
 
     def test_gc_migration_occupies_timeline(self):
         t = NandTimings(
             read_ns=100, program_ns=500, transfer_ns=0, parallelism=1
         )
         m = LatencyModel(t)
-        m.gc_migrate(0, npages=3)
+        m.service(0, GC_MIGRATE, npages=3)
         assert m.busy_until == 3 * 600
         # Host op queues behind the migration burst.
-        assert m.host_read(0) == 3 * 600 + 100
+        assert m.service(0, READ) == 3 * 600 + 100
 
     def test_gc_migration_stripes_across_parallelism(self):
         t = NandTimings(
             read_ns=100, program_ns=500, transfer_ns=0, parallelism=4
         )
         m = LatencyModel(t)
-        m.gc_migrate(0, npages=8)
+        m.service(0, GC_MIGRATE, npages=8)
         assert m.busy_until == 8 * 600 // 4
 
     def test_striping_floors_at_one_page(self):
         t = NandTimings(read_ns=100, transfer_ns=0, parallelism=16)
         m = LatencyModel(t)
-        assert m.host_read(0, npages=2) == 100  # never below 1 page
+        assert m.service(0, READ, npages=2) == 100  # never below 1 page
 
     def test_parallelism_validation(self):
         with pytest.raises(ValueError):
@@ -46,25 +54,28 @@ class TestLatencyModel:
 
     def test_gc_migrate_zero_pages_is_noop(self):
         m = LatencyModel()
-        before = m.busy_until
-        m.gc_migrate(0, 0)
-        assert m.busy_until == before
+        before = m.service(0, READ)
+        for kind in (GC_MIGRATE, SCRUB_SCAN, SCRUB_RELOCATE):
+            assert m.service(0, kind, 0) == before
+            assert m.service(before + 5, kind, 0) == before + 5
+        assert (m.busy_until, m.busy_ns_total) == (before, before)
 
     def test_erase_occupies_timeline(self):
         t = NandTimings(erase_ns=1000)
         m = LatencyModel(t)
-        assert m.erase(0) == 1000
+        assert m.service(0, ERASE) == 1000
+        assert m.service(0, ERASE, 64) == 2000  # one fixed cost
 
     def test_multi_page_host_ops_scale(self):
         t = NandTimings(program_ns=100, transfer_ns=10, parallelism=1)
         m = LatencyModel(t)
-        assert m.host_write(0, npages=4) == 4 * 110
+        assert m.service(0, WRITE, npages=4) == 4 * 110
 
     def test_busy_total_accumulates(self):
         t = NandTimings(read_ns=100, transfer_ns=0)
         m = LatencyModel(t)
-        m.host_read(0)
-        m.host_read(10_000)  # idle gap does not count as busy
+        m.service(0, READ)
+        m.service(10_000, READ)  # idle gap does not count as busy
         assert m.busy_ns_total == 200
 
     def test_rejects_negative_timings(self):
