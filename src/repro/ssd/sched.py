@@ -444,10 +444,10 @@ class MultiQueueScheduler:
         Segments become runnable at ``now_ns`` and occupy the channel
         lazily: they are folded into the channel's horizon when the
         next host command for that channel dispatches, which is when
-        their interference becomes observable.
+        their interference becomes observable.  ``Ftl._charge`` is the
+        one caller, and the busy clock it charges first rejects an
+        unknown ``kind``.
         """
-        if kind not in _BACKGROUND_KINDS:
-            raise ValueError(f"unknown background kind {kind!r}")
         channel = self.channel_for(superblock_index)
         service_ns = self.timings.service_ns
         if kind == ERASE:
