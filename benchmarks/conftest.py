@@ -9,51 +9,37 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Scaled run lengths: 100%-utilization arms need more operations to reach
-GC steady state (the paper runs 60 hours; we run a couple of device
-wraps), so benches size ``num_ops`` by utilization via :func:`ops_for`.
+Each bench's sweep points (swept values, arms, run lengths, seeds) are
+declared once, in :data:`repro.bench.figures.FIGURES`; :func:`replay`
+runs one entry.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Dict, Iterable, Sequence
 
 import pytest
 
-from repro.bench import point_seed
+from repro.bench import RunResult, run_sweep
+from repro.bench.figures import FIGURES
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-# Operations per arm: enough wraps of the scaled device for interval
-# DLWA to converge (validated in EXPERIMENTS.md).
-BASE_OPS = 700_000
-FULL_UTIL_OPS = 1_400_000
 
+def replay(figure: str, values: Sequence = ()) -> Dict[object, RunResult]:
+    """Run every point of ``FIGURES[figure]`` across worker processes.
 
-def ops_for(utilization: float) -> int:
-    """Run length needed for steady state at a given utilization."""
-    return FULL_UTIL_OPS if utilization >= 0.95 else BASE_OPS
-
-
-def sweep_seed(figure: str, index: int) -> int:
-    """Trace seed for one sweep point of one figure.
-
-    Seeding contract (shared with :mod:`repro.bench.parallel`, which
-    the CI smoke job sweeps these figures through):
-
-    * the seed is a pure function of ``(figure, index)`` — never of a
-      shared RNG, execution order, or worker count — so serial pytest
-      runs, ``run_sweep`` workers, and a single re-run of one point all
-      replay bit-identical traces;
-    * every *arm* within a point (FDP vs Non-FDP, engine variants)
-      passes the same ``index`` and therefore replays the same trace,
-      which is what keeps paired-arm assertions ("hit ratios match",
-      "p99 no worse") comparing like with like;
-    * distinct figures get decorrelated traces instead of all sharing
-      one global default seed.
+    Results are keyed by arm (``"FDP"``), or by ``(value, arm)`` when
+    the bench passes the swept ``values`` in index order.
     """
-    return point_seed(figure, index)
+    points = FIGURES[figure]
+    results = {
+        (values[p.index], p.arm) if values else p.arm: r
+        for p, r in zip(points, run_sweep(points))
+    }
+    assert len(results) == len(points), f"{figure}: two points share a key"
+    return results
 
 
 def emit_table(name: str, lines: Iterable[str]) -> None:

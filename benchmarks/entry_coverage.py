@@ -114,7 +114,7 @@ VALUE_CLASSES = {"CacheConfig.admission": "AdmissionPolicy"}
 SETTERS = ("src", "benchmarks", "perfbench", "examples")
 
 ITEM3 = "ROADMAP item 3 sweeps it"
-ITEM4 = "ROADMAP item 4 turns the NAND timings"
+ITEM5 = "ROADMAP item 5 turns the NAND timings"
 ITEM7 = "fault shape ROADMAP item 7's composed-fault fuzz injects"
 TUNED = "threshold tests tune on purpose"
 SHRUNK = "engine shape tests shrink to reach a path in few ops"
@@ -158,11 +158,11 @@ OPTIONS_ALLOW: Dict[str, str] = {
     "MonitorConfig.gray_streak_polls": TUNED,
     "MonitorConfig.latency_min_samples": TUNED,
     "MonitorConfig.retire_spare_pct": TUNED,
-    "NandTimings.erase_ns": ITEM4,
-    "NandTimings.parallelism": ITEM4,
-    "NandTimings.program_ns": ITEM4,
-    "NandTimings.read_ns": ITEM4,
-    "NandTimings.transfer_ns": ITEM4,
+    "NandTimings.erase_ns": ITEM5,
+    "NandTimings.parallelism": ITEM5,
+    "NandTimings.program_ns": ITEM5,
+    "NandTimings.read_ns": ITEM5,
+    "NandTimings.transfer_ns": ITEM5,
     "ReplayConfig.max_backlog_ns": TUNED,
     "ReplayConfig.think_ns": TUNED,
     "SchedConfig.queue_depth": TUNED,

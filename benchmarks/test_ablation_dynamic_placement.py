@@ -6,37 +6,11 @@ placement handle" — static SOC/LOC segregation wins on simplicity at
 equal (or better) DLWA.
 """
 
-from conftest import emit_table, ops_for, sweep_seed
-
-from repro.bench import CacheBench, build_experiment, make_trace
-from repro.cache import HybridCache
-from repro.core import DynamicTemperaturePolicy, StaticSegregationPolicy
-from repro.ssd import SimulatedSSD
-
-
-def _run(policy_factory, util=1.0):
-    template = build_experiment(fdp=True, utilization=util)
-    device = SimulatedSSD(template.device.geometry, fdp=True)
-    cache = HybridCache(device, template.config, policy=policy_factory())
-    trace = make_trace(
-        "kvcache",
-        template.config.nvm_bytes,
-        num_ops=ops_for(util),
-        seed=sweep_seed("ablation_dynamic_placement", 0),
-    )
-    return CacheBench().run(cache, trace)
+from conftest import emit_table, replay
 
 
 def test_ablation_dynamic_placement(once):
-    def run():
-        return {
-            "static": _run(StaticSegregationPolicy),
-            "dynamic": _run(
-                lambda: DynamicTemperaturePolicy(epoch_bytes=8 * 1024 * 1024)
-            ),
-        }
-
-    results = once(run)
+    results = once(lambda: replay("ablation_dynamic_placement"))
     static, dynamic = results["static"], results["dynamic"]
 
     lines = [

@@ -6,43 +6,11 @@ overwrite already self-invalidates RUs.  This bench compares the LOC
 with and without the TRIM hint.
 """
 
-from conftest import emit_table, ops_for, sweep_seed
-
-from repro.bench import DEFAULT_SCALE, CacheBench, make_trace
-from repro.cache import CacheConfig, HybridCache
-from repro.ssd import SimulatedSSD
-
-
-def _run(ru_aware_trim, util=1.0):
-    geometry = DEFAULT_SCALE.geometry()
-    device = SimulatedSSD(geometry, fdp=True)
-    nvm_bytes = int(geometry.logical_bytes * util) - 16 * geometry.page_size
-    config = CacheConfig.for_flash_cache(
-        nvm_bytes,
-        page_size=geometry.page_size,
-        soc_fraction=DEFAULT_SCALE.soc_fraction,
-        dram_fraction=DEFAULT_SCALE.dram_fraction,
-        region_bytes=DEFAULT_SCALE.region_bytes,
-        ru_aware_trim=ru_aware_trim,
-    )
-    cache = HybridCache(device, config)
-    trace = make_trace(
-        "kvcache",
-        nvm_bytes,
-        num_ops=ops_for(util),
-        seed=sweep_seed("ablation_ru_aware_eviction", 0),
-    )
-    return CacheBench().run(cache, trace)
+from conftest import emit_table, replay
 
 
 def test_ablation_ru_aware_eviction(once):
-    def run():
-        return {
-            "plain FIFO": _run(False),
-            "RU-aware + TRIM": _run(True),
-        }
-
-    results = once(run)
+    results = once(lambda: replay("ablation_ru_aware_eviction"))
     plain, trimmed = results["plain FIFO"], results["RU-aware + TRIM"]
 
     lines = [

@@ -5,46 +5,11 @@ once SOC and LOC live in different RUs, only SOC data reaches GC, so
 the cheaper isolation type gives the same DLWA as persistent isolation.
 """
 
-from conftest import emit_table, ops_for, sweep_seed
-
-from repro.bench import DEFAULT_SCALE, CacheBench, make_trace
-from repro.cache import CacheConfig, HybridCache
-from repro.fdp import RuhType, default_configuration
-from repro.ssd import SimulatedSSD
-
-
-def _run(ruh_type, util=1.0):
-    geometry = DEFAULT_SCALE.geometry()
-    config = default_configuration(
-        geometry.superblock_bytes, num_ruhs=8, ruh_type=ruh_type
-    )
-    device = SimulatedSSD(geometry, fdp=config)
-    nvm_bytes = int(geometry.logical_bytes * util) - 16 * geometry.page_size
-    cache_config = CacheConfig.for_flash_cache(
-        nvm_bytes,
-        page_size=geometry.page_size,
-        soc_fraction=DEFAULT_SCALE.soc_fraction,
-        dram_fraction=DEFAULT_SCALE.dram_fraction,
-        region_bytes=DEFAULT_SCALE.region_bytes,
-    )
-    cache = HybridCache(device, cache_config)
-    trace = make_trace(
-        "kvcache",
-        nvm_bytes,
-        num_ops=ops_for(util),
-        seed=sweep_seed("ablation_ruh_types", 0),
-    )
-    return CacheBench().run(cache, trace)
+from conftest import emit_table, replay
 
 
 def test_ablation_ruh_types(once):
-    def run():
-        return {
-            "initially": _run(RuhType.INITIALLY_ISOLATED),
-            "persistently": _run(RuhType.PERSISTENTLY_ISOLATED),
-        }
-
-    results = once(run)
+    results = once(lambda: replay("ablation_ruh_types"))
     init, pers = results["initially"], results["persistently"]
 
     lines = [

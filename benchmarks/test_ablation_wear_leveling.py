@@ -14,47 +14,32 @@ the paper's design point that segregation (DLWA), not forced
 migration, is what protects endurance in a flash cache.
 """
 
-from conftest import emit_table, ops_for, sweep_seed
+from conftest import emit_table
 
-from repro.bench import DEFAULT_SCALE, CacheBench, make_trace
-from repro.cache import CacheConfig, HybridCache
-from repro.ssd import SimulatedSSD
-
-WEAR_THRESHOLD = 8
+from repro.bench import DEFAULT_SCALE, CacheBench, build_experiment, make_trace
+from repro.bench.figures import FIGURES, WEAR_THRESHOLD
 
 
-def _run(wear_level_threshold, util=1.0):
-    geometry = DEFAULT_SCALE.geometry()
-    device = SimulatedSSD(
-        geometry, fdp=True, wear_level_threshold=wear_level_threshold
-    )
-    nvm_bytes = int(geometry.logical_bytes * util) - 16 * geometry.page_size
-    config = CacheConfig.for_flash_cache(
-        nvm_bytes,
-        page_size=geometry.page_size,
-        soc_fraction=DEFAULT_SCALE.soc_fraction,
-        dram_fraction=DEFAULT_SCALE.dram_fraction,
-        region_bytes=DEFAULT_SCALE.region_bytes,
-    )
-    cache = HybridCache(device, config)
+def _run(point):
+    """Replay one arm here, not in a worker: the table reads the
+    device's wear counters, which a RunResult does not carry."""
+    arm = dict(point.kwargs)
+    num_ops = arm.pop("num_ops")
+    cache = build_experiment(admission_seed=point.seed, **arm)
     trace = make_trace(
-        "kvcache",
-        nvm_bytes,
-        num_ops=ops_for(util),
-        seed=sweep_seed("ablation_wear_leveling", 0),
+        point.workload,
+        cache.config.nvm_bytes,
+        arm.get("scale", DEFAULT_SCALE),
+        num_ops=num_ops,
+        seed=point.seed,
     )
-    result = CacheBench().run(cache, trace)
-    return result, device.wear_stats()
+    result = CacheBench().run(cache, trace, name=point.name)
+    return result, cache.device.wear_stats()
 
 
 def test_ablation_wear_leveling(once):
-    def run():
-        return {
-            "off": _run(None),
-            f"threshold={WEAR_THRESHOLD}": _run(WEAR_THRESHOLD),
-        }
-
-    results = once(run)
+    points = FIGURES["ablation_wear_leveling"]
+    results = once(lambda: {p.arm: _run(p) for p in points})
 
     lines = [
         "Ablation: static wear leveling under FDP segregation",

@@ -10,57 +10,25 @@ compose: Kangaroo lowers ALWA, FDP lowers DLWA, and together they
 multiply into total NAND-write reduction.
 """
 
-from conftest import BASE_OPS, emit_table, sweep_seed
+from conftest import emit_table, replay
 
-from repro.bench import DEFAULT_SCALE, CacheBench, make_trace
-from repro.cache import CacheConfig, HybridCache
-from repro.ssd import SimulatedSSD
-
-
-def _run(engine: str, fdp: bool, util=1.0):
-    geometry = DEFAULT_SCALE.geometry()
-    device = SimulatedSSD(geometry, fdp=fdp)
-    nvm_bytes = int(geometry.logical_bytes * util) - 16 * geometry.page_size
-    config = CacheConfig.for_flash_cache(
-        nvm_bytes,
-        page_size=geometry.page_size,
-        soc_fraction=DEFAULT_SCALE.soc_fraction,
-        dram_fraction=DEFAULT_SCALE.dram_fraction,
-        region_bytes=DEFAULT_SCALE.region_bytes,
-        enable_fdp_placement=fdp,
-        soc_engine=engine,
-    )
-    cache = HybridCache(device, config)
-    trace = make_trace(
-        "kvcache",
-        nvm_bytes,
-        num_ops=BASE_OPS,
-        seed=sweep_seed("ext_kangaroo", 0),
-    )
-    return CacheBench().run(cache, trace)
+from repro.bench.figures import ENGINES
 
 
 def test_ext_kangaroo_composes_with_fdp(once):
-    def run():
-        return {
-            (engine, fdp): _run(engine, fdp)
-            for engine in ("set-associative", "kangaroo")
-            for fdp in (False, True)
-        }
-
-    results = once(run)
+    results = once(lambda: replay("ext_kangaroo"))
 
     lines = [
         "Extension: Kangaroo-style SOC x FDP placement (KV Cache, 100%)",
         f"{'engine':>16} {'arm':>8} {'ALWA':>5} {'DLWA':>6} "
         f"{'NANDwrite/app':>14} {'hit%':>6}",
     ]
-    for engine in ("set-associative", "kangaroo"):
-        for fdp in (False, True):
-            r = results[(engine, fdp)]
+    for engine in ENGINES:
+        for arm in ("Non-FDP", "FDP"):
+            r = results[f"{engine} {arm}"]
             total_wa = r.alwa * r.steady_dlwa
             lines.append(
-                f"{engine:>16} {'FDP' if fdp else 'Non-FDP':>8} "
+                f"{engine:>16} {arm:>8} "
                 f"{r.alwa:>5.2f} {r.steady_dlwa:>6.2f} {total_wa:>14.2f} "
                 f"{r.hit_ratio * 100:>6.1f}"
             )
@@ -70,9 +38,9 @@ def test_ext_kangaroo_composes_with_fdp(once):
     )
     emit_table("ext_kangaroo", lines)
 
-    sa_fdp = results[("set-associative", True)]
-    kg_fdp = results[("kangaroo", True)]
-    kg_non = results[("kangaroo", False)]
+    sa_fdp = results["set-associative FDP"]
+    kg_fdp = results["kangaroo FDP"]
+    kg_non = results["kangaroo Non-FDP"]
     # Kangaroo reduces ALWA relative to the plain bucket store.
     assert kg_fdp.alwa < sa_fdp.alwa
     # FDP still reaches ~1 DLWA with the alternative engine.
@@ -82,4 +50,4 @@ def test_ext_kangaroo_composes_with_fdp(once):
     totals = {
         key: r.alwa * r.steady_dlwa for key, r in results.items()
     }
-    assert min(totals, key=totals.get) == ("kangaroo", True)
+    assert min(totals, key=totals.get) == "kangaroo FDP"

@@ -5,28 +5,12 @@ Paper result: Non-FDP settles at ~1.3; FDP-based segregation at ~1.03
 both arms and emits the interval-DLWA series the figure plots.
 """
 
-from conftest import emit_table, ops_for, sweep_seed
-
-from repro.bench import run_experiment
+from conftest import emit_table, replay
 
 
 def test_fig05_dlwa_timeline(once):
-    util = 0.5
-
-    def run():
-        return {
-            fdp: run_experiment(
-                "kvcache",
-                fdp=fdp,
-                utilization=util,
-                num_ops=ops_for(util),
-                seed=sweep_seed("fig05_dlwa_timeline", 0),
-            )
-            for fdp in (False, True)
-        }
-
-    results = once(run)
-    non, fdp = results[False], results[True]
+    results = once(lambda: replay("fig05_dlwa_timeline"))
+    non, fdp = results["Non-FDP"], results["FDP"]
 
     lines = [
         "Figure 5: interval DLWA timeline, KV Cache @ 50% utilization",

@@ -6,30 +6,13 @@ hit ratios, and *better* p99 read/write latency at high utilization
 (1.75x read, 10x write at 100%).
 """
 
-from conftest import emit_table, ops_for, sweep_seed
+from conftest import emit_table, replay
 
-from repro.bench import run_experiment
-
-UTILIZATIONS = (0.5, 0.75, 0.9, 1.0)
+from repro.bench.figures import FIG06_UTILIZATIONS as UTILIZATIONS
 
 
 def test_fig06_utilization_sweep(once):
-    def run():
-        return {
-            (util, fdp): run_experiment(
-                "kvcache",
-                fdp=fdp,
-                utilization=util,
-                num_ops=ops_for(util),
-                seed=sweep_seed(
-                    "fig06_utilization_sweep", UTILIZATIONS.index(util)
-                ),
-            )
-            for util in UTILIZATIONS
-            for fdp in (False, True)
-        }
-
-    results = once(run)
+    results = once(lambda: replay("fig06_utilization_sweep", UTILIZATIONS))
 
     lines = [
         "Figure 6: utilization sweep, KV Cache workload",
@@ -38,17 +21,17 @@ def test_fig06_utilization_sweep(once):
         f"{'ALWA':>5}",
     ]
     for util in UTILIZATIONS:
-        for fdp in (False, True):
-            r = results[(util, fdp)]
+        for arm in ("Non-FDP", "FDP"):
+            r = results[(util, arm)]
             lines.append(
-                f"{util:>5.0%} {'FDP' if fdp else 'Non-FDP':>8} "
+                f"{util:>5.0%} {arm:>8} "
                 f"{r.steady_dlwa:>6.2f} {r.throughput_kops:>7.1f} "
                 f"{r.hit_ratio * 100:>6.1f} {r.dram_hit_ratio * 100:>6.1f} "
                 f"{r.nvm_hit_ratio * 100:>6.1f} {r.p99_read_us:>9.0f} "
                 f"{r.p99_write_us:>9.0f} {r.alwa:>5.2f}"
             )
-    full_non = results[(1.0, False)]
-    full_fdp = results[(1.0, True)]
+    full_non = results[(1.0, "Non-FDP")]
+    full_fdp = results[(1.0, "FDP")]
     lines.append(
         f"@100%: DLWA {full_non.steady_dlwa:.2f} -> "
         f"{full_fdp.steady_dlwa:.2f} (paper: 3.5 -> 1.03); "
@@ -61,9 +44,10 @@ def test_fig06_utilization_sweep(once):
     assert full_fdp.steady_dlwa < 1.1
     assert full_non.steady_dlwa > 2.0
     assert (
-        results[(1.0, False)].steady_dlwa > results[(0.5, False)].steady_dlwa
+        results[(1.0, "Non-FDP")].steady_dlwa
+        > results[(0.5, "Non-FDP")].steady_dlwa
     )
     for util in UTILIZATIONS:
-        a, b = results[(util, True)], results[(util, False)]
+        a, b = results[(util, "FDP")], results[(util, "Non-FDP")]
         assert abs(a.hit_ratio - b.hit_ratio) < 0.01
         assert a.p99_read_us <= b.p99_read_us * 1.05

@@ -6,53 +6,22 @@ converges toward the Non-FDP arm (which stays above 3 throughout) at
 90-96% SOC.
 """
 
-import dataclasses
+from conftest import emit_table, replay
 
-from conftest import emit_table, sweep_seed
-
-from repro.bench import Scale, run_experiment
-
-SOC_FRACTIONS = (0.04, 0.16, 0.32, 0.64, 0.90)
-
-# The paper's small-object working set dwarfs even the largest SOC
-# (billions of objects vs. 37-595 GB of SOC), so the SOC thrashes at
-# every size.  The scaled working set must preserve that, and bigger
-# SOCs need longer runs to reach GC steady state.
-SWEEP_SCALE = dataclasses.replace(Scale(), working_set_factor=5.0)
-
-
-def _ops(soc_fraction: float) -> int:
-    return 1_400_000 if soc_fraction <= 0.16 else 2_500_000
+from repro.bench.figures import FIG09_SOC_FRACTIONS as SOC_FRACTIONS
 
 
 def test_fig09_soc_size_sweep(once):
-    util = 1.0
-
-    def run():
-        return {
-            (soc, fdp): run_experiment(
-                "kvcache",
-                fdp=fdp,
-                utilization=util,
-                soc_fraction=soc,
-                num_ops=_ops(soc),
-                scale=SWEEP_SCALE,
-                seed=sweep_seed(
-                    "fig09_soc_sweep", SOC_FRACTIONS.index(soc)
-                ),
-            )
-            for soc in SOC_FRACTIONS
-            for fdp in (False, True)
-        }
-
-    results = once(run)
+    # A 5x working set (figures.SWEEP_SCALE) keeps the SOC thrashing at
+    # every size, as the paper's billions of small objects do.
+    results = once(lambda: replay("fig09_soc_sweep", SOC_FRACTIONS))
 
     lines = [
         "Figure 9: DLWA vs SOC size, KV Cache @ 100% utilization",
         f"{'SOC%':>5} {'Non-FDP':>8} {'FDP':>6} {'hit% (FDP)':>11}",
     ]
     for soc in SOC_FRACTIONS:
-        non, fdp = results[(soc, False)], results[(soc, True)]
+        non, fdp = results[(soc, "Non-FDP")], results[(soc, "FDP")]
         lines.append(
             f"{soc:>5.0%} {non.steady_dlwa:>8.2f} {fdp.steady_dlwa:>6.2f} "
             f"{fdp.hit_ratio * 100:>11.1f}"
@@ -63,20 +32,22 @@ def test_fig09_soc_size_sweep(once):
     )
     emit_table("fig09_soc_sweep", lines)
 
-    fdp_series = [results[(s, True)].steady_dlwa for s in SOC_FRACTIONS]
+    fdp_series = [results[(s, "FDP")].steady_dlwa for s in SOC_FRACTIONS]
     # FDP ~1 while SOC <= device OP, then rising.
     assert fdp_series[0] < 1.15
     assert fdp_series[-1] > fdp_series[0] + 0.3
     # Segregation helps at small SOC...
     assert (
-        results[(0.04, True)].steady_dlwa
-        < results[(0.04, False)].steady_dlwa / 1.5
+        results[(0.04, "FDP")].steady_dlwa
+        < results[(0.04, "Non-FDP")].steady_dlwa / 1.5
     )
     # ...but the benefit shrinks as SOC approaches the whole cache.
     small_gap = (
-        results[(0.04, False)].steady_dlwa - results[(0.04, True)].steady_dlwa
+        results[(0.04, "Non-FDP")].steady_dlwa
+        - results[(0.04, "FDP")].steady_dlwa
     )
     big_gap = (
-        results[(0.90, False)].steady_dlwa - results[(0.90, True)].steady_dlwa
+        results[(0.90, "Non-FDP")].steady_dlwa
+        - results[(0.90, "FDP")].steady_dlwa
     )
     assert big_gap < small_gap

@@ -8,37 +8,19 @@
     :class:`SingleHandlePolicy`.
 """
 
-from conftest import emit_table, ops_for
+from conftest import emit_table, replay
 
-from repro.bench import CacheBench, build_experiment, make_trace
-from repro.core import SingleHandlePolicy, StaticSegregationPolicy
-from repro.cache import HybridCache
+from repro.bench import DEFAULT_SCALE
 from repro.model import CarbonParams, embodied_co2e_kg
-from repro.ssd import SimulatedSSD
-
-
-def _run_arm(policy_cls, util, num_ops):
-    """FDP-enabled device; placement policy decides segregation."""
-    cache = build_experiment(fdp=True, utilization=util)
-    # Rebuild with the requested policy over the same device geometry.
-    device = SimulatedSSD(cache.device.geometry, fdp=True)
-    cache = HybridCache(device, cache.config, policy=policy_cls())
-    trace = make_trace("kvcache", cache.config.nvm_bytes, num_ops=num_ops)
-    return CacheBench().run(cache, trace), device
 
 
 def test_fig10_carbon_and_gc_events(once):
-    util = 1.0
     params = CarbonParams()
+    results = once(lambda: replay("fig10_carbon"))
+    seg = results["FDP (segregated)"]
+    single = results["Non-FDP (single RUH)"]
 
-    def run():
-        seg, seg_dev = _run_arm(StaticSegregationPolicy, util, ops_for(util))
-        single, single_dev = _run_arm(SingleHandlePolicy, util, ops_for(util))
-        return seg, seg_dev, single, single_dev
-
-    seg, seg_dev, single, single_dev = once(run)
-
-    cap = seg_dev.geometry.physical_bytes
+    cap = DEFAULT_SCALE.geometry().physical_bytes
     seg_co2 = embodied_co2e_kg(seg.steady_dlwa, cap, params)
     single_co2 = embodied_co2e_kg(single.steady_dlwa, cap, params)
 

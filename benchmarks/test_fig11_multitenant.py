@@ -5,9 +5,10 @@ overprovisioning, each tenant's SOC and LOC mapped to its own RUHs;
 DLWA stays ~1 under FDP vs ~3.5 without (a 3.5x reduction).
 """
 
-from conftest import BASE_OPS, emit_table
+from conftest import emit_table
 
 from repro.bench import DEFAULT_SCALE, CacheBench, make_trace
+from repro.bench.figures import BASE_OPS
 from repro.cache import CacheConfig, HybridCache
 from repro.core import FdpAwareDevice
 from repro.ssd import SimulatedSSD

@@ -6,42 +6,19 @@ large SOC because real keys are skewed while the model assumes uniform
 bucket updates.
 """
 
-import dataclasses
+from conftest import emit_table, replay
 
-from conftest import emit_table
-
-from repro.bench import Scale, run_experiment
+from repro.bench.figures import FIG12_SOC_FRACTIONS as SOC_FRACTIONS
+from repro.bench.figures import SWEEP_SCALE
 from repro.model import dlwa_fdp, soc_physical_space
-
-SOC_FRACTIONS = (0.04, 0.16, 0.32, 0.48, 0.64)
-
-# Same regime as Figure 9: the uniform-update model only applies when
-# the small-object working set spans the whole SOC bucket space.
-SWEEP_SCALE = dataclasses.replace(Scale(), working_set_factor=5.0)
-
-
-def _ops(soc_fraction: float) -> int:
-    return 1_400_000 if soc_fraction <= 0.16 else 2_500_000
 
 
 def test_fig12_model_vs_measured(once):
+    # Same regime as Figure 9: the uniform-update model only applies
+    # when the small-object working set spans the whole SOC bucket space.
     util = 1.0
     geometry = SWEEP_SCALE.geometry()
-
-    def run():
-        return {
-            soc: run_experiment(
-                "kvcache",
-                fdp=True,
-                utilization=util,
-                soc_fraction=soc,
-                num_ops=_ops(soc),
-                scale=SWEEP_SCALE,
-            )
-            for soc in SOC_FRACTIONS
-        }
-
-    results = once(run)
+    results = once(lambda: replay("fig12_model_validation", SOC_FRACTIONS))
 
     lines = [
         "Figure 12: Theorem 1 model vs measured DLWA (FDP, 100% util)",
@@ -49,7 +26,7 @@ def test_fig12_model_vs_measured(once):
     ]
     errors = {}
     for soc in SOC_FRACTIONS:
-        r = results[soc]
+        r = results[(soc, "FDP")]
         nvm_bytes = int(geometry.logical_bytes * util)
         soc_bytes = soc * nvm_bytes
         s_psoc = soc_physical_space(
@@ -72,5 +49,5 @@ def test_fig12_model_vs_measured(once):
     # the same ordering (monotone in SOC size).
     for soc in SOC_FRACTIONS:
         assert abs(errors[soc]) < 40.0
-    measured_series = [results[s].steady_dlwa for s in SOC_FRACTIONS]
+    measured_series = [results[(s, "FDP")].steady_dlwa for s in SOC_FRACTIONS]
     assert measured_series[-1] > measured_series[0]

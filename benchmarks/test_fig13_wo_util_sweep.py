@@ -5,30 +5,13 @@ Paper result: at 100% device utilization, FDP-based segregation obtains
 write latency; gains grow with utilization.
 """
 
-from conftest import emit_table, ops_for, sweep_seed
+from conftest import emit_table, replay
 
-from repro.bench import run_experiment
-
-UTILIZATIONS = (0.5, 0.75, 1.0)
+from repro.bench.figures import FIG13_UTILIZATIONS as UTILIZATIONS
 
 
 def test_fig13_wo_kvcache_util_sweep(once):
-    def run():
-        return {
-            (util, fdp): run_experiment(
-                "wo-kvcache",
-                fdp=fdp,
-                utilization=util,
-                num_ops=ops_for(util),
-                seed=sweep_seed(
-                    "fig13_wo_util_sweep", UTILIZATIONS.index(util)
-                ),
-            )
-            for util in UTILIZATIONS
-            for fdp in (False, True)
-        }
-
-    results = once(run)
+    results = once(lambda: replay("fig13_wo_util_sweep", UTILIZATIONS))
 
     lines = [
         "Figure 13: WO KV Cache utilization sweep",
@@ -36,15 +19,15 @@ def test_fig13_wo_kvcache_util_sweep(once):
         f"{'p50w(us)':>9} {'kops':>7}",
     ]
     for util in UTILIZATIONS:
-        for fdp in (False, True):
-            r = results[(util, fdp)]
+        for arm in ("Non-FDP", "FDP"):
+            r = results[(util, arm)]
             lines.append(
-                f"{util:>5.0%} {'FDP' if fdp else 'Non-FDP':>8} "
+                f"{util:>5.0%} {arm:>8} "
                 f"{r.steady_dlwa:>6.2f} {r.p99_write_us:>9.0f} "
                 f"{r.p50_write_us:>9.0f} {r.throughput_kops:>7.1f}"
             )
-    full_non = results[(1.0, False)]
-    full_fdp = results[(1.0, True)]
+    full_non = results[(1.0, "Non-FDP")]
+    full_fdp = results[(1.0, "FDP")]
     lines.append(
         f"@100%: DLWA gain "
         f"{full_non.steady_dlwa / full_fdp.steady_dlwa:.1f}x (paper: 3.5x), "
@@ -56,7 +39,7 @@ def test_fig13_wo_kvcache_util_sweep(once):
 
     # DLWA gains grow with utilization.
     gains = [
-        results[(u, False)].steady_dlwa / results[(u, True)].steady_dlwa
+        results[(u, "Non-FDP")].steady_dlwa / results[(u, "FDP")].steady_dlwa
         for u in UTILIZATIONS
     ]
     assert gains[-1] > gains[0]

@@ -9,37 +9,17 @@ DRAM sizes scale by the same ratios as the paper (42 GB ~ 4.5% of the
 930 GB cache; 20 GB ~ 2.2%; 4 GB ~ 0.43%).
 """
 
-from conftest import emit_table, ops_for, sweep_seed
+from conftest import emit_table, replay
 
-from repro.bench import DEFAULT_SCALE, run_experiment
+from repro.bench import DEFAULT_SCALE
+from repro.bench.figures import DRAM_RATIOS
 from repro.model import CarbonParams, embodied_co2e_kg, operational_co2e_kg
-
-DRAM_RATIOS = {"4GB": 0.0043, "20GB": 0.022, "42GB": 0.045}
 
 
 def test_table2_dram_sweep(once):
-    util = 1.0
-    geometry = DEFAULT_SCALE.geometry()
-    nvm_bytes = int(geometry.logical_bytes * util)
-
-    def run():
-        out = {}
-        for index, (label, ratio) in enumerate(DRAM_RATIOS.items()):
-            dram = max(64 * 1024, int(nvm_bytes * ratio))
-            for fdp in (True, False):
-                out[(label, fdp)] = run_experiment(
-                    "kvcache",
-                    fdp=fdp,
-                    utilization=util,
-                    dram_bytes=dram,
-                    num_ops=ops_for(util),
-                    seed=sweep_seed("table2_dram_sweep", index),
-                )
-        return out
-
-    results = once(run)
+    results = once(lambda: replay("table2_dram_sweep", tuple(DRAM_RATIOS)))
     params = CarbonParams()
-    cap = geometry.physical_bytes
+    cap = DEFAULT_SCALE.geometry().physical_bytes
 
     lines = [
         "Table 2: KV Cache @ 100% utilization, 4% SOC, varying DRAM",
@@ -48,13 +28,12 @@ def test_table2_dram_sweep(once):
     ]
     co2 = {}
     for label in DRAM_RATIOS:
-        for fdp in (True, False):
-            r = results[(label, fdp)]
+        for arm in ("FDP", "Non-FDP"):
+            r = results[(label, arm)]
             total = embodied_co2e_kg(r.steady_dlwa, cap, params) + (
                 operational_co2e_kg(r.energy_kwh, params)
             )
-            co2[(label, fdp)] = total
-            arm = "FDP" if fdp else "Non-FDP"
+            co2[(label, arm)] = total
             lines.append(
                 f"{arm + ' ' + label:>16} {r.hit_ratio * 100:>6.1f} "
                 f"{r.nvm_hit_ratio * 100:>9.2f} {r.throughput_kops:>7.1f} "
@@ -68,17 +47,17 @@ def test_table2_dram_sweep(once):
 
     # Smaller DRAM -> lower overall hit ratio, higher NVM hit ratio.
     assert (
-        results[("4GB", True)].hit_ratio
-        <= results[("42GB", True)].hit_ratio + 0.005
+        results[("4GB", "FDP")].hit_ratio
+        <= results[("42GB", "FDP")].hit_ratio + 0.005
     )
     assert (
-        results[("4GB", True)].nvm_hit_ratio
-        > results[("42GB", True)].nvm_hit_ratio
+        results[("4GB", "FDP")].nvm_hit_ratio
+        > results[("42GB", "FDP")].nvm_hit_ratio
     )
     # FDP and Non-FDP agree on cache metrics...
     for label in DRAM_RATIOS:
-        a, b = results[(label, True)], results[(label, False)]
+        a, b = results[(label, "FDP")], results[(label, "Non-FDP")]
         assert abs(a.hit_ratio - b.hit_ratio) < 0.01
     # ...but FDP is much more carbon-efficient.
     for label in DRAM_RATIOS:
-        assert co2[(label, False)] > 1.5 * co2[(label, True)]
+        assert co2[(label, "Non-FDP")] > 1.5 * co2[(label, "FDP")]

@@ -5,10 +5,11 @@ and ``python -m repro.bench sweep --smoke [--workers N]``
 gate fails.  ``--json`` also writes the full result; ``-v`` prints
 per-window progress where the soak has it.
 
-``sweep`` replays one point per trace-replay figure across worker
-processes (:mod:`repro.bench.parallel`) and prints DLWA, hit ratio and
-simulated throughput per point.  Only the CI-sized ``--smoke`` sweep
-is wired up; the full-size figures run as ``benchmarks/`` tests.
+``sweep`` replays one point per :data:`~repro.bench.figures.FIGURES`
+entry across worker processes (:mod:`repro.bench.parallel`) and prints
+DLWA, hit ratio and simulated throughput per point.  Only the CI-sized
+``--smoke`` sweep is wired up; the full-size figures run as
+``benchmarks/`` tests.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import ablation
 from .failslow import run_failslow_soak
+from .figures import smoke_points
 from .fleet import SMOKE_SCALE, run_fleet_soak
 from .latency import run_latency_soak
 from .metrics import SoakResult
 from .overload import run_overload_soak
-from .parallel import figure_points, run_sweep
+from .parallel import run_sweep
 from .runner import run_chaos_soak, run_crash_soak, run_integrity_arms
 
 
@@ -95,12 +97,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _sweep(workers: Optional[int]) -> int:
     start = time.perf_counter()
-    results = run_sweep(figure_points(), workers=workers)
+    results = run_sweep(smoke_points(), workers=workers)
     print(f"{len(results)} points in {time.perf_counter() - start:.1f}s")
-    print(f"{'point':<40} {'DLWA':>6} {'hit%':>6} {'kops':>8}")
+    print(f"{'point':<56} {'DLWA':>6} {'hit%':>6} {'kops':>8}")
     for r in results:
         print(
-            f"{r.name:<40} {r.steady_dlwa:>6.2f} {r.hit_ratio * 100:>6.1f} "
+            f"{r.name:<56} {r.steady_dlwa:>6.2f} {r.hit_ratio * 100:>6.1f} "
             f"{r.throughput_kops:>8.1f}"
         )
     return 0

@@ -169,7 +169,7 @@ def run_nemo_soak(
         utilization=utilization,
         scale=scale,
         cache_overrides={"soc_engine": "nemo"},
-        faults=faults,
+        device_overrides={"faults": faults},
     )
     trace = make_trace(
         "kvcache", cache.config.nvm_bytes, scale, num_ops=num_ops, seed=seed
@@ -217,7 +217,7 @@ def run_nemo_soak(
         utilization=utilization,
         scale=scale,
         cache_overrides={"soc_engine": "nemo"},
-        sched=True,
+        device_overrides={"sched": True},
     )
     trace = make_trace(
         "kvcache", cache.config.nvm_bytes, scale, num_ops=num_ops, seed=seed

@@ -120,7 +120,7 @@ def run_latency_soak(
             fdp=fdp,
             utilization=utilization,
             scale=scale,
-            sched=sched if sched is not None else True,
+            device_overrides={"sched": sched if sched is not None else True},
         )
         trace = make_trace(workload, cache.config.nvm_bytes, scale, num_ops=num_ops, seed=seed)
         arm = "FDP" if fdp else "Non-FDP"

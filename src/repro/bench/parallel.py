@@ -48,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Union
 
 from .metrics import RunResult
-from .runner import Scale, point_seed, run_experiment
+from .runner import point_seed, run_experiment
 
 __all__ = [
     "SweepPoint",
@@ -56,7 +56,6 @@ __all__ = [
     "SweepError",
     "point_seed",
     "run_sweep",
-    "figure_points",
 ]
 
 
@@ -66,21 +65,28 @@ class SweepPoint:
 
     ``kwargs`` is passed through to
     :func:`~repro.bench.runner.run_experiment`; ``seed`` and ``name``
-    default to :func:`point_seed` / a ``figure[index]`` label when the
-    kwargs omit them.
+    default to :attr:`seed` / :attr:`name` when the kwargs omit them.
+    ``arm`` names one of the arms that share a swept value's ``index``.
     """
 
     figure: str
     index: int
     workload: str
     kwargs: Dict[str, object] = dataclasses.field(default_factory=dict)
+    arm: str = ""
+
+    @property
+    def seed(self) -> int:
+        return self.kwargs.get("seed", point_seed(self.figure, self.index))
+
+    @property
+    def name(self) -> str:
+        """The label of the point's RunResult, or of its PointFailure."""
+        label = f"{self.figure}[{self.index}] {self.workload} {self.arm}"
+        return str(self.kwargs.get("name", label.rstrip()))
 
     def run(self) -> RunResult:
-        kwargs = dict(self.kwargs)
-        kwargs.setdefault("seed", point_seed(self.figure, self.index))
-        kwargs.setdefault(
-            "name", f"{self.figure}[{self.index}] {self.workload}"
-        )
+        kwargs = {**self.kwargs, "seed": self.seed, "name": self.name}
         return run_experiment(self.workload, **kwargs)
 
 
@@ -150,9 +156,7 @@ def _run_point(point: SweepPoint) -> Union[RunResult, PointFailure]:
         return PointFailure(
             figure=point.figure,
             index=point.index,
-            name=str(
-                point.kwargs.get("name", f"{point.figure}[{point.index}]")
-            ),
+            name=point.name,
             error_type=type(exc).__name__,
             message=str(exc),
             traceback=_traceback.format_exc(),
@@ -199,49 +203,3 @@ def run_sweep(
         raise SweepError(failures, results)
     return results
 
-
-# The smoke sweep shrinks the device (64 MiB physical) and the trace so
-# one point per run_experiment-driven figure finishes in seconds.
-SMOKE_SCALE = Scale(num_superblocks=128)
-SMOKE_OPS = 40_000
-
-
-def figure_points(num_ops: int = SMOKE_OPS) -> List[SweepPoint]:
-    """One representative point per trace-replay figure/table bench."""
-
-    def kw(**kwargs: object) -> Dict[str, object]:
-        kwargs.setdefault("scale", SMOKE_SCALE)
-        kwargs.setdefault("num_ops", num_ops)
-        return kwargs
-
-    dram = int(SMOKE_SCALE.geometry().logical_bytes * 0.9 * 0.022)
-    return [
-        SweepPoint(
-            "fig05_dlwa_timeline", 0, "kvcache",
-            kw(fdp=False, utilization=0.9),
-        ),
-        SweepPoint(
-            "fig06_utilization_sweep", 3, "kvcache",
-            kw(fdp=True, utilization=1.0),
-        ),
-        SweepPoint(
-            "fig07_twitter", 0, "twitter",
-            kw(fdp=True, utilization=0.9),
-        ),
-        SweepPoint(
-            "fig08_wo_kvcache", 0, "wo-kvcache",
-            kw(fdp=True, utilization=0.9),
-        ),
-        SweepPoint(
-            "fig09_soc_sweep", 1, "kvcache",
-            kw(fdp=True, utilization=0.9, soc_fraction=0.16),
-        ),
-        SweepPoint(
-            "fig13_wo_util_sweep", 2, "wo-kvcache",
-            kw(fdp=False, utilization=1.0),
-        ),
-        SweepPoint(
-            "table2_dram_sweep", 1, "kvcache",
-            kw(fdp=True, utilization=0.9, dram_bytes=dram),
-        ),
-    ]

@@ -16,13 +16,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cache.config import CacheConfig
 from ..cache.hybrid import METADATA_PAGES, HybridCache
+from ..core.policies import PlacementPolicy
 from ..faults.latent import LatentErrorConfig
 from ..faults.model import FaultConfig
 from ..faults.plan import OP_POWER, OP_SILENT, ScriptedFault
+from ..fdp.config import FdpConfiguration
 from ..fdp.ruh import PlacementIdentifier
 from ..ssd.device import SimulatedSSD
 from ..ssd.errors import PowerLossError, UncorrectableReadError
@@ -136,34 +138,27 @@ def make_trace(
 
 def build_experiment(
     *,
-    fdp: bool,
+    fdp: "bool | FdpConfiguration",
     utilization: float = 0.5,
     soc_fraction: Optional[float] = None,
     dram_bytes: Optional[int] = None,
     scale: Scale = DEFAULT_SCALE,
     cache_overrides: Optional[Dict[str, object]] = None,
-    faults: Optional[FaultConfig] = None,
-    sched: object = None,
-    failslow: object = None,
+    device_overrides: Optional[Dict[str, object]] = None,
+    policy: Optional[Callable[[], PlacementPolicy]] = None,
     admission_seed: Optional[int] = None,
 ) -> HybridCache:
     """Create a device + hybrid cache pair for one experiment arm.
 
     ``fdp`` switches both sides at once, as the paper does with
-    nvme-cli: device FDP support *and* CacheLib placement.
+    nvme-cli: device FDP support *and* CacheLib placement; an
+    :class:`~repro.fdp.config.FdpConfiguration` also picks the device's.
     ``utilization`` is the fraction of the device's advertised capacity
     given to the flash cache (Figure 6's sweep variable).
-    ``faults`` (default ``None`` — a perfectly reliable device) attaches
-    a seed-driven :class:`~repro.faults.model.FaultConfig` to the
-    simulated SSD for chaos runs.
-    ``sched`` (``True`` or a :class:`~repro.ssd.sched.SchedConfig`)
-    attaches the multi-queue scheduler so SOC/LOC/meta I/O queues on
-    parallel channels and per-command latency carries GC interference
-    (the latency soak's measurement path).
-    ``failslow`` (a :class:`~repro.faults.failslow.FailSlowConfig`;
-    requires ``sched``) attaches the fail-slow timing
-    overlay — gray-failure latency degradation that never perturbs
-    simulated state (the fail-slow soak's injection path).
+    ``device_overrides`` are extra :class:`~repro.ssd.device.SimulatedSSD`
+    keywords (``faults``, ``sched``, ``failslow``, ``wear_level_threshold``).
+    ``policy`` is a zero-argument placement-policy factory, called once
+    (default: static SOC/LOC segregation).
     ``admission_seed`` reseeds the cache's admission policy (see
     :attr:`~repro.cache.config.CacheConfig.admission_seed`); benches
     pass the sweep point's seed so a randomized admission policy
@@ -175,13 +170,7 @@ def build_experiment(
     if not 0.0 < utilization <= 1.0:
         raise ValueError("utilization must be in (0, 1]")
     geometry = scale.geometry()
-    device = SimulatedSSD(
-        geometry,
-        fdp=fdp,
-        faults=faults,
-        sched=sched,
-        failslow=failslow,
-    )
+    device = SimulatedSSD(geometry, fdp=fdp, **(device_overrides or {}))
     # Reserve the metadata slice out of the cache's share so a
     # 100%-utilization layout still fits the advertised capacity.
     nvm_bytes = (
@@ -199,30 +188,28 @@ def build_experiment(
         dram_fraction=scale.dram_fraction,
         dram_bytes=dram_bytes,
         region_bytes=scale.region_bytes,
-        enable_fdp_placement=fdp,
+        enable_fdp_placement=bool(fdp),
         **overrides,
     )
-    return HybridCache(device, config)
+    return HybridCache(device, config, policy=policy() if policy else None)
 
 
 def run_experiment(
     workload: str,
     *,
-    fdp: bool,
+    fdp: "bool | FdpConfiguration",
     utilization: float = 0.5,
-    soc_fraction: Optional[float] = None,
-    dram_bytes: Optional[int] = None,
     num_ops: Optional[int] = None,
     scale: Scale = DEFAULT_SCALE,
     seed: int = 42,
     replay: Optional[ReplayConfig] = None,
     name: Optional[str] = None,
-    faults: Optional[FaultConfig] = None,
     scenario: Optional[object] = None,
-    cache_overrides: Optional[Dict[str, object]] = None,
+    **arm: object,
 ) -> RunResult:
     """Build one arm (device, cache, trace) and replay it.
 
+    ``arm`` holds the rest of :func:`build_experiment`'s keywords.
     ``scenario`` (default ``None`` — stationary replay, the pre-existing
     path exactly) applies an adversarial transform composition to the
     trace before replay: either a
@@ -233,14 +220,7 @@ def run_experiment(
     so the replay switches to open loop automatically.
     """
     cache = build_experiment(
-        fdp=fdp,
-        utilization=utilization,
-        soc_fraction=soc_fraction,
-        dram_bytes=dram_bytes,
-        scale=scale,
-        cache_overrides=cache_overrides,
-        faults=faults,
-        admission_seed=seed,
+        fdp=fdp, utilization=utilization, scale=scale, admission_seed=seed, **arm
     )
     trace = make_trace(
         workload,
@@ -317,7 +297,7 @@ def run_chaos_soak(
     if faults is None:
         faults = default_chaos_config()
     cache = build_experiment(
-        fdp=fdp, utilization=utilization, scale=scale, faults=faults
+        fdp=fdp, utilization=utilization, scale=scale, device_overrides={"faults": faults}
     )
     trace = make_trace(
         workload, cache.config.nvm_bytes, scale, num_ops=num_ops, seed=seed

@@ -104,9 +104,9 @@ class ShardSpec:
             fdp=self.backend == "fdp",
             utilization=self.utilization,
             scale=scale,
-            faults=self.faults,
-            sched=True if self.sched else None,
-            failslow=self.failslow,
+            device_overrides=dict(
+                faults=self.faults, sched=self.sched or None, failslow=self.failslow
+            ),
             admission_seed=self.admission_seed,
         )
         return CacheShard(self.shard_id, _HybridBackend(cache), self)

@@ -39,7 +39,10 @@ def _trace(seed):
 
 def _bare_run(fdp, trace):
     cache = build_experiment(
-        fdp=fdp, utilization=UTILIZATION, scale=TINY, sched=True
+        fdp=fdp,
+        utilization=UTILIZATION,
+        scale=TINY,
+        device_overrides={"sched": True},
     )
     result = CacheBench(ReplayConfig()).run(cache, trace)
     return cache, result

@@ -13,9 +13,12 @@ the whole sweep has finished.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench import (
+    DEFAULT_SCALE,
     PointFailure,
     Scale,
     SweepError,
@@ -23,7 +26,7 @@ from repro.bench import (
     point_seed,
     run_sweep,
 )
-from repro.bench.parallel import figure_points
+from repro.bench.figures import FIGURES, smoke_points
 from repro.bench.runner import RunResult
 
 TINY_SCALE = Scale(num_superblocks=64, num_ops=8_000)
@@ -70,12 +73,44 @@ def test_single_point_matches_its_sweep_value():
     assert alone == sweep[1]
 
 
-def test_smoke_points_cover_the_figures():
-    points = figure_points(num_ops=5_000)
-    figures = {p.figure for p in points}
-    assert {"fig05_dlwa_timeline", "fig06_utilization_sweep",
-            "table2_dram_sweep"} <= figures
-    assert all(p.kwargs["num_ops"] == 5_000 for p in points)
+def test_each_figure_smoke_point_is_one_of_its_points_shrunk():
+    smoke = smoke_points()
+    assert [p.figure for p in smoke] == list(FIGURES)
+    for point in smoke:
+        shrunk = point.kwargs["scale"].num_superblocks
+        candidates = [
+            dataclasses.replace(full, kwargs={
+                **full.kwargs,
+                "scale": dataclasses.replace(
+                    full.kwargs.get("scale", DEFAULT_SCALE),
+                    num_superblocks=shrunk,
+                ),
+                "num_ops": point.kwargs["num_ops"],
+            })
+            for full in FIGURES[point.figure]
+        ]
+        assert point in candidates, point.name
+        assert shrunk < DEFAULT_SCALE.num_superblocks
+
+
+def test_the_arms_of_each_swept_value_share_one_seed():
+    for figure, points in FIGURES.items():
+        seeds = {}
+        for p in points:
+            assert "seed" not in p.kwargs, p.name
+            seeds.setdefault(p.index, set()).add(p.seed)
+        assert all(len(s) == 1 for s in seeds.values()), figure
+        assert len(set().union(*seeds.values())) == len(seeds), figure
+        assert len({p.name for p in points}) == len(points), figure
+
+
+def test_a_failing_point_carries_the_name_its_result_would():
+    ok = tiny_points()[0]
+    broken = dataclasses.replace(ok, kwargs={**ok.kwargs, "utilization": 2.0})
+    (result,) = run_sweep([ok], workers=1)
+    (failure,) = run_sweep([broken], workers=1, on_error="record")
+    assert isinstance(failure, PointFailure)
+    assert failure.name == result.name == "test_sweep[0] kvcache"
 
 
 def crashing_point(index=2):
