@@ -64,8 +64,8 @@ class SweepPoint:
     """One experiment arm of a figure sweep, ready to ship to a worker.
 
     ``kwargs`` is passed through to
-    :func:`~repro.bench.runner.run_experiment`; ``seed`` and ``name``
-    default to :attr:`seed` / :attr:`name` when the kwargs omit them.
+    :func:`~repro.bench.runner.run_experiment` with :attr:`seed` and
+    :attr:`name`, which a ``seed``/``name`` in the kwargs overrides.
     ``arm`` names one of the arms that share a swept value's ``index``.
     """
 
@@ -77,6 +77,7 @@ class SweepPoint:
 
     @property
     def seed(self) -> int:
+        """:func:`point_seed` of the figure and index."""
         return self.kwargs.get("seed", point_seed(self.figure, self.index))
 
     @property
