@@ -82,7 +82,7 @@ ABSTRACT = "abstract base method every subclass overrides"
 
 #: Ratchet: at most this many functions only a test calls.  Lower it
 #: when a change gives one an entry point or deletes it; never raise it.
-MAX_TEST_ONLY = 164
+MAX_TEST_ONLY = 154
 
 #: Functions nothing calls that stay, each with its reason.
 ALLOW: Dict[str, str] = {
