@@ -10,6 +10,7 @@ from conftest import emit_table
 from repro.bench import DEFAULT_SCALE, CacheBench, make_trace
 from repro.bench.figures import BASE_OPS
 from repro.cache import CacheConfig, HybridCache
+from repro.cache.hybrid import METADATA_PAGES
 from repro.core import FdpAwareDevice
 from repro.ssd import SimulatedSSD
 
@@ -28,7 +29,7 @@ def _run_multitenant(fdp: bool):
     tenants = []
     for t in range(NUM_TENANTS):
         config = CacheConfig.for_flash_cache(
-            share - 16 * geometry.page_size,
+            share - METADATA_PAGES * geometry.page_size,
             page_size=geometry.page_size,
             soc_fraction=0.04,
             dram_fraction=DEFAULT_SCALE.dram_fraction,

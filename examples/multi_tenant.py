@@ -16,6 +16,7 @@ Run:  python examples/multi_tenant.py
 
 from repro.bench import DEFAULT_SCALE, CacheBench, make_trace
 from repro.cache import CacheConfig, HybridCache
+from repro.cache.hybrid import METADATA_PAGES
 from repro.core import FdpAwareDevice
 from repro.ssd import SimulatedSSD
 
@@ -29,7 +30,7 @@ def run_arm(fdp: bool) -> SimulatedSSD:
     io = FdpAwareDevice(device, enable_placement=fdp)
 
     # Partition the LBA space into equal tenant shares, no host OP.
-    share = geometry.logical_bytes // NUM_TENANTS - 16 * geometry.page_size
+    share = geometry.logical_bytes // NUM_TENANTS - METADATA_PAGES * geometry.page_size
     tenants = []
     base_lba = 0
     for t in range(NUM_TENANTS):
