@@ -30,7 +30,7 @@ from ..cache.hybrid import HybridCache
 from ..ssd.sched import SchedConfig
 from .driver import CacheBench, ReplayConfig
 from .metrics import Gate, SoakResult
-from .runner import Scale, build_experiment, make_trace, point_seed
+from .runner import Scale, build_experiment, make_trace, ops_or_default, point_seed
 
 __all__ = ["LATENCY_SCALE", "run_latency_soak"]
 
@@ -109,7 +109,7 @@ def run_latency_soak(
     """
     if seed is None:
         seed = point_seed("latency_soak", 0)
-    total_ops = num_ops if num_ops is not None else scale.num_ops
+    total_ops = ops_or_default(num_ops, scale.num_ops)
     if warmup_ops is None:
         warmup_ops = total_ops // 4
     if not 0 <= warmup_ops < total_ops:

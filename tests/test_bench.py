@@ -17,6 +17,7 @@ from repro.bench import (
 )
 from repro.bench.failslow import run_failslow_soak
 from repro.bench.fleet import run_fleet_soak
+from repro.bench.latency import run_latency_soak
 from repro.bench.metrics import IntervalPoint, steady_state_dlwa
 from repro.bench.overload import run_overload_soak
 from repro.fleet import FleetReplayConfig
@@ -188,6 +189,11 @@ class TestRunner:
     def test_fleet_soaks_refuse_zero_ops(self, soak):
         with pytest.raises(ValueError, match="num_ops"):
             soak(num_ops=0)
+
+    def test_latency_soak_refuses_zero_ops_as_the_others_do(self):
+        """It blamed the warm-up ("warmup_ops must be in [0, num_ops)")."""
+        with pytest.raises(ValueError, match="num_ops must be >= 1, got 0"):
+            run_latency_soak(num_ops=0)
 
 
 class TestDriver:
