@@ -51,8 +51,8 @@ __all__ = [
 
 # Per-shard device scale: small enough that an 8-shard soak stays in
 # CI budget, large enough for real GC pressure on every shard.
-FLEET_SCALE = Scale(num_superblocks=64, num_ops=160_000)
-SMOKE_SCALE = Scale(num_superblocks=48, num_ops=60_000)
+FLEET_SCALE = Scale(num_superblocks=64)
+SMOKE_SCALE = Scale(num_superblocks=48)
 
 
 def default_fleet_specs(

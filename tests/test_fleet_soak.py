@@ -13,14 +13,12 @@ where the lost fraction is realistic (1 of 8).
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from repro.bench.__main__ import main
-from repro.bench.fleet import (
-    SMOKE_SCALE,
-    default_fleet_specs,
-    run_fleet_soak,
-)
+from repro.bench.__main__ import SOAKS, main
+from repro.bench.fleet import default_fleet_specs, run_fleet_soak
 from repro.bench.metrics import SoakResult
 from repro.bench.runner import Scale
 
@@ -140,5 +138,11 @@ def test_cli_rejects_bad_args():
 
 def test_smoke_scale_is_ci_sized():
     # Guard against someone "fixing" the smoke job into a 10-minute run.
-    assert SMOKE_SCALE.num_superblocks <= 64
-    assert SMOKE_SCALE.num_ops <= 100_000
+    # A fleet soak replays num_shards x ops_per_shard ops.
+    for name in ("fleet", "failslow", "overload"):
+        soak = SOAKS[name]
+        params = inspect.signature(soak.run).parameters
+        run = {**{k: p.default for k, p in params.items()}, **soak.smoke}
+        assert run["scale"].num_superblocks <= 64, name
+        assert run["num_ops"] is None, name
+        assert run["num_shards"] * run["ops_per_shard"] <= 100_000, name
