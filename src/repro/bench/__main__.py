@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import ablation
 from .failslow import run_failslow_soak
-from .figures import smoke_points
+from .figures import FIGURES, shrink, smoke_points
 from .fleet import SMOKE_SCALE, run_fleet_soak
 from .latency import run_latency_soak
 from .metrics import SoakResult
@@ -54,9 +54,11 @@ SOAKS: Dict[str, Soak] = {
     "failslow": Soak(
         run_failslow_soak, dict(num_shards=3, scale=SMOKE_SCALE, ops_per_shard=12_000)
     ),
+    # Each cell on a 24 MiB device for 30k ops (the non-FDP AcceptAll
+    # gap is ~1.18).
     "ablation": Soak(
         ablation.run_ablation,
-        dict(num_ops=ablation.SMOKE_OPS, scale=ablation.SMOKE_SCALE, soak_ops=10_000),
+        dict(points=shrink(FIGURES["ablation"], 48, 30_000), soak_ops=10_000),
     ),
 }
 

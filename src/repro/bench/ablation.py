@@ -6,8 +6,9 @@ the strongest admission/engine counterpoints.  This bench answers the
 ROADMAP question head on: **how much of FDP's DLWA win can smart
 admission recover without FDP, and do the two compose?**
 
-The matrix replays {AcceptAll, threshold, survival} ×
-{FDP on, FDP off} × {Kangaroo, Nemo} cells through
+The matrix replays the {AcceptAll, threshold, survival} ×
+{Kangaroo, Nemo} × {FDP off, FDP on} cells of
+``repro.bench.figures.FIGURES["ablation"]`` through
 :func:`~repro.bench.parallel.run_sweep`.  Every cell shares one
 ``point_seed`` trace and threads the same seed into the admission
 policy's ``reseed`` (the PR 8 contract), so within a row the only
@@ -22,105 +23,17 @@ it from the shell.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from ..cache import (
-    AcceptAll,
-    AdmissionPolicy,
-    SizeThresholdAdmission,
-    SurvivalAdmission,
-)
 from .driver import CacheBench, ReplayConfig
+from .figures import FIGURES
 from .metrics import Gate, SoakResult
 from .parallel import PointFailure, SweepPoint, run_sweep
-from .runner import (
-    Scale,
-    build_experiment,
-    default_chaos_config,
-    make_trace,
-    point_seed,
-)
+from .runner import Scale, build_experiment, default_chaos_config, make_trace, point_seed
 
-__all__ = [
-    "ABLATION_SCALE",
-    "ABLATION_OPS",
-    "POLICIES",
-    "ENGINES",
-    "matrix_points",
-    "run_nemo_soak",
-    "run_ablation",
-]
+__all__ = ["run_nemo_soak", "run_ablation"]
 
-# Matrix cell scale: small enough that twelve cells finish in CI
-# minutes, small enough in *device* terms (32 MiB physical) that the
-# trace overwrites it several times — the non-FDP AcceptAll cell lands
-# at DLWA ~1.45, so there is a real gap for admission to recover.
-# Smoke halves both axes (24 MiB, 30k ops; baseline gap ~1.18).
-ABLATION_SCALE = Scale(num_superblocks=64)
-ABLATION_OPS = 60_000
-SMOKE_SCALE = Scale(num_superblocks=48)
-SMOKE_OPS = 30_000
-
-
-def _survival() -> SurvivalAdmission:
-    # Observation window matched to the bench trace scale: at tens of
-    # thousands of offers the class defaults (sized for million-op
-    # runs) barely finish warming up, so the bench shrinks the label
-    # horizon and ghost capacity to keep the model selective.
-    return SurvivalAdmission(label_horizon=8192, max_ghosts=2048)
-
-
-# Policy axis.  Factories build fresh instances per sweep point (the
-# point pickles its kwargs, so each process trains its own model);
-# run_experiment reseeds each with the shared point seed.  The
-# threshold tier only admits SOC-bound sizes — the classic "small
-# writes only" endurance gate.
-POLICIES: Dict[str, Callable[[], AdmissionPolicy]] = {
-    "acceptall": AcceptAll,
-    "threshold": lambda: SizeThresholdAdmission(max_size=2048),
-    "survival": _survival,
-}
-
-ENGINES = ("kangaroo", "nemo")
 GATE_ENGINE = "kangaroo"
-
-
-def matrix_points(
-    *,
-    num_ops: int = ABLATION_OPS,
-    scale: Scale = ABLATION_SCALE,
-    utilization: float = 0.9,
-    engines: tuple = ENGINES,
-    seed: Optional[int] = None,
-) -> List[SweepPoint]:
-    """One sweep point per (policy, engine, FDP) cell, shared seed."""
-    if seed is None:
-        seed = point_seed("ablation", 0)
-    points = []
-    for policy in POLICIES:
-        for engine in engines:
-            for fdp in (False, True):
-                placement = "FDP" if fdp else "Non-FDP"
-                points.append(
-                    SweepPoint(
-                        "ablation",
-                        len(points),
-                        "kvcache",
-                        {
-                            "fdp": fdp,
-                            "utilization": utilization,
-                            "scale": scale,
-                            "num_ops": num_ops,
-                            "seed": seed,
-                            "name": f"{policy} {engine} {placement}",
-                            "cache_overrides": {
-                                "admission": POLICIES[policy](),
-                                "soc_engine": engine,
-                            },
-                        },
-                    )
-                )
-    return points
 
 
 # ----------------------------------------------------------------------
@@ -133,8 +46,8 @@ def run_nemo_soak(
     *,
     seed: Optional[int] = None,
     num_ops: int = 20_000,
-    scale: Scale = ABLATION_SCALE,
-    utilization: float = 0.9,
+    scale: Scale,
+    utilization: float,
 ) -> Dict[str, object]:
     """Drive the Nemo engine through the integrity and scheduler arms.
 
@@ -240,16 +153,18 @@ def run_nemo_soak(
 
 def run_ablation(
     *,
-    num_ops: int = ABLATION_OPS,
-    scale: Scale = ABLATION_SCALE,
-    utilization: float = 0.9,
+    points: Sequence[SweepPoint] = FIGURES["ablation"],
     seed: Optional[int] = None,
     recovery_threshold: float = 0.2,
     compose_tolerance: float = 0.02,
     soak_ops: int = 20_000,
     workers: Optional[int] = None,
 ) -> SoakResult:
-    """Run the full matrix + Nemo soaks; failures recorded, not raised.
+    """Run the matrix ``points`` + Nemo soaks; failures recorded, not raised.
+
+    ``points`` are the ablation's cells (the smoke run passes them
+    shrunk); ``seed`` replaces their shared seed.  The Nemo soaks run
+    on the cells' device and utilization.
 
     Gates, judged on the ``GATE_ENGINE`` (Kangaroo — the paper's
     architecture) cells:
@@ -276,9 +191,10 @@ def run_ablation(
     recovery with extra misses, the trade the paper's placement
     approach avoids.
     """
-    if seed is None:
-        seed = point_seed("ablation", 0)
-    points = matrix_points(num_ops=num_ops, scale=scale, utilization=utilization, seed=seed)
+    if seed is not None:
+        points = [dataclasses.replace(p, kwargs={**p.kwargs, "seed": seed}) for p in points]
+    shape = points[0].kwargs  # every cell's device, utilization and run length
+    seed = points[0].seed
     results = run_sweep(points, workers=workers, on_error="record")
     rows: List[Dict[str, object]] = []
     failures: List[str] = []
@@ -295,7 +211,7 @@ def run_ablation(
             "host_pages_written": r.host_pages_written,
         })
     nemo_soak = run_nemo_soak(
-        seed=seed + 1, num_ops=soak_ops, scale=scale, utilization=utilization
+        seed=seed + 1, num_ops=soak_ops, scale=shape["scale"], utilization=shape["utilization"]
     )
 
     dlwa = {row["cell"]: row["dlwa"] for row in rows}
@@ -327,7 +243,7 @@ def run_ablation(
     return SoakResult(
         soak="ablation",
         params=dict(
-            ops=num_ops, seed=seed, gate_engine=GATE_ENGINE,
+            ops=shape["num_ops"], seed=seed, gate_engine=GATE_ENGINE,
             recovery_threshold=recovery_threshold, compose_tolerance=compose_tolerance,
         ),
         columns=("cell", "dlwa", "steady_dlwa", "miss_ratio", "p99_read_us", "admit_ratio"),

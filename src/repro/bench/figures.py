@@ -7,18 +7,26 @@ seed.  The arms of one swept value share its index, and so its
 ``point_seed``: paired-arm assertions compare runs of one trace.
 Figure 11 (two tenants on one device) and the FDP-vs-ZNS extension
 build their own devices and are not here.
+
+Two sweeps outside ``benchmarks/`` are declared here too: the
+policy-vs-placement ablation (``python -m repro.bench soak ablation``
+replays ``FIGURES["ablation"]``) and the adversarial scenario × FDP
+matrix, run as ``run_sweep(FIGURES["overload_matrix"], on_error="record")``.
+:func:`shrink` gives any entry's CI-sized replay.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
+from ..cache import AcceptAll, SizeThresholdAdmission, SurvivalAdmission
 from ..core.policies import DynamicTemperaturePolicy, SingleHandlePolicy, StaticSegregationPolicy
 from ..fdp import RuhType, default_configuration
+from ..workloads.adversarial import SCENARIOS, build_scenario
 from .parallel import SweepPoint
-from .runner import DEFAULT_SCALE
+from .runner import DEFAULT_SCALE, Scale, point_seed
 
 # Operations per arm: enough wraps of the scaled device for interval
 # DLWA to converge (validated in EXPERIMENTS.md).  100%-utilization
@@ -68,6 +76,38 @@ def _ruhs(ruh_type: RuhType) -> dict:
     return {"fdp": default_configuration(_GEOMETRY.superblock_bytes, ruh_type=ruh_type)}
 
 
+# The ablation's admission axis.  Each run replays a deep copy, so a
+# policy declared once here starts untrained in every cell.  The
+# survival model's label horizon and ghost capacity are shrunk to the
+# cells' tens of thousands of offers (the class defaults are sized for
+# million-op runs); the threshold tier admits only SOC-bound sizes.
+ADMISSIONS = {
+    "acceptall": AcceptAll(),
+    "threshold": SizeThresholdAdmission(max_size=2048),
+    "survival": SurvivalAdmission(label_horizon=8192, max_ghosts=2048),
+}
+# A 32 MiB device that 60k ops overwrite several times: the non-FDP
+# AcceptAll cell lands at DLWA ~1.45, a real gap for admission to
+# recover.  Each cell's result carries its arm label as its name.
+_ABLATION = {"utilization": 0.9, "scale": Scale(num_superblocks=64), "num_ops": 60_000}
+
+# One device of 128 superblocks, wrapped under GC in 60k ops (the
+# non-FDP arm reaches DLWA ~1.2 while FDP holds 1.0).  The base
+# arrival interval is gentler than the overload soak's: run_experiment
+# has no multi-queue scheduler, so GC stalls block the whole device,
+# and 400 us keeps benign rows out of runaway queueing while the
+# adversarial rows still hurt.
+_SCENARIO_ROWS = [
+    {
+        "utilization": 0.9, "scale": Scale(num_superblocks=128), "num_ops": 60_000,
+        "scenario": build_scenario(
+            name, seed=point_seed("overload_matrix", row), base_interval_ns=400_000
+        ),
+    }
+    for row, name in enumerate(SCENARIOS)
+]
+
+
 # name -> (workload, one kwargs dict per swept value, arm -> its kwargs)
 _SPECS: Dict[str, Tuple[str, List[dict], Dict[str, dict]]] = {
     "fig05_dlwa_timeline": ("kvcache", _utilizations((0.5,)), FDP_ARMS),
@@ -112,6 +152,14 @@ _SPECS: Dict[str, Tuple[str, List[dict], Dict[str, dict]]] = {
         for engine in ENGINES
         for label, arm in FDP_ARMS.items()
     }),
+    "ablation": ("kvcache", [_ABLATION], {
+        cell: {**arm, "name": cell, "cache_overrides": {"admission": admission, "soc_engine": engine}}
+        for policy, admission in ADMISSIONS.items()
+        for engine in ("kangaroo", "nemo")
+        for label, arm in FDP_ARMS.items()
+        for cell in [f"{policy} {engine} {label}"]
+    }),
+    "overload_matrix": ("kvcache", _SCENARIO_ROWS, FDP_ARMS),
 }
 
 FIGURES: Dict[str, Tuple[SweepPoint, ...]] = {
@@ -124,13 +172,23 @@ FIGURES: Dict[str, Tuple[SweepPoint, ...]] = {
 }
 
 
+def shrink(points: Iterable[SweepPoint], num_superblocks: int, num_ops: int) -> List[SweepPoint]:
+    """``points`` with only the device shrunk to ``num_superblocks``
+    and the run to ``num_ops``: the same cells, CI-sized."""
+    shrunk = []
+    for point in points:
+        scale = point.kwargs.get("scale", DEFAULT_SCALE)
+        kwargs = {
+            **point.kwargs,
+            "scale": dataclasses.replace(scale, num_superblocks=num_superblocks),
+            "num_ops": num_ops,
+        }
+        shrunk.append(dataclasses.replace(point, kwargs=kwargs))
+    return shrunk
+
+
 def smoke_points() -> List[SweepPoint]:
     """Each entry's last point (its top swept value, on the arm the
-    figure is about) with only the device shrunk to 64 MiB physical
-    and the run to 40k ops, so the sweep finishes in seconds."""
-    points = []
-    for *_, point in FIGURES.values():
-        scale = dataclasses.replace(point.kwargs.get("scale", DEFAULT_SCALE), num_superblocks=128)
-        kwargs = {**point.kwargs, "scale": scale, "num_ops": 40_000}
-        points.append(dataclasses.replace(point, kwargs=kwargs))
-    return points
+    figure is about) on a 64 MiB device for 40k ops, so the sweep
+    finishes in seconds."""
+    return shrink((points[-1] for points in FIGURES.values()), 128, 40_000)

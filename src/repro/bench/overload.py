@@ -23,19 +23,18 @@ the identical trace (same seed, same arrival schedule):
 
 The gates are the brownout contract (see :func:`run_overload_soak`).
 
-:func:`scenario_matrix` is the standing regression sweep: every
-:data:`~repro.workloads.adversarial.SCENARIOS` row × FDP on/off
-through :func:`~repro.bench.parallel.run_sweep`, reporting DLWA, p99,
-and miss ratio per cell.  Failures come back as
-:class:`~repro.bench.parallel.PointFailure` records carrying the full
-point parameterization.
+The standing regression sweep beside it, every
+:data:`~repro.workloads.adversarial.SCENARIOS` row × FDP on/off on one
+device, is ``repro.bench.figures.FIGURES["overload_matrix"]``: run it
+as ``run_sweep(FIGURES["overload_matrix"], on_error="record")`` for
+DLWA, p99 and miss ratio per cell.
 
 ``python -m repro.bench soak overload [--smoke]`` runs the soak.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional
 
 from ..fleet import (
     FleetCache,
@@ -44,15 +43,9 @@ from ..fleet import (
     FleetReplayConfig,
     GovernorConfig,
 )
-from ..workloads.adversarial import (
-    SCENARIOS,
-    FlashCrowd,
-    Scenario,
-    build_scenario,
-)
+from ..workloads.adversarial import FlashCrowd, Scenario
 from .fleet import SMOKE_SCALE, default_fleet_specs, fleet_trace
-from .metrics import Gate, RunResult, SoakResult
-from .parallel import PointFailure, SweepPoint, run_sweep
+from .metrics import Gate, SoakResult
 from .runner import Scale, ops_or_default, point_seed
 from .soak import layout, replay_windows, window_gate
 
@@ -61,7 +54,6 @@ __all__ = [
     "PER_SHARD_INTERVAL_NS",
     "make_crowd_trace",
     "run_overload_soak",
-    "scenario_matrix",
 ]
 
 # Per-shard device scale for the soak fleet; shares the fleet soak's
@@ -207,78 +199,4 @@ def run_overload_soak(
         rows=rows,
         gates=gates,
         evidence={"governor_counters": counters, "queue_rejections": rejections},
-    )
-
-
-# ----------------------------------------------------------------------
-# the standing scenario × FDP regression matrix
-# ----------------------------------------------------------------------
-
-# Single-device scale for matrix cells: small enough that 12 cells
-# finish in CI minutes, large enough to wrap the device under GC (at
-# 60k ops the Non-FDP arm's DLWA reaches ~1.2 while FDP holds 1.0, so
-# the cells discriminate placement).  The matrix base arrival interval
-# is gentler than the soak's: run_experiment has no multi-queue
-# scheduler, so GC stalls block the whole device — 400 µs keeps benign
-# cells out of runaway queueing while adversarial rows still hurt.
-MATRIX_SCALE = Scale(num_superblocks=128)
-MATRIX_OPS = 60_000
-MATRIX_INTERVAL_NS = 400_000
-
-
-def matrix_points(
-    *,
-    num_ops: int = MATRIX_OPS,
-    scale: Scale = MATRIX_SCALE,
-    utilization: float = 0.9,
-) -> List[SweepPoint]:
-    """One sweep point per (scenario, FDP) cell.
-
-    Paired cells (the FDP on/off arms of one scenario) share a
-    ``point_seed`` derived from the scenario row, so each row compares
-    placement on byte-identical adversarial traffic.
-    """
-    points = []
-    for row, name in enumerate(SCENARIOS):
-        seed = point_seed("overload_matrix", row)
-        scenario = build_scenario(
-            name, seed=seed, base_interval_ns=MATRIX_INTERVAL_NS
-        )
-        for fdp in (False, True):
-            points.append(
-                SweepPoint(
-                    "overload_matrix",
-                    len(points),
-                    "kvcache",
-                    {
-                        "fdp": fdp,
-                        "utilization": utilization,
-                        "scale": scale,
-                        "num_ops": num_ops,
-                        "seed": seed,
-                        "scenario": scenario,
-                        "name": f"{name} {'FDP' if fdp else 'Non-FDP'}",
-                    },
-                )
-            )
-    return points
-
-
-def scenario_matrix(
-    *,
-    num_ops: int = MATRIX_OPS,
-    scale: Scale = MATRIX_SCALE,
-    utilization: float = 0.9,
-    workers: Optional[int] = None,
-) -> List[Union[RunResult, PointFailure]]:
-    """Run the scenario × FDP matrix; failures recorded, not raised.
-
-    Every entry prints itself with ``summary_row()``.
-    """
-    return run_sweep(
-        matrix_points(
-            num_ops=num_ops, scale=scale, utilization=utilization
-        ),
-        workers=workers,
-        on_error="record",
     )

@@ -41,6 +41,7 @@ point's position.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 import traceback as _traceback
@@ -67,6 +68,10 @@ class SweepPoint:
     :func:`~repro.bench.runner.run_experiment` with :attr:`seed` and
     :attr:`name`, which a ``seed``/``name`` in the kwargs overrides.
     ``arm`` names one of the arms that share a swept value's ``index``.
+    Each run replays a deep copy of ``kwargs``, as a pool worker's
+    unpickled copy is: a stateful argument (a learned admission
+    policy, whose ``reseed`` only rebinds its RNG) starts every run as
+    declared.
     """
 
     figure: str
@@ -87,7 +92,7 @@ class SweepPoint:
         return str(self.kwargs.get("name", label.rstrip()))
 
     def run(self) -> RunResult:
-        kwargs = {**self.kwargs, "seed": self.seed, "name": self.name}
+        kwargs = {**copy.deepcopy(self.kwargs), "seed": self.seed, "name": self.name}
         return run_experiment(self.workload, **kwargs)
 
 

@@ -12,10 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import Scale
-from repro.bench.overload import scenario_matrix
+from repro.bench import Scale, run_sweep
+from repro.bench.figures import FIGURES, shrink
 from repro.ssd import Geometry
-from repro.workloads.adversarial import SCENARIOS
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -113,11 +112,10 @@ def test_trace_replay(capsys, tmp_path, monkeypatch):
 
 
 def test_readme_scenario_matrix():
-    """README's ``for cell in scenario_matrix()`` loop, on a tiny device."""
-    cells = scenario_matrix(num_ops=3000, scale=Scale(num_superblocks=64), workers=1)
-    assert [cell.name for cell in cells] == [
-        f"{name} {arm}" for name in SCENARIOS for arm in ("Non-FDP", "FDP")
-    ]
+    """README's scenario-matrix loop, on a tiny device."""
+    points = shrink(FIGURES["overload_matrix"], 64, 3000)
+    cells = run_sweep(points, workers=1, on_error="record")
+    assert [cell.name for cell in cells] == [point.name for point in points]
     for cell in cells:
         assert cell.summary_row().startswith(cell.name)
 

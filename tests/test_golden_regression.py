@@ -32,9 +32,9 @@ from repro.bench import (
     run_experiment,
     run_integrity_soak,
 )
-from repro.bench.ablation import POLICIES, SMOKE_OPS, SMOKE_SCALE
+from repro.bench.__main__ import SOAKS
+from repro.bench.figures import ADMISSIONS
 from repro.bench.latency import run_latency_soak
-from repro.bench.parallel import point_seed
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -97,30 +97,19 @@ def test_golden_run_result(name: str, update_golden: bool) -> None:
     _check_golden(name, dataclasses.asdict(run_config(name)), update_golden)
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("policy", sorted(ADMISSIONS))
 def test_golden_ablation_row(policy: str, update_golden: bool) -> None:
-    """One ablation-matrix row per admission policy, replayed with the
-    exact kwargs the smoke matrix uses (same ``point_seed``, same
-    scale, kangaroo + non-FDP — the cell where admission does the
-    work).  Pins the learned policy's whole decision stream: any drift
-    in feature extraction, training order, or ghost-list bookkeeping
-    shows up as a DLWA/hit-ratio diff here."""
-    result = run_experiment(
-        "kvcache",
-        fdp=False,
-        utilization=0.9,
-        scale=SMOKE_SCALE,
-        num_ops=SMOKE_OPS,
-        seed=point_seed("ablation", 0),
-        cache_overrides={
-            "admission": POLICIES[policy](),
-            "soc_engine": "kangaroo",
-        },
-        name=f"{policy} kangaroo Non-FDP",
-    )
+    """One ablation-matrix row per admission policy: its kangaroo +
+    non-FDP cell (the cell where admission does the work) replayed as
+    the smoke soak replays it.  Pins the learned policy's whole
+    decision stream: any drift in feature extraction, training order,
+    or ghost-list bookkeeping shows up as a DLWA/hit-ratio diff here."""
+    (point,) = [
+        p for p in SOAKS["ablation"].smoke["points"] if p.arm == f"{policy} kangaroo Non-FDP"
+    ]
     _check_golden(
         f"ablation_{policy}_kangaroo_nonfdp",
-        dataclasses.asdict(result),
+        dataclasses.asdict(point.run()),
         update_golden,
     )
 

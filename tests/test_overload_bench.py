@@ -19,11 +19,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.overload import (
-    make_crowd_trace,
-    matrix_points,
-    run_overload_soak,
-)
+from repro.bench.figures import FIGURES
+from repro.bench.overload import make_crowd_trace, run_overload_soak
 from repro.bench.parallel import SweepPoint, run_sweep
 from repro.bench.runner import Scale, make_trace
 from repro.fleet import (
@@ -134,19 +131,20 @@ def test_point_failure_carries_sweep_point_provenance():
     assert "fdp=True" in row
 
 
-def test_matrix_points_pair_fdp_arms_per_scenario():
-    points = matrix_points(num_ops=1_000)
+def test_overload_matrix_pairs_fdp_arms_per_scenario():
+    points = FIGURES["overload_matrix"]
     assert len(points) == 2 * len(SCENARIOS)
     for row, name in enumerate(SCENARIOS):
         nonfdp, fdp = points[2 * row], points[2 * row + 1]
         # Both arms of a row replay the same seed and scenario object,
         # so the FDP column is the only varying factor.
-        assert fdp.kwargs["seed"] == nonfdp.kwargs["seed"]
+        assert fdp.index == nonfdp.index == row
+        assert fdp.seed == nonfdp.seed
         assert fdp.kwargs["scenario"] is nonfdp.kwargs["scenario"]
         assert fdp.kwargs["scenario"].name == name
         assert fdp.kwargs["fdp"] and not nonfdp.kwargs["fdp"]
     # Distinct rows use distinct derived seeds.
-    seeds = {p.kwargs["seed"] for p in points}
+    seeds = {p.seed for p in points}
     assert len(seeds) == len(SCENARIOS)
 
 

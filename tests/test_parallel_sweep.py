@@ -26,7 +26,7 @@ from repro.bench import (
     point_seed,
     run_sweep,
 )
-from repro.bench.figures import FIGURES, smoke_points
+from repro.bench.figures import FIGURES, shrink, smoke_points
 from repro.bench.runner import RunResult
 
 TINY_SCALE = Scale(num_superblocks=64, num_ops=8_000)
@@ -102,6 +102,19 @@ def test_the_arms_of_each_swept_value_share_one_seed():
         assert all(len(s) == 1 for s in seeds.values()), figure
         assert len(set().union(*seeds.values())) == len(seeds), figure
         assert len({p.name for p in points}) == len(points), figure
+
+
+def test_a_declared_learned_policy_starts_untrained_in_every_run():
+    """A ``SurvivalAdmission`` declared once in ``FIGURES`` trains
+    during a run; the next run in the same process must not inherit
+    the model (``reseed`` rebinds only its RNG)."""
+    (point,) = shrink(
+        [p for p in FIGURES["ablation"] if p.arm == "survival kangaroo Non-FDP"], 48, 8_000
+    )
+    first = point.run()
+    assert first.flash_admit_ratio < 1.0  # the model learned to reject
+    assert point.run() == first
+    assert run_sweep([point, point], workers=2) == [first, first]
 
 
 def test_a_failing_point_carries_the_name_its_result_would():
