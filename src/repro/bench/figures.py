@@ -153,11 +153,11 @@ _SPECS: Dict[str, Tuple[str, List[dict], Dict[str, dict]]] = {
         for label, arm in FDP_ARMS.items()
     }),
     "ablation": ("kvcache", [_ABLATION], {
-        cell: {**arm, "name": cell, "cache_overrides": {"admission": admission, "soc_engine": engine}}
-        for policy, admission in ADMISSIONS.items()
+        cell: {**arm, "name": cell, "cache_overrides": {"admission": policy, "soc_engine": engine}}
+        for name, policy in ADMISSIONS.items()
         for engine in ("kangaroo", "nemo")
         for label, arm in FDP_ARMS.items()
-        for cell in [f"{policy} {engine} {label}"]
+        for cell in [f"{name} {engine} {label}"]
     }),
     "overload_matrix": ("kvcache", _SCENARIO_ROWS, FDP_ARMS),
 }
