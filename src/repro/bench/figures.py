@@ -88,7 +88,7 @@ ADMISSIONS = {
 }
 # A 32 MiB device that 60k ops overwrite several times: the non-FDP
 # AcceptAll cell lands at DLWA ~1.45, a real gap for admission to
-# recover.  Each cell's result carries its arm label as its name.
+# recover.  Each result is named by its cell label: the soak's gates key on it.
 _ABLATION = {"utilization": 0.9, "scale": Scale(num_superblocks=64), "num_ops": 60_000}
 
 # One device of 128 superblocks, wrapped under GC in 60k ops (the
