@@ -14,8 +14,8 @@ fault-tolerant cluster:
   service, retirement drains, shadow-map placement audits;
 * :mod:`repro.fleet.monitor` — SMART-health-driven lifecycle control
   plus op-indexed scripted failure plans;
-* :mod:`repro.fleet.driver` — trace replay across the fleet (serial
-  closed-loop and partitioned parallel);
+* :mod:`repro.fleet.driver` — trace replay across the fleet, closed or
+  open loop, through the router (the fleet's one replay loop);
 * :mod:`repro.fleet.errors` — the fleet error taxonomy
   (:class:`ShardUnavailableError` wraps device exceptions with the
   originating shard id).
@@ -29,9 +29,6 @@ from .driver import (
     FleetIntervalPoint,
     FleetReplayConfig,
     FleetRunResult,
-    ShardReplaySummary,
-    partition_trace,
-    replay_partitioned,
 )
 from .errors import (
     SHARD_UNAVAILABLE_CAUSES,
@@ -73,11 +70,8 @@ __all__ = [
     "SHARD_UNAVAILABLE_CAUSES",
     "ScriptedShardEvent",
     "ShardFailurePlan",
-    "ShardReplaySummary",
     "ShardSpec",
     "ShardState",
     "ShardUnavailableError",
     "SlowShardError",
-    "partition_trace",
-    "replay_partitioned",
 ]

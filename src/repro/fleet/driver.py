@@ -10,38 +10,27 @@ CacheBench's loop, which is the 1-shard differential test's invariant.
 Between ops the driver feeds the
 :class:`~repro.fleet.monitor.FleetHealthMonitor`, so scripted kills
 land on exact op indices and health-driven retirements interleave with
-traffic deterministically.
-
-:func:`replay_partitioned` is the throughput path: it routes the trace
-once, partitions it into per-shard sub-traces, and replays them in
-parallel worker processes (the :mod:`repro.bench.parallel` idiom —
-picklable specs in, picklable summaries out, devices never cross the
-process boundary).  Partitioned replay is exact, not approximate:
-routing is deterministic, so each shard sees precisely the ops it
-would have seen serially, in the same order.
+traffic deterministically.  :meth:`FleetDriver.run` is the fleet's only
+replay loop: every op goes through the router, and so through the
+governor and the circuit breakers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional
 
 from ..bench.driver import ReplayConfig
 from ..workloads.trace import OP_GET, OP_SET, Trace
-from .hashring import ConsistentHashRouter
 from .monitor import FleetHealthMonitor
 from .router import FleetCache
-from .shard import ShardSpec
 
 __all__ = [
     "FleetReplayConfig",
     "FleetIntervalPoint",
     "FleetRunResult",
     "FleetDriver",
-    "ShardReplaySummary",
-    "replay_partitioned",
 ]
 
 
@@ -62,7 +51,7 @@ def _windows(cfg: ReplayConfig, trace: Trace) -> Iterator[Iterator[tuple]]:
     ``arrival_ns`` from ``trace.arrivals_ns``, ``None`` without a
     schedule.  Converting a window at a time boxes no numpy scalar per
     op and keeps memory flat, as :func:`repro.bench.driver.replay` does
-    inline; both fleet loops iterate through here.
+    inline; :meth:`FleetDriver.run` iterates through here.
     """
     schedule = trace.arrivals_ns
     for start in range(0, len(trace), cfg.poll_interval_ops):
@@ -251,128 +240,3 @@ class FleetDriver:
             transitions=list(transitions),
         )
 
-
-# ----------------------------------------------------------------------
-# partitioned parallel replay
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardReplaySummary:
-    """Picklable per-shard result of a partitioned replay."""
-
-    shard_id: str
-    backend: str
-    ops: int
-    gets: int
-    hits: int
-    sets: int
-    deletes: int
-    hit_ratio: float
-    dlwa: float
-    host_pages_written: int
-    nand_pages_written: int
-    read_p99_ns: Optional[int]
-    energy_kwh: float
-
-
-def _replay_shard(
-    payload: Tuple[ShardSpec, Trace, FleetReplayConfig],
-) -> ShardReplaySummary:
-    """Worker body: build the shard locally, replay its partition."""
-    spec, sub_trace, cfg = payload
-    shard = spec.build()
-    next_issue = cfg.next_issue_ns
-    for rows in _windows(cfg, sub_trace):
-        for op, key, size, _ in rows:
-            if op == OP_GET:
-                if not shard.get(key)[0]:  # (hit, where, done)
-                    shard.set(key, size)
-            elif op == OP_SET:
-                shard.set(key, size)
-            else:
-                shard.delete(key)
-            shard.clock_ns = next_issue(shard.clock_ns, shard.busy_until())
-    hist = shard.merged_histogram("read")
-    host, nand = shard.page_counters()
-    return ShardReplaySummary(
-        shard_id=shard.shard_id,
-        backend=shard.backend.kind,
-        ops=len(sub_trace),
-        gets=shard.gets,
-        hits=shard.hits,
-        sets=shard.sets,
-        deletes=shard.deletes,
-        hit_ratio=shard.hit_ratio,
-        dlwa=shard.dlwa,
-        host_pages_written=host,
-        nand_pages_written=nand,
-        read_p99_ns=None if hist is None or hist.count == 0 else hist.p99(),
-        energy_kwh=shard.energy_kwh(),
-    )
-
-
-def partition_trace(
-    specs: Sequence[ShardSpec],
-    trace: Trace,
-    *,
-    vnodes: int = 64,
-    ring_seed: int = 0,
-) -> Dict[str, Trace]:
-    """Split a trace into per-shard sub-traces by ring ownership.
-
-    Order within each partition is preserved, so every shard replays
-    exactly the subsequence it would have served in a serial fleet run
-    with static membership.
-    """
-    ring = ConsistentHashRouter(
-        [s.shard_id for s in specs], vnodes=vnodes, seed=ring_seed
-    )
-    owners = ring.route_many(trace.keys)
-    indices: Dict[str, List[int]] = {s.shard_id: [] for s in specs}
-    for i, owner in enumerate(owners):
-        indices[owner].append(i)
-    return {
-        shard_id: trace.slice_indices(idx, name=f"{trace.name}:{shard_id}")
-        for shard_id, idx in indices.items()
-    }
-
-
-def replay_partitioned(
-    specs: Sequence[ShardSpec],
-    trace: Trace,
-    *,
-    workers: int = 1,
-    config: Optional[FleetReplayConfig] = None,
-    vnodes: int = 64,
-    ring_seed: int = 0,
-) -> List[ShardReplaySummary]:
-    """Replay one trace across shards, one worker process per shard.
-
-    Results are returned sorted by shard id and are identical for any
-    ``workers`` value (including serial in-process execution) — the
-    partition, not the schedule, defines what each shard replays.
-
-    The per-shard replay is closed loop only, so open-loop input is
-    rejected rather than silently replayed on the wrong clock.
-    """
-    cfg = config or FleetReplayConfig()
-    for field, value in (
-        ("config.arrival_interval_ns", cfg.arrival_interval_ns),
-        ("trace.arrivals_ns", trace.arrivals_ns),
-    ):
-        if value is not None:
-            raise ValueError(
-                f"replay_partitioned replays closed loop; {field} is set"
-            )
-    parts = partition_trace(
-        specs, trace, vnodes=vnodes, ring_seed=ring_seed
-    )
-    payloads = [
-        (spec, parts[spec.shard_id], cfg)
-        for spec in sorted(specs, key=lambda s: s.shard_id)
-    ]
-    if workers <= 1:
-        return [_replay_shard(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replay_shard, payloads))

@@ -13,8 +13,8 @@ changes move the minimum possible set of keys:
 
 Hashing is SHA-256 (first 8 bytes), the same primitive as the bench
 harness's ``point_seed`` contract, so routing is stable across runs,
-machines, and worker schedules — a requirement for the fleet driver's
-partitioned parallel replay to be deterministic.
+machines, and worker schedules: two processes that build the same
+``(seed, membership)`` ring route every key identically.
 
 A key's owner is hashed out once and remembered: the ring keeps a
 key → owner memo that is a pure cache of the SHA-256 placement (a
@@ -130,13 +130,6 @@ class ConsistentHashRouter:
             self._owners[key] = owner
         return owner
 
-    def route_many(self, keys: Iterable[int]) -> List[str]:
-        """Owners of ``keys``, in order (a numpy column is welcome)."""
-        tolist = getattr(keys, "tolist", None)
-        if tolist is not None:
-            keys = tolist()  # plain ints: no per-key scalar boxing
-        return list(map(self.route, keys))
-
     # ------------------------------------------------------------------
 
     @property
@@ -149,10 +142,3 @@ class ConsistentHashRouter:
 
     def __len__(self) -> int:
         return len(self._member_points)
-
-    def ownership_histogram(self, keys: Iterable[int]) -> dict:
-        """Keys per shard for a sample — skew diagnostics for tools."""
-        counts = dict.fromkeys(self.shard_ids, 0)
-        for owner in self.route_many(keys):
-            counts[owner] += 1
-        return counts

@@ -64,12 +64,11 @@ class ShardState(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
-    """Picklable recipe for one shard.
+    """Frozen recipe for one shard.
 
-    Workers of the partitioned parallel replay receive specs (not live
-    shards — devices never cross process boundaries, mirroring
-    :mod:`repro.bench.parallel`'s SweepPoint contract) and build the
-    shard locally via :meth:`build`.
+    The fleet soaks declare their shards as specs
+    (:func:`repro.bench.fleet.default_fleet_specs`, varied with
+    :func:`dataclasses.replace`) and build each one via :meth:`build`.
     """
 
     shard_id: str

@@ -110,24 +110,6 @@ class Trace:
             ),
         )
 
-    def slice_indices(self, indices, name: str = "") -> "Trace":
-        """A sub-trace of the given row indices, order preserved.
-
-        Fancy-indexed (copies, unlike :meth:`slice`); the fleet's
-        partitioned replay uses this to split one trace into per-shard
-        subsequences.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        return Trace(
-            self.ops[idx],
-            self.keys[idx],
-            self.sizes[idx],
-            name=name or f"{self.name}[{len(idx)} rows]",
-            arrivals_ns=(
-                None if self.arrivals_ns is None else self.arrivals_ns[idx]
-            ),
-        )
-
     # ------------------------------------------------------------------
     # summary statistics (used by tests and examples)
     # ------------------------------------------------------------------

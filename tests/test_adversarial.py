@@ -299,13 +299,6 @@ def test_trace_arrivals_survive_slice_and_roundtrip(tmp_path):
     assert np.array_equal(loaded.keys, out.keys)
 
 
-def test_trace_slice_indices_carries_arrivals():
-    out = DiurnalWave().apply(_base())
-    idx = [2, 5, 11, 400]
-    part = out.slice_indices(idx)
-    assert np.array_equal(part.arrivals_ns, out.arrivals_ns[idx])
-
-
 def test_trace_rejects_bad_arrival_schedules():
     base = _base(num_ops=4)
     with pytest.raises(ValueError, match="nondecreasing"):

@@ -8,26 +8,22 @@ tests/test_fleet_soak.py (the end-to-end shard-loss soak).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.bench.runner import Scale, make_trace
 from repro.faults.model import HealthLogPage
 from repro.fleet import (
     CacheShard,
-    ConsistentHashRouter,
     FleetCache,
     FleetConfig,
     FleetDriver,
     FleetHealthMonitor,
-    FleetReplayConfig,
     MonitorConfig,
     ScriptedShardEvent,
     ShardFailurePlan,
     ShardSpec,
     ShardState,
     ShardUnavailableError,
-    replay_partitioned,
 )
 from repro.ssd.errors import DeviceOfflineError, QueueFullError
 
@@ -433,37 +429,6 @@ def test_fleet_stats_dict_shape():
         s.merged_histogram("read") for s in fleet.shards.values()
     ]
     assert merged.count == sum(h.count for h in per_shard if h)
-
-
-def test_partitioned_replay_matches_serial():
-    specs = [ShardSpec(f"s{i:02d}", scale=TINY) for i in range(3)]
-    trace = small_trace(2_400, shards=3)
-    serial = replay_partitioned(specs, trace, workers=1)
-    parallel = replay_partitioned(specs, trace, workers=3)
-    assert serial == parallel
-    assert sum(s.ops for s in serial) == len(trace)
-    # Partition ownership agrees with the ring.
-    ring = ConsistentHashRouter([s.shard_id for s in specs])
-    hist = ring.ownership_histogram(trace.keys)
-    assert {s.shard_id: s.ops for s in serial} == hist
-
-
-@pytest.mark.parametrize(
-    "field,config,with_arrivals",
-    [
-        ("config.arrival_interval_ns", dict(arrival_interval_ns=1_000), False),
-        ("trace.arrivals_ns", {}, True),
-    ],
-)
-def test_partitioned_replay_rejects_open_loop(field, config, with_arrivals):
-    """Regression: the per-shard replay is closed loop and used to
-    drop both open-loop sources without a word."""
-    specs = [ShardSpec(f"s{i:02d}", scale=TINY) for i in range(2)]
-    trace = small_trace(600)
-    if with_arrivals:
-        trace.arrivals_ns = np.arange(600) * 1_000
-    with pytest.raises(ValueError, match=field):
-        replay_partitioned(specs, trace, config=FleetReplayConfig(**config))
 
 
 class TestAdmissionSeedThreading:

@@ -145,7 +145,7 @@ def test_projected_stream_equals_masking_the_full_one(spec, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synth, "_CHUNK_ROWS", chunk)
         head = synth._stream_head(spec, want, only_op=OP_SET)
-    _columns_equal(head, full.slice_indices(rows))
+    _columns_equal(head, Trace(full.ops[rows], full.keys[rows], full.sizes[rows]))
 
 
 def test_sampler_inverts_only_the_kept_draws_and_advances_by_all():
