@@ -184,7 +184,7 @@ class SmallObjectCache:
         hashes = [splitmix64(item.key) for item in items]
         bucket = hashes[0] % self.num_buckets
         if any(h1 % self.num_buckets != bucket for h1 in hashes):
-            raise ValueError("insert_many requires a single bucket")
+            raise ValueError("a batch of items must share one bucket")
         admitted = 0
         for item, h1 in zip(items, hashes):
             nbytes = item.size + ITEM_HEADER_BYTES  # item.stored_size
@@ -262,41 +262,24 @@ class SmallObjectCache:
         self.app_bytes_written += item.size
         return True, done
 
-    def insert_many(
-        self, items: List[CacheItem], now_ns: int = 0
-    ) -> Tuple[int, int]:
-        """Insert several items destined for the *same* bucket with one
-        bucket rewrite.
-
-        This is the primitive a Kangaroo-style log front needs: moving
-        a batch of staged items into their set costs one flash write
-        instead of one per item.  Returns ``(admitted, completion_ns)``.
-        """
-        if not items:
-            return 0, now_ns
-        bucket, admitted = self._stage_bucket_items(items)
-        if admitted == 0:
-            return 0, now_ns
-        done = self._write_bucket(bucket, now_ns)
-        self.inserts += admitted
-        return admitted, done
-
     def insert_many_batched(
         self, batches: List[List[CacheItem]], now_ns: int = 0
     ) -> Tuple[int, int]:
         """Move several buckets' worth of items with one batched submit.
 
-        Each element of ``batches`` is a single-bucket item list (the
-        :meth:`insert_many` contract); all destination buckets are
-        staged in memory first, then the rewrites go down as *one*
+        This is the primitive a Kangaroo-style log front needs: moving
+        a batch of staged items into their set costs one bucket rewrite
+        instead of one per item.  Each element of ``batches`` is an item
+        list that shares one bucket; all destination buckets are staged
+        in memory first, then the rewrites go down as *one*
         :meth:`~repro.core.device_layer.FdpAwareDevice.submit_batch`
         call so the per-command Python overhead is paid once.  The
         device busy clock serializes the page programs in submission
-        order, so completion times — and every counter — match the
-        per-bucket :meth:`insert_many` loop exactly.  Per-command
-        outcomes preserve the scalar degradation path: a bucket whose
-        rewrite fails is dropped (:meth:`_drop_bucket`) while the rest
-        of the batch lands.  Returns ``(admitted, completion_ns)``.
+        order, so completion times — and every counter — match one
+        :meth:`_write_bucket` per bucket exactly.  Per-command outcomes
+        preserve the scalar degradation path: a bucket whose rewrite
+        fails is dropped (:meth:`_drop_bucket`) while the rest of the
+        batch lands.  Returns ``(admitted, completion_ns)``.
         """
         staged: List[Tuple[int, int]] = []
         commands: List[Tuple] = []

@@ -110,13 +110,6 @@ class SocIndexMachine(RuleBasedStateMachine):
             assert self.soc.contains(item.key) == (not fail)
         self.io.fail_next_write = False
 
-    @rule(items=st.lists(ITEMS, min_size=1, max_size=12), fail=st.booleans())
-    def insert_many(self, items, fail):
-        group = max(self._groups(items), key=len)
-        self.io.fail_next_write = fail
-        self.soc.insert_many(group)
-        self.io.fail_next_write = False
-
     @rule(items=st.lists(ITEMS, max_size=24), fail=st.booleans())
     def insert_many_batched(self, items, fail):
         self.io.fail_next_write = fail  # the first bucket of the batch
