@@ -87,9 +87,14 @@ class SweepPoint:
 
     @property
     def name(self) -> str:
-        """The label of the point's RunResult, or of its PointFailure."""
+        """The label of the point's RunResult, or of its PointFailure,
+        with the point's scenario, if it replays one, in brackets."""
         label = f"{self.figure}[{self.index}] {self.workload} {self.arm}"
-        return str(self.kwargs.get("name", label.rstrip()))
+        label = str(self.kwargs.get("name", label.rstrip()))
+        scenario = self.kwargs.get("scenario")
+        if scenario is None:
+            return label
+        return f"{label} [{getattr(scenario, 'name', scenario)}]"
 
     def run(self) -> RunResult:
         kwargs = {**copy.deepcopy(self.kwargs), "seed": self.seed, "name": self.name}

@@ -229,20 +229,14 @@ def run_experiment(
         num_ops=num_ops,
         seed=seed,
     )
-    scenario_tag = ""
     if scenario is not None:
         if isinstance(scenario, str):
             from ..workloads.adversarial import build_scenario
 
             scenario = build_scenario(scenario, seed=seed)
         trace = scenario.apply(trace)
-        scenario_tag = f" [{scenario.name}]"
-    bench = CacheBench(replay)
-    label = name or (
-        f"{workload} util={utilization:.0%} "
-        f"{'FDP' if fdp else 'Non-FDP'}{scenario_tag}"
-    )
-    return bench.run(cache, trace, name=label)
+    label = name or f"{workload} util={utilization:.0%} {'FDP' if fdp else 'Non-FDP'}"
+    return CacheBench(replay).run(cache, trace, name=label)
 
 
 # Chaos runs shrink the device to 64 MiB physical so a short soak

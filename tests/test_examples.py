@@ -15,6 +15,7 @@ import pytest
 from repro.bench import Scale, run_sweep
 from repro.bench.figures import FIGURES, shrink
 from repro.ssd import Geometry
+from repro.workloads.adversarial import SCENARIOS
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -115,7 +116,11 @@ def test_readme_scenario_matrix():
     """README's scenario-matrix loop, on a tiny device."""
     points = shrink(FIGURES["overload_matrix"], 64, 3000)
     cells = run_sweep(points, workers=1, on_error="record")
-    assert [cell.name for cell in cells] == [point.name for point in points]
+    # Row i replays SCENARIOS[i], and every cell's name says which.
+    assert [cell.name for cell in cells] == [
+        f"overload_matrix[{point.index}] kvcache {point.arm} [{SCENARIOS[point.index]}]"
+        for point in points
+    ]
     for cell in cells:
         assert cell.summary_row().startswith(cell.name)
 
