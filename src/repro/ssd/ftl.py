@@ -487,16 +487,17 @@ class Ftl:
     # ------------------------------------------------------------------
 
     def _select_victim(self) -> Optional[Superblock]:
-        """Greedy-min-valid victim over a bounded candidate window.
+        """Greedy-min-valid victim, global or over a candidate window.
 
-        Real controllers do not compute a global argmin over every
-        superblock per GC event; they pick the emptiest block among a
-        hardware-sized candidate window (per die/channel scan).  The
-        window is modelled as ``gc_victim_sample`` closed superblocks
-        taken from a rotating cursor with a randomized start, which is
-        what produces the residual DLWA (~1.2-1.4) the paper measures
-        on the Non-FDP baseline even at 50 % utilization.  Set
-        ``gc_victim_sample=None`` for an idealized global greedy.
+        The default (``gc_victim_sample=None``) is global greedy: the
+        emptiest closed superblock, and every run the repo records
+        selects its victims this way.  A real controller may instead
+        pick the emptiest block among a hardware-sized candidate window
+        (per die/channel scan); ``gc_victim_sample`` models that window
+        as that many closed superblocks taken from a rotating cursor
+        with a randomized start.  Nothing but tests sets it yet: it is
+        one of the candidates ROADMAP item 4 sweeps for the Non-FDP
+        DLWA gap.
         """
         closed = self._closed
         if not closed:

@@ -633,7 +633,6 @@ def persistent_config():
 
 GC_ARMS = {
     "nonfdp": dict(),
-    "nonfdp-global-greedy": dict(gc_victim_sample=None),
     "nonfdp-sampled-victims": dict(gc_victim_sample=4),
     "fdp-initially-isolated": dict(fdp=True),
     "fdp-persistently-isolated": dict(fdp=persistent_config),
