@@ -82,7 +82,7 @@ ABSTRACT = "abstract base method every subclass overrides"
 
 #: Ratchet: at most this many functions only a test calls.  Lower it
 #: when a change gives one an entry point or deletes it; never raise it.
-MAX_TEST_ONLY = 143
+MAX_TEST_ONLY = 136
 
 #: Functions nothing calls that stay, each with its reason.
 ALLOW: Dict[str, str] = {
@@ -114,6 +114,7 @@ VALUE_CLASSES = {"CacheConfig.admission": "AdmissionPolicy"}
 SETTERS = ("src", "benchmarks", "perfbench", "examples")
 
 ITEM3 = "ROADMAP item 3 sweeps it"
+ITEM4 = "ROADMAP item 4 sweeps it as a gap-1 candidate"
 ITEM5 = "ROADMAP item 5 turns the NAND timings"
 ITEM7 = "fault shape ROADMAP item 7's composed-fault fuzz injects"
 TUNED = "threshold tests tune on purpose"
@@ -171,7 +172,7 @@ OPTIONS_ALLOW: Dict[str, str] = {
     "ScrubConfig.refresh_threshold": TUNED,
     "ScrubConfig.retire_after_failures": TUNED,
     "SimulatedSSD.gc_reserve_superblocks": ITEM3,
-    "SimulatedSSD.gc_victim_sample": ITEM3,
+    "SimulatedSSD.gc_victim_sample": ITEM4,
     "SimulatedSSD.power_seed": SEED,
 }
 
