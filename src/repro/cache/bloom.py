@@ -2,8 +2,10 @@
 
 CacheLib keeps a tiny bloom filter per SOC bucket in DRAM so that
 lookups of absent keys do not pay a flash read.  The reproduction keeps
-the same structure: a fixed-width bit array per bucket, rebuilt on
-every bucket rewrite (cheap — buckets hold tens of items).
+the same structure: a fixed-width bit array per bucket, answering for
+the bucket's last rewrite.  The SOC rebuilds it from that rewrite's
+manifest at the first lookup after the rewrite (cheap — buckets hold
+tens of items), so a rewrite that no lookup reads builds nothing.
 
 Hashing uses ``splitmix64`` over the integer key with per-probe seeds;
 it is deterministic across runs, which the experiments rely on.
@@ -93,6 +95,7 @@ class BloomFilter:
         keys: Iterable[int],
         mask_of: Optional[Callable[[int], int]] = None,
     ) -> None:
-        """Clear and re-add ``keys`` (bucket rewrite path); ``mask_of``
-        maps a key to its mask for a caller that holds them."""
+        """Clear and re-add ``keys`` (a bucket's first lookup after its
+        rewrite); ``mask_of`` maps a key to its mask for a caller that
+        holds them."""
         self._field = reduce(or_, map(mask_of or self.mask, keys), 0)

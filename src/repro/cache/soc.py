@@ -22,19 +22,26 @@ bloom filter.
 *Warm restart*: each bucket rewrite carries the bucket's on-flash
 header — bucket number, generation, and entry manifest, standing in
 for the real engine's generation+checksum header — in the device's
-out-of-band metadata.  Because a bucket is one NAND page and page
-programs are atomic-or-torn, a power cut mid-rewrite leaves either the
-previous generation (old header verifies, old contents recovered) or a
-torn page (header check fails, bucket comes back empty).
-:meth:`SmallObjectCache.recover` re-reads every bucket header after
-the device's power-on recovery, rebuilds contents and bloom filters
-from verified headers, and drops the rest — no stale "maybe" answers
-against pages that did not survive.
+out-of-band metadata.  The manifest is the in-memory bucket dict
+itself, shared copy-on-write: a rewrite copies nothing, and the next
+change to the bucket replaces it with a copy first, so a stored
+payload always reads what its rewrite wrote.  Because a bucket is one
+NAND page and page programs are atomic-or-torn, a power cut
+mid-rewrite leaves either the previous generation (old header
+verifies, old contents recovered) or a torn page (header check fails,
+bucket comes back empty).  :meth:`SmallObjectCache.recover` re-reads
+every bucket header after the device's power-on recovery, restores
+contents from verified headers, and drops the rest — no stale "maybe"
+answers against pages that did not survive.
+
+A bucket's bloom filter answers for its last rewrite's manifest, but
+is built only when read: the first lookup after a rewrite (or a
+recovery) builds it, so a rewrite that no lookup follows costs no
+filter at all.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..core.device_layer import FdpAwareDevice
@@ -91,19 +98,27 @@ class SmallObjectCache:
         self.num_buckets = num_buckets
         self.bucket_size = device.ssd.page_size
         self.usable_bucket_bytes = self.bucket_size - BUCKET_HEADER_BYTES
-        self._buckets: List["OrderedDict[int, int]"] = [
-            OrderedDict() for _ in range(num_buckets)
-        ]
+        # Each bucket's image, oldest entry first (FIFO eviction).  A
+        # rewrite puts the dict itself into its payload and records it
+        # in _manifests; while ``_buckets[b] is _manifests[b]`` the
+        # bucket is shared, and whatever changes it (_stage, invalidate,
+        # delete) replaces it with a copy first; _drop_bucket and
+        # recover replace it outright.
+        self._buckets: List[Dict[int, int]] = [{} for _ in range(num_buckets)]
+        self._manifests: List[Optional[Dict[int, int]]] = [None] * num_buckets
         self._used: List[int] = [0] * num_buckets
         self._blooms: List[BloomFilter] = [
             BloomFilter(BLOOM_BITS, BLOOM_HASHES) for _ in range(num_buckets)
         ]
+        # The manifest of a successful rewrite whose bloom no lookup has
+        # read yet: lookup builds the filter from it, then sets None.
+        self._pending_blooms: List[Optional[Dict[int, int]]] = [None] * num_buckets
         # The key index: key -> bloom mask, for exactly the resident
         # keys (``key in _masks`` iff ``key in _buckets[bucket_of(key)]``).
-        # Residency is answered here without hashing, and a bucket
-        # rewrite ORs the masks instead of hashing each key again.
+        # Residency is answered here without hashing, and building a
+        # bucket's bloom ORs the masks instead of hashing each key again.
         # Written only where a key enters (_stage, recover) or leaves
-        # (_evict_overflow, _drop_bucket, invalidate, delete, recover).
+        # (_evict_overflow, _drop_bucket, invalidate, delete).
         self._masks: Dict[int, int] = {}
         # Per-bucket rewrite generation, part of the on-flash header.
         self._generations: List[int] = [0] * num_buckets
@@ -157,24 +172,21 @@ class SmallObjectCache:
         Returns the number of entries dropped.
         """
         entries = self._buckets[bucket]
-        dropped = len(entries)
         for key in entries:
             del self._masks[key]
-        entries.clear()
+        self._buckets[bucket] = {}
         self._used[bucket] = 0
-        self._blooms[bucket].rebuild(())
-        return dropped
+        self._pending_blooms[bucket] = None
+        self._blooms[bucket].clear()
+        return len(entries)
 
     def _bucket_payload(self, bucket: int):
         """Build the on-flash header payload for one bucket rewrite
-        (advancing its generation)."""
+        (advancing its generation); its manifest is the bucket's dict,
+        shared from now on."""
+        entries = self._manifests[bucket] = self._buckets[bucket]
         self._generations[bucket] += 1
-        return (
-            "soc",
-            bucket,
-            self._generations[bucket],
-            tuple(self._buckets[bucket].items()),
-        )
+        return ("soc", bucket, self._generations[bucket], entries)
 
     def _stage_bucket_items(self, items: List[CacheItem]) -> Tuple[int, int]:
         """Stage ``items``, which must share a bucket, into its
@@ -201,6 +213,8 @@ class SmallObjectCache:
         ``splitmix64``) at the tail of a bucket's in-memory image,
         replacing an older copy."""
         entries = self._buckets[bucket]
+        if entries is self._manifests[bucket]:
+            entries = self._buckets[bucket] = dict(entries)  # unshare
         old = entries.pop(key, None)
         if old is None:
             self._masks[key] = bloom_mask(h1, BLOOM_BITS, BLOOM_HASHES)
@@ -210,16 +224,18 @@ class SmallObjectCache:
         self._used[bucket] += nbytes
 
     def _evict_overflow(self, bucket: int) -> None:
-        """Evict FIFO until the bucket's image fits its page."""
+        """Evict FIFO until the bucket's image fits its page.  Only
+        :meth:`_stage` overflows a bucket, and it has unshared it."""
         entries = self._buckets[bucket]
         while self._used[bucket] > self.usable_bucket_bytes:
-            key, evicted_bytes = entries.popitem(last=False)
+            key = next(iter(entries))
+            self._used[bucket] -= entries.pop(key)
             del self._masks[key]
-            self._used[bucket] -= evicted_bytes
             self.evictions += 1
 
     def _write_bucket(self, bucket: int, now_ns: int) -> int:
-        """Rewrite a whole bucket page on flash and rebuild its bloom.
+        """Rewrite a whole bucket page on flash; its bloom is built from
+        the manifest at the next lookup.
 
         A media failure (the device layer exhausted its write retries)
         drops the bucket rather than raising: the engine keeps serving,
@@ -237,11 +253,8 @@ class SmallObjectCache:
             return now_ns
         self.flash_writes += 1
         self.ssd_bytes_written += self.bucket_size
-        self._rebuild_bloom(bucket)
+        self._pending_blooms[bucket] = payload[3]
         return done
-
-    def _rebuild_bloom(self, bucket: int) -> None:
-        self._blooms[bucket].rebuild(self._buckets[bucket], self._masks.__getitem__)
 
     def insert(self, item: CacheItem, now_ns: int = 0) -> Tuple[bool, int]:
         """Insert an item; returns ``(admitted, completion_ns)``.
@@ -281,7 +294,7 @@ class SmallObjectCache:
         fails is dropped (:meth:`_drop_bucket`) while the rest of the
         batch lands.  Returns ``(admitted, completion_ns)``.
         """
-        staged: List[Tuple[int, int]] = []
+        staged: List[Tuple[int, int, Dict[int, int]]] = []
         commands: List[Tuple] = []
         for items in batches:
             if not items:
@@ -289,22 +302,22 @@ class SmallObjectCache:
             bucket, admitted = self._stage_bucket_items(items)
             if admitted == 0:
                 continue
-            staged.append((bucket, admitted))
-            commands.append(
-                ("write", self.base_lba + bucket, 1, self.handle,
-                 self._bucket_payload(bucket))
-            )
+            payload = self._bucket_payload(bucket)
+            staged.append((bucket, admitted, payload[3]))
+            commands.append(("write", self.base_lba + bucket, 1, self.handle, payload))
         if not staged:
             return 0, now_ns
         outcomes = self.device.submit_batch(commands, now_ns, worker="soc")
         done = now_ns
         total = 0
-        for (bucket, admitted), outcome in zip(staged, outcomes):
+        for (bucket, admitted, manifest), outcome in zip(staged, outcomes):
             if outcome.ok:
                 done = outcome.value
                 self.flash_writes += 1
                 self.ssd_bytes_written += self.bucket_size
-                self._rebuild_bloom(bucket)
+                # Unless a later group of this batch restaged the bucket.
+                if self._buckets[bucket] is manifest:
+                    self._pending_blooms[bucket] = manifest
             else:
                 # Same degradation as _write_bucket: the rewrite failed,
                 # flash no longer matches memory, drop the bucket.
@@ -327,7 +340,25 @@ class SmallObjectCache:
         resident = mask is not None
         if not resident:
             mask = bloom_mask(h1, BLOOM_BITS, BLOOM_HASHES)
-        if not self._blooms[bucket].may_contain(key, mask):
+        bloom = self._blooms[bucket]
+        manifest = self._pending_blooms[bucket]
+        if manifest is not None:
+            # The first read since the bucket's rewrite builds its bloom
+            # from that rewrite's manifest, with the masks of the index.
+            self._pending_blooms[bucket] = None
+            masks = self._masks
+            if manifest is self._buckets[bucket]:
+                bloom.rebuild(manifest, masks.__getitem__)
+            else:
+                # The bucket changed since: a key that left the index
+                # (invalidated, or evicted by a restage whose write
+                # never finished) is hashed again.
+                bloom.rebuild(
+                    manifest,
+                    lambda k: masks.get(k)
+                    or bloom_mask(splitmix64(k), BLOOM_BITS, BLOOM_HASHES),
+                )
+        if not bloom.may_contain(key, mask):
             self.bloom_rejects += 1
             return None, now_ns
         try:
@@ -367,7 +398,10 @@ class SmallObjectCache:
         if self._masks.pop(key, None) is None:
             return False
         bucket = splitmix64(key) % self.num_buckets
-        self._used[bucket] -= self._buckets[bucket].pop(key)
+        entries = self._buckets[bucket]
+        if entries is self._manifests[bucket]:
+            entries = self._buckets[bucket] = dict(entries)  # unshare
+        self._used[bucket] -= entries.pop(key)
         return True
 
     def delete(self, key: int, now_ns: int = 0) -> Tuple[bool, int]:
@@ -375,7 +409,10 @@ class SmallObjectCache:
         if self._masks.pop(key, None) is None:
             return False, now_ns
         bucket = splitmix64(key) % self.num_buckets
-        self._used[bucket] -= self._buckets[bucket].pop(key)
+        entries = self._buckets[bucket]
+        if entries is self._manifests[bucket]:
+            entries = self._buckets[bucket] = dict(entries)  # unshare
+        self._used[bucket] -= entries.pop(key)
         return True, self._write_bucket(bucket, now_ns)
 
     # ------------------------------------------------------------------
@@ -383,7 +420,7 @@ class SmallObjectCache:
     # ------------------------------------------------------------------
 
     def recover(self) -> Dict[str, int]:
-        """Rebuild bucket contents and bloom filters from flash headers.
+        """Rebuild bucket contents and the key index from flash headers.
 
         Call after the device's power-on recovery.  A bucket is kept
         only when its page survived and carries a verifying header for
@@ -394,12 +431,8 @@ class SmallObjectCache:
         """
         recovered = dropped = items = 0
         masks = self._masks
-        masks.clear()
         for bucket in range(self.num_buckets):
-            entries = self._buckets[bucket]
-            had_entries = bool(entries)
-            entries.clear()
-            self._used[bucket] = 0
+            had_entries = self._drop_bucket(bucket) > 0
             payload = self.device.read_payload(self.base_lba + bucket, 1)[0]
             valid = (
                 isinstance(payload, tuple)
@@ -410,17 +443,17 @@ class SmallObjectCache:
             if valid:
                 _, _, generation, manifest = payload
                 self._generations[bucket] = generation
-                for key, nbytes in manifest:
-                    entries[key] = nbytes
-                    self._used[bucket] += nbytes
+                # The verified manifest is the bucket again, shared with
+                # its page, and the next lookup builds its bloom.
+                self._buckets[bucket] = self._manifests[bucket] = manifest
+                self._pending_blooms[bucket] = manifest
+                self._used[bucket] = sum(manifest.values())
+                for key in manifest:
                     masks[key] = bloom_mask(splitmix64(key), BLOOM_BITS, BLOOM_HASHES)
-                self._rebuild_bloom(bucket)
                 recovered += 1
-                items += len(entries)
-            else:
-                self._blooms[bucket].rebuild(())
-                if had_entries or payload is not None:
-                    dropped += 1
+                items += len(manifest)
+            elif had_entries or payload is not None:
+                dropped += 1
         return {
             "buckets_recovered": recovered,
             "buckets_dropped": dropped,

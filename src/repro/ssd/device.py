@@ -233,11 +233,12 @@ class SimulatedSSD:
         if sched is None:
             return ftl.write_range(lba, npages, pid, now_ns, payload)
         q = sched.admit(queue)
-        channel = self._host_channel(lba)
+        ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
         try:
             ftl.write_range(lba, npages, pid, now_ns, payload)
         except MediaError:
-            sched.issue(q, "write", npages, channel, now_ns)
+            # A failed command occupies where its data lived before it.
+            sched.issue(q, "write", npages, self._host_channel(lba, ppn), now_ns)
             raise
         # A written command occupies its newly programmed location.
         return sched.issue(q, "write", npages, self._host_channel(lba), now_ns)
@@ -386,17 +387,20 @@ class SimulatedSSD:
         sched = self.ftl.sched
         return None if sched is None else sched.failslow
 
-    def _host_channel(self, lba: int) -> int:
+    def _host_channel(self, lba: int, ppn: Optional[int] = None) -> int:
         """Channel the first page of a host command occupies.
 
         Mapped LBAs land on the channel of the superblock holding the
         page, so reads genuinely collide with GC spans on the same
         stripe; unmapped targets (miss reads, trims of clean ranges)
         fall back to an LBA-derived channel so they still contend
-        deterministically.
+        deterministically.  ``ppn`` is the page's mapping (-1 for none)
+        when the caller read it before changing it; by default it is
+        read now.
         """
         ftl = self.ftl
-        ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
+        if ppn is None:
+            ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
         if ppn >= 0:
             return ftl.sched.channel_for(ppn // ftl._pps)
         return lba % ftl.sched.channels

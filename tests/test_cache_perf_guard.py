@@ -25,7 +25,7 @@ import pytest
 
 from repro.bench.runner import build_experiment
 from repro.cache import CacheItem, SmallObjectCache
-from repro.cache.bloom import splitmix64
+from repro.cache.bloom import BloomFilter, splitmix64
 from repro.core import FdpAwareDevice
 
 _SPLITMIX = splitmix64.__code__
@@ -96,8 +96,11 @@ def test_get_of_an_absent_key(warm):
     assert counted[0] <= 8 and counted[1:] == (2, 0)
 
 
-def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
-    cache, now, key = warm
+def one_victim_set(cache, now, key, measure):
+    """``measure(set_op)`` for the first SET from ``key`` on that evicts
+    one DRAM victim into one bucket rewrite: one bucket page, no
+    metadata flush, no superblock opened and no GC — the steady-state
+    shape of a flash admission."""
     soc, device = cache.soc, cache.device
 
     def state():
@@ -112,18 +115,50 @@ def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
 
     for key in range(key, key + 64):
         before = state()
-        counted = frames(lambda: cache.set(key, 100, now))
-        # One victim, one bucket page, no metadata flush, no superblock
-        # opened and no GC: the steady-state shape of a flash admission.
+        measured = measure(lambda: cache.set(key, 100, now))
         if tuple(b - a for a, b in zip(before, state())) == (1, 1, 1, 1, 0, 0):
-            break
-    else:
-        pytest.fail("no SET had the one-victim, one-rewrite shape")
+            return measured
+    pytest.fail("no SET had the one-victim, one-rewrite shape")
+
+
+def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
+    cache, now, key = warm
+    counted = one_victim_set(cache, now, key, frames)
     # Parent: 58 frames (3 of them dataclass __hash__), 4 splitmix64 —
     # the victim hashed by contains, insert and bloom_mask, the SET key
-    # by invalidate — and 2 items.  Now: the victim's h1 and its mask's
-    # second round, and the SET's own item.
-    assert counted[0] <= 42 and counted[1:] == (2, 1)
+    # by invalidate — and 2 items.  Then 38 frames: the victim's h1 and
+    # its mask's second round, and the SET's own item.  Now the rewrite
+    # neither copies the bucket into a manifest nor rebuilds its bloom.
+    assert counted[0] <= 36 and counted[1:] == (2, 1)
+
+
+def test_a_bucket_rewrite_builds_no_bloom(warm):
+    """A rewrite leaves its bucket's bloom to the next lookup (which
+    may never come): the SET that rewrites a bucket enters
+    ``BloomFilter.rebuild`` zero times, the lookup after it once."""
+    cache, now, key = warm
+    rebuild = BloomFilter.rebuild.__code__
+
+    def rebuilds(fn):
+        entered = [0]
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is rebuild:
+                entered[0] += 1
+
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return entered[0]
+
+    resident = set(cache.soc.resident_items())
+    key += 1000  # clear of the keys the other cases set
+    assert one_victim_set(cache, now, key, rebuilds) == 0
+    victim = min(set(cache.soc.resident_items()) - resident)
+    assert rebuilds(lambda: cache.soc.lookup(victim, now)) == 1
+    assert rebuilds(lambda: cache.soc.lookup(victim, now)) == 0
 
 
 def test_batched_set_insert_hashes_each_item_once(fdp_ssd):

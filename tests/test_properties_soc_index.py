@@ -9,22 +9,34 @@ the degradation paths (a failed bucket rewrite, a UECC, a page unmapped
 underneath the engine) and warm restart from the persisted headers —
 and checks after each step that the index, the per-bucket
 images and the byte accounting still describe the same set of items.
+
+A bucket is shared copy-on-write with the payload of its last rewrite,
+and its bloom is built at the first lookup after it.  So the machine
+also keeps a shadow copy of every acknowledged rewrite's manifest and
+checks, after every step, that each mapped bucket page still holds
+what its rewrite wrote, and that the bloom a lookup would read is the
+eager OR of the masks of the keys that rewrite wrote (none after the
+bucket was dropped).
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
+from functools import reduce
+from operator import or_
 
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cache import CacheItem, SmallObjectCache
+from repro.cache.bloom import BloomFilter
 from repro.cache.kangaroo import KangarooCache
-from repro.core import FdpAwareDevice
+from repro.core import DEFAULT_HANDLE, FdpAwareDevice
 from repro.faults.errors import ProgramFailError, UncorrectableReadError
-from repro.ssd import Geometry, SimulatedSSD
+from repro.ssd import DeviceOfflineError, Geometry, SimulatedSSD
 
 GEOMETRY = Geometry(
     page_size=4096,
@@ -44,24 +56,73 @@ ITEMS = st.builds(CacheItem, KEYS, SIZES)
 
 class ScriptedDevice(FdpAwareDevice):
     """The device layer, with the next write or read failing on request
-    the way an exhausted retry budget surfaces to an engine."""
+    the way an exhausted retry budget surfaces to an engine.
+
+    It also logs what the SOC above it (at LBA 0, so LBA == bucket) may
+    answer for: ``written`` maps ``(bucket, generation)`` to a copy of
+    the manifest taken when the rewrite was acknowledged, and ``log``
+    lists ``(bucket, keys)`` as they happen — the rewrite's keys, or
+    none when the rewrite failed or the page read back unmapped or
+    unreadable (the engine drops the bucket)."""
 
     fail_next_write = False
     next_read = None  # "uecc" | "unmapped"
 
-    def write(self, lba, npages, *args, **kwargs):
+    def __init__(self, ssd) -> None:
+        super().__init__(ssd)
+        self.written = {}
+        self.log = []
+
+    def write(
+        self, lba, npages, handle=DEFAULT_HANDLE, now_ns=0, worker="worker-0",
+        payload=None,
+    ):
         if self.fail_next_write:
             self.fail_next_write = False
+            self.log.append((lba, {}))
             raise ProgramFailError("scripted", lba=lba)
-        return super().write(lba, npages, *args, **kwargs)
+        done = super().write(lba, npages, handle, now_ns, worker, payload)
+        _, bucket, generation, manifest = payload
+        shadow = self.written[bucket, generation] = dict(manifest)
+        self.log.append((bucket, shadow))
+        return done
 
     def read(self, lba, npages=1, now_ns=0, worker="worker-0"):
         outcome, self.next_read = self.next_read, None
+        if outcome is None:
+            mapped, done = super().read(lba, npages, now_ns, worker)
+        else:
+            mapped, done = False, now_ns
+        if not mapped:
+            self.log.append((lba, {}))
         if outcome == "uecc":
             raise UncorrectableReadError("scripted", lba=lba)
-        if outcome == "unmapped":
-            return False, now_ns
-        return super().read(lba, npages, now_ns, worker)
+        return mapped, done
+
+
+class _MappedReads:
+    """A device whose every read is mapped and free."""
+
+    @staticmethod
+    def read(lba, npages, now_ns, worker):
+        return True, now_ns
+
+
+def bloom_a_lookup_reads(soc: SmallObjectCache, bucket: int) -> int:
+    """The bloom field a lookup in ``bucket`` tests its key against,
+    taken from a throwaway probe so ``soc`` itself builds nothing."""
+    probe = copy.copy(soc)
+    probe.device = _MappedReads
+    probe._pending_blooms = list(soc._pending_blooms)
+    probe._blooms = [copy.copy(bloom) for bloom in soc._blooms]
+    key = next(k for k in itertools.count(10**6) if soc.bucket_of(k) == bucket)
+    probe.lookup(key)
+    return probe._blooms[bucket]._field
+
+
+def eager_bloom(keys) -> int:
+    """The field a rebuild at the rewrite itself would have left."""
+    return reduce(or_, map(BloomFilter().mask, keys), 0)
 
 
 def check_index(soc: SmallObjectCache, keys=range(0, 161)) -> None:
@@ -89,6 +150,10 @@ class SocIndexMachine(RuleBasedStateMachine):
             base_lba=0,
             num_buckets=NUM_BUCKETS,
         )
+        # bucket -> the keys its bloom answers for (its last rewrite's)
+        self.bloom_keys = {bucket: {} for bucket in range(NUM_BUCKETS)}
+        # the device of the engine a round trip left behind
+        self.left_behind = None
 
     def _scan(self, key) -> bool:
         """Residency by the bucket scan the index replaced."""
@@ -142,7 +207,7 @@ class SocIndexMachine(RuleBasedStateMachine):
         if entries:
             self.io.deallocate(self.soc.base_lba + bucket, 1)
             item, _ = self.soc.lookup(next(iter(entries)))
-            assert item is None and not entries
+            assert item is None and not self.soc._buckets[bucket]
 
     @rule(key=KEYS)
     def invalidate(self, key):
@@ -159,16 +224,70 @@ class SocIndexMachine(RuleBasedStateMachine):
         # Only a removal rewrites the bucket.
         assert self.soc.flash_writes == writes + removed
 
-    @rule()
-    def power_cut_and_recover(self):
-        self.ssd.power_cut()
+    def _recover(self):
         self.ssd.recover()
         report = self.soc.recover()
         assert report["items_recovered"] == self.soc.item_count
+        self.io.log.clear()
+        for bucket in range(NUM_BUCKETS):
+            payload = self.io.read_payload(self.soc.base_lba + bucket)[0]
+            self.bloom_keys[bucket] = (
+                {} if payload is None else self.io.written[bucket, payload[2]]
+            )
+
+    @rule()
+    def power_cut_and_recover(self):
+        self.ssd.power_cut()
+        self._recover()
+
+    @rule(item=ITEMS)
+    def insert_while_powered_off(self, item):
+        """A rewrite that never reaches flash: the bucket's image has
+        moved on (a key staged, maybe others evicted), but its bloom
+        still answers for the last rewrite that did."""
+        self.ssd.power_cut()
+        try:
+            self.soc.insert(item)
+        except DeviceOfflineError:
+            assert self.soc.contains(item.key)
+        self.blooms_answer_for_their_last_rewrite()
+        self._recover()
+
+    @rule(how=st.sampled_from(("deepcopy", "pickle")))
+    def round_trip(self, how):
+        """Carry on with a copy of the device and the engine; the pages
+        of the one left behind must keep what their rewrites wrote."""
+        state = (self.ssd, self.io, self.soc)
+        if how == "deepcopy":
+            clone = copy.deepcopy(state)
+        else:
+            clone = pickle.loads(pickle.dumps(state))
+        self.left_behind = self.io
+        self.ssd, self.io, self.soc = clone
 
     @invariant()
     def index_is_exact(self):
         check_index(self.soc)
+
+    @invariant()
+    def pages_hold_what_their_rewrites_wrote(self):
+        for io in (self.io, self.left_behind):
+            if io is None:
+                continue
+            for bucket in range(NUM_BUCKETS):
+                payload = io.read_payload(bucket)[0]
+                if payload is not None:
+                    assert payload[3] == io.written[bucket, payload[2]]
+
+    @invariant()
+    def blooms_answer_for_their_last_rewrite(self):
+        for bucket, keys in self.io.log:
+            self.bloom_keys[bucket] = keys
+        self.io.log.clear()
+        for bucket in range(NUM_BUCKETS):
+            assert bloom_a_lookup_reads(self.soc, bucket) == eager_bloom(
+                self.bloom_keys[bucket]
+            )
 
 
 _SETTINGS = settings(
@@ -202,7 +321,15 @@ def test_copies_keep_the_index():
         check_index(clone)
         # ... and keep it while they diverge from the original.
         victim = next(iter(clone.resident_items()))
+        bucket = clone.bucket_of(victim)
+        page = clone.device.read_payload(clone.base_lba + bucket)[0]
+        stored = dict(page[3])
+        # The copy's bucket is still its page's manifest...
+        assert clone._buckets[bucket] is page[3]
         assert clone.invalidate(victim) and soc.contains(victim)
+        # ... so invalidating unshared it: neither page changed.
+        assert victim not in clone._buckets[bucket] and page[3] == stored
+        assert soc.device.read_payload(soc.base_lba + bucket)[0][3] == stored
         clone.insert(CacheItem(1000, 300))
         check_index(clone, keys=range(0, 1001, 8))
     check_index(soc)

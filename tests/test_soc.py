@@ -7,7 +7,7 @@ import pytest
 from repro.cache import CacheItem, SmallObjectCache
 from repro.cache.item import ITEM_HEADER_BYTES
 from repro.core import FdpAwareDevice
-from tests.test_properties_soc_index import check_index
+from tests.test_properties_soc_index import bloom_a_lookup_reads, check_index
 
 
 @pytest.fixture
@@ -196,11 +196,13 @@ class TestMaskMemo:
         soc, _, _ = soc_env
         for key in range(200):
             soc.insert(CacheItem(key, 100))
-        fields = [b._field for b in soc._blooms]
+        buckets = range(soc.num_buckets)
+        fields = [bloom_a_lookup_reads(soc, b) for b in buckets]
+        assert any(fields)
         # The masks are the key index now, so the one place that may
         # forget them is recover(): it clears the index and refills it
         # from the bucket manifests, one hash per recovered key.
         soc.recover()
-        assert [b._field for b in soc._blooms] == fields
+        assert [bloom_a_lookup_reads(soc, b) for b in buckets] == fields
         assert soc.item_count == 200
         self.check(soc)
