@@ -10,17 +10,18 @@ tens of items), so a rewrite that no lookup reads builds nothing.
 Hashing uses ``splitmix64`` over the integer key with per-probe seeds;
 it is deterministic across runs, which the experiments rely on.
 
-A key's probe positions fold into one int, its *mask*: ``add`` ORs it
-in, ``may_contain`` is ``field & mask == mask``, ``rebuild`` an
-OR-reduce.  The SOC memoizes the masks of resident keys and hands them
-to ``may_contain`` and ``rebuild``, which then skip the hashing.
+A key's probe positions fold into one int, its *mask* (looked up in a
+table per filter shape): ``add`` ORs it in, ``may_contain`` is
+``field & mask == mask``, ``rebuild`` an OR-reduce.  The SOC memoizes
+the masks of resident keys and hands them to ``may_contain`` and
+``rebuild``, which then skip the hashing.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 __all__ = ["BloomFilter", "bloom_mask", "splitmix64"]
 
@@ -40,13 +41,19 @@ def bloom_mask(h1: int, bits: int, hashes: int) -> int:
     """The bits a key sets in a ``bits``-wide filter, as one int:
     probe ``i`` sits at ``(h1 + i * h2) % bits``, with ``h1`` being
     ``splitmix64(key)`` (which also places the key in the SOC) and
-    ``h2`` a second round forced odd (double hashing)."""
+    ``h2`` a second round forced odd (double hashing).  That depends on
+    ``h1 % bits`` and ``h2 % bits`` only, so the mask is looked up."""
     h2 = splitmix64(h1) | 1
-    mask = 0
-    for _ in range(hashes):
-        mask |= 1 << (h1 % bits)
-        h1 += h2
-    return mask
+    return _probe_table(bits, hashes)[h1 % bits * bits + h2 % bits]
+
+
+@lru_cache(maxsize=16)
+def _probe_table(bits: int, hashes: int) -> Tuple[int, ...]:
+    """Every mask of a filter shape, at ``r1 * bits + r2`` for the
+    residues of ``h1`` and ``h2``: ``r1 = 0``'s masks rotated by ``r1``."""
+    row = [reduce(or_, [1 << i * r2 % bits for i in range(hashes)]) for r2 in range(bits)]
+    full = (1 << bits) - 1
+    return tuple((m << r1 | m >> bits - r1) & full for r1 in range(bits) for m in row)
 
 
 class BloomFilter:

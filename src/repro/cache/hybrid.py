@@ -199,8 +199,8 @@ class HybridCache:
         self.gets = 0
         self.sets = 0
         self.deletes = 0
-        self.nvm_gets = 0
-        self.hits_by_layer = {HIT_DRAM: 0, HIT_SOC: 0, HIT_LOC: 0}
+        self.nvm_gets = 0  # GETs that missed DRAM: the rest hit it
+        self._nvm_hits = {HIT_SOC: 0, HIT_LOC: 0}
         self.app_set_bytes = 0
         self.flash_admits = 0
         self.flash_rejects = 0
@@ -216,11 +216,8 @@ class HybridCache:
     # helpers
     # ------------------------------------------------------------------
 
-    def _maybe_flush_metadata(self, now_ns: int) -> int:
+    def _flush_metadata(self, now_ns: int) -> int:
         """Minor consumer: periodic metadata flush on the default RUH."""
-        self._meta_counter += 1
-        if self._meta_counter % self.config.metadata_flush_interval:
-            return now_ns
         page = self._meta_counter // self.config.metadata_flush_interval
         lba = self._meta_base + (page % METADATA_PAGES)
         try:
@@ -265,8 +262,10 @@ class HybridCache:
             self._soc_name if small else self._loc_name, item.size
         )
         _, done = engine.insert(item, now_ns)
-        done = self._maybe_flush_metadata(done)
-        return done
+        self._meta_counter += 1
+        if self._meta_counter % config.metadata_flush_interval:
+            return done
+        return self._flush_metadata(done)
 
     def set_brownout_mode(self, mode: str) -> None:
         """Switch overload shedding (``healthy`` restores full service).
@@ -321,17 +320,16 @@ class HybridCache:
             self._admission_observer.observe_access(key)
         item = self.dram.get(key)
         if item is not None:
-            self.hits_by_layer[HIT_DRAM] += 1
             return HIT_DRAM, item, now_ns + DRAM_OP_NS
         self.nvm_gets += 1
         item, done = self.soc.lookup(key, now_ns)
         if item is not None:
-            self.hits_by_layer[HIT_SOC] += 1
+            self._nvm_hits[HIT_SOC] += 1
             self._promote(item, done)  # async: not on the GET's path
             return HIT_SOC, item, done
         item, done = self.loc.lookup(key, done)
         if item is not None:
-            self.hits_by_layer[HIT_LOC] += 1
+            self._nvm_hits[HIT_LOC] += 1
             self._promote(item, done)  # async: not on the GET's path
             return HIT_LOC, item, done
         return MISS, None, done
@@ -437,6 +435,11 @@ class HybridCache:
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------
+
+    @property
+    def hits_by_layer(self) -> dict:
+        """GET hits per layer; every GET that reached no flash hit DRAM."""
+        return {HIT_DRAM: self.gets - self.nvm_gets, **self._nvm_hits}
 
     @property
     def hit_ratio(self) -> float:

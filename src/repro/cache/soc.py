@@ -146,7 +146,7 @@ class SmallObjectCache:
 
     def accepts(self, item: CacheItem) -> bool:
         """Whether the item physically fits in a bucket."""
-        return item.stored_size <= self.usable_bucket_bytes
+        return item.size + ITEM_HEADER_BYTES <= self.usable_bucket_bytes  # stored_size
 
     def contains(self, key: int) -> bool:
         """Ground-truth membership (no I/O charged; used internally)."""
@@ -187,26 +187,6 @@ class SmallObjectCache:
         entries = self._manifests[bucket] = self._buckets[bucket]
         self._generations[bucket] += 1
         return ("soc", bucket, self._generations[bucket], entries)
-
-    def _stage_bucket_items(self, items: List[CacheItem]) -> Tuple[int, int]:
-        """Stage ``items``, which must share a bucket, into its
-        in-memory image (evicting FIFO on overflow) without touching
-        flash.  Returns ``(bucket, admitted)``; the caller issues the
-        bucket rewrite."""
-        hashes = [splitmix64(item.key) for item in items]
-        bucket = hashes[0] % self.num_buckets
-        if any(h1 % self.num_buckets != bucket for h1 in hashes):
-            raise ValueError("a batch of items must share one bucket")
-        admitted = 0
-        for item, h1 in zip(items, hashes):
-            nbytes = item.size + ITEM_HEADER_BYTES  # item.stored_size
-            if nbytes > self.usable_bucket_bytes:
-                continue
-            self._stage(bucket, item.key, nbytes, h1)
-            self.app_bytes_written += item.size
-            admitted += 1
-        self._evict_overflow(bucket)
-        return bucket, admitted
 
     def _stage(self, bucket: int, key: int, nbytes: int, h1: int) -> None:
         """Put one item (``nbytes`` stored, ``h1`` its key's
@@ -283,8 +263,11 @@ class SmallObjectCache:
         This is the primitive a Kangaroo-style log front needs: moving
         a batch of staged items into their set costs one bucket rewrite
         instead of one per item.  Each element of ``batches`` is an item
-        list that shares one bucket; all destination buckets are staged
-        in memory first, then the rewrites go down as *one*
+        list that shares one bucket; groups of one bucket merge, in
+        order, into one rewrite (else a second could land after the first
+        failed and dropped the bucket, and the page would hold keys the
+        engine no longer has).  All buckets are staged in memory first,
+        then the rewrites go down as *one*
         :meth:`~repro.core.device_layer.FdpAwareDevice.submit_batch`
         call so the per-command Python overhead is paid once.  The
         device busy clock serializes the page programs in submission
@@ -292,16 +275,31 @@ class SmallObjectCache:
         :meth:`_write_bucket` per bucket exactly.  Per-command outcomes
         preserve the scalar degradation path: a bucket whose rewrite
         fails is dropped (:meth:`_drop_bucket`) while the rest of the
-        batch lands.  Returns ``(admitted, completion_ns)``.
+        batch lands.  Returns ``(admitted, completion_ns)``; ``admitted``
+        counts every item staged, a failed rewrite's too (``write_drops``
+        counts those again).
         """
+        groups: Dict[int, List[Tuple[CacheItem, int]]] = {}
+        for items in batches:
+            hashed = [(item, splitmix64(item.key)) for item in items]
+            buckets = {h1 % self.num_buckets for _, h1 in hashed}
+            if len(buckets) > 1:
+                raise ValueError("a batch of items must share one bucket")
+            if buckets:
+                groups.setdefault(buckets.pop(), []).extend(hashed)
         staged: List[Tuple[int, int, Dict[int, int]]] = []
         commands: List[Tuple] = []
-        for items in batches:
-            if not items:
-                continue
-            bucket, admitted = self._stage_bucket_items(items)
+        for bucket, hashed in groups.items():
+            admitted = 0
+            for item, h1 in hashed:
+                nbytes = item.size + ITEM_HEADER_BYTES  # item.stored_size
+                if nbytes <= self.usable_bucket_bytes:
+                    self._stage(bucket, item.key, nbytes, h1)
+                    self.app_bytes_written += item.size
+                    admitted += 1
             if admitted == 0:
                 continue
+            self._evict_overflow(bucket)
             payload = self._bucket_payload(bucket)
             staged.append((bucket, admitted, payload[3]))
             commands.append(("write", self.base_lba + bucket, 1, self.handle, payload))
@@ -315,9 +313,7 @@ class SmallObjectCache:
                 done = outcome.value
                 self.flash_writes += 1
                 self.ssd_bytes_written += self.bucket_size
-                # Unless a later group of this batch restaged the bucket.
-                if self._buckets[bucket] is manifest:
-                    self._pending_blooms[bucket] = manifest
+                self._pending_blooms[bucket] = manifest
             else:
                 # Same degradation as _write_bucket: the rewrite failed,
                 # flash no longer matches memory, drop the bucket.

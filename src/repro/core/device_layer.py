@@ -86,13 +86,11 @@ class FdpAwareDevice:
         )
         self._num_ruhs = ssd.fdp_config.num_ruhs if ssd.fdp_config else 0
         # What the device decodes from a handle's directive fields,
-        # keyed by its PID's (reclaim group, RUH) — all the decode
-        # depends on, and two ints hash without a Python frame where a
-        # dataclass handle costs two per lookup.
-        self._pids: Dict[Tuple[int, int], Optional[PlacementIdentifier]] = {}
-        self.bytes_written = 0
+        # keyed by its PID — all the decode depends on, and a PID is a
+        # tuple of two ints, so a write finds it here without a frame.
+        self._pids: Dict[PlacementIdentifier, Optional[PlacementIdentifier]] = {}
         self.bytes_read = 0
-        self.writes_by_handle: Dict[str, int] = {}
+        self.writes_by_handle: Dict[str, int] = {}  # bytes, by handle name
         # Device-wide media-error and retry accounting, surfaced by the
         # cache metrics.
         self.read_errors = 0
@@ -126,12 +124,11 @@ class FdpAwareDevice:
         pid = handle.pid
         if pid is None:
             return None
-        key = (pid.reclaim_group, pid.ruh_id)
         try:
-            return self._pids[key]
+            return self._pids[pid]
         except KeyError:
             decoded = self._decode_directive(*self._encode_directive(handle))
-            self._pids[key] = decoded
+            self._pids[pid] = decoded
             return decoded
 
     # -- I/O ----------------------------------------------------------
@@ -160,13 +157,13 @@ class FdpAwareDevice:
         it to persist the sealed-region / bucket self-description that
         warm restart recovers from.
         """
-        pid = self._pid_for(handle)  # may refuse: nothing is counted yet
-        backoff = RETRY_BACKOFF_NS
-        for attempt in range(MAX_WRITE_RETRIES + 1):
+        pid = handle.pid
+        if pid is not None:  # _pid_for fills the memo; it may refuse
+            pid = self._pids[pid] if pid in self._pids else self._pid_for(handle)
+        attempt = 0
+        while True:
             try:
-                done = self.ssd.write(
-                    lba, npages, pid, now_ns, payload, queue=worker
-                )
+                done = self.ssd.write(lba, npages, pid, now_ns, payload, queue=worker)
                 break
             except ProgramFailError:
                 self.write_errors += 1
@@ -174,14 +171,17 @@ class FdpAwareDevice:
                     self.retries_exhausted += 1
                     raise
                 self.write_retries += 1
-                now_ns += backoff
-                backoff *= 2
-        nbytes = npages * self._page_size
-        self.bytes_written += nbytes
-        self.writes_by_handle[handle.name] = (
-            self.writes_by_handle.get(handle.name, 0) + nbytes
-        )
+                now_ns += RETRY_BACKOFF_NS << attempt  # doubling per attempt
+                attempt += 1
+        by_handle = self.writes_by_handle
+        name = handle.name
+        by_handle[name] = by_handle.get(name, 0) + npages * self._page_size
         return done
+
+    @property
+    def bytes_written(self) -> int:
+        """Bytes written through every handle."""
+        return sum(self.writes_by_handle.values())
 
     def read(
         self,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from collections import namedtuple
 
 __all__ = ["RuhType", "RuhDescriptor", "PlacementIdentifier"]
 
@@ -41,23 +42,23 @@ class RuhDescriptor:
             raise ValueError("ruh_id must be non-negative")
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class PlacementIdentifier:
+class PlacementIdentifier(namedtuple("_Pid", "reclaim_group ruh_id")):
     """<reclaim group, RUH> pair — the PID of the FDP specification.
 
     Write commands carry a PID (encoded in the NVMe DSPEC field); the
     controller resolves it to the reclaim unit currently referenced by
-    that RUH within that reclaim group.
+    that RUH within that reclaim group.  A tuple, so hashing one (every
+    write looks its PID up) enters no Python frame.
     """
 
-    reclaim_group: int
-    ruh_id: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.reclaim_group < 0:
+    def __new__(cls, reclaim_group: int, ruh_id: int) -> "PlacementIdentifier":
+        if reclaim_group < 0:
             raise ValueError("reclaim_group must be non-negative")
-        if self.ruh_id < 0:
+        if ruh_id < 0:
             raise ValueError("ruh_id must be non-negative")
+        return super().__new__(cls, reclaim_group, ruh_id)
 
     def dspec(self, num_ruhs: int) -> int:
         """Encode as a flat directive-specific value (DSPEC).

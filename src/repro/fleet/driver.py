@@ -22,6 +22,7 @@ import itertools
 from typing import Iterator, List, Optional
 
 from ..bench.driver import ReplayConfig
+from ..cache.hybrid import MISS
 from ..workloads.trace import OP_GET, OP_SET, Trace
 from .monitor import FleetHealthMonitor
 from .router import FleetCache
@@ -43,26 +44,33 @@ class FleetReplayConfig(ReplayConfig):
     poll_interval_ops: int = 2000
 
 
-def _windows(cfg: ReplayConfig, trace: Trace) -> Iterator[Iterator[tuple]]:
+def _windows(cfg: ReplayConfig, trace: Trace, ops_done: int) -> Iterator[Iterator[tuple]]:
     """``trace`` one poll window at a time, as plain Python values.
 
     Yields, per window of ``cfg.poll_interval_ops`` ops (the last may be
-    short), an iterator over its ``(op, key, size, arrival_ns)`` rows —
-    ``arrival_ns`` from ``trace.arrivals_ns``, ``None`` without a
-    schedule.  Converting a window at a time boxes no numpy scalar per
+    short), an iterator over its ``(op, key, size, arrival_ns)`` rows.
+    ``arrival_ns`` comes from ``trace.arrivals_ns``; without a schedule
+    it is ``n * cfg.arrival_interval_ns`` for op ``n`` of a driver that
+    has replayed ``ops_done`` ops before this trace, and ``None`` in
+    closed loop.  Converting a window at a time boxes no numpy scalar per
     op and keeps memory flat, as :func:`repro.bench.driver.replay` does
     inline; :meth:`FleetDriver.run` iterates through here.
     """
     schedule = trace.arrivals_ns
+    interval = cfg.arrival_interval_ns
     for start in range(0, len(trace), cfg.poll_interval_ops):
         window = slice(start, start + cfg.poll_interval_ops)
+        if schedule is not None:
+            arrivals = schedule[window].tolist()
+        elif interval is not None:
+            arrivals = itertools.count((ops_done + start) * interval, interval)
+        else:
+            arrivals = itertools.repeat(None)
         yield zip(
             trace.ops[window].tolist(),
             trace.keys[window].tolist(),
             trace.sizes[window].tolist(),
-            schedule[window].tolist()
-            if schedule is not None
-            else itertools.repeat(None),
+            arrivals,
         )
 
 
@@ -135,13 +143,12 @@ class FleetDriver:
         observe = self.monitor.observe if self.monitor is not None else None
 
         total = len(trace)
-        interval = cfg.arrival_interval_ns
-        open_loop = interval is not None or trace.arrivals_ns is not None
-        # Open loop on a fixed interval: op n of the driver's life
-        # arrives at n * interval.  ops_done is cumulative, so arrivals
-        # stay continuous across segment-by-segment replay.
+        open_loop = (
+            cfg.arrival_interval_ns is not None or trace.arrivals_ns is not None
+        )
+        # ops_done is cumulative, so arrivals on a fixed interval stay
+        # continuous across segment-by-segment replay.
         ops_done = self.ops_done
-        now = ops_done * interval if interval is not None else None
 
         series: List[FleetIntervalPoint] = []
         prev_gets, prev_misses = fleet.gets, fleet.misses
@@ -161,32 +168,27 @@ class FleetDriver:
             "retries": fleet.retries,
         }
 
-        for rows in _windows(cfg, trace):
-            for op, key, size, at in rows:
-                if at is not None:
-                    # Open loop, per-op schedule: the op arrives when
-                    # the schedule says, however far behind the serving
-                    # shard's device is.
-                    now = at
+        for rows in _windows(cfg, trace, ops_done):
+            # Open loop, an op arrives when its arrival time says,
+            # however far behind the serving shard's device is; closed
+            # loop (``now`` is None), on the shard's own clock.
+            for op, key, size, now in rows:
                 if op == OP_GET:
                     result = fleet_get(key, now)
-                    served = result.shard_id
-                    if not result.hit and not result.degraded:
+                    if result.where == MISS:  # a miss to fill, not degraded
                         # Fill lands at the GET's completion, as in
                         # CacheBench's open-loop path.
-                        fill_at = result.completion_ns if open_loop else None
-                        set_result = fleet_set(key, size, fill_at)
-                        if set_result.applied:
-                            served = set_result.shard_id
+                        fill = fleet_set(
+                            key, size, result.completion_ns if open_loop else None
+                        )
+                        if fill.applied:
+                            result = fill
                 elif op == OP_SET:
-                    served = fleet_set(key, size, now).shard_id
+                    result = fleet_set(key, size, now)
                 else:  # OP_DEL
-                    served = fleet_delete(key, now).shard_id
-
+                    result = fleet_delete(key, now)
                 if not open_loop:
-                    self._advance_clock(served)
-                elif at is None:
-                    now += interval
+                    self._advance_clock(result.shard_id)
                 ops_done += 1
                 if observe is not None:
                     observe(ops_done)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import struct
 from heapq import merge
 from typing import Dict, Iterable, List, Tuple
 
@@ -41,9 +42,10 @@ _MEMO_MAX_KEYS = 1 << 20
 
 def _h64(data: str) -> int:
     """First 8 bytes of sha256 as an unsigned 64-bit ring position."""
-    return int.from_bytes(
-        hashlib.sha256(data.encode("utf-8")).digest()[:8], "big"
-    )
+    return _first_u64(hashlib.sha256(data.encode("utf-8")).digest())[0]
+
+
+_first_u64 = struct.Struct(">Q").unpack_from
 
 
 class ConsistentHashRouter:

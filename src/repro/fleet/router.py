@@ -32,7 +32,7 @@ routing) or resident on two shards (double-applied).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..cache.hybrid import MISS
 from ..model.carbon import CarbonParams, total_co2e_kg
@@ -40,9 +40,10 @@ from ..ssd.sched import LatencyHistogram
 from .errors import ShardUnavailableError, SlowShardError
 from .governor import GovernorConfig, LoadGovernor
 from .hashring import ConsistentHashRouter
-from .shard import CacheShard, ShardState
+from .shard import CacheShard
 
 __all__ = [
+    "DEGRADED",
     "FleetConfig",
     "FleetGetResult",
     "FleetOpResult",
@@ -89,24 +90,21 @@ class FleetConfig:
             raise ValueError("breaker_cooldown_ops must be positive")
 
 
-# One result is built per op, so these are plain ``__slots__`` records:
-# a frozen dataclass pays ``object.__setattr__`` per field.  The slots
-# are spelled out (``dataclass(slots=True)`` needs Python 3.10), which
-# rules out field defaults.  They stay classes, not tuples — callers and
-# the benchmark's tracer read outcomes by attribute.
+# One result is built per op, so these are named tuples that the data
+# path builds with ``tuple.__new__`` (no Python-level ``__init__``);
+# callers and the benchmark's tracer read them by attribute, and a GET
+# result's first field is ``where``: ``MISS`` only for a GET the caller
+# should fill (a degraded GET reads ``DEGRADED`` there).
+
+#: ``FleetGetResult.where`` of a GET its shard was down (or gone) for.
+DEGRADED = "degraded"
 
 
-@dataclasses.dataclass
-class FleetGetResult:
+class FleetGetResult(NamedTuple):
     """Outcome of one fleet GET."""
 
-    __slots__ = (
-        "hit", "where", "shard_id", "completion_ns", "degraded",
-        "deadline_missed",
-    )
-
-    hit: bool
     where: str
+    hit: bool
     shard_id: Optional[str]
     completion_ns: int
     degraded: bool  # served as a miss because the shard is down
@@ -117,15 +115,15 @@ class FleetGetResult:
         return not self.hit
 
 
-@dataclasses.dataclass
-class FleetOpResult:
+class FleetOpResult(NamedTuple):
     """Outcome of one fleet SET/DELETE."""
-
-    __slots__ = ("completion_ns", "shard_id", "applied")
 
     completion_ns: int
     shard_id: Optional[str]
     applied: bool
+
+
+_new = tuple.__new__
 
 
 _CLOSED, _OPEN, _HALF_OPEN = "closed", "open", "half-open"
@@ -212,9 +210,7 @@ class FleetCache:
         # surface detector counters without callers holding the monitor.
         self.monitor = None
 
-        self.ops = 0  # router op counter (breaker clock)
-        self.gets = 0
-        self.hits = 0
+        self.hits = 0  # every GET counts one hit or one miss
         self.misses = 0
         self.degraded_misses = 0
         self.storm_misses = 0
@@ -230,15 +226,8 @@ class FleetCache:
         self.rebalance_failed_items = 0
 
     # ------------------------------------------------------------------
-    # routing helpers
+    # miss accounting
     # ------------------------------------------------------------------
-
-    def _owner(self, key: int) -> Optional[CacheShard]:
-        try:
-            owner = self.ring.route(key)
-        except KeyError:  # the ring is empty: every shard is gone
-            return None
-        return self.shards[owner]
 
     def _note_miss(self, key: int) -> None:
         self.misses += 1
@@ -254,16 +243,18 @@ class FleetCache:
         self.degraded_misses += 1
         self._note_miss(key)
         if shard is None:
-            return FleetGetResult(False, MISS, None, 0, True, False)
+            return FleetGetResult(DEGRADED, False, None, 0, True, False)
         return FleetGetResult(
-            False, MISS, shard.shard_id, shard.clock_ns, True, False
+            DEGRADED, False, shard.shard_id, shard.clock_ns, True, False
         )
 
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------
     #
-    # The common op meets no governor and a breaker that is closed with
+    # Each op routes once: one ``route`` call names the owner, and an
+    # empty ring (every shard gone) is the ``KeyError`` it raises.  The
+    # common op then meets no governor and a breaker that is closed with
     # no failure on record, so the data path asks for exactly that
     # before paying for either: ``breaker.consecutive_failures`` is
     # non-zero whenever the breaker is open or half-open (only
@@ -278,22 +269,22 @@ class FleetCache:
         serving shard's timeline; ``None`` keeps the shard's own
         closed-loop clock.  GETs are **never** shed by the governor.
         """
-        self.ops += 1
-        self.gets += 1
-        shard = self._owner(key)
-        if shard is None:  # every shard is gone: serve misses, not errors
+        try:
+            shard = self.shards[self.ring.route(key)]
+        except KeyError:  # every shard is gone: serve misses, not errors
             return self._degraded_get(key, None)
         if shard.governor is not None:
             shard.sense_and_govern(now_ns)
+        # The breakers' clock: this GET counts (as a hit or a miss) once
+        # it is answered, so it is ``ops + 1`` while in flight.
         breaker = self.breakers[shard.shard_id]
-        if breaker.consecutive_failures and not breaker.allow(self.ops):
+        if breaker.consecutive_failures and not breaker.allow(self.ops + 1):
             return self._degraded_get(key, shard)
-        config = self.config
         attempt = 0
         while True:
             try:
                 hit, where, done = shard.get(
-                    key, now_ns, deadline_ns=config.deadline_ns
+                    key, now_ns, deadline_ns=self.config.deadline_ns
                 )
             except SlowShardError:
                 # The shard answered, too late.  No retry (a retry of a
@@ -305,14 +296,14 @@ class FleetCache:
                 breaker.record_success()
                 self._note_miss(key)
                 return FleetGetResult(
-                    False, MISS, shard.shard_id, shard.clock_ns, False, True
+                    MISS, False, shard.shard_id, shard.clock_ns, False, True
                 )
             except ShardUnavailableError:
-                breaker.record_failure(self.ops)
-                if attempt < config.max_retries and shard.allow_retry():
+                breaker.record_failure(self.ops + 1)
+                if attempt < self.config.max_retries and shard.allow_retry():
                     attempt += 1
                     self.retries += 1
-                    shard.clock_ns += config.retry_backoff_ns * attempt
+                    shard.clock_ns += self.config.retry_backoff_ns * attempt
                     continue
                 return self._degraded_get(key, shard)
             if breaker.consecutive_failures:
@@ -321,8 +312,8 @@ class FleetCache:
                 self.hits += 1
             else:
                 self._note_miss(key)
-            return FleetGetResult(
-                hit, where, shard.shard_id, done, False, False
+            return _new(
+                FleetGetResult, (where, hit, shard.shard_id, done, False, False)
             )
 
     def set(
@@ -334,10 +325,10 @@ class FleetCache:
         write-admission gate — under brownout/shed, writes are the load
         that gets dropped so reads keep their latency budget.
         """
-        self.ops += 1
         self.sets += 1
-        shard = self._owner(key)
-        if shard is None:
+        try:
+            shard = self.shards[self.ring.route(key)]
+        except KeyError:
             self.dropped_sets += 1
             return FleetOpResult(0, None, False)
         if shard.governor is not None:
@@ -351,31 +342,30 @@ class FleetCache:
         if breaker.consecutive_failures and not breaker.allow(self.ops):
             self.dropped_sets += 1
             return FleetOpResult(shard.clock_ns, shard.shard_id, False)
-        config = self.config
         attempt = 0
         while True:
             try:
                 done = shard.set(key, size, now_ns)
             except ShardUnavailableError:
                 breaker.record_failure(self.ops)
-                if attempt < config.max_retries and shard.allow_retry():
+                if attempt < self.config.max_retries and shard.allow_retry():
                     attempt += 1
                     self.retries += 1
-                    shard.clock_ns += config.retry_backoff_ns * attempt
+                    shard.clock_ns += self.config.retry_backoff_ns * attempt
                     continue
                 self.dropped_sets += 1
                 return FleetOpResult(shard.clock_ns, shard.shard_id, False)
             if breaker.consecutive_failures:
                 breaker.record_success()
             self.applied_sets += 1
-            self.shadow[key] = shard.shard_id
-            return FleetOpResult(done, shard.shard_id, True)
+            sid = self.shadow[key] = shard.shard_id
+            return _new(FleetOpResult, (done, sid, True))
 
     def delete(self, key: int, now_ns: Optional[int] = None) -> FleetOpResult:
-        self.ops += 1
         self.deletes += 1
-        shard = self._owner(key)
-        if shard is None:
+        try:
+            shard = self.shards[self.ring.route(key)]
+        except KeyError:
             return FleetOpResult(0, None, False)
         breaker = self.breakers[shard.shard_id]
         if breaker.consecutive_failures and not breaker.allow(self.ops):
@@ -389,7 +379,7 @@ class FleetCache:
         if breaker.consecutive_failures:
             breaker.record_success()
         self.shadow.pop(key, None)
-        return FleetOpResult(done, shard.shard_id, True)
+        return _new(FleetOpResult, (done, shard.shard_id, True))
 
     # ------------------------------------------------------------------
     # membership / lifecycle
@@ -495,6 +485,15 @@ class FleetCache:
     @property
     def live_shards(self) -> List[CacheShard]:
         return [s for s in self.shards.values() if s.alive]
+
+    @property
+    def gets(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def ops(self) -> int:
+        """Router ops so far, the breakers' clock."""
+        return self.hits + self.misses + self.sets + self.deletes
 
     @property
     def miss_ratio(self) -> float:

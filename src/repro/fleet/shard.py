@@ -62,6 +62,11 @@ class ShardState(enum.Enum):
     DEAD = "dead"
 
 
+# The data path tests liveness against a module constant: an Enum
+# member looked up on its class per op costs five times as much.
+_DEAD = ShardState.DEAD
+
+
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
     """Frozen recipe for one shard.
@@ -117,22 +122,18 @@ class ShardSpec:
 
 
 class _HybridBackend:
-    """HybridCache-backed shard storage (FDP or non-FDP)."""
+    """HybridCache-backed shard storage (FDP or non-FDP).
+
+    The data path is the cache's own: ``get`` is ``get_where`` (it
+    returns ``(where, item, completion_ns)``), ``set`` and ``delete``
+    the cache's, bound here so that a shard op enters no adapter frame.
+    """
 
     kind = "hybrid"
 
     def __init__(self, cache: HybridCache) -> None:
         self.cache = cache
-
-    def get(self, key: int, now_ns: int) -> Tuple[bool, str, int]:
-        where, _, done = self.cache.get_where(key, now_ns)
-        return where != MISS, where, done
-
-    def set(self, key: int, size: int, now_ns: int) -> int:
-        return self.cache.set(key, size, now_ns)
-
-    def delete(self, key: int, now_ns: int) -> int:
-        return self.cache.delete(key, now_ns)
+        self.get, self.set, self.delete = cache.get_where, cache.set, cache.delete
 
     def contains(self, key: int) -> bool:
         return self.cache.contains(key)
@@ -257,7 +258,7 @@ class CacheShard:
         SETs, which the router enforces via :meth:`admit_set`).
         """
         gov = self.governor
-        if gov is None or self.state is ShardState.DEAD:
+        if gov is None or self.state is _DEAD:
             return
         now = self.clock_ns if now_ns is None else now_ns
         if gov.observe(now, self.backend.overload_signals(now)):
@@ -326,12 +327,12 @@ class CacheShard:
         device's own busy horizon is untouched, the read still finishes
         late on the media) and the caller books a ``deadline_miss``.
         """
-        if self.state is ShardState.DEAD:
+        if self.state is _DEAD:
             raise self._dead("get")
         now = self.clock_ns if now_ns is None else now_ns
         self.gets += 1
         try:
-            hit, where, done = self.backend.get(key, now)
+            where, _, done = self.backend.get(key, now)
         except SHARD_UNAVAILABLE_CAUSES as exc:
             raise self._translate("get", exc) from exc
         latency = done - now
@@ -347,14 +348,15 @@ class CacheShard:
                 latency_ns=latency,
             )
         self.recent_read_ns.append(latency)
-        if hit:
-            self.hits += 1
         self.clock_ns = done
-        return hit, where, done
+        if where == MISS:
+            return False, where, done
+        self.hits += 1
+        return True, where, done
 
     def set(self, key: int, size: int, now_ns: Optional[int] = None) -> int:
         """Insert/overwrite a key; returns the completion time."""
-        if self.state is ShardState.DEAD:
+        if self.state is _DEAD:
             raise self._dead("set")
         now = self.clock_ns if now_ns is None else now_ns
         try:
@@ -366,7 +368,7 @@ class CacheShard:
         return done
 
     def delete(self, key: int, now_ns: Optional[int] = None) -> int:
-        if self.state is ShardState.DEAD:
+        if self.state is _DEAD:
             raise self._dead("delete")
         now = self.clock_ns if now_ns is None else now_ns
         try:
@@ -380,7 +382,7 @@ class CacheShard:
     # -- lifecycle ------------------------------------------------------
 
     def begin_retirement(self) -> None:
-        if self.state is ShardState.DEAD:
+        if self.state is _DEAD:
             raise ShardUnavailableError(
                 f"cannot retire DEAD shard {self.shard_id!r}",
                 shard_id=self.shard_id,
@@ -394,15 +396,15 @@ class CacheShard:
 
     def kill(self, *, at_ops: Optional[int] = None) -> None:
         """Hard-fail the shard: device powered off, state DEAD."""
-        if self.state is ShardState.DEAD:
+        if self.state is _DEAD:
             return
-        self.state = ShardState.DEAD
+        self.state = _DEAD
         self.died_at_ops = at_ops
         self.backend.power_off(self.clock_ns)
 
     @property
     def alive(self) -> bool:
-        return self.state is not ShardState.DEAD
+        return self.state is not _DEAD
 
     # -- introspection --------------------------------------------------
 

@@ -233,15 +233,17 @@ class SimulatedSSD:
         if sched is None:
             return ftl.write_range(lba, npages, pid, now_ns, payload)
         q = sched.admit(queue)
+        # A written command occupies its newly programmed location's
+        # channel, a failed one the channel its data lived on before.
         ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
         try:
             ftl.write_range(lba, npages, pid, now_ns, payload)
         except MediaError:
-            # A failed command occupies where its data lived before it.
-            sched.issue(q, "write", npages, self._host_channel(lba, ppn), now_ns)
+            where = ppn // ftl._pps if ppn >= 0 else lba
+            sched.issue(q, "write", npages, sched.channel_for(where), now_ns)
             raise
-        # A written command occupies its newly programmed location.
-        return sched.issue(q, "write", npages, self._host_channel(lba), now_ns)
+        channel = sched.channel_for(ftl._l2p[lba] // ftl._pps)
+        return sched.issue(q, "write", npages, channel, now_ns)
 
     def write_arrays(
         self,
@@ -287,7 +289,8 @@ class SimulatedSSD:
         if sched is None:
             return ftl.read_range(lba, npages, now_ns)
         q = sched.admit(queue)
-        channel = self._host_channel(lba)
+        ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
+        channel = sched.channel_for(ppn // ftl._pps if ppn >= 0 else lba)
         try:
             mapped, _ = ftl.read_range(lba, npages, now_ns)
         except MediaError:
@@ -315,7 +318,8 @@ class SimulatedSSD:
         if sched is None or queue is None:
             return ftl.deallocate(lba, npages)
         q = sched.admit(queue)
-        channel = self._host_channel(lba)
+        ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
+        channel = sched.channel_for(ppn // ftl._pps if ppn >= 0 else lba)
         pages = ftl.deallocate(lba, npages)
         sched.issue(q, "trim", npages, channel, now_ns)
         return pages
@@ -387,24 +391,6 @@ class SimulatedSSD:
         sched = self.ftl.sched
         return None if sched is None else sched.failslow
 
-    def _host_channel(self, lba: int, ppn: Optional[int] = None) -> int:
-        """Channel the first page of a host command occupies.
-
-        Mapped LBAs land on the channel of the superblock holding the
-        page, so reads genuinely collide with GC spans on the same
-        stripe; unmapped targets (miss reads, trims of clean ranges)
-        fall back to an LBA-derived channel so they still contend
-        deterministically.  ``ppn`` is the page's mapping (-1 for none)
-        when the caller read it before changing it; by default it is
-        read now.
-        """
-        ftl = self.ftl
-        if ppn is None:
-            ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
-        if ppn >= 0:
-            return ftl.sched.channel_for(ppn // ftl._pps)
-        return lba % ftl.sched.channels
-
     def submit_async(
         self,
         op: str,
@@ -448,14 +434,16 @@ class SimulatedSSD:
         # command must leave the device untouched.
         sched.admit(queue)
         # Trims occupy the channel where the data lived before the
-        # mapping is destroyed.
-        channel = self._host_channel(lba)
+        # mapping is destroyed (channels as :meth:`write` finds them).
+        ftl = self.ftl
+        ppn = ftl._l2p[lba] if 0 <= lba < ftl._logical_pages else -1
+        channel = sched.channel_for(ppn // ftl._pps if ppn >= 0 else lba)
         result: object = None
         error: Optional[MediaError] = None
         try:
             if op == "write":
                 result = self.ftl.write_range(lba, npages, pid, now_ns, payload)
-                channel = self._host_channel(lba)  # newly programmed location
+                channel = sched.channel_for(ftl._l2p[lba] // ftl._pps)
             elif op == "read":
                 result = self.ftl.read_range(lba, npages, now_ns)
             else:

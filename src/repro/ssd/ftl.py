@@ -28,7 +28,7 @@ import collections
 import random
 from array import array
 from bisect import bisect_left, insort
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -105,24 +105,14 @@ MAX_PROGRAM_ATTEMPTS = 8
 INFLIGHT_WINDOW = 8
 
 
-class _InflightWrite:
+class _InflightWrite(NamedTuple):
     """One recent host write command, for power-cut tearing."""
 
-    __slots__ = ("lba", "npages", "ppns", "ack_ns")
+    lba: int
+    npages: int
+    ppns: List[int]  # mapped ppn per page, in program order
+    ack_ns: int
 
-    def __init__(
-        self, lba: int, npages: int, ppns: List[int], ack_ns: int
-    ) -> None:
-        self.lba = lba
-        self.npages = npages
-        self.ppns = ppns  # mapped ppn per page, in program order
-        self.ack_ns = ack_ns
-
-    def __getstate__(self):
-        return (self.lba, self.npages, self.ppns, self.ack_ns)
-
-    def __setstate__(self, state) -> None:
-        self.lba, self.npages, self.ppns, self.ack_ns = state
 
 
 class Ftl:
@@ -230,8 +220,9 @@ class Ftl:
 
         self._pps = pps
         self._logical_pages = geometry.logical_pages
-        # Write point of every PID validated so far (None: default RUH 0).
-        self._host_streams: Dict[object, StreamKey] = {None: (HOST_STREAM, 0, 0)}
+        # Write point of every PID resolved so far (None: default RUH 0).
+        default = _CONVENTIONAL_HOST if fdp_config is None else (HOST_STREAM, 0, 0)
+        self._host_streams: Dict[object, StreamKey] = {None: default}
         self._l2p = array("i", [-1] * self._logical_pages)
         self._p2l = array("i", [-1] * geometry.total_pages)
         self._init_views()
@@ -316,14 +307,16 @@ class Ftl:
         return max(3, self.geometry.num_superblocks // 128)
 
     def _host_stream(self, pid: Optional[PlacementIdentifier]) -> StreamKey:
-        """Resolve the write-point key for a host write."""
-        if self.fdp_config is None:
-            # Conventional device: placement directives are ignored, as
-            # TP4146's backward compatibility requires.
-            return _CONVENTIONAL_HOST
+        """Resolve the write-point key for a host write, and remember it
+        where :meth:`write_range` looks first."""
         stream = self._host_streams.get(pid)
         if stream is not None:
             return stream
+        if self.fdp_config is None:
+            # Conventional device: placement directives are ignored, as
+            # TP4146's backward compatibility requires.
+            self._host_streams[pid] = _CONVENTIONAL_HOST
+            return _CONVENTIONAL_HOST
         try:
             self.fdp_config.validate_pid(pid)
         except ValueError as exc:
@@ -700,8 +693,6 @@ class Ftl:
 
     def _inject_host_spike(self, done_ns: int) -> int:
         """Roll one per-command latency spike (fault injection)."""
-        if self.faults is None:
-            return done_ns
         spike = self.faults.latency_spike()
         if spike:
             self.stats.latency_spikes += 1
@@ -716,8 +707,6 @@ class Ftl:
         the caller — a failed read costs the same media time as a
         successful one.
         """
-        if self.faults is None:
-            return
         for cur in range(lba, lba + npages):
             ppn = self._l2p[cur]
             if ppn < 0 or not self.faults.fail_read(cur):
@@ -788,8 +777,6 @@ class Ftl:
         Returns the command's completion time, pushed out by any
         correction penalties.
         """
-        if not self._protect:
-            return done_ns
         lat = self.latent
         l2p = self._l2p
         oob = self._oob
@@ -1035,13 +1022,17 @@ class Ftl:
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        self._check_online()
+        if self._offline:
+            self._check_online()
         if lba < 0 or lba + npages > self._logical_pages:
             self._check_lba(lba)
             self._check_lba(lba + npages - 1)
         if self.scrubber is not None:
             self.scrubber.maybe_step(self, now_ns)
-        stream = self._host_stream(pid)
+        try:
+            stream = self._host_streams[pid]
+        except KeyError:
+            stream = self._host_stream(pid)
         hooked = self._page_hooks
         # Pages no hook counts still advance the latent plan's op_index.
         unhooked_latent = None if hooked else self.latent
@@ -1073,7 +1064,9 @@ class Ftl:
                         self._release(old // pps)
                         self._l2p[cur] = -1
                     sb = self._writable(stream, cur, now_ns)
-                chunk = 1 if hooked else min(end - cur, pps - sb.write_ptr)
+                chunk = 1 if hooked else pps - sb.write_ptr
+                if chunk > end - cur:
+                    chunk = end - cur
                 if unhooked_latent is not None:
                     unhooked_latent.host_program_ops += chunk
                 base = self._program_extent(sb, stream, chunk, cur, stored, crc)
@@ -1087,9 +1080,13 @@ class Ftl:
             exc.pages_durable = len(ppns)
             self.power_cut(now_ns, _torn_mid_command=True)
             raise
-        done = self._inject_host_spike(self.latency.service(now_ns, WRITE, npages))
-        self._inflight.append(_InflightWrite(lba, npages, ppns, done))
-        self._maybe_checkpoint()
+        # The hooks below are called only when they have work to do.
+        done = self.latency.service(now_ns, WRITE, npages)
+        if self.faults is not None:
+            done = self._inject_host_spike(done)
+        self._inflight.append(tuple.__new__(_InflightWrite, (lba, npages, ppns, done)))
+        if self._pages_since_checkpoint >= self.checkpoint_interval_pages:
+            self._maybe_checkpoint()
         return done
 
     def write_arrays(
@@ -1125,21 +1122,13 @@ class Ftl:
         return dones
 
     def read(self, lba: int, now_ns: int = 0) -> Tuple[bool, int]:
-        """Read one page.
+        """Read one page: :meth:`read_range` of one.
 
         Returns ``(mapped, completion_ns)`` where ``mapped`` says
         whether the LBA currently holds data (reading a deallocated LBA
         returns zeroes on a real device).
         """
-        self._check_online()
-        self._check_lba(lba)
-        if self.scrubber is not None:
-            self.scrubber.maybe_step(self, now_ns)
-        self.stats.host_pages_read += 1
-        done = self._inject_host_spike(self.latency.service(now_ns, READ))
-        self._inject_read_faults(lba, 1, now_ns)
-        done = self._latent_read_checks(lba, 1, now_ns, done)
-        return self._l2p[lba] >= 0, done
+        return self.read_range(lba, 1, now_ns)
 
     def read_range(
         self, lba: int, npages: int, now_ns: int = 0
@@ -1150,18 +1139,23 @@ class Ftl:
         """
         if npages <= 0:
             raise ValueError("npages must be positive")
-        self._check_online()
-        self._check_lba(lba)
-        self._check_lba(lba + npages - 1)
+        if self._offline:
+            self._check_online()
+        if lba < 0 or lba + npages > self._logical_pages:
+            self._check_lba(lba)
+            self._check_lba(lba + npages - 1)
         if self.scrubber is not None:
             self.scrubber.maybe_step(self, now_ns)
         self.stats.host_pages_read += npages
         # The L2P map is a flat array("i"), so the mapped-range check is
         # one C-level slice + min instead of a Python loop per page.
         all_mapped = min(self._l2p[lba : lba + npages]) >= 0
-        done = self._inject_host_spike(self.latency.service(now_ns, READ, npages))
-        self._inject_read_faults(lba, npages, now_ns)
-        done = self._latent_read_checks(lba, npages, now_ns, done)
+        done = self.latency.service(now_ns, READ, npages)
+        if self.faults is not None:
+            done = self._inject_host_spike(done)
+            self._inject_read_faults(lba, npages, now_ns)
+        if self._protect:
+            done = self._latent_read_checks(lba, npages, now_ns, done)
         return all_mapped, done
 
     def deallocate(self, lba: int, npages: int = 1) -> int:

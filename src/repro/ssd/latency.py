@@ -99,7 +99,7 @@ class NandTimings:
 class LatencyModel:
     """Single-timeline service model shared by host and GC operations."""
 
-    __slots__ = ("timings", "busy_until", "busy_ns_total")
+    __slots__ = ("timings", "busy_until", "busy_ns_total", "_durations")
 
     def __init__(self, timings: NandTimings | None = None) -> None:
         self.timings = timings or NandTimings()
@@ -107,6 +107,7 @@ class LatencyModel:
         # Total time the device spent servicing operations; the idle
         # complement feeds the energy model.
         self.busy_ns_total = 0
+        self._durations: dict = {}  # service_ns() memo, keyed (kind, npages)
 
     def service(self, now_ns: int, kind: str, npages: int = 1) -> int:
         """Occupy the timeline for one ``kind`` operation over ``npages``
@@ -122,7 +123,10 @@ class LatencyModel:
         start = busy if busy > now_ns else now_ns
         if npages == 0 and kind in _PAGED_BACKGROUND:
             return start
-        duration = self.timings.service_ns(kind, npages)
+        try:
+            duration = self._durations[kind, npages]
+        except KeyError:
+            duration = self._durations[kind, npages] = self.timings.service_ns(kind, npages)
         self.busy_until = end = start + duration
         self.busy_ns_total += duration
         return end

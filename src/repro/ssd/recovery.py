@@ -238,17 +238,16 @@ class MappingJournal:
         """
         buf = self._buf
         interval = self.flush_interval
-        done = 0
-        while done < count:
-            take = count - done
-            room = interval - self._buf_len
-            if take > room:
-                take = room
-            buf.append((seq + done, lba + done, ppn + done, take))
-            self._buf_len += take
-            done += take
-            if self._buf_len >= interval:
-                self.force_flush()
+        room = interval - self._buf_len  # at least 1: a full buffer flushes
+        while count >= room:  # the run fills the buffer
+            buf.append((seq, lba, ppn, room))
+            self._flushed.extend(buf)
+            buf.clear()
+            seq, lba, ppn, count = seq + room, lba + room, ppn + room, count - room
+            room = interval
+        if count:
+            buf.append((seq, lba, ppn, count))
+        self._buf_len = interval - room + count
 
     def force_flush(self) -> None:
         """Move the volatile buffer into the durable region."""

@@ -167,9 +167,7 @@ class LatencyHistogram:
         sub = (index & (_SUB_COUNT - 1)) | _SUB_COUNT
         return ((sub + 1) << exp) - 1
 
-    def record(self, value_ns: int, n: int = 1) -> None:
-        if n <= 0:
-            raise ValueError("count must be positive")
+    def record(self, value_ns: int) -> None:
         # bucket_index(), inlined: every host command is recorded.
         if value_ns < _SUB_COUNT:
             if value_ns < 0:
@@ -179,12 +177,14 @@ class LatencyHistogram:
             exp = value_ns.bit_length() - 1 - _SUB_BITS
             idx = (exp << _SUB_BITS) + (value_ns >> exp)
         counts = self.counts
-        counts[idx] = counts[idx] + n if idx in counts else n
-        self.count += n
-        self.sum_ns += value_ns * n
-        if self.min_ns is None or value_ns < self.min_ns:
+        counts[idx] = counts[idx] + 1 if idx in counts else 1
+        self.count += 1
+        self.sum_ns += value_ns
+        if self.count == 1:
+            self.min_ns = self.max_ns = value_ns
+        elif value_ns < self.min_ns:
             self.min_ns = value_ns
-        if self.max_ns is None or value_ns > self.max_ns:
+        elif value_ns > self.max_ns:
             self.max_ns = value_ns
 
     def merge(self, other: "LatencyHistogram") -> None:
@@ -342,7 +342,7 @@ class MultiQueueScheduler:
             deque() for _ in range(self.channels)
         ]
         self._queues: Dict[str, _Queue] = {}
-        # host_duration() memo, keyed (op, npages).
+        # Host command durations, keyed (op, npages).
         self._durations: Dict[Tuple[str, int], int] = {}
         # Telemetry: background occupancy by kind, and how often a host
         # command had to wait behind a background segment.
@@ -419,17 +419,13 @@ class MultiQueueScheduler:
                 merged.merge(hist)
         return merged
 
-    # -- durations -----------------------------------------------------
-
-    def host_duration(self, op: str, npages: int) -> int:
-        """Channel occupancy of one host command (the busy-clock model's
-        :meth:`~repro.ssd.latency.NandTimings.service_ns`)."""
-        if op not in (READ, WRITE, TRIM):
-            raise ValueError(f"unknown host op {op!r}")
-        return self.timings.service_ns(op, npages)
+    # -- channels ------------------------------------------------------
 
     def channel_for(self, superblock_index: int) -> int:
-        """Deterministic superblock → channel mapping."""
+        """Deterministic superblock → channel mapping, for every command
+        and background span.  A host command names its first page's
+        superblock, so reads collide with GC spans on the same stripe;
+        an unmapped target names its LBA, so it still contends."""
         return superblock_index % self.channels
 
     # -- background spans ---------------------------------------------
@@ -542,10 +538,13 @@ class MultiQueueScheduler:
         read after a multi-ms write batch would inherit the batch's
         completion and dominate the read tail.
         """
-        durations = self._durations
-        if (op, npages) not in durations:
-            durations[op, npages] = self.host_duration(op, npages)
-        duration_ns = durations[op, npages]
+        try:
+            duration_ns = self._durations[op, npages]
+        except KeyError:  # the busy-clock model's service time
+            if op not in (READ, WRITE, TRIM):
+                raise ValueError(f"unknown host op {op!r}") from None
+            duration_ns = self.timings.service_ns(op, npages)
+            self._durations[op, npages] = duration_ns
         free = self._free_at[channel]
         if self._backlog[channel]:
             free = self._advance_channel(channel, now_ns)
@@ -561,11 +560,10 @@ class MultiQueueScheduler:
         self.host_commands += 1
         if complete > q.clock_ns:
             q.clock_ns = complete
-        histograms = q.histograms
-        if op in histograms:
-            hist = histograms[op]
-        else:
-            hist = histograms[op] = LatencyHistogram()
+        try:
+            hist = q.histograms[op]
+        except KeyError:
+            hist = q.histograms[op] = LatencyHistogram()
         hist.record(complete - now_ns)
         return complete
 

@@ -124,10 +124,9 @@ class _FlakyBackend:
         if self.calls <= self.fail_times:
             raise QueueFullError("submission queue full")
 
-    def get(self, key, now_ns):
+    def get(self, key, now_ns):  # HybridCache.get_where's shape
         self._maybe_fail()
-        hit = key in self.store
-        return hit, "stub" if hit else "miss", now_ns + 1000
+        return ("stub" if key in self.store else "miss"), None, now_ns + 1000
 
     def set(self, key, size, now_ns):
         self._maybe_fail()

@@ -3,11 +3,12 @@
 No wall clock (these pass the sim-time lint's spirit and cannot
 flake): the counts below are the *mechanisms* behind ``fleet4_open``'s
 host throughput — a key is hashed onto the ring once however often it
-is routed, and a synchronous I/O is timed where it is issued, without
-a completion-queue ``IoCompletion`` and within a fixed number of calls
-of the unscheduled I/O — so a
-change that quietly reintroduces a per-op SHA-256 or a queue
-round-trip fails here, in tier-1, before any benchmark runs.
+is routed, a fleet op crosses router, ring and shard once each on its
+way to the cache, and a synchronous I/O is timed where it is issued,
+without a completion-queue ``IoCompletion`` and within a fixed number
+of calls of the unscheduled I/O — so a change that quietly
+reintroduces a per-op SHA-256, an adapter frame or a queue round-trip
+fails here, in tier-1, before any benchmark runs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 
 from repro.bench.runner import Scale, make_trace
+from repro.cache import HybridCache
 from repro.core import FdpAwareDevice
 from repro.fleet import (
     FleetCache,
@@ -35,8 +37,15 @@ VNODES = 64
 # What the scheduler overlay may add to one 1-page sync I/O, in
 # sys.setprofile call events.  A queue round-trip (submit + poll + a
 # completion record) added 39 to a write and 37 to a read; timing a
-# write's channel both before and after it, 8 to a write (a read: 7).
-MAX_SCHED_EVENTS = 7
+# write's channel both before and after it, 8 to a write (a read: 7);
+# finding the channel in one frame, 6 to either.
+MAX_SCHED_EVENTS = 6
+
+# What the fleet path (driver-facing router, ring, shard) may add above
+# HybridCache.get_where/set, in sys.setprofile call events (Python
+# frames + C calls).  With a routing helper, an adapter frame per shard
+# op and a dataclass result per op: 10, 27 and 9.
+MAX_FLEET_EVENTS = {"dram_hit_get": 8, "missed_get_and_fill": 23, "overwrite_set": 7}
 
 
 def test_one_digest_per_distinct_key_and_no_queue_objects_per_sync_io(
@@ -138,3 +147,53 @@ def test_scheduled_sync_io_costs_at_most_ten_calls_more():
     sched_write, sched_read = _one_page_costs(scheduled=True)
     assert sched_write - plain_write <= MAX_SCHED_EVENTS, (sched_write, plain_write)
     assert sched_read - plain_read <= MAX_SCHED_EVENTS, (sched_read, plain_read)
+
+
+def _events_above_the_cache(fn) -> int:
+    """Call events of ``fn()`` outside HybridCache.get_where/set (their
+    own call counts; what they call does not), not counting ``fn``'s
+    own frame or the profiler's removal."""
+    cache_entries = {HybridCache.get_where.__code__, HybridCache.set.__code__}
+    events = [-2]
+    inside = [None]
+
+    def profiler(frame, event, arg):
+        if inside[0] is not None:
+            if event == "return" and frame is inside[0]:
+                inside[0] = None
+        elif event == "call" or event == "c_call":
+            events[0] += 1
+            if event == "call" and frame.f_code in cache_entries:
+                inside[0] = frame
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return events[0]
+
+
+def test_a_fleet_op_crosses_each_layer_once():
+    shard = ShardSpec("s0", backend="fdp", utilization=0.9, scale=SCALE).build()
+    fleet = FleetCache([shard], FleetConfig(vnodes=VNODES))
+    now = 0
+    for key in range(200):
+        fleet.set(key, 100, now)
+        now += 100_000
+    cache = shard.backend.cache
+    dram_hits = cache.hits_by_layer["dram"]
+
+    def missed_get_and_fill():  # what FleetDriver.run does for a miss
+        result = fleet.get(10**9, now)
+        assert result.where == "miss" and not result.degraded
+        assert fleet.set(10**9, 100, result.completion_ns).applied
+
+    events = {
+        "dram_hit_get": _events_above_the_cache(lambda: fleet.get(199, now)),
+        "missed_get_and_fill": _events_above_the_cache(missed_get_and_fill),
+        "overwrite_set": _events_above_the_cache(lambda: fleet.set(199, 100, now)),
+    }
+    assert cache.hits_by_layer["dram"] == dram_hits + 1
+    for case, bound in MAX_FLEET_EVENTS.items():
+        assert events[case] <= bound, (case, events[case])

@@ -159,11 +159,19 @@ class SocIndexMachine(RuleBasedStateMachine):
         """Residency by the bucket scan the index replaced."""
         return key in self.soc._buckets[self.soc.bucket_of(key)]
 
-    def _groups(self, items):
+    def _groups(self, items, split):
+        """``items`` grouped by bucket; with ``split``, each bucket's
+        group of two or more is cut in two and its second half sent
+        after every first half, so groups of one bucket are not
+        adjacent (the engine must merge them into one rewrite)."""
         groups = {}
         for item in items:
             groups.setdefault(self.soc.bucket_of(item.key), []).append(item)
-        return list(groups.values())
+        if not split:
+            return list(groups.values())
+        firsts = [group[: len(group) // 2 or 1] for group in groups.values()]
+        seconds = [group[len(group) // 2 or 1 :] for group in groups.values()]
+        return firsts + [group for group in seconds if group]
 
     @rule(item=ITEMS, fail=st.booleans())
     def insert(self, item, fail):
@@ -175,11 +183,33 @@ class SocIndexMachine(RuleBasedStateMachine):
             assert self.soc.contains(item.key) == (not fail)
         self.io.fail_next_write = False
 
-    @rule(items=st.lists(ITEMS, max_size=24), fail=st.booleans())
-    def insert_many_batched(self, items, fail):
+    @rule(
+        items=st.lists(ITEMS, max_size=24), fail=st.booleans(), split=st.booleans()
+    )
+    def insert_many_batched(self, items, fail, split):
+        pages = [self.io.read_payload(b)[0] for b in range(NUM_BUCKETS)]
         self.io.fail_next_write = fail  # the first bucket of the batch
-        self.soc.insert_many_batched(self._groups(items))
+        admitted, _ = self.soc.insert_many_batched(self._groups(items, split))
         self.io.fail_next_write = False
+        # One rewrite per bucket, however its items were grouped; the
+        # count is of every item staged, a failed rewrite's included.
+        fitting = [item for item in items if self.soc.accepts(item)]
+        assert admitted == len(fitting)
+        rewritten = {self.soc.bucket_of(item.key) for item in fitting}
+        assert sorted(b for b, _ in self.io.log) == sorted(rewritten)
+        failed = {b for b, keys in self.io.log if not keys}
+        assert len(failed) == (1 if fail and rewritten else 0)
+        for bucket in range(NUM_BUCKETS):
+            page = self.io.read_payload(bucket)[0]
+            if bucket not in rewritten:
+                assert page is pages[bucket]
+            elif bucket not in failed:
+                assert page[3] is self.soc._buckets[bucket]
+            else:
+                # A failed rewrite leaves its page as it was and drops
+                # the bucket: none of its keys stays resident.
+                assert page is pages[bucket]
+                assert not any(self.soc.bucket_of(k) == bucket for k in self.soc._masks)
 
     @rule(key=KEYS, read=st.sampled_from((None, None, "uecc", "unmapped")))
     def lookup(self, key, read):

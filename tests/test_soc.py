@@ -4,9 +4,12 @@ import random
 
 import pytest
 
-from repro.cache import CacheItem, SmallObjectCache
+from repro.cache import CacheItem, HybridCache, SmallObjectCache
+from repro.cache.hybrid import MISS
 from repro.cache.item import ITEM_HEADER_BYTES
 from repro.core import FdpAwareDevice
+from repro.faults.errors import ProgramFailError
+from tests.test_hybrid import small_config
 from tests.test_properties_soc_index import bloom_a_lookup_reads, check_index
 
 
@@ -206,3 +209,60 @@ class TestMaskMemo:
         assert [bloom_a_lookup_reads(soc, b) for b in buckets] == fields
         assert soc.item_count == 200
         self.check(soc)
+
+
+class TestBatchedRewritesOfOneBucket:
+    """Two groups of one ``insert_many_batched`` call that name the same
+    bucket go down as one rewrite: a failed rewrite of the bucket leaves
+    its page as it was, so nothing the engine dropped can come back."""
+
+    @staticmethod
+    def two_keys_of_one_bucket(soc):
+        first = {}
+        for key in range(10_000):
+            bucket = soc.bucket_of(key)
+            if bucket in first:
+                return first[bucket], key
+            first[bucket] = key
+        raise AssertionError("no two keys share a bucket")
+
+    def test_a_failed_rewrite_cannot_resurrect_a_deleted_key(self, fdp_ssd):
+        cache = HybridCache(fdp_ssd, small_config())
+        soc = cache.soc
+        k1, k2 = self.two_keys_of_one_bucket(soc)
+        real_write = cache.io.write
+        failures = [1]
+
+        def write_failing_once(lba, *args, **kwargs):
+            if failures[0]:
+                failures[0] -= 1
+                raise ProgramFailError("scripted", lba=lba)
+            return real_write(lba, *args, **kwargs)
+
+        cache.io.write = write_failing_once
+        admitted, _ = soc.insert_many_batched(
+            [[CacheItem(k1, 100)], [CacheItem(k2, 100)]]
+        )
+        del cache.io.write
+        # Both items were staged, and both went with the failed rewrite.
+        assert admitted == 2 and failures == [0]
+        assert not soc.contains(k1) and not soc.contains(k2)
+        page = fdp_ssd.read_payload(soc.base_lba + soc.bucket_of(k1))[0]
+        writes, drops = soc.flash_writes, soc.write_drops
+        cache.delete(k1)  # not resident: no rewrite
+        fdp_ssd.power_cut()
+        cache.recover()
+        assert not soc.contains(k1) and cache.get(k1).where == MISS
+        # One rewrite was issued, it failed, and the page kept nothing.
+        assert (page, writes, drops) == (None, 0, 2)
+
+    def test_groups_of_one_bucket_merge_in_order(self, soc_env):
+        soc, _, dev = soc_env
+        k1, k2 = self.two_keys_of_one_bucket(soc)
+        admitted, _ = soc.insert_many_batched(
+            [[CacheItem(k1, 100)], [CacheItem(k2, 200), CacheItem(k1, 300)]]
+        )
+        assert admitted == 3 and soc.flash_writes == 1
+        assert dev.stats.host_pages_written == 1
+        assert soc.resident_items() == {k2: 200, k1: 300}
+        check_index(soc, keys=(k1, k2))
