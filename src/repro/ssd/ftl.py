@@ -114,7 +114,6 @@ class _InflightWrite(NamedTuple):
     ack_ns: int
 
 
-
 class Ftl:
     """Page-mapped FTL over :class:`~repro.ssd.geometry.Geometry`.
 
