@@ -692,6 +692,8 @@ class Ftl:
 
     def _inject_host_spike(self, done_ns: int) -> int:
         """Roll one per-command latency spike (fault injection)."""
+        if self.faults is None:
+            return done_ns
         spike = self.faults.latency_spike()
         if spike:
             self.stats.latency_spikes += 1

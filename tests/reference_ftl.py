@@ -202,9 +202,7 @@ class ReferenceFtl(Ftl):
             exc.pages_durable = len(ppns)
             self.power_cut(now_ns, _torn_mid_command=True)
             raise
-        done = self.latency.service(now_ns, WRITE, npages)
-        if self.faults is not None:
-            done = self._inject_host_spike(done)
+        done = self._inject_host_spike(self.latency.service(now_ns, WRITE, npages))
         self._inflight.append(_InflightWrite(lba, npages, ppns, done))
         self._maybe_checkpoint()
         return done
