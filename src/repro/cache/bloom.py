@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable, Optional, Tuple
 
-__all__ = ["BloomFilter", "bloom_mask", "splitmix64"]
+__all__ = ["BloomFilter", "bloom_mask", "probe_table", "splitmix64"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,13 +42,15 @@ def bloom_mask(h1: int, bits: int, hashes: int) -> int:
     probe ``i`` sits at ``(h1 + i * h2) % bits``, with ``h1`` being
     ``splitmix64(key)`` (which also places the key in the SOC) and
     ``h2`` a second round forced odd (double hashing).  That depends on
-    ``h1 % bits`` and ``h2 % bits`` only, so the mask is looked up."""
+    ``h1 % bits`` and ``h2 % bits`` only, so the mask is looked up in
+    :func:`probe_table` (the SOC, with one shape, binds its table once
+    and indexes it the same way in line)."""
     h2 = splitmix64(h1) | 1
-    return _probe_table(bits, hashes)[h1 % bits * bits + h2 % bits]
+    return probe_table(bits, hashes)[h1 % bits * bits + h2 % bits]
 
 
 @lru_cache(maxsize=16)
-def _probe_table(bits: int, hashes: int) -> Tuple[int, ...]:
+def probe_table(bits: int, hashes: int) -> Tuple[int, ...]:
     """Every mask of a filter shape, at ``r1 * bits + r2`` for the
     residues of ``h1`` and ``h2``: ``r1 = 0``'s masks rotated by ``r1``."""
     row = [reduce(or_, [1 << i * r2 % bits for i in range(hashes)]) for r2 in range(bits)]

@@ -141,6 +141,12 @@ class HybridCache:
         self.policy.setup(io.allocator, consumers)
         self._soc_name = soc_name
         self._loc_name = loc_name
+        # The write-path hook, bound only for a policy that listens.
+        self._on_write = (
+            None
+            if type(self.policy).on_write is PlacementPolicy.on_write
+            else self.policy.on_write
+        )
 
         self.dram = DramCache(config.dram_bytes)
         if config.soc_engine == "nemo":
@@ -258,9 +264,8 @@ class HybridCache:
             self.flash_rejects += 1
             return now_ns
         self.flash_admits += 1
-        self.policy.on_write(
-            self._soc_name if small else self._loc_name, item.size
-        )
+        if self._on_write is not None:
+            self._on_write(self._soc_name if small else self._loc_name, item.size)
         _, done = engine.insert(item, now_ns)
         self._meta_counter += 1
         if self._meta_counter % config.metadata_flush_interval:

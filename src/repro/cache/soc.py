@@ -42,12 +42,12 @@ filter at all.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.device_layer import FdpAwareDevice
 from ..core.placement import PlacementHandle
 from ..faults.errors import MediaError
-from .bloom import BloomFilter, bloom_mask, splitmix64
+from .bloom import BloomFilter, bloom_mask, probe_table, splitmix64
 from .item import ITEM_HEADER_BYTES, CacheItem
 
 __all__ = ["SmallObjectCache", "BUCKET_HEADER_BYTES"]
@@ -58,6 +58,10 @@ BUCKET_HEADER_BYTES = 16
 # Per-bucket bloom filter shape: bits and hash functions.
 BLOOM_BITS = 64
 BLOOM_HASHES = 4
+# That shape's masks, bound once: a key's mask is
+# ``_MASKS[h1 % BLOOM_BITS * BLOOM_BITS + (splitmix64(h1) | 1) % BLOOM_BITS]``,
+# ``bloom_mask`` in line.
+_MASKS = probe_table(BLOOM_BITS, BLOOM_HASHES)
 
 
 class SmallObjectCache:
@@ -117,8 +121,9 @@ class SmallObjectCache:
         # keys (``key in _masks`` iff ``key in _buckets[bucket_of(key)]``).
         # Residency is answered here without hashing, and building a
         # bucket's bloom ORs the masks instead of hashing each key again.
-        # Written only where a key enters (_stage, recover) or leaves
-        # (_evict_overflow, _drop_bucket, invalidate, delete).
+        # Written only where a key enters or is evicted (_stage),
+        # or is recovered or leaves otherwise (recover, _drop_bucket,
+        # invalidate, delete).
         self._masks: Dict[int, int] = {}
         # Per-bucket rewrite generation, part of the on-flash header.
         self._generations: List[int] = [0] * num_buckets
@@ -180,38 +185,32 @@ class SmallObjectCache:
         self._blooms[bucket].clear()
         return len(entries)
 
-    def _bucket_payload(self, bucket: int):
-        """Build the on-flash header payload for one bucket rewrite
-        (advancing its generation); its manifest is the bucket's dict,
-        shared from now on."""
-        entries = self._manifests[bucket] = self._buckets[bucket]
-        self._generations[bucket] += 1
-        return ("soc", bucket, self._generations[bucket], entries)
-
-    def _stage(self, bucket: int, key: int, nbytes: int, h1: int) -> None:
-        """Put one item (``nbytes`` stored, ``h1`` its key's
-        ``splitmix64``) at the tail of a bucket's in-memory image,
-        replacing an older copy."""
+    def _stage(self, bucket: int, hashed: Iterable[Tuple[CacheItem, int]]) -> None:
+        """Put items that fit a bucket (each with its key's
+        ``splitmix64``) at the tail of the bucket's in-memory image, in
+        order, replacing older copies; then evict FIFO until the image
+        fits its page."""
         entries = self._buckets[bucket]
         if entries is self._manifests[bucket]:
             entries = self._buckets[bucket] = dict(entries)  # unshare
-        old = entries.pop(key, None)
-        if old is None:
-            self._masks[key] = bloom_mask(h1, BLOOM_BITS, BLOOM_HASHES)
-        else:
-            self._used[bucket] -= old
-        entries[key] = nbytes
-        self._used[bucket] += nbytes
-
-    def _evict_overflow(self, bucket: int) -> None:
-        """Evict FIFO until the bucket's image fits its page.  Only
-        :meth:`_stage` overflows a bucket, and it has unshared it."""
-        entries = self._buckets[bucket]
-        while self._used[bucket] > self.usable_bucket_bytes:
+        masks = self._masks
+        used = self._used[bucket]
+        for item, h1 in hashed:
+            key = item.key
+            old = entries.pop(key, None)
+            if old is None:
+                h2 = splitmix64(h1) | 1
+                masks[key] = _MASKS[h1 % BLOOM_BITS * BLOOM_BITS + h2 % BLOOM_BITS]
+            else:
+                used -= old
+            nbytes = entries[key] = item.size + ITEM_HEADER_BYTES
+            used += nbytes
+        while used > self.usable_bucket_bytes:
             key = next(iter(entries))
-            self._used[bucket] -= entries.pop(key)
-            del self._masks[key]
+            used -= entries.pop(key)
+            del masks[key]
             self.evictions += 1
+        self._used[bucket] = used
 
     def _write_bucket(self, bucket: int, now_ns: int) -> int:
         """Rewrite a whole bucket page on flash; its bloom is built from
@@ -221,7 +220,11 @@ class SmallObjectCache:
         drops the bucket rather than raising: the engine keeps serving,
         the lost entries simply re-enter as misses later.
         """
-        payload = self._bucket_payload(bucket)
+        # The on-flash header of this generation; its manifest is the
+        # bucket's dict, shared from now on.
+        manifest = self._manifests[bucket] = self._buckets[bucket]
+        self._generations[bucket] += 1
+        payload = ("soc", bucket, self._generations[bucket], manifest)
         try:
             done = self.device.write(
                 self.base_lba + bucket, 1, self.handle, now_ns,
@@ -233,7 +236,7 @@ class SmallObjectCache:
             return now_ns
         self.flash_writes += 1
         self.ssd_bytes_written += self.bucket_size
-        self._pending_blooms[bucket] = payload[3]
+        self._pending_blooms[bucket] = manifest
         return done
 
     def insert(self, item: CacheItem, now_ns: int = 0) -> Tuple[bool, int]:
@@ -248,8 +251,7 @@ class SmallObjectCache:
             return False, now_ns
         h1 = splitmix64(item.key)
         bucket = h1 % self.num_buckets
-        self._stage(bucket, item.key, nbytes, h1)
-        self._evict_overflow(bucket)
+        self._stage(bucket, ((item, h1),))
         done = self._write_bucket(bucket, now_ns)
         self.inserts += 1
         self.app_bytes_written += item.size
@@ -289,19 +291,18 @@ class SmallObjectCache:
                 groups.setdefault(buckets.pop(), []).extend(hashed)
         staged: List[Tuple[int, int, Dict[int, int]]] = []
         commands: List[Tuple] = []
+        usable = self.usable_bucket_bytes - ITEM_HEADER_BYTES
         for bucket, hashed in groups.items():
-            admitted = 0
-            for item, h1 in hashed:
-                nbytes = item.size + ITEM_HEADER_BYTES  # item.stored_size
-                if nbytes <= self.usable_bucket_bytes:
-                    self._stage(bucket, item.key, nbytes, h1)
-                    self.app_bytes_written += item.size
-                    admitted += 1
-            if admitted == 0:
+            fits = [(item, h1) for item, h1 in hashed if item.size <= usable]
+            if not fits:
                 continue
-            self._evict_overflow(bucket)
-            payload = self._bucket_payload(bucket)
-            staged.append((bucket, admitted, payload[3]))
+            self._stage(bucket, fits)
+            self.app_bytes_written += sum(item.size for item, _ in fits)
+            admitted = len(fits)
+            manifest = self._manifests[bucket] = self._buckets[bucket]
+            self._generations[bucket] += 1
+            payload = ("soc", bucket, self._generations[bucket], manifest)
+            staged.append((bucket, admitted, manifest))
             commands.append(("write", self.base_lba + bucket, 1, self.handle, payload))
         if not staged:
             return 0, now_ns
@@ -335,7 +336,8 @@ class SmallObjectCache:
         mask = self._masks.get(key)
         resident = mask is not None
         if not resident:
-            mask = bloom_mask(h1, BLOOM_BITS, BLOOM_HASHES)
+            h2 = splitmix64(h1) | 1
+            mask = _MASKS[h1 % BLOOM_BITS * BLOOM_BITS + h2 % BLOOM_BITS]
         bloom = self._blooms[bucket]
         manifest = self._pending_blooms[bucket]
         if manifest is not None:

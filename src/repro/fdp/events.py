@@ -15,9 +15,8 @@ log (poll counters, optionally drain recent entries).
 from __future__ import annotations
 
 import collections
-import dataclasses
 import enum
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, NamedTuple, Optional
 
 __all__ = ["FdpEventType", "FdpEvent", "FdpEventLog"]
 
@@ -49,14 +48,19 @@ class FdpEventType(enum.Enum):
     SCRUB = "scrub"
     SCRUB_RELOCATION = "scrub_relocation"
 
+    # Members are singletons, so identity hashing is exact, and it keys
+    # the log's counters without a Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
 
-@dataclasses.dataclass(frozen=True)
-class FdpEvent:
+
+class FdpEvent(NamedTuple):
     """One log entry.
 
     ``pages`` carries the amount of data involved (e.g., pages migrated
     for MEDIA_RELOCATED); ``ruh_id``/``reclaim_group`` identify the
-    placement context when known.
+    placement context when known.  A named tuple: GC records one or
+    two per pass, and a tuple is built in one step where a frozen
+    dataclass stores its six fields one by one.
     """
 
     event_type: FdpEventType

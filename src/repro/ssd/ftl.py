@@ -243,6 +243,11 @@ class Ftl:
         # here whenever the list is non-empty.  Maintained at every
         # invalidation site; ``check_invariants`` rescans it.
         self._zero_closed: List[int] = []
+        # ``valid_pages`` of each ``_closed`` entry, aligned with it,
+        # while a GC burst runs (``_collect_until_reserve``), else None:
+        # within a burst no valid count of a CLOSED block moves, so the
+        # global-greedy scan reads them once per burst, not per pass.
+        self._burst_valid: Optional[List[int]] = None
         # Reusable superblock-sized source slice for the erase path's
         # P2L wipe (slice assignment copies the values out); the OOB
         # wipe goes through OobStore.clear_range.
@@ -415,7 +420,10 @@ class Ftl:
         if sb is None:
             return
         sb.close()
-        insort(self._closed, sb.index)
+        pos = bisect_left(self._closed, sb.index)
+        self._closed.insert(pos, sb.index)
+        if self._burst_valid is not None:
+            self._burst_valid.insert(pos, sb.valid_pages)
         if not sb.valid_pages:
             insort(self._zero_closed, sb.index)
         self.events.record(
@@ -505,6 +513,7 @@ class Ftl:
                 window = closed[start:stop]
             else:
                 window = closed[start:] + closed[: stop - len(closed)]
+            valid = None
         else:
             # Global greedy: when any fully-invalid CLOSED block exists
             # the scan's answer is the lowest-indexed one, which the
@@ -512,10 +521,12 @@ class Ftl:
             if self._zero_closed:
                 return superblocks[self._zero_closed[0]]
             window = closed
+            valid = self._burst_valid  # the burst's counts, if one runs
+        if valid is None:
+            valid = [superblocks[idx].valid_pages for idx in window]
         # First occurrence of the minimum — the same victim a strict-<
         # scan with a zero-valid early break selects, but with the scan
         # itself (min + index) running at C speed over a flat list.
-        valid = [superblocks[idx].valid_pages for idx in window]
         return superblocks[window[valid.index(min(valid))]]
 
     def _collect_one(self, now_ns: int) -> bool:
@@ -605,7 +616,10 @@ class Ftl:
         # read-disturb history — fresh cells start clean.
         if self.latent is not None:
             self.latent.on_erase(base, self._pps)
-        del self._closed[bisect_left(self._closed, sb.index)]
+        pos = bisect_left(self._closed, sb.index)
+        del self._closed[pos]
+        if self._burst_valid is not None:
+            del self._burst_valid[pos]
         zpos = bisect_left(self._zero_closed, sb.index)
         if (
             zpos < len(self._zero_closed)
@@ -649,11 +663,14 @@ class Ftl:
         pps = self._pps
         base = victim.index * pps
         lbas = self._p2l_np[base : base + pps]
-        offs = np.flatnonzero(lbas >= 0)
-        lbas = lbas[offs]
-        live = self._l2p_np[lbas] == offs + base
+        # Page ``ppn`` is live iff ``l2p[p2l[ppn]] == ppn``.  An erased
+        # page's p2l of -1 reads the last LBA's entry, which cannot name
+        # this page: its p2l would then be that LBA.
+        live = (
+            self._l2p_np[lbas] == np.arange(base, base + pps, dtype=np.intc)
+        ).nonzero()[0]
         lbas = lbas[live]
-        src = (offs[live] + base).tolist()
+        src = (live + base).tolist()
         done = 0
         while done < len(src):
             moved = self._program_moved(dest, lbas[done:], src[done:], now_ns)
@@ -663,14 +680,24 @@ class Ftl:
 
     def _collect_until_reserve(self, now_ns: int) -> None:
         """Keep the free pool at or above the GC reserve."""
-        # Bounded loop: each pass erases exactly one superblock, so
-        # 2 * num_superblocks passes without reaching the reserve means
-        # the device genuinely cannot reclaim space.
-        for _ in range(2 * self.geometry.num_superblocks):
-            if len(self._free) >= self.gc_reserve:
-                return
-            if not self._collect_one(now_ns):
-                return  # nothing closed yet; pool drains legitimately
+        if len(self._free) >= self.gc_reserve:
+            return
+        # Until the burst ends only its passes touch CLOSED blocks: a
+        # victim leaves (_unlink), a filled GC write point joins
+        # (_close_write_point), and both keep _burst_valid aligned.
+        sbs = self.superblocks
+        self._burst_valid = [sbs[idx].valid_pages for idx in self._closed]
+        try:
+            # Bounded loop: each pass erases exactly one superblock, so
+            # 2 * num_superblocks passes without reaching the reserve
+            # means the device genuinely cannot reclaim space.
+            for _ in range(2 * self.geometry.num_superblocks):
+                if len(self._free) >= self.gc_reserve:
+                    return
+                if not self._collect_one(now_ns):
+                    return  # nothing closed yet; pool drains legitimately
+        finally:
+            self._burst_valid = None
         if len(self._free) == 0:
             raise DeviceFullError(
                 "GC cannot keep up: every superblock is almost fully valid "
@@ -927,24 +954,37 @@ class Ftl:
                 self._release(old // pps)
             self._l2p[lba] = base
             self._p2l[base] = lba
+            # Every SOC bucket rewrite lands here: its OOB record and
+            # journal entry are stored in line, not through
+            # OobStore.fill_run and MappingJournal.append_run.
+            oob = self._oob
+            oob._mapped[base] = oob._ok[base] = 1
+            oob._lba[base] = lba
+            oob._seq[base] = seq
+            oob._stream[base] = stream
+            oob._payload[base] = payload
+            oob._crc[base] = crc
+            journal = self._journal
+            journal._buf.append((seq, lba, base, 1))
+            journal._buf_len += 1
+            if journal._buf_len == journal.flush_interval:
+                journal.force_flush()
         else:
-            l2p = self._l2p_np[lba : lba + count]
-            old = l2p[l2p >= 0]
-            if old.size:
-                first = int(old.min()) // pps
-                if first == int(old.max()) // pps:  # usual: one superblock
-                    self._release(first, old.size)
-                else:
-                    counts = np.bincount(old // pps - first).tolist()
-                    for off, n in enumerate(counts):
-                        if n:
-                            self._release(first + off, n)
-            l2p[:] = np.arange(base, base + count, dtype=np.intc)
-            self._p2l_np[base : base + count] = np.arange(
+            if max(self._l2p[lba : lba + count]) >= 0:  # overwrites
+                old = self._l2p_np[lba : lba + count]
+                blocks = collections.Counter((old[old >= 0] // pps).tolist())
+                for block, n in blocks.items():
+                    self._release(block, n)
+            self._l2p_np[lba : lba + count] = np.arange(
+                base, base + count, dtype=np.intc
+            )
+            lbas = self._p2l_np[base : base + count] = np.arange(
                 lba, lba + count, dtype=np.intc
             )
-        self._oob.fill_run(base, count, lba, seq, stream, payload, crc)
-        self._journal.append_run(seq, lba, base, count)
+            self._oob.fill_run(
+                base, count, lbas, seq, stream, [payload] * count, [crc] * count
+            )
+            self._journal.append_run(seq, lba, base, count)
         self.stats.host_pages_written += count
         self.stats.nand_pages_written += count
         self.stream_host_pages[stream] = (
@@ -986,7 +1026,7 @@ class Ftl:
         else:
             self._l2p_np[lbas] = np.arange(base, base + count, dtype=np.intc)
             self._p2l_np[base : base + count] = lbas
-            self._journal.append_moves(seq, lbas.tolist(), base)
+            self._journal.append_moves(seq, lbas, base)
         self._oob.fill_moved(base, src, lbas, seq, stream)
         self._seq += count
         sb.write_ptr += count
@@ -1071,7 +1111,10 @@ class Ftl:
                 if unhooked_latent is not None:
                     unhooked_latent.host_program_ops += chunk
                 base = self._program_extent(sb, stream, chunk, cur, stored, crc)
-                ppns.extend(range(base, base + chunk))
+                if chunk == 1:  # a bucket rewrite: no range, no new int
+                    ppns.append(base)
+                else:
+                    ppns += range(base, base + chunk)
                 cur += chunk
                 if sb.write_ptr == pps:
                     self._close_write_point(stream, now_ns)

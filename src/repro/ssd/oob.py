@@ -26,10 +26,10 @@ Compatibility is preserved exactly:
   the whole OOB area run unchanged.
 
 The fast paths are :meth:`OobStore.fill_run` (program ``count``
-consecutive pages whose LBA and sequence number each advance by one —
-seven slice stores total), :meth:`OobStore.fill_moved` (the same for a
-GC run, whose LBAs, payloads and CRCs are gathered from the pages being
-copied) and :meth:`OobStore.clear_range` (erase wipe).
+consecutive pages whose sequence number advances by one — seven slice
+stores total), :meth:`OobStore.fill_moved` (the same for a GC run,
+whose payloads and CRCs are gathered from the pages being copied) and
+:meth:`OobStore.clear_range` (erase wipe).
 
 Why a GC run may be stamped in one go (DESIGN.md §10 has the whole
 argument): a victim's live pages move in page order into one write
@@ -44,11 +44,21 @@ far is complete and nothing of the next has been written.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
+from operator import itemgetter
 from typing import List, Optional
 
 import numpy as np
 
 __all__ = ["OobStore", "OobView"]
+
+
+@lru_cache(maxsize=4)
+def _blank(count: int):
+    """The erased state of ``count`` pages' flag and object columns
+    (slice stores copy out of them; an erase wipes a whole superblock,
+    so this is built once per superblock size)."""
+    return bytes(count), (None,) * count
 
 
 class OobView:
@@ -174,32 +184,28 @@ class OobStore:
         self,
         base: int,
         count: int,
-        lba_start: int,
+        lbas: "np.ndarray",
         seq_start: int,
         stream: object,
-        payload: object,
-        crc: Optional[int],
+        payloads,
+        crcs,
     ) -> None:
-        """Program ``count`` consecutive pages in seven slice stores.
-
-        Equivalent to assigning ``OobRecord(lba_start + i, seq_start +
-        i, stream, payload, True, crc)`` at ``base + i`` for each page —
-        the extent fast path's per-chunk OOB deposit without the
-        per-page object construction.
-        """
-        if count == 1:
-            self._mapped[base] = 1
-            self._lba[base] = lba_start
-            self._seq[base] = seq_start
-            self._stream[base] = stream
-            self._payload[base] = payload
-            self._ok[base] = 1
-            self._crc[base] = crc
-            return
-        lbas = np.arange(lba_start, lba_start + count, dtype=np.intc)
-        self._fill(
-            base, count, lbas, seq_start, stream, [payload] * count, [crc] * count
+        """Program ``count`` consecutive pages in seven slice stores:
+        ``OobRecord(lbas[i], seq_start + i, stream, payloads[i], True,
+        crcs[i])`` at ``base + i``, without a record object per page.
+        A host chunk passes its LBA ramp and one payload and CRC
+        repeated (a one-page chunk is stamped in line by the FTL)."""
+        end = base + count
+        ones = b"\x01" * count
+        self._mapped[base:end] = ones
+        self._lba_np[base:end] = lbas
+        self._seq_np[base:end] = np.arange(
+            seq_start, seq_start + count, dtype=np.longlong
         )
+        self._stream[base:end] = [stream] * count
+        self._payload[base:end] = payloads
+        self._ok[base:end] = ones
+        self._crc[base:end] = crcs
 
     def fill_moved(
         self,
@@ -214,40 +220,22 @@ class OobStore:
         old.payload, True, old.crc)`` at ``base + i``, ``old`` being
         ``store[src[i]]``, so corruption that predates the move stays
         detectable at the new location."""
-        if len(src) == 1:
-            old = src[0]
-            self.fill_run(
-                base, 1, int(lbas[0]), seq_start, stream,
-                self._payload[old], self._crc[old],
-            )
-            return
-        self._fill(
-            base, len(src), lbas, seq_start, stream,
-            map(self._payload.__getitem__, src),
-            map(self._crc.__getitem__, src),
-        )
-
-    def _fill(self, base, count, lbas, seq_start, stream, payloads, crcs) -> None:
-        end = base + count
-        ones = b"\x01" * count
-        self._mapped[base:end] = ones
-        self._lba_np[base:end] = lbas
-        self._seq_np[base:end] = np.arange(
-            seq_start, seq_start + count, dtype=np.longlong
-        )
-        self._stream[base:end] = [stream] * count
-        self._payload[base:end] = payloads
-        self._ok[base:end] = ones
-        self._crc[base:end] = crcs
+        if len(src) == 1:  # itemgetter of one index returns no tuple
+            payloads, crcs = [self._payload[src[0]]], [self._crc[src[0]]]
+        else:
+            gather = itemgetter(*src)
+            payloads, crcs = gather(self._payload), gather(self._crc)
+        self.fill_run(base, len(src), lbas, seq_start, stream, payloads, crcs)
 
     def clear_range(self, base: int, count: int) -> None:
         """Erase wipe: return ``count`` pages to the unprogrammed state."""
         end = base + count
-        self._mapped[base:end] = bytes(count)
-        self._ok[base:end] = bytes(count)
-        self._stream[base:end] = [None] * count
-        self._payload[base:end] = [None] * count
-        self._crc[base:end] = [None] * count
+        zeros, nones = _blank(count)
+        self._mapped[base:end] = zeros
+        self._ok[base:end] = zeros
+        self._stream[base:end] = nones
+        self._payload[base:end] = nones
+        self._crc[base:end] = nones
 
     # -- persistence ---------------------------------------------------
 

@@ -39,7 +39,12 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from array import array
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from itertools import islice
+from operator import sub
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "payload_crc",
@@ -200,32 +205,63 @@ class MappingJournal:
         return self._materialize(self._flushed)
 
     def append(self, seq: int, lba: int, ppn: int) -> None:
-        self.append_moves(seq, (lba,), ppn)
-
-    def append_moves(self, seq: int, lbas: Sequence[int], ppn: int) -> None:
-        """One entry per LBA (``seq`` and ``ppn`` advance by one per
-        page: a GC run), each extending the buffer's last run when it
-        continues it, with a flush wherever the buffer fills."""
+        """One entry, extending the buffer's last run when it continues
+        it (a deallocation, ``ppn == -1``, never does)."""
         buf = self._buf
-        interval = self.flush_interval
-        room = interval - self._buf_len
-        for lba in lbas:
-            if buf and ppn >= 0:
-                ls, ll, lp, lc = buf[-1]
-                if seq == ls + lc and lba == ll + lc and ppn == lp + lc:
-                    buf[-1] = (ls, ll, lp, lc + 1)
-                else:
-                    buf.append((seq, lba, ppn, 1))
+        if buf and ppn >= 0:
+            ls, ll, lp, lc = buf[-1]
+            if seq == ls + lc and lba == ll + lc and ppn == lp + lc:
+                buf[-1] = (ls, ll, lp, lc + 1)
             else:
                 buf.append((seq, lba, ppn, 1))
-            seq += 1
-            ppn += 1
-            room -= 1
-            if room <= 0:
-                self._flushed.extend(buf)
-                buf.clear()
-                room = interval
-        self._buf_len = interval - room
+        else:
+            buf.append((seq, lba, ppn, 1))
+        self._buf_len += 1
+        if self._buf_len >= self.flush_interval:
+            self.force_flush()
+
+    def append_moves(self, seq: int, lbas: "np.ndarray", ppn: int) -> None:
+        """One entry per LBA of ``lbas`` (an integer array; ``seq`` and
+        ``ppn`` advance by one per page: a GC run), leaving the runs,
+        flush points and buffered length :meth:`append` would leave one
+        entry at a time, built at C level.  A run starts where the LBAs
+        stop being consecutive and where the buffer fills (a flush
+        empties it); only the first can continue the buffer's last run,
+        which is then taken back out and rebuilt with it."""
+        lbas = np.asarray(lbas)
+        n = len(lbas)
+        starts = [0, *map((1).__add__, (lbas[1:] - lbas[:-1] != 1).nonzero()[0].tolist())]
+        firsts = [*map(lbas.item, starts)]
+        buf = self._buf
+        if buf:
+            ls, ll, lp, lc = buf[-1]
+            if seq == ls + lc and firsts[0] == ll + lc and ppn == lp + lc:
+                del buf[-1]
+                self._buf_len -= lc
+                starts[0], firsts[0] = -lc, ll
+        interval = self.flush_interval
+        flushes = range(starts[0] + interval - self._buf_len, n + 1, interval)
+        for at in flushes:
+            i = bisect_left(starts, at)
+            if at < n and (i == len(starts) or starts[i] != at):
+                starts.insert(i, at)
+                firsts.insert(i, lbas.item(at))
+        stops = starts[1:]
+        stops.append(n)
+        runs = zip(
+            map(seq.__add__, starts),
+            firsts,
+            map(ppn.__add__, starts),
+            map(sub, stops, starts),
+        )
+        if flushes:  # everything before the last flush point is durable
+            self._flushed += buf
+            self._flushed += islice(runs, bisect_left(starts, flushes[-1]))
+            buf.clear()
+            self._buf_len = n - flushes[-1]
+        else:
+            self._buf_len += n - starts[0]
+        buf += runs
 
     def append_run(self, seq: int, lba: int, ppn: int, count: int) -> None:
         """Append ``count`` entries for consecutively programmed pages

@@ -92,8 +92,9 @@ def test_get_of_an_absent_key(warm):
             break
     else:
         pytest.fail("no absent key was rejected by its bucket's bloom")
-    # Parent: 8 frames, 2 splitmix64, 0 items — may not rise.
-    assert counted[0] <= 8 and counted[1:] == (2, 0)
+    # Parent: 8 frames, 2 splitmix64, 0 items; 7 since the SOC indexes
+    # its bloom shape's probe table in line — may not rise.
+    assert counted[0] <= 7 and counted[1:] == (2, 0)
 
 
 def one_victim_set(cache, now, key, measure):
@@ -129,8 +130,11 @@ def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
     # by invalidate — and 2 items.  Then 38 frames: the victim's h1 and
     # its mask's second round, and the SET's own item.  Then 36: the
     # rewrite neither copies the bucket into a manifest nor rebuilds its
-    # bloom.  Now the write chain under it calls no idle hook: 28.
-    assert counted[0] <= 28 and counted[1:] == (2, 1)
+    # bloom.  Then the write chain under it called no idle hook: 28.
+    # Now the eviction stages and evicts in one frame, builds its payload
+    # where it writes, computes the mask in line, calls no placement hook
+    # that does nothing, and the FTL stamps one page in line: 20.
+    assert counted[0] <= 20 and counted[1:] == (2, 1)
 
 
 def test_a_bucket_rewrite_builds_no_bloom(warm):

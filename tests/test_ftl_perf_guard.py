@@ -13,11 +13,16 @@ runs.
 The commit before the write paths were collapsed measured 22 and 27
 events, 15 and 16 of them Python frames, counting
 ``SimulatedSSD.write`` itself, and later rounds brought that to 18 and
-23 (12 and 13 frames).  The bars are what the chain measures since it
-stopped calling its hooks when they have nothing to do (the offline
-check, the spike roll, the checkpoint test), reading its stream and
-duration memos inline and recording the command without a Python
-``__init__``: 12 and 18 (6 and 8 frames).  None may rise.
+23 (12 and 13 frames), then to 12 and 18 (6 and 8 frames) once the
+chain stopped calling its hooks when they have nothing to do, read its
+stream and duration memos inline and recorded the command without a
+Python ``__init__``.  The bars are what it measures since a one-page
+chunk stamps its OOB record and journal entry in line and a chunk's
+LBA ramp serves its P2L and OOB stores both: 10 and 16 (4 and 7
+frames).  None may rise.
+
+A GC pass is guarded the same way: its call events may not grow with
+the victim's live pages (``test_a_gc_pass_costs_per_run_not_per_page``).
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ GEOMETRY = Geometry(
     op_fraction=0.10,
 )
 
-MAX_EVENTS = {1: 12, 40: 18}
-MAX_PYTHON_FRAMES = {1: 6, 40: 8}
+MAX_EVENTS = {1: 10, 40: 16}
+MAX_PYTHON_FRAMES = {1: 4, 40: 7}
 
 
 def call_events(fn):
@@ -72,3 +77,36 @@ def test_clean_write_call_events_do_not_rise():
         assert events - 1 <= MAX_EVENTS[npages], (npages, events - 1)
         assert frames - 1 <= MAX_PYTHON_FRAMES[npages], (npages, frames - 1)
         lba += npages
+
+
+# Call events a GC pass over a victim of 100 live pages may add to one
+# over 10: none is per page (the parent added one ``list.append`` per
+# moved page, each its own journal run here: 90 more).
+MAX_GC_GROWTH = 2
+
+
+def gc_victim(live):
+    """A clean device whose one CLOSED superblock holds ``live`` live
+    pages, every other LBA apart (so each is its own journal run), with
+    an empty journal buffer; returns ``(device, now_ns)``."""
+    device = SimulatedSSD(GEOMETRY)
+    pps = GEOMETRY.pages_per_superblock
+    now = 0
+    for i in range(pps):
+        now = device.write(2 * i, 1, now_ns=now, payload=i)
+    for i in range(live, pps):  # the overwrites fill the next superblock
+        now = device.write(2 * i, 1, now_ns=now, payload=-i)
+    ftl = device.ftl
+    ftl._journal.force_flush()
+    assert ftl._closed == [0] and ftl.superblocks[0].valid_pages == live
+    return device, now
+
+
+def test_a_gc_pass_costs_per_run_not_per_page():
+    events = {}
+    for live in (10, 10, 100):  # the first pass fills the memos
+        device, now = gc_victim(live)
+        events[live], _ = call_events(lambda: device.ftl._collect_one(now))
+        assert device.stats.gc_pages_migrated == live
+        device.check_invariants()
+    assert events[100] <= events[10] + MAX_GC_GROWTH, events

@@ -1,7 +1,9 @@
 """Property-based tests for the FTL's core invariants."""
 
+import random
+
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.fdp import PlacementIdentifier
 from repro.ssd import Geometry, SimulatedSSD
@@ -122,3 +124,95 @@ class TestAccountingProperties:
             device.stats.host_pages_written * 4096
         )
         assert page.dlwa == pytest.approx(device.dlwa)
+
+
+# One GC-heavy step: write ``n`` pages from ``lba``, or trim them.
+gc_step = st.tuples(
+    st.sampled_from(["write", "write", "write", "trim"]),
+    st.integers(min_value=0, max_value=N_LBAS - 1),
+    st.integers(min_value=1, max_value=16),
+)
+
+
+def brute_force_victim(ftl):
+    """The emptiest CLOSED superblock, the lowest-indexed of a tie."""
+    return min(ftl._closed, key=lambda i: (ftl.superblocks[i].valid_pages, i))
+
+
+def window_victim(ftl):
+    """The sampled window's answer, replayed on a copy of its RNG: the
+    emptiest superblock of the window, the first in window order of a
+    tie (the window wraps, so that is not always the lowest index)."""
+    closed = ftl._closed
+    if len(closed) <= ftl.gc_victim_sample:
+        return brute_force_victim(ftl)
+    rng = random.Random()
+    rng.setstate(ftl._victim_rng.getstate())
+    start = rng.randrange(len(closed))
+    window = (closed + closed)[start : start + ftl.gc_victim_sample]
+    return min(
+        window, key=lambda i: (ftl.superblocks[i].valid_pages, window.index(i))
+    )
+
+
+def check_every_selection(ftl, expected):
+    """Compare every victim ``ftl`` selects, GC bursts included, with
+    ``expected(ftl)`` taken just before; returns how many selections
+    saw ``_zero_closed`` empty (False) and non-empty (True)."""
+    select = ftl._select_victim
+    seen = {False: 0, True: 0}
+
+    def checked():
+        want = expected(ftl) if ftl._closed else None
+        seen[bool(ftl._zero_closed)] += 1
+        got = select()
+        assert (got.index if got is not None else None) == want
+        return got
+
+    ftl._select_victim = checked
+    return seen
+
+
+def replay_gc(device, trace):
+    for op, lba, n in trace:
+        n = min(n, N_LBAS - lba)
+        if op == "write":
+            device.write(lba, n)
+        else:
+            device.deallocate(lba, n)
+
+
+class TestVictimSelection:
+    @given(trace=st.lists(gc_step, max_size=300))
+    @common
+    def test_global_greedy_is_the_brute_force_minimum(self, trace):
+        """Inside a GC burst (the burst's cached counts) and outside it
+        (the scan), with and without a fully invalid CLOSED block."""
+        device = SimulatedSSD(SMALL_GEOMETRY)
+        ftl = device.ftl
+        seen = check_every_selection(ftl, brute_force_victim)
+        replay_gc(device, trace)
+        if ftl._closed:
+            ftl._select_victim()
+            # Trim a CLOSED superblock's live pages: _zero_closed fills.
+            pps = SMALL_GEOMETRY.pages_per_superblock
+            block = ftl._closed[-1]
+            for ppn in range(block * pps, (block + 1) * pps):
+                lba = ftl._p2l[ppn]
+                if lba >= 0 and ftl._l2p[lba] == ppn:
+                    device.deallocate(lba)
+            assert ftl._zero_closed
+            ftl._select_victim()
+        event(f"selections with _zero_closed empty: {bool(seen[False])}")
+        device.check_invariants()
+
+    @given(
+        sample=st.integers(min_value=1, max_value=6),
+        trace=st.lists(gc_step, max_size=300),
+    )
+    @common
+    def test_sampled_window_keeps_its_answer(self, sample, trace):
+        device = SimulatedSSD(SMALL_GEOMETRY, gc_victim_sample=sample)
+        check_every_selection(device.ftl, window_victim)
+        replay_gc(device, trace)
+        device.check_invariants()

@@ -7,6 +7,7 @@ GC-erase write barriers, and the CacheLib-style warm restart of both
 NVM engines.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -213,13 +214,19 @@ class _PerEntryJournal(MappingJournal):
             self.append(seq + i, lba, ppn + i)
 
 
-# Short runs of consecutive LBAs with jumps between them: GC moves of a
-# victim that holds both LOC extents and scattered SOC pages.
+# Runs of consecutive LBAs with jumps between them: GC moves of a
+# victim that holds both LOC extents and scattered SOC pages.  A run
+# may be longer than any flush interval drawn below.
 _LBA_RUNS = st.lists(
-    st.tuples(st.integers(0, 400), st.integers(1, 9)), min_size=1, max_size=6
+    st.tuples(st.integers(0, 400), st.integers(1, 30)), min_size=1, max_size=6
 ).map(lambda runs: [lba + i for lba, n in runs for i in range(n)])
 _JOURNAL_STEP = st.one_of(
     st.tuples(st.just("moves"), _LBA_RUNS, st.integers(0, 3)),
+    # GC moves whose first run continues the last entry's LBA (and
+    # seq and ppn), so it extends the buffer's last run.
+    st.tuples(
+        st.just("continue"), st.tuples(st.integers(1, 30), _LBA_RUNS), st.just(0)
+    ),
     st.tuples(st.just("move"), st.integers(0, 400), st.integers(0, 3)),
     st.tuples(st.just("run"), st.integers(0, 400), st.integers(1, 20)),
     st.tuples(st.just("trim"), st.integers(0, 400), st.just(0)),
@@ -237,13 +244,18 @@ class TestJournalAndCheckpoint:
         """Same runs, same buffered length, same flush boundaries —
         which entries a power cut loses is unchanged."""
         oracle, journal = _PerEntryJournal(interval), MappingJournal(interval)
-        seq, ppn = 1, 0
+        seq, ppn, last_lba = 1, 0, 0
         for kind, arg, extra in steps:
             entries = 1
+            if kind == "continue":
+                kind, (n, runs) = "moves", arg
+                arg = [last_lba + 1 + i for i in range(n)] + runs
             for j in (oracle, journal):
                 if kind == "moves":
                     # `extra` skips physical pages: a new write point.
-                    j.append_moves(seq, arg, ppn + extra)
+                    # Production passes the LBAs as an intc array.
+                    lbas = np.array(arg, dtype=np.intc) if j is journal else arg
+                    j.append_moves(seq, lbas, ppn + extra)
                     entries = len(arg)
                 elif kind == "move":
                     j.append(seq, arg, ppn + extra)
@@ -258,9 +270,15 @@ class TestJournalAndCheckpoint:
                     entries = 0
             seq += entries
             ppn += entries + (extra if kind in ("moves", "move") else 0)
+            if kind == "moves":
+                last_lba = arg[-1]
+            elif kind != "cut":
+                last_lba = arg + entries - 1
             assert journal._buf == oracle._buf
             assert journal._buf_len == oracle._buf_len
             assert journal._flushed == oracle._flushed
+            # Plain ints only: no numpy scalar leaks from an LBA array.
+            assert {type(x) for run in journal._buf + journal._flushed for x in run} <= {int}
         assert journal.buffer == oracle.buffer
         assert journal.flushed == oracle.flushed
 
