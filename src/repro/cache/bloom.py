@@ -43,8 +43,7 @@ def bloom_mask(h1: int, bits: int, hashes: int) -> int:
     ``splitmix64(key)`` (which also places the key in the SOC) and
     ``h2`` a second round forced odd (double hashing).  That depends on
     ``h1 % bits`` and ``h2 % bits`` only, so the mask is looked up in
-    :func:`probe_table` (the SOC, with one shape, binds its table once
-    and indexes it the same way in line)."""
+    :func:`probe_table` (the SOC binds its one shape's table once)."""
     h2 = splitmix64(h1) | 1
     return probe_table(bits, hashes)[h1 % bits * bits + h2 % bits]
 

@@ -142,11 +142,8 @@ class HybridCache:
         self._soc_name = soc_name
         self._loc_name = loc_name
         # The write-path hook, bound only for a policy that listens.
-        self._on_write = (
-            None
-            if type(self.policy).on_write is PlacementPolicy.on_write
-            else self.policy.on_write
-        )
+        on_write = self.policy.on_write
+        self._on_write = None if on_write.__func__ is PlacementPolicy.on_write else on_write
 
         self.dram = DramCache(config.dram_bytes)
         if config.soc_engine == "nemo":

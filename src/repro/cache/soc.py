@@ -58,9 +58,8 @@ BUCKET_HEADER_BYTES = 16
 # Per-bucket bloom filter shape: bits and hash functions.
 BLOOM_BITS = 64
 BLOOM_HASHES = 4
-# That shape's masks, bound once: a key's mask is
-# ``_MASKS[h1 % BLOOM_BITS * BLOOM_BITS + (splitmix64(h1) | 1) % BLOOM_BITS]``,
-# ``bloom_mask`` in line.
+# That shape's masks, bound once; a key's is ``bloom_mask`` in line:
+# ``_MASKS[h1 % BLOOM_BITS * BLOOM_BITS + (splitmix64(h1) | 1) % BLOOM_BITS]``.
 _MASKS = probe_table(BLOOM_BITS, BLOOM_HASHES)
 
 
@@ -121,9 +120,8 @@ class SmallObjectCache:
         # keys (``key in _masks`` iff ``key in _buckets[bucket_of(key)]``).
         # Residency is answered here without hashing, and building a
         # bucket's bloom ORs the masks instead of hashing each key again.
-        # Written only where a key enters or is evicted (_stage),
-        # or is recovered or leaves otherwise (recover, _drop_bucket,
-        # invalidate, delete).
+        # Written only where a key enters or is evicted (_stage, recover)
+        # or leaves otherwise (_drop_bucket, invalidate, delete).
         self._masks: Dict[int, int] = {}
         # Per-bucket rewrite generation, part of the on-flash header.
         self._generations: List[int] = [0] * num_buckets
@@ -227,8 +225,7 @@ class SmallObjectCache:
         payload = ("soc", bucket, self._generations[bucket], manifest)
         try:
             done = self.device.write(
-                self.base_lba + bucket, 1, self.handle, now_ns,
-                worker="soc", payload=payload,
+                self.base_lba + bucket, 1, self.handle, now_ns, "soc", payload
             )
         except MediaError:
             self.write_errors += 1

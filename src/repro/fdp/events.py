@@ -48,8 +48,7 @@ class FdpEventType(enum.Enum):
     SCRUB = "scrub"
     SCRUB_RELOCATION = "scrub_relocation"
 
-    # Members are singletons, so identity hashing is exact, and it keys
-    # the log's counters without a Python-level ``Enum.__hash__``.
+    # Identity hashing (members are singletons): no Python-level hash.
     __hash__ = object.__hash__
 
 
@@ -58,9 +57,8 @@ class FdpEvent(NamedTuple):
 
     ``pages`` carries the amount of data involved (e.g., pages migrated
     for MEDIA_RELOCATED); ``ruh_id``/``reclaim_group`` identify the
-    placement context when known.  A named tuple: GC records one or
-    two per pass, and a tuple is built in one step where a frozen
-    dataclass stores its six fields one by one.
+    placement context when known.  A named tuple, built in one step
+    (GC records one or two per pass).
     """
 
     event_type: FdpEventType

@@ -243,10 +243,8 @@ class Ftl:
         # here whenever the list is non-empty.  Maintained at every
         # invalidation site; ``check_invariants`` rescans it.
         self._zero_closed: List[int] = []
-        # ``valid_pages`` of each ``_closed`` entry, aligned with it,
-        # while a GC burst runs (``_collect_until_reserve``), else None:
-        # within a burst no valid count of a CLOSED block moves, so the
-        # global-greedy scan reads them once per burst, not per pass.
+        # While a GC burst runs, each ``_closed`` entry's valid count,
+        # aligned with it (see _collect_until_reserve); else None.
         self._burst_valid: Optional[List[int]] = None
         # Reusable superblock-sized source slice for the erase path's
         # P2L wipe (slice assignment copies the values out); the OOB
@@ -663,9 +661,8 @@ class Ftl:
         pps = self._pps
         base = victim.index * pps
         lbas = self._p2l_np[base : base + pps]
-        # Page ``ppn`` is live iff ``l2p[p2l[ppn]] == ppn``.  An erased
-        # page's p2l of -1 reads the last LBA's entry, which cannot name
-        # this page: its p2l would then be that LBA.
+        # Live iff l2p[p2l[ppn]] == ppn.  An erased page's p2l of -1 reads
+        # the last LBA's entry, which cannot name it (p2l would be that).
         live = (
             self._l2p_np[lbas] == np.arange(base, base + pps, dtype=np.intc)
         ).nonzero()[0]
@@ -682,15 +679,15 @@ class Ftl:
         """Keep the free pool at or above the GC reserve."""
         if len(self._free) >= self.gc_reserve:
             return
-        # Until the burst ends only its passes touch CLOSED blocks: a
-        # victim leaves (_unlink), a filled GC write point joins
-        # (_close_write_point), and both keep _burst_valid aligned.
+        # In a burst no CLOSED block's valid count moves: a victim
+        # leaves (_unlink) and a filled GC write point joins
+        # (_close_write_point), each keeping _burst_valid aligned, so the
+        # global-greedy scan reads the counts once per burst.  Bounded
+        # loop: each pass erases one superblock, so 2 * num_superblocks
+        # passes short of the reserve mean nothing can be reclaimed.
         sbs = self.superblocks
         self._burst_valid = [sbs[idx].valid_pages for idx in self._closed]
         try:
-            # Bounded loop: each pass erases exactly one superblock, so
-            # 2 * num_superblocks passes without reaching the reserve
-            # means the device genuinely cannot reclaim space.
             for _ in range(2 * self.geometry.num_superblocks):
                 if len(self._free) >= self.gc_reserve:
                     return
@@ -954,9 +951,8 @@ class Ftl:
                 self._release(old // pps)
             self._l2p[lba] = base
             self._p2l[base] = lba
-            # Every SOC bucket rewrite lands here: its OOB record and
-            # journal entry are stored in line, not through
-            # OobStore.fill_run and MappingJournal.append_run.
+            # Every SOC bucket rewrite: its OOB record and journal entry
+            # are stored in line (fill_run and append_run, one page).
             oob = self._oob
             oob._mapped[base] = oob._ok[base] = 1
             oob._lba[base] = lba

@@ -55,9 +55,7 @@ __all__ = ["OobStore", "OobView"]
 
 @lru_cache(maxsize=4)
 def _blank(count: int):
-    """The erased state of ``count`` pages' flag and object columns
-    (slice stores copy out of them; an erase wipes a whole superblock,
-    so this is built once per superblock size)."""
+    """Erased flag and object columns of ``count`` pages, built once."""
     return bytes(count), (None,) * count
 
 

@@ -39,8 +39,6 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from array import array
-from bisect import bisect_left
-from itertools import islice
 from operator import sub
 from typing import List, Optional, Tuple
 
@@ -204,64 +202,50 @@ class MappingJournal:
         """Durable entries, materialized in append order."""
         return self._materialize(self._flushed)
 
+    def _reopen(self, seq: int, lba: int, ppn: int) -> int:
+        """Take the buffer's last run back out when the entry ``(seq,
+        lba, ppn)`` continues it, for the caller to append the two as
+        one run; returns how many entries came out (0: no run)."""
+        buf = self._buf
+        if buf:
+            ls, ll, lp, lc = buf[-1]
+            if seq == ls + lc and lba == ll + lc and ppn == lp + lc:
+                del buf[-1]
+                self._buf_len -= lc
+                return lc
+        return 0
+
     def append(self, seq: int, lba: int, ppn: int) -> None:
         """One entry, extending the buffer's last run when it continues
         it (a deallocation, ``ppn == -1``, never does)."""
-        buf = self._buf
-        if buf and ppn >= 0:
-            ls, ll, lp, lc = buf[-1]
-            if seq == ls + lc and lba == ll + lc and ppn == lp + lc:
-                buf[-1] = (ls, ll, lp, lc + 1)
-            else:
-                buf.append((seq, lba, ppn, 1))
-        else:
-            buf.append((seq, lba, ppn, 1))
-        self._buf_len += 1
-        if self._buf_len >= self.flush_interval:
-            self.force_flush()
+        back = self._reopen(seq, lba, ppn)
+        self.append_run(seq - back, lba - back, ppn - back, back + 1)
 
     def append_moves(self, seq: int, lbas: "np.ndarray", ppn: int) -> None:
         """One entry per LBA of ``lbas`` (an integer array; ``seq`` and
-        ``ppn`` advance by one per page: a GC run), leaving the runs,
-        flush points and buffered length :meth:`append` would leave one
-        entry at a time, built at C level.  A run starts where the LBAs
-        stop being consecutive and where the buffer fills (a flush
-        empties it); only the first can continue the buffer's last run,
-        which is then taken back out and rebuilt with it."""
+        ``ppn`` advance by one per page: a GC run), in the runs, flush
+        points and buffered length :meth:`append` would leave.  A run
+        ends where the LBAs stop being consecutive; runs are built at C
+        level, and split by :meth:`append_run` when a flush falls among
+        them."""
         lbas = np.asarray(lbas)
         n = len(lbas)
         starts = [0, *map((1).__add__, (lbas[1:] - lbas[:-1] != 1).nonzero()[0].tolist())]
         firsts = [*map(lbas.item, starts)]
-        buf = self._buf
-        if buf:
-            ls, ll, lp, lc = buf[-1]
-            if seq == ls + lc and firsts[0] == ll + lc and ppn == lp + lc:
-                del buf[-1]
-                self._buf_len -= lc
-                starts[0], firsts[0] = -lc, ll
-        interval = self.flush_interval
-        flushes = range(starts[0] + interval - self._buf_len, n + 1, interval)
-        for at in flushes:
-            i = bisect_left(starts, at)
-            if at < n and (i == len(starts) or starts[i] != at):
-                starts.insert(i, at)
-                firsts.insert(i, lbas.item(at))
+        back = self._reopen(seq, firsts[0], ppn)
+        starts[0] -= back
+        firsts[0] -= back
         stops = starts[1:]
         stops.append(n)
         runs = zip(
-            map(seq.__add__, starts),
-            firsts,
-            map(ppn.__add__, starts),
-            map(sub, stops, starts),
+            map(seq.__add__, starts), firsts, map(ppn.__add__, starts), map(sub, stops, starts)
         )
-        if flushes:  # everything before the last flush point is durable
-            self._flushed += buf
-            self._flushed += islice(runs, bisect_left(starts, flushes[-1]))
-            buf.clear()
-            self._buf_len = n - flushes[-1]
+        if self._buf_len + n + back < self.flush_interval:
+            self._buf += runs
+            self._buf_len += n + back
         else:
-            self._buf_len += n - starts[0]
-        buf += runs
+            for run in runs:
+                self.append_run(*run)
 
     def append_run(self, seq: int, lba: int, ppn: int, count: int) -> None:
         """Append ``count`` entries for consecutively programmed pages
