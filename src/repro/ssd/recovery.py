@@ -218,7 +218,7 @@ class MappingJournal:
     def append(self, seq: int, lba: int, ppn: int) -> None:
         """One entry, extending the buffer's last run when it continues
         it (a deallocation, ``ppn == -1``, never does)."""
-        back = self._reopen(seq, lba, ppn)
+        back = self._reopen(seq, lba, ppn) if ppn >= 0 else 0
         self.append_run(seq - back, lba - back, ppn - back, back + 1)
 
     def append_moves(self, seq: int, lbas: "np.ndarray", ppn: int) -> None:
