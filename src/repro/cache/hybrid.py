@@ -141,9 +141,7 @@ class HybridCache:
         self.policy.setup(io.allocator, consumers)
         self._soc_name = soc_name
         self._loc_name = loc_name
-        # The write-path hook, bound only for a policy that listens.
-        on_write = self.policy.on_write
-        self._on_write = None if on_write.__func__ is PlacementPolicy.on_write else on_write
+        self._on_write = getattr(self.policy, "on_write", None)
 
         self.dram = DramCache(config.dram_bytes)
         if config.soc_engine == "nemo":

@@ -33,7 +33,11 @@ __all__ = [
 
 
 class PlacementPolicy(abc.ABC):
-    """Maps consuming modules (SOC/LOC instances) to placement handles."""
+    """Maps consuming modules (SOC/LOC instances) to placement handles.
+
+    A policy that adapts defines ``on_write(consumer, nbytes)``, and the
+    cache calls it on every flash admission; static policies have none.
+    """
 
     @abc.abstractmethod
     def setup(
@@ -44,10 +48,6 @@ class PlacementPolicy(abc.ABC):
     @abc.abstractmethod
     def handle_for(self, consumer: str) -> PlacementHandle:
         """The handle a consumer should tag its next write with."""
-
-    def on_write(self, consumer: str, nbytes: int) -> None:
-        """Write-path feedback hook; static policies ignore it."""
-
 
 class StaticSegregationPolicy(PlacementPolicy):
     """One placement handle per consumer, fixed for the process lifetime."""
