@@ -130,10 +130,11 @@ def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
     # by invalidate — and 2 items.  Then 38 frames: the victim's h1 and
     # its mask's second round, and the SET's own item.  Then 36: the
     # rewrite neither copies the bucket into a manifest nor rebuilds its
-    # bloom.  Then the write chain under it called no idle hook: 28.
-    # Now the eviction stages and evicts in one frame, builds its payload
-    # where it writes, computes the mask in line, calls no placement hook
-    # that does nothing, and the FTL stamps one page in line: 20.
+    # bloom.  Then the write chain under it called no idle hook: bar 28,
+    # measured 26.  Now the eviction stages and evicts in one frame,
+    # builds its payload where it writes, computes the mask in line,
+    # calls no placement hook that does nothing, and the FTL stamps one
+    # page in line: 20.
     assert counted[0] <= 20 and counted[1:] == (2, 1)
 
 
