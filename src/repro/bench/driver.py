@@ -19,20 +19,36 @@ the paper's metrics:
 :func:`replay` is the only loop that does this, and
 :class:`ReplayConfig` holds the only definition of the replay clock
 (think time, backlog clamp, fixed-rate open loop); the fleet drivers
-(:mod:`repro.fleet.driver`) apply the same policy per shard.
+(:mod:`repro.fleet.driver`) apply the same policy per shard.  Both
+loops run under :func:`collector_paused`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..cache.hybrid import HIT_DRAM, MISS, HybridCache
 from ..workloads.trace import OP_GET, OP_SET, Trace
 from .metrics import IntervalPoint, LatencyReservoir, RunResult, steady_state_dlwa
 
-__all__ = ["CacheBench", "ReplayConfig", "replay"]
+__all__ = ["CacheBench", "ReplayConfig", "collector_paused", "replay"]
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore it:
+    a replay's data path makes no reference cycles, so a pass finds none."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,6 +127,7 @@ class CacheBench:
         return replay(self.config, cache, trace, name=name, progress=progress)
 
 
+@collector_paused()
 def replay(
     cfg: ReplayConfig,
     cache: HybridCache,

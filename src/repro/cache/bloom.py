@@ -12,16 +12,18 @@ it is deterministic across runs, which the experiments rely on.
 
 A key's probe positions fold into one int, its *mask* (looked up in a
 table per filter shape): ``add`` ORs it in, ``may_contain`` is
-``field & mask == mask``, ``rebuild`` an OR-reduce.  The SOC memoizes
-the masks of resident keys and hands them to ``may_contain`` and
-``rebuild``, which then skip the hashing.
+``field & mask == mask``, ``rebuild`` an OR-reduce of masks.  The SOC
+hashes a key once (its fingerprint table keeps the mask's table index)
+and stores each entry's mask in the bucket manifest beside the entry's
+size, so ``rebuild`` takes the manifest's values as they are and
+``may_contain`` the mask it is handed: neither hashes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 __all__ = ["BloomFilter", "bloom_mask", "probe_table", "splitmix64"]
 
@@ -98,12 +100,9 @@ class BloomFilter:
         """Reset to empty."""
         self._field = 0
 
-    def rebuild(
-        self,
-        keys: Iterable[int],
-        mask_of: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        """Clear and re-add ``keys`` (a bucket's first lookup after its
-        rewrite); ``mask_of`` maps a key to its mask for a caller that
-        holds them."""
-        self._field = reduce(or_, map(mask_of or self.mask, keys), 0)
+    def rebuild(self, masks: Iterable[int]) -> None:
+        """Reset to the OR of ``masks``, each a key's :meth:`mask` (a
+        bucket's first lookup after its rewrite); bits above the
+        filter's width are dropped, so a caller may pack other data
+        there."""
+        self._field = reduce(or_, masks, 0) & (1 << self.bits) - 1

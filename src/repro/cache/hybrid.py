@@ -336,11 +336,13 @@ class HybridCache:
 
     def set(self, key: int, size: int, now_ns: int = 0) -> int:
         """Insert/overwrite an object; returns completion time."""
+        if size <= 0:
+            raise ValueError("item size must be positive")
         self.sets += 1
         self.app_set_bytes += size
         if self._admission_observer is not None:
             self._admission_observer.observe_insert(key, size)
-        item = CacheItem(key, size)
+        item = tuple.__new__(CacheItem, (key, size))
         # A mutation supersedes any flash copy; the clean-copy shortcut
         # in _admit_to_flash must not suppress the eventual rewrite.
         self.soc.invalidate(key)

@@ -4,11 +4,17 @@ The simulator tracks object *metadata* only (key and size); values are
 never materialized because no reproduced metric depends on the bytes
 themselves — DLWA, hit ratios, ALWA, and latency all derive from which
 pages are written and when.
+
+An item is a plain immutable ``(key, size)`` tuple.  The hot paths
+(``HybridCache.set`` and the engines' hit paths) build one with
+``tuple.__new__(CacheItem, (key, size))``, a C call with no Python
+frame; they check the size themselves, as the constructor does.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import namedtuple
 
 __all__ = ["CacheItem", "ITEM_HEADER_BYTES"]
 
@@ -17,21 +23,21 @@ __all__ = ["CacheItem", "ITEM_HEADER_BYTES"]
 ITEM_HEADER_BYTES = 24
 
 
-class CacheItem:
+class CacheItem(namedtuple("_CacheItemFields", "key size")):
     """An object identified by an integer key with a payload size.
 
-    An immutable value, hand-written: one is built per SET and per
-    flash hit (DRAM keeps and hands back the object it was given), and
-    a frozen dataclass's ``__init__`` costs twice this.
+    Frozen, hashed as ``(key, size)``, and equal only to another
+    ``CacheItem``: a bare tuple subclass would compare equal to
+    ``(key, size)`` through the reflected ``tuple.__eq__``, so ``__eq__``
+    answers ``False`` rather than ``NotImplemented``.
     """
 
-    __slots__ = ("key", "size")
+    __slots__ = ()
 
-    def __init__(self, key: int, size: int) -> None:
+    def __new__(cls, key: int, size: int) -> "CacheItem":
         if size <= 0:
             raise ValueError("item size must be positive")
-        _set_key(self, key)
-        _set_size(self, size)
+        return tuple.__new__(cls, (key, size))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -40,25 +46,14 @@ class CacheItem:
         raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CacheItem:
-            return NotImplemented
-        return self.key == other.key and self.size == other.size
+        return other.__class__ is CacheItem and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.key, self.size))
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-    def __repr__(self) -> str:
-        return f"CacheItem(key={self.key!r}, size={self.size!r})"
-
-    def __reduce__(self):
-        return CacheItem, (self.key, self.size)
+    __hash__ = tuple.__hash__
 
     @property
     def stored_size(self) -> int:
         """Bytes the item occupies on flash including its header."""
         return self.size + ITEM_HEADER_BYTES
-
-
-# The slot setters, for ``__init__``: the class's ``__setattr__`` refuses.
-_set_key = CacheItem.key.__set__
-_set_size = CacheItem.size.__set__

@@ -264,7 +264,7 @@ class LargeObjectCache:
         if region is self._open and not region.sealed:
             # Item still buffered in DRAM; no flash read needed.
             self.hits += 1
-            return CacheItem(key, size), now_ns
+            return tuple.__new__(CacheItem, (key, size)), now_ns
         pages = max(1, -(-size // self.device.ssd.page_size))
         try:
             mapped, done = self.device.read(
@@ -284,7 +284,7 @@ class LargeObjectCache:
             return None, done
         self.flash_reads += pages
         self.hits += 1
-        return CacheItem(key, size), done
+        return tuple.__new__(CacheItem, (key, size)), done
 
     def invalidate(self, key: int) -> bool:
         """Drop a key from the index without I/O (SET supersedes it).

@@ -343,7 +343,7 @@ class NemoCache:
             self.flash_reads += 1
         entry[2] = True  # hot: earned reclaim-time reinsertion
         self.hits += 1
-        return CacheItem(key, size), done
+        return tuple.__new__(CacheItem, (key, size)), done
 
     def invalidate(self, key: int) -> bool:
         """Drop a key without I/O (log-structured: the flash copy is

@@ -25,7 +25,8 @@ for the real engine's generation+checksum header — in the device's
 out-of-band metadata.  The manifest is the in-memory bucket dict
 itself, shared copy-on-write: a rewrite copies nothing, and the next
 change to the bucket replaces it with a copy first, so a stored
-payload always reads what its rewrite wrote.  Because a bucket is one
+payload always reads what its rewrite wrote.  An entry packs a key's
+stored size above its bloom mask.  Because a bucket is one
 NAND page and page programs are atomic-or-torn, a power cut
 mid-rewrite leaves either the previous generation (old header
 verifies, old contents recovered) or a torn page (header check fails,
@@ -36,18 +37,20 @@ answers against pages that did not survive.
 
 A bucket's bloom filter answers for its last rewrite's manifest, but
 is built only when read: the first lookup after a rewrite (or a
-recovery) builds it, so a rewrite that no lookup follows costs no
-filter at all.
+recovery) ORs the manifest's values, so a rewrite that no lookup
+follows costs no filter at all.  A key is hashed once per cache: a
+fixed-size fingerprint table keeps its bucket and mask index.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.device_layer import FdpAwareDevice
 from ..core.placement import PlacementHandle
 from ..faults.errors import MediaError
-from .bloom import BloomFilter, bloom_mask, probe_table, splitmix64
+from .bloom import BloomFilter, probe_table, splitmix64
 from .item import ITEM_HEADER_BYTES, CacheItem
 
 __all__ = ["SmallObjectCache", "BUCKET_HEADER_BYTES"]
@@ -61,6 +64,13 @@ BLOOM_HASHES = 4
 # That shape's masks, bound once; a key's is ``bloom_mask`` in line:
 # ``_MASKS[h1 % BLOOM_BITS * BLOOM_BITS + (splitmix64(h1) | 1) % BLOOM_BITS]``.
 _MASKS = probe_table(BLOOM_BITS, BLOOM_HASHES)
+# A fingerprint is ``bucket << _PROBE_BITS | probe``, ``_MASKS[probe]``
+# the key's mask.  A SOC's fingerprint table has 16 slots per bucket,
+# rounded up to a power of two, and at most _FP_MAX_SLOTS.
+_PROBE_BITS = (len(_MASKS) - 1).bit_length()
+_PROBE = (1 << _PROBE_BITS) - 1
+_FP_SLOTS_PER_BUCKET = 16
+_FP_MAX_SLOTS = 1 << 16
 
 
 class SmallObjectCache:
@@ -101,8 +111,9 @@ class SmallObjectCache:
         self.num_buckets = num_buckets
         self.bucket_size = device.ssd.page_size
         self.usable_bucket_bytes = self.bucket_size - BUCKET_HEADER_BYTES
-        # Each bucket's image, oldest entry first (FIFO eviction).  A
-        # rewrite puts the dict itself into its payload and records it
+        # Each bucket's image, oldest entry first (FIFO eviction), key ->
+        # ``stored_size << BLOOM_BITS | mask``.  A rewrite puts the dict
+        # itself into its payload and records it
         # in _manifests; while ``_buckets[b] is _manifests[b]`` the
         # bucket is shared, and whatever changes it (_stage, invalidate,
         # delete) replaces it with a copy first; _drop_bucket and
@@ -117,12 +128,19 @@ class SmallObjectCache:
         # read yet: lookup builds the filter from it, then sets None.
         self._pending_blooms: List[Optional[Dict[int, int]]] = [None] * num_buckets
         # The key index: key -> bloom mask, for exactly the resident
-        # keys (``key in _masks`` iff ``key in _buckets[bucket_of(key)]``).
-        # Residency is answered here without hashing, and building a
-        # bucket's bloom ORs the masks instead of hashing each key again.
-        # Written only where a key enters or is evicted (_stage, recover)
-        # or leaves otherwise (_drop_bucket, invalidate, delete).
+        # keys (``key in _masks`` iff ``key in _buckets[bucket_of(key)]``),
+        # so ``contains``, ``invalidate`` and ``delete`` answer for an
+        # absent key without its fingerprint.  Written only where a key
+        # enters or is evicted (_stage, recover) or leaves otherwise
+        # (_drop_bucket, invalidate, delete).
         self._masks: Dict[int, int] = {}
+        # The fingerprint table: the last key at each slot ``key & _slot``,
+        # mod 2**64 (all ``splitmix64`` reads), and its fingerprint.  Slot
+        # i starts with key i + 1, another slot's, so it matches no key.
+        slots = min(_FP_MAX_SLOTS, 1 << (_FP_SLOTS_PER_BUCKET * num_buckets - 1).bit_length())
+        self._slot = slots - 1
+        self._fp_keys = array("Q", range(1, slots + 1))
+        self._fps = array("Q", [0]) * slots
         # Per-bucket rewrite generation, part of the on-flash header.
         self._generations: List[int] = [0] * num_buckets
         # engine statistics
@@ -145,7 +163,20 @@ class SmallObjectCache:
 
     def bucket_of(self, key: int) -> int:
         """Uniform hash placement of a key (Appendix A's assumption)."""
-        return splitmix64(key) % self.num_buckets
+        return self._fingerprint(key) >> _PROBE_BITS
+
+    def _fingerprint(self, key: int) -> int:
+        """``key``'s bucket (``splitmix64(key) % num_buckets``) and mask
+        index (``bloom_mask``'s, in _MASKS), packed: from its table slot,
+        or hashed and put there.  ``lookup`` has this in line."""
+        slot = key & self._slot
+        if self._fp_keys[slot] == key:
+            return self._fps[slot]
+        h1 = splitmix64(key)
+        probe = h1 % BLOOM_BITS * BLOOM_BITS + (splitmix64(h1) | 1) % BLOOM_BITS
+        fp = self._fps[slot] = h1 % self.num_buckets << _PROBE_BITS | probe
+        self._fp_keys[slot] = key & 0xFFFF_FFFF_FFFF_FFFF
+        return fp
 
     def accepts(self, item: CacheItem) -> bool:
         """Whether the item physically fits in a bucket."""
@@ -159,8 +190,8 @@ class SmallObjectCache:
         """key → logical size snapshot across all buckets (no I/O)."""
         out: Dict[int, int] = {}
         for entries in self._buckets:
-            for key, nbytes in entries.items():
-                out[key] = nbytes - ITEM_HEADER_BYTES
+            for key, packed in entries.items():
+                out[key] = (packed >> BLOOM_BITS) - ITEM_HEADER_BYTES
         return out
 
     # ------------------------------------------------------------------
@@ -183,29 +214,28 @@ class SmallObjectCache:
         self._blooms[bucket].clear()
         return len(entries)
 
-    def _stage(self, bucket: int, hashed: Iterable[Tuple[CacheItem, int]]) -> None:
-        """Put items that fit a bucket (each with its key's
-        ``splitmix64``) at the tail of the bucket's in-memory image, in
-        order, replacing older copies; then evict FIFO until the image
-        fits its page."""
+    def _stage(self, bucket: int, masked: Iterable[Tuple[CacheItem, int]]) -> None:
+        """Put items that fit a bucket (each with its key's bloom mask)
+        at the tail of the bucket's in-memory image, in order, replacing
+        older copies; then evict FIFO until the image fits its page."""
         entries = self._buckets[bucket]
         if entries is self._manifests[bucket]:
             entries = self._buckets[bucket] = dict(entries)  # unshare
         masks = self._masks
         used = self._used[bucket]
-        for item, h1 in hashed:
+        for item, mask in masked:
             key = item.key
             old = entries.pop(key, None)
             if old is None:
-                h2 = splitmix64(h1) | 1
-                masks[key] = _MASKS[h1 % BLOOM_BITS * BLOOM_BITS + h2 % BLOOM_BITS]
+                masks[key] = mask
             else:
-                used -= old
-            nbytes = entries[key] = item.size + ITEM_HEADER_BYTES
+                used -= old >> BLOOM_BITS
+            nbytes = item.size + ITEM_HEADER_BYTES
+            entries[key] = nbytes << BLOOM_BITS | mask
             used += nbytes
         while used > self.usable_bucket_bytes:
             key = next(iter(entries))
-            used -= entries.pop(key)
+            used -= entries.pop(key) >> BLOOM_BITS
             del masks[key]
             self.evictions += 1
         self._used[bucket] = used
@@ -246,9 +276,9 @@ class SmallObjectCache:
         nbytes = item.size + ITEM_HEADER_BYTES  # item.stored_size, no frame
         if nbytes > self.usable_bucket_bytes:
             return False, now_ns
-        h1 = splitmix64(item.key)
-        bucket = h1 % self.num_buckets
-        self._stage(bucket, ((item, h1),))
+        fp = self._fingerprint(item.key)
+        bucket = fp >> _PROBE_BITS
+        self._stage(bucket, ((item, _MASKS[fp & _PROBE]),))
         done = self._write_bucket(bucket, now_ns)
         self.inserts += 1
         self.app_bytes_written += item.size
@@ -280,17 +310,19 @@ class SmallObjectCache:
         """
         groups: Dict[int, List[Tuple[CacheItem, int]]] = {}
         for items in batches:
-            hashed = [(item, splitmix64(item.key)) for item in items]
-            buckets = {h1 % self.num_buckets for _, h1 in hashed}
+            fps = [self._fingerprint(item.key) for item in items]
+            buckets = {fp >> _PROBE_BITS for fp in fps}
             if len(buckets) > 1:
                 raise ValueError("a batch of items must share one bucket")
             if buckets:
-                groups.setdefault(buckets.pop(), []).extend(hashed)
+                groups.setdefault(buckets.pop(), []).extend(
+                    (item, _MASKS[fp & _PROBE]) for item, fp in zip(items, fps)
+                )
         staged: List[Tuple[int, int, Dict[int, int]]] = []
         commands: List[Tuple] = []
         usable = self.usable_bucket_bytes - ITEM_HEADER_BYTES
-        for bucket, hashed in groups.items():
-            fits = [(item, h1) for item, h1 in hashed if item.size <= usable]
+        for bucket, masked in groups.items():
+            fits = [(item, mask) for item, mask in masked if item.size <= usable]
             if not fits:
                 continue
             self._stage(bucket, fits)
@@ -328,32 +360,24 @@ class SmallObjectCache:
         charged whether the key is present or the bloom lied.
         """
         self.lookups += 1
-        h1 = splitmix64(key)
-        bucket = h1 % self.num_buckets
-        mask = self._masks.get(key)
-        resident = mask is not None
-        if not resident:
-            h2 = splitmix64(h1) | 1
-            mask = _MASKS[h1 % BLOOM_BITS * BLOOM_BITS + h2 % BLOOM_BITS]
+        slot = key & self._slot
+        if self._fp_keys[slot] == key:
+            fp = self._fps[slot]
+        else:  # _fingerprint's body: one frame fewer on a GET
+            h1 = splitmix64(key)
+            probe = h1 % BLOOM_BITS * BLOOM_BITS + (splitmix64(h1) | 1) % BLOOM_BITS
+            fp = self._fps[slot] = h1 % self.num_buckets << _PROBE_BITS | probe
+            self._fp_keys[slot] = key & 0xFFFF_FFFF_FFFF_FFFF
+        bucket = fp >> _PROBE_BITS
+        packed = self._buckets[bucket].get(key)
         bloom = self._blooms[bucket]
         manifest = self._pending_blooms[bucket]
         if manifest is not None:
             # The first read since the bucket's rewrite builds its bloom
-            # from that rewrite's manifest, with the masks of the index.
+            # from the masks packed in that rewrite's manifest.
             self._pending_blooms[bucket] = None
-            masks = self._masks
-            if manifest is self._buckets[bucket]:
-                bloom.rebuild(manifest, masks.__getitem__)
-            else:
-                # The bucket changed since: a key that left the index
-                # (invalidated, or evicted by a restage whose write
-                # never finished) is hashed again.
-                bloom.rebuild(
-                    manifest,
-                    lambda k: masks.get(k)
-                    or bloom_mask(splitmix64(k), BLOOM_BITS, BLOOM_HASHES),
-                )
-        if not bloom.may_contain(key, mask):
+            bloom.rebuild(manifest.values())
+        if not bloom.may_contain(key, _MASKS[fp & _PROBE]):
             self.bloom_rejects += 1
             return None, now_ns
         try:
@@ -375,11 +399,11 @@ class SmallObjectCache:
             self._drop_bucket(bucket)
             return None, done
         self.flash_reads += 1
-        if not resident:
+        if packed is None:
             return None, done
         self.hits += 1
-        nbytes = self._buckets[bucket][key]
-        return CacheItem(key, nbytes - ITEM_HEADER_BYTES), done
+        size = (packed >> BLOOM_BITS) - ITEM_HEADER_BYTES
+        return tuple.__new__(CacheItem, (key, size)), done
 
     def invalidate(self, key: int) -> bool:
         """Drop a key without rewriting the bucket.
@@ -392,22 +416,22 @@ class SmallObjectCache:
         """
         if self._masks.pop(key, None) is None:
             return False
-        bucket = splitmix64(key) % self.num_buckets
+        bucket = self._fingerprint(key) >> _PROBE_BITS
         entries = self._buckets[bucket]
         if entries is self._manifests[bucket]:
             entries = self._buckets[bucket] = dict(entries)  # unshare
-        self._used[bucket] -= entries.pop(key)
+        self._used[bucket] -= entries.pop(key) >> BLOOM_BITS
         return True
 
     def delete(self, key: int, now_ns: int = 0) -> Tuple[bool, int]:
         """Remove a key; a removal rewrites the bucket (as CacheLib does)."""
         if self._masks.pop(key, None) is None:
             return False, now_ns
-        bucket = splitmix64(key) % self.num_buckets
+        bucket = self._fingerprint(key) >> _PROBE_BITS
         entries = self._buckets[bucket]
         if entries is self._manifests[bucket]:
             entries = self._buckets[bucket] = dict(entries)  # unshare
-        self._used[bucket] -= entries.pop(key)
+        self._used[bucket] -= entries.pop(key) >> BLOOM_BITS
         return True, self._write_bucket(bucket, now_ns)
 
     # ------------------------------------------------------------------
@@ -442,9 +466,9 @@ class SmallObjectCache:
                 # its page, and the next lookup builds its bloom.
                 self._buckets[bucket] = self._manifests[bucket] = manifest
                 self._pending_blooms[bucket] = manifest
-                self._used[bucket] = sum(manifest.values())
-                for key in manifest:
-                    masks[key] = bloom_mask(splitmix64(key), BLOOM_BITS, BLOOM_HASHES)
+                self._used[bucket] = sum(p >> BLOOM_BITS for p in manifest.values())
+                for key, packed in manifest.items():
+                    masks[key] = packed & (1 << BLOOM_BITS) - 1
                 recovered += 1
                 items += len(manifest)
             elif had_entries or payload is not None:

@@ -21,7 +21,7 @@ import dataclasses
 import itertools
 from typing import Iterator, List, Optional
 
-from ..bench.driver import ReplayConfig
+from ..bench.driver import ReplayConfig, collector_paused
 from ..cache.hybrid import MISS
 from ..workloads.trace import OP_GET, OP_SET, Trace
 from .monitor import FleetHealthMonitor
@@ -135,6 +135,7 @@ class FleetDriver:
                 shard.clock_ns, shard.busy_until()
             )
 
+    @collector_paused()
     def run(self, trace: Trace, *, name: Optional[str] = None) -> FleetRunResult:
         """Replay ``trace`` through the fleet; returns fleet metrics."""
         fleet = self.fleet

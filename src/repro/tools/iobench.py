@@ -25,6 +25,7 @@ import random
 import time
 from typing import Dict, List, Optional
 
+from ..bench.driver import collector_paused
 from ..ssd.device import SimulatedSSD
 from ..ssd.geometry import Geometry
 
@@ -90,9 +91,7 @@ def run_case(
     # the cross-case ratios this tool exists to measure.  (Refcounting
     # still frees the per-command garbage; only cycle detection waits.)
     gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         start = time.perf_counter()
         if split:
             for lba in lbas:
@@ -102,9 +101,6 @@ def run_case(
             for lba in lbas:
                 now = device.write(lba, npages, now_ns=now)
         wall = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     pages = commands * npages
     return {
         "label": label,

@@ -4,51 +4,61 @@ No wall clock, so they cannot flake (same ``sys.setprofile`` technique
 as ``tests/test_ftl_perf_guard.py``): each case counts the Python
 frames one ``HybridCache`` op enters, how many of them are
 ``splitmix64`` and how many build a ``CacheItem``.  These are the
-mechanisms behind ``kv_fdp``'s host throughput — a key is hashed only
-where the hash decides something (bucket choice on a flash write or a
-flash lookup), an item is built once per SET and once per flash hit,
-DRAM hands back what it was given — so a change that quietly hashes to
-pop nothing, or boxes a size into a fresh item, fails here in tier-1
-before any benchmark runs.
+mechanisms behind ``kv_fdp``'s host throughput — a key is hashed once
+per cache (the SOC's fingerprint table answers for it after its first
+sight), an item is built once per SET and once per flash hit, DRAM
+hands back what it was given — so a change that quietly hashes a key
+again, or boxes a size into a fresh item, fails here in tier-1 before
+any benchmark runs.
 
-The bars are what the commit before the cache layer's second round
-measured (in the comments) against what that round left; none may
-rise.  The FTL's share of a flash write is pinned separately by the
+The bars are what earlier commits measured (in the comments) against
+what the latest round left; none may rise.  The FTL's share of a flash write is pinned separately by the
 FTL guard.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
+import repro.cache
+from repro.bench.driver import collector_paused
 from repro.bench.runner import build_experiment
 from repro.cache import CacheItem, SmallObjectCache
 from repro.cache.bloom import BloomFilter, splitmix64
 from repro.core import FdpAwareDevice
 
 _SPLITMIX = splitmix64.__code__
-_NEW_ITEM = CacheItem.__init__.__code__
+_TUPLE_NEW = tuple.__new__
+_CACHE_DIR = os.path.dirname(repro.cache.__file__)
 
 
 def frames(fn):
     """(Python frames entered, ``splitmix64`` frames, ``CacheItem``s
-    built) while ``fn()`` runs, not counting ``fn``'s own frame."""
-    counts = {"frames": -1, _SPLITMIX: 0, _NEW_ITEM: 0}
+    built) while ``fn()`` runs, not counting ``fn``'s own frame.  An item
+    is a ``tuple.__new__`` C call made in the cache package: the
+    constructor and every hot path build one that way, and nothing else
+    there calls it.  The collector is paused while ``fn`` runs: a pass
+    landing inside it would count the frames of any ``gc.callbacks``
+    hook (Hypothesis installs one), which depends on test order."""
+    counts = [-1, 0, 0]
 
     def profiler(frame, event, arg):
         if event == "call":
-            counts["frames"] += 1
-            if frame.f_code in counts:
-                counts[frame.f_code] += 1
+            counts[0] += 1
+            counts[1] += frame.f_code is _SPLITMIX
+        elif event == "c_call" and arg is _TUPLE_NEW:
+            counts[2] += frame.f_code.co_filename.startswith(_CACHE_DIR)
 
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return counts["frames"], counts[_SPLITMIX], counts[_NEW_ITEM]
+    with collector_paused():
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+    return tuple(counts)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +79,8 @@ def test_set_overwriting_a_dram_resident_key(warm):
     resident = key - 1
     evictions = cache.dram.evictions
     # Parent: 9 frames, 1 splitmix64 (to pop nothing from the SOC), 1 item.
-    assert frames(lambda: cache.set(resident, 100, now)) == (5, 0, 1)
+    # Then 5; 4 since the item is a tuple built in C.
+    assert frames(lambda: cache.set(resident, 100, now)) == (4, 0, 1)
     assert cache.dram.evictions == evictions
 
 
@@ -95,6 +106,8 @@ def test_get_of_an_absent_key(warm):
     # Parent: 8 frames, 2 splitmix64, 0 items; 7 since the SOC indexes
     # its bloom shape's probe table in line — may not rise.
     assert counted[0] <= 7 and counted[1:] == (2, 0)
+    # Asked again, the key's fingerprint is in the table: 5 frames.
+    assert frames(lambda: cache.get_where(key, now)) == (5, 0, 0)
 
 
 def one_victim_set(cache, now, key, measure):
@@ -134,8 +147,26 @@ def test_set_that_evicts_one_item_into_one_bucket_rewrite(warm):
     # measured 26.  Now the eviction stages and evicts in one frame,
     # builds its payload where it writes, computes the mask in line,
     # calls no placement hook that does nothing, and the FTL stamps one
-    # page in line: 20.
+    # page in line: 20.  Then the item lost its __init__ frame and the
+    # victim's first sight gained the fingerprint table's: 20.
     assert counted[0] <= 20 and counted[1:] == (2, 1)
+
+
+def test_a_key_is_hashed_once_per_cache(warm):
+    """A key's first sight costs exactly its two ``splitmix64`` rounds
+    (bucket, then mask); from then on the SOC's fingerprint table
+    answers: a second lookup of an absent key, and a bucket rewrite of a
+    key the cache has seen, enter no ``splitmix64`` frame."""
+    cache, now, key = warm
+    soc = cache.soc
+    key += 2000  # clear of the keys the other cases set
+    assert frames(lambda: soc.lookup(key, now))[1] == 2
+    assert frames(lambda: soc.lookup(key, now))[1] == 0
+    # The DRAM items next in line for eviction, each looked up once.
+    for seen in list(cache.dram._items)[:64]:
+        soc.lookup(seen, now)
+    counted = one_victim_set(cache, now, key + 1, frames)
+    assert counted[0] <= 18 and counted[1:] == (0, 1)
 
 
 def test_a_bucket_rewrite_builds_no_bloom(warm):
@@ -169,9 +200,9 @@ def test_a_bucket_rewrite_builds_no_bloom(warm):
 
 def test_batched_set_insert_hashes_each_item_once(fdp_ssd):
     """The Kangaroo move path: every item of a single-bucket group is
-    hashed once for the single-bucket check and the placement, plus its
-    mask's second round (parent: 3 per item + 1 per group + the second
-    rounds)."""
+    hashed once for the single-bucket check, the placement and its mask
+    (parent: 3 per item + 1 per group + the second rounds), and not at
+    all once the SOC has seen its key."""
     layer = FdpAwareDevice(fdp_ssd)
     soc = SmallObjectCache(
         layer, layer.allocator.allocate("soc"), base_lba=0, num_buckets=64
@@ -184,4 +215,10 @@ def test_batched_set_insert_hashes_each_item_once(fdp_ssd):
     assert items == 15
     _, hashes, built = frames(lambda: soc.insert_many_batched(batches))
     assert soc.item_count == items
+    assert (hashes, built) == (0, 0)  # bucket_of saw every key above
+    fresh = SmallObjectCache(
+        layer, layer.allocator.allocate("soc2"), base_lba=64, num_buckets=64
+    )
+    _, hashes, built = frames(lambda: fresh.insert_many_batched(batches))
+    assert fresh.item_count == items
     assert (hashes, built) == (2 * items, 0)

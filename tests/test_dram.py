@@ -6,8 +6,9 @@ import pickle
 
 import pytest
 
-from repro.cache import CacheItem, DramCache
+from repro.cache import CacheItem, DramCache, HybridCache
 from repro.cache.dram import DRAM_ITEM_OVERHEAD
+from tests.test_hybrid import small_config
 
 
 def make(capacity_items=10, item_size=100):
@@ -151,13 +152,17 @@ class TestKeepsTheItemsItWasGiven:
 
 
 class TestCacheItemValue:
-    """CacheItem is a slots class now; the dataclass contract it had stays."""
+    """CacheItem is a tuple subclass now (the hot paths build it with
+    ``tuple.__new__``); the dataclass contract it had stays."""
 
     def test_equality_hash_repr(self):
         a, b = CacheItem(7, 100), CacheItem(7, 100)
-        assert a == b and hash(a) == hash(b)
+        assert a == b and hash(a) == hash(b) == hash((7, 100))
         assert a != CacheItem(7, 101) and a != CacheItem(8, 100)
-        assert a != (7, 100)
+        # Equal only to another CacheItem, from either side.
+        assert a != (7, 100) and (7, 100) != a
+        assert not a == (7, 100) and not (7, 100) == a
+        assert tuple.__new__(CacheItem, (7, 100)) == a
         assert {a, b} == {a}
         assert repr(a) == "CacheItem(key=7, size=100)"
         assert a.stored_size == 100 + 24
@@ -177,7 +182,14 @@ class TestCacheItemValue:
         with pytest.raises(ValueError):
             CacheItem(1, size)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_set_rejects_non_positive_size(self, fdp_ssd, size):
+        cache = HybridCache(fdp_ssd, small_config())
+        with pytest.raises(ValueError):
+            cache.set(1, size)
+        assert cache.sets == 0 and len(cache.dram) == 0
+
     def test_copy_and_pickle_round_trip(self):
         item = CacheItem(7, 100)
-        assert pickle.loads(pickle.dumps(item)) == item
-        assert copy.deepcopy(item) == item
+        for copied in (pickle.loads(pickle.dumps(item)), copy.deepcopy(item)):
+            assert copied == item and type(copied) is CacheItem

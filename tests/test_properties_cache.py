@@ -32,7 +32,7 @@ class TestBloomProperties:
     def test_rebuild_equivalent_to_fresh_build(self, keys, probe):
         rebuilt = BloomFilter(bits=128, hashes=4)
         rebuilt.add(probe)  # pre-existing state to be discarded
-        rebuilt.rebuild(keys)
+        rebuilt.rebuild(map(rebuilt.mask, keys))
         fresh = BloomFilter(bits=128, hashes=4)
         for k in keys:
             fresh.add(k)

@@ -1,9 +1,11 @@
 """The SOC's key index, rule by rule.
 
 ``SmallObjectCache._masks`` (key -> bloom mask) is the engine's key
-index by contract: it holds exactly the resident keys, so ``contains``,
-the not-resident outcome of ``invalidate``/``delete`` and ``lookup``'s
-residency test are answered from it without hashing.  This state
+index by contract: it holds exactly the resident keys, so ``contains``
+and the not-resident outcome of ``invalidate``/``delete`` are answered
+from it without a fingerprint.  Each bucket image maps a key to its
+stored size packed above that same mask, and the fingerprint table
+answers exactly what hashing would for every key it holds.  This state
 machine drives every method that lets a key enter or leave — including
 the degradation paths (a failed bucket rewrite, a UECC, a page unmapped
 underneath the engine) and warm restart from the persisted headers —
@@ -28,11 +30,19 @@ import random
 from functools import reduce
 from operator import or_
 
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cache import CacheItem, SmallObjectCache
-from repro.cache.bloom import BloomFilter
+from repro.cache.bloom import BloomFilter, bloom_mask, splitmix64
+from repro.cache.soc import (
+    _FP_MAX_SLOTS,
+    _MASKS,
+    _PROBE,
+    _PROBE_BITS,
+    BLOOM_BITS,
+    BLOOM_HASHES,
+)
 from repro.cache.kangaroo import KangarooCache
 from repro.core import DEFAULT_HANDLE, FdpAwareDevice
 from repro.faults.errors import ProgramFailError, UncorrectableReadError
@@ -125,18 +135,37 @@ def eager_bloom(keys) -> int:
     return reduce(or_, map(BloomFilter().mask, keys), 0)
 
 
+def unpack(packed: int):
+    """A bucket entry's ``(stored size, bloom mask)``."""
+    return packed >> BLOOM_BITS, packed & (1 << BLOOM_BITS) - 1
+
+
+def exact_fingerprint(soc: SmallObjectCache, key: int):
+    """A key's ``(bucket, mask)`` by hashing, as the table must answer."""
+    h1 = splitmix64(key)
+    return h1 % soc.num_buckets, bloom_mask(h1, BLOOM_BITS, BLOOM_HASHES)
+
+
 def check_index(soc: SmallObjectCache, keys=range(0, 161)) -> None:
-    """The index, the bucket images and the accounting agree."""
+    """The index, the bucket images (each entry a stored size packed
+    above its key's mask), the accounting and the fingerprint table
+    agree."""
     assert set(soc._masks) == set(soc.resident_items())
     assert len(soc._masks) == soc.item_count  # no key sits in two buckets
     for bucket, entries in enumerate(soc._buckets):
-        assert soc._used[bucket] == sum(entries.values())
+        assert soc._used[bucket] == sum(unpack(p)[0] for p in entries.values())
         assert soc._used[bucket] <= soc.usable_bucket_bytes
-        for key in entries:
+        for key, packed in entries.items():
             assert soc.bucket_of(key) == bucket
-            assert soc._masks[key] == soc._blooms[bucket].mask(key)
+            assert soc._masks[key] == unpack(packed)[1] == soc._blooms[bucket].mask(key)
     for key in keys:
         assert soc.contains(key) == (key in soc._buckets[soc.bucket_of(key)])
+    for key in set(keys) | set(soc._masks):
+        slot = key & soc._slot
+        if soc._fp_keys[slot] == key:
+            fp = soc._fps[slot]
+            bucket, mask = exact_fingerprint(soc, key)
+            assert fp >> _PROBE_BITS == bucket and _MASKS[fp & _PROBE] == mask
 
 
 class SocIndexMachine(RuleBasedStateMachine):
@@ -318,6 +347,68 @@ class SocIndexMachine(RuleBasedStateMachine):
             assert bloom_a_lookup_reads(self.soc, bucket) == eager_bloom(
                 self.bloom_keys[bucket]
             )
+
+
+def _soc(num_buckets=NUM_BUCKETS):
+    io = FdpAwareDevice(SimulatedSSD(GEOMETRY, fdp=True))
+    return SmallObjectCache(
+        io, io.allocator.allocate("soc"), base_lba=0, num_buckets=num_buckets
+    )
+
+
+# Any int is a key: negative ones, ones of 2**63 and up, ones 2**64
+# apart (``splitmix64`` reads a key mod 2**64), and ones that share a
+# fingerprint-table slot (in a table of any size) and so evict each
+# other from it.
+ANY_KEYS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(2**63 - 8, 2**64 + 8),
+    st.builds(
+        lambda low, high: low + high * _FP_MAX_SLOTS, st.integers(0, 7), st.integers(-3, 3)
+    ),
+    st.builds(lambda key, wraps: key + wraps * 2**64, KEYS, st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=st.lists(ANY_KEYS, min_size=1, max_size=40),
+    num_buckets=st.integers(1, 5000),
+)
+def test_fingerprints_are_exact(keys, num_buckets):
+    """Whatever the table holds or lost, a key's bucket and mask are
+    ``splitmix64(key) % num_buckets`` and ``bloom_mask(splitmix64(key),
+    64, 4)``, through ``_fingerprint`` and through ``lookup``'s copy."""
+    soc = _soc(num_buckets)
+    soc.device = _MappedReads
+    for i, key in enumerate(keys + keys[::-1]):
+        bucket, mask = exact_fingerprint(soc, key)
+        if i % 2:
+            soc.lookup(key)  # fills the slot through lookup's copy
+        fp = soc._fingerprint(key)
+        assert fp >> _PROBE_BITS == bucket == soc.bucket_of(key)
+        assert _MASKS[fp & _PROBE] == mask
+    check_index(soc, keys=keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    items=st.lists(ITEMS, min_size=1, max_size=40),
+    gone=st.lists(KEYS, max_size=20),
+)
+def test_a_bloom_from_a_packed_manifest_is_the_eager_one(items, gone):
+    """A lookup ORs the packed manifest of the bucket's last rewrite:
+    the same field as adding each of that manifest's keys, keys
+    invalidated since included."""
+    soc = _soc()
+    for item in items:
+        soc.insert(item)
+    for key in gone:
+        soc.invalidate(key)
+    for bucket in range(NUM_BUCKETS):
+        page = soc.device.read_payload(bucket)[0]
+        keys = [] if page is None else list(page[3])
+        assert bloom_a_lookup_reads(soc, bucket) == eager_bloom(keys)
 
 
 _SETTINGS = settings(

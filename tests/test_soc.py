@@ -4,13 +4,19 @@ import random
 
 import pytest
 
+from repro.bench import CacheBench, DEFAULT_SCALE, build_experiment
+from repro.bench.runner import make_trace
 from repro.cache import CacheItem, HybridCache, SmallObjectCache
 from repro.cache.hybrid import MISS
 from repro.cache.item import ITEM_HEADER_BYTES
 from repro.core import FdpAwareDevice
 from repro.faults.errors import ProgramFailError
 from tests.test_hybrid import small_config
-from tests.test_properties_soc_index import bloom_a_lookup_reads, check_index
+from tests.test_properties_soc_index import (
+    bloom_a_lookup_reads,
+    check_index,
+    eager_bloom,
+)
 
 
 @pytest.fixture
@@ -204,7 +210,7 @@ class TestMaskMemo:
         assert any(fields)
         # The masks are the key index now, so the one place that may
         # forget them is recover(): it clears the index and refills it
-        # from the bucket manifests, one hash per recovered key.
+        # from the masks packed in the bucket manifests.
         soc.recover()
         assert [bloom_a_lookup_reads(soc, b) for b in buckets] == fields
         assert soc.item_count == 200
@@ -266,3 +272,49 @@ class TestBatchedRewritesOfOneBucket:
         assert dev.stats.host_pages_written == 1
         assert soc.resident_items() == {k2: 200, k1: 300}
         check_index(soc, keys=(k1, k2))
+
+
+class TestWarmRestartAfterReplay:
+    """A real replay, a power cut and ``HybridCache.recover``: every
+    bucket comes back as its last rewrite's manifest said (each key's
+    size, the bucket's ``_used``, the bloom's answer), which pins the
+    packed manifest format from the rewrite to the recovered engine."""
+
+    def test_recovered_buckets_match_their_last_rewrite(self):
+        cache = build_experiment(fdp=True, utilization=0.9)
+        soc = cache.soc
+        admitted = {}  # key -> size at its latest SOC admission
+        insert = soc.insert
+
+        def recording_insert(item, now_ns=0):
+            admitted[item.key] = item.size
+            return insert(item, now_ns)
+
+        soc.insert = recording_insert
+        trace = make_trace(
+            "kvcache", cache.config.nvm_bytes, DEFAULT_SCALE, num_ops=20_000, seed=3
+        )
+        CacheBench().run(cache, trace)
+        del soc.insert
+        # Each bucket's last rewrite: the keys its page's header lists.
+        # A key's entry is its latest admission, which rewrote this bucket.
+        pages = cache.device.read_payload(soc.base_lba, soc.num_buckets)
+        last = {b: list(page[3]) for b, page in enumerate(pages) if page is not None}
+        assert soc.evictions and len(last) > soc.num_buckets // 2
+
+        cache.device.power_cut()
+        report = cache.recover()
+        assert report["soc"]["buckets_recovered"] == len(last)
+        assert report["soc"]["items_recovered"] == sum(map(len, last.values()))
+        expected = {key: admitted[key] for keys in last.values() for key in keys}
+        assert soc.resident_items() == expected
+        for bucket in range(soc.num_buckets):
+            keys = last.get(bucket, [])
+            assert soc._used[bucket] == sum(
+                admitted[key] + ITEM_HEADER_BYTES for key in keys
+            )
+            assert bloom_a_lookup_reads(soc, bucket) == eager_bloom(keys)
+        for key in list(expected)[::50]:
+            item, _ = soc.lookup(key)
+            assert item == CacheItem(key, expected[key])
+        check_index(soc, keys=list(expected)[:200])
