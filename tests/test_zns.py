@@ -1,11 +1,13 @@
 """Tests for the ZNS device mode and the host-side log store."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.ssd import DeviceFullError, Geometry, OutOfRangeError
 from repro.ssd.zns import ZonedSSD, ZoneError, ZoneState, ZnsHostLog
+from tests.test_golden_regression import _check_golden
 
 
 @pytest.fixture
@@ -133,3 +135,37 @@ class TestZnsHostLog:
     def test_reserve_validation(self, zns):
         with pytest.raises(ValueError):
             ZnsHostLog(zns, reserve_zones=0)
+
+
+def host_log_stream(geometry: Geometry) -> dict:
+    """A seeded skewed update stream through a ``ZnsHostLog`` that runs
+    host GC many times over; the state it leaves behind."""
+    device = ZonedSSD(geometry)
+    log = ZnsHostLog(device, reserve_zones=3)
+    rng = random.Random(0x2A5)
+    capacity = device.num_zones * device.zone_pages
+    span = capacity * 3 // 4
+    hot = span // 5
+    for _ in range(4 * capacity):
+        log.put(rng.randrange(hot if rng.random() < 0.8 else span))
+    return {
+        "appended_pages": log.appended_pages,
+        "host_copied_pages": log.host_copied_pages,
+        "superblocks_erased": device.stats.superblocks_erased,
+        "zones": [
+            [zone.write_pointer, zone.state.value, zone.resets]
+            for zone in device.zones
+        ],
+        "key_page_sha256": hashlib.sha256(
+            repr(sorted(log._key_page.items())).encode()
+        ).hexdigest(),
+    }
+
+
+def test_golden_host_log_stream(small_geometry, update_golden):
+    """Pins host GC's victim choice (the first full zone with the fewest
+    live pages) and every zone it leaves, appended/copied counts and
+    the key map included."""
+    data = host_log_stream(small_geometry)
+    assert data["host_copied_pages"] > 0
+    _check_golden("zns_host_log_stream", data, update_golden)
