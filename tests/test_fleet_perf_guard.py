@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from repro.bench.driver import collector_paused
 from repro.bench.runner import Scale, make_trace
 from repro.cache import HybridCache
 from repro.core import FdpAwareDevice
@@ -112,18 +113,20 @@ def test_one_digest_per_distinct_key_and_no_queue_objects_per_sync_io(
 
 
 def _call_events(fn) -> int:
-    """sys.setprofile call events (Python frames and C calls) in ``fn()``."""
+    """sys.setprofile call events (Python frames and C calls) in ``fn()``,
+    with the collector paused: a pass would count ``gc.callbacks`` hooks."""
     events = [0]
 
     def profiler(frame, event, arg):
         if event == "call" or event == "c_call":
             events[0] += 1
 
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
+    with collector_paused():
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
     return events[0]
 
 
@@ -166,11 +169,12 @@ def _events_above_the_cache(fn) -> int:
             if event == "call" and frame.f_code in cache_entries:
                 inside[0] = frame
 
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
+    with collector_paused():
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
     return events[0]
 
 

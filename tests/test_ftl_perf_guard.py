@@ -27,8 +27,10 @@ the victim's live pages (``test_a_gc_pass_costs_per_run_not_per_page``).
 
 from __future__ import annotations
 
+import gc
 import sys
 
+from repro.bench.driver import collector_paused
 from repro.ssd import Geometry, SimulatedSSD
 
 # 128-page superblocks: a 40-page write fits the open one whole.
@@ -46,20 +48,45 @@ MAX_PYTHON_FRAMES = {1: 4, 40: 7}
 
 
 def call_events(fn):
-    """(all call events, Python frames only) while ``fn()`` runs."""
+    """(all call events, Python frames only) while ``fn()`` runs, with
+    the collector paused (see ``test_a_collector_pass_does_not_count``)."""
     counts = {"call": 0, "c_call": 0}
 
     def profiler(frame, event, arg):
         if event in counts:
             counts[event] += 1
 
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
+    with collector_paused():
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
     # Leaving the profiled region is itself one C call (setprofile).
     return counts["call"] + counts["c_call"] - 1, counts["call"]
+
+
+def test_a_collector_pass_does_not_count():
+    """A collector pass inside the profiled region runs every
+    ``gc.callbacks`` hook (Hypothesis installs one) as a Python frame,
+    so the count would depend on which tests ran before."""
+
+    def one_page_write():
+        device = SimulatedSSD(GEOMETRY)
+        now = device.write(0, 1, now_ns=0, payload="warm")
+        return call_events(lambda: device.write(1, 1, None, now, "x"))
+
+    quiet = one_page_write()
+    threshold = gc.get_threshold()
+    hook = lambda phase, info: None
+    gc.callbacks.append(hook)
+    gc.set_threshold(1)
+    try:
+        noisy = one_page_write()
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*threshold)
+    assert noisy == quiet
 
 
 def test_clean_write_call_events_do_not_rise():

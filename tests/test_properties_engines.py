@@ -105,7 +105,7 @@ class TestKangarooProperties:
 
 
 zns_op = st.tuples(
-    st.sampled_from(["put", "get"]),
+    st.sampled_from(["put", "check"]),
     st.integers(min_value=0, max_value=400),
 )
 
@@ -122,8 +122,10 @@ class TestZnsHostLogProperties:
                 log.put(key)
                 shadow.add(key)
             else:
-                found, _ = log.get(key)
-                assert found == (key in shadow)
+                assert (key in log._key_page) == (key in shadow)
+        assert set(log._key_page) == shadow
+        # Every mapped page holds its key.
+        assert all(log._page_key[lba] == key for key, lba in log._key_page.items())
         # The device never amplified anything.
         assert device.dlwa == 1.0
 
